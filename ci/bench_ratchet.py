@@ -1,85 +1,40 @@
 #!/usr/bin/env python3
-"""Bench ratchet: fail CI when a headline benchmark regresses.
+"""Bench gate: schema checks, absolute acceptance bars, and the ratchet.
 
 Usage: bench_ratchet.py BASELINE_DIR CURRENT_DIR
 
-Compares the current run's --json outputs against the previous run's
-(restored from the CI cache). Tolerances per metric:
+CURRENT_DIR holds one `<bench>.json` per entry of SCHEMAS (each bench
+binary's `--json` output); BASELINE_DIR holds the previous run's copies
+(restored from the CI cache). Three kinds of check run, all driven by
+the tables below:
 
-  fig2b            mops               must be >= 0.95x baseline (per
-                                      (threads, backend) point)
-  ablation_epoch   snoops_per_op      must be <= 1.05x baseline (per
-                                      ops_per_persist point)
-  ablation_overlap inline_reduction   must be >= 0.95x baseline (per
-                                      epoch_lines point, legacy series)
-  tenants          victim_ops_per_kstep  must be >= 0.95x baseline (per
-                                      solo/noisy series)
-  snoopfilter      ops_per_kstep      must be >= 0.95x baseline (per
-                                      filtered/unfiltered series);
-                   snoops_per_op      must be <= 1.05x baseline
-  fig2b_measured   mops               must be >= 0.90x baseline (per
-                                      threads point; wall-clock numbers
-                                      are noisier than modelled ones)
-  logappend        mops               must be >= 0.90x baseline (per
-                                      (threads, mode) point; same
-                                      wall-clock noise budget)
-  persistency      ops_per_kstep      must be >= 0.90x baseline (per
-                                      model series: strict / epoch /
-                                      buffered2 / buffered4)
-  allocbench       mops               must be >= 0.90x baseline (per
-                                      (threads, mode) point: bitmap
-                                      thread series + heap baseline)
-  hbmstore         mops               must be >= 0.90x baseline (per
-                                      (threads, mode) point: lockfree
-                                      and locked HBM set-index engines)
+  SCHEMAS     what every artifact must contain: the `bench` /
+              `schema_version` header, config keys, per-row keys, the
+              thread series of each mode, and the rows of each named
+              series.
+  RATCHETS    per-point regression floors against the baseline: a
+              metric, the row fields that identify a point, and a
+              tolerance (a floor for higher-is-better metrics, a ceiling
+              for lower-is-better ones). Modelled benches get 5 %;
+              wall-clock benches get 10 %.
+  SCALING     real-thread scaling bars, gated on the artifact's
+              `host_cores` (std::thread::available_parallelism): on a
+              host with enough cores the widest thread count must reach
+              the bar over one thread; on a starved host (CI containers
+              are often pinned to one or two cores, where real speedup is
+              impossible) the bar degrades to a no-collapse floor, so a
+              lock convoy still fails without pretending a small host can
+              show speedup.
 
-Independently of any baseline, three absolute acceptance bars apply:
-
-  - the free-running series of ablation_overlap: at the largest tick
-    budget, steady inline persist steps stay within 2x the snoop-sweep
-    cost;
-  - the tenants isolation series: the noisy-neighbor victim keeps at
-    least 70% of its solo throughput (victim_ratio >= 0.70);
-  - the snoopfilter spill workload: the ownership directory must cut
-    persist snoops/op at least 2x (filtered <= 0.5x unfiltered);
-  - the fig2b_measured real-thread series: on a host with >= 8 cores
-    the 8-thread run must scale >= 1.5x over 1 thread; on a starved
-    host (CI containers are often pinned to one core, where real
-    speedup is physically impossible) the bar is instead a
-    no-collapse floor — 8 threads keep >= 0.35x of single-thread
-    throughput, i.e. shard-parallel locking degrades gracefully
-    instead of convoying. The artifact records `host_cores`
-    (std::thread::available_parallelism) so the check picks the bar
-    that the hardware can express.
-  - the logappend same-lane append series: on a host with >= 4 cores
-    the lock-free CAS bank must scale >= 1.3x from 1 to 4 appender
-    threads (the mutex engine structurally cannot); on a starved host
-    the bar degrades to a no-collapse floor (>= 0.15x). On every host
-    the CAS engine's top-width scaling must be at least 0.9x the
-    mutex engine's — the lock-free path must never convoy harder than
-    the lock it replaced. The floor is deliberately NOT applied to
-    the `locked` series: its collapse under contention is the
-    behavior the CAS engine exists to remove.
-  - the persistency flush-heavy ablation: buffered-epoch with K=4 must
-    sustain at least 1.3x the strict model's ops/kstep — relaxing the
-    persistency model has to buy real throughput back, or the
-    abstraction is pure overhead.
-  - the allocbench slot-churn series: on a host with >= 4 cores the
-    bitmap allocator's per-core trees must scale >= 1.3x from 1 to 4
-    threads (the single-free-list heap structurally cannot); on a
-    starved host the bar degrades to a no-collapse floor (>= 0.15x).
-    Independently, every recovery row must keep the attach-time bitmap
-    scan linear: scan_steps <= 2x pool_frames — recovery IS
-    construction, so a super-linear scan means the §3.4 story broke.
-  - the hbmstore same-lane store storm: on a host with >= 4 cores the
-    lock-free HBM set index must scale >= 1.3x from 1 to 4 storing
-    threads (the lane-mutex engine structurally cannot); on a starved
-    host the bar degrades to a no-collapse floor (>= 0.15x). On every
-    host the lockfree engine's top-width scaling must be at least
-    0.9x the locked engine's — the per-set spinlock must never convoy
-    harder than the lane lock it replaced. The floor is deliberately
-    NOT applied to the `locked` series: its collapse under same-lane
-    contention is the behavior the set index exists to remove.
+plus a handful of absolute acceptance bars that need no baseline (see
+the `check_*` functions): fig2b's S=4 device shards must reach 1.5x the
+unsharded device at 32 threads; ablation_overlap's free-running series
+keeps inline persist steps within 2x the snoop sweep; the tenants
+noisy-neighbor victim keeps >= 70 % of its solo throughput; the snoop
+filter cuts persist snoops/op at least 2x; buffered-epoch (K=4) sustains
+>= 1.3x strict ops/kstep; allocbench's adversarial carpet leaves partial
+trees and its attach-time recovery scan stays linear (scan_steps <= 2x
+pool_frames).
 
 A missing baseline file seeds the ratchet (exit 0); the workflow then
 saves CURRENT_DIR as the next run's baseline.
@@ -89,33 +44,84 @@ import json
 import sys
 from pathlib import Path
 
-FIG2B_TOL = 0.95
-SNOOPS_TOL = 1.05
-REDUCTION_TOL = 0.95
-FREE_RUNNING_FACTOR = 2.0
-TENANTS_TOL = 0.95
-ISOLATION_FLOOR = 0.70
-SNOOPFILTER_TOL = 0.95
-FILTER_CEILING = 0.5
-MEASURED_TOL = 0.90
-MEASURED_SCALING_BAR = 1.5
-MEASURED_SCALING_CORES = 8
-MEASURED_NO_COLLAPSE_FLOOR = 0.35
-LOGAPPEND_TOL = 0.90
-LOGAPPEND_SCALING_BAR = 1.3
-LOGAPPEND_SCALING_CORES = 4
-LOGAPPEND_NO_COLLAPSE_FLOOR = 0.15
-PERSISTENCY_TOL = 0.90
-PERSISTENCY_BUFFERED_BAR = 1.3
-ALLOCBENCH_TOL = 0.90
-ALLOCBENCH_SCALING_BAR = 1.3
-ALLOCBENCH_SCALING_CORES = 4
-ALLOCBENCH_NO_COLLAPSE_FLOOR = 0.15
-ALLOCBENCH_SCAN_FACTOR = 2.0
-HBMSTORE_TOL = 0.90
-HBMSTORE_SCALING_BAR = 1.3
-HBMSTORE_SCALING_CORES = 4
-HBMSTORE_NO_COLLAPSE_FLOOR = 0.15
+THREAD_ROW = ("threads", "mode", "mops", "scaling_vs_1")
+
+SCHEMAS = {
+    "fig2b": {"rows": ("threads", "backend", "shards", "mops")},
+    "ablation_epoch": {"rows": ("ops_per_persist", "snoops_per_op", "peak_log_entries")},
+    "ablation_overlap": {},
+    "fig2b_measured": {
+        "config": ("shards", "ops_per_thread", "host_cores"),
+        "rows": ("threads", "shards", "mops", "scaling_vs_1"),
+        "threads": {None: [1, 2, 4, 8]},
+    },
+    "logappend": {
+        "config": ("ops_per_thread", "host_cores"),
+        "rows": THREAD_ROW,
+        "threads": {"cas": [1, 2, 4]},
+    },
+    "hbmstore": {
+        "config": ("ops_per_thread", "lines", "host_cores"),
+        "rows": THREAD_ROW,
+        "threads": {"lockfree": [1, 2, 4]},
+    },
+    "allocbench": {
+        "config": ("ops_per_thread", "host_cores", "pool_bytes"),
+        "rows": THREAD_ROW,
+        "threads": {"bitmap": [1, 2, 4], "heap": [1]},
+        "series": {
+            "recovery": (3, ("pool_bytes", "pool_frames", "live_frames", "scan_steps", "scan_ns")),
+            "fragment": (1, ("ops", "mops", "frag_permille_peak", "frag_permille_end",
+                             "tree_steals", "scan_frames")),
+        },
+    },
+    "tenants": {
+        "series": {
+            s: (1, ("victim_ops", "victim_steps", "victim_ops_per_kstep"))
+            for s in ("solo", "noisy")
+        },
+    },
+    "snoopfilter": {
+        "series": {
+            s: (1, ("ops", "snoops_sent", "snoops_per_op", "dir_filtered_snoops",
+                    "wb_batches", "ops_per_kstep"))
+            for s in ("filtered", "unfiltered")
+        },
+    },
+    "persistency": {
+        "series": {
+            s: (1, ("ops", "steps", "ops_per_kstep", "persists", "persists_per_op",
+                    "modeled_close_ns"))
+            for s in ("strict", "epoch", "buffered2", "buffered4")
+        },
+    },
+}
+
+# bench -> [(point fields, metric, tolerance, higher_is_better)]
+RATCHETS = {
+    "fig2b": [(("threads", "backend"), "mops", 0.95, True)],
+    "ablation_epoch": [(("ops_per_persist",), "snoops_per_op", 1.05, False)],
+    "ablation_overlap": [(("epoch_lines",), "inline_reduction", 0.95, True)],
+    "tenants": [(("series",), "victim_ops_per_kstep", 0.95, True)],
+    "snoopfilter": [
+        (("series",), "ops_per_kstep", 0.95, True),
+        (("series",), "snoops_per_op", 1.05, False),
+    ],
+    "fig2b_measured": [(("threads",), "mops", 0.90, True)],
+    "logappend": [(("threads", "mode"), "mops", 0.90, True)],
+    "persistency": [(("series",), "ops_per_kstep", 0.90, True)],
+    "allocbench": [(("threads", "mode"), "mops", 0.90, True)],
+    "hbmstore": [(("threads", "mode"), "mops", 0.90, True)],
+}
+
+# bench -> (mode whose rows scale or None for all rows, cores needed to
+# arm the bar, scaling bar, no-collapse floor)
+SCALING = {
+    "fig2b_measured": (None, 8, 1.5, 0.35),
+    "logappend": ("cas", 4, 1.3, 0.15),
+    "hbmstore": ("lockfree", 4, 1.3, 0.15),
+    "allocbench": ("bitmap", 4, 1.3, 0.15),
+}
 
 
 def load(path: Path):
@@ -125,523 +131,157 @@ def load(path: Path):
         return json.load(f)
 
 
-def check_free_running_acceptance(current, failures):
-    """Absolute bar, no baseline needed."""
-    rows = [r for r in current["results"] if r.get("series") == "free_running"]
+def check_schema(bench, doc, failures):
+    spec = SCHEMAS[bench]
+    if doc.get("bench") != bench or doc.get("schema_version") != 1:
+        failures.append(f"{bench}: bad header (bench/schema_version)")
+        return
+    for key in spec.get("config", ()):
+        if key not in doc.get("config", {}):
+            failures.append(f"{bench}: config missing {key!r}")
+    rows = doc["results"]
+    # Per-row keys bind every row outside a named series.
+    plain = [r for r in rows if "series" not in r]
+    for key in spec.get("rows", ()):
+        if not all(key in r for r in plain):
+            failures.append(f"{bench}: rows missing {key!r}")
+    for mode, want in spec.get("threads", {}).items():
+        got = [r.get("threads") for r in plain if mode is None or r.get("mode") == mode]
+        if got != want:
+            failures.append(f"{bench}: {mode or 'thread'} series {got}, want {want}")
+    for series, (count, keys) in spec.get("series", {}).items():
+        got = [r for r in rows if r.get("series") == series]
+        if len(got) != count:
+            failures.append(f"{bench}: {len(got)} {series!r} rows, want {count}")
+        for key in keys:
+            if not all(key in r for r in got):
+                failures.append(f"{bench}: {series!r} rows missing {key!r}")
+
+
+def points(doc, fields, metric):
+    """Maps each row carrying `metric` and every field to its value,
+    keyed by those fields plus the row's series."""
+    return {
+        tuple(r[f] for f in fields) + (r.get("series"),): r[metric]
+        for r in doc["results"]
+        if metric in r and all(f in r for f in fields)
+    }
+
+
+def ratchet(bench, baseline, current, failures):
+    for fields, metric, tol, higher in RATCHETS[bench]:
+        base = points(baseline, fields, metric)
+        for key, value in points(current, fields, metric).items():
+            if key not in base:
+                continue  # new points seed on their first appearance
+            bound = tol * base[key]
+            if (value < bound) if higher else (value > bound):
+                failures.append(
+                    f"{bench} {key}: {metric} {value:.3f} "
+                    f"{'<' if higher else '>'} {tol}x baseline {base[key]:.3f}"
+                )
+
+
+def check_scaling(bench, doc, failures):
+    mode, cores_needed, bar, floor = SCALING[bench]
+    host_cores = doc.get("config", {}).get("host_cores", 1)
+    rows = [
+        r for r in doc["results"]
+        if "scaling_vs_1" in r and (mode is None or r.get("mode") == mode)
+    ]
+    if not rows:
+        failures.append(f"{bench}: no {mode or 'thread'} scaling rows")
+        return
+    top = max(rows, key=lambda r: r["threads"])
+    scaling = top["scaling_vs_1"]
+    need = bar if host_cores >= cores_needed else floor
+    what = "scaling bar" if host_cores >= cores_needed else "no-collapse floor"
+    series = f"{mode} " if mode else ""
+    line = (f"{bench}: {series}{top['threads']}-thread scaling {scaling:.2f}x "
+            f"vs {what} {need}x (host_cores={host_cores})")
+    if scaling < need:
+        failures.append(line)
+    else:
+        print(f"ok  {line}")
+
+
+def by_series(doc):
+    return {r["series"]: r for r in doc["results"] if "series" in r}
+
+
+def check_bar(failures, ok, line):
+    if ok:
+        print(f"ok  {line}")
+    else:
+        failures.append(line)
+
+
+def check_fig2b(doc, failures):
+    mops = {(r["threads"], r["backend"]): r["mops"] for r in doc["results"]}
+    s1, s4 = mops.get((32, "PAX (CXL)")), mops.get((32, "PAX (CXL) S=4"))
+    if s1 is None or s4 is None:
+        failures.append("fig2b: 32-thread PAX (CXL) S=1/S=4 rows missing")
+        return
+    check_bar(failures, s4 >= 1.5 * s1,
+              f"fig2b: S=4 {s4:.2f} vs 1.5x S=1 {s1:.2f} Mops at 32 threads")
+
+
+def check_ablation_overlap(doc, failures):
+    rows = [r for r in doc["results"] if r.get("series") == "free_running"]
     if not rows:
         failures.append("ablation_overlap: free_running series missing")
         return
     top = max(rows, key=lambda r: r["tick_budget"])
-    bar = FREE_RUNNING_FACTOR * max(top["snoop_sweep_steps"], 1)
-    if top["inline_steps"] > bar:
-        failures.append(
-            f"ablation_overlap free_running: inline_steps {top['inline_steps']} "
-            f"exceeds {FREE_RUNNING_FACTOR}x snoop sweep ({bar:.0f}) at "
-            f"tick_budget {top['tick_budget']}"
-        )
-    else:
-        print(
-            f"free_running acceptance ok: inline {top['inline_steps']} <= "
-            f"{bar:.0f} at tick_budget {top['tick_budget']}"
-        )
+    bar = 2.0 * max(top["snoop_sweep_steps"], 1)
+    check_bar(failures, top["inline_steps"] <= bar,
+              f"ablation_overlap free_running: inline_steps {top['inline_steps']} "
+              f"vs 2x snoop sweep {bar:.0f} at tick_budget {top['tick_budget']}")
 
 
-def check_tenant_isolation(current, failures):
-    """Absolute isolation floor, no baseline needed: the noisy-neighbor
-    victim keeps at least ISOLATION_FLOOR of its solo throughput."""
-    rows = [r for r in current["results"] if r.get("series") == "isolation"]
-    if not rows:
+def check_tenants(doc, failures):
+    ratio = by_series(doc).get("isolation", {}).get("victim_ratio")
+    if ratio is None:
         failures.append("tenants: isolation series missing")
         return
-    ratio = rows[0]["victim_ratio"]
-    if ratio < ISOLATION_FLOOR:
-        failures.append(
-            f"tenants isolation: victim_ratio {ratio:.3f} below the "
-            f"{ISOLATION_FLOOR} floor (noisy neighbor starves the victim)"
-        )
-    else:
-        print(f"tenant isolation ok: victim_ratio {ratio:.3f} >= {ISOLATION_FLOOR}")
+    check_bar(failures, ratio >= 0.70,
+              f"tenants isolation: victim_ratio {ratio:.3f} vs 0.70 floor")
 
 
-def check_snoopfilter_acceptance(current, failures):
-    """Absolute bar, no baseline needed: on the spill workload the
-    ownership directory must elide at least half the persist snoops."""
-    rows = {r["series"]: r for r in current["results"] if "series" in r}
-    for series in ("filtered", "unfiltered"):
-        if series not in rows:
-            failures.append(f"snoopfilter: {series} series missing")
-            return
-    filtered = rows["filtered"]["snoops_per_op"]
-    unfiltered = rows["unfiltered"]["snoops_per_op"]
-    ceiling = FILTER_CEILING * unfiltered
-    if filtered > ceiling:
-        failures.append(
-            f"snoopfilter: filtered snoops_per_op {filtered:.3f} exceeds "
-            f"{FILTER_CEILING}x unfiltered ({unfiltered:.3f}) — the "
-            f"directory no longer cuts snoops 2x on the spill workload"
-        )
-    else:
-        print(
-            f"snoopfilter acceptance ok: filtered {filtered:.3f} <= "
-            f"{FILTER_CEILING}x unfiltered {unfiltered:.3f} snoops/op"
-        )
+def check_snoopfilter(doc, failures):
+    s = by_series(doc)
+    filtered, unfiltered = s["filtered"]["snoops_per_op"], s["unfiltered"]["snoops_per_op"]
+    check_bar(failures, filtered <= 0.5 * unfiltered,
+              f"snoopfilter: filtered {filtered:.3f} vs 0.5x unfiltered "
+              f"{unfiltered:.3f} snoops/op")
 
 
-def check_measured_scaling(current, failures):
-    """Absolute bar, no baseline needed: real-thread scaling of the
-    shard-parallel engine. On a host with MEASURED_SCALING_CORES or
-    more cores, the widest thread count must reach MEASURED_SCALING_BAR
-    over one thread. On a starved host (single-core CI runners cannot
-    exhibit real speedup) the bar degrades to a no-collapse floor:
-    lock contention must not convoy throughput below
-    MEASURED_NO_COLLAPSE_FLOOR of the single-thread rate."""
-    host_cores = current.get("config", {}).get("host_cores", 1)
-    rows = [r for r in current["results"] if "scaling_vs_1" in r]
-    if not rows:
-        failures.append("fig2b_measured: no scaling_vs_1 rows")
-        return
-    top = max(rows, key=lambda r: r["threads"])
-    scaling = top["scaling_vs_1"]
-    if host_cores >= MEASURED_SCALING_CORES:
-        if scaling < MEASURED_SCALING_BAR:
-            failures.append(
-                f"fig2b_measured: {top['threads']}-thread scaling "
-                f"{scaling:.2f}x below the {MEASURED_SCALING_BAR}x bar "
-                f"(host_cores={host_cores})"
-            )
-        else:
-            print(
-                f"measured scaling ok: {scaling:.2f}x at "
-                f"{top['threads']} threads >= {MEASURED_SCALING_BAR}x "
-                f"(host_cores={host_cores})"
-            )
-    elif scaling < MEASURED_NO_COLLAPSE_FLOOR:
-        failures.append(
-            f"fig2b_measured: {top['threads']}-thread throughput collapsed "
-            f"to {scaling:.2f}x of single-thread (floor "
-            f"{MEASURED_NO_COLLAPSE_FLOOR}; host_cores={host_cores} — "
-            f"contention convoy, not core starvation)"
-        )
-    else:
-        print(
-            f"measured no-collapse ok: {scaling:.2f}x at {top['threads']} "
-            f"threads >= {MEASURED_NO_COLLAPSE_FLOOR} floor "
-            f"(host_cores={host_cores} < {MEASURED_SCALING_CORES}, "
-            f"real speedup not expressible)"
-        )
+def check_persistency(doc, failures):
+    s = by_series(doc)
+    strict, buffered = s["strict"]["ops_per_kstep"], s["buffered4"]["ops_per_kstep"]
+    check_bar(failures, buffered >= 1.3 * strict,
+              f"persistency: buffered4 {buffered:.1f} vs 1.3x strict {strict:.1f} ops/kstep")
 
 
-def check_logappend_scaling(current, failures):
-    """Absolute bars, no baseline needed: the lock-free CAS undo bank
-    must actually remove the same-lane append serialization. On a host
-    with LOGAPPEND_SCALING_CORES or more cores, the CAS engine's widest
-    thread count must scale LOGAPPEND_SCALING_BAR over one thread; on a
-    starved host real speedup is impossible, so the bar degrades to a
-    no-collapse floor. On every host the CAS engine's scaling must be at
-    least the mutex engine's at the same width — if the CAS path ever
-    convoys harder than the lock it replaced, that is a regression
-    regardless of core count."""
-    host_cores = current.get("config", {}).get("host_cores", 1)
-    by_mode = {}
-    for r in current["results"]:
-        if "scaling_vs_1" in r and "mode" in r:
-            by_mode.setdefault(r["mode"], []).append(r)
-    if "cas" not in by_mode:
-        failures.append("logappend: cas series missing")
-        return
-    top = max(by_mode["cas"], key=lambda r: r["threads"])
-    scaling = top["scaling_vs_1"]
-    if host_cores >= LOGAPPEND_SCALING_CORES:
-        if scaling < LOGAPPEND_SCALING_BAR:
-            failures.append(
-                f"logappend: cas {top['threads']}-thread scaling "
-                f"{scaling:.2f}x below the {LOGAPPEND_SCALING_BAR}x bar "
-                f"(host_cores={host_cores}) — same-lane appends are "
-                f"serializing again"
-            )
-        else:
-            print(
-                f"logappend scaling ok: cas {scaling:.2f}x at "
-                f"{top['threads']} threads >= {LOGAPPEND_SCALING_BAR}x "
-                f"(host_cores={host_cores})"
-            )
-    elif scaling < LOGAPPEND_NO_COLLAPSE_FLOOR:
-        failures.append(
-            f"logappend: cas {top['threads']}-thread throughput collapsed "
-            f"to {scaling:.2f}x of single-thread (floor "
-            f"{LOGAPPEND_NO_COLLAPSE_FLOOR}; host_cores={host_cores})"
-        )
-    else:
-        print(
-            f"logappend no-collapse ok: cas {scaling:.2f}x at "
-            f"{top['threads']} threads >= {LOGAPPEND_NO_COLLAPSE_FLOOR} "
-            f"floor (host_cores={host_cores} < {LOGAPPEND_SCALING_CORES})"
-        )
-    locked = by_mode.get("locked", [])
-    locked_top = max(locked, key=lambda r: r["threads"], default=None)
-    if locked_top and locked_top["threads"] == top["threads"]:
-        # 10% slack: the two engines can sit near parity on starved
-        # hosts, and run-to-run jitter should not fail the build there.
-        if scaling < 0.9 * locked_top["scaling_vs_1"]:
-            failures.append(
-                f"logappend: cas scaling {scaling:.2f}x trails the mutex "
-                f"engine's {locked_top['scaling_vs_1']:.2f}x at "
-                f"{top['threads']} threads — the lock-free path convoys "
-                f"harder than the lock it replaced"
-            )
-        else:
-            print(
-                f"logappend cas-vs-locked ok: {scaling:.2f}x >= "
-                f"{locked_top['scaling_vs_1']:.2f}x at {top['threads']} threads"
-            )
+def check_allocbench(doc, failures):
+    s = by_series(doc)
+    peak = s["fragment"]["frag_permille_peak"]
+    check_bar(failures, peak > 0,
+              f"allocbench fragment: frag_permille_peak {peak} (carpet must leave partial trees)")
+    for r in doc["results"]:
+        if r.get("series") == "recovery":
+            check_bar(failures, r["scan_steps"] <= 2 * r["pool_frames"],
+                      f"allocbench recovery at {r['pool_bytes']} bytes: scan_steps "
+                      f"{r['scan_steps']} vs 2 x {r['pool_frames']} pool_frames")
 
 
-def check_allocbench_scaling(current, failures):
-    """Absolute bars, no baseline needed. Scaling: on a host with
-    ALLOCBENCH_SCALING_CORES or more cores, the bitmap allocator's
-    widest thread count must scale ALLOCBENCH_SCALING_BAR over one
-    thread (per-core claimed trees must remove free-list contention);
-    on a starved host the bar degrades to a no-collapse floor.
-    Recovery: every recovery row keeps the attach-time scan linear in
-    pool frames (scan_steps <= ALLOCBENCH_SCAN_FACTOR x pool_frames) —
-    attach IS recovery, so the scan's complexity is the recovery
-    story."""
-    host_cores = current.get("config", {}).get("host_cores", 1)
-    bitmap = [
-        r for r in current["results"]
-        if r.get("mode") == "bitmap" and "scaling_vs_1" in r
-    ]
-    if not bitmap:
-        failures.append("allocbench: bitmap series missing")
-        return
-    top = max(bitmap, key=lambda r: r["threads"])
-    scaling = top["scaling_vs_1"]
-    if host_cores >= ALLOCBENCH_SCALING_CORES:
-        if scaling < ALLOCBENCH_SCALING_BAR:
-            failures.append(
-                f"allocbench: bitmap {top['threads']}-thread scaling "
-                f"{scaling:.2f}x below the {ALLOCBENCH_SCALING_BAR}x bar "
-                f"(host_cores={host_cores}) — per-core trees are "
-                f"contending again"
-            )
-        else:
-            print(
-                f"allocbench scaling ok: bitmap {scaling:.2f}x at "
-                f"{top['threads']} threads >= {ALLOCBENCH_SCALING_BAR}x "
-                f"(host_cores={host_cores})"
-            )
-    elif scaling < ALLOCBENCH_NO_COLLAPSE_FLOOR:
-        failures.append(
-            f"allocbench: bitmap {top['threads']}-thread throughput "
-            f"collapsed to {scaling:.2f}x of single-thread (floor "
-            f"{ALLOCBENCH_NO_COLLAPSE_FLOOR}; host_cores={host_cores})"
-        )
-    else:
-        print(
-            f"allocbench no-collapse ok: bitmap {scaling:.2f}x at "
-            f"{top['threads']} threads >= {ALLOCBENCH_NO_COLLAPSE_FLOOR} "
-            f"floor (host_cores={host_cores} < {ALLOCBENCH_SCALING_CORES})"
-        )
-    recovery = [r for r in current["results"] if r.get("series") == "recovery"]
-    if not recovery:
-        failures.append("allocbench: recovery series missing")
-        return
-    for r in recovery:
-        bound = ALLOCBENCH_SCAN_FACTOR * r["pool_frames"]
-        if r["scan_steps"] > bound:
-            failures.append(
-                f"allocbench recovery at {r['pool_bytes']} bytes: "
-                f"scan_steps {r['scan_steps']} exceeds "
-                f"{ALLOCBENCH_SCAN_FACTOR}x pool_frames "
-                f"({r['pool_frames']}) — the recovery scan went "
-                f"super-linear"
-            )
-    if all(
-        r["scan_steps"] <= ALLOCBENCH_SCAN_FACTOR * r["pool_frames"]
-        for r in recovery
-    ):
-        widest = max(recovery, key=lambda r: r["pool_frames"])
-        print(
-            f"allocbench recovery ok: scan linear up to "
-            f"{widest['pool_frames']} frames "
-            f"({widest['scan_steps']} steps, {widest['scan_ns']} ns)"
-        )
-
-
-def check_hbmstore_scaling(current, failures):
-    """Absolute bars, no baseline needed: the lock-free HBM set index
-    must actually take the lane mutex off the store hot path. On a host
-    with HBMSTORE_SCALING_CORES or more cores, the lockfree engine's
-    widest thread count must scale HBMSTORE_SCALING_BAR over one
-    thread; on a starved host real speedup is impossible, so the bar
-    degrades to a no-collapse floor. On every host the lockfree
-    engine's scaling must be at least 0.9x the locked engine's at the
-    same width — the per-set spinlock must never convoy harder than
-    the lane lock it replaced."""
-    host_cores = current.get("config", {}).get("host_cores", 1)
-    by_mode = {}
-    for r in current["results"]:
-        if "scaling_vs_1" in r and "mode" in r:
-            by_mode.setdefault(r["mode"], []).append(r)
-    if "lockfree" not in by_mode:
-        failures.append("hbmstore: lockfree series missing")
-        return
-    top = max(by_mode["lockfree"], key=lambda r: r["threads"])
-    scaling = top["scaling_vs_1"]
-    if host_cores >= HBMSTORE_SCALING_CORES:
-        if scaling < HBMSTORE_SCALING_BAR:
-            failures.append(
-                f"hbmstore: lockfree {top['threads']}-thread scaling "
-                f"{scaling:.2f}x below the {HBMSTORE_SCALING_BAR}x bar "
-                f"(host_cores={host_cores}) — same-lane stores are "
-                f"serializing on the set index again"
-            )
-        else:
-            print(
-                f"hbmstore scaling ok: lockfree {scaling:.2f}x at "
-                f"{top['threads']} threads >= {HBMSTORE_SCALING_BAR}x "
-                f"(host_cores={host_cores})"
-            )
-    elif scaling < HBMSTORE_NO_COLLAPSE_FLOOR:
-        failures.append(
-            f"hbmstore: lockfree {top['threads']}-thread throughput "
-            f"collapsed to {scaling:.2f}x of single-thread (floor "
-            f"{HBMSTORE_NO_COLLAPSE_FLOOR}; host_cores={host_cores})"
-        )
-    else:
-        print(
-            f"hbmstore no-collapse ok: lockfree {scaling:.2f}x at "
-            f"{top['threads']} threads >= {HBMSTORE_NO_COLLAPSE_FLOOR} "
-            f"floor (host_cores={host_cores} < {HBMSTORE_SCALING_CORES})"
-        )
-    locked = by_mode.get("locked", [])
-    locked_top = max(locked, key=lambda r: r["threads"], default=None)
-    if locked_top and locked_top["threads"] == top["threads"]:
-        # Same 10% slack as logappend: near-parity plus jitter on a
-        # starved host should not fail the build.
-        if scaling < 0.9 * locked_top["scaling_vs_1"]:
-            failures.append(
-                f"hbmstore: lockfree scaling {scaling:.2f}x trails the "
-                f"locked engine's {locked_top['scaling_vs_1']:.2f}x at "
-                f"{top['threads']} threads — the set index convoys "
-                f"harder than the lane lock it replaced"
-            )
-        else:
-            print(
-                f"hbmstore lockfree-vs-locked ok: {scaling:.2f}x >= "
-                f"{locked_top['scaling_vs_1']:.2f}x at {top['threads']} threads"
-            )
-
-
-def ratchet_hbmstore(baseline, current, failures):
-    base = {
-        (r["threads"], r["mode"]): r["mops"]
-        for r in baseline["results"]
-        if "mops" in r and "mode" in r
-    }
-    for r in current["results"]:
-        key = (r.get("threads"), r.get("mode"))
-        if key not in base or "mops" not in r:
-            continue
-        floor = HBMSTORE_TOL * base[key]
-        if r["mops"] < floor:
-            failures.append(
-                f"hbmstore threads={key[0]} mode={key[1]}: "
-                f"{r['mops']:.2f} Mops < {HBMSTORE_TOL}x baseline "
-                f"{base[key]:.2f}"
-            )
-
-
-def ratchet_allocbench(baseline, current, failures):
-    base = {
-        (r["threads"], r["mode"]): r["mops"]
-        for r in baseline["results"]
-        if "mops" in r and "mode" in r
-    }
-    for r in current["results"]:
-        key = (r.get("threads"), r.get("mode"))
-        if key not in base or "mops" not in r:
-            continue
-        floor = ALLOCBENCH_TOL * base[key]
-        if r["mops"] < floor:
-            failures.append(
-                f"allocbench threads={key[0]} mode={key[1]}: "
-                f"{r['mops']:.3f} Mops < {ALLOCBENCH_TOL}x baseline "
-                f"{base[key]:.3f}"
-            )
-
-
-def check_persistency_acceptance(current, failures):
-    """Absolute bar, no baseline needed: on the flush-heavy mix the
-    buffered-epoch model (K=4) must sustain PERSISTENCY_BUFFERED_BAR
-    times the strict model's deterministic throughput. The models are
-    a semantics/performance dial — if loosening the contract to
-    'K closes may roll back' does not buy back throughput over
-    'every store is durable', the dial is broken."""
-    rows = {r["series"]: r for r in current["results"] if "ops_per_kstep" in r}
-    for series in ("strict", "buffered4"):
-        if series not in rows:
-            failures.append(f"persistency: {series} series missing")
-            return
-    strict = rows["strict"]["ops_per_kstep"]
-    buffered = rows["buffered4"]["ops_per_kstep"]
-    bar = PERSISTENCY_BUFFERED_BAR * strict
-    if buffered < bar:
-        failures.append(
-            f"persistency: buffered4 ops_per_kstep {buffered:.1f} below "
-            f"{PERSISTENCY_BUFFERED_BAR}x strict ({strict:.1f}) — relaxing "
-            f"the model no longer buys throughput on the flush-heavy mix"
-        )
-    else:
-        print(
-            f"persistency acceptance ok: buffered4 {buffered:.1f} >= "
-            f"{PERSISTENCY_BUFFERED_BAR}x strict {strict:.1f} ops/kstep"
-        )
-
-
-def ratchet_persistency(baseline, current, failures):
-    base = {
-        r["series"]: r["ops_per_kstep"]
-        for r in baseline["results"]
-        if "ops_per_kstep" in r
-    }
-    for r in current["results"]:
-        key = r.get("series")
-        if key not in base or "ops_per_kstep" not in r:
-            continue
-        floor = PERSISTENCY_TOL * base[key]
-        if r["ops_per_kstep"] < floor:
-            failures.append(
-                f"persistency {key}: ops_per_kstep "
-                f"{r['ops_per_kstep']:.1f} < {PERSISTENCY_TOL}x baseline "
-                f"{base[key]:.1f}"
-            )
-
-
-def ratchet_logappend(baseline, current, failures):
-    base = {
-        (r["threads"], r["mode"]): r["mops"]
-        for r in baseline["results"]
-        if "mops" in r and "mode" in r
-    }
-    for r in current["results"]:
-        key = (r.get("threads"), r.get("mode"))
-        if key not in base or "mops" not in r:
-            continue
-        floor = LOGAPPEND_TOL * base[key]
-        if r["mops"] < floor:
-            failures.append(
-                f"logappend threads={key[0]} mode={key[1]}: "
-                f"{r['mops']:.2f} Mops < {LOGAPPEND_TOL}x baseline "
-                f"{base[key]:.2f}"
-            )
-
-
-def ratchet_fig2b_measured(baseline, current, failures):
-    base = {r["threads"]: r["mops"] for r in baseline["results"] if "mops" in r}
-    for r in current["results"]:
-        key = r.get("threads")
-        if key not in base or "mops" not in r:
-            continue
-        floor = MEASURED_TOL * base[key]
-        if r["mops"] < floor:
-            failures.append(
-                f"fig2b_measured threads={key}: {r['mops']:.2f} Mops < "
-                f"{MEASURED_TOL}x baseline {base[key]:.2f}"
-            )
-
-
-def ratchet_snoopfilter(baseline, current, failures):
-    base = {
-        r["series"]: r
-        for r in baseline["results"]
-        if "ops_per_kstep" in r
-    }
-    for r in current["results"]:
-        key = r.get("series")
-        if key not in base or "ops_per_kstep" not in r:
-            continue
-        floor = SNOOPFILTER_TOL * base[key]["ops_per_kstep"]
-        if r["ops_per_kstep"] < floor:
-            failures.append(
-                f"snoopfilter {key}: ops_per_kstep "
-                f"{r['ops_per_kstep']:.1f} < {SNOOPFILTER_TOL}x baseline "
-                f"{base[key]['ops_per_kstep']:.1f}"
-            )
-        ceil = SNOOPS_TOL * base[key]["snoops_per_op"]
-        if r["snoops_per_op"] > ceil:
-            failures.append(
-                f"snoopfilter {key}: snoops_per_op "
-                f"{r['snoops_per_op']:.3f} > {SNOOPS_TOL}x baseline "
-                f"{base[key]['snoops_per_op']:.3f}"
-            )
-
-
-def ratchet_tenants(baseline, current, failures):
-    base = {
-        r["series"]: r["victim_ops_per_kstep"]
-        for r in baseline["results"]
-        if "victim_ops_per_kstep" in r
-    }
-    for r in current["results"]:
-        key = r.get("series")
-        if key not in base or "victim_ops_per_kstep" not in r:
-            continue
-        floor = TENANTS_TOL * base[key]
-        if r["victim_ops_per_kstep"] < floor:
-            failures.append(
-                f"tenants {key}: victim_ops_per_kstep "
-                f"{r['victim_ops_per_kstep']:.1f} < {TENANTS_TOL}x baseline "
-                f"{base[key]:.1f}"
-            )
-
-
-def ratchet_fig2b(baseline, current, failures):
-    base = {(r["threads"], r["backend"]): r["mops"] for r in baseline["results"]}
-    for r in current["results"]:
-        key = (r["threads"], r["backend"])
-        if key not in base:
-            continue  # new series seed on their first appearance
-        floor = FIG2B_TOL * base[key]
-        if r["mops"] < floor:
-            failures.append(
-                f"fig2b {key}: {r['mops']:.2f} Mops < {FIG2B_TOL}x baseline "
-                f"{base[key]:.2f}"
-            )
-
-
-def ratchet_ablation_epoch(baseline, current, failures):
-    base = {r["ops_per_persist"]: r["snoops_per_op"] for r in baseline["results"]}
-    for r in current["results"]:
-        key = r["ops_per_persist"]
-        if key not in base:
-            continue
-        ceil = SNOOPS_TOL * base[key]
-        if r["snoops_per_op"] > ceil:
-            failures.append(
-                f"ablation_epoch ops_per_persist={key}: snoops_per_op "
-                f"{r['snoops_per_op']:.3f} > {SNOOPS_TOL}x baseline {base[key]:.3f}"
-            )
-
-
-def ratchet_ablation_overlap(baseline, current, failures):
-    def legacy(doc):
-        return {
-            r["epoch_lines"]: r["inline_reduction"]
-            for r in doc["results"]
-            if "series" not in r
-        }
-
-    base = legacy(baseline)
-    for lines, reduction in legacy(current).items():
-        if lines not in base:
-            continue
-        floor = REDUCTION_TOL * base[lines]
-        if reduction < floor:
-            failures.append(
-                f"ablation_overlap epoch_lines={lines}: inline_reduction "
-                f"{reduction:.1f} < {REDUCTION_TOL}x baseline {base[lines]:.1f}"
-            )
+ACCEPTANCE = {
+    "fig2b": check_fig2b,
+    "ablation_overlap": check_ablation_overlap,
+    "tenants": check_tenants,
+    "snoopfilter": check_snoopfilter,
+    "persistency": check_persistency,
+    "allocbench": check_allocbench,
+}
 
 
 def main() -> int:
@@ -651,78 +291,28 @@ def main() -> int:
     baseline_dir, current_dir = Path(sys.argv[1]), Path(sys.argv[2])
 
     failures = []
-    ratchets = {
-        "fig2b.json": ratchet_fig2b,
-        "ablation_epoch.json": ratchet_ablation_epoch,
-        "ablation_overlap.json": ratchet_ablation_overlap,
-        "tenants.json": ratchet_tenants,
-        "snoopfilter.json": ratchet_snoopfilter,
-        "fig2b_measured.json": ratchet_fig2b_measured,
-        "logappend.json": ratchet_logappend,
-        "persistency.json": ratchet_persistency,
-        "allocbench.json": ratchet_allocbench,
-        "hbmstore.json": ratchet_hbmstore,
-    }
-
-    overlap = load(current_dir / "ablation_overlap.json")
-    if overlap is None:
-        failures.append("current ablation_overlap.json missing")
-    else:
-        check_free_running_acceptance(overlap, failures)
-
-    tenants = load(current_dir / "tenants.json")
-    if tenants is None:
-        failures.append("current tenants.json missing")
-    else:
-        check_tenant_isolation(tenants, failures)
-
-    snoopfilter = load(current_dir / "snoopfilter.json")
-    if snoopfilter is None:
-        failures.append("current snoopfilter.json missing")
-    else:
-        check_snoopfilter_acceptance(snoopfilter, failures)
-
-    measured = load(current_dir / "fig2b_measured.json")
-    if measured is None:
-        failures.append("current fig2b_measured.json missing")
-    else:
-        check_measured_scaling(measured, failures)
-
-    logappend = load(current_dir / "logappend.json")
-    if logappend is None:
-        failures.append("current logappend.json missing")
-    else:
-        check_logappend_scaling(logappend, failures)
-
-    persistency = load(current_dir / "persistency.json")
-    if persistency is None:
-        failures.append("current persistency.json missing")
-    else:
-        check_persistency_acceptance(persistency, failures)
-
-    allocbench = load(current_dir / "allocbench.json")
-    if allocbench is None:
-        failures.append("current allocbench.json missing")
-    else:
-        check_allocbench_scaling(allocbench, failures)
-
-    hbmstore = load(current_dir / "hbmstore.json")
-    if hbmstore is None:
-        failures.append("current hbmstore.json missing")
-    else:
-        check_hbmstore_scaling(hbmstore, failures)
-
-    for name, ratchet in ratchets.items():
+    for bench in SCHEMAS:
+        name = f"{bench}.json"
         current = load(current_dir / name)
         if current is None:
             failures.append(f"current {name} missing")
+            continue
+        before = len(failures)
+        check_schema(bench, current, failures)
+        if len(failures) > before:
+            continue  # the remaining checks assume the schema
+        if bench in ACCEPTANCE:
+            ACCEPTANCE[bench](current, failures)
+        if bench in SCALING:
+            check_scaling(bench, current, failures)
+        if bench not in RATCHETS:
             continue
         baseline = load(baseline_dir / name)
         if baseline is None:
             print(f"{name}: no baseline, seeding the ratchet")
             continue
         before = len(failures)
-        ratchet(baseline, current, failures)
+        ratchet(bench, baseline, current, failures)
         if len(failures) == before:
             print(f"{name}: within tolerance of baseline")
 

@@ -292,7 +292,7 @@ mod tests {
         // state by hand — commit record present, structure not updated.
         let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&pool);
+        let log = UndoLog::new(&pool);
         log.append(UndoEntry::single(
             1,
             LineAddr(3),

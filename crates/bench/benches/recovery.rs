@@ -14,7 +14,7 @@ fn crashed_pool(entries: u64) -> PmPool {
         PmPool::create(PoolConfig::small().with_log_bytes(32 << 20).with_data_bytes(16 << 20))
             .expect("pool");
     let clock = CrashClock::new();
-    let mut log = UndoLog::new(&pool);
+    let log = UndoLog::new(&pool);
     for i in 0..entries {
         // Pool's committed epoch is 0 → all entries roll back.
         log.append(UndoEntry::single(1, LineAddr(i), CacheLine::filled(i as u8))).expect("append");

@@ -20,7 +20,7 @@ fn bench_append(c: &mut Criterion) {
         let p = pool();
         b.iter_batched(
             || UndoLog::new(&p),
-            |mut log| {
+            |log| {
                 for i in 0..256 {
                     log.append(entry(i)).expect("append");
                 }
@@ -39,13 +39,13 @@ fn bench_flush(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let p = pool();
-                let mut log = UndoLog::new(&p);
+                let log = UndoLog::new(&p);
                 for i in 0..256 {
                     log.append(entry(i)).expect("append");
                 }
                 (p, log)
             },
-            |(mut p, mut log)| {
+            |(mut p, log)| {
                 log.flush(&mut p, &CrashClock::new()).expect("flush");
                 (p, log)
             },
@@ -58,7 +58,7 @@ fn bench_flush(c: &mut Criterion) {
 fn bench_scan(c: &mut Criterion) {
     let mut g = c.benchmark_group("undo_log");
     let mut p = pool();
-    let mut log = UndoLog::new(&p);
+    let log = UndoLog::new(&p);
     for i in 0..1024 {
         log.append(entry(i)).expect("append");
     }

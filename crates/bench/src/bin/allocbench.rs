@@ -29,8 +29,7 @@
 
 use std::time::Instant;
 
-use libpax::{Heap, MemSpace, PmAllocator, StripedSpace, VolatileSpace};
-use pax_alloc::BitmapAlloc;
+use libpax::{BitmapAlloc, Heap, MemSpace, PmAllocator, StripedSpace, VolatileSpace};
 use pax_bench::{arg_value, thread_series, BenchOut, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,7 +114,7 @@ fn measure_fragmentation(ops: u64) -> (u64, f64, u64, u64, Vec<(&'static str, Js
     // shorter honest sample (same trick as the heap baseline).
     let ops = (ops / 8).max(1_000);
     let alloc = BitmapAlloc::attach(StripedSpace::new(POOL_BYTES)).expect("striped space formats");
-    let frame = pax_alloc::layout::FRAME_BYTES;
+    let frame = libpax::balloc::layout::FRAME_BYTES;
     // Phase A: pepper ~half the frames with live single-frame allocs.
     let carpet = alloc.geometry().frames / 2;
     let mut live: Vec<u64> = (0..carpet)

@@ -2,19 +2,14 @@
 //!
 //! N OS threads issue `RdOwn`s against ONE device lane whose working set
 //! is HBM-resident — the worst case the concurrent set index exists for:
-//! before it, every store on a lane serialized on the lane's
-//! `Mutex<DeviceShard>` even when the line was already cached and logged.
-//! The bench times the full device store path (presence probe, epoch-log
-//! dedup, directory note) in both engines:
+//! a warm store must not serialize on anything lane-wide. The bench
+//! times the full device store path (presence probe, per-set spinlock,
+//! epoch-log dedup, directory note, atomic telemetry). Rows keep
+//! `mode: "lockfree"` so result files stay comparable.
 //!
-//! - `lockfree`: the default concurrent set index — per-set spinlock
-//!   probes, atomic telemetry, no lane-mutex acquisition on a warm hit.
-//! - `locked`: `DeviceConfig::with_locked_hbm`, the mutex-era engine
-//!   kept as the CI differential baseline.
-//!
-//! The CI ratchet enforces the point of the change: on a ≥4-core host
-//! the lock-free engine's 1→4-thread scaling must clear a bar the mutex
-//! engine structurally cannot.
+//! The CI ratchet enforces the point of the design: on a ≥4-core host
+//! the 1→4-thread scaling must clear a bar a lane-wide lock structurally
+//! cannot.
 //!
 //! Run: `cargo run --release -p pax-bench --bin hbmstore` (add `--json`
 //! for machine-readable output; `--threads 1,2,4` and `--ops N` to
@@ -33,17 +28,12 @@ use pax_pm::{LineAddr, PmPool, PoolConfig};
 const LINES: u64 = 64;
 
 /// One timed same-lane store storm; returns wall-clock Mops.
-fn measure(threads: usize, ops_per_thread: u64, locked: bool) -> f64 {
+fn measure(threads: usize, ops_per_thread: u64) -> f64 {
     let pool = PmPool::create(PoolConfig::small()).unwrap();
     // One shard = every address lands on one lane. Background pumping is
     // deferred past the run so the measured loop is the pure store path.
-    let config = if locked {
-        DeviceConfig::default().with_locked_hbm()
-    } else {
-        DeviceConfig::default().with_lockfree_hbm()
-    };
-    let device =
-        PaxDevice::open(pool, config.with_shards(1).with_log_pump_interval(usize::MAX)).unwrap();
+    let config = DeviceConfig::default().with_shards(1).with_log_pump_interval(usize::MAX);
+    let device = PaxDevice::open(pool, config).unwrap();
     // Warm: first touch logs each line and makes it HBM-resident, so the
     // timed loop below is all hits.
     {
@@ -79,43 +69,22 @@ fn main() {
     out.config("lines", Json::U64(LINES));
     out.config("host_cores", Json::U64(host_cores as u64));
 
-    out.line(format!(
-        "\nSame-lane HBM store hits [Mops] — concurrent set index vs lane-mutex engine, \
-         {ops} ops/thread"
-    ));
-    let mut rows = vec![vec![
-        "threads".to_string(),
-        "lockfree".to_string(),
-        "lockfree vs 1".to_string(),
-        "locked".to_string(),
-        "locked vs 1".to_string(),
-    ]];
-    let (mut free_base, mut locked_base) = (None, None);
+    out.line(format!("\nSame-lane HBM store hits [Mops] — concurrent set index, {ops} ops/thread"));
+    let mut rows =
+        vec![vec!["threads".to_string(), "lockfree".to_string(), "lockfree vs 1".to_string()]];
+    let mut base = None;
     for &t in &threads {
         eprintln!("measuring {t} thread(s) …");
-        let free = measure(t, ops, false);
-        let locked = measure(t, ops, true);
-        let fb = *free_base.get_or_insert(free);
-        let lb = *locked_base.get_or_insert(locked);
-        let (free_scaling, locked_scaling) = (free / fb, locked / lb);
-        rows.push(vec![
-            t.to_string(),
-            format!("{free:.2}"),
-            format!("{free_scaling:.2}×"),
-            format!("{locked:.2}"),
-            format!("{locked_scaling:.2}×"),
-        ]);
-        for (mode, mops, scaling) in
-            [("lockfree", free, free_scaling), ("locked", locked, locked_scaling)]
-        {
-            out.push_result(
-                Json::obj()
-                    .field("threads", Json::U64(t as u64))
-                    .field("mode", Json::str(mode))
-                    .field("mops", Json::F64(mops))
-                    .field("scaling_vs_1", Json::F64(scaling)),
-            );
-        }
+        let mops = measure(t, ops);
+        let scaling = mops / *base.get_or_insert(mops);
+        rows.push(vec![t.to_string(), format!("{mops:.2}"), format!("{scaling:.2}×")]);
+        out.push_result(
+            Json::obj()
+                .field("threads", Json::U64(t as u64))
+                .field("mode", Json::str("lockfree"))
+                .field("mops", Json::F64(mops))
+                .field("scaling_vs_1", Json::F64(scaling)),
+        );
     }
     out.table(&rows);
     out.finish();

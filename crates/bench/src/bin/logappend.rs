@@ -1,25 +1,21 @@
 //! Same-lane undo-bank append contention microbench.
 //!
 //! N OS threads append entries into ONE undo bank — the worst case the
-//! lock-free CAS engine exists for: before it, every store on a lane
-//! serialized on the lane mutex for its log append. The bench times the
-//! append path alone (reserve + fill + publish; no pump, no media — the
-//! bank is volatile until drained), in both engines:
+//! lock-free bank exists for: a store's log append must not serialize
+//! on anything lane-wide. The bench times the append path alone
+//! (reserve + fill + publish; no pump, no media — the bank is volatile
+//! until drained): threads share one `UndoLog` and append with `&self`
+//! through the packed-tail CAS reserve, slot fill, and ready-word
+//! publish. Rows keep `mode: "cas"` so result files stay comparable.
 //!
-//! - `cas`: threads share one `AtomicBank` and append with `&self` — the
-//!   packed-tail CAS reserve, slot fill, ready-bit publish path.
-//! - `locked`: threads contend on a `Mutex<UndoLog>` around the original
-//!   engine, modelling the pre-PR lane-lock serialization.
-//!
-//! The CI ratchet enforces the point of the change: on a ≥4-core host
-//! the CAS engine's 1→4-thread scaling must clear a bar the mutex
-//! engine structurally cannot.
+//! The CI ratchet enforces the point of the design: on a ≥4-core host
+//! the 1→4-thread scaling must clear a bar a lane-wide lock structurally
+//! cannot.
 //!
 //! Run: `cargo run --release -p pax-bench --bin logappend` (add `--json`
 //! for machine-readable output; `--threads 1,2,4` and `--ops N` to
 //! resize).
 
-use std::sync::Mutex;
 use std::time::Instant;
 
 use pax_bench::{arg_value, thread_series, BenchOut, Json};
@@ -27,41 +23,22 @@ use pax_device::{UndoEntry, UndoLog};
 use pax_pm::{CacheLine, LineAddr};
 
 /// One timed same-bank append storm; returns wall-clock Mops.
-fn measure(threads: usize, ops_per_thread: u64, locked: bool) -> f64 {
-    let capacity = threads as u64 * ops_per_thread + 1;
+fn measure(threads: usize, ops_per_thread: u64) -> f64 {
     let total = threads as u64 * ops_per_thread;
-    let entry = |t: usize, i: u64| {
-        UndoEntry::single(1, LineAddr(t as u64 * ops_per_thread + i), CacheLine::zeroed())
-    };
-    let start;
-    if locked {
-        let log = Mutex::new(UndoLog::with_region_mode(0, capacity, true));
-        start = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let log = &log;
-                s.spawn(move || {
-                    for i in 0..ops_per_thread {
-                        log.lock().unwrap().append(entry(t, i)).expect("capacity sized to fit");
-                    }
-                });
-            }
-        });
-    } else {
-        let log = UndoLog::with_region_mode(0, capacity, false);
-        let bank = log.bank().expect("CAS engine has a bank");
-        start = Instant::now();
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let bank = &bank;
-                s.spawn(move || {
-                    for i in 0..ops_per_thread {
-                        bank.append(entry(t, i)).expect("capacity sized to fit");
-                    }
-                });
-            }
-        });
-    }
+    let log = UndoLog::with_region(0, total + 1);
+    let start = Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let log = &log;
+            s.spawn(move || {
+                for i in 0..ops_per_thread {
+                    let line = LineAddr(t as u64 * ops_per_thread + i);
+                    log.append(UndoEntry::single(1, line, CacheLine::zeroed()))
+                        .expect("capacity sized to fit");
+                }
+            });
+        }
+    });
     total as f64 / start.elapsed().as_secs_f64() / 1e6
 }
 
@@ -73,42 +50,21 @@ fn main() {
     out.config("ops_per_thread", Json::U64(ops));
     out.config("host_cores", Json::U64(host_cores as u64));
 
-    out.line(format!(
-        "\nSame-lane undo append [Mops] — lock-free CAS bank vs mutex engine, \
-         {ops} ops/thread"
-    ));
-    let mut rows = vec![vec![
-        "threads".to_string(),
-        "cas".to_string(),
-        "cas vs 1".to_string(),
-        "locked".to_string(),
-        "locked vs 1".to_string(),
-    ]];
-    let (mut cas_base, mut locked_base) = (None, None);
+    out.line(format!("\nSame-lane undo append [Mops] — lock-free bank, {ops} ops/thread"));
+    let mut rows = vec![vec!["threads".to_string(), "cas".to_string(), "cas vs 1".to_string()]];
+    let mut base = None;
     for &t in &threads {
         eprintln!("measuring {t} thread(s) …");
-        let cas = measure(t, ops, false);
-        let locked = measure(t, ops, true);
-        let cb = *cas_base.get_or_insert(cas);
-        let lb = *locked_base.get_or_insert(locked);
-        let (cas_scaling, locked_scaling) = (cas / cb, locked / lb);
-        rows.push(vec![
-            t.to_string(),
-            format!("{cas:.2}"),
-            format!("{cas_scaling:.2}×"),
-            format!("{locked:.2}"),
-            format!("{locked_scaling:.2}×"),
-        ]);
-        for (mode, mops, scaling) in [("cas", cas, cas_scaling), ("locked", locked, locked_scaling)]
-        {
-            out.push_result(
-                Json::obj()
-                    .field("threads", Json::U64(t as u64))
-                    .field("mode", Json::str(mode))
-                    .field("mops", Json::F64(mops))
-                    .field("scaling_vs_1", Json::F64(scaling)),
-            );
-        }
+        let mops = measure(t, ops);
+        let scaling = mops / *base.get_or_insert(mops);
+        rows.push(vec![t.to_string(), format!("{mops:.2}"), format!("{scaling:.2}×")]);
+        out.push_result(
+            Json::obj()
+                .field("threads", Json::U64(t as u64))
+                .field("mode", Json::str("cas"))
+                .field("mops", Json::F64(mops))
+                .field("scaling_vs_1", Json::F64(scaling)),
+        );
     }
     out.table(&rows);
     out.finish();

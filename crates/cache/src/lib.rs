@@ -53,7 +53,7 @@ pub mod set;
 
 pub use amat::{AmatBreakdown, AmatEstimator, MemKind};
 pub use cache::{CacheConfig, CacheStats, CoherentCache, HomeAgent, MemoryHome};
-pub use complex::{ComplexStats, CoreComplex, HostSnoop, ShardedHome, SharedComplex};
+pub use complex::{ComplexStats, HostSnoop, ShardedHome, SharedComplex};
 pub use concurrent::ConcurrentSetAssoc;
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats, LevelStats};
 pub use mesi::MesiState;

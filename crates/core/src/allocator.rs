@@ -9,9 +9,10 @@
 //!
 //! * [`Heap`](crate::Heap) — the first-fit bump + free-list baseline in
 //!   this crate; serializes every structure op, O(n) free-list scans.
-//! * `pax_alloc::BitmapAlloc` — the llfree-style scalable allocator
-//!   (per-core frame caches over a hierarchical persistent bitmap),
-//!   built in the `pax-alloc` crate against this trait.
+//! * [`BitmapAlloc`](crate::BitmapAlloc) — the llfree-style scalable
+//!   allocator (per-core frame caches over a hierarchical persistent
+//!   bitmap) in [`balloc`](crate::balloc), the default behind
+//!   `Persistent::new`.
 //!
 //! The contract every implementation must keep:
 //!

@@ -34,8 +34,7 @@
 //!   in both worlds* — that is the paper's black-box-reuse claim in code.
 //! * [`allocator`] — [`PmAllocator`]: the allocator seam. Structures are
 //!   generic over it, so the first-fit [`Heap`] and the scalable
-//!   `pax-alloc` bitmap allocator are interchangeable under the same
-//!   structure code.
+//!   [`BitmapAlloc`] are interchangeable under the same structure code.
 //! * [`heap`] — a first-fit persistent heap (bump + free list) whose
 //!   metadata lives inside the space it manages, so PAX's undo logging
 //!   covers allocator state like any other data (§3.4 "recovers the

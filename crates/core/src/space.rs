@@ -149,7 +149,7 @@ impl MemSpace for VolatileSpace {
 /// serializes every access and hides any parallelism in the layers above
 /// it. `StripedSpace` shards the range into fixed-size stripes, each
 /// behind its own lock, so accesses to different stripes proceed
-/// concurrently — the property the `pax-alloc` bitmap allocator's
+/// concurrently — the property the [`BitmapAlloc`](crate::BitmapAlloc)'s
 /// per-core subtrees are designed to exploit (different cores touch
 /// different stripes).
 ///

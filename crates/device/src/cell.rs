@@ -1,10 +1,10 @@
 //! Interior-mutability cells for the concurrent device.
 //!
-//! The refactor to a `Send + Sync` [`PaxDevice`](crate::PaxDevice) keeps
-//! the PM media and the trace buffer global (the ISSUE's per-shard locks
-//! cover the undo banks, HBM sets, and write-back queues — which live in
-//! the per-lane [`DeviceShard`](crate::shard::DeviceShard) mutexes), but
-//! both must now be reachable from `&self`. These cells wrap them:
+//! A `Send + Sync` [`PaxDevice`](crate::PaxDevice) keeps the PM media
+//! and the trace buffer global (per-lane state — undo banks, HBM sets,
+//! write-back queues — lives in lock-free or finely striped structures
+//! of its own), but both must be reachable from `&self`. These cells
+//! wrap them:
 //!
 //! * [`PoolCell`] — the single media lock. Shard engines receive
 //!   `&PoolCell` and lock it only around actual durable-write steps, so
@@ -18,9 +18,8 @@
 //!
 //! * [`WbGate`] — one per lane: serializes that lane's *write-back
 //!   drains* (background steps, persist batches, forced drains) against
-//!   each other now that the drains no longer all run under the lane's
-//!   `Mutex<DeviceShard>`. Lock order: ctl → core → lane → wb-gate →
-//!   HBM set → pool → trace (DESIGN.md §15).
+//!   each other — the only lane-local lock. Lock order: ctl → core →
+//!   wb-gate → HBM set → pool → trace (DESIGN.md §15).
 //!
 //! All recover from poisoning (a panicked thread must not wedge every
 //! other thread's persist), matching the vendored `parking_lot` shim's
@@ -74,7 +73,7 @@ impl PoolCell {
 pub(crate) struct WbGate(Mutex<()>);
 
 impl WbGate {
-    /// Locks the gate. Take the lane mutex (if taking it at all) first.
+    /// Locks the gate.
     pub(crate) fn lock(&self) -> MutexGuard<'_, ()> {
         lock(&self.0)
     }

@@ -28,7 +28,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Mutex;
 
 use pax_cache::{HomeAgent, HostSnoop, ShardedHome};
 use pax_pm::{CacheLine, CrashClock, LineAddr, PersistencyModel, PmError, PmPool, Result};
@@ -40,9 +40,8 @@ use crate::hbm::{HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
 use crate::recovery::{recover_traced, RecoveryReport};
 use crate::sched::{persist_drain_budget, weighted_budget, DeviceScheduler, SchedConfig};
-use crate::shard::{split_log_region, tick, DeviceShard, LaneHandles};
+use crate::shard::{split_log_region, tick, Lane};
 use crate::tenant::{TenantId, TenantMap, TenantRegion};
-use crate::undo_log::{AtomicBank, LogWatermark};
 
 /// Component name stamped on the device's metrics and trace records.
 const COMPONENT: &str = "device";
@@ -84,22 +83,6 @@ pub struct DeviceConfig {
     /// write-backs contiguous in lane-local address space share one
     /// durable-write step, up to this many. 1 = the unbatched pipeline.
     pub persist_wb_batch: usize,
-    /// When true, each lane's undo bank uses the original mutex-guarded
-    /// append engine instead of the lock-free CAS bank — the
-    /// differential baseline for `tests/lockfree_log.rs`. Defaults to
-    /// the `locked-log` cargo feature (off ⇒ CAS), so CI can run the
-    /// whole suite under either engine.
-    pub locked_log: bool,
-    /// When true, every hot-path protocol section re-acquires the lane's
-    /// `Mutex<DeviceShard>` — the pre-lock-free-HBM engine, kept as the
-    /// CI-differential baseline for `tests/hbm_lockfree.rs`. When false
-    /// (the default), stores, evictions, and the persist sweep go through
-    /// the lane's shared handles (concurrent HBM set index, striped
-    /// epoch-log map, striped directory, atomic counters) and the hit
-    /// path takes no lane mutex at all. Defaults to the `locked-hbm`
-    /// cargo feature (off ⇒ lock-free), so CI can run the whole suite
-    /// under either engine.
-    pub locked_hbm: bool,
     /// Consecutive skipped non-blocking polls of one tenant's drain
     /// after which [`PaxDevice::background`]'s poll falls back to a
     /// patient (bounded-spin) acquisition of the ctl lock, so a
@@ -175,35 +158,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Returns the config with the original mutex-guarded undo-bank
-    /// append engine (the lock-free CAS bank's differential baseline).
-    pub fn with_locked_log(mut self) -> Self {
-        self.locked_log = true;
-        self
-    }
-
-    /// Returns the config with the lock-free CAS undo-bank engine,
-    /// overriding the `locked-log` cargo feature's default.
-    pub fn with_cas_log(mut self) -> Self {
-        self.locked_log = false;
-        self
-    }
-
-    /// Returns the config with the mutex-guarded lane engine (the
-    /// lock-free HBM set index's differential baseline): every hot-path
-    /// protocol section runs under the lane's `Mutex<DeviceShard>`.
-    pub fn with_locked_hbm(mut self) -> Self {
-        self.locked_hbm = true;
-        self
-    }
-
-    /// Returns the config with the lock-free concurrent HBM engine,
-    /// overriding the `locked-hbm` cargo feature's default.
-    pub fn with_lockfree_hbm(mut self) -> Self {
-        self.locked_hbm = false;
-        self
-    }
-
     /// Returns the config with a different poll-starvation threshold. A
     /// zero limit is rejected by [`DeviceConfig::validate`].
     pub fn with_poll_skip_limit(mut self, n: u64) -> Self {
@@ -276,8 +230,6 @@ impl Default for DeviceConfig {
             sched: SchedConfig::default(),
             directory: DirectoryConfig::enabled(),
             persist_wb_batch: 8,
-            locked_log: cfg!(feature = "locked-log"),
-            locked_hbm: cfg!(feature = "locked-hbm"),
             poll_skip_limit: 64,
             persistency: PersistencyModel::Epoch,
         }
@@ -327,8 +279,8 @@ struct DrainState {
 /// Every public method takes `&self`: the device is `Send + Sync`, and N
 /// OS threads may issue stores concurrently (one tenant/core per thread;
 /// see DESIGN.md §11). The lock order is
-/// **ctl (`draining[t]`) → host core → lane (`shards[l]`) → wb-gate →
-/// HBM set / directory stripe / epoch-log stripe → pool → trace**
+/// **ctl (`draining[t]`) → host core → wb-gate → HBM set / directory
+/// stripe / epoch-log stripe → pool → trace**
 /// (DESIGN.md §15). Persist paths hold their tenant's ctl lock for their
 /// whole duration; hot paths only ever `try_lock` it (a contended ctl
 /// implies a concurrent persist, and non-blocking [`DrainState`]s exist
@@ -336,33 +288,22 @@ struct DrainState {
 /// bounded-spin starvation fallback in `poll_one_tenant` likewise never
 /// blocks on ctl, because `SharedComplex::write` reaches this code while
 /// holding a host core lock and a hard `lock()` would invert ctl →
-/// core). Hot paths never hold a lane lock across a call that acquires
-/// another lane or a host core. Epoch counters and the per-lane durable
+/// core). Hot paths never hold a wb-gate or HBM set lock across a call
+/// that acquires a host core. Epoch counters and the per-lane durable
 /// log watermarks are atomics, read lock-free.
 ///
-/// **The lane mutex is off the store hot path** (PR 10): each lane's
-/// hot state — the concurrent HBM set index, the striped epoch-log map,
-/// the write-back queue, the striped ownership directory, and the atomic
-/// counter registry — is reachable through shared [`LaneHandles`] held
-/// alongside (not inside) the `Mutex<DeviceShard>`, so `RdShared` /
-/// `RdOwn` / eviction service and the persist sweep on the *same lane*
-/// proceed with no lane-mutex acquisition at all. The mutex survives for
-/// the locked-mode undo log (`&mut UndoLog`), commit-time epoch reset,
-/// and recovery/snapshot sync; write-back *drains* serialize on the
-/// per-lane [`WbGate`](crate::cell::WbGate) instead (lane — when held at
-/// all — orders before wb-gate). [`DeviceConfig::with_locked_hbm`]
-/// restores the mutex-guarded engine as the CI-differential baseline,
-/// and `lane_lock_acquisitions` counts every acquisition so tests can
-/// assert the zero-lock hit path.
-///
-/// Under the default CAS undo bank ([`crate::AtomicBank`]) the log hot
-/// paths sit *outside* this hierarchy entirely: append reserves a slot
-/// with a CAS on the bank's packed tail word (no lock at all), and the
-/// pump/flush media handoff takes **pool only**, never the lane lock.
-/// Only [`DeviceConfig::with_locked_log`] routes both back under the lane
-/// mutex (which is why `locked_log` implies the locked-lane engine).
-/// Epoch commit — which takes ctl, flushes every lane of the tenant, and
-/// writes the header slot — is the only cross-shard rendezvous.
+/// **Lanes have no lane-wide mutex.** Each lane's state — the
+/// concurrent HBM set index, the striped epoch-log map, the write-back
+/// queue, the striped ownership directory, the atomic counter registry,
+/// and the lock-free undo bank ([`crate::UndoLog`]) — is reached through
+/// `&Lane`, so `RdShared` / `RdOwn` / eviction service and the persist
+/// sweep on the *same lane* proceed concurrently. Undo appends reserve a
+/// slot with a CAS on the bank's packed tail word (no lock at all), and
+/// the pump/flush media handoff takes **pool only**. Write-back *drains*
+/// serialize on the per-lane [`WbGate`](crate::cell::WbGate). Epoch
+/// commit — which takes ctl, flushes every lane of the tenant, and
+/// writes the header slot — is the only cross-shard rendezvous; crash is
+/// stop-the-world by construction (it consumes the device).
 #[derive(Debug)]
 pub struct PaxDevice {
     /// The PM media behind its single global lock; engines lock it only
@@ -377,39 +318,13 @@ pub struct PaxDevice {
     /// Physical interleave `S`: tenant `t`'s line `addr` lives in lane
     /// `t*S + addr % S`.
     stride: usize,
-    /// The per-line state, one lane mutex per [`DeviceShard`] (`T*S`
-    /// total, tenant-major). Since PR 10 the mutex guards only the
-    /// locked-mode undo log and commit/recovery-time state sync; hot
-    /// paths go through `lanes` instead.
-    shards: Vec<Mutex<DeviceShard>>,
-    /// Shared hot-path handles, one clone per lane (index-aligned with
-    /// `shards`): the concurrent HBM index, epoch-log map, write-back
-    /// queue, directory, counters, wb-gate, watermark, and CAS bank.
-    /// Everything a store or persist sweep touches without the lane
-    /// mutex.
-    lanes: Vec<LaneHandles>,
-    /// Whether hot-path protocol sections must take the lane mutex:
-    /// [`DeviceConfig::locked_hbm`] (the differential baseline), or
-    /// [`DeviceConfig::locked_log`] (whose append/pump need
-    /// `&mut UndoLog` from the guard).
-    hot_locked: bool,
-    /// Cumulative lane-mutex acquisitions, all paths. The lock-free
-    /// engine's tentpole invariant — a warm same-lane store storm takes
-    /// zero — is asserted through this counter.
-    lane_lock_acquisitions: AtomicU64,
+    /// The per-line state, one [`Lane`] per (tenant, shard) pair (`T*S`
+    /// total, tenant-major).
+    lanes: Vec<Lane>,
     /// Per tenant: depth of its non-blocking drain queue, mirrored out
     /// of `draining` so hot paths can skip the ctl `try_lock` entirely
     /// in the common nothing-draining case. Updated under ctl.
     drain_depth: Vec<AtomicUsize>,
-    /// Per-lane durable watermarks, shared with each lane's
-    /// [`crate::UndoLog`]: drain polling checks durability without taking
-    /// any lane lock.
-    watermarks: Vec<Arc<LogWatermark>>,
-    /// Per-lane handles to the lock-free CAS undo banks (`None` for every
-    /// lane under [`DeviceConfig::with_locked_log`]). Pump and flush paths
-    /// use these to drain the log holding only the pool lock, never the
-    /// lane lock.
-    log_banks: Vec<Option<Arc<AtomicBank>>>,
     /// Per tenant: the epoch currently being built (= that tenant's
     /// committed epoch + 1). Written only under that tenant's ctl lock;
     /// hot paths read it lock-free.
@@ -487,12 +402,11 @@ impl PaxDevice {
             )));
         }
         let stride = banks.len() / t;
-        let lanes = banks.len();
         // Slice the HBM across tenants by share (then evenly across each
         // tenant's shards); each lane is still floored at one full set
-        // inside `DeviceShard::new`, so small shares bound, never zero.
+        // inside `Lane::new`, so small shares bound, never zero.
         let total_shares = tenants.total_hbm_shares().max(1);
-        let shards: Vec<DeviceShard> = banks
+        let lanes: Vec<Lane> = banks
             .iter()
             .enumerate()
             .map(|(i, &(base, cap))| {
@@ -501,15 +415,7 @@ impl PaxDevice {
                 let slice = (config.hbm.capacity_bytes as u64 * share
                     / total_shares
                     / stride as u64) as usize;
-                DeviceShard::new(
-                    i,
-                    tenant,
-                    stride,
-                    config.hbm.with_capacity_bytes(slice),
-                    base,
-                    cap,
-                    config.locked_log,
-                )
+                Lane::new(i, tenant, stride, config.hbm.with_capacity_bytes(slice), base, cap)
             })
             .collect();
         let mut metrics = MetricSet::new(COMPONENT);
@@ -540,26 +446,18 @@ impl PaxDevice {
             let gauge = metrics.counter(name);
             metrics.add(gauge, value);
         }
-        let watermarks = shards.iter().map(|s| s.log.watermark()).collect();
-        let log_banks = shards.iter().map(|s| s.log.bank()).collect();
-        let lane_handles = shards.iter().map(|s| s.handles()).collect();
         Ok(PaxDevice {
             pool: PoolCell::new(pool),
             clock: CrashClock::new(),
             config,
             tenants,
             stride,
-            shards: shards.into_iter().map(Mutex::new).collect(),
-            lanes: lane_handles,
-            hot_locked: config.locked_hbm || config.locked_log,
-            lane_lock_acquisitions: AtomicU64::new(0),
+            sched: DeviceScheduler::new(lanes.len()),
+            lanes,
             drain_depth: (0..t).map(|_| AtomicUsize::new(0)).collect(),
-            watermarks,
-            log_banks,
             epochs: epochs.into_iter().map(AtomicU64::new).collect(),
             draining: (0..t).map(|_| Mutex::new(VecDeque::new())).collect(),
             poll_skips: (0..t).map(|_| AtomicU64::new(0)).collect(),
-            sched: DeviceScheduler::new(lanes),
             metrics,
             ctr,
             trace: TraceCell::new(trace),
@@ -627,9 +525,9 @@ impl PaxDevice {
     /// Cumulative event counters: the field-wise sum of every lane's
     /// typed view plus the device-level (scheduler) counters.
     pub fn metrics(&self) -> DeviceMetrics {
-        self.shards
+        self.lanes
             .iter()
-            .map(|s| lock(s).view_metrics())
+            .map(Lane::view_metrics)
             .fold(self.ctr.view(&self.metrics), |acc, m| acc + m)
     }
 
@@ -640,7 +538,7 @@ impl PaxDevice {
     /// tenant under `tenant{t}/` — both rollups conserve: the labeled
     /// counters sum to the plain totals.
     pub fn metric_snapshot(&self) -> MetricSnapshot {
-        let lanes: Vec<MetricSnapshot> = self.shards.iter().map(|s| lock(s).snapshot()).collect();
+        let lanes: Vec<MetricSnapshot> = self.lanes.iter().map(Lane::snapshot).collect();
         let mut snap = lanes.iter().fold(self.metrics.snapshot(), |acc, s| acc.merge(s));
         if self.stride > 1 {
             for (i, lane) in lanes.iter().enumerate() {
@@ -660,8 +558,7 @@ impl PaxDevice {
         self.trace.lock().dump_json_lines()
     }
 
-    /// Undo-log entries appended in the current epoch (all lanes) — read
-    /// through the shared handles, no lane lock taken.
+    /// Undo-log entries appended in the current epoch (all lanes).
     pub fn epoch_log_len(&self) -> usize {
         self.lanes.iter().map(|h| h.epoch_log.len()).sum()
     }
@@ -671,23 +568,15 @@ impl PaxDevice {
         self.tenant_lanes(t).map(|l| self.lanes[l].epoch_log.len()).sum()
     }
 
-    /// Total entries drained durably across all lane log banks — read
-    /// from the shared atomic watermarks, no lane lock taken.
+    /// Total entries drained durably across all lane log banks.
     pub fn log_durable_offset(&self) -> u64 {
-        self.watermarks.iter().map(|w| w.durable()).sum()
+        self.lanes.iter().map(|h| h.log.durable_offset()).sum()
     }
 
     /// Undo-log entries tenant `t` has appended but not yet drained
     /// durably — the backlog the scheduler's weighted budgets work off.
-    /// Lock-free under the CAS banks; the locked-log baseline reads
-    /// through the lane guard.
     pub fn log_pending_for(&self, t: TenantId) -> usize {
-        self.tenant_lanes(t)
-            .map(|l| match &self.log_banks[l] {
-                Some(bank) => bank.pending_len(),
-                None => self.lock_lane(l).log.pending_len(),
-            })
-            .sum()
+        self.tenant_lanes(t).map(|l| self.lanes[l].log.pending_len()).sum()
     }
 
     /// A handle to the crash clock shared with this device; arm it to cut
@@ -696,41 +585,8 @@ impl PaxDevice {
         self.clock.clone()
     }
 
-    /// Cumulative `Mutex<DeviceShard>` (lane-mutex) acquisitions, all
-    /// paths. With the default lock-free HBM engine a warm same-lane
-    /// store path must not move this counter at all — asserted by
-    /// `store_hit_path_takes_no_lane_lock` and `tests/hbm_lockfree.rs`.
-    pub fn lane_lock_acquisitions(&self) -> u64 {
-        self.lane_lock_acquisitions.load(Ordering::Relaxed)
-    }
-
-    /// Locks lane `l`'s mutex, counting the acquisition.
-    fn lock_lane(&self, l: usize) -> MutexGuard<'_, DeviceShard> {
-        self.lane_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        lock(&self.shards[l])
-    }
-
-    /// Non-blocking [`PaxDevice::lock_lane`]; only successful
-    /// acquisitions count.
-    fn try_lock_lane(&self, l: usize) -> Option<MutexGuard<'_, DeviceShard>> {
-        let g = try_lock(&self.shards[l]);
-        if g.is_some() {
-            self.lane_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        }
-        g
-    }
-
-    /// The hot-path lane guard: `Some` exactly when the device runs a
-    /// locked baseline engine (`locked_hbm`, or `locked_log`, whose
-    /// append/pump need `&mut UndoLog`). Hot paths hold it per protocol
-    /// section and never across [`PaxDevice::background`] or another
-    /// lane.
-    fn hot_guard(&self, l: usize) -> Option<MutexGuard<'_, DeviceShard>> {
-        self.hot_locked.then(|| self.lock_lane(l))
-    }
-
     /// HBM read hit rate so far (aggregated over lanes) — pure atomic
-    /// reads through the shared handles, no lock taken.
+    /// reads, no lock taken.
     pub fn hbm_hit_rate(&self) -> f64 {
         let (mut hits, mut misses) = (0u64, 0u64);
         for h in &self.lanes {
@@ -765,8 +621,8 @@ impl PaxDevice {
     pub fn crash_into_parts(self) -> (PmPool, TraceBuf, MetricSnapshot) {
         self.trace
             .record(COMPONENT, TraceEvent::Crash { epoch: self.epochs[0].load(Ordering::Acquire) });
-        for shard in &self.shards {
-            lock(shard).crash();
+        for lane in &self.lanes {
+            lane.crash();
         }
         for d in &self.draining {
             lock(d).clear();
@@ -837,7 +693,6 @@ impl PaxDevice {
             try_lock(&self.draining[t])
                 .and_then(|g| g.iter().rev().find_map(|d| d.values.get(&addr)).cloned())
         };
-        let mut hot = self.hot_guard(lane);
         self.lanes[lane].resolve(
             &self.pool,
             &self.clock,
@@ -845,7 +700,6 @@ impl PaxDevice {
             self.config.cache_clean_reads,
             drain_value,
             addr,
-            hot.as_deref_mut().map(|s| &mut s.log),
         )
     }
 
@@ -866,17 +720,9 @@ impl PaxDevice {
         // knobs (a device with pumping disabled stays fully quiescent).
         let idle_log = self.config.log_pump_batch.min(1);
         let idle_wb = self.config.writeback_batch.min(1);
-        if self.shards.len() > 1 && idle_log + idle_wb > 0 {
-            let idle = self.sched.next_idle(self.shards.len(), lane, |s| {
-                !self.lanes[s].writeback_queue.is_empty()
-                    || match &self.log_banks[s] {
-                        Some(bank) => bank.pending_len() > 0,
-                        // Locked-log pending length lives behind the lane
-                        // guard; a lane busy on another thread is simply
-                        // not idle this round.
-                        None => self.try_lock_lane(s).is_some_and(|g| g.log.pending_len() > 0),
-                    }
-            });
+        if self.lanes.len() > 1 && idle_log + idle_wb > 0 {
+            let idle =
+                self.sched.next_idle(self.lanes.len(), lane, |s| self.lane_has_background_work(s));
             if let Some(s) = idle {
                 let before = self.clock.steps_taken();
                 self.lane_background(s, idle_log, idle_wb)?;
@@ -887,38 +733,10 @@ impl PaxDevice {
     }
 
     /// One lane's background step: pump up to `log_batch` undo entries to
-    /// media, then run the lane's write-back engine for `wb_batch` lines.
-    /// Under the default CAS bank the pump happens **before** and
-    /// **without** the lane lock — the media handoff serializes on the
-    /// pool lock alone, so concurrent appenders on the same lane are
-    /// never stalled behind it — and the lane lock is then taken only for
-    /// the write-back queue. The locked baseline runs both under the lane
-    /// mutex, exactly as before this split. Both engines issue the
-    /// identical pump-then-write-back step sequence, so single-driver
-    /// runs stay bit-identical across modes.
+    /// media, then run the lane's write-back engine for `wb_batch` lines
+    /// (see [`Lane::background`]).
     fn lane_background(&self, lane: usize, log_batch: usize, wb_batch: usize) -> Result<()> {
-        let lane_log_batch = match &self.log_banks[lane] {
-            Some(bank) => {
-                if log_batch > 0 && bank.pending_len() > 0 {
-                    bank.pump(&mut self.pool.lock(), &self.clock, log_batch)?;
-                }
-                0
-            }
-            None => log_batch,
-        };
-        // Fast path: nothing for the guarded engine to do — the CAS pump
-        // above already ran — so a pure store storm's background step
-        // never touches the lane mutex at all.
-        if lane_log_batch == 0 && (wb_batch == 0 || self.lanes[lane].writeback_queue.is_empty()) {
-            return Ok(());
-        }
-        self.lock_lane(lane).background(
-            &self.pool,
-            &self.clock,
-            &self.trace,
-            lane_log_batch,
-            wb_batch,
-        )
+        self.lanes[lane].background(&self.pool, &self.clock, &self.trace, log_batch, wb_batch)
     }
 
     /// Advances the device's free-running engines by `n` **virtual
@@ -966,12 +784,8 @@ impl PaxDevice {
                 }
             }
             if cfg.adaptive {
-                for l in 0..self.shards.len() {
-                    let pending = match &self.log_banks[l] {
-                        Some(bank) => bank.pending_len(),
-                        None => self.lock_lane(l).log.pending_len(),
-                    };
-                    self.sched.observe_log_depth(l, pending, &cfg);
+                for (l, lane) in self.lanes.iter().enumerate() {
+                    self.sched.observe_log_depth(l, lane.log.pending_len(), &cfg);
                 }
             }
             let now = self.sched.advance();
@@ -991,15 +805,9 @@ impl PaxDevice {
     }
 
     /// Whether lane `l` has background work pending (undo entries not
-    /// yet durable, or queued write-backs), observed through the shared
-    /// handles — the locked-log baseline alone reads pending length
-    /// behind the lane guard.
+    /// yet durable, or queued write-backs).
     fn lane_has_background_work(&self, l: usize) -> bool {
-        !self.lanes[l].writeback_queue.is_empty()
-            || match &self.log_banks[l] {
-                Some(bank) => bank.pending_len() > 0,
-                None => self.lock_lane(l).log.pending_len() > 0,
-            }
+        !self.lanes[l].writeback_queue.is_empty() || self.lanes[l].log.pending_len() > 0
     }
 
     /// Ends every tenant's current epoch in tenant order and returns
@@ -1137,11 +945,9 @@ impl PaxDevice {
     /// through each undo log entry as it persists"), snooping only the
     /// lines the ownership directory says the host may still hold
     /// modified, and returns the lane's epoch-log length plus the
-    /// `(addr, value)` pairs that still need a PM write back. Runs
-    /// through the lane's shared handles — lock-free mode takes no lane
-    /// mutex; the locked baseline re-acquires it per protocol section,
-    /// dropped around each snoop (host core locks order *before* lane
-    /// locks). What varies per [`SweepMode`]:
+    /// `(addr, value)` pairs that still need a PM write back. No lock is
+    /// held across a snoop (host core locks order *before* every device
+    /// lock but ctl). What varies per [`SweepMode`]:
     ///
     /// * `Snoop` — downgrade; returned host data refreshes the HBM copy
     ///   so post-persist reads stay warm.
@@ -1171,16 +977,12 @@ impl PaxDevice {
         let entries = logged.len() as u64;
         let mut pending = Vec::with_capacity(logged.len());
         for (_offset, addr) in logged {
-            let should_snoop = {
-                let _hot = self.hot_guard(l);
-                let should = h.dir_should_snoop(addr, filter);
-                // CLWB invalidates rather than snoops; only the
-                // downgrade flavours count toward `snoops_sent`.
-                if should && mode != SweepMode::Clwb {
-                    h.count_snoop_sent();
-                }
-                should
-            };
+            let should_snoop = h.dir_should_snoop(addr, filter);
+            // CLWB invalidates rather than snoops; only the downgrade
+            // flavours count toward `snoops_sent`.
+            if should_snoop && mode != SweepMode::Clwb {
+                h.count_snoop_sent();
+            }
             let host_data = if should_snoop {
                 let op = if mode == SweepMode::Clwb { "snp_inv" } else { "snp_data" };
                 self.trace.record(COMPONENT, TraceEvent::Coherence { op: op.into(), line: addr.0 });
@@ -1189,13 +991,11 @@ impl PaxDevice {
                     _ => cache.snoop_shared(addr),
                 };
                 // The snoop itself is the host's give-up evidence.
-                let _hot = self.hot_guard(l);
                 h.dir_clear(addr);
                 d
             } else {
                 None
             };
-            let mut hot = self.hot_guard(l);
             let data = match (host_data, mode) {
                 (Some(d), SweepMode::Clwb) => Some(d),
                 (Some(d), _) => {
@@ -1208,7 +1008,6 @@ impl PaxDevice {
                         &self.pool,
                         &self.clock,
                         &self.trace,
-                        hot.as_deref_mut().map(|s| &mut s.log),
                         addr,
                         d.clone(),
                         false,
@@ -1232,7 +1031,6 @@ impl PaxDevice {
             if data.is_none() && mode == SweepMode::Clwb {
                 h.hbm_mark_clean(addr);
             }
-            drop(hot);
             if let Some(d) = data {
                 pending.push((addr, d));
             }
@@ -1261,11 +1059,8 @@ impl PaxDevice {
         }
         let addrs: Vec<LineAddr> = pending.iter().map(|&(a, _)| a).collect();
         let h = &self.lanes[lane];
-        // Lane guard (locked baseline only) before the wb-gate — the
-        // fixed drain order. The gate keeps a concurrent background
-        // drain from landing a stale HBM copy on top of these
-        // just-snooped values.
-        let _hot = self.hot_guard(lane);
+        // The gate keeps a concurrent background drain from landing a
+        // stale HBM copy on top of these just-snooped values.
         let _gate = h.wb_gate.lock();
         for run in coalesce_runs(&addrs, self.stride as u64, self.config.persist_wb_batch) {
             h.count_wb_batch();
@@ -1307,7 +1102,7 @@ impl PaxDevice {
         self.pool.lock().commit_epoch_for(t, committed)?;
 
         for l in self.tenant_lanes(t) {
-            self.lock_lane(l).reset_after_commit();
+            self.lanes[l].reset_after_commit();
         }
         // Release pairs with the Acquire load in `home_read_own`: a store
         // thread that tags an undo entry with the new epoch number must
@@ -1321,15 +1116,11 @@ impl PaxDevice {
         Ok(committed)
     }
 
-    /// Drains lane `l`'s undo bank to full durability. The CAS bank
-    /// flushes holding only the pool lock around each media step —
-    /// appenders on the lane keep reserving and publishing concurrently —
-    /// while the locked baseline flushes under the lane mutex as before.
+    /// Drains lane `l`'s undo bank to full durability, holding only the
+    /// pool lock around each media step — appenders on the lane keep
+    /// reserving and publishing concurrently.
     fn flush_lane_log(&self, l: usize) -> Result<()> {
-        match &self.log_banks[l] {
-            Some(bank) => bank.flush(&mut self.pool.lock(), &self.clock),
-            None => self.lock_lane(l).log.flush(&mut self.pool.lock(), &self.clock),
-        }
+        self.lanes[l].log.flush(&mut self.pool.lock(), &self.clock)
     }
 
     /// Typed guard for the tenant-indexed entry points.
@@ -1401,7 +1192,7 @@ impl PaxDevice {
         // Each of the tenant's banks must drain through the epoch's last
         // entry; commit will recycle exactly those slots.
         let flush_to: Vec<u64> =
-            self.tenant_lanes(t).map(|l| self.lock_lane(l).log.appended()).collect();
+            self.tenant_lanes(t).map(|l| self.lanes[l].log.appended()).collect();
         let epoch = self.epochs[t].load(Ordering::Acquire);
         ctl.push_back(DrainState { epoch, queue, values, flush_to, entries });
         // Mirror of the queue depth for the lock-free fast paths:
@@ -1409,7 +1200,7 @@ impl PaxDevice {
         // entirely while this reads 0 (DESIGN.md §15).
         self.drain_depth[t].fetch_add(1, Ordering::Release);
         for l in self.tenant_lanes(t) {
-            self.lock_lane(l).begin_next_epoch();
+            self.lanes[l].begin_next_epoch();
         }
         // Release pairs with the Acquire load in `home_read_own`: appends
         // tagged with the next epoch happen-after the lanes rolled their
@@ -1517,29 +1308,18 @@ impl PaxDevice {
         };
         // Phase 1: the tenant's undo entries for the epoch must be
         // durable first. The atomic watermarks answer the common
-        // already-durable case without taking any lane lock, and under
-        // the CAS bank the pump itself needs none either — the media
-        // handoff serializes on the pool lock alone.
+        // already-durable case, and the pump's media handoff serializes
+        // on the pool lock alone.
         let batch = self.config.log_pump_batch.max(1);
         let mut lagging = false;
         for (i, &target) in flush_to.iter().enumerate() {
-            let l = t * self.stride + i;
-            if self.watermarks[l].durable() >= target {
+            let log = &self.lanes[t * self.stride + i].log;
+            if log.durable_offset() >= target {
                 continue;
             }
-            if let Some(bank) = &self.log_banks[l] {
-                bank.pump(&mut self.pool.lock(), &self.clock, batch)?;
-                if bank.durable_offset() < target {
-                    lagging = true;
-                }
-            } else {
-                let mut shard = self.lock_lane(l);
-                if shard.log.durable_offset() < target {
-                    shard.log.pump(&mut self.pool.lock(), &self.clock, batch)?;
-                    if shard.log.durable_offset() < target {
-                        lagging = true;
-                    }
-                }
+            log.pump(&mut self.pool.lock(), &self.clock, batch)?;
+            if log.durable_offset() < target {
+                lagging = true;
             }
         }
         if lagging {
@@ -1574,10 +1354,8 @@ impl PaxDevice {
             }
             let lane = t * stride + addr.0 as usize % stride;
             let h = &self.lanes[lane];
-            // Lane (locked baseline only) before wb-gate: the gate
-            // serializes this drain's PM writes against the lane's
-            // background write-back consumer.
-            let _hot = self.hot_guard(lane);
+            // The gate serializes this drain's PM writes against the
+            // lane's background write-back consumer.
             let _gate = h.wb_gate.lock();
             h.count_wb_batch();
             tick(&self.clock, &mut self.pool.lock())?;
@@ -1611,11 +1389,7 @@ impl PaxDevice {
             // never happens, and the region filled up with committed
             // entries until spurious `LogFull`.)
             for (i, &target) in ds.flush_to.iter().enumerate() {
-                let l = t * self.stride + i;
-                match &self.log_banks[l] {
-                    Some(bank) => bank.recycle_to(target),
-                    None => self.lock_lane(l).log.recycle_to(target),
-                }
+                self.lanes[t * self.stride + i].log.recycle_to(target);
             }
             return Ok(Some(ds.epoch));
         }
@@ -1689,22 +1463,10 @@ impl PaxDevice {
             let flush_to = ds.flush_to[s];
             let lane = t * self.stride + s;
             let h = &self.lanes[lane];
-            let mut hot = self.hot_guard(lane);
             let _gate = h.wb_gate.lock();
-            while h.watermark.durable() < flush_to {
+            while h.log.durable_offset() < flush_to {
                 h.count_forced_flush();
-                let pumped = match (&self.log_banks[lane], hot.as_deref_mut()) {
-                    (Some(bank), _) => bank.pump(&mut self.pool.lock(), &self.clock, usize::MAX)?,
-                    (None, Some(shard)) => {
-                        shard.log.pump(&mut self.pool.lock(), &self.clock, usize::MAX)?
-                    }
-                    (None, None) => {
-                        return Err(PmError::ProtocolViolation {
-                            invariant: "locked-log lane pumped without the lane guard",
-                        })
-                    }
-                };
-                if pumped == 0 {
+                if h.log.pump(&mut self.pool.lock(), &self.clock, usize::MAX)? == 0 {
                     return Err(PmError::ProtocolViolation {
                         invariant: "draining epoch's undo entries are neither durable nor pending",
                     });
@@ -1727,10 +1489,7 @@ impl PaxDevice {
     /// `RdShared` service, shared by both [`HomeAgent`] impls.
     fn home_read_shared(&self, addr: LineAddr) -> Result<CacheLine> {
         let l = self.lane_of(addr)?;
-        {
-            let _hot = self.hot_guard(l);
-            self.lanes[l].count_rd_shared();
-        }
+        self.lanes[l].count_rd_shared();
         self.trace
             .record(COMPONENT, TraceEvent::Coherence { op: "rd_shared".into(), line: addr.0 });
         self.background(l)?;
@@ -1740,10 +1499,7 @@ impl PaxDevice {
     /// `RdOwn` service, shared by both [`HomeAgent`] impls.
     fn home_read_own(&self, addr: LineAddr) -> Result<CacheLine> {
         let l = self.lane_of(addr)?;
-        {
-            let _hot = self.hot_guard(l);
-            self.lanes[l].count_rd_own();
-        }
+        self.lanes[l].count_rd_own();
         self.trace.record(COMPONENT, TraceEvent::Coherence { op: "rd_own".into(), line: addr.0 });
         self.background(l)?;
         let old = self.resolve(l, addr)?;
@@ -1754,17 +1510,13 @@ impl PaxDevice {
         // thread also sees the lane state those commits published before
         // bumping the counter.
         let epoch = self.epochs[l / self.stride].load(Ordering::Acquire);
-        {
-            let h = &self.lanes[l];
-            let mut hot = self.hot_guard(l);
-            h.log_if_first(&self.trace, hot.as_deref_mut().map(|s| &mut s.log), epoch, addr, &old)?;
-            // The ownership grant is the directory's set point: from here
-            // the host plausibly holds the line modified. Gated so the
-            // disabled ablation leaves the directory (and its gauges)
-            // untouched.
-            if self.config.directory.enabled {
-                h.dir_note_owned(addr);
-            }
+        let h = &self.lanes[l];
+        h.log_if_first(&self.trace, epoch, addr, &old)?;
+        // The ownership grant is the directory's set point: from here the
+        // host plausibly holds the line modified. Gated so the disabled
+        // ablation leaves the directory (and its gauges) untouched.
+        if self.config.directory.enabled {
+            h.dir_note_owned(addr);
         }
         Ok(old)
     }
@@ -1772,7 +1524,6 @@ impl PaxDevice {
     /// Clean-eviction service, shared by both [`HomeAgent`] impls.
     fn home_clean_evict(&self, addr: LineAddr) {
         if let Ok(l) = self.lane_of(addr) {
-            let _hot = self.hot_guard(l);
             self.lanes[l].count_clean_evict();
             // Safe to untrack: Shared and Modified copies never coexist,
             // so a clean eviction means no core holds the line modified.
@@ -1785,13 +1536,10 @@ impl PaxDevice {
     /// Dirty-eviction service, shared by both [`HomeAgent`] impls.
     fn home_dirty_evict(&self, addr: LineAddr, data: CacheLine) -> Result<()> {
         let l = self.lane_of(addr)?;
-        {
-            let _hot = self.hot_guard(l);
-            self.lanes[l].count_dirty_evict();
-            // The host just handed its modified copy back: the line needs
-            // no persist-time snoop until the next `RdOwn`.
-            self.lanes[l].dir_clear(addr);
-        }
+        self.lanes[l].count_dirty_evict();
+        // The host just handed its modified copy back: the line needs no
+        // persist-time snoop until the next `RdOwn`.
+        self.lanes[l].dir_clear(addr);
         self.trace
             .record(COMPONENT, TraceEvent::Coherence { op: "dirty_evict".into(), line: addr.0 });
         self.background(l)?;
@@ -1801,7 +1549,6 @@ impl PaxDevice {
         self.drain_one_line_now(addr)?;
         let epoch = self.epochs[l / self.stride].load(Ordering::Acquire);
         let h = &self.lanes[l];
-        let mut hot = self.hot_guard(l);
         let offset = match h.epoch_offset_of(addr) {
             Some(o) => o,
             None => {
@@ -1815,13 +1562,7 @@ impl PaxDevice {
                     let abs = pm.layout().vpm_to_pool(addr.0)?;
                     pm.read_line(abs)?
                 };
-                h.log_if_first(
-                    &self.trace,
-                    hot.as_deref_mut().map(|s| &mut s.log),
-                    epoch,
-                    addr,
-                    &old,
-                )?
+                h.log_if_first(&self.trace, epoch, addr, &old)?
             }
         };
         // Insert-then-dispose keeps a dirty victim indexed until its PM
@@ -1832,7 +1573,6 @@ impl PaxDevice {
             &self.pool,
             &self.clock,
             &self.trace,
-            hot.as_deref_mut().map(|s| &mut s.log),
             addr,
             HbmLine { data, dirty: true, log_offset: Some(offset) },
         )?;
@@ -1882,7 +1622,7 @@ impl HomeAgent for &PaxDevice {
 
 impl ShardedHome for PaxDevice {
     fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.lanes.len()
     }
 
     fn shard_of_line(&self, addr: LineAddr) -> usize {
@@ -1894,7 +1634,7 @@ impl ShardedHome for PaxDevice {
 
 impl ShardedHome for &PaxDevice {
     fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.lanes.len()
     }
 
     fn shard_of_line(&self, addr: LineAddr) -> usize {
@@ -2646,93 +2386,13 @@ mod tests {
         assert_eq!(device.committed_epoch().unwrap(), epoch);
     }
 
-    /// The two undo-bank engines must drive the machine identically in
-    /// single-driver mode: same metrics, same durable epoch, same media
-    /// state. (`tests/lockfree_log.rs` proves the byte-level half across
-    /// random seeds; this is the quick in-crate smoke check.)
-    #[test]
-    fn cas_and_locked_engines_tick_identically() {
-        let run = |config: DeviceConfig| {
-            let pool = PmPool::create(PoolConfig::small()).unwrap();
-            let mut device = PaxDevice::open(pool, config.with_shards(2)).unwrap();
-            let mut cache = CoherentCache::new(CacheConfig::tiny(16 << 10, 8));
-            for i in 0..32u64 {
-                cache.write(LineAddr(i % 11), CacheLine::filled(i as u8), &mut device).unwrap();
-            }
-            device.tick(8).unwrap();
-            device.persist(&mut cache).unwrap();
-            (device.metrics(), device.committed_epoch().unwrap())
-        };
-        let cas = run(DeviceConfig::default().with_cas_log());
-        let locked = run(DeviceConfig::default().with_locked_log());
-        assert_eq!(cas, locked);
-    }
-
-    /// Same twin-engine check for the HBM index: the concurrent set
-    /// index and the mutex-era engine must drive the machine identically
-    /// in single-driver mode. (`tests/hbm_lockfree.rs` proves the
-    /// byte-level half across random seeds.)
-    #[test]
-    fn lockfree_and_locked_hbm_tick_identically() {
-        let run = |config: DeviceConfig| {
-            let pool = PmPool::create(PoolConfig::small()).unwrap();
-            let mut device = PaxDevice::open(pool, config.with_shards(2)).unwrap();
-            let mut cache = CoherentCache::new(CacheConfig::tiny(16 << 10, 8));
-            for i in 0..32u64 {
-                cache.write(LineAddr(i % 11), CacheLine::filled(i as u8), &mut device).unwrap();
-            }
-            device.tick(8).unwrap();
-            device.persist(&mut cache).unwrap();
-            (device.metrics(), device.committed_epoch().unwrap())
-        };
-        let lockfree = run(DeviceConfig::default().with_lockfree_hbm());
-        let locked = run(DeviceConfig::default().with_locked_hbm());
-        assert_eq!(lockfree, locked);
-    }
-
-    /// The ISSUE's acceptance bar: a warm same-lane store takes **no**
-    /// `Mutex<DeviceShard>` acquisition under the default (lock-free)
-    /// engine, and still does under the `with_locked_hbm` baseline.
-    /// Drives `read_own` through the `&PaxDevice` home agent directly —
-    /// a host cache would keep the lines in M state and hide the device
-    /// hot path entirely.
-    #[test]
-    fn store_hit_path_takes_no_lane_lock() {
-        let run = |config: DeviceConfig| -> u64 {
-            let pool = PmPool::create(PoolConfig::small()).unwrap();
-            let device = PaxDevice::open(pool, config).unwrap();
-            let mut home = &device;
-            // Warm: first touch of each line misses HBM and may evict.
-            for i in 0..16u64 {
-                home.read_own(LineAddr(i)).unwrap();
-            }
-            let before = device.lane_lock_acquisitions();
-            for _ in 0..4 {
-                for i in 0..16u64 {
-                    home.read_own(LineAddr(i)).unwrap();
-                }
-            }
-            device.lane_lock_acquisitions() - before
-        };
-        assert_eq!(
-            run(DeviceConfig::default().with_cas_log().with_lockfree_hbm()),
-            0,
-            "lockfree store hit path must not touch the lane mutex"
-        );
-        assert!(
-            run(DeviceConfig::default().with_locked_hbm()) > 0,
-            "locked baseline keeps the lane mutex on the hot path"
-        );
-    }
-
     /// Four real threads hammering one lane: the atomic counters must
     /// conserve exactly (no lost increments) and the epoch-log dedup
     /// must admit each line once.
     #[test]
     fn concurrent_same_lane_stores_preserve_telemetry_conservation() {
         let pool = PmPool::create(PoolConfig::small()).unwrap();
-        let config = DeviceConfig::default().with_cas_log().with_lockfree_hbm();
-        let device = PaxDevice::open(pool, config).unwrap();
+        let device = PaxDevice::open(pool, DeviceConfig::default()).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

@@ -79,8 +79,7 @@ const DIR_STRIPES: usize = 16;
 ///
 /// Since PR 10 the set is striped across [`DIR_STRIPES`] mutexes with an
 /// atomic residency counter, so hot-path `RdOwn`/eviction epilogues can
-/// update it through a shared reference without the lane mutex
-/// (DESIGN.md §15). Each operation touches exactly one stripe lock.
+/// update it through a shared reference (DESIGN.md §15). Each operation touches exactly one stripe lock.
 #[derive(Debug)]
 pub struct OwnershipDirectory {
     stripes: Vec<Mutex<HashSet<LineAddr>>>,

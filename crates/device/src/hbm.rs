@@ -17,8 +17,7 @@
 //! Since PR 10 the buffer is a *concurrent* index
 //! ([`ConcurrentSetAssoc`]): every method takes `&self`, hit/miss
 //! counters are atomics, and same-lane stores probe and update the set
-//! index without holding the lane's `Mutex<DeviceShard>` (DESIGN.md
-//! §15). Eviction disposal runs inside the per-set critical section via
+//! index concurrently, each touching one set lock (DESIGN.md §15). Eviction disposal runs inside the per-set critical section via
 //! [`HbmCache::insert_then`], so a dirty victim is never invisible while
 //! its data is still in flight to PM.
 

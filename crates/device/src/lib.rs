@@ -10,9 +10,10 @@
 //! * [`hbm`] — the on-device HBM buffer of modified lines, each tagged
 //!   with the log offset whose durability gates its write back; its
 //!   eviction policy can prefer already-durable lines (§3.3).
-//! * [`shard`] — [`DeviceShard`]: the address-interleaved slice of the
-//!   device's per-line state (HBM sets, undo-log bank, write-back queue,
-//!   metrics); `S` shards service independent lines without contending.
+//! * `shard` — the per-lane slice of the device's per-line state (HBM
+//!   sets, undo-log bank, write-back queue, metrics); `S`
+//!   address-interleaved shards service independent lines without
+//!   contending, and no lane-wide lock guards any of it.
 //! * [`directory`] — [`OwnershipDirectory`]: the per-lane snoop filter
 //!   tracking which lines the host plausibly holds modified, so
 //!   `persist()` skips snoops for lines the host already gave up; plus
@@ -63,7 +64,7 @@ pub mod hbm;
 pub mod metrics;
 pub mod recovery;
 pub mod sched;
-pub mod shard;
+pub(crate) mod shard;
 pub mod tenant;
 pub mod undo_log;
 
@@ -74,6 +75,5 @@ pub use hbm::{EvictionPolicy, HbmCache, HbmConfig, HbmLine};
 pub use metrics::DeviceMetrics;
 pub use recovery::{recover, recover_traced, RecoveryReport};
 pub use sched::{DeviceScheduler, SchedConfig};
-pub use shard::DeviceShard;
 pub use tenant::{even_split, TenantId, TenantMap, TenantRegion};
-pub use undo_log::{AtomicBank, LogWatermark, UndoEntry, UndoLog, ENTRY_LINES};
+pub use undo_log::{UndoEntry, UndoLog, ENTRY_LINES};

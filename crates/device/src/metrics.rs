@@ -76,8 +76,8 @@ pub struct DeviceMetrics {
     /// Coalesced write-back batches issued by the persist pipeline.
     pub wb_batches: u64,
     /// Failed reservation CAS attempts in the lock-free undo bank
-    /// (contention on the packed tail word; zero under a single driver
-    /// or the locked-log baseline).
+    /// (contention on the packed tail word; zero under a single
+    /// driver).
     pub log_cas_retries: u64,
     /// Undo-bank slots currently reserved but not yet published (an
     /// occupancy gauge over the reserve→fill window, not a monotone

@@ -126,7 +126,7 @@ mod tests {
 
         // Simulate a crash mid-epoch-3: line 4's pre-image (0xAB) is
         // logged and the "new" value (0xCD) already reached PM.
-        let mut log = UndoLog::new(&pool);
+        let log = UndoLog::new(&pool);
         log.append(UndoEntry::single(3, LineAddr(4), CacheLine::filled(0xAB))).unwrap();
         log.flush(&mut pool, &clock).unwrap();
         let abs = pool.layout().vpm_to_pool(4).unwrap();
@@ -142,7 +142,7 @@ mod tests {
     fn entries_from_committed_epochs_are_ignored() {
         let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&pool);
+        let log = UndoLog::new(&pool);
         log.append(UndoEntry::single(1, LineAddr(0), CacheLine::filled(0x11))).unwrap();
         log.flush(&mut pool, &clock).unwrap();
         pool.commit_epoch(1).unwrap(); // epoch 1 committed: entry is stale
@@ -169,7 +169,7 @@ mod tests {
         let clock = CrashClock::new();
         pool.commit_epoch(1).unwrap();
 
-        let mut log = UndoLog::new(&pool);
+        let log = UndoLog::new(&pool);
         for i in 0..3 {
             // Committed-epoch fillers occupying slots 0..3.
             log.append(UndoEntry::single(1, LineAddr(i), CacheLine::zeroed())).unwrap();
@@ -204,7 +204,7 @@ mod tests {
         pool.commit_epoch_for(0, 1).unwrap();
         pool.commit_epoch_for(1, 2).unwrap();
 
-        let mut log = UndoLog::new(&pool);
+        let log = UndoLog::new(&pool);
         log.append(UndoEntry {
             epoch: 2,
             vpm_line: LineAddr(3),
@@ -237,7 +237,7 @@ mod tests {
         pool.commit_epoch_for(0, 1).unwrap();
         pool.commit_epoch_for(1, 3).unwrap();
 
-        let mut log = UndoLog::new(&pool);
+        let log = UndoLog::new(&pool);
         log.append(UndoEntry {
             epoch: 2,
             vpm_line: LineAddr(4),
@@ -275,7 +275,7 @@ mod tests {
     fn unpublished_slot_is_never_replayed() {
         let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&pool);
+        let log = UndoLog::new(&pool);
         log.append(UndoEntry::single(1, LineAddr(5), CacheLine::filled(0xAA))).unwrap();
         log.flush(&mut pool, &clock).unwrap();
         let abs = pool.layout().vpm_to_pool(5).unwrap();
@@ -301,7 +301,7 @@ mod tests {
     fn recovery_is_idempotent() {
         let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&pool);
+        let log = UndoLog::new(&pool);
         log.append(UndoEntry::single(1, LineAddr(2), CacheLine::filled(0x33))).unwrap();
         log.flush(&mut pool, &clock).unwrap();
 

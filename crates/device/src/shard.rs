@@ -3,9 +3,9 @@
 //! The paper's home agent pipelines independent lines; a monolithic
 //! [`PaxDevice`](crate::PaxDevice) cannot express that — every request
 //! serializes on one HBM array, one undo-log append port, and one
-//! write-back queue. A [`DeviceShard`] is the per-line-address slice of
+//! write-back queue. A [`Lane`] is the per-line-address slice of
 //! that state: lines are interleaved across `S` shards by
-//! `addr % S` (the mandatory banking of a CXL home agent), and each shard
+//! `addr % S` (the mandatory banking of a CXL home agent), and each lane
 //! owns
 //!
 //! * its own HBM sets (a `1/S` slice of the buffer, indexed in
@@ -21,23 +21,21 @@
 //! — flush every bank, snoop, write back, then one atomic `commit_epoch`
 //! — so sharding changes concurrency, never crash-consistency semantics.
 //!
-//! # Lane handles (PR 10)
+//! # Lanes hold no lock of their own
 //!
-//! Since PR 10 a lane's hot-path state — the concurrent HBM index, the
-//! striped epoch-log map, the write-back queue, the ownership directory,
-//! and the metric registry — lives behind `Arc`s collected in
-//! [`LaneHandles`]. The [`PaxDevice`] keeps one clone per lane *outside*
-//! the lane mutex, so `RdShared`/`RdOwn`/eviction traffic and the
-//! persist sweep on the same lane proceed without ever acquiring
-//! `Mutex<DeviceShard>`. The mutex now guards only what genuinely needs
-//! exclusivity: the locked-mode undo log (`&mut UndoLog`) and
-//! recovery/snapshot-time state sync. Write-back *drains* serialize on
-//! the lane's [`WbGate`](crate::cell::WbGate) instead. See DESIGN.md
-//! §15 for the full protocol and ordering invariants.
+//! Every piece of a lane's state is reachable through `&self` and safe
+//! to share across threads: the concurrent HBM set index, the striped
+//! epoch-log map, the write-back queue, the striped ownership directory,
+//! the atomic counter registry, and the lock-free undo bank. `RdShared`
+//! / `RdOwn` / eviction traffic and the persist sweep on the same lane
+//! therefore proceed without any lane-wide mutex. The only lane-local
+//! serialization left is the [`WbGate`](crate::cell::WbGate), which
+//! orders the lane's write-back *drains* against each other. See
+//! DESIGN.md §15–§16 for the full protocol and ordering invariants.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pax_pm::{CacheLine, CrashClock, LineAddr, PmError, PmPool, Result};
 use pax_telemetry::{MetricSet, MetricSnapshot, TraceEvent};
@@ -47,7 +45,7 @@ use crate::cell::{lock, PoolCell, TraceCell, WbGate};
 use crate::directory::OwnershipDirectory;
 use crate::hbm::{HbmCache, HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
-use crate::undo_log::{AtomicBank, LogWatermark, UndoEntry, UndoLog, ENTRY_LINES};
+use crate::undo_log::{UndoEntry, UndoLog, ENTRY_LINES};
 
 /// Component name stamped on every shard's metrics and trace records —
 /// identical to the device's, so merged snapshots stay one `device` row.
@@ -84,8 +82,7 @@ impl EpochLog {
     /// Returns `addr`'s existing offset, or runs `make` (the log append)
     /// under the stripe lock and records its result. `make` must not
     /// acquire any lock that can wait on an `EpochLog` stripe — the
-    /// CAS-bank append and the locked-mode append (which requires the
-    /// lane mutex, ordered *before* stripes) both qualify.
+    /// lock-free undo-bank append qualifies.
     pub(crate) fn try_insert(
         &self,
         addr: LineAddr,
@@ -176,17 +173,16 @@ impl WbQueue {
     }
 }
 
-/// Shared (`Arc`-held) handles to one lane's hot-path state — everything
-/// a store or persist sweep touches without the lane mutex (module
-/// docs). Cloning is cheap; the [`PaxDevice`] keeps one clone per lane
-/// alongside (not inside) the `Mutex<DeviceShard>`.
+/// One lane: the slice of the device's per-line state owned by a single
+/// `(tenant, interleave-phase)` pair (see module docs).
 ///
-/// The only lane state *not* here is the [`UndoLog`]: in the default
-/// CAS mode its `AtomicBank`/watermark `Arc`s **are** here (`bank`,
-/// `watermark`), and in locked-log mode callers pass
-/// `Option<&mut UndoLog>` obtained from the lane guard.
-#[derive(Debug, Clone)]
-pub(crate) struct LaneHandles {
+/// Tenant `t`'s traffic on physical shard `s = addr % S` lands in lane
+/// `t*S + s`, so each lane's undo-log bank, epoch-log map, and write-back
+/// queue belong to exactly one tenant — which is what lets one tenant's
+/// epoch flush, commit, and recycle without touching another's. A
+/// single-tenant device's lanes are exactly its shards.
+#[derive(Debug)]
+pub(crate) struct Lane {
     /// The tenant (pool context) this lane belongs to.
     pub(crate) tenant: usize,
     /// This lane's interleave phase: it owns lines with `addr % stride
@@ -196,30 +192,63 @@ pub(crate) struct LaneHandles {
     /// *not* its lane count).
     pub(crate) stride: u64,
     /// This lane's slice of the HBM buffer, keyed by lane-local line.
-    pub(crate) hbm: Arc<HbmCache>,
+    pub(crate) hbm: HbmCache,
     /// vPM lines undo-logged this epoch → their log entry offset.
-    pub(crate) epoch_log: Arc<EpochLog>,
+    pub(crate) epoch_log: EpochLog,
     /// Dirty lines awaiting opportunistic write back, oldest first.
-    pub(crate) writeback_queue: Arc<WbQueue>,
+    pub(crate) writeback_queue: WbQueue,
     /// Which of this lane's lines the host plausibly holds modified —
     /// the persist-time snoop filter. Volatile; cleared on crash.
-    pub(crate) directory: Arc<OwnershipDirectory>,
+    pub(crate) directory: OwnershipDirectory,
     /// The lane's counter registry (recording is `&self`/atomic).
-    pub(crate) metrics: Arc<MetricSet>,
+    pub(crate) metrics: MetricSet,
     /// Counter handles into `metrics` (same registration order as the
     /// device's, so typed views compose by field-wise addition).
     pub(crate) ctr: DeviceCounters,
     /// Serializes this lane's write-back drains (see module docs).
-    pub(crate) wb_gate: Arc<WbGate>,
-    /// The lane's durable log watermark — shared with the `UndoLog` in
-    /// both engine modes, so `watermark.durable()` always equals
-    /// `log.durable_offset()`.
-    pub(crate) watermark: Arc<LogWatermark>,
-    /// The CAS undo bank (`None` in locked-log mode).
-    pub(crate) bank: Option<Arc<AtomicBank>>,
+    pub(crate) wb_gate: WbGate,
+    /// This lane's bank of the undo-log region.
+    pub(crate) log: UndoLog,
 }
 
-impl LaneHandles {
+impl Lane {
+    /// Builds lane `index` for `tenant` at interleave phase `index %
+    /// stride`, owning the (already per-lane-sized) HBM geometry in
+    /// `hbm` and the log bank `[log_base, log_base +
+    /// log_capacity_entries)` of the pool's log region. The caller —
+    /// [`PaxDevice::open_multi`](crate::PaxDevice::open_multi) — slices
+    /// the device's total HBM capacity across lanes (weighted by each
+    /// tenant's HBM share) before construction; this floors every lane
+    /// at one full associativity set.
+    pub(crate) fn new(
+        index: usize,
+        tenant: usize,
+        stride: usize,
+        hbm: HbmConfig,
+        log_base: u64,
+        log_capacity_entries: u64,
+    ) -> Self {
+        let per_lane = HbmConfig {
+            capacity_bytes: hbm.capacity_bytes.max(hbm.ways * pax_pm::LINE_SIZE),
+            ..hbm
+        };
+        let mut metrics = MetricSet::new(COMPONENT);
+        let ctr = DeviceCounters::register(&mut metrics);
+        Lane {
+            tenant,
+            phase: (index % stride.max(1)) as u64,
+            stride: stride as u64,
+            hbm: HbmCache::new(per_lane),
+            epoch_log: EpochLog::new(),
+            writeback_queue: WbQueue::default(),
+            directory: OwnershipDirectory::new(),
+            metrics,
+            ctr,
+            wb_gate: WbGate::default(),
+            log: UndoLog::with_region(log_base, log_capacity_entries),
+        }
+    }
+
     /// Counts a `RdShared` routed to this lane.
     pub(crate) fn count_rd_shared(&self) {
         self.metrics.inc(self.ctr.rd_shared);
@@ -333,7 +362,7 @@ impl LaneHandles {
         LineAddr(addr.0 / self.stride)
     }
 
-    /// Inverse of [`LaneHandles::hbm_key`].
+    /// Inverse of [`Lane::hbm_key`].
     pub(crate) fn hbm_unkey(&self, local: LineAddr) -> LineAddr {
         LineAddr(local.0 * self.stride + self.phase)
     }
@@ -358,23 +387,18 @@ impl LaneHandles {
     /// Inserts `addr` into HBM, disposing of any evicted victim *inside
     /// the set's critical section* — the victim is never absent from the
     /// index while its dirty data is still in flight to PM.
-    ///
-    /// `locked_log` is the lane-guard log borrow for locked-log mode
-    /// (`None` under the default CAS engine, whose bank handle lives in
-    /// `self.bank`).
     pub(crate) fn hbm_insert_disposing(
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        locked_log: Option<&mut UndoLog>,
         addr: LineAddr,
         line: HbmLine,
     ) -> Result<()> {
-        let durable = self.watermark.durable();
+        let durable = self.log.durable_offset();
         let key = self.hbm_key(addr);
         match self.hbm.insert_then(key, line, durable, |vlocal, vline| {
-            self.dispose_victim(pool, clock, trace, locked_log, self.hbm_unkey(vlocal), vline)
+            self.dispose_victim(pool, clock, trace, self.hbm_unkey(vlocal), vline)
         }) {
             Some(res) => res,
             None => Ok(()),
@@ -390,22 +414,20 @@ impl LaneHandles {
     /// * miss-path read refresh (`if_absent = true`): the PM copy the
     ///   reader fetched is *stale* relative to any concurrently inserted
     ///   dirty line, so an existing entry must win.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn hbm_refresh_clean(
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        locked_log: Option<&mut UndoLog>,
         addr: LineAddr,
         data: CacheLine,
         if_absent: bool,
     ) -> Result<()> {
-        let durable = self.watermark.durable();
+        let durable = self.log.durable_offset();
         let key = self.hbm_key(addr);
         let line = HbmLine { data, dirty: false, log_offset: None };
         let dispose = |vlocal: LineAddr, vline: HbmLine| {
-            self.dispose_victim(pool, clock, trace, locked_log, self.hbm_unkey(vlocal), vline)
+            self.dispose_victim(pool, clock, trace, self.hbm_unkey(vlocal), vline)
         };
         let disposed = if if_absent {
             self.hbm.insert_clean_if_absent_then(key, line, durable, dispose)
@@ -420,7 +442,6 @@ impl LaneHandles {
 
     /// The lane's view of the current contents of `addr`: HBM first,
     /// then a draining epoch's captured value, then PM.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn resolve(
         &self,
         pool: &PoolCell,
@@ -429,7 +450,6 @@ impl LaneHandles {
         cache_clean_reads: bool,
         drain_value: Option<CacheLine>,
         addr: LineAddr,
-        locked_log: Option<&mut UndoLog>,
     ) -> Result<CacheLine> {
         if let Some(l) = self.hbm_lookup(addr) {
             self.metrics.inc(self.ctr.hbm_read_hits);
@@ -450,7 +470,7 @@ impl LaneHandles {
             // if_absent: a concurrent RdOwn may have inserted a dirty
             // line for this address since the PM read above — the stale
             // clean copy must not clobber it.
-            self.hbm_refresh_clean(pool, clock, trace, locked_log, addr, data.clone(), true)?;
+            self.hbm_refresh_clean(pool, clock, trace, addr, data.clone(), true)?;
         }
         Ok(data)
     }
@@ -462,7 +482,6 @@ impl LaneHandles {
     pub(crate) fn log_if_first(
         &self,
         trace: &TraceCell,
-        locked_log: Option<&mut UndoLog>,
         epoch: u64,
         addr: LineAddr,
         old: &CacheLine,
@@ -470,15 +489,7 @@ impl LaneHandles {
         self.epoch_log.try_insert(addr, || {
             let entry =
                 UndoEntry { epoch, vpm_line: addr, tenant: self.tenant as u32, old: old.clone() };
-            let offset = match (&self.bank, locked_log) {
-                (Some(bank), _) => bank.append(entry)?,
-                (None, Some(log)) => log.append(entry)?,
-                (None, None) => {
-                    return Err(PmError::ProtocolViolation {
-                        invariant: "locked-log lane appended without the lane guard",
-                    })
-                }
-            };
+            let offset = self.log.append(entry)?;
             self.metrics.inc(self.ctr.undo_entries);
             trace.record(COMPONENT, TraceEvent::LogAppend { epoch, line: addr.0 });
             Ok(offset)
@@ -500,7 +511,6 @@ impl LaneHandles {
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        mut locked_log: Option<&mut UndoLog>,
         addr: LineAddr,
         line: HbmLine,
     ) -> Result<()> {
@@ -508,22 +518,13 @@ impl LaneHandles {
             return Ok(());
         }
         if let Some(offset) = line.log_offset {
-            if offset >= self.watermark.durable() {
+            if offset >= self.log.durable_offset() {
                 // §3.3: the victim's pre-image must be durable before the
                 // new value may reach PM. This is the stall PreferDurable
                 // eviction avoids.
                 self.metrics.inc(self.ctr.forced_log_flushes);
-                while self.watermark.durable() <= offset {
-                    let pumped = match (&self.bank, locked_log.as_deref_mut()) {
-                        (Some(bank), _) => bank.pump(&mut pool.lock(), clock, 1)?,
-                        (None, Some(log)) => log.pump(&mut pool.lock(), clock, 1)?,
-                        (None, None) => {
-                            return Err(PmError::ProtocolViolation {
-                                invariant: "locked-log lane pumped without the lane guard",
-                            })
-                        }
-                    };
-                    if pumped == 0 {
+                while self.log.durable_offset() <= offset {
+                    if self.log.pump(&mut pool.lock(), clock, 1)? == 0 {
                         return Err(PmError::ProtocolViolation {
                             invariant: "HBM victim's undo entry is neither durable nor pending",
                         });
@@ -542,218 +543,58 @@ impl LaneHandles {
         self.dir_clear(addr);
         Ok(())
     }
-}
 
-/// One address-interleaved slice of the device's per-line state (see
-/// module docs).
-///
-/// With tenancy ([`crate::tenant`]) a `DeviceShard` is one **lane**: the
-/// slice owned by a single `(tenant, interleave-phase)` pair. Tenant
-/// `t`'s traffic on physical shard `s = addr % S` lands in lane `t*S +
-/// s`, so each lane's undo-log bank, epoch-log map, and write-back queue
-/// belong to exactly one tenant — which is what lets one tenant's epoch
-/// flush, commit, and recycle without touching another's. A
-/// single-tenant device's lanes are exactly its shards.
-///
-/// Hot-path state lives in shared [`LaneHandles`] (`self.h`); the struct
-/// behind the lane mutex keeps only the [`UndoLog`] (whose locked-mode
-/// backing needs `&mut`) and snapshot-sync bookkeeping.
-#[derive(Debug)]
-pub struct DeviceShard {
-    /// This lane's index within the device (`tenant * interleave +
-    /// phase`).
-    index: u64,
-    /// Shared hot-path handles; the device clones these out at open.
-    pub(crate) h: LaneHandles,
-    /// This shard's undo-log bank.
-    pub(crate) log: UndoLog,
-}
-
-impl DeviceShard {
-    /// Builds lane `index` for `tenant` at interleave phase `index %
-    /// stride`, owning the (already per-lane-sized) HBM geometry in
-    /// `hbm` and the log bank `[log_base, log_base +
-    /// log_capacity_entries)` of the pool's log region. The caller —
-    /// [`PaxDevice::open_multi`](crate::PaxDevice::open_multi) — slices
-    /// the device's total HBM capacity across lanes (weighted by each
-    /// tenant's HBM share) before construction, flooring every lane at
-    /// one full associativity set.
-    pub(crate) fn new(
-        index: usize,
-        tenant: usize,
-        stride: usize,
-        hbm: HbmConfig,
-        log_base: u64,
-        log_capacity_entries: u64,
-        locked_log: bool,
-    ) -> Self {
-        let per_lane = HbmConfig {
-            capacity_bytes: hbm.capacity_bytes.max(hbm.ways * pax_pm::LINE_SIZE),
-            ..hbm
-        };
-        let mut metrics = MetricSet::new(COMPONENT);
-        let ctr = DeviceCounters::register(&mut metrics);
-        let log = UndoLog::with_region_mode(log_base, log_capacity_entries, locked_log);
-        let h = LaneHandles {
-            tenant,
-            phase: (index % stride.max(1)) as u64,
-            stride: stride as u64,
-            hbm: Arc::new(HbmCache::new(per_lane)),
-            epoch_log: Arc::new(EpochLog::new()),
-            writeback_queue: Arc::new(WbQueue::default()),
-            directory: Arc::new(OwnershipDirectory::new()),
-            metrics: Arc::new(metrics),
-            ctr,
-            wb_gate: Arc::new(WbGate::default()),
-            watermark: log.watermark(),
-            bank: log.bank(),
-        };
-        DeviceShard { index: index as u64, h, log }
+    /// Snapshot of this lane's counter registry (component `device`).
+    pub(crate) fn snapshot(&self) -> MetricSnapshot {
+        self.sync_metrics();
+        self.metrics.snapshot()
     }
 
-    /// A clone of this lane's shared hot-path handles, for the device to
-    /// keep outside the lane mutex.
-    pub(crate) fn handles(&self) -> LaneHandles {
-        self.h.clone()
+    /// Typed view over this lane's counters.
+    pub(crate) fn view_metrics(&self) -> DeviceMetrics {
+        self.sync_metrics();
+        self.ctr.view(&self.metrics)
     }
 
-    /// This lane's index.
-    pub fn index(&self) -> usize {
-        self.index as usize
-    }
-
-    /// The tenant (pool context) this lane serves.
-    pub fn tenant(&self) -> usize {
-        self.h.tenant
-    }
-
-    /// Snapshot of this shard's counter registry (component `device`).
-    pub(crate) fn snapshot(&mut self) -> MetricSnapshot {
-        self.sync_log_metrics();
-        self.sync_hbm_metrics();
-        self.h.metrics.snapshot()
-    }
-
-    /// Typed view over this shard's counters.
-    pub(crate) fn view_metrics(&mut self) -> DeviceMetrics {
-        self.sync_log_metrics();
-        self.sync_hbm_metrics();
-        self.h.ctr.view(&self.h.metrics)
-    }
-
-    /// Reconciles the CAS bank's internal contention telemetry into the
-    /// lane's registry: `log_cas_retries` is monotone (add the delta),
-    /// `log_reserved` is a gauge (snap to the current in-flight count).
-    /// A locked-engine lane reports both as zero.
-    fn sync_log_metrics(&mut self) {
-        let Some(bank) = self.log.bank() else { return };
-        let metrics = &self.h.metrics;
-        let retries = bank.cas_retries();
-        let seen = metrics.get(self.h.ctr.log_cas_retries);
-        if retries > seen {
-            metrics.add(self.h.ctr.log_cas_retries, retries - seen);
+    /// Mirrors the counters the HBM index and the undo bank keep
+    /// internally into the lane's registry: `hbm_hits`, `hbm_misses`,
+    /// and `log_cas_retries` are monotone, `hbm_resident` and
+    /// `log_reserved` are occupancy gauges.
+    fn sync_metrics(&self) {
+        for (counter, value) in [
+            (self.ctr.hbm_hits, self.hbm.hits()),
+            (self.ctr.hbm_misses, self.hbm.misses()),
+            (self.ctr.hbm_resident, self.hbm.resident() as u64),
+            (self.ctr.log_cas_retries, self.log.cas_retries()),
+            (self.ctr.log_reserved, self.log.in_flight()),
+        ] {
+            self.metrics.set(counter, value);
         }
-        let reserved = bank.in_flight();
-        let shown = metrics.get(self.h.ctr.log_reserved);
-        match reserved.cmp(&shown) {
-            std::cmp::Ordering::Greater => metrics.add(self.h.ctr.log_reserved, reserved - shown),
-            std::cmp::Ordering::Less => metrics.sub(self.h.ctr.log_reserved, shown - reserved),
-            std::cmp::Ordering::Equal => {}
-        }
-    }
-
-    /// Reconciles the HBM buffer's atomic counters into the registry:
-    /// `hbm_hits`/`hbm_misses` are monotone (add the delta since last
-    /// sync), `hbm_resident` is an occupancy gauge (snap to current).
-    fn sync_hbm_metrics(&mut self) {
-        let metrics = &self.h.metrics;
-        for (current, counter) in
-            [(self.h.hbm.hits(), self.h.ctr.hbm_hits), (self.h.hbm.misses(), self.h.ctr.hbm_misses)]
-        {
-            let seen = metrics.get(counter);
-            if current > seen {
-                metrics.add(counter, current - seen);
-            }
-        }
-        let resident = self.h.hbm.resident() as u64;
-        let shown = metrics.get(self.h.ctr.hbm_resident);
-        match resident.cmp(&shown) {
-            std::cmp::Ordering::Greater => metrics.add(self.h.ctr.hbm_resident, resident - shown),
-            std::cmp::Ordering::Less => metrics.sub(self.h.ctr.hbm_resident, shown - resident),
-            std::cmp::Ordering::Equal => {}
-        }
-    }
-
-    /// Starts the next epoch after a non-blocking persist captured this
-    /// one: per-epoch maps reset, but the log bank stays live until the
-    /// drain commits and recycles it.
-    pub(crate) fn begin_next_epoch(&mut self) {
-        self.h.epoch_log.clear();
-        self.h.writeback_queue.clear();
-    }
-
-    /// Undo-log entries appended in the current epoch on this shard.
-    pub fn epoch_log_len(&self) -> usize {
-        self.h.epoch_log.len()
-    }
-
-    /// This shard's durable log watermark.
-    pub fn log_durable_offset(&self) -> u64 {
-        self.log.durable_offset()
     }
 
     /// HBM insert, in global address space; the victim (if any) comes
     /// back with its global address. Test-path helper — hot paths use
-    /// [`LaneHandles::hbm_insert_disposing`] so disposal happens inside
-    /// the set's critical section.
+    /// [`Lane::hbm_insert_disposing`] so disposal happens inside the
+    /// set's critical section.
     #[cfg(test)]
     pub(crate) fn hbm_insert(
-        &mut self,
+        &self,
         addr: LineAddr,
         line: HbmLine,
         durable_offset: u64,
     ) -> Option<(LineAddr, HbmLine)> {
-        let key = self.h.hbm_key(addr);
-        let victim = self.h.hbm.insert(key, line, durable_offset);
-        victim.map(|(local, l)| (self.h.hbm_unkey(local), l))
+        let victim = self.hbm.insert(self.hbm_key(addr), line, durable_offset);
+        victim.map(|(local, l)| (self.hbm_unkey(local), l))
     }
 
-    /// Lane-guard delegate of [`LaneHandles::dispose_victim`] (test-path
-    /// helper; hot paths pass the guard's log explicitly).
-    #[cfg(test)]
-    pub(crate) fn dispose_victim(
-        &mut self,
-        pool: &PoolCell,
-        clock: &CrashClock,
-        trace: &TraceCell,
-        addr: LineAddr,
-        line: HbmLine,
-    ) -> Result<()> {
-        let h = self.h.clone();
-        h.dispose_victim(pool, clock, trace, Some(&mut self.log), addr, line)
-    }
-
-    /// Lane-guard delegate of [`LaneHandles::log_if_first`] (test-path
-    /// helper; hot paths pass the guard's log explicitly).
-    #[cfg(test)]
-    pub(crate) fn log_if_first(
-        &mut self,
-        trace: &TraceCell,
-        epoch: u64,
-        addr: LineAddr,
-        old: &CacheLine,
-    ) -> Result<u64> {
-        let h = self.h.clone();
-        h.log_if_first(trace, Some(&mut self.log), epoch, addr, old)
-    }
-
-    /// One background step for this shard's free-running engines: drain
-    /// some log entries, then opportunistically write back dirty lines
-    /// whose entries are durable. The write-back loop holds the lane's
+    /// One background step for this lane's free-running engines: drain
+    /// up to `log_pump_batch` log entries, then opportunistically write
+    /// back up to `writeback_batch` dirty lines whose entries are
+    /// durable. The write-back loop holds the lane's
     /// [`WbGate`](crate::cell::WbGate) so persist-path drains never
     /// interleave with it.
     pub(crate) fn background(
-        &mut self,
+        &self,
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
@@ -763,61 +604,69 @@ impl DeviceShard {
         if log_pump_batch > 0 && self.log.pending_len() > 0 {
             self.log.pump(&mut pool.lock(), clock, log_pump_batch)?;
         }
-        let h = self.h.clone();
-        let _gate = h.wb_gate.lock();
+        if writeback_batch == 0 || self.writeback_queue.is_empty() {
+            return Ok(());
+        }
+        let _gate = self.wb_gate.lock();
         let mut budget = writeback_batch;
         while budget > 0 {
-            let Some(addr) = h.writeback_queue.front() else { break };
-            let durable = h.watermark.durable();
-            let ready = match h.hbm_peek(addr) {
+            let Some(addr) = self.writeback_queue.front() else { break };
+            let durable = self.log.durable_offset();
+            let ready = match self.hbm_peek(addr) {
                 Some(l) if l.dirty => l.log_offset.is_none_or(|o| o < durable),
                 // Cleaned or evicted through another path; just drop it.
                 _ => {
-                    h.writeback_queue.pop_front();
+                    self.writeback_queue.pop_front();
                     continue;
                 }
             };
             if !ready {
                 break; // queue is in log order; later entries aren't durable either
             }
-            h.writeback_queue.pop_front();
-            if let Some(data) = h.hbm_peek(addr).map(|l| l.data) {
+            self.writeback_queue.pop_front();
+            if let Some(data) = self.hbm_peek(addr).map(|l| l.data) {
                 // Clean in place: background write-back must not promote
                 // the line to MRU and erase real-access recency.
-                h.hbm_mark_clean(addr);
+                self.hbm_mark_clean(addr);
                 {
                     let mut pm = pool.lock();
                     let abs = pm.layout().vpm_to_pool(addr.0)?;
                     tick(clock, &mut pm)?;
                     pm.write_line(abs, data)?;
                 }
-                h.count_writeback();
-                h.count_background_writeback();
+                self.count_writeback();
+                self.count_background_writeback();
                 trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
-                h.dir_clear(addr);
+                self.dir_clear(addr);
             }
             budget -= 1;
         }
         Ok(())
     }
 
+    /// Starts the next epoch after a non-blocking persist captured this
+    /// one: per-epoch maps reset, but the log bank stays live until the
+    /// drain commits and recycles it.
+    pub(crate) fn begin_next_epoch(&self) {
+        self.epoch_log.clear();
+        self.writeback_queue.clear();
+    }
+
     /// Per-epoch volatile state reset after a fully-drained commit.
-    pub(crate) fn reset_after_commit(&mut self) {
-        self.h.epoch_log.clear();
-        self.h.writeback_queue.clear();
+    pub(crate) fn reset_after_commit(&self) {
+        self.begin_next_epoch();
         self.log.reset_after_commit();
     }
 
     /// Drops all volatile state (power loss). The ownership directory is
     /// volatile by design — it restarts empty, and correctness never
     /// depended on it.
-    pub(crate) fn crash(&mut self) {
-        self.h.hbm.crash();
+    pub(crate) fn crash(&self) {
+        self.hbm.crash();
         self.log.crash();
-        self.h.epoch_log.clear();
-        self.h.writeback_queue.clear();
-        self.h.metrics.sub(self.h.ctr.dir_resident, self.h.directory.resident() as u64);
-        self.h.directory.crash();
+        self.begin_next_epoch();
+        self.metrics.sub(self.ctr.dir_resident, self.directory.resident() as u64);
+        self.directory.crash();
     }
 }
 
@@ -848,12 +697,12 @@ mod tests {
     use crate::hbm::EvictionPolicy;
     use pax_pm::{PoolConfig, LINE_SIZE};
 
-    fn shard_pair() -> (PmPool, DeviceShard, DeviceShard) {
+    fn shard_pair() -> (PmPool, Lane, Lane) {
         let pool = PmPool::create(PoolConfig::small()).unwrap();
         let banks = split_log_region(&pool, 2);
         let hbm = HbmConfig::default_config();
-        let a = DeviceShard::new(0, 0, 2, hbm, banks[0].0, banks[0].1, false);
-        let b = DeviceShard::new(1, 0, 2, hbm, banks[1].0, banks[1].1, false);
+        let a = Lane::new(0, 0, 2, hbm, banks[0].0, banks[0].1);
+        let b = Lane::new(1, 0, 2, hbm, banks[1].0, banks[1].1);
         (pool, a, b)
     }
 
@@ -881,10 +730,10 @@ mod tests {
     fn hbm_keys_round_trip_and_stay_disjoint() {
         let (_pool, a, b) = shard_pair();
         for addr in [0u64, 2, 4, 100] {
-            assert_eq!(a.h.hbm_unkey(a.h.hbm_key(LineAddr(addr))), LineAddr(addr));
+            assert_eq!(a.hbm_unkey(a.hbm_key(LineAddr(addr))), LineAddr(addr));
         }
         for addr in [1u64, 3, 5, 101] {
-            assert_eq!(b.h.hbm_unkey(b.h.hbm_key(LineAddr(addr))), LineAddr(addr));
+            assert_eq!(b.hbm_unkey(b.hbm_key(LineAddr(addr))), LineAddr(addr));
         }
     }
 
@@ -892,14 +741,13 @@ mod tests {
     fn interleaved_lines_use_all_hbm_sets() {
         // With a power-of-two stride, raw global addresses would alias
         // into half the sets; the shard-local key must spread them.
-        let mut shard = DeviceShard::new(
+        let shard = Lane::new(
             0,
             0,
             2,
             HbmConfig { capacity_bytes: 2 * 128, ways: 2, policy: EvictionPolicy::Lru },
             0,
             64,
-            false,
         );
         // Shard capacity: 4 lines (2 sets × 2 ways) — the per-lane slice
         // the device would hand this lane of a 4-line-per-lane buffer.
@@ -913,7 +761,7 @@ mod tests {
             );
             assert!(v.is_none(), "line {g} must not evict");
         }
-        assert_eq!(shard.h.hbm.resident(), 4);
+        assert_eq!(shard.hbm.resident(), 4);
     }
 
     #[test]
@@ -921,7 +769,7 @@ mod tests {
         // The pinned invariant: a dirty victim whose covering log offset
         // is neither durable nor pending is corrupt state. The drain loop
         // must surface it, not spin forever pumping an empty buffer.
-        let (pool, mut a, _b) = shard_pair();
+        let (pool, a, _b) = shard_pair();
         let pool = PoolCell::new(pool);
         let clock = CrashClock::new();
         let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
@@ -935,7 +783,7 @@ mod tests {
 
     #[test]
     fn dispose_victim_drains_pending_entry_then_writes_back() {
-        let (pool, mut a, _b) = shard_pair();
+        let (pool, a, _b) = shard_pair();
         let pool = PoolCell::new(pool);
         let clock = CrashClock::new();
         let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
@@ -950,7 +798,7 @@ mod tests {
 
     #[test]
     fn shard_banks_append_independently() {
-        let (mut pool, mut a, mut b) = shard_pair();
+        let (mut pool, a, b) = shard_pair();
         let clock = CrashClock::new();
         let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
         a.log_if_first(&trace, 1, LineAddr(0), &CacheLine::filled(1)).unwrap();

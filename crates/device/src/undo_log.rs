@@ -23,25 +23,18 @@
 //!    committing epoch N frees exactly N's slots, even while epoch N+1 is
 //!    already appending.
 //!
-//! # Two append engines, one contract
+//! # The append engine
 //!
-//! The volatile tail has two interchangeable implementations:
-//!
-//! * **Locked** — the original `VecDeque` guarded by whatever lock guards
-//!   the writer (the lane mutex in the device). Kept as the differential
-//!   baseline behind `DeviceConfig::with_locked_log` / the `locked-log`
-//!   cargo feature.
-//! * **CAS** ([`AtomicBank`], the default) — a lock-free llfree-style
-//!   reserve-then-fill ring: a CAS on one packed tail word reserves a
-//!   slot, the entry is filled, then *release-published* via a per-slot
-//!   ready word; the pump consumes a contiguous published prefix with an
-//!   acquire scan. Concurrent appenders never serialize on a mutex, and
-//!   the pump's media handoff needs no lane lock at all.
-//!
-//! Under a single driving thread the two engines issue the *identical*
-//! sequence of media writes and crash-clock ticks (`tests/determinism.rs`
-//! pins it; `tests/lockfree_log.rs` proves byte-identical durable state
-//! differentially).
+//! The volatile tail is a lock-free llfree-style reserve-then-fill ring:
+//! a CAS on one packed tail word reserves a slot, the entry is filled,
+//! then *release-published* via a per-slot ready word; the pump consumes
+//! a contiguous published prefix with an acquire scan. Concurrent
+//! appenders never serialize on a mutex, and the pump's media handoff
+//! needs no lane lock at all. Under a single driving thread the sequence
+//! of media writes and crash-clock ticks is fully determined
+//! (`tests/determinism.rs` pins it; `tests/lockfree_log.rs` pins the
+//! durable images to golden digests that the retired mutex-guarded
+//! engine produced too).
 //!
 //! # On-media format
 //!
@@ -57,43 +50,19 @@
 //! the commit mark — so recovery can detect (and safely skip) entries
 //! torn by a crash mid-append: a torn entry's data write back cannot have
 //! happened — write back is gated on the entry being durable — so
-//! skipping it is always sound. The commit mark exists for the CAS
-//! engine: a slot that was *reserved* but never *published* at the moment
-//! of a crash never reaches media at all (the pump only drains published
-//! slots), so whatever the slot's media lines hold is either a stale
+//! skipping it is always sound. The commit mark exists for the
+//! reserve-then-fill ring: a slot that was *reserved* but never
+//! *published* at the moment of a crash never reaches media at all (the
+//! pump only drains published slots), so whatever the slot's media lines
+//! hold is either a stale
 //! committed entry or garbage that fails the magic/commit/checksum
 //! gauntlet — reserved-but-unready slots are structurally invisible to
 //! recovery.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pax_pm::{CacheLine, CrashOutcome, LineAddr, PmError, PmPool, Result, LINE_SIZE};
-
-/// The durable watermark of one [`UndoLog`], shared out-of-band.
-///
-/// The watermark is the llfree-style atomic that lets readers order
-/// against the log *without* taking the lane lock that guards the
-/// writer: `pump` publishes with a release store **after** the entry's
-/// two lines are durably in the pool, and [`LogWatermark::durable`]
-/// reads with an acquire load — so any offset a reader observes is
-/// backed by media. `persist_poll`'s fast path uses this to skip
-/// already-durable banks lock-free.
-#[derive(Debug, Default)]
-pub struct LogWatermark(AtomicU64);
-
-impl LogWatermark {
-    /// Entries known durable (acquire; pairs with the release store in
-    /// the pump after the media drain).
-    pub fn durable(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    fn publish(&self, durable: u64) {
-        self.0.store(durable, Ordering::Release);
-    }
-}
 
 /// Lines per undo-log entry (header + pre-image).
 pub const ENTRY_LINES: u64 = 2;
@@ -196,7 +165,7 @@ const INFLIGHT_UNIT: u64 = 1 << 48;
 #[repr(align(64))]
 struct PaddedAtomicU64(AtomicU64);
 
-/// One reserve-then-fill slot of an [`AtomicBank`].
+/// One reserve-then-fill slot of an [`UndoLog`].
 ///
 /// `ready == 0` means empty; `ready == offset + 1` means the pre-image
 /// for logical offset `offset` is published (the `+1` keeps 0 free for
@@ -214,8 +183,10 @@ struct Slot {
     entry: Mutex<Option<Box<UndoEntry>>>,
 }
 
-/// Lock-free undo-bank tail: CAS reservation on a packed head/tail word,
-/// per-slot release publication, acquire-scan consumption (llfree-style).
+/// The device's undo-log writer over (a bank of) the pool's log region:
+/// a lock-free tail with CAS reservation on a packed head/tail word,
+/// per-slot release publication, and acquire-scan consumption
+/// (llfree-style).
 ///
 /// All methods take `&self`. The protocol, in memory-ordering terms:
 ///
@@ -223,7 +194,7 @@ struct Slot {
 ///    and bumps the in-flight count (one word so the `log_reserved`
 ///    gauge is exact). The fullness check `tail − recycled ≥ capacity`
 ///    loads `recycled` with *acquire*, pairing with the *release*
-///    `fetch_max` in [`AtomicBank::recycle_to`]; transitively (see step
+///    `fetch_max` in [`UndoLog::recycle_to`]; transitively (see step
 ///    4) the reservation happens-after the pump finished with the slot's
 ///    previous lap, so overwriting it is safe.
 /// 2. **Fill** — the appender writes the entry into slot `o % capacity`
@@ -235,11 +206,15 @@ struct Slot {
 ///    `&mut PmPool`, and the device's media pool sits behind one mutex)
 ///    scans the contiguous published prefix from the durable watermark
 ///    with `ready.load(Acquire)`, writes both lines to media, clears
-///    `ready`, drains, then `durable.publish(o + 1)` (release). Commit
-///    recycles with a release `fetch_max`, closing the loop back to
-///    step 1.
+///    `ready`, drains, then release-stores the durable watermark
+///    `o + 1`. Commit recycles with a release `fetch_max`, closing the
+///    loop back to step 1.
+///
+/// The durable watermark is what lets readers order against the log
+/// without any lock: [`UndoLog::durable_offset`] is an acquire load, so
+/// any offset a reader observes is backed by media.
 #[derive(Debug)]
-pub struct AtomicBank {
+pub struct UndoLog {
     /// Packed word: low 48 bits = reserved tail (monotonic logical
     /// offset), high 16 bits = reservations in flight (reserved, not yet
     /// published).
@@ -247,30 +222,40 @@ pub struct AtomicBank {
     /// Logical offsets below this belong to committed epochs; their
     /// slots may be reused. Only grows (release `fetch_max`).
     recycled: PaddedAtomicU64,
-    /// The shared durable watermark (entries drained to media).
-    durable: Arc<LogWatermark>,
+    /// Entries drained to media over the writer's lifetime (monotonic,
+    /// never resets; release-stored by the pump).
+    durable: PaddedAtomicU64,
     /// The volatile ring, one slot per in-capacity logical offset.
     slots: Box<[Slot]>,
     /// Failed reservation CAS attempts (contention telemetry).
     cas_retries: AtomicU64,
     /// Total bytes of log writes issued (write-amplification benches).
     bytes_written: AtomicU64,
-    /// First pool line of this bank's slice of the log region.
+    /// First pool line of this writer's slice of the log region.
     region_start: u64,
-    /// Capacity of this bank's slice, in entries.
+    /// Capacity of this writer's slice, in entries.
     capacity_entries: u64,
 }
 
-impl AtomicBank {
-    fn new(region_start: u64, capacity_entries: u64, durable: Arc<LogWatermark>) -> Self {
+impl UndoLog {
+    /// A log writer over a pool's whole log region.
+    pub fn new(pool: &PmPool) -> Self {
+        let layout = pool.layout();
+        Self::with_region(layout.log_start().0, layout.log_lines / ENTRY_LINES)
+    }
+
+    /// A log writer over `capacity_entries` slots starting at pool line
+    /// `region_start` — how a sharded device gives each lane its own
+    /// bank of the log region.
+    pub fn with_region(region_start: u64, capacity_entries: u64) -> Self {
         let slots = (0..capacity_entries)
             .map(|_| Slot { ready: AtomicU64::new(0), entry: Mutex::new(None) })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        AtomicBank {
+        UndoLog {
             state: PaddedAtomicU64::default(),
             recycled: PaddedAtomicU64::default(),
-            durable,
+            durable: PaddedAtomicU64::default(),
             slots,
             cas_retries: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
@@ -279,9 +264,9 @@ impl AtomicBank {
         }
     }
 
-    /// The logical offset the next reservation will claim (= entries
-    /// appended over the bank's lifetime).
-    pub fn reserved(&self) -> u64 {
+    /// Entries appended over the writer's lifetime (durable + pending);
+    /// the next append gets this offset.
+    pub fn appended(&self) -> u64 {
         self.state.0.load(Ordering::Relaxed) & TAIL_MASK
     }
 
@@ -297,31 +282,28 @@ impl AtomicBank {
         self.cas_retries.load(Ordering::Relaxed)
     }
 
-    /// Entries known durable.
+    /// Entries known durable; write back of a data line tagged with offset
+    /// `o` is legal once `o < durable_offset()`. Acquire: pairs with the
+    /// pump's release store after the media drain.
     pub fn durable_offset(&self) -> u64 {
-        self.durable.durable()
+        self.durable.0.load(Ordering::Acquire)
     }
 
-    /// A shared handle onto the durable watermark.
-    pub fn watermark(&self) -> Arc<LogWatermark> {
-        Arc::clone(&self.durable)
-    }
-
-    /// Entries reserved but not yet durable. (Loads `durable` first:
+    /// Entries appended but not yet durable. (Loads `durable` first:
     /// both only grow and `durable ≤ tail` at every instant, so the
     /// later tail load can only over-approximate, never underflow.)
     pub fn pending_len(&self) -> usize {
-        let durable = self.durable.durable();
-        self.reserved().saturating_sub(durable) as usize
+        let durable = self.durable_offset();
+        self.appended().saturating_sub(durable) as usize
     }
 
     /// Entries whose slots are still held by uncommitted epochs.
     pub fn live_entries(&self) -> u64 {
         let recycled = self.recycled.0.load(Ordering::Acquire);
-        self.reserved().saturating_sub(recycled)
+        self.appended().saturating_sub(recycled)
     }
 
-    /// Capacity of this bank's region slice, in entries.
+    /// Capacity of this writer's region slice, in entries.
     pub fn capacity_entries(&self) -> u64 {
         self.capacity_entries
     }
@@ -339,12 +321,14 @@ impl AtomicBank {
     /// Lock-free append: reserve a slot with one CAS, fill it, publish
     /// it. Returns the entry's logical offset.
     ///
+    /// The append itself is volatile — this is the asynchrony of §3.2: the
+    /// host's `RdOwn` is acknowledged without waiting for durability.
+    ///
     /// # Errors
     ///
     /// Returns [`PmError::LogFull`] when every slot is held by an
-    /// uncommitted epoch — the same `tail − recycled ≥ capacity`
-    /// condition as the locked engine's `live_entries()` check, so both
-    /// engines refuse the same append.
+    /// uncommitted epoch; the caller (libpax) should `persist()` to
+    /// recycle the region.
     pub fn append(&self, entry: UndoEntry) -> Result<u64> {
         let mut cur = self.state.0.load(Ordering::Relaxed);
         let offset = loop {
@@ -408,7 +392,7 @@ impl AtomicBank {
     ) -> Result<usize> {
         let mut drained = 0;
         while drained < max_entries {
-            let durable = self.durable.durable();
+            let durable = self.durable_offset();
             let slot = &self.slots[(durable % self.capacity_entries) as usize];
             // Acquire pairs with the publisher's release store: observing
             // `durable + 1` makes the boxed entry visible.
@@ -437,7 +421,7 @@ impl AtomicBank {
             // the release store publishes the drained media state to any
             // thread that acquires the new offset.
             pool.drain();
-            self.durable.publish(durable + 1);
+            self.durable.0.store(durable + 1, Ordering::Release);
             self.bytes_written
                 .fetch_add((ENTRY_LINES as usize * LINE_SIZE) as u64, Ordering::Relaxed);
             drained += 1;
@@ -455,10 +439,10 @@ impl AtomicBank {
     ///
     /// # Errors
     ///
-    /// See [`AtomicBank::pump`].
+    /// See [`UndoLog::pump`].
     pub fn flush(&self, pool: &mut PmPool, clock: &pax_pm::CrashClock) -> Result<()> {
-        let target = self.reserved();
-        while self.durable.durable() < target {
+        let target = self.appended();
+        while self.durable_offset() < target {
             if self.pump(pool, clock, usize::MAX)? == 0 {
                 std::thread::yield_now();
             }
@@ -469,17 +453,20 @@ impl AtomicBank {
     /// Marks every entry below logical offset `watermark` as committed,
     /// freeing its slot for reuse; clamped to the durable offset and
     /// never regresses. The release `fetch_max` pairs with the acquire
-    /// load in [`AtomicBank::append`]'s fullness check (see the protocol
+    /// load in [`UndoLog::append`]'s fullness check (see the protocol
     /// docs on the type).
     pub fn recycle_to(&self, watermark: u64) {
-        let clamped = watermark.min(self.durable.durable());
+        let clamped = watermark.min(self.durable_offset());
         self.recycled.0.fetch_max(clamped, Ordering::AcqRel);
     }
 
-    /// Recycles the whole region after a fully-drained epoch commits.
+    /// Recycles the whole region after a fully-drained epoch commits (the
+    /// synchronous-persist epilogue). Offsets stay monotonic; only slot
+    /// ownership resets. Stale entries left on media belong to committed
+    /// epochs and are ignored by recovery.
     pub fn reset_after_commit(&self) {
         debug_assert_eq!(self.pending_len(), 0, "reset with undrained entries");
-        self.recycle_to(self.durable.durable());
+        self.recycle_to(self.durable_offset());
     }
 
     /// Drops the volatile tail (power loss): reservations, published
@@ -491,257 +478,14 @@ impl AtomicBank {
             slot.ready.store(0, Ordering::Relaxed);
             *slot.entry.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
         }
-        self.state.0.store(self.durable.durable(), Ordering::Relaxed);
-    }
-}
-
-/// The volatile append engine backing one [`UndoLog`].
-#[derive(Debug)]
-enum Backing {
-    /// The original mutex-guarded tail (guarded by the caller's lock).
-    Locked {
-        /// Entries appended but not yet written durably, oldest first.
-        /// A `VecDeque` because `pump` drains from the front: draining N
-        /// entries is O(N), not the O(N²) a `Vec::remove(0)` loop would
-        /// be.
-        pending: VecDeque<UndoEntry>,
-        /// Logical offsets below this belong to committed epochs.
-        recycled_below: u64,
-        /// Total bytes of log writes issued.
-        bytes_written: u64,
-    },
-    /// The lock-free reserve-then-fill ring.
-    Cas(Arc<AtomicBank>),
-}
-
-/// The device's undo-log writer: volatile append engine + durable
-/// watermark over (a slice of) the pool's log region.
-#[derive(Debug)]
-pub struct UndoLog {
-    backing: Backing,
-    /// Logical offset of the durable watermark (entries drained to media
-    /// over the writer's lifetime; monotonic, never resets). Shared as an
-    /// atomic so lock-free readers can order against it — see
-    /// [`LogWatermark`].
-    durable: Arc<LogWatermark>,
-    /// First pool line of this writer's slice of the log region.
-    region_start: u64,
-    /// Capacity of this writer's slice, in entries.
-    capacity_entries: u64,
-}
-
-impl UndoLog {
-    /// A CAS-engine log writer over a pool's whole log region.
-    pub fn new(pool: &PmPool) -> Self {
-        let layout = pool.layout();
-        Self::with_region(layout.log_start().0, layout.log_lines / ENTRY_LINES)
-    }
-
-    /// A log writer over `capacity_entries` slots starting at pool line
-    /// `region_start` — how a sharded device gives each shard its own
-    /// bank of the log region. Uses the lock-free CAS engine.
-    pub fn with_region(region_start: u64, capacity_entries: u64) -> Self {
-        Self::with_region_mode(region_start, capacity_entries, false)
-    }
-
-    /// Like [`UndoLog::with_region`] but `locked` selects the original
-    /// mutex-guarded engine (the `DeviceConfig::with_locked_log`
-    /// differential baseline).
-    pub fn with_region_mode(region_start: u64, capacity_entries: u64, locked: bool) -> Self {
-        let durable = Arc::new(LogWatermark::default());
-        let backing = if locked {
-            Backing::Locked { pending: VecDeque::new(), recycled_below: 0, bytes_written: 0 }
-        } else {
-            Backing::Cas(Arc::new(AtomicBank::new(
-                region_start,
-                capacity_entries,
-                Arc::clone(&durable),
-            )))
-        };
-        UndoLog { backing, durable, region_start, capacity_entries }
-    }
-
-    /// A locked-engine log writer over a pool's whole log region.
-    pub fn new_locked(pool: &PmPool) -> Self {
-        let layout = pool.layout();
-        Self::with_region_mode(layout.log_start().0, layout.log_lines / ENTRY_LINES, true)
-    }
-
-    /// The lock-free bank, when this writer uses the CAS engine — the
-    /// handle the device shares so appends and pumps can bypass the lane
-    /// lock entirely.
-    pub fn bank(&self) -> Option<Arc<AtomicBank>> {
-        match &self.backing {
-            Backing::Cas(bank) => Some(Arc::clone(bank)),
-            Backing::Locked { .. } => None,
-        }
-    }
-
-    /// Entries known durable; write back of a data line tagged with offset
-    /// `o` is legal once `o < durable_offset()`.
-    pub fn durable_offset(&self) -> u64 {
-        self.durable.durable()
-    }
-
-    /// A shared handle onto this writer's durable watermark, readable
-    /// without whatever lock guards the writer itself.
-    pub fn watermark(&self) -> Arc<LogWatermark> {
-        Arc::clone(&self.durable)
-    }
-
-    /// Entries appended so far over the writer's lifetime (durable +
-    /// pending). The next append gets this offset.
-    pub fn appended(&self) -> u64 {
-        match &self.backing {
-            Backing::Locked { pending, .. } => self.durable.durable() + pending.len() as u64,
-            Backing::Cas(bank) => bank.reserved(),
-        }
-    }
-
-    /// Entries awaiting the background drain.
-    pub fn pending_len(&self) -> usize {
-        match &self.backing {
-            Backing::Locked { pending, .. } => pending.len(),
-            Backing::Cas(bank) => bank.pending_len(),
-        }
-    }
-
-    /// Entries whose slots are still held by uncommitted epochs.
-    pub fn live_entries(&self) -> u64 {
-        match &self.backing {
-            Backing::Locked { recycled_below, .. } => self.appended() - recycled_below,
-            Backing::Cas(bank) => bank.live_entries(),
-        }
-    }
-
-    /// Capacity of this writer's region slice, in entries.
-    pub fn capacity_entries(&self) -> u64 {
-        self.capacity_entries
-    }
-
-    /// Total log bytes issued to media.
-    pub fn bytes_written(&self) -> u64 {
-        match &self.backing {
-            Backing::Locked { bytes_written, .. } => *bytes_written,
-            Backing::Cas(bank) => bank.bytes_written(),
-        }
-    }
-
-    /// Appends an entry, returning its logical offset.
-    ///
-    /// The append itself is volatile — this is the asynchrony of §3.2: the
-    /// host's `RdOwn` is acknowledged without waiting for durability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmError::LogFull`] when every slot is held by an
-    /// uncommitted epoch; the caller (libpax) should `persist()` to
-    /// recycle the region.
-    pub fn append(&mut self, entry: UndoEntry) -> Result<u64> {
-        match &mut self.backing {
-            Backing::Locked { pending, recycled_below, .. } => {
-                let appended = self.durable.durable() + pending.len() as u64;
-                if appended - *recycled_below >= self.capacity_entries {
-                    return Err(PmError::LogFull { capacity_entries: self.capacity_entries });
-                }
-                pending.push_back(entry);
-                Ok(appended)
-            }
-            Backing::Cas(bank) => bank.append(entry),
-        }
-    }
-
-    /// Drains up to `max_entries` pending entries to the log region and
-    /// advances the durable watermark. Returns entries drained.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces [`PmError::Crashed`] if the pool's crash clock fires, and
-    /// media errors from the pool.
-    pub fn pump(
-        &mut self,
-        pool: &mut PmPool,
-        clock: &pax_pm::CrashClock,
-        max_entries: usize,
-    ) -> Result<usize> {
-        match &mut self.backing {
-            Backing::Locked { pending, bytes_written, .. } => {
-                let n = max_entries.min(pending.len());
-                for _ in 0..n {
-                    if clock.tick() == CrashOutcome::Crashed {
-                        pool.crash();
-                        return Err(PmError::Crashed);
-                    }
-                    let entry = pending.pop_front().expect("n bounded by pending length");
-                    let durable = self.durable.durable();
-                    let base = self.region_start + (durable % self.capacity_entries) * ENTRY_LINES;
-                    pool.write_line(LineAddr(base), entry.header_line())?;
-                    pool.write_line(LineAddr(base + 1), entry.old.clone())?;
-                    // The watermark only advances once both lines are
-                    // durable: the release store publishes the drained
-                    // media state to any thread acquiring the offset.
-                    pool.drain();
-                    self.durable.publish(durable + 1);
-                    *bytes_written += (ENTRY_LINES as usize * LINE_SIZE) as u64;
-                }
-                Ok(n)
-            }
-            Backing::Cas(bank) => bank.pump(pool, clock, max_entries),
-        }
-    }
-
-    /// Drains everything pending (the synchronous step inside `persist()`).
-    ///
-    /// # Errors
-    ///
-    /// See [`UndoLog::pump`].
-    pub fn flush(&mut self, pool: &mut PmPool, clock: &pax_pm::CrashClock) -> Result<()> {
-        if let Backing::Cas(bank) = &self.backing {
-            return bank.flush(pool, clock);
-        }
-        while self.pending_len() > 0 {
-            self.pump(pool, clock, usize::MAX)?;
-        }
-        Ok(())
-    }
-
-    /// Marks every entry below logical offset `watermark` as committed,
-    /// freeing its slot for reuse. Called when the epoch that appended
-    /// those entries durably commits; the watermark is clamped to the
-    /// durable offset (an undrained entry cannot belong to a committed
-    /// epoch) and never moves backwards.
-    pub fn recycle_to(&mut self, watermark: u64) {
-        match &mut self.backing {
-            Backing::Locked { recycled_below, .. } => {
-                *recycled_below = (*recycled_below).max(watermark.min(self.durable.durable()));
-            }
-            Backing::Cas(bank) => bank.recycle_to(watermark),
-        }
-    }
-
-    /// Recycles the whole region after a fully-drained epoch commits (the
-    /// synchronous-persist epilogue). Offsets stay monotonic; only slot
-    /// ownership resets. Stale entries left on media belong to committed
-    /// epochs and are ignored by recovery.
-    pub fn reset_after_commit(&mut self) {
-        debug_assert_eq!(self.pending_len(), 0, "reset with undrained entries");
-        let durable = self.durable.durable();
-        self.recycle_to(durable);
-    }
-
-    /// Drops the volatile tail (power loss).
-    pub fn crash(&mut self) {
-        match &mut self.backing {
-            Backing::Locked { pending, .. } => pending.clear(),
-            Backing::Cas(bank) => bank.crash(),
-        }
+        self.state.0.store(self.durable_offset(), Ordering::Relaxed);
     }
 
     /// Scans the pool's log region for valid entries (recovery, §3.4).
     ///
     /// Every slot is parsed; torn or never-written slots fail checksum
     /// validation and are skipped, and slots whose header lacks the
-    /// commit mark — which is what a reserved-but-never-published CAS
+    /// commit mark — which is what a reserved-but-never-published
     /// slot's media can look like at worst — are rejected the same way.
     /// Returns entries in on-media slot order — **not** append order once
     /// the ring has wrapped; recovery orders rollback by epoch, which
@@ -784,16 +528,20 @@ mod tests {
         UndoEntry::single(epoch, LineAddr(line), CacheLine::filled(fill))
     }
 
-    /// Both engines over a pool's whole log region, for parity loops.
-    fn both_modes(p: &PmPool) -> Vec<UndoLog> {
-        vec![UndoLog::new(p), UndoLog::new_locked(p)]
+    /// A writer over `slots` entries of `p`'s log region, laid out the two
+    /// ways the workspace uses: at the region start (the baselines'
+    /// whole-region writers) or as the second of two banks (a device
+    /// lane). The `_in_both_modes` tests check each contract both ways.
+    fn mode_log(p: &PmPool, banked: bool, slots: u64) -> UndoLog {
+        let base = p.layout().log_start().0 + if banked { slots * ENTRY_LINES } else { 0 };
+        UndoLog::with_region(base, slots)
     }
 
     #[test]
     fn tenant_tag_round_trips_and_is_checksummed() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(UndoEntry { tenant: 3, ..entry(1, 7, 0xAA) }).unwrap();
         log.flush(&mut p, &clock).unwrap();
         let scanned = UndoLog::scan(&mut p).unwrap();
@@ -813,7 +561,7 @@ mod tests {
     fn cleared_commit_mark_is_invisible_to_scan() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(1, 7, 0xAA)).unwrap();
         log.flush(&mut p, &clock).unwrap();
         assert_eq!(UndoLog::scan(&mut p).unwrap().len(), 1);
@@ -831,7 +579,8 @@ mod tests {
     #[test]
     fn append_assigns_monotonic_offsets_in_both_modes() {
         let p = pool();
-        for mut log in both_modes(&p) {
+        for banked in [false, true] {
+            let log = mode_log(&p, banked, 1024);
             assert_eq!(log.append(entry(1, 0, 0)).unwrap(), 0);
             assert_eq!(log.append(entry(1, 1, 0)).unwrap(), 1);
             assert_eq!(log.appended(), 2);
@@ -842,14 +591,9 @@ mod tests {
     #[test]
     fn pump_advances_watermark_incrementally_in_both_modes() {
         let clock = CrashClock::new();
-        for locked in [false, true] {
+        for banked in [false, true] {
             let mut p = pool();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
+            let log = mode_log(&p, banked, 1024);
             for i in 0..5 {
                 log.append(entry(1, i, i as u8)).unwrap();
             }
@@ -864,38 +608,33 @@ mod tests {
 
     #[test]
     fn engines_produce_identical_media_bytes() {
-        // The differential core: same appends through either engine ⇒
-        // byte-identical log region.
+        // The media contract every writer honours: after a flush, slot i
+        // holds exactly entry i's header line and pre-image, whatever the
+        // tenant/epoch mix — the bytes recovery and the golden durable
+        // images depend on.
         let clock = CrashClock::new();
-        let mut images = Vec::new();
-        for locked in [false, true] {
-            let mut p = pool();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
-            for i in 0..32u64 {
-                log.append(UndoEntry {
-                    tenant: (i % 3) as u32,
-                    ..entry(1 + i / 10, i % 7, i as u8)
-                })
-                .unwrap();
-            }
-            log.flush(&mut p, &clock).unwrap();
-            let lines: Vec<CacheLine> =
-                (0..64).map(|i| p.read_line(LineAddr(layout.log_start().0 + i)).unwrap()).collect();
-            images.push(lines);
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        let entries: Vec<UndoEntry> = (0..32u64)
+            .map(|i| UndoEntry { tenant: (i % 3) as u32, ..entry(1 + i / 10, i % 7, i as u8) })
+            .collect();
+        for e in &entries {
+            log.append(e.clone()).unwrap();
         }
-        assert_eq!(images[0], images[1]);
+        log.flush(&mut p, &clock).unwrap();
+        let start = p.layout().log_start().0;
+        for (i, e) in entries.iter().enumerate() {
+            let base = start + i as u64 * ENTRY_LINES;
+            assert_eq!(p.read_line(LineAddr(base)).unwrap(), e.header_line(), "slot {i} header");
+            assert_eq!(p.read_line(LineAddr(base + 1)).unwrap(), e.old, "slot {i} pre-image");
+        }
     }
 
     #[test]
     fn scan_round_trips_entries() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(3, 7, 0xAA)).unwrap();
         log.append(entry(3, 9, 0xBB)).unwrap();
         log.flush(&mut p, &clock).unwrap();
@@ -908,14 +647,9 @@ mod tests {
     #[test]
     fn pending_entries_are_lost_on_crash_in_both_modes() {
         let clock = CrashClock::new();
-        for locked in [false, true] {
+        for banked in [false, true] {
             let mut p = pool();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
+            let log = mode_log(&p, banked, 1024);
             log.append(entry(1, 0, 1)).unwrap();
             log.pump(&mut p, &clock, 1).unwrap();
             log.append(entry(1, 1, 2)).unwrap();
@@ -932,7 +666,7 @@ mod tests {
     fn torn_entry_fails_checksum_and_is_skipped() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(1, 0, 1)).unwrap();
         log.flush(&mut p, &clock).unwrap();
         // Corrupt the data line of the entry (simulated torn write).
@@ -945,9 +679,10 @@ mod tests {
     #[test]
     fn log_full_is_reported_in_both_modes() {
         let mut cfg = PoolConfig::small();
-        cfg.log_bytes = 4 * LINE_SIZE; // room for 2 entries
+        cfg.log_bytes = 8 * LINE_SIZE; // two banks of 2 entries
         let p = PmPool::create(cfg).unwrap();
-        for mut log in both_modes(&p) {
+        for banked in [false, true] {
+            let log = mode_log(&p, banked, 2);
             log.append(entry(1, 0, 0)).unwrap();
             log.append(entry(1, 1, 0)).unwrap();
             assert!(matches!(log.append(entry(1, 2, 0)), Err(PmError::LogFull { .. })));
@@ -958,7 +693,7 @@ mod tests {
     fn reset_after_commit_reuses_slots_with_monotonic_offsets() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(1, 5, 1)).unwrap();
         log.flush(&mut p, &clock).unwrap();
         log.reset_after_commit();
@@ -978,12 +713,11 @@ mod tests {
     #[test]
     fn recycle_to_frees_slots_incrementally_in_both_modes() {
         let clock = CrashClock::new();
-        for locked in [false, true] {
+        for banked in [false, true] {
             let mut cfg = PoolConfig::small();
-            cfg.log_bytes = 8 * LINE_SIZE; // 4 slots
+            cfg.log_bytes = 16 * LINE_SIZE; // two banks of 4 slots
             let mut p = PmPool::create(cfg).unwrap();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(layout.log_start().0, 4, locked);
+            let log = mode_log(&p, banked, 4);
             for i in 0..4 {
                 log.append(entry(1, i, 0)).unwrap();
             }
@@ -1006,14 +740,9 @@ mod tests {
     #[test]
     fn recycle_to_clamps_to_durable_and_never_regresses() {
         let clock = CrashClock::new();
-        for locked in [false, true] {
+        for banked in [false, true] {
             let mut p = pool();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
+            let log = mode_log(&p, banked, 1024);
             for i in 0..3 {
                 log.append(entry(1, i, 0)).unwrap();
             }
@@ -1031,8 +760,8 @@ mod tests {
         let clock = CrashClock::new();
         let layout = p.layout();
         let per_shard = 2u64;
-        let mut a = UndoLog::with_region(layout.log_start().0, per_shard);
-        let mut b = UndoLog::with_region(layout.log_start().0 + per_shard * ENTRY_LINES, per_shard);
+        let a = UndoLog::with_region(layout.log_start().0, per_shard);
+        let b = UndoLog::with_region(layout.log_start().0 + per_shard * ENTRY_LINES, per_shard);
         a.append(entry(1, 0, 0xA)).unwrap();
         a.append(entry(1, 2, 0xA)).unwrap();
         b.append(entry(1, 1, 0xB)).unwrap();
@@ -1047,15 +776,10 @@ mod tests {
 
     #[test]
     fn crash_clock_interrupts_pump_in_both_modes() {
-        for locked in [false, true] {
+        for banked in [false, true] {
             let mut p = pool();
             let clock = CrashClock::new();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
+            let log = mode_log(&p, banked, 1024);
             for i in 0..4 {
                 log.append(entry(1, i, 0)).unwrap();
             }
@@ -1071,7 +795,7 @@ mod tests {
     fn bytes_written_counts_both_lines() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(1, 0, 0)).unwrap();
         log.flush(&mut p, &clock).unwrap();
         assert_eq!(log.bytes_written(), 128);
@@ -1087,7 +811,7 @@ mod tests {
         cfg.log_bytes = 50_000 * (ENTRY_LINES as usize) * LINE_SIZE;
         let mut p = PmPool::create(cfg).unwrap();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         for i in 0..50_000u64 {
             log.append(entry(1, i % 1024, i as u8)).unwrap();
         }
@@ -1107,12 +831,11 @@ mod tests {
         // is published, and the in-flight gauge settles back to zero.
         const THREADS: usize = 4;
         const OPS: u64 = 2_000;
-        let log = UndoLog::with_region(0, THREADS as u64 * OPS + 1);
-        let bank = log.bank().unwrap();
+        let bank = UndoLog::with_region(0, THREADS as u64 * OPS + 1);
         let per_thread: Vec<Vec<u64>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|t| {
-                    let bank = Arc::clone(&bank);
+                    let bank = &bank;
                     s.spawn(move || {
                         (0..OPS)
                             .map(|i| {
@@ -1129,7 +852,7 @@ mod tests {
         all.sort_unstable();
         let expect: Vec<u64> = (0..THREADS as u64 * OPS).collect();
         assert_eq!(all, expect, "offsets must be unique and contiguous");
-        assert_eq!(bank.reserved(), THREADS as u64 * OPS);
+        assert_eq!(bank.appended(), THREADS as u64 * OPS);
         assert_eq!(bank.in_flight(), 0, "every reservation was published");
         assert_eq!(bank.pending_len(), THREADS * OPS as usize);
     }
@@ -1145,11 +868,10 @@ mod tests {
         cfg.log_bytes = ((THREADS as u64 * OPS + 1) * ENTRY_LINES) as usize * LINE_SIZE;
         let mut p = PmPool::create(cfg).unwrap();
         let clock = CrashClock::new();
-        let log = UndoLog::new(&p);
-        let bank = log.bank().unwrap();
+        let bank = UndoLog::new(&p);
         std::thread::scope(|s| {
             for t in 0..THREADS {
-                let bank = Arc::clone(&bank);
+                let bank = &bank;
                 s.spawn(move || {
                     for i in 0..OPS {
                         bank.append(UndoEntry { tenant: t as u32, ..entry(1, i, t as u8) })

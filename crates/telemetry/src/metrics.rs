@@ -211,6 +211,14 @@ impl MetricSet {
         }
     }
 
+    /// Overwrites a counter with `value` — for mirroring a count another
+    /// structure keeps in its own atomics. Idempotent, so concurrent
+    /// mirrors of the same source cannot double-count.
+    #[inline]
+    pub fn set(&self, c: Counter, value: u64) {
+        self.counters[c.0 as usize].store(value, Ordering::Relaxed);
+    }
+
     /// Times [`MetricSet::sub`] underflowed (zero in a healthy run).
     pub fn underflows(&self) -> u64 {
         self.underflows.load(Ordering::Relaxed)

@@ -11,8 +11,7 @@
 //! reopened — the persistent structure carries over with no
 //! serialization/deserialization step, only `map_pool`.
 
-use libpax::{HwSnapshotter, PHashMap, PVec, PaxConfig, PaxPool, Persistent, VPm};
-use pax_alloc::BitmapAlloc;
+use libpax::{BitmapAlloc, HwSnapshotter, PHashMap, PVec, PaxConfig, PaxPool, Persistent, VPm};
 use pax_pm::PoolConfig;
 
 /// Fixed-size keys: a 16-byte user id.
@@ -97,7 +96,7 @@ fn main() -> libpax::Result<()> {
 
     // ---- Session 4: the same store over the scalable allocator. ----
     // The structures are allocator-generic: the identical PHashMap code
-    // runs over pax-alloc's llfree-style bitmap allocator, whose
+    // runs over the llfree-style bitmap allocator, whose
     // metadata lives inside the pool's vPM so undo logging covers it
     // (§3.4). `attach` doubles as recovery: it scans the bitmap and
     // rebuilds the volatile per-core index.
@@ -111,7 +110,10 @@ fn main() -> libpax::Result<()> {
         }
         pool.persist()?;
         let snap = alloc.metrics_snapshot();
-        println!("session 4 (pax-alloc): {} accounts over the bitmap allocator", balances.len()?);
+        println!(
+            "session 4 (bitmap allocator): {} accounts over the bitmap allocator",
+            balances.len()?
+        );
         println!(
             "  telemetry: {} live frames, {} fast hits, {} tree steals, \
              {} frames scanned, fragmentation {}‰",

@@ -12,8 +12,7 @@
 
 use std::collections::HashMap;
 
-use libpax::{Heap, MemSpace, PaxConfig, PaxPool, PmAllocator, VPm, VolatileSpace};
-use pax_alloc::BitmapAlloc;
+use libpax::{BitmapAlloc, Heap, MemSpace, PaxConfig, PaxPool, PmAllocator, VPm, VolatileSpace};
 use pax_pm::PoolConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;

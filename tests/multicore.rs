@@ -4,16 +4,16 @@
 //! yet `persist()` still captures every modified line by snooping all
 //! cores — and crash recovery under cross-core mutation.
 
-use pax_cache::{CacheConfig, CoreComplex};
+use pax_cache::{CacheConfig, SharedComplex};
 use pax_device::{DeviceConfig, PaxDevice};
 use pax_pm::{CacheLine, LineAddr, PmPool, PoolConfig};
 
-fn setup(cores: usize) -> (PaxDevice, CoreComplex) {
+fn setup(cores: usize) -> (PaxDevice, SharedComplex) {
     let pool =
         PmPool::create(PoolConfig::small().with_data_bytes(8 << 20).with_log_bytes(32 << 20))
             .unwrap();
     let device = PaxDevice::open(pool, DeviceConfig::default()).unwrap();
-    let complex = CoreComplex::new(cores, CacheConfig::tiny(8 << 10, 4));
+    let complex = SharedComplex::new(cores, CacheConfig::tiny(8 << 10, 4));
     (device, complex)
 }
 
@@ -83,7 +83,7 @@ fn crash_with_cross_core_mutation_rolls_back_atomically() {
 
     let pool = device.crash_into_pool();
     let mut device = PaxDevice::open(pool, DeviceConfig::default()).unwrap();
-    let mut cx = CoreComplex::new(2, CacheConfig::tiny(8 << 10, 4));
+    let cx = SharedComplex::new(2, CacheConfig::tiny(8 << 10, 4));
     assert_eq!(cx.read(0, LineAddr(0), &mut device).unwrap(), CacheLine::filled(1));
     assert_eq!(cx.read(1, LineAddr(1), &mut device).unwrap(), CacheLine::filled(1));
     assert_eq!(cx.read(0, LineAddr(10), &mut device).unwrap(), CacheLine::zeroed());
@@ -106,7 +106,7 @@ fn false_sharing_pattern_still_converges() {
 
 #[test]
 fn read_sharing_after_writer_core() {
-    let (mut device, mut cx) = setup(3);
+    let (mut device, cx) = setup(3);
     cx.write(0, LineAddr(4), CacheLine::filled(0xAB), &mut device).unwrap();
     // Readers on other cores see the value without extra device reads.
     let pm_reads_before = device.metrics().pm_reads;

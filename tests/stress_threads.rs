@@ -125,7 +125,7 @@ fn run_seed(seed: u64) {
 }
 
 /// Seeded crash-point stress for the lock-free undo bank itself: several
-/// appender threads hammer one `AtomicBank` while this thread pumps it to
+/// appender threads hammer one `UndoLog` while this thread pumps it to
 /// a real pool with a crash clock armed mid-drain — so the crash lands
 /// while appenders are inside their reserve→fill windows. Whatever the
 /// instant, the media scan (what recovery replays) must contain exactly
@@ -141,8 +141,7 @@ fn crash_window_seed(seed: u64) {
     const APPENDERS: u64 = 3;
     const APPEND_OPS: u64 = 400;
     let pool = PmPool::create(PoolConfig::small().with_log_bytes(1 << 20)).unwrap();
-    let log = pax_device::UndoLog::new(&pool);
-    let bank = log.bank().expect("default engine is the CAS bank");
+    let bank = pax_device::UndoLog::new(&pool);
     let clock = CrashClock::new();
     let mut rng = StdRng::seed_from_u64(seed);
     // Each pumped entry ticks the clock once; arming below the total
