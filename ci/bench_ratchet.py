@@ -33,8 +33,8 @@ keeps inline persist steps within 2x the snoop sweep; the tenants
 noisy-neighbor victim keeps >= 70 % of its solo throughput; the snoop
 filter cuts persist snoops/op at least 2x; buffered-epoch (K=4) sustains
 >= 1.3x strict ops/kstep; allocbench's adversarial carpet leaves partial
-trees and its attach-time recovery scan stays linear (scan_steps <= 2x
-pool_frames).
+trees, its churn over the carpet keeps >= 0.3 Mops, and its attach-time
+recovery scan stays linear (scan_steps <= 2x pool_frames).
 
 A missing baseline file seeds the ratchet (exit 0); the workflow then
 saves CURRENT_DIR as the next run's baseline.
@@ -72,7 +72,7 @@ SCHEMAS = {
         "series": {
             "recovery": (3, ("pool_bytes", "pool_frames", "live_frames", "scan_steps", "scan_ns")),
             "fragment": (1, ("ops", "mops", "frag_permille_peak", "frag_permille_end",
-                             "tree_steals", "scan_frames")),
+                             "tree_steals", "scan_frames", "hint_misses")),
         },
     },
     "tenants": {
@@ -110,7 +110,10 @@ RATCHETS = {
     "fig2b_measured": [(("threads",), "mops", 0.90, True)],
     "logappend": [(("threads", "mode"), "mops", 0.90, True)],
     "persistency": [(("series",), "ops_per_kstep", 0.90, True)],
-    "allocbench": [(("threads", "mode"), "mops", 0.90, True)],
+    "allocbench": [
+        (("threads", "mode"), "mops", 0.90, True),
+        (("series",), "mops", 0.90, True),
+    ],
     "hbmstore": [(("threads", "mode"), "mops", 0.90, True)],
 }
 
@@ -264,9 +267,10 @@ def check_persistency(doc, failures):
 
 def check_allocbench(doc, failures):
     s = by_series(doc)
-    peak = s["fragment"]["frag_permille_peak"]
+    peak, mops = s["fragment"]["frag_permille_peak"], s["fragment"]["mops"]
     check_bar(failures, peak > 0,
               f"allocbench fragment: frag_permille_peak {peak} (carpet must leave partial trees)")
+    check_bar(failures, mops >= 0.3, f"allocbench fragment: {mops:.3f} Mops vs 0.3 floor")
     for r in doc["results"]:
         if r.get("series") == "recovery":
             check_bar(failures, r["scan_steps"] <= 2 * r["pool_frames"],

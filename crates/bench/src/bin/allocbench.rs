@@ -13,16 +13,18 @@
 //!   single-frame allocations, free every other one so *every* tree is
 //!   partial (recorded as `frag_permille_peak`/`frag_permille_end` in
 //!   the row), then churn mixed sizes over the holes. Exercises the
-//!   partial-first reserve policy's worst case and keeps the
+//!   partial-first reserve policy's worst case, the per-tree run hints
+//!   that steer multi-frame requests past the holes (`hint_misses`
+//!   counts scans the hints failed to spare), and keeps the
 //!   partial-tree permille gauge honest (> 0‰ by construction).
 //! * **Recovery** — `attach` IS recovery for the bitmap allocator: the
 //!   series times the full attach-time bitmap scan at growing pool sizes
 //!   with a quarter of the frames live, recording `scan_steps` so CI can
 //!   hold the scan to linear in pool frames.
 //!
-//! The CI ratchet enforces per-(threads, mode) ops/s floors, the
-//! 1→4-thread scaling bar on capable hosts, and the recovery linearity
-//! bound.
+//! The CI ratchet enforces per-(threads, mode) and fragment ops/s
+//! floors, the fragment's 0.3 Mops bar, the 1→4-thread scaling bar on
+//! capable hosts, and the recovery linearity bound.
 //!
 //! Run: `cargo run --release -p pax-bench --bin allocbench` (add
 //! `--json`; `--threads 1,2,4` and `--ops N` to resize).
@@ -103,16 +105,12 @@ fn measure_heap(ops: u64) -> (u64, f64) {
 /// Swiss-cheesed (free != 0 and free != tree capacity, i.e. *partial* in
 /// the [`fragmentation_permille`](BitmapAlloc::fragmentation_permille)
 /// sense). The timed churn then runs mixed sizes over that hostile
-/// layout, so multi-frame requests must skip holes and steal across
-/// partial trees instead of bump-allocating from empty ones. Returns
-/// (Mops, peak partial-tree permille, end permille, telemetry).
+/// layout with the same op count as the slot churn. Single-frame
+/// requests fill the holes; a multi-frame request scans a carpeted tree
+/// at most once, which resets that tree's run hint to 1, and is then
+/// steered to trees with room. Returns (ops, Mops, peak partial-tree
+/// permille, end permille, telemetry).
 fn measure_fragmentation(ops: u64) -> (u64, f64, u64, u64, Vec<(&'static str, Json)>) {
-    // The Swiss-cheese layout defeats the partial-first reserve policy on
-    // purpose: multi-frame requests scan whole partial trees before
-    // falling back to the empty half of the pool. That makes each op
-    // orders of magnitude costlier than the friendly churn, so run a
-    // shorter honest sample (same trick as the heap baseline).
-    let ops = (ops / 8).max(1_000);
     let alloc = BitmapAlloc::attach(StripedSpace::new(POOL_BYTES)).expect("striped space formats");
     let frame = libpax::balloc::layout::FRAME_BYTES;
     // Phase A: pepper ~half the frames with live single-frame allocs.
@@ -135,7 +133,6 @@ fn measure_fragmentation(ops: u64) -> (u64, f64, u64, u64, Vec<(&'static str, Js
     churn(&alloc, ops, 0xF2A6);
     let mops = ops as f64 / start.elapsed().as_secs_f64() / 1e6;
     let frag_end = alloc.fragmentation_permille();
-    let frag_ops = ops;
     for addr in live {
         alloc.free(addr, frame).expect("drain carpet");
     }
@@ -144,8 +141,9 @@ fn measure_fragmentation(ops: u64) -> (u64, f64, u64, u64, Vec<(&'static str, Js
         ("fast_hits", Json::U64(snap.counter("alloc_fast_hits"))),
         ("tree_steals", Json::U64(snap.counter("alloc_tree_steals"))),
         ("scan_frames", Json::U64(snap.counter("alloc_scan_frames"))),
+        ("hint_misses", Json::U64(snap.counter("alloc_hint_misses"))),
     ];
-    (frag_ops, mops, frag_peak, frag_end, telemetry)
+    (ops, mops, frag_peak, frag_end, telemetry)
 }
 
 /// Recovery-as-construction cost: fill a pool a quarter full, then time

@@ -15,9 +15,11 @@
 //!   vPM, the PAX device's undo logging rolls allocator metadata back
 //!   together with user data; no allocator-specific logging exists.
 //! * **Volatile layer** ([`upper`]) — per-core claimed trees and an
-//!   atomic per-tree index. A core allocates from its claimed tree
-//!   without touching any other core's state; when its tree runs dry it
-//!   reserves another (partial first, then empty, then stealing).
+//!   atomic per-tree index of free counts and longest-free-run hints. A
+//!   core allocates from its claimed tree without touching any other
+//!   core's state; when its tree cannot hold a request it reserves
+//!   another whose hint admits it (partial first, then empty, then
+//!   stealing).
 //! * **Recovery == construction** ([`recover`]) — every `attach` scans
 //!   the bitmap once, verifies the persisted counters, and rebuilds the
 //!   volatile layer. There is no separate recovery path (§3.4).
@@ -59,11 +61,6 @@ use upper::{Reserved, TreeIndex};
 /// [`BitmapAlloc::attach_with_cores`].
 pub const DEFAULT_CORES: usize = 4;
 
-/// How many trees a single allocation will reserve-and-probe before
-/// falling back to the exhaustive span scan (fragmented trees can have
-/// enough free frames but no contiguous run).
-const RESERVE_ATTEMPTS: usize = 4;
-
 #[derive(Debug)]
 struct CoreCache {
     /// Claimed tree + 1; 0 = none.
@@ -77,8 +74,8 @@ struct Shared {
     geom: Geometry,
     index: TreeIndex,
     cores: Vec<CoreCache>,
-    /// Serializes multi-tree span allocations (rare, > 16 KiB requests
-    /// or the everything-is-fragmented fallback).
+    /// Serializes multi-tree span allocations (rare: > 16 KiB requests,
+    /// or runs no single tree can hold).
     span_lock: Mutex<()>,
     recovery: RecoveryStats,
     metrics: MetricSet,
@@ -87,6 +84,7 @@ struct Shared {
     c_scan: Counter,
     c_span: Counter,
     c_reserves: Counter,
+    c_hint_misses: Counter,
     g_live: Counter,
     g_frag: Counter,
 }
@@ -129,7 +127,7 @@ impl<S: MemSpace> BitmapAlloc<S> {
             other => return Err(LayoutError::BadMagic(other).into()),
         }
         // Construction and recovery are the same scan (§3.4).
-        let (free, recovery) = recover::rebuild(&space, &geom)?;
+        let (trees, recovery) = recover::rebuild(&space, &geom)?;
 
         let mut metrics = MetricSet::new("alloc");
         let c_fast = metrics.counter("alloc_fast_hits");
@@ -137,12 +135,13 @@ impl<S: MemSpace> BitmapAlloc<S> {
         let c_scan = metrics.counter("alloc_scan_frames");
         let c_span = metrics.counter("alloc_span_allocs");
         let c_reserves = metrics.counter("alloc_reserves");
+        let c_hint_misses = metrics.counter("alloc_hint_misses");
         let g_live = metrics.counter("alloc_live_frames");
         let g_frag = metrics.counter("alloc_frag_permille");
         metrics.add(c_scan, recovery.scan_steps);
 
         let shared = Shared {
-            index: TreeIndex::new(&free),
+            index: TreeIndex::new(&trees),
             cores: (0..cores)
                 .map(|_| CoreCache { tree: AtomicU64::new(0), cursor: AtomicU64::new(0) })
                 .collect(),
@@ -155,6 +154,7 @@ impl<S: MemSpace> BitmapAlloc<S> {
             c_scan,
             c_span,
             c_reserves,
+            c_hint_misses,
             g_live,
             g_frag,
         };
@@ -201,10 +201,18 @@ impl<S: MemSpace> BitmapAlloc<S> {
         partial * 1000 / g.trees.max(1)
     }
 
+    /// Each tree's longest-free-run hint, for tests that check it never
+    /// falls below the bitmap's true longest run.
+    #[doc(hidden)]
+    pub fn run_hints(&self) -> Vec<u64> {
+        self.shared.index.trees.iter().map(|t| t.run_hint()).collect()
+    }
+
     /// Telemetry snapshot (`alloc_fast_hits`, `alloc_tree_steals`,
-    /// `alloc_scan_frames`, `alloc_span_allocs`, `alloc_reserves`, plus
-    /// the `alloc_live_frames` / `alloc_frag_permille` gauges refreshed
-    /// at snapshot time).
+    /// `alloc_scan_frames`, `alloc_span_allocs`, `alloc_reserves`,
+    /// `alloc_hint_misses` — scans of a tree whose hint admitted the
+    /// request but which had no run — plus the `alloc_live_frames` /
+    /// `alloc_frag_permille` gauges refreshed at snapshot time).
     pub fn metrics_snapshot(&self) -> MetricSnapshot {
         let s = &self.shared;
         for (gauge, now) in
@@ -286,10 +294,19 @@ impl<S: MemSpace> BitmapAlloc<S> {
         Ok(())
     }
 
+    /// Allocates `need` frames in `tree` if its hint admits them. A scan
+    /// that finds no run resets the hint to the tree's exact longest run,
+    /// so the tree is not offered for this size again until a free
+    /// raises it. A successful allocation leaves the hint as it was
+    /// (possibly high): keeping it exact would cost a whole-tree run
+    /// count on every allocation.
     fn alloc_in_tree(&self, tree: u64, need: u64, from_cache: bool) -> Result<Option<u64>> {
         let s = &self.shared;
         let entry = &s.index.trees[tree as usize];
         let _g = entry.lock.lock();
+        if !entry.admits(need) {
+            return Ok(None);
+        }
         let nframes = s.geom.frames_in_tree(tree);
         let base = tree * TREE_FRAMES;
         let words = lower::load_words(&self.space, &s.geom, base, nframes)?;
@@ -297,6 +314,10 @@ impl<S: MemSpace> BitmapAlloc<S> {
         let scan = lower::find_run(&words, nframes, need, if from_cache { cursor } else { 0 });
         s.metrics.add(s.c_scan, scan.steps);
         let Some(off) = scan.found else {
+            let run = lower::max_run(&words, nframes);
+            debug_assert!(run < need);
+            entry.set_run_hint(run);
+            s.metrics.inc(s.c_hint_misses);
             return Ok(None);
         };
         self.commit_run(base + off, need)?;
@@ -308,16 +329,17 @@ impl<S: MemSpace> BitmapAlloc<S> {
     }
 
     /// The scalable path: the core's claimed tree, else reserve/steal.
+    /// Ends when no tree's hint admits `need`: every failed attempt
+    /// leaves the tree it tried below `need`, free count or hint.
     fn alloc_small(&self, need: u64) -> Result<Option<u64>> {
         let s = &self.shared;
         let cache = &s.cores[self.core];
-        let mut skip = Vec::new();
-        for _ in 0..RESERVE_ATTEMPTS {
+        loop {
             let cached = cache.tree.load(Ordering::Relaxed);
             let tree = if cached != 0 {
                 cached - 1
             } else {
-                match s.index.reserve(&s.geom, self.core, s.cores.len(), need, &skip) {
+                match s.index.reserve(&s.geom, self.core, s.cores.len(), need) {
                     Some(r) => {
                         s.metrics.inc(s.c_reserves);
                         if matches!(r, Reserved::Stolen(_)) {
@@ -336,13 +358,11 @@ impl<S: MemSpace> BitmapAlloc<S> {
             // Dry or too fragmented: drop it and reserve elsewhere.
             s.index.trees[tree as usize].release();
             cache.tree.store(0, Ordering::Relaxed);
-            skip.push(tree);
         }
-        Ok(None)
     }
 
     /// The rare path: an exhaustive scan over the whole bitmap for runs
-    /// larger than a tree or when per-tree probing failed. Holds the
+    /// larger than a tree or runs that must straddle trees. Holds the
     /// span lock, then each involved tree's lock in ascending order.
     fn alloc_span(&self, need: u64) -> Result<Option<u64>> {
         let s = &self.shared;
@@ -400,11 +420,25 @@ impl<S: MemSpace> PmAllocator<S> for BitmapAlloc<S> {
             let in_tree = (s.geom.frames_in_tree(tree) - f % TREE_FRAMES).min(left);
             let entry = &s.index.trees[tree as usize];
             let _g = entry.lock.lock();
-            lower::flip_run(&self.space, &s.geom, f, in_tree, false)?;
+            let written = lower::flip_run(&self.space, &s.geom, f, in_tree, false)?;
             let caddr = s.geom.counter_addr(tree);
             let cur = self.space.read_u32(caddr)?;
             self.space.write_u32(caddr, cur + in_tree as u32)?;
             entry.add_free(in_tree);
+            // A hint at or above the free count already bounds every run.
+            if entry.run_hint() < entry.free() {
+                let base = tree * TREE_FRAMES;
+                let end = base + s.geom.frames_in_tree(tree);
+                let run = lower::run_through(f, in_tree, base, end, |w| {
+                    match written.iter().find(|&&(i, _)| i == w) {
+                        Some(&(_, v)) => Ok(v),
+                        None => self.space.read_u64(s.geom.word_addr(w)),
+                    }
+                })?;
+                if run > entry.run_hint() {
+                    entry.set_run_hint(run);
+                }
+            }
             f += in_tree;
             left -= in_tree;
         }
@@ -505,6 +539,42 @@ mod tests {
         let z = b.alloc(4096).unwrap();
         assert!(z + 4096 <= b.space().capacity_bytes());
         let _ = y;
+    }
+
+    #[test]
+    fn run_hints_steer_requests_past_fragmented_trees() {
+        let space = VolatileSpace::new(1 << 20);
+        let a = BitmapAlloc::attach(space.clone()).unwrap();
+        let tree_of = |x: u64| Geometry::tree_of(a.geometry().frame_of(x).unwrap());
+        // Carpet tree 0 with single frames, then free every other one:
+        // 256 free frames, no run longer than one.
+        let carpet: Vec<u64> = (0..TREE_FRAMES).map(|_| a.alloc(32).unwrap()).collect();
+        assert!(carpet.iter().all(|&x| tree_of(x) == 0));
+        for &x in carpet.iter().step_by(2) {
+            a.free(x, 32).unwrap();
+        }
+        // Allocations left the hint high; one failed scan makes it exact.
+        assert_eq!(a.run_hints()[0], TREE_FRAMES);
+        assert_eq!(tree_of(a.alloc(64).unwrap()), 1);
+        assert_eq!(a.run_hints()[0], 1);
+        // From then on tree 0 is skipped without a scan.
+        a.shared.index.trees[1].release();
+        a.shared.cores[0].tree.store(0, Ordering::Relaxed);
+        assert_eq!(tree_of(a.alloc(64).unwrap()), 1);
+        let snap = a.metrics_snapshot();
+        assert_eq!(snap.counter("alloc_hint_misses"), 1);
+        assert_eq!(snap.counter("alloc_span_allocs"), 0);
+        // Freeing the frame between two holes raises the hint to the
+        // joined run exactly.
+        a.free(carpet[1], 32).unwrap();
+        assert_eq!(a.run_hints()[0], 3);
+        // Re-attaching rebuilds exact hints from the bitmap.
+        let b = BitmapAlloc::attach(space).unwrap();
+        assert_eq!(&b.run_hints()[..2], &[3, TREE_FRAMES - 4]);
+        let g = b.geometry();
+        for t in 2..g.trees {
+            assert_eq!(b.run_hints()[t as usize], g.frames_in_tree(t), "empty tree {t}");
+        }
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //!
 //! The allocator's only durable truth is the frame bitmap (plus the
 //! per-tree counters as a cross-check). Everything volatile — per-core
-//! claims, cursors, the tree free-count index — is reconstructed here by
-//! one linear scan, which runs on *every* attach: construction and
-//! recovery are the same code path (§3.4). The scan cost is recorded in
-//! [`RecoveryStats`] so benchmarks can assert it stays linear in the
-//! pool's frame count.
+//! claims, cursors, the tree free-count and longest-run index — is
+//! reconstructed here by one linear scan, which runs on *every* attach:
+//! construction and recovery are the same code path (§3.4). The scan
+//! cost is recorded in [`RecoveryStats`] so benchmarks can assert it
+//! stays linear in the pool's frame count.
 
 use crate::{MemSpace, Result};
 
 use super::layout::{Geometry, LayoutError};
+use super::lower;
 
 /// What the attach-time scan did, for telemetry and the recovery-cost
 /// bound in CI (`allocbench` emits these per pool size).
@@ -28,7 +29,8 @@ pub struct RecoveryStats {
 }
 
 /// Scans the whole bitmap, verifies the per-tree persisted counters, and
-/// returns the volatile free count per tree plus the scan stats.
+/// returns the volatile `(free count, longest free run)` per tree plus
+/// the scan stats.
 ///
 /// # Errors
 ///
@@ -38,7 +40,7 @@ pub struct RecoveryStats {
 pub(crate) fn rebuild<S: MemSpace>(
     space: &S,
     geom: &Geometry,
-) -> Result<(Vec<u32>, RecoveryStats)> {
+) -> Result<(Vec<(u32, u32)>, RecoveryStats)> {
     // One bulk read of the bitmap region: 1 bit per frame, so even a
     // 16M-frame pool reads only 2 MiB here.
     let mut raw = vec![0u8; (geom.words * 8) as usize];
@@ -52,25 +54,23 @@ pub(crate) fn rebuild<S: MemSpace>(
         return Err(LayoutError::TailBits { word: geom.words - 1 }.into());
     }
 
-    let mut free = Vec::with_capacity(geom.trees as usize);
+    let mut trees = Vec::with_capacity(geom.trees as usize);
     let mut live = 0u64;
     let mut steps = 0u64;
     for tree in 0..geom.trees {
         let nframes = geom.frames_in_tree(tree);
-        let first_word = (tree * super::layout::TREE_FRAMES) / 64;
-        let nwords = nframes.div_ceil(64);
-        let mut used = 0u64;
-        for w in first_word..first_word + nwords {
-            used += words[w as usize].count_ones() as u64;
-        }
+        let first_word = ((tree * super::layout::TREE_FRAMES) / 64) as usize;
+        let tree_words = &words[first_word..first_word + nframes.div_ceil(64) as usize];
+        let used: u64 = tree_words.iter().map(|w| u64::from(w.count_ones())).sum();
+        let run = lower::max_run(tree_words, nframes) as u32;
         steps += nframes;
         let scanned = (nframes - used) as u32;
         let persisted = space.read_u32(geom.counter_addr(tree))?;
         if persisted != scanned {
             return Err(LayoutError::CounterMismatch { tree, persisted, scanned }.into());
         }
-        free.push(scanned);
+        trees.push((scanned, run));
         live += used;
     }
-    Ok((free, RecoveryStats { scanned_frames: geom.frames, live_frames: live, scan_steps: steps }))
+    Ok((trees, RecoveryStats { scanned_frames: geom.frames, live_frames: live, scan_steps: steps }))
 }

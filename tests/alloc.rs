@@ -8,11 +8,17 @@
 //! * after an armed crash at *any* durable-write step, re-attaching
 //!   recovers exactly the blocks live at the recovered epoch — contents
 //!   intact, accounting exact, and fresh allocations disjoint from them
-//!   (§3.4: recovering the pool recovers its allocator).
+//!   (§3.4: recovering the pool recovers its allocator);
+//! * the bitmap allocator's volatile longest-free-run hints never fall
+//!   below a tree's true longest run, and re-attaching rebuilds them
+//!   exactly.
 
 use std::collections::HashMap;
 
-use libpax::{BitmapAlloc, Heap, MemSpace, PaxConfig, PaxPool, PmAllocator, VPm, VolatileSpace};
+use libpax::balloc::layout::TREE_FRAMES;
+use libpax::{
+    BitmapAlloc, Heap, MemSpace, PaxConfig, PaxError, PaxPool, PmAllocator, VPm, VolatileSpace,
+};
 use pax_pm::PoolConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -151,6 +157,39 @@ impl VpmAlloc {
         })
     }
 
+    /// Checks every tree's run hint against the bitmap: never below the
+    /// tree's longest free run, and equal to it when `exact`. Counted bit
+    /// by bit; a hint at or above the tree's free count needs no count.
+    fn check_run_hints(&self, exact: bool) -> libpax::Result<()> {
+        let VpmAlloc::Bitmap(a) = self else {
+            return Ok(());
+        };
+        let g = *a.geometry();
+        let mut raw = vec![0u8; (g.words * 8) as usize];
+        PmAllocator::space(a).read_bytes(g.word_addr(0), &mut raw)?;
+        let words: Vec<u64> =
+            raw.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
+        let used = |f: u64| words[(f / 64) as usize] >> (f % 64) & 1 == 1;
+        for (t, hint) in (0..g.trees).zip(a.run_hints()) {
+            let frames = TREE_FRAMES * t..TREE_FRAMES * t + g.frames_in_tree(t);
+            let free = frames.clone().filter(|&f| !used(f)).count() as u64;
+            if hint >= free && !exact {
+                continue;
+            }
+            let (mut run, mut longest) = (0u64, 0u64);
+            for f in frames {
+                run = if used(f) { 0 } else { run + 1 };
+                longest = longest.max(run);
+            }
+            if hint < longest || (exact && hint != longest) {
+                return Err(PaxError::Corrupt(format!(
+                    "tree {t}: run hint {hint}, longest free run {longest} (exact: {exact})"
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// What `live_allocations` should report for `blocks` (the unit is
     /// allocator-specific: blocks for Heap, frames for Bitmap).
     fn expected_live(&self, blocks: &[Block]) -> u64 {
@@ -211,11 +250,70 @@ fn pool_config() -> PaxConfig {
         .with_pool(PoolConfig::small().with_data_bytes(1 << 20).with_log_bytes(8 << 20))
 }
 
+/// The alloc/free shapes the crash sweep drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Schedule {
+    /// 60 seeded steps: 60 % allocations of 16–299 bytes, else a random
+    /// live block is freed.
+    Mixed,
+    /// 160 allocations of 1–8 frames, every other one freed, then a
+    /// re-attach (exact hints) and 120 steps of 1–8-frame allocations
+    /// over the holes with every third step a random free: trees go
+    /// partial with short runs, placement leans on the run hints, and
+    /// frees that join holes must raise them.
+    Fragmented,
+}
+
+/// One schedule step: allocate this many bytes, or free the live block
+/// at this index.
+enum Step {
+    Alloc(u64),
+    Free(usize),
+}
+
+impl Schedule {
+    fn steps(self) -> usize {
+        match self {
+            Schedule::Mixed => 60,
+            Schedule::Fragmented => 360,
+        }
+    }
+
+    fn step(self, i: usize, rng: &mut StdRng, live: usize) -> Step {
+        match self {
+            Schedule::Mixed if live == 0 || rng.gen_range(0..10u32) < 6 => {
+                Step::Alloc(rng.gen_range(16..300u64))
+            }
+            Schedule::Mixed => Step::Free(rng.gen_range(0..live)),
+            // Frees walk down from the last block, so earlier indices
+            // still name blocks in allocation order.
+            Schedule::Fragmented if (160..240).contains(&i) => Step::Free(159 - 2 * (i - 160)),
+            Schedule::Fragmented if i >= 240 && i.is_multiple_of(3) => {
+                Step::Free(rng.gen_range(0..live))
+            }
+            Schedule::Fragmented => Step::Alloc(rng.gen_range(1..9u64) * 32),
+        }
+    }
+
+    /// The step before which the allocator is attached afresh.
+    fn reattach_at(self) -> Option<usize> {
+        match self {
+            Schedule::Mixed => None,
+            Schedule::Fragmented => Some(240),
+        }
+    }
+}
+
 /// Runs a seeded alloc/free/persist schedule with the crash clock armed
 /// `arm` durable-write steps in (never, when `None`), crashes, reopens,
 /// re-attaches, and verifies the §3.4 recovery contract. Returns the
 /// clock steps the unarmed run consumed, for sweep planning.
-fn run_crash_schedule(which: Which, seed: u64, arm: Option<u64>) -> Result<u64, String> {
+fn run_crash_schedule(
+    which: Which,
+    schedule: Schedule,
+    seed: u64,
+    arm: Option<u64>,
+) -> Result<u64, String> {
     let pool = PaxPool::create(pool_config()).map_err(|e| format!("create: {e}"))?;
     let clock = pool.crash_clock().map_err(|e| format!("clock: {e}"))?;
     if let Some(offset) = arm {
@@ -231,18 +329,23 @@ fn run_crash_schedule(which: Which, seed: u64, arm: Option<u64>) -> Result<u64, 
     // The armed clock can fire inside attach itself — a legal crash
     // point (mid-format / mid-recovery); the contract still must hold.
     let mut run = || -> libpax::Result<()> {
-        let a = VpmAlloc::attach(which, pool.vpm())?;
+        let mut a = VpmAlloc::attach(which, pool.vpm())?;
         let mut rng = StdRng::seed_from_u64(seed);
-        for i in 0..60 {
-            if live.is_empty() || rng.gen_range(0..10u32) < 6 {
-                let len = rng.gen_range(16..300u64);
-                live.push(write_block(&a, len, tag)?);
-                tag += 1;
-            } else {
-                let idx = rng.gen_range(0..live.len());
-                let b = live.swap_remove(idx);
-                a.free(b.addr, b.len)?;
+        for i in 0..schedule.steps() {
+            if schedule.reattach_at() == Some(i) {
+                a = VpmAlloc::attach(which, pool.vpm())?;
             }
+            match schedule.step(i, &mut rng, live.len()) {
+                Step::Alloc(len) => {
+                    live.push(write_block(&a, len, tag)?);
+                    tag += 1;
+                }
+                Step::Free(idx) => {
+                    let b = live.remove(idx);
+                    a.free(b.addr, b.len)?;
+                }
+            }
+            a.check_run_hints(false)?;
             if i % 6 == 5 {
                 let e = pool.persist()?;
                 at_close.insert(e, live.clone());
@@ -254,7 +357,7 @@ fn run_crash_schedule(which: Which, seed: u64, arm: Option<u64>) -> Result<u64, 
     };
     if let Err(e) = run() {
         if !e.is_crash() {
-            return Err(format!("[{which:?}] non-crash failure mid-schedule: {e}"));
+            return Err(format!("[{which:?} {schedule:?}] non-crash failure mid-schedule: {e}"));
         }
     }
     let steps_taken = clock.steps_taken();
@@ -269,6 +372,7 @@ fn run_crash_schedule(which: Which, seed: u64, arm: Option<u64>) -> Result<u64, 
 
     let a = VpmAlloc::attach(which, pool.vpm())
         .map_err(|e| format!("[{which:?}] re-attach after crash at epoch {committed}: {e}"))?;
+    a.check_run_hints(true).map_err(|e| format!("[{which:?}] re-attach at {committed}: {e}"))?;
 
     // 1. Every block live at the recovered epoch reads back intact.
     for b in expected {
@@ -297,23 +401,26 @@ fn run_crash_schedule(which: Which, seed: u64, arm: Option<u64>) -> Result<u64, 
     Ok(steps_taken)
 }
 
-/// The acceptance differential: for each allocator, crash at every
-/// sampled durable-write step of the same seeded schedule and prove
-/// recovery is leak-free and intact each time.
+/// The acceptance differential: for each allocator and schedule, crash
+/// at every sampled durable-write step of the same seeded schedule and
+/// prove recovery is leak-free and intact each time.
 #[test]
 fn armed_crash_sweep_recovers_both_allocators() {
     for which in [Which::Heap, Which::Bitmap] {
-        for seed in [7u64, 40] {
-            let total = run_crash_schedule(which, seed, None)
-                .unwrap_or_else(|e| panic!("unarmed run failed: {e}"));
-            assert!(total > 0);
-            // Sweep ~24 crash points spread over the whole schedule.
-            let stride = (total / 24).max(1);
-            let mut arm = 1;
-            while arm <= total {
-                run_crash_schedule(which, seed, Some(arm))
-                    .unwrap_or_else(|e| panic!("crash at step {arm}/{total}: {e}"));
-                arm += stride;
+        for schedule in [Schedule::Mixed, Schedule::Fragmented] {
+            for seed in [7u64, 40] {
+                let total = run_crash_schedule(which, schedule, seed, None)
+                    .unwrap_or_else(|e| panic!("unarmed {schedule:?} run failed: {e}"));
+                assert!(total > 0);
+                // Sweep ~24 crash points spread over the whole schedule.
+                let stride = (total / 24).max(1);
+                let mut arm = 1;
+                while arm <= total {
+                    run_crash_schedule(which, schedule, seed, Some(arm)).unwrap_or_else(|e| {
+                        panic!("{schedule:?} crash at step {arm}/{total}: {e}")
+                    });
+                    arm += stride;
+                }
             }
         }
     }
