@@ -93,13 +93,9 @@ impl PaxConfig {
         self
     }
 
-    /// Returns the config with a multi-core host model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
+    /// Returns the config with a multi-core host model. A zero count is
+    /// rejected when the pool opens.
     pub fn with_cores(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one core");
         self.cores = n;
         self
     }
@@ -362,8 +358,12 @@ impl PaxPool {
     ///
     /// # Errors
     ///
-    /// Propagates recovery/media errors.
+    /// Returns a config error for a host of zero cores or a device of
+    /// zero tenants, and propagates recovery/media errors.
     pub fn open(pool: PmPool, config: PaxConfig) -> Result<Self> {
+        if config.cores == 0 {
+            return Err(PaxError::Pm(PmError::Config("a host needs at least one core".into())));
+        }
         let vpm_bytes = pool.layout().data_lines * LINE_SIZE as u64;
         let regions = even_split(pool.layout().data_lines, config.tenants);
         let device = PaxDevice::open_multi(pool, config.device, regions)?;
@@ -1125,6 +1125,19 @@ mod tests {
         pool.crash().unwrap();
         assert!(pool.crash().is_err());
         assert!(pool.persist().is_err());
+    }
+
+    /// A zero-core host is a typed config error, whether it comes from
+    /// the builder or a struct literal — never a panic, never a silent
+    /// single core.
+    #[test]
+    fn zero_cores_is_a_config_error() {
+        for config in
+            [PaxConfig::default().with_cores(0), PaxConfig { cores: 0, ..Default::default() }]
+        {
+            let err = PaxPool::create(config).unwrap_err();
+            assert!(matches!(err, PaxError::Pm(PmError::Config(_))), "{err}");
+        }
     }
 
     #[test]

@@ -46,6 +46,12 @@ use crate::tenant::{TenantId, TenantMap, TenantRegion};
 /// Component name stamped on the device's metrics and trace records.
 const COMPONENT: &str = "device";
 
+/// Consecutive skipped non-blocking polls of one tenant's drain after
+/// which [`PaxDevice::background`]'s poll falls back to a patient
+/// (bounded-spin) acquisition of the ctl lock, so a store-heavy thread
+/// mix cannot starve an async persist indefinitely.
+const POLL_SKIP_LIMIT: u64 = 64;
+
 /// Tuning knobs for a [`PaxDevice`].
 #[derive(Debug, Clone, Copy)]
 pub struct DeviceConfig {
@@ -62,8 +68,6 @@ pub struct DeviceConfig {
     /// Dirty-durable lines written back per host request (§3.3's
     /// proactive write back); 0 disables background write back.
     pub writeback_batch: usize,
-    /// Whether `RdShared` responses are cached in HBM.
-    pub cache_clean_reads: bool,
     /// Most recent trace events retained by the device's [`TraceBuf`]
     /// (0 disables tracing entirely).
     pub trace_capacity: usize,
@@ -83,12 +87,6 @@ pub struct DeviceConfig {
     /// write-backs contiguous in lane-local address space share one
     /// durable-write step, up to this many. 1 = the unbatched pipeline.
     pub persist_wb_batch: usize,
-    /// Consecutive skipped non-blocking polls of one tenant's drain
-    /// after which [`PaxDevice::background`]'s poll falls back to a
-    /// patient (bounded-spin) acquisition of the ctl lock, so a
-    /// store-heavy thread mix cannot starve an async persist
-    /// indefinitely.
-    pub poll_skip_limit: u64,
     /// The ordering/durability contract the device enforces
     /// ([`PersistencyModel`]): strict (every store its own durable
     /// epoch), epoch (the synchronous-barrier default), or
@@ -158,13 +156,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Returns the config with a different poll-starvation threshold. A
-    /// zero limit is rejected by [`DeviceConfig::validate`].
-    pub fn with_poll_skip_limit(mut self, n: u64) -> Self {
-        self.poll_skip_limit = n;
-        self
-    }
-
     /// Returns the config with a different persistency model. An invalid
     /// model (buffered depth 0) is rejected by
     /// [`DeviceConfig::validate`] when the device opens.
@@ -195,9 +186,6 @@ impl DeviceConfig {
         if self.persist_wb_batch == 0 {
             return Err(PmError::Config("persist write-back batch must be at least 1".into()));
         }
-        if self.poll_skip_limit == 0 {
-            return Err(PmError::Config("poll skip limit must be at least 1".into()));
-        }
         self.persistency.validate().map_err(PmError::Config)?;
         for (t, r) in regions.iter().enumerate() {
             if r.hbm_share == 0 {
@@ -224,13 +212,11 @@ impl Default for DeviceConfig {
             log_pump_batch: 2,
             log_pump_interval: 1,
             writeback_batch: 1,
-            cache_clean_reads: true,
             trace_capacity: 1024,
             shards: 1,
             sched: SchedConfig::default(),
             directory: DirectoryConfig::enabled(),
             persist_wb_batch: 8,
-            poll_skip_limit: 64,
             persistency: PersistencyModel::Epoch,
         }
     }
@@ -337,7 +323,7 @@ pub struct PaxDevice {
     draining: Vec<Mutex<VecDeque<DrainState>>>,
     /// Per tenant: consecutive `persist_poll_try` passes that found the
     /// ctl lock contended and skipped the tenant. At
-    /// [`DeviceConfig::poll_skip_limit`] the poll escalates to a bounded
+    /// [`POLL_SKIP_LIMIT`] the poll escalates to a bounded
     /// spin (see `poll_one_tenant`) so an async drain cannot be starved by
     /// hot-path ctl traffic. Relaxed ordering: a pure heuristic counter,
     /// it guards no data.
@@ -693,14 +679,7 @@ impl PaxDevice {
             try_lock(&self.draining[t])
                 .and_then(|g| g.iter().rev().find_map(|d| d.values.get(&addr)).cloned())
         };
-        self.lanes[lane].resolve(
-            &self.pool,
-            &self.clock,
-            &self.trace,
-            self.config.cache_clean_reads,
-            drain_value,
-            addr,
-        )
+        self.lanes[lane].resolve(&self.pool, &self.clock, &self.trace, drain_value, addr)
     }
 
     /// One background step on the lane a request routed to: advance any
@@ -1232,7 +1211,7 @@ impl PaxDevice {
     /// it is usually advancing that drain itself). In single-driver mode
     /// every `try_lock` succeeds, so the behaviour is identical. Each
     /// skip is counted (`persist_poll_skipped`), and a tenant skipped
-    /// [`DeviceConfig::poll_skip_limit`] times in a row escalates to a
+    /// [`POLL_SKIP_LIMIT`] times in a row escalates to a
     /// bounded spin so a store-heavy thread mix cannot starve an async
     /// drain indefinitely — see [`PaxDevice::poll_one_tenant`].
     fn persist_poll_try(&self) -> Result<()> {
@@ -1246,7 +1225,7 @@ impl PaxDevice {
     ///
     /// On a successful `try_lock` the skip streak resets and the drain
     /// advances as usual. On contention the skip is counted and, once the
-    /// streak reaches [`DeviceConfig::poll_skip_limit`], the poll retries
+    /// streak reaches [`POLL_SKIP_LIMIT`], the poll retries
     /// a bounded number of times with [`std::thread::yield_now`] between
     /// attempts. It must **never** hard-`lock()` the ctl slot: this code
     /// runs from `SharedComplex::write` while a host core lock is held,
@@ -1268,7 +1247,7 @@ impl PaxDevice {
         }
         self.metrics.inc(self.ctr.persist_poll_skipped);
         let streak = self.poll_skips[t].fetch_add(1, Ordering::Relaxed) + 1;
-        if streak < self.config.poll_skip_limit {
+        if streak < POLL_SKIP_LIMIT {
             return Ok(());
         }
         for _ in 0..BOUNDED_POLL_SPINS {
@@ -1412,8 +1391,10 @@ impl PaxDevice {
     ///
     /// # Errors
     ///
-    /// Surfaces [`PmError::Crashed`] and media errors.
+    /// Surfaces [`PmError::Config`] for an out-of-range tenant,
+    /// [`PmError::Crashed`], and media errors.
     pub fn persist_wait_tenant(&self, t: TenantId) -> Result<()> {
+        self.check_tenant(t)?;
         let mut ctl = lock(&self.draining[t]);
         while !ctl.is_empty() {
             self.poll_drain(t, &mut ctl)?;
@@ -2357,12 +2338,12 @@ mod tests {
 
     /// Regression for the `persist_poll_try` starvation bug: a contended
     /// ctl lock used to be skipped silently and forever. Now every skip
-    /// is counted, and once the streak passes `poll_skip_limit` the poll
+    /// is counted, and once the streak passes `POLL_SKIP_LIMIT` the poll
     /// escalates to the bounded spin — which wins as soon as the holder
     /// lets go, so the async drain commits instead of starving.
     #[test]
     fn contended_poll_counts_skips_and_drains_after_release() {
-        let (mut device, mut cache) = setup_cfg(DeviceConfig::default().with_poll_skip_limit(4), 1);
+        let (mut device, mut cache) = setup_cfg(DeviceConfig::default(), 1);
         for i in 0..6u64 {
             cache.write(LineAddr(i), CacheLine::filled(i as u8), &mut device).unwrap();
         }
@@ -2370,12 +2351,15 @@ mod tests {
         {
             // A persist barrier on another thread, frozen mid-flight.
             let _ctl = lock(&device.draining[0]);
-            for _ in 0..6 {
+            // Past the limit, each poll also runs (and loses) the
+            // bounded spin.
+            let polls = POLL_SKIP_LIMIT + 2;
+            for _ in 0..polls {
                 device.persist_poll_try().unwrap();
             }
             let m = device.metrics();
-            assert_eq!(m.persist_poll_skipped, 6, "every contended poll must be counted");
-            assert_eq!(device.poll_skips[0].load(Ordering::Relaxed), 6, "streak armed");
+            assert_eq!(m.persist_poll_skipped, polls, "every contended poll must be counted");
+            assert_eq!(device.poll_skips[0].load(Ordering::Relaxed), polls, "streak armed");
         }
         // Holder gone: the next poll takes the fast path, resets the
         // streak, and the drain advances to commit.
@@ -2409,10 +2393,14 @@ mod tests {
         assert_eq!(m.hbm_hits + m.hbm_misses, 800, "every resolve classified");
     }
 
+    /// Every tenant-indexed persist entry point rejects an out-of-range
+    /// tenant with a typed config error instead of panicking.
     #[test]
-    fn config_rejects_zero_poll_skip_limit() {
-        let pool = PmPool::create(PoolConfig::small()).unwrap();
-        let err = PaxDevice::open(pool, DeviceConfig::default().with_poll_skip_limit(0));
-        assert!(matches!(err.unwrap_err(), PmError::Config(_)));
+    fn tenant_persist_entry_points_reject_out_of_range_tenants() {
+        let (device, mut cache) = setup_tenants(2, 1);
+        assert!(matches!(device.persist_wait_tenant(2), Err(PmError::Config(_))));
+        assert!(matches!(device.persist_poll_tenant(2), Err(PmError::Config(_))));
+        assert!(matches!(device.persist_tenant(2, &mut cache), Err(PmError::Config(_))));
+        assert!(matches!(device.persist_async_tenant(2, &mut cache), Err(PmError::Config(_))));
     }
 }

@@ -447,7 +447,6 @@ impl Lane {
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        cache_clean_reads: bool,
         drain_value: Option<CacheLine>,
         addr: LineAddr,
     ) -> Result<CacheLine> {
@@ -466,12 +465,10 @@ impl Lane {
             self.metrics.inc(self.ctr.pm_reads);
             pm.read_line(abs)?
         };
-        if cache_clean_reads {
-            // if_absent: a concurrent RdOwn may have inserted a dirty
-            // line for this address since the PM read above — the stale
-            // clean copy must not clobber it.
-            self.hbm_refresh_clean(pool, clock, trace, addr, data.clone(), true)?;
-        }
+        // if_absent: a concurrent RdOwn may have inserted a dirty line for
+        // this address since the PM read above — the stale clean copy must
+        // not clobber it.
+        self.hbm_refresh_clean(pool, clock, trace, addr, data.clone(), true)?;
         Ok(data)
     }
 

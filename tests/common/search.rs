@@ -1,0 +1,336 @@
+//! The search modes, the shrinker, media faults and golden digests.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use libpax::{MemSpace, PaxPool};
+use pax_device::{recover, UndoLog, ENTRY_LINES};
+use pax_pm::{CacheLine, LineAddr, PmPool};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use super::oracle::{bug, check, drive, Crashed, Halt, Outcome, Rig, Verdict};
+use super::schedule::{golden, literal, schedule, Alloc, Mix, Point, Step};
+
+/// Shrinks a failing case to a minimal schedule and crash step, then
+/// fails the test with it as a [`check_or_fail`] call to paste into a
+/// regression test.
+pub fn fail(rig: &Rig, steps: &[Step], crash_at: Option<u64>, msg: &Halt) -> ! {
+    let (min, at) = shrink(steps, crash_at, |s, c| check(rig, s, c).is_err());
+    let why = check(rig, &min, at).err().map_or_else(|| msg.to_string(), |h| h.to_string());
+    panic!(
+        "crash-consistency violation: {why}\n(first seen as: {msg})\nshrunk from {} to {} \
+         steps; pin it with:\n    check_or_fail(&{}, {}, {at:?});",
+        steps.len(),
+        min.len(),
+        rig.source,
+        literal(&min)
+    );
+}
+
+/// Checks one case, failing the test (shrunk) on a violation.
+pub fn check_or_fail(rig: &Rig, steps: &[Step], crash_at: Option<u64>) -> Outcome {
+    check(rig, steps, crash_at).unwrap_or_else(|msg| fail(rig, steps, crash_at, &msg))
+}
+
+/// Delta-debugging: drops chunks of steps, then moves the crash to its
+/// earliest failing step (or removes it), for as long as `fails` holds.
+///
+/// Dropping a step shifts every later durable-write step, so a fixed
+/// crash step can pin a long schedule; when one stays longer than 12
+/// steps, the search runs again letting the crash land anywhere up to
+/// where it was.
+pub fn shrink(
+    steps: &[Step],
+    crash_at: Option<u64>,
+    fails: impl Fn(&[Step], Option<u64>) -> bool,
+) -> (Vec<Step>, Option<u64>) {
+    let (cur, at) = minimize(steps.to_vec(), crash_at, &fails);
+    let Some(c) = at.filter(|_| cur.len() > 12) else {
+        return (cur, at);
+    };
+    let stride = (c / 64).max(1) as usize;
+    let anywhere = |s: &[Step], _| (0..=c).step_by(stride).any(|c| fails(s, Some(c)));
+    let (cur, _) = minimize(cur, None, &anywhere);
+    let at = (0..=c).step_by(stride).find(|&c| fails(&cur, Some(c)));
+    minimize(cur, at, &fails)
+}
+
+fn minimize(
+    mut cur: Vec<Step>,
+    mut at: Option<u64>,
+    fails: &impl Fn(&[Step], Option<u64>) -> bool,
+) -> (Vec<Step>, Option<u64>) {
+    loop {
+        let before = (cur.clone(), at);
+        let mut chunks = 2;
+        while cur.len() >= 2 {
+            let size = cur.len().div_ceil(chunks);
+            let cut = (0..cur.len()).step_by(size).find_map(|start| {
+                let mut cand = cur.clone();
+                cand.drain(start..(start + size).min(cur.len()));
+                fails(&cand, at).then_some(cand)
+            });
+            match cut {
+                Some(cand) => {
+                    cur = cand;
+                    chunks = (chunks - 1).max(2);
+                }
+                None if chunks >= cur.len() => break,
+                None => chunks = (chunks * 2).min(cur.len()),
+            }
+        }
+        if let Some(c) = at {
+            at = if fails(&cur, None) {
+                None
+            } else {
+                (0..c).find(|&c| fails(&cur, Some(c))).or(at)
+            };
+        }
+        if (&cur, at) == (&before.0, before.1) {
+            return (cur, at);
+        }
+    }
+}
+
+/// Checks `steps` unarmed, then armed at about `samples` evenly spaced
+/// durable-write steps across the run (every step when the run is
+/// shorter) and one past its end.
+pub fn sweep(rig: &Rig, steps: &[Step], samples: u64) {
+    let total = check_or_fail(rig, steps, None).steps_taken;
+    for c in (0..total + 2).step_by((total / samples).max(1) as usize) {
+        check_or_fail(rig, steps, Some(c));
+    }
+}
+
+/// Bounded-exhaustive mode: every schedule of 1..=`max_len` steps over
+/// `alphabet`, each on the next of `points` in turn, crashed at every
+/// durable-write step.
+pub fn exhaustive(points: &[Point], alphabet: &[Step], max_len: u32) {
+    let n = alphabet.len();
+    let schedules = (1..=max_len).flat_map(|len| (0..n.pow(len)).map(move |c| (len, c)));
+    for (i, (len, code)) in schedules.enumerate() {
+        let steps: Vec<Step> = (0..len).map(|d| alphabet[code / n.pow(d) % n]).collect();
+        sweep(&points[i % points.len()].rig(), &steps, u64::MAX);
+    }
+}
+
+/// Random mode: `cases` seeded schedules of `mix`, each on one random
+/// point of `points`, checked ending in an unarmed power loss and then
+/// with `crashes` random crash steps.
+pub fn random(
+    seed: u64,
+    cases: usize,
+    points: &[Point],
+    mix: Mix,
+    len: std::ops::Range<usize>,
+    crashes: usize,
+) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..cases {
+        let rig = points[rng.gen_range(0..points.len())].rig();
+        let n = rng.gen_range(len.clone());
+        let steps = schedule(&mut rng, mix, n);
+        let total = check_or_fail(&rig, &steps, None).steps_taken;
+        for _ in 0..crashes {
+            check_or_fail(&rig, &steps, Some(rng.gen_range(0..total + 1)));
+        }
+    }
+}
+
+/// Differential mode: each schedule of `variants` runs unarmed on every
+/// rig, and within each tenant count and allocator every run must leave
+/// the same vPM data image and read the same values. Schedules that use
+/// the arenas skip strict rigs, where those steps are skipped.
+pub fn differential(rigs: &[Rig], variants: &[Vec<Step>]) {
+    let arena = variants.iter().flatten().any(|s| s.uses_arena());
+    // The first run of each tenant count and allocator: (rig, variant,
+    // what it settled to).
+    let mut first: HashMap<(usize, Alloc), (&Rig, usize, Settled)> = HashMap::new();
+    for (v, steps) in variants.iter().enumerate() {
+        for rig in rigs {
+            if arena && rig.config.device.persistency == libpax::PersistencyModel::Strict {
+                continue;
+            }
+            let got = settled(rig, steps).unwrap_or_else(|msg| fail(rig, steps, None, &msg));
+            let key = (rig.config.tenants, rig.alloc);
+            let (q, w, want) = first.entry(key).or_insert((rig, v, got.clone()));
+            if *want != got {
+                let q = *q;
+                let diverges = |s: &[Step], _| settled(q, s).ok() != settled(rig, s).ok();
+                let (min, _) = shrink(steps, None, diverges);
+                panic!(
+                    "settled images diverge between {} (variant {w}) and {} (variant {v}); \
+                     shrunk to {}",
+                    q.source,
+                    rig.source,
+                    literal(&min)
+                );
+            }
+        }
+    }
+}
+
+/// What an unarmed run settled to: its vPM data digest and the values
+/// its reads saw.
+type Settled = (u64, Vec<u64>);
+
+fn settled(rig: &Rig, steps: &[Step]) -> Verdict<Settled> {
+    let mut crashed = drive(rig, steps, None)?.power_loss()?;
+    let digest = crashed.data_digest();
+    Ok((digest, crashed.recover()?.reads))
+}
+
+/// A seeded golden-digest schedule ([`golden`]) and its crash step.
+#[derive(Debug, Clone, Copy)]
+pub struct Schedule {
+    pub seed: u64,
+    pub ops: u64,
+    pub crash_at: Option<u64>,
+}
+
+/// Runs `s` through the checker on `rig` and returns the FNV-1a digest
+/// of the whole durable image at power loss.
+pub fn golden_digest(rig: &Rig, s: Schedule) -> u64 {
+    let steps = golden(s.seed, s.ops, rig.span);
+    let verdict = drive(rig, &steps, s.crash_at).and_then(|run| {
+        let mut crashed = run.power_loss()?;
+        let digest = crashed.digest();
+        crashed.recover().map(|_| digest)
+    });
+    verdict.unwrap_or_else(|msg| fail(rig, &steps, s.crash_at, &msg))
+}
+
+/// Runs every `(schedule, golden digest)` pair and reports all
+/// mismatches at once.
+pub fn assert_golden(rig: &Rig, golden: &[(Schedule, u64)]) {
+    let mismatches: Vec<String> = golden
+        .iter()
+        .filter_map(|&(s, want)| {
+            let got = golden_digest(rig, s);
+            (got != want).then(|| format!("{s:?}: digest {got:#018x}, golden {want:#018x}"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "durable image left the golden:\n{}", mismatches.join("\n"));
+}
+
+/// `cases` seeded golden schedules of 64–400 ops on `rigs` in turn,
+/// crashed at a random step in 5..600 when `armed`, else only at the end.
+pub fn golden_random(seed: u64, rigs: &[Rig], cases: usize, armed: bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for i in 0..cases {
+        let (seed, ops) = (rng.gen(), rng.gen_range(64..400));
+        let crash_at = armed.then(|| rng.gen_range(5..600));
+        golden_digest(&rigs[i % rigs.len()], Schedule { seed, ops, crash_at });
+    }
+}
+
+/// Damage done to a crashed pool's durable image before recovery.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Fault {
+    /// Reload the image from a pool file cut to its first `n` bytes.
+    Truncate(usize),
+    /// Reload the image from a pool file with bit 0 of the header magic
+    /// flipped.
+    FlipMagic,
+    /// Overwrite these undo-log lines (taken modulo the log length) with
+    /// lines filled with the given byte.
+    Log(Vec<u64>, u8),
+}
+
+/// How a faulted image fared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Faulted {
+    /// A damaged file failed to reload with a typed error.
+    Rejected,
+    /// Every live undo entry survived, and recovery passed the oracle.
+    Recovered,
+    /// Live undo entries were lost, so the committed snapshot cannot be
+    /// restored; recovery still ran twice identically and the pool
+    /// reopened.
+    Reopened,
+}
+
+impl Crashed {
+    /// Applies `fault` and judges the outcome. Nothing may panic. A
+    /// damaged file must fail to reload with a typed error. A damaged log
+    /// must recover twice to the same epoch and entries, scan no more
+    /// entries than the log holds, and, when every live undo entry
+    /// survived (corruption of stale or empty slots), pass the full
+    /// oracle; otherwise the pool must still reopen.
+    pub fn inject(mut self, fault: &Fault) -> Verdict<Faulted> {
+        let lines = match fault {
+            Fault::Truncate(_) | Fault::FlipMagic => return self.reload(fault),
+            Fault::Log(lines, garbage) => (lines, CacheLine::filled(*garbage)),
+        };
+        let config = self.run.rig().config;
+        let tenants = config.tenants;
+        let live = |pm: &mut PmPool| -> Verdict<Vec<_>> {
+            let committed = (0..tenants)
+                .map(|t| pm.committed_epoch_for(t))
+                .collect::<pax_pm::Result<Vec<u64>>>()
+                .map_err(|e| format!("header: {e}"))?;
+            let entries = UndoLog::scan(pm).map_err(|e| format!("scan: {e}"))?;
+            Ok(entries
+                .into_iter()
+                .filter(|(_, e)| e.epoch > committed[e.tenant as usize])
+                .collect())
+        };
+        let before = live(&mut self.pm)?;
+        let layout = self.pm.layout();
+        for &off in lines.0 {
+            let line = LineAddr(layout.log_start().0 + off % layout.log_lines);
+            self.pm.write_line(line, lines.1.clone()).map_err(|e| format!("corrupt: {e}"))?;
+        }
+        self.pm.drain();
+        let after = live(&mut self.pm)?;
+        let intact = before.iter().all(|e| after.contains(e));
+
+        let mut pass = |n| -> Verdict<_> {
+            let report = recover(&mut self.pm).map_err(|e| format!("recovery {n}: {e}"))?;
+            Ok((report, UndoLog::scan(&mut self.pm).map_err(|e| format!("scan {n}: {e}"))?))
+        };
+        let (first, second) = (pass(1)?, pass(2)?);
+        if first.0.committed_epoch != second.0.committed_epoch || first.1 != second.1 {
+            return bug(format!("recovery is not idempotent: {:?} then {:?}", first.0, second.0));
+        }
+        if first.0.scanned as u64 > layout.log_lines / ENTRY_LINES {
+            return bug(format!(
+                "scanned {} entries from {} lines",
+                first.0.scanned, layout.log_lines
+            ));
+        }
+        if intact {
+            return self.recover().map(|_| Faulted::Recovered);
+        }
+        let pool = PaxPool::open(self.pm, config).map_err(|e| format!("reopen: {e}"))?;
+        pool.vpm().read_u64(0).map_err(|e| format!("read after reopen: {e}"))?;
+        Ok(Faulted::Reopened)
+    }
+
+    /// Saves the image, damages the file, and requires the reload to fail.
+    fn reload(mut self, fault: &Fault) -> Verdict<Faulted> {
+        static FILES: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "pax-checker-{}-{}.pool",
+            std::process::id(),
+            FILES.fetch_add(1, Ordering::Relaxed)
+        ));
+        self.pm.save(&path).map_err(|e| format!("save: {e}"))?;
+        let mut bytes = std::fs::read(&path).map_err(|e| format!("read back: {e}"))?;
+        match fault {
+            Fault::Truncate(n) => bytes.truncate((*n).min(bytes.len() - 1)),
+            _ => bytes[0] ^= 0x01,
+        }
+        std::fs::write(&path, &bytes).map_err(|e| format!("write: {e}"))?;
+        let loaded = PmPool::load(&path);
+        std::fs::remove_file(&path).map_err(|e| format!("remove: {e}"))?;
+        match loaded {
+            Ok(_) => bug(format!("{fault:?}: the damaged image reloaded")),
+            Err(e) if e.to_string().contains("pool") || e.to_string().contains("I/O") => {
+                Ok(Faulted::Rejected)
+            }
+            Err(e) => bug(format!("{fault:?}: untyped rejection {e}")),
+        }
+    }
+}

@@ -4,7 +4,7 @@
 //! mutex-era engine, which kept the whole lane behind a mutex on the
 //! store hot path, was retired once these golden digests pinned their
 //! equivalence: both engines produced every digest below from the same
-//! schedules (see `tests/common/mod.rs`). The schedules run a 64-line
+//! schedules ([`common::golden`]). The schedules run a 64-line
 //! host cache over a 512-line span into an HBM buffer far smaller than
 //! the span, so dirty evictions, HBM victims with undrained undo
 //! entries (forced log flushes), background write-back, and the
@@ -16,29 +16,29 @@
 
 mod common;
 
-use common::{assert_golden, run, Schedule};
+use common::{assert_golden, golden_random, Rig, Schedule};
 use libpax::PaxConfig;
 use pax_cache::CacheConfig;
 use pax_device::{DeviceConfig, DirectoryConfig, EvictionPolicy, HbmConfig};
 use pax_pm::PoolConfig;
-use proptest::prelude::*;
 
 const SPAN_LINES: u64 = 512;
 
 /// Two shards, a 128-line prefer-durable HBM, the snoop filter on.
-fn spill_config() -> PaxConfig {
+fn spill() -> Rig {
     let hbm = HbmConfig { capacity_bytes: 8 << 10, ways: 4, policy: EvictionPolicy::PreferDurable };
-    PaxConfig::default()
+    let config = PaxConfig::default()
         .with_pool(PoolConfig::small())
         .with_cache(CacheConfig::tiny(4 << 10, 4))
-        .with_device(DeviceConfig::default().with_shards(2).with_hbm(hbm))
+        .with_device(DeviceConfig::default().with_shards(2).with_hbm(hbm));
+    Rig::custom(config, SPAN_LINES, "spill()".into())
 }
 
 /// One shard, a 64-line LRU HBM, every logged line snooped at persist.
-fn lru_config() -> PaxConfig {
+fn lru() -> Rig {
     let hbm = HbmConfig { capacity_bytes: 4 << 10, ways: 2, policy: EvictionPolicy::Lru };
     let device = DeviceConfig::default().with_hbm(hbm).with_directory(DirectoryConfig::disabled());
-    spill_config().with_device(device)
+    Rig::custom(spill().config.with_device(device), SPAN_LINES, "lru()".into())
 }
 
 const fn sched(seed: u64, ops: u64, crash_at: Option<u64>) -> Schedule {
@@ -59,33 +59,24 @@ const LRU_GOLDEN: [(Schedule, u64); 3] = [
     (sched(1001, 384, Some(400)), 0x9fcd_ea3a_e217_4bf1),
 ];
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+/// Random spill schedules ending in power loss with no armed crash.
+#[test]
+fn hbm_engines_agree_without_armed_crash() {
+    golden_random(0x4b3, &[spill()], 12, false);
+}
 
-    /// Random spill schedules ending in power loss with no armed crash.
-    #[test]
-    fn hbm_engines_agree_without_armed_crash(seed in any::<u64>(), ops in 64u64..400) {
-        run(spill_config(), SPAN_LINES, sched(seed, ops, None));
-    }
-
-    /// Random spill schedules with the crash clock armed at a random
-    /// device step — the cut lands mid-epoch, often inside an undo-bank
-    /// drain or between an HBM insert and its write back.
-    #[test]
-    fn hbm_engines_agree_under_mid_epoch_crash(
-        seed in any::<u64>(),
-        ops in 64u64..400,
-        crash_at in 5u64..600,
-    ) {
-        let config = if seed.is_multiple_of(2) { spill_config() } else { lru_config() };
-        run(config, SPAN_LINES, sched(seed, ops, Some(crash_at)));
-    }
+/// Random spill schedules with the crash clock armed at a random device
+/// step — the cut lands mid-epoch, often inside an undo-bank drain or
+/// between an HBM insert and its write back.
+#[test]
+fn hbm_engines_agree_under_mid_epoch_crash() {
+    golden_random(0x4b4, &[spill(), lru()], 12, true);
 }
 
 /// The pinned schedules reproduce the durable images both HBM engines
 /// produced.
 #[test]
 fn hbm_engines_agree_on_pinned_seeds() {
-    assert_golden(spill_config(), SPAN_LINES, &SPILL_GOLDEN);
-    assert_golden(lru_config(), SPAN_LINES, &LRU_GOLDEN);
+    assert_golden(&spill(), &SPILL_GOLDEN);
+    assert_golden(&lru(), &LRU_GOLDEN);
 }

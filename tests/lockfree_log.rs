@@ -3,35 +3,37 @@
 //! The CAS reserve-then-fill bank is the device's only undo-log engine.
 //! Its mutex-guarded predecessor was retired once these golden digests
 //! pinned their equivalence: both engines produced every digest below
-//! from the same schedules (see `tests/common/mod.rs`). The pinned
-//! schedules cover the synchronous epoch barrier and the buffered-epoch
-//! drain, whose log flush targets, forced flushes, and incremental
-//! recycling all run through the bank; the random schedules check the
-//! committed-snapshot model under arbitrary crash points.
+//! from the same seeded schedules ([`common::golden`]: stores, a close
+//! every 41 ops, two ticks every 23). The pinned schedules cover the
+//! synchronous epoch barrier and the buffered-epoch drain, whose log
+//! flush targets, forced flushes, and incremental recycling all run
+//! through the bank; the random schedules check the crash-consistency
+//! oracle under arbitrary crash points.
 
 mod common;
 
-use common::{assert_golden, run, Schedule};
+use common::{assert_golden, golden_random, Rig, Schedule};
 use libpax::{PaxConfig, PersistencyModel};
 use pax_device::DeviceConfig;
 use pax_pm::PoolConfig;
-use proptest::prelude::*;
 
 const SPAN_LINES: u64 = 128;
 
 /// Two shards under the default synchronous epoch barrier.
-fn epoch_config() -> PaxConfig {
-    PaxConfig::default()
+fn epoch() -> Rig {
+    let config = PaxConfig::default()
         .with_pool(PoolConfig::small())
-        .with_device(DeviceConfig::default().with_shards(2))
+        .with_device(DeviceConfig::default().with_shards(2));
+    Rig::custom(config, SPAN_LINES, "epoch()".into())
 }
 
 /// Four shards whose `persist()` closes epochs into a two-deep buffered
 /// drain, retired by device ticks and later closes.
-fn buffered_config() -> PaxConfig {
-    epoch_config()
+fn buffered() -> Rig {
+    let config = (epoch().config)
         .with_device(DeviceConfig::default().with_shards(4))
-        .with_persistency(PersistencyModel::BufferedEpoch { k: 2 })
+        .with_persistency(PersistencyModel::BufferedEpoch { k: 2 });
+    Rig::custom(config, SPAN_LINES, "buffered()".into())
 }
 
 const fn sched(seed: u64, ops: u64, crash_at: Option<u64>) -> Schedule {
@@ -52,34 +54,25 @@ const BUFFERED_GOLDEN: [(Schedule, u64); 3] = [
     (sched(1001, 384, Some(300)), 0x3988_a076_914e_a24d),
 ];
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+/// Random schedules ending in power loss with no armed crash: the
+/// unpersisted tail rolls back to the last committed snapshot.
+#[test]
+fn engines_agree_without_armed_crash() {
+    golden_random(0x10c, &[epoch()], 12, false);
+}
 
-    /// Random schedules ending in power loss with no armed crash: the
-    /// unpersisted tail rolls back to the last committed snapshot.
-    #[test]
-    fn engines_agree_without_armed_crash(seed in any::<u64>(), ops in 64u64..400) {
-        run(epoch_config(), SPAN_LINES, sched(seed, ops, None));
-    }
-
-    /// Random schedules with the crash clock armed at a random device
-    /// step — the cut lands mid-epoch, often inside an undo-bank drain —
-    /// under both the epoch barrier and the buffered drain.
-    #[test]
-    fn engines_agree_under_mid_epoch_crash(
-        seed in any::<u64>(),
-        ops in 64u64..400,
-        crash_at in 5u64..600,
-    ) {
-        let config = if seed.is_multiple_of(2) { epoch_config() } else { buffered_config() };
-        run(config, SPAN_LINES, sched(seed, ops, Some(crash_at)));
-    }
+/// Random schedules with the crash clock armed at a random device step —
+/// the cut lands mid-epoch, often inside an undo-bank drain — under both
+/// the epoch barrier and the buffered drain.
+#[test]
+fn engines_agree_under_mid_epoch_crash() {
+    golden_random(0x10d, &[epoch(), buffered()], 12, true);
 }
 
 /// The pinned schedules reproduce the durable images both undo-bank
 /// engines produced.
 #[test]
 fn engines_agree_on_pinned_seeds() {
-    assert_golden(epoch_config(), SPAN_LINES, &EPOCH_GOLDEN);
-    assert_golden(buffered_config(), SPAN_LINES, &BUFFERED_GOLDEN);
+    assert_golden(&epoch(), &EPOCH_GOLDEN);
+    assert_golden(&buffered(), &BUFFERED_GOLDEN);
 }

@@ -1,305 +1,62 @@
-//! Differential crash-fuzz across persistency models.
+//! Crash search across persistency models.
 //!
-//! One seeded schedule of writes / epoch closes / device ticks runs under
-//! every [`PersistencyModel`] with the crash clock armed at a chosen
-//! durable-write step. Each model must then honour its documented
-//! recovery contract:
+//! The checker (`tests/common/`) holds each [`PersistencyModel`] to its
+//! documented recovery contract:
 //!
-//! * **Strict** — no completed store is ever rolled back: the recovered
-//!   image is exactly the state after the last store that returned.
+//! * **Strict** — every store commits its own epoch: no completed store
+//!   is ever rolled back.
 //! * **Epoch** — every `persist()` that returned is durable; a crash
 //!   loses at most the open epoch.
 //! * **BufferedEpoch(K)** — a close returns before retiring; a crash
-//!   loses at most the K buffered closes (plus the open epoch).
+//!   loses at most the K buffered closes (plus the open epoch), closes
+//!   retire in order, and no more than K are ever outstanding.
 //!
-//! And one contract is universal: the recovered image must be a
-//! *prefix-closed cut* of epoch history — byte-identical to the state at
-//! the moment the recovered epoch closed, never a mix.
+//! One contract is universal: the recovered image is a *prefix-closed
+//! cut* of epoch history — byte-identical to the state at the moment the
+//! recovered epoch closed, never a mix — and the recovery report's
+//! rollback gap stays within the model's bound.
 
-use std::collections::HashMap;
+mod common;
 
-use libpax::{MemSpace, PaxConfig, PaxPool, PersistencyModel};
-use pax_pm::{PoolConfig, LINE_SIZE};
-use proptest::prelude::*;
+use common::{
+    check_or_fail, differential, points, random, rigs, schedule, settle, sweep, Mix, Point, MODELS,
+};
+use libpax::PersistencyModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const SPAN_LINES: u64 = 48;
-
-const MODELS: [PersistencyModel; 4] = [
-    PersistencyModel::Strict,
-    PersistencyModel::Epoch,
-    PersistencyModel::buffered(2),
-    PersistencyModel::buffered(4),
-];
-
-fn config(model: PersistencyModel) -> PaxConfig {
-    // The log region stays far larger than any schedule, so `LogFull`
-    // never forces an implicit close to interfere with the model under
-    // test.
-    PaxConfig::default()
-        .with_pool(PoolConfig::small().with_data_bytes(1 << 20).with_log_bytes(8 << 20))
-        .with_persistency(model)
-}
-
-/// One step of a crash-fuzz schedule.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    /// Store `value` to line `line` (aligned u64, single line).
-    Write(u64, u64),
-    /// Close the epoch: `persist()` — synchronous under strict/epoch,
-    /// an asynchronous close under buffered-epoch.
-    Close,
-    /// Advance the device's virtual-time scheduler.
-    Tick(u64),
-}
-
-/// What one armed run recovered, plus the run's step count so sweeps can
-/// cover the whole schedule.
-struct RunOut {
-    crashed: bool,
-    steps_taken: u64,
-    image: Vec<u64>,
-}
-
-/// Runs `steps` under `model`, crashing at durable-write step `arm` (or
-/// never, when `None`), then recovers and checks every contract the
-/// model documents. Returns an error string describing the first
-/// violated contract — the proptest shrinker minimises the schedule
-/// against it.
-fn run_and_check(
-    model: PersistencyModel,
-    steps: &[Step],
-    arm: Option<u64>,
-) -> std::result::Result<RunOut, String> {
-    let pool = PaxPool::create(config(model)).map_err(|e| format!("create: {e}"))?;
-    let vpm = pool.vpm();
-    let clock = pool.crash_clock().map_err(|e| format!("clock: {e}"))?;
-    if let Some(offset) = arm {
-        clock.arm(clock.steps_taken() + offset);
-    }
-
-    let mut state = vec![0u64; SPAN_LINES as usize];
-    // Epoch id → the write-history state when that epoch closed. Seeded
-    // with the fresh pool's committed epoch (0, the empty image): every
-    // legal recovery point must appear in this map.
-    let mut at_close: HashMap<u64, Vec<u64>> = HashMap::new();
-    at_close.insert(0, state.clone());
-    // The model's floor: the newest epoch whose durability the API
-    // already promised the caller (synchronous commits under strict and
-    // epoch; under buffered the promise is weaker, `close - k`).
-    let mut last_ok_close: u64 = 0;
-    let mut crashed = false;
-
-    for step in steps {
-        let r: libpax::Result<()> = match *step {
-            Step::Write(line, value) => match vpm.write_u64(line * LINE_SIZE as u64, value) {
-                Ok(()) => {
-                    state[line as usize] = value;
-                    if model.persist_per_store() {
-                        // Strict: the store's own epoch just committed.
-                        let e = pool.committed_epoch().map_err(|e| format!("epoch: {e}"))?;
-                        at_close.insert(e, state.clone());
-                        last_ok_close = last_ok_close.max(e);
-                    }
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            },
-            Step::Close => match pool.persist() {
-                Ok(e) => {
-                    at_close.insert(e, state.clone());
-                    last_ok_close = last_ok_close.max(e);
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            },
-            Step::Tick(n) => pool.run_device(n).map(|_| ()),
-        };
-        if r.is_err() {
-            crashed = true;
-            break;
-        }
-    }
-    if arm.is_none() {
-        // Unarmed runs settle completely: close the tail and retire every
-        // buffered epoch, so the recovered image must equal the full
-        // write history under every model.
-        let e = pool.persist().map_err(|e| format!("final persist: {e}"))?;
-        at_close.insert(e, state.clone());
-        last_ok_close = last_ok_close.max(e);
-        pool.persist_wait().map_err(|e| format!("persist_wait: {e}"))?;
-    }
-    let steps_taken = clock.steps_taken();
-
-    let pm = pool.crash().map_err(|e| format!("crash: {e}"))?;
-    let pool = PaxPool::open(pm, config(model)).map_err(|e| format!("open: {e}"))?;
-    let committed = pool.committed_epoch().map_err(|e| format!("committed: {e}"))?;
-    let report = pool.recovery_report().map_err(|e| format!("report: {e}"))?;
-    let vpm = pool.vpm();
-    let image: Vec<u64> = (0..SPAN_LINES)
-        .map(|i| vpm.read_u64(i * LINE_SIZE as u64))
-        .collect::<libpax::Result<_>>()
-        .map_err(|e| format!("read back: {e}"))?;
-
-    // Universal contract: recovery lands on a prefix-closed cut.
-    let expected = at_close.get(&committed).ok_or(format!(
-        "[{model}] recovered epoch {committed} was never a close point (closes: {:?})",
-        {
-            let mut k: Vec<&u64> = at_close.keys().collect();
-            k.sort();
-            k
-        }
-    ))?;
-    if &image != expected {
-        return Err(format!(
-            "[{model}] recovered image is not the epoch-{committed} snapshot:\n got {image:?}\n want {expected:?}"
-        ));
-    }
-
-    // Per-model floor: how far behind the newest promised close the
-    // recovery point may legally fall. Strict and epoch commit
-    // synchronously before the call returns, so they promise the close
-    // itself; buffered-epoch only promises `close − k`.
-    let allowed_loss = match model {
-        PersistencyModel::BufferedEpoch { k } => k as u64,
-        _ => 0,
-    };
-    if committed + allowed_loss < last_ok_close {
-        return Err(format!(
-            "[{model}] rollback broke the floor: committed {committed}, newest returned close \
-             {last_ok_close}, allowed loss {allowed_loss}"
-        ));
-    }
-
-    // The recovery report's measured gap obeys the model's bound (+1 for
-    // the open epoch a crash always forfeits).
-    let bound = model.rollback_bound() + 1;
-    if report.rollback_gap > bound {
-        return Err(format!(
-            "[{model}] rollback gap {} exceeds the model bound {bound}",
-            report.rollback_gap
-        ));
-    }
-    if !crashed && arm.is_none() && (committed != last_ok_close || image != state) {
-        return Err(format!(
-            "[{model}] settled run must recover its full history: committed {committed} vs \
-             {last_ok_close}"
-        ));
-    }
-
-    Ok(RunOut { crashed, steps_taken, image })
-}
-
-/// A seeded schedule for the whole-schedule sweep: a write-heavy stream
-/// with a close every 6 ops and a burst of ticks every 5.
-fn seeded_schedule(seed: u64, ops: usize) -> Vec<Step> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut steps = Vec::with_capacity(ops + ops / 3);
-    for i in 0..ops {
-        steps.push(Step::Write(rng.gen_range(0..SPAN_LINES), rng.gen_range(1..u64::MAX)));
-        if i % 6 == 5 {
-            steps.push(Step::Close);
-        }
-        if i % 5 == 4 {
-            steps.push(Step::Tick(rng.gen_range(1..4)));
-        }
-    }
-    steps
-}
-
-/// ≥3 seeds × whole-schedule crash sweeps × all four models: every
-/// durable-write step of the schedule (sampled at a fixed stride) is a
-/// crash point, and every model must keep its contract at all of them.
+/// Three seeds × all four models, each crashed at every sampled
+/// durable-write step of the whole schedule; with no crash, every model
+/// settles to the same vPM image.
 #[test]
 fn whole_schedule_crash_sweep_holds_every_model_contract() {
     for seed in [3u64, 17, 291] {
-        let steps = seeded_schedule(seed, 36);
-        let mut settled_images: Vec<Vec<u64>> = Vec::new();
+        let steps = schedule(&mut StdRng::seed_from_u64(seed), Mix::Lines, 48);
         for model in MODELS {
-            // Unarmed pass: measures the schedule's step count and pins
-            // the settled image.
-            let base = run_and_check(model, &steps, None).unwrap();
-            assert!(!base.crashed);
-            settled_images.push(base.image);
-            // Sweep armed crash points across the whole schedule (stride
-            // keeps the debug-build run time in check; offset past the
-            // end exercises the no-crash path under arming too).
-            let stride = (base.steps_taken / 24).max(1);
-            let mut offset = 0;
-            while offset <= base.steps_taken + stride {
-                if let Err(msg) = run_and_check(model, &steps, Some(offset)) {
-                    panic!("seed {seed} crash@{offset}: {msg}");
-                }
-                offset += stride;
-            }
+            sweep(&Point { model, ..Point::BASE }.rig(), &steps, 24);
         }
-        // Differential: with no crash, the models are semantically
-        // interchangeable — identical settled images.
-        for img in &settled_images[1..] {
-            assert_eq!(
-                img, &settled_images[0],
-                "seed {seed}: settled images diverged across models"
-            );
-        }
+        differential(&rigs(|p| Point { model: p.model, ..Point::BASE } == *p), &[settle(&steps)]);
     }
 }
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        6 => (0u64..SPAN_LINES, 1u64..u64::MAX).prop_map(|(l, v)| Step::Write(l, v)),
-        2 => Just(Step::Close),
-        2 => (1u64..4).prop_map(Step::Tick),
-    ]
+/// Random schedules on random points of every model, each crashed at
+/// random steps.
+#[test]
+fn differential_crash_fuzz_respects_every_model_contract() {
+    random(0xd1ff, 48, &points(|_| true), Mix::Lines, 1..60, 4);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Arbitrary schedules × arbitrary crash points × all four models;
-    /// failures shrink to a minimal step trace.
-    #[test]
-    fn differential_crash_fuzz_respects_every_model_contract(
-        steps in proptest::collection::vec(step_strategy(), 1..60),
-        crash_offset in 0u64..350,
-    ) {
-        for model in MODELS {
-            if let Err(msg) = run_and_check(model, &steps, Some(crash_offset)) {
-                return Err(TestCaseError::fail(msg));
-            }
-        }
-    }
-
-    /// Buffered closes eventually retire: driving the device with enough
-    /// ticks after K closes commits them all, and the committed epoch is
-    /// exactly the newest close.
-    #[test]
-    fn buffered_closes_retire_in_order(
-        writes in proptest::collection::vec((0u64..SPAN_LINES, 1u64..u64::MAX), 4..24),
-        k in 2usize..5,
-    ) {
-        let model = PersistencyModel::buffered(k);
-        let pool = PaxPool::create(config(model)).unwrap();
-        let vpm = pool.vpm();
-        let mut closes = Vec::new();
-        for chunk in writes.chunks(3) {
-            for (line, v) in chunk {
-                vpm.write_u64(line * LINE_SIZE as u64, *v).unwrap();
-            }
-            closes.push(pool.persist().unwrap());
-        }
-        // Closes are distinct, increasing epochs.
-        for w in closes.windows(2) {
-            prop_assert!(w[0] < w[1], "closes must be ordered: {:?}", closes);
-        }
-        // The queue never promises more than K outstanding epochs.
-        let committed = pool.committed_epoch().unwrap();
-        let newest = *closes.last().unwrap();
-        prop_assert!(
-            committed + k as u64 >= newest,
-            "device holds {} un-retired closes, cap {k}", newest - committed
-        );
-        pool.persist_wait().unwrap();
-        prop_assert_eq!(pool.committed_epoch().unwrap(), newest);
+/// Buffered closes retire in order and never run more than K ahead, and
+/// a drained run commits exactly the newest close.
+#[test]
+fn buffered_closes_retire_in_order() {
+    let buffered = points(|p| matches!(p.model, PersistencyModel::BufferedEpoch { .. }));
+    let mut rng = StdRng::seed_from_u64(0xb0f);
+    for _ in 0..24 {
+        let p = buffered[rng.gen_range(0..buffered.len())];
+        let n = rng.gen_range(4..40);
+        let steps = settle(&schedule(&mut rng, Mix::Lines, n));
+        let total = check_or_fail(&p.rig(), &steps, None).steps_taken;
+        check_or_fail(&p.rig(), &steps, Some(rng.gen_range(0..total + 1)));
     }
 }

@@ -1,146 +1,95 @@
-//! Fault-injection robustness: corrupted media, torn log entries, and
+//! Fault-injection robustness: corrupted media, torn log entries and
 //! malformed pool files must never panic, and must never corrupt the
 //! parts of recovery that remain valid.
+//!
+//! Each fault is a dimension of the checker (`tests/common/`): a schedule
+//! runs to power loss, the durable image is damaged ([`Fault`]), and
+//! [`common::Crashed::inject`] requires a typed error, or a recovery that
+//! passes the crash-consistency oracle.
 
-use libpax::{MemSpace, PaxConfig, PaxPool};
-use pax_device::{recover, UndoLog};
-use pax_pm::{CacheLine, LineAddr, PmPool, PoolConfig};
-use proptest::prelude::*;
+mod common;
 
-fn config() -> PaxConfig {
-    PaxConfig::default()
-        .with_pool(PoolConfig::small().with_data_bytes(4 << 20).with_log_bytes(8 << 20))
+use common::{drive, points, schedule, Fault, Faulted, Mix, Point, Step};
+use libpax::PersistencyModel;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Commits epoch 1 over 32 lines, then dirties them all in epoch 2 and
+/// drives background work so epoch-2 undo entries and some write-backs
+/// land before power is cut.
+fn mid_epoch() -> Vec<Step> {
+    let mut steps: Vec<Step> = (0..32).map(|l| Step::Store(0, 0, l, 1)).collect();
+    steps.push(Step::Close(0));
+    steps.extend((0..32).map(|l| Step::Store(0, 0, l, 2)));
+    steps.extend((0..8).map(|l| Step::Read(0, 0, 32 + l)));
+    steps.push(Step::Tick(4));
+    steps
 }
 
-/// Builds a pool that crashed mid-epoch-2 with committed epoch 1 and a
-/// known durable state.
-fn crashed_pool() -> PmPool {
-    let pool = PaxPool::create(config()).unwrap();
-    let vpm = pool.vpm();
-    for i in 0..32u64 {
-        vpm.write_u64(i * 64, 1).unwrap();
-    }
-    pool.persist().unwrap();
-    for i in 0..32u64 {
-        vpm.write_u64(i * 64, 2).unwrap();
-    }
-    // Drive background work so epoch-2 entries and some write backs land.
-    for i in 0..64u64 {
-        vpm.read_u64((32 + i % 8) * 64).unwrap();
-    }
-    pool.crash().unwrap()
+/// Runs `steps` on `point` to power loss and injects `fault`.
+fn inject(point: Point, steps: &[Step], crash_at: Option<u64>, fault: &Fault) -> Faulted {
+    let crashed = drive(&point.rig(), steps, crash_at).and_then(|run| run.power_loss());
+    crashed
+        .and_then(|c| c.inject(fault))
+        .unwrap_or_else(|msg| panic!("{fault:?} after {}: {msg}", common::literal(steps)))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
-
-    /// Arbitrary corruption of the *log region* never panics recovery.
-    /// Entries whose checksum survives are applied; the rest are skipped.
-    /// (Data-region guarantees require an intact log — this asserts
-    /// memory-safety and absence of crashes/false magics, not semantics.)
-    #[test]
-    fn corrupted_log_region_never_panics(
-        offsets in proptest::collection::vec(0u64..1_000, 1..20),
-        garbage in any::<u8>(),
-    ) {
-        let mut pm = crashed_pool();
-        let log_start = pm.layout().log_start().0;
-        let log_lines = pm.layout().log_lines;
-        for off in &offsets {
-            let line = LineAddr(log_start + off % log_lines);
-            pm.write_line(line, CacheLine::filled(garbage)).unwrap();
-        }
-        pm.drain();
-        // Must not panic, whatever the corruption did.
-        let report = recover(&mut pm).unwrap();
-        prop_assert!(report.scanned <= log_lines as usize / 2);
-        // The pool must remain openable end-to-end.
-        let pool = PaxPool::open(pm, config()).unwrap();
-        let _ = pool.vpm().read_u64(0).unwrap();
-    }
-
-    /// Corrupting entries that belong to *committed* epochs can never
-    /// change recovery's outcome: the recovered data still matches the
-    /// last snapshot exactly.
-    #[test]
-    fn stale_entry_corruption_is_harmless(
-        offsets in proptest::collection::vec(0u64..1_000, 1..20),
-    ) {
-        // Crash with NO epoch-2 entries durable: arrange by crashing
-        // immediately after persist (all durable entries are epoch-1 =
-        // committed = stale).
-        let pool = PaxPool::create(config()).unwrap();
-        let vpm = pool.vpm();
-        for i in 0..32u64 {
-            vpm.write_u64(i * 64, 7).unwrap();
-        }
-        pool.persist().unwrap();
-        let mut pm = pool.crash().unwrap();
-
-        let log_start = pm.layout().log_start().0;
-        let log_lines = pm.layout().log_lines;
-        for off in &offsets {
-            let line = LineAddr(log_start + off % log_lines);
-            pm.write_line(line, CacheLine::filled(0x5C)).unwrap();
-        }
-        pm.drain();
-
-        let pool = PaxPool::open(pm, config()).unwrap();
-        let vpm = pool.vpm();
-        for i in 0..32u64 {
-            prop_assert_eq!(vpm.read_u64(i * 64).unwrap(), 7);
-        }
-    }
-}
-
+/// Random log lines overwritten with a random byte, after random
+/// schedules crashed anywhere on random points: recovery never panics,
+/// and whenever every live undo entry survived it passes the oracle.
 #[test]
-fn truncated_pool_file_is_rejected_cleanly() {
-    let dir = std::env::temp_dir().join("pax-robustness");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("truncated.pool");
-
-    let pool = PaxPool::create(config()).unwrap();
-    pool.vpm().write_u64(0, 1).unwrap();
-    pool.persist().unwrap();
-    pool.save_file(&path).unwrap();
-
-    let full = std::fs::read(&path).unwrap();
-    for keep in [0usize, 3, 8, 35, full.len() / 2] {
-        std::fs::write(&path, &full[..keep]).unwrap();
-        let err = PmPool::load(&path).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("pool") || msg.contains("I/O"), "keep={keep}: unexpected error {msg}");
+fn corrupted_log_region_never_panics() {
+    let pts = points(|_| true);
+    let mut rng = StdRng::seed_from_u64(0xbad);
+    for _ in 0..40 {
+        let p = pts[rng.gen_range(0..pts.len())];
+        let n = rng.gen_range(1..60);
+        let steps = schedule(&mut rng, Mix::Lines, n);
+        let lines = (0..rng.gen_range(1..20usize)).map(|_| rng.gen_range(0..1_000u64)).collect();
+        let fault = Fault::Log(lines, rng.gen::<u8>());
+        let got = inject(p, &steps, Some(rng.gen_range(0..300)), &fault);
+        assert_ne!(got, Faulted::Rejected, "{}", p.literal());
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
+/// Corrupting a log whose entries all belong to committed epochs never
+/// changes recovery's outcome: the image is exactly the last close.
 #[test]
-fn bitflip_in_header_magic_is_detected() {
-    let dir = std::env::temp_dir().join("pax-robustness");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("bitflip.pool");
-
-    let pool = PaxPool::create(config()).unwrap();
-    pool.save_file(&path).unwrap();
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[0] ^= 0x01;
-    std::fs::write(&path, &bytes).unwrap();
-    assert!(PmPool::load(&path).is_err());
-    std::fs::remove_file(&path).unwrap();
+fn stale_entry_corruption_is_harmless() {
+    let pts = points(|p| p.model != PersistencyModel::Strict);
+    let mut rng = StdRng::seed_from_u64(0x57a1e);
+    for _ in 0..20 {
+        let p = pts[rng.gen_range(0..pts.len())];
+        let n = rng.gen_range(1..60);
+        let mut steps = common::settle(&schedule(&mut rng, Mix::Lines, n));
+        steps.extend((0..4).map(Step::Close));
+        let lines = (0..rng.gen_range(1..20usize)).map(|_| rng.gen_range(0..1_000u64)).collect();
+        let got = inject(p, &steps, None, &Fault::Log(lines, 0x5C));
+        assert_eq!(got, Faulted::Recovered, "{}", p.literal());
+    }
 }
 
+/// Recovering twice after a corrupted mid-log line is stable: same epoch,
+/// same surviving entries.
 #[test]
 fn double_recovery_after_corruption_is_stable() {
-    let mut pm = crashed_pool();
-    // Corrupt one mid-log line.
-    let line = LineAddr(pm.layout().log_start().0 + 5);
-    pm.write_line(line, CacheLine::filled(0xEE)).unwrap();
-    pm.drain();
-    let r1 = recover(&mut pm).unwrap();
-    let r2 = recover(&mut pm).unwrap();
-    assert_eq!(r1.committed_epoch, r2.committed_epoch);
-    // Whatever survived the first scan survives the second identically.
-    let s1 = UndoLog::scan(&mut pm).unwrap();
-    let s2 = UndoLog::scan(&mut pm).unwrap();
-    assert_eq!(s1, s2);
+    for line in [1, 5, 11] {
+        let got = inject(Point::BASE, &mid_epoch(), None, &Fault::Log(vec![line], 0xEE));
+        assert_ne!(got, Faulted::Rejected, "line {line}");
+    }
+}
+
+/// A pool file cut anywhere fails to load with a typed pool or I/O error.
+#[test]
+fn truncated_pool_file_is_rejected_cleanly() {
+    for keep in [0usize, 3, 8, 35, 4096, 1 << 20] {
+        let got = inject(Point::BASE, &mid_epoch(), None, &Fault::Truncate(keep));
+        assert_eq!(got, Faulted::Rejected, "keep={keep}");
+    }
+}
+
+/// A flipped bit in the header magic is detected on load.
+#[test]
+fn bitflip_in_header_magic_is_detected() {
+    assert_eq!(inject(Point::BASE, &mid_epoch(), None, &Fault::FlipMagic), Faulted::Rejected);
 }

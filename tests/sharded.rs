@@ -1,211 +1,59 @@
-//! Property tests for the sharded PAX device.
+//! The sharded device is a performance structure, not a semantic one.
 //!
-//! Sharding splits the device's per-line state into `S` address-
-//! interleaved banks, but it is a performance structure, not a semantic
-//! one: for ANY interleaving of reads, writes, and persists across cores,
-//! a pool on an `S`-shard device must be state-equivalent to the same
-//! run on a 1-shard device — including what survives a crash. A second
-//! property checks the §3.4 invariant directly on sharded devices: a
-//! crash at an arbitrary device step recovers exactly the last
-//! *committed* epoch's snapshot, never a mix.
+//! For any interleaving of reads, writes and persists across cores, a
+//! pool on an `S`-shard device must leave the same state as on one shard
+//! — including what survives a crash — and virtual device ticks must be
+//! invisible. The checker's differential mode (`tests/common/`) states
+//! both as one check over settled runs; its random mode checks the §3.4
+//! invariant on sharded devices under crashes.
 
+mod common;
+
+use common::{differential, points, random, rigs, schedule, settle, without_ticks, Mix};
 use libpax::{MemSpace, PaxConfig, PaxPool};
 use pax_device::DeviceConfig;
 use pax_pm::PoolConfig;
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-const CORES: usize = 3;
-const LINES: u64 = 24;
-
-fn config(shards: usize) -> PaxConfig {
-    PaxConfig::default()
-        .with_pool(PoolConfig::small().with_data_bytes(4 << 20).with_log_bytes(16 << 20))
-        .with_cores(CORES)
-        .with_device(DeviceConfig::default().with_shards(shards))
+/// Random cross-core schedules leave the same vPM image and read the same
+/// values on 1, 2 and 8 shards.
+#[test]
+fn shard_count_is_state_transparent() {
+    let pts = rigs(|p| p.tenants == 1 && p.cores == 3 && p.dir && p.alloc == common::Alloc::Heap);
+    let mut rng = StdRng::seed_from_u64(0x5a4d);
+    for _ in 0..6 {
+        differential(&pts, &[settle(&schedule(&mut rng, Mix::Lines, 60))]);
+    }
 }
 
-#[derive(Debug, Clone)]
-enum Op {
-    Write {
-        core: u8,
-        line: u8,
-        value: u64,
-    },
-    Read {
-        core: u8,
-        line: u8,
-    },
-    Persist,
-    PersistAsync,
-    Poll,
-    /// Advance the device's virtual-time scheduler by `n` ticks.
-    Tick(u64),
+/// Dropping every `run_device()` from a schedule leaves every observable
+/// unchanged: ticks are pure background progress.
+#[test]
+fn device_ticks_are_state_transparent() {
+    let pts = rigs(|p| p.tenants <= 2 && p.cores == 1 && p.dir && p.alloc == common::Alloc::Heap);
+    let mut rng = StdRng::seed_from_u64(0x71c5);
+    for _ in 0..4 {
+        let steps = schedule(&mut rng, Mix::Lines, 60);
+        differential(&pts, &[settle(&steps), settle(&without_ticks(&steps))]);
+    }
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        5 => (0u8..CORES as u8, 0u8..LINES as u8, any::<u64>())
-            .prop_map(|(core, line, value)| Op::Write { core, line, value }),
-        3 => (0u8..CORES as u8, 0u8..LINES as u8)
-            .prop_map(|(core, line)| Op::Read { core, line }),
-        1 => Just(Op::Persist),
-        1 => Just(Op::PersistAsync),
-        2 => Just(Op::Poll),
-        2 => (1u64..6).prop_map(Op::Tick),
-    ]
+/// One line schedule and one arena schedule settle to the same image on
+/// every matrix point of each tenant count and allocator.
+#[test]
+fn settled_runs_agree_across_the_whole_matrix() {
+    let mut rng = StdRng::seed_from_u64(0x3a7);
+    for mix in [Mix::Lines, Mix::Blocks] {
+        differential(&rigs(|_| true), &[settle(&schedule(&mut rng, mix, 40))]);
+    }
 }
 
-/// Runs `ops`, commits everything pending, crashes, reopens, and returns
-/// every observable: the values reads saw, the committed epoch, and the
-/// recovered contents of all lines.
-fn run_to_end(shards: usize, ops: &[Op]) -> (Vec<u64>, u64, Vec<u64>) {
-    let pool = PaxPool::create(config(shards)).unwrap();
-    let mut observed = Vec::new();
-    for op in ops {
-        match op {
-            Op::Write { core, line, value } => {
-                pool.vpm_for_core(*core as usize).write_u64(*line as u64 * 64, *value).unwrap();
-            }
-            Op::Read { core, line } => {
-                observed
-                    .push(pool.vpm_for_core(*core as usize).read_u64(*line as u64 * 64).unwrap());
-            }
-            Op::Persist => {
-                pool.persist().unwrap();
-            }
-            Op::PersistAsync => {
-                pool.persist_async().unwrap();
-            }
-            Op::Poll => {
-                // Commit timing varies with the shard count (each poll
-                // pumps every bank), so the poll result is not part of
-                // the equivalence surface — the final wait below is.
-                let _ = pool.persist_poll().unwrap();
-            }
-            Op::Tick(n) => {
-                // Ticks perform shard-count-dependent *amounts* of work,
-                // but are state-invisible — only the equivalence of the
-                // final pool matters.
-                let _ = pool.run_device(*n).unwrap();
-            }
-        }
-    }
-    pool.persist_wait().unwrap();
-    let committed = pool.committed_epoch().unwrap();
-
-    let pm = pool.crash().unwrap();
-    let pool = PaxPool::open(pm, config(shards)).unwrap();
-    assert_eq!(pool.committed_epoch().unwrap(), committed);
-    let vpm = pool.vpm();
-    let recovered = (0..LINES).map(|l| vpm.read_u64(l * 64).unwrap()).collect();
-    (observed, committed, recovered)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Any interleaving of reads, writes, and persists across cores is
-    /// state-equivalent on S ∈ {2, 8} shards to the same run on S = 1.
-    #[test]
-    fn shard_count_is_state_transparent(
-        ops in proptest::collection::vec(op_strategy(), 1..80)
-    ) {
-        let baseline = run_to_end(1, &ops);
-        for shards in [2usize, 8] {
-            let sharded = run_to_end(shards, &ops);
-            prop_assert_eq!(&baseline, &sharded, "S={} diverged from S=1", shards);
-        }
-    }
-
-    /// With a crash armed at an arbitrary device step — possibly mid-op,
-    /// mid-snoop, or mid-drain — a sharded pool recovers exactly the
-    /// snapshot of whatever epoch had committed, for every shard count.
-    #[test]
-    fn sharded_crash_recovery_lands_on_a_committed_snapshot(
-        ops in proptest::collection::vec(op_strategy(), 1..60),
-        crash_offset in 0u64..300,
-        shards in prop_oneof![Just(1usize), Just(2), Just(8)],
-    ) {
-        let pool = PaxPool::create(config(shards)).unwrap();
-        // snapshots[e] is what epoch e must restore; epoch 0 is all
-        // zeroes.
-        let mut state = vec![0u64; LINES as usize];
-        let mut snapshots = vec![state.clone()];
-
-        let clock = pool.crash_clock().unwrap();
-        clock.arm(clock.steps_taken() + crash_offset);
-        for op in &ops {
-            let mut step = || -> libpax::Result<()> {
-                match op {
-                    Op::Write { core, line, value } => {
-                        pool.vpm_for_core(*core as usize)
-                            .write_u64(*line as u64 * 64, *value)?;
-                        state[*line as usize] = *value;
-                    }
-                    Op::Read { core, line } => {
-                        pool.vpm_for_core(*core as usize).read_u64(*line as u64 * 64)?;
-                    }
-                    Op::Persist => {
-                        // The snapshot's content is fixed when the epoch
-                        // closes, even if the call then dies mid-commit.
-                        snapshots.push(state.clone());
-                        pool.persist()?;
-                    }
-                    Op::PersistAsync => {
-                        snapshots.push(state.clone());
-                        pool.persist_async()?;
-                    }
-                    Op::Poll => {
-                        pool.persist_poll()?;
-                    }
-                    Op::Tick(n) => {
-                        pool.run_device(*n)?;
-                    }
-                }
-                Ok(())
-            };
-            if step().is_err() {
-                break; // the armed crash fired
-            }
-        }
-
-        let pm = pool.crash().unwrap();
-        let pool = PaxPool::open(pm, config(shards)).unwrap();
-        let committed = pool.committed_epoch().unwrap() as usize;
-        prop_assert!(
-            committed < snapshots.len(),
-            "committed epoch {} but only {} epochs were opened",
-            committed,
-            snapshots.len()
-        );
-        let vpm = pool.vpm();
-        for line in 0..LINES {
-            prop_assert_eq!(
-                vpm.read_u64(line * 64).unwrap(),
-                snapshots[committed][line as usize],
-                "line {} under committed epoch {} (S={})",
-                line,
-                committed,
-                shards
-            );
-        }
-    }
-
-    /// Virtual ticks are pure background progress: inserting
-    /// `run_device()` calls at ANY split points of an op sequence leaves
-    /// every observable — read values, committed epoch, recovered state —
-    /// identical to the same sequence without any ticks.
-    #[test]
-    fn device_ticks_are_state_transparent(
-        ops in proptest::collection::vec(op_strategy(), 1..80),
-        shards in prop_oneof![Just(1usize), Just(4)],
-    ) {
-        let without: Vec<Op> =
-            ops.iter().filter(|o| !matches!(o, Op::Tick(_))).cloned().collect();
-        let unticked = run_to_end(shards, &without);
-        let ticked = run_to_end(shards, &ops);
-        prop_assert_eq!(&unticked, &ticked, "ticks changed observable state (S={})", shards);
-    }
+/// With a crash armed at an arbitrary device step — mid-op, mid-snoop or
+/// mid-drain — a sharded pool recovers exactly a committed snapshot.
+#[test]
+fn sharded_crash_recovery_lands_on_a_committed_snapshot() {
+    random(0x54a2, 48, &points(|p| p.shards > 1), Mix::Lines, 1..60, 4);
 }
 
 /// Regression for the pump-starvation bug: background progress used to be
@@ -216,7 +64,11 @@ proptest! {
 /// work.
 #[test]
 fn skewed_traffic_cannot_starve_an_idle_shards_background_work() {
-    let pool = PaxPool::create(config(4)).unwrap();
+    let config = PaxConfig::default()
+        .with_pool(PoolConfig::small().with_data_bytes(4 << 20).with_log_bytes(16 << 20))
+        .with_cores(3)
+        .with_device(DeviceConfig::default().with_shards(4));
+    let pool = PaxPool::create(config).unwrap();
     let vpm = pool.vpm();
     // Seed shards 1..3 with pending undo entries (appends happen after
     // the shard's own pump step, so each write leaves one entry behind).

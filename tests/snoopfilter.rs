@@ -1,170 +1,50 @@
-//! Property-based equivalence tests for the ownership directory (snoop
-//! filter) and the batched persist write-back pipeline.
+//! The ownership directory (snoop filter) and the batched persist
+//! write-back pipeline are pure performance structures: the directory
+//! may only elide snoops whose answer the device already knows.
 //!
-//! The directory is a pure performance structure: it may only elide
-//! snoops whose answer the device already knows. These tests pin that
-//! down as a behavioural equivalence — for ANY schedule of writes,
-//! host evictions, background ticks, and persists:
+//! Every matrix point runs a 16-line host cache, so schedules spill dirty
+//! lines into the device and the filtered case — a persist of a line the
+//! host already evicted — occurs organically. The checker (`tests/common/`)
+//! then requires, for any schedule:
 //!
 //! * with no crash, a filtered+batched device and an always-snoop
-//!   unbatched device end with **byte-identical durable PM state**
-//!   (only step counts may differ), and
+//!   unbatched device leave **byte-identical vPM data**, and
 //! * with the crash clock armed at an arbitrary durable-write step
-//!   (including mid-persist), each device independently recovers to
-//!   exactly its last committed snapshot.
+//!   (including mid-persist), each recovers a committed snapshot.
 
-use std::collections::HashMap;
+mod common;
 
-use pax_cache::{CacheConfig, CoherentCache, HomeAgent};
-use pax_device::{DeviceConfig, DirectoryConfig, PaxDevice};
-use pax_pm::{CacheLine, LineAddr, PmPool, PoolConfig, Result};
-use proptest::prelude::*;
+use common::{differential, points, random, rigs, schedule, settle, Alloc, Mix, Point, Rig, SPAN};
+use libpax::PersistencyModel;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-/// Addresses the schedules touch (well inside `PoolConfig::small`).
-const LINES: u64 = 48;
-
-#[derive(Debug, Clone)]
-enum Action {
-    /// Host store of `filled(v)` through the coherent cache.
-    Write(u64, u8),
-    /// Host cache gives the line back (dirty eviction if modified).
-    Evict(u64),
-    /// Background virtual-time ticks.
-    Tick(u64),
-    /// Synchronous epoch persist.
-    Persist,
+/// Two shards, filter on, write-back batches capped at `batch` lines.
+fn batch_rig(batch: usize) -> Rig {
+    let mut config = Point { shards: 2, ..Point::BASE }.config();
+    config.device.persist_wb_batch = batch;
+    Rig::custom(config, SPAN, format!("batch_rig({batch})"))
 }
 
-fn action_strategy() -> impl Strategy<Value = Action> {
-    prop_oneof![
-        5 => (0u64..LINES, 1u8..255).prop_map(|(a, v)| Action::Write(a, v)),
-        2 => (0u64..LINES).prop_map(Action::Evict),
-        2 => (0u64..4).prop_map(Action::Tick),
-        1 => Just(Action::Persist),
-    ]
-}
-
-fn open(dir: DirectoryConfig, batch: usize, shards: usize) -> (PaxDevice, CoherentCache) {
-    let pool = PmPool::create(PoolConfig::small()).unwrap();
-    let config = DeviceConfig::default()
-        .with_shards(shards)
-        .with_directory(dir)
-        .with_persist_wb_batch(batch);
-    let device = PaxDevice::open(pool, config).unwrap();
-    // A small host cache so schedules actually spill: the filtered case
-    // (persist of a line the host already evicted) occurs organically.
-    let cache = CoherentCache::new(CacheConfig::tiny(8 * 64, 2));
-    (device, cache)
-}
-
-/// Executes `actions`, tracking the full model state and the state at
-/// the last *committed* persist. Stops at the first error (crash).
-fn apply(
-    device: &mut PaxDevice,
-    cache: &mut CoherentCache,
-    actions: &[Action],
-    model: &mut HashMap<u64, u8>,
-    snapshot: &mut HashMap<u64, u8>,
-) -> Result<()> {
-    for a in actions {
-        match a {
-            Action::Write(addr, v) => {
-                cache.write(LineAddr(*addr), CacheLine::filled(*v), device)?;
-                model.insert(*addr, *v);
-            }
-            Action::Evict(addr) => {
-                if let Some(data) = cache.snoop_invalidate(LineAddr(*addr)) {
-                    device.dirty_evict(LineAddr(*addr), data)?;
-                }
-            }
-            Action::Tick(n) => {
-                device.tick(*n)?;
-            }
-            Action::Persist => {
-                device.persist(cache)?;
-                *snapshot = model.clone();
-            }
-        }
+/// Filtered + batched vs always-snoop + unbatched, on 1, 2 and 8 shards,
+/// one or three cores, and every write-back batch cap from 1 to 8:
+/// identical settled images.
+#[test]
+fn filtered_persist_is_durably_identical_to_unfiltered() {
+    let mut rigs =
+        rigs(|p| p.tenants == 1 && p.model == PersistencyModel::Epoch && p.alloc == Alloc::Heap);
+    rigs.extend((1..8).map(batch_rig));
+    let mut rng = StdRng::seed_from_u64(0xf117);
+    for _ in 0..6 {
+        differential(&rigs, &[settle(&schedule(&mut rng, Mix::Lines, 80))]);
     }
-    Ok(())
 }
 
-/// The durable post-crash contents of the schedule's address range.
-fn durable_lines(device: PaxDevice) -> Vec<CacheLine> {
-    let mut pool = device.crash_into_pool();
-    (0..LINES)
-        .map(|i| {
-            let abs = pool.layout().vpm_to_pool(i).unwrap();
-            pool.read_line(abs).unwrap()
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    /// Filtered + batched vs always-snoop + unbatched: identical durable
-    /// bytes after the same schedule ends in a full persist.
-    #[test]
-    fn filtered_persist_is_durably_identical_to_unfiltered(
-        actions in proptest::collection::vec(action_strategy(), 1..100),
-        batch in 1usize..9,
-        shards in 1usize..5,
-    ) {
-        let run = |dir: DirectoryConfig, batch: usize| {
-            let (mut device, mut cache) = open(dir, batch, shards);
-            let mut model = HashMap::new();
-            let mut snapshot = HashMap::new();
-            apply(&mut device, &mut cache, &actions, &mut model, &mut snapshot).unwrap();
-            // Close the final epoch so no value is still in flight.
-            device.persist(&mut cache).unwrap();
-            (durable_lines(device), model)
-        };
-        let (filtered, model) = run(DirectoryConfig::enabled(), batch);
-        let (unfiltered, _) = run(DirectoryConfig::disabled(), 1);
-        prop_assert_eq!(&filtered, &unfiltered, "durable state must not depend on the filter");
-        // Both also match the model (every line at its newest value).
-        for i in 0..LINES {
-            let want = model.get(&i).map_or(CacheLine::zeroed(), |&v| CacheLine::filled(v));
-            prop_assert_eq!(&filtered[i as usize], &want, "line {}", i);
-        }
-    }
-
-    /// With the crash clock armed at an arbitrary durable-write step —
-    /// often mid-persist — a filtered device and an unfiltered device
-    /// each recover exactly their own last committed snapshot.
-    #[test]
-    fn crash_anywhere_recovers_the_committed_snapshot_either_way(
-        actions in proptest::collection::vec(action_strategy(), 1..80),
-        crash_offset in 1u64..250,
-        batch in 1usize..9,
-    ) {
-        for dir in [DirectoryConfig::enabled(), DirectoryConfig::disabled()] {
-            let (mut device, mut cache) = open(dir, batch, 2);
-            device.crash_clock().arm(crash_offset);
-            let mut model = HashMap::new();
-            let mut snapshot = HashMap::new();
-            let outcome =
-                apply(&mut device, &mut cache, &actions, &mut model, &mut snapshot);
-            let final_persist = outcome.is_ok() && device.persist(&mut cache).is_ok();
-            let expected = if final_persist { &model } else { &snapshot };
-
-            // Crash, recover (PaxDevice::open runs §3.4 rollback), read.
-            let pool = device.crash_into_pool();
-            let config = DeviceConfig::default()
-                .with_shards(2)
-                .with_directory(dir)
-                .with_persist_wb_batch(batch);
-            let recovered = PaxDevice::open(pool, config).unwrap();
-            let lines = durable_lines(recovered);
-            for i in 0..LINES {
-                let want =
-                    expected.get(&i).map_or(CacheLine::zeroed(), |&v| CacheLine::filled(v));
-                prop_assert_eq!(
-                    &lines[i as usize], &want,
-                    "filter={:?} line {} after crash at step {}", dir, i, crash_offset
-                );
-            }
-        }
+/// With the crash clock armed anywhere, filtered and unfiltered devices
+/// each recover exactly their last committed snapshot.
+#[test]
+fn crash_anywhere_recovers_the_committed_snapshot_either_way() {
+    for dir in [true, false] {
+        random(0xc4a5 + dir as u64, 32, &points(|p| p.dir == dir), Mix::Lines, 1..80, 3);
     }
 }

@@ -1,21 +1,18 @@
 //! Seeded multi-thread crash stress for the shard-parallel engine.
 //!
-//! N OS threads (one per tenant, each on its own host core) issue
-//! seeded random stores against one `PaxPool` while a crash clock armed
-//! at a seeded random device step kills the device mid-traffic. The
-//! per-tenant recovery invariant: each tenant's recovered extent equals
-//! the replay of an exact *prefix* of that tenant's write sequence, cut
-//! at one of its own epoch commits — never a mix of epochs, never
-//! another tenant's data, and never earlier than the last persist the
-//! thread saw complete.
-//!
-//! Tenant epochs commit only from the owning thread (explicit
-//! `persist()` or the auto-persist a full undo bank triggers during the
-//! tenant's own store), so prefix-equality is exact even though all
+//! N OS threads (one per tenant, each on its own host core) issue seeded
+//! random stores against one `PaxPool` while a crash clock armed at a
+//! seeded random device step kills the device mid-traffic. Each tenant's
+//! recovery is judged by the checker's per-tenant prefix oracle
+//! ([`common::prefix_cut`]): an exact prefix of its own writes, never a
+//! mix of epochs or another tenant's data, and never shorter than the
+//! last persist the thread saw complete. Tenant epochs commit only from
+//! the owning thread, so prefix-equality is exact even though all
 //! tenants' undo entries interleave in the shared log.
 
-use std::collections::HashMap as StdMap;
+mod common;
 
+use common::{prefix_cut, read_span};
 use libpax::{MemSpace, PaxConfig, PaxPool, PaxTenant};
 use pax_device::DeviceConfig;
 use pax_pm::{PoolConfig, LINE_SIZE};
@@ -35,52 +32,26 @@ fn config() -> PaxConfig {
         .with_auto_persist_on_log_full()
 }
 
-/// What one writer thread observed: its full write sequence and the
-/// write-count prefixes at which a `persist()` call returned `Ok`.
-struct WriterLog {
-    writes: Vec<(u64, u64)>,
-    last_ok_prefix: usize,
-}
-
-fn writer(tenant: &PaxTenant, core: usize, seed: u64) -> WriterLog {
+/// One writer thread's `(line, value)` stores, and how many of them the
+/// last `persist()` that returned covered.
+fn writer(tenant: &PaxTenant, core: usize, seed: u64) -> (Vec<(u64, u64)>, usize) {
     let vpm = tenant.vpm_for_core(core);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut log = WriterLog { writes: Vec::new(), last_ok_prefix: 0 };
+    let (mut writes, mut floor) = (Vec::new(), 0);
     for i in 1..=OPS_PER_THREAD {
         let line = rng.gen_range(0u64..SPAN_LINES);
         if vpm.write_u64(line * LINE_SIZE as u64, i).is_err() {
             break; // the crash clock fired
         }
-        log.writes.push((line, i));
+        writes.push((line, i));
         if rng.gen_bool(0.02) {
             match tenant.persist() {
-                Ok(_) => log.last_ok_prefix = log.writes.len(),
+                Ok(_) => floor = writes.len(),
                 Err(_) => break,
             }
         }
     }
-    log
-}
-
-/// Replays `writes[..k]` into a line → value map.
-fn replay(writes: &[(u64, u64)], k: usize) -> StdMap<u64, u64> {
-    let mut m = StdMap::new();
-    for &(line, v) in &writes[..k] {
-        m.insert(line, v);
-    }
-    m
-}
-
-fn recovered_state(tenant: &PaxTenant) -> StdMap<u64, u64> {
-    let vpm = tenant.vpm();
-    let mut m = StdMap::new();
-    for line in 0..SPAN_LINES {
-        let v = vpm.read_u64(line * LINE_SIZE as u64).unwrap();
-        if v != 0 {
-            m.insert(line, v);
-        }
-    }
-    m
+    (writes, floor)
 }
 
 fn run_seed(seed: u64) {
@@ -89,7 +60,7 @@ fn run_seed(seed: u64) {
     let clock = pool.crash_clock().unwrap();
     clock.arm(clock.steps_taken() + rng.gen_range(500u64..60_000));
 
-    let logs: Vec<WriterLog> = std::thread::scope(|s| {
+    let logs: Vec<(Vec<(u64, u64)>, usize)> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
                 let tenant = pool.attach(t).unwrap();
@@ -103,24 +74,11 @@ fn run_seed(seed: u64) {
     // Crash (a no-op roll-back if the clock already fired) and recover.
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-
-    for (t, log) in logs.iter().enumerate() {
-        let tenant = pool.attach(t).unwrap();
-        let got = recovered_state(&tenant);
-        // The recovered extent must equal replay of SOME prefix cut at
-        // or after the last persist the thread saw complete (a later
-        // commit may have landed — log-full auto-persist, or a persist
-        // racing the crash — but never an earlier or torn one).
-        let matched =
-            (log.last_ok_prefix..=log.writes.len()).any(|k| replay(&log.writes, k) == got);
-        assert!(
-            matched,
-            "tenant {t} (seed {seed}): recovered state is not a prefix replay \
-             (writes={}, last_ok_prefix={}, recovered_lines={})",
-            log.writes.len(),
-            log.last_ok_prefix,
-            got.len()
-        );
+    for (t, (writes, floor)) in logs.iter().enumerate() {
+        let got = read_span(&pool.attach(t).unwrap(), SPAN_LINES).unwrap();
+        if let Err(msg) = prefix_cut(writes, *floor, &got) {
+            panic!("tenant {t} (seed {seed}): {msg}");
+        }
     }
 }
 
