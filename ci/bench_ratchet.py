@@ -34,7 +34,8 @@ noisy-neighbor victim keeps >= 70 % of its solo throughput; the snoop
 filter cuts persist snoops/op at least 2x; buffered-epoch (K=4) sustains
 >= 1.3x strict ops/kstep; allocbench's adversarial carpet leaves partial
 trees, its churn over the carpet keeps >= 0.3 Mops, and its attach-time
-recovery scan stays linear (scan_steps <= 2x pool_frames).
+recovery scan stays linear (scan_steps <= 2x pool_frames); write_amp's
+PAX line log stays <= 18.5x per 8 B field at one field per page.
 
 A missing baseline file seeds the ratchet (exit 0); the workflow then
 saves CURRENT_DIR as the next run's baseline.
@@ -95,6 +96,11 @@ SCHEMAS = {
             for s in ("strict", "epoch", "buffered2", "buffered4")
         },
     },
+    "write_amp": {
+        "config": ("writes",),
+        "rows": ("fields_per_page", "pm_direct_amp", "pax_amp", "hybrid_amp",
+                 "pmdk_wal_amp", "page_fault_amp", "page_fault_traps"),
+    },
 }
 
 # bench -> [(point fields, metric, tolerance, higher_is_better)]
@@ -115,6 +121,7 @@ RATCHETS = {
         (("series",), "mops", 0.90, True),
     ],
     "hbmstore": [(("threads", "mode"), "mops", 0.90, True)],
+    "write_amp": [(("fields_per_page",), "pax_amp", 1.05, False)],
 }
 
 # bench -> (mode whose rows scale or None for all rows, cores needed to
@@ -278,6 +285,15 @@ def check_allocbench(doc, failures):
                       f"{r['scan_steps']} vs 2 x {r['pool_frames']} pool_frames")
 
 
+def check_write_amp(doc, failures):
+    amp = {r["fields_per_page"]: r["pax_amp"] for r in doc["results"]}
+    if 1 not in amp:
+        failures.append("write_amp: 1 field/page row missing")
+        return
+    check_bar(failures, amp[1] <= 18.5,
+              f"write_amp: PAX line log {amp[1]:.2f}x vs 18.5x ceiling at 1 field/page")
+
+
 ACCEPTANCE = {
     "fig2b": check_fig2b,
     "ablation_overlap": check_ablation_overlap,
@@ -285,6 +301,7 @@ ACCEPTANCE = {
     "snoopfilter": check_snoopfilter,
     "persistency": check_persistency,
     "allocbench": check_allocbench,
+    "write_amp": check_write_amp,
 }
 
 

@@ -210,13 +210,16 @@ impl MemSpace for HybridSpace {
             done += n;
             cur += n as u64;
         }
-        // Model asynchronous draining: a bounded background pump.
+        // Model asynchronous draining: a bounded pump after each store,
+        // which may write a partly filled block so the entries it covers
+        // become durable without waiting for the block to fill.
         let Inner { state, background_pump_batch, .. } = &mut *inner;
         if *background_pump_batch > 0 {
             if let Some(state) = state.as_mut() {
+                let target = state.log.appended();
                 state
                     .log
-                    .pump(&mut state.pool, &state.clock, *background_pump_batch)
+                    .pump_to(&mut state.pool, &state.clock, target, *background_pump_batch)
                     .map_err(PaxError::from)?;
             }
         }

@@ -19,13 +19,13 @@
 use std::time::Instant;
 
 use pax_bench::{arg_value, thread_series, BenchOut, Json};
-use pax_device::{UndoEntry, UndoLog};
+use pax_device::{UndoEntry, UndoLog, BLOCK_ENTRIES};
 use pax_pm::{CacheLine, LineAddr};
 
 /// One timed same-bank append storm; returns wall-clock Mops.
 fn measure(threads: usize, ops_per_thread: u64) -> f64 {
     let total = threads as u64 * ops_per_thread;
-    let log = UndoLog::with_region(0, total + 1);
+    let log = UndoLog::with_region(0, total.div_ceil(BLOCK_ENTRIES));
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {

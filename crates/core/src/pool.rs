@@ -1061,6 +1061,30 @@ mod tests {
     }
 
     #[test]
+    fn map_file_rejects_a_version_1_pool() {
+        let dir = std::env::temp_dir().join("libpax-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("version1.pool");
+        let pool = PaxPool::create(PaxConfig::default()).unwrap();
+        pool.vpm().write_u64(8, 77).unwrap();
+        pool.persist().unwrap();
+        pool.save_file(&path).unwrap();
+        drop(pool);
+        // Stamp the file as the 2-line-entry format: its log must not be
+        // recovered as blocks.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let got = PaxPool::map_file(&path, PaxConfig::default());
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(got, Err(PaxError::Pm(PmError::BadPool(_)))),
+            "expected BadPool, got {:?}",
+            got.err()
+        );
+    }
+
+    #[test]
     fn sharded_multicore_pool_accounts_shard_traffic() {
         let config =
             PaxConfig::default().with_cores(4).with_device(DeviceConfig::default().with_shards(4));

@@ -22,6 +22,7 @@
 //!     internal: children [2t × 8]
 //! ```
 
+use std::collections::HashSet;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -478,7 +479,7 @@ impl<K: Pod + Ord, V: Pod, S: MemSpace, A: PmAllocator<S>> PBTreeMap<K, V, S, A>
     pub fn range(&self, lo: K, hi: K) -> Result<Vec<(K, V)>> {
         let _g = self.lock.lock();
         let mut out = Vec::new();
-        self.walk(self.root_node()?, &mut |k, v| {
+        self.walk(&mut |k, v| {
             if k >= lo && k <= hi {
                 out.push((k, v));
             }
@@ -495,23 +496,52 @@ impl<K: Pod + Ord, V: Pod, S: MemSpace, A: PmAllocator<S>> PBTreeMap<K, V, S, A>
     pub fn entries(&self) -> Result<Vec<(K, V)>> {
         let _g = self.lock.lock();
         let mut out = Vec::new();
-        self.walk(self.root_node()?, &mut |k, v| {
+        self.walk(&mut |k, v| {
             out.push((k, v));
             Ok(())
         })?;
         Ok(out)
     }
 
-    fn walk(&self, node: u64, f: &mut impl FnMut(K, V) -> Result<()>) -> Result<()> {
-        let n = self.nkeys(node)?;
-        if self.is_leaf(node)? {
-            for i in 0..n {
-                f(self.key(node, i)?, self.val(node, i)?)?;
+    /// Calls `f` on every leaf entry, in key order.
+    fn walk(&self, f: &mut impl FnMut(K, V) -> Result<()>) -> Result<()> {
+        self.visit(&mut |node, _| {
+            if self.is_leaf(node)? {
+                for i in 0..self.nkeys(node)? {
+                    f(self.key(node, i)?, self.val(node, i)?)?;
+                }
             }
-            return Ok(());
-        }
-        for i in 0..=n {
-            self.walk(self.child(node, i)?, f)?;
+            Ok(())
+        })
+    }
+
+    /// Calls `f(node, is_root)` on every node, depth first with children
+    /// in key order, so leaves come in key order.
+    ///
+    /// The traversal keeps its own stack and enters no node twice, so a
+    /// torn tree whose child pointers loop back (or share a subtree)
+    /// returns [`PaxError::Corrupt`] instead of recursing until the
+    /// thread's stack overflows; its work is bounded by the number of
+    /// distinct nodes. (The tree's length cannot bound the depth: lazy
+    /// deletion keeps the height when entries leave.)
+    fn visit(&self, f: &mut impl FnMut(u64, bool) -> Result<()>) -> Result<()> {
+        let root = self.root_node()?;
+        let mut seen = HashSet::new();
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
+            if !seen.insert(node) {
+                return Err(PaxError::Corrupt(format!("node {node:#x} is reachable twice")));
+            }
+            let n = self.nkeys(node)?;
+            if n > MAX_KEYS {
+                return Err(PaxError::Corrupt("node overflow".into()));
+            }
+            f(node, node == root)?;
+            if !self.is_leaf(node)? {
+                for i in (0..=n).rev() {
+                    stack.push(self.child(node, i)?);
+                }
+            }
         }
         Ok(())
     }
@@ -526,7 +556,7 @@ impl<K: Pod + Ord, V: Pod, S: MemSpace, A: PmAllocator<S>> PBTreeMap<K, V, S, A>
         let _g = self.lock.lock();
         let mut count = 0u64;
         let mut last: Option<K> = None;
-        self.walk(self.root_node()?, &mut |k, _| {
+        self.walk(&mut |k, _| {
             if let Some(prev) = &last {
                 if *prev >= k {
                     return Err(PaxError::Corrupt("keys out of order".into()));
@@ -542,26 +572,17 @@ impl<K: Pod + Ord, V: Pod, S: MemSpace, A: PmAllocator<S>> PBTreeMap<K, V, S, A>
                 self.len()?
             )));
         }
-        self.check_node(self.root_node()?, true)?;
-        Ok(())
+        self.visit(&mut |node, is_root| self.check_node(node, is_root))
     }
 
     fn check_node(&self, node: u64, is_root: bool) -> Result<()> {
         let n = self.nkeys(node)?;
-        if n > MAX_KEYS {
-            return Err(PaxError::Corrupt("node overflow".into()));
-        }
         if !is_root && !self.is_leaf(node)? && n < MIN_KEYS {
             return Err(PaxError::Corrupt("internal underflow".into()));
         }
         for i in 1..n {
             if self.key(node, i - 1)? >= self.key(node, i)? {
                 return Err(PaxError::Corrupt("node keys out of order".into()));
-            }
-        }
-        if !self.is_leaf(node)? {
-            for i in 0..=n {
-                self.check_node(self.child(node, i)?, false)?;
             }
         }
         Ok(())
@@ -731,6 +752,38 @@ mod tests {
         let got = t.entries().unwrap();
         let want: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(got, want);
+        t.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn cyclic_tree_is_corrupt_not_a_stack_overflow() {
+        let t = tree();
+        for k in 0..64u64 {
+            t.insert(k, k).unwrap();
+        }
+        let root = t.root_node().unwrap();
+        assert!(!t.is_leaf(root).unwrap(), "64 keys need an internal root");
+        // Tear the tree into a cycle: the root's last child is the root.
+        let n = t.nkeys(root).unwrap();
+        t.set_child(root, n, root).unwrap();
+        assert!(matches!(t.entries(), Err(PaxError::Corrupt(_))));
+        assert!(matches!(t.check_invariants(), Err(PaxError::Corrupt(_))));
+    }
+
+    #[test]
+    fn emptied_tree_keeps_its_height_and_checks_clean() {
+        // Lazy deletion keeps the height, so a walk's depth is not bounded
+        // by the length: an empty tree may still be several levels deep.
+        let t = tree();
+        for k in 0..200u64 {
+            t.insert(k, k).unwrap();
+        }
+        for k in 0..200u64 {
+            t.remove(k).unwrap();
+        }
+        assert_eq!(t.len().unwrap(), 0);
+        assert!(!t.is_leaf(t.root_node().unwrap()).unwrap());
+        assert!(t.entries().unwrap().is_empty());
         t.check_invariants().unwrap();
     }
 }

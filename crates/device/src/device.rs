@@ -381,6 +381,13 @@ impl PaxDevice {
         let epochs =
             (0..t).map(|i| Ok(pool.committed_epoch_for(i)? + 1)).collect::<Result<Vec<u64>>>()?;
         let banks = split_log_region(&pool, config.shards * t);
+        if banks.is_empty() {
+            return Err(PmError::Config(format!(
+                "log region of {} lines holds no {}-line undo-log block",
+                pool.layout().log_lines,
+                crate::BLOCK_LINES
+            )));
+        }
         if !banks.len().is_multiple_of(t) {
             return Err(PmError::Config(format!(
                 "log region holds only {} banks, not divisible across {t} tenants",
@@ -783,10 +790,11 @@ impl PaxDevice {
         self.sched.ticks()
     }
 
-    /// Whether lane `l` has background work pending (undo entries not
-    /// yet durable, or queued write-backs).
+    /// Whether lane `l` has background work pending (a whole undo-log
+    /// block to drain, or queued write-backs). A partly filled block is
+    /// not background work: only a persist or a forced drain writes it.
     fn lane_has_background_work(&self, l: usize) -> bool {
-        !self.lanes[l].writeback_queue.is_empty() || self.lanes[l].log.pending_len() > 0
+        !self.lanes[l].writeback_queue.is_empty() || self.lanes[l].log.has_whole_block()
     }
 
     /// Ends every tenant's current epoch in tenant order and returns
@@ -1296,7 +1304,7 @@ impl PaxDevice {
             if log.durable_offset() >= target {
                 continue;
             }
-            log.pump(&mut self.pool.lock(), &self.clock, batch)?;
+            log.pump_to(&mut self.pool.lock(), &self.clock, target, batch)?;
             if log.durable_offset() < target {
                 lagging = true;
             }
@@ -1447,7 +1455,7 @@ impl PaxDevice {
             let _gate = h.wb_gate.lock();
             while h.log.durable_offset() < flush_to {
                 h.count_forced_flush();
-                if h.log.pump(&mut self.pool.lock(), &self.clock, usize::MAX)? == 0 {
+                if h.log.pump_to(&mut self.pool.lock(), &self.clock, flush_to, usize::MAX)? == 0 {
                     return Err(PmError::ProtocolViolation {
                         invariant: "draining epoch's undo entries are neither durable nor pending",
                     });
@@ -1628,6 +1636,7 @@ mod tests {
     use super::*;
     use crate::hbm::EvictionPolicy;
     use crate::tenant::even_split;
+    use crate::undo_log::BLOCK_ENTRIES;
     use pax_cache::{CacheConfig, CoherentCache};
     use pax_pm::PoolConfig;
 
@@ -1707,6 +1716,11 @@ mod tests {
         cache.write(a, CacheLine::filled(1), &mut device).unwrap();
         device.persist(&mut cache).unwrap(); // epoch 1: value 1
 
+        // Epoch 2 fills one log block, so the background pump may drain
+        // it (a partly filled block waits for persist).
+        for i in 0..BLOCK_ENTRIES {
+            cache.write(LineAddr(a.0 + 1 + i), CacheLine::filled(2), &mut device).unwrap();
+        }
         cache.write(a, CacheLine::filled(2), &mut device).unwrap();
         // Force the new value to PM without persisting: evict the dirty
         // host line, then drain background write back.
@@ -1872,6 +1886,32 @@ mod tests {
     }
 
     #[test]
+    fn device_write_back_keeps_a_reowned_line_tracked() {
+        // The host evicts line `a` dirty, then re-acquires and modifies
+        // it; only afterwards does a tick write the evicted value back.
+        // That write back must not clear the directory, or persist skips
+        // the snoop and commits the evicted value instead of the host's.
+        let pool = PmPool::create(PoolConfig::small()).unwrap();
+        let config = DeviceConfig::default().with_log_pump_interval(usize::MAX);
+        let mut device = PaxDevice::open(pool, config).unwrap();
+        let mut cache = CoherentCache::new(CacheConfig::tiny(16 << 10, 8));
+        let a = LineAddr(3);
+        for i in 0..BLOCK_ENTRIES {
+            cache.write(LineAddr(a.0 + i), CacheLine::filled(1), &mut device).unwrap();
+        }
+        let line = cache.snoop_invalidate(a).unwrap();
+        device.dirty_evict(a, line).unwrap();
+        cache.write(a, CacheLine::filled(2), &mut device).unwrap();
+        device.tick(8).unwrap();
+        assert!(device.metrics().background_writebacks >= 1, "the evicted value was written back");
+        device.persist(&mut cache).unwrap();
+        let mut device =
+            PaxDevice::open(device.crash_into_pool(), DeviceConfig::default()).unwrap();
+        let mut cache = CoherentCache::new(CacheConfig::tiny(16 << 10, 8));
+        assert_eq!(cache.read(a, &mut device).unwrap(), CacheLine::filled(2));
+    }
+
+    #[test]
     fn tick_advances_a_draining_persist_to_commit() {
         let pool = PmPool::create(PoolConfig::small()).unwrap();
         let config = DeviceConfig::default().with_log_pump_interval(usize::MAX);
@@ -1901,7 +1941,7 @@ mod tests {
             let mut cache = CoherentCache::new(CacheConfig::tiny(16 << 10, 8));
             device.crash_clock().arm(crash_at);
             let mut interleave = || -> Result<()> {
-                for i in 0..16u64 {
+                for i in 0..64u64 {
                     cache.write(LineAddr(i), CacheLine::filled(i as u8 + 1), &mut device)?;
                     device.tick(2)?;
                 }
@@ -1926,9 +1966,12 @@ mod tests {
     #[test]
     fn skewed_traffic_no_longer_starves_other_shards() {
         let (mut device, mut cache) = setup_sharded(4);
-        // Seed shard 1 with pending background work: a logged store whose
-        // dirty line the host evicts back to the device.
-        cache.write(LineAddr(1), CacheLine::filled(0xAB), &mut device).unwrap();
+        // Seed shard 1 with pending background work: a full log block of
+        // stores, one of whose dirty lines the host evicts back to the
+        // device.
+        for i in 0..BLOCK_ENTRIES {
+            cache.write(LineAddr(1 + 4 * i), CacheLine::filled(0xAB), &mut device).unwrap();
+        }
         let line = cache.snoop_invalidate(LineAddr(1)).unwrap();
         device.dirty_evict(LineAddr(1), line).unwrap();
         // Then hammer shard 0 only.

@@ -76,4 +76,4 @@ pub use metrics::DeviceMetrics;
 pub use recovery::{recover, recover_traced, RecoveryReport};
 pub use sched::{DeviceScheduler, SchedConfig};
 pub use tenant::{even_split, TenantId, TenantMap, TenantRegion};
-pub use undo_log::{UndoEntry, UndoLog, ENTRY_LINES};
+pub use undo_log::{block_header_line, UndoEntry, UndoLog, BLOCK_ENTRIES, BLOCK_LINES};

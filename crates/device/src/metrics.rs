@@ -83,6 +83,11 @@ pub struct DeviceMetrics {
     /// occupancy gauge over the reserve→fill window, not a monotone
     /// counter; zero at every quiescent point).
     pub log_reserved: u64,
+    /// Undo-log block headers written: one per block drain, whole or
+    /// partial.
+    pub log_blocks: u64,
+    /// Undo-log lines written to PM: block headers plus pre-images.
+    pub log_lines_written: u64,
     /// Non-blocking persist polls skipped because a tenant's drain
     /// control lock was contended (see
     /// [`PaxDevice::persist_poll`](crate::PaxDevice::persist_poll)'s
@@ -97,10 +102,10 @@ impl DeviceMetrics {
         self.rd_shared + self.rd_own + self.clean_evicts + self.dirty_evicts + self.snoops_sent
     }
 
-    /// Bytes of undo-log traffic to PM (64-byte pre-image + 64-byte
-    /// header per entry).
+    /// Bytes of undo-log traffic to PM: the header and pre-image lines
+    /// actually written.
     pub fn log_bytes(&self) -> u64 {
-        self.undo_entries * 2 * pax_pm::LINE_SIZE as u64
+        self.log_lines_written * pax_pm::LINE_SIZE as u64
     }
 
     /// Bytes of data write back traffic to PM.
@@ -141,6 +146,8 @@ impl std::ops::Add for DeviceMetrics {
             wb_batches: self.wb_batches + rhs.wb_batches,
             log_cas_retries: self.log_cas_retries + rhs.log_cas_retries,
             log_reserved: self.log_reserved + rhs.log_reserved,
+            log_blocks: self.log_blocks + rhs.log_blocks,
+            log_lines_written: self.log_lines_written + rhs.log_lines_written,
             persist_poll_skipped: self.persist_poll_skipped + rhs.persist_poll_skipped,
         }
     }
@@ -175,6 +182,8 @@ pub(crate) struct DeviceCounters {
     pub(crate) wb_batches: Counter,
     pub(crate) log_cas_retries: Counter,
     pub(crate) log_reserved: Counter,
+    pub(crate) log_blocks: Counter,
+    pub(crate) log_lines_written: Counter,
     pub(crate) persist_poll_skipped: Counter,
 }
 
@@ -206,6 +215,8 @@ impl DeviceCounters {
             wb_batches: metrics.counter("wb_batches"),
             log_cas_retries: metrics.counter("log_cas_retries"),
             log_reserved: metrics.counter("log_reserved"),
+            log_blocks: metrics.counter("log_blocks"),
+            log_lines_written: metrics.counter("log_lines_written"),
             persist_poll_skipped: metrics.counter("persist_poll_skipped"),
         }
     }
@@ -237,6 +248,8 @@ impl DeviceCounters {
             wb_batches: metrics.get(self.wb_batches),
             log_cas_retries: metrics.get(self.log_cas_retries),
             log_reserved: metrics.get(self.log_reserved),
+            log_blocks: metrics.get(self.log_blocks),
+            log_lines_written: metrics.get(self.log_lines_written),
             persist_poll_skipped: metrics.get(self.persist_poll_skipped),
         }
     }
@@ -255,6 +268,7 @@ mod tests {
             dirty_evicts: 4,
             snoops_sent: 5,
             undo_entries: 2,
+            log_lines_written: 4,
             device_writebacks: 3,
             ..DeviceMetrics::default()
         };

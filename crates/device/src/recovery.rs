@@ -59,9 +59,25 @@ pub fn recover(pool: &mut PmPool) -> Result<RecoveryReport> {
 /// Surfaces media errors from the scan and rollback writes.
 pub fn recover_traced(pool: &mut PmPool, trace: &mut TraceBuf) -> Result<RecoveryReport> {
     let committed = pool.committed_epoch()?;
-    let mut entries = UndoLog::scan(pool)?;
-    let scanned = entries.len();
-    let mut rolled_back = 0;
+    // Each entry rolls back against *its own tenant's* committed epoch —
+    // tenant A crashing mid-epoch must not unwind B's committed data.
+    // Only entries newer than that are kept: the stale entries of
+    // committed epochs fill most of a long-lived log.
+    let mut committed_for = std::collections::HashMap::new();
+    let mut scanned = 0;
+    let mut live = Vec::new();
+    UndoLog::scan_each(pool, |pool, slot, entry| {
+        scanned += 1;
+        let tenant_committed = *committed_for.entry(entry.tenant).or_insert_with(|| {
+            // A tenant tag past the header's epoch slots can only come
+            // from corrupt media the checksum missed; skip, don't die.
+            pool.committed_epoch_for(entry.tenant as usize).unwrap_or(u64::MAX)
+        });
+        if entry.epoch > tenant_committed {
+            live.push((slot, entry, tenant_committed));
+        }
+        Ok(())
+    })?;
     // Newest-epoch-first: each entry restores its line's epoch-start
     // value, so when the same line was logged in several uncommitted
     // epochs the *oldest* pre-image must be applied last. Slot order is
@@ -70,31 +86,17 @@ pub fn recover_traced(pool: &mut PmPool, trace: &mut TraceBuf) -> Result<Recover
     // line is logged at most once, so intra-epoch order is free. Tenants'
     // entries interleave in the shared region but never name the same
     // line (regions are disjoint), so one global sort is sound.
-    entries.sort_by(|(sa, a), (sb, b)| b.epoch.cmp(&a.epoch).then(sa.cmp(sb)));
-    // Each entry rolls back against *its own tenant's* committed epoch —
-    // tenant A crashing mid-epoch must not unwind B's committed data.
-    let mut committed_for = std::collections::HashMap::new();
+    live.sort_by(|(sa, a, _), (sb, b, _)| b.epoch.cmp(&a.epoch).then(sa.cmp(sb)));
+    let rolled_back = live.len();
     let mut rollback_gap = 0u64;
-    for (_, entry) in entries.iter() {
-        let tenant = entry.tenant as usize;
-        let tenant_committed = match committed_for.entry(tenant) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                // A tenant tag past the header's epoch slots can only come
-                // from corrupt media the checksum missed; skip, don't die.
-                *v.insert(pool.committed_epoch_for(tenant).unwrap_or(u64::MAX))
-            }
-        };
-        if entry.epoch > tenant_committed {
-            let abs = pool.layout().vpm_to_pool(entry.vpm_line.0)?;
-            pool.write_line(abs, entry.old.clone())?;
-            trace.record(
-                "device",
-                TraceEvent::RecoveryStep { epoch: entry.epoch, line: entry.vpm_line.0 },
-            );
-            rolled_back += 1;
-            rollback_gap = rollback_gap.max(entry.epoch - tenant_committed);
-        }
+    for (_, entry, tenant_committed) in live {
+        let abs = pool.layout().vpm_to_pool(entry.vpm_line.0)?;
+        pool.write_line(abs, entry.old)?;
+        trace.record(
+            "device",
+            TraceEvent::RecoveryStep { epoch: entry.epoch, line: entry.vpm_line.0 },
+        );
+        rollback_gap = rollback_gap.max(entry.epoch - tenant_committed);
     }
     // The §3.4 SFENCE: rollback writes reach media before execution
     // continues.
@@ -105,7 +107,7 @@ pub fn recover_traced(pool: &mut PmPool, trace: &mut TraceBuf) -> Result<Recover
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::undo_log::{UndoEntry, UndoLog};
+    use crate::undo_log::{UndoEntry, UndoLog, BLOCK_ENTRIES, BLOCK_LINES};
     use pax_pm::{CacheLine, CrashClock, LineAddr, PoolConfig};
 
     #[test]
@@ -159,25 +161,27 @@ mod tests {
 
     #[test]
     fn wrapped_slots_roll_back_in_epoch_order() {
-        // The ring makes slot order disagree with append order: the same
-        // line is logged in uncommitted epochs 2 (slot 3) and 3 (slot 0,
+        // The ring makes block order disagree with append order: the same
+        // line is logged in uncommitted epochs 2 (block 1) and 3 (block 0,
         // wrapped). Rollback must finish with the epoch-2 pre-image —
-        // slot-order iteration would finish with epoch 3's.
+        // block-order iteration would finish with epoch 3's.
         let mut cfg = PoolConfig::small();
-        cfg.log_bytes = 8 * pax_pm::LINE_SIZE; // 4 slots
+        cfg.log_bytes = 2 * BLOCK_LINES as usize * pax_pm::LINE_SIZE; // 2 blocks
         let mut pool = PmPool::create(cfg).unwrap();
         let clock = CrashClock::new();
         pool.commit_epoch(1).unwrap();
 
         let log = UndoLog::new(&pool);
-        for i in 0..3 {
-            // Committed-epoch fillers occupying slots 0..3.
+        for i in 0..BLOCK_ENTRIES {
+            // Committed-epoch fillers occupying block 0.
             log.append(UndoEntry::single(1, LineAddr(i), CacheLine::zeroed())).unwrap();
         }
         log.append(UndoEntry::single(2, LineAddr(7), CacheLine::filled(0x22))).unwrap();
         log.flush(&mut pool, &clock).unwrap();
-        log.recycle_to(3); // epoch-1 slots free; epoch-2 entry stays live
-        log.append(UndoEntry::single(3, LineAddr(7), CacheLine::filled(0x33))).unwrap(); // wraps into slot 0
+        log.recycle_to(BLOCK_ENTRIES); // epoch-1 block free; epoch-2 entry stays live
+        let wrapped =
+            log.append(UndoEntry::single(3, LineAddr(7), CacheLine::filled(0x33))).unwrap();
+        assert_eq!(wrapped, 2 * BLOCK_ENTRIES, "wraps into block 0");
         log.flush(&mut pool, &clock).unwrap();
 
         let abs = pool.layout().vpm_to_pool(7).unwrap();
@@ -269,8 +273,8 @@ mod tests {
     }
 
     /// A reserved-but-unpublished slot can leave at worst a
-    /// plausible-looking header without its commit mark; recovery must
-    /// treat it as empty space, not as an entry to roll back.
+    /// plausible-looking block header without its commit mark; recovery
+    /// must treat it as empty space, not as an entry to roll back.
     #[test]
     fn unpublished_slot_is_never_replayed() {
         let mut pool = PmPool::create(PoolConfig::small()).unwrap();

@@ -45,7 +45,7 @@ use crate::cell::{lock, PoolCell, TraceCell, WbGate};
 use crate::directory::OwnershipDirectory;
 use crate::hbm::{HbmCache, HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
-use crate::undo_log::{UndoEntry, UndoLog, ENTRY_LINES};
+use crate::undo_log::{UndoEntry, UndoLog, BLOCK_LINES};
 
 /// Component name stamped on every shard's metrics and trace records —
 /// identical to the device's, so merged snapshots stay one `device` row.
@@ -214,8 +214,8 @@ pub(crate) struct Lane {
 impl Lane {
     /// Builds lane `index` for `tenant` at interleave phase `index %
     /// stride`, owning the (already per-lane-sized) HBM geometry in
-    /// `hbm` and the log bank `[log_base, log_base +
-    /// log_capacity_entries)` of the pool's log region. The caller —
+    /// `hbm` and the log bank of `log_blocks` blocks at pool line
+    /// `log_base` of the pool's log region. The caller —
     /// [`PaxDevice::open_multi`](crate::PaxDevice::open_multi) — slices
     /// the device's total HBM capacity across lanes (weighted by each
     /// tenant's HBM share) before construction; this floors every lane
@@ -226,7 +226,7 @@ impl Lane {
         stride: usize,
         hbm: HbmConfig,
         log_base: u64,
-        log_capacity_entries: u64,
+        log_blocks: u64,
     ) -> Self {
         let per_lane = HbmConfig {
             capacity_bytes: hbm.capacity_bytes.max(hbm.ways * pax_pm::LINE_SIZE),
@@ -245,7 +245,7 @@ impl Lane {
             metrics,
             ctr,
             wb_gate: WbGate::default(),
-            log: UndoLog::with_region(log_base, log_capacity_entries),
+            log: UndoLog::with_region(log_base, log_blocks),
         }
     }
 
@@ -521,7 +521,7 @@ impl Lane {
                 // eviction avoids.
                 self.metrics.inc(self.ctr.forced_log_flushes);
                 while self.log.durable_offset() <= offset {
-                    if self.log.pump(&mut pool.lock(), clock, 1)? == 0 {
+                    if self.log.pump_to(&mut pool.lock(), clock, offset + 1, 1)? == 0 {
                         return Err(PmError::ProtocolViolation {
                             invariant: "HBM victim's undo entry is neither durable nor pending",
                         });
@@ -537,14 +537,14 @@ impl Lane {
         }
         self.metrics.inc(self.ctr.device_writebacks);
         trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
-        self.dir_clear(addr);
         Ok(())
     }
 
-    /// Snapshot of this lane's counter registry (component `device`).
+    /// Snapshot of this lane's counter registry (component `device`),
+    /// with the undo bank's `log_block_entries` histogram.
     pub(crate) fn snapshot(&self) -> MetricSnapshot {
         self.sync_metrics();
-        self.metrics.snapshot()
+        self.metrics.snapshot().merge(&self.log.fill_snapshot())
     }
 
     /// Typed view over this lane's counters.
@@ -555,8 +555,8 @@ impl Lane {
 
     /// Mirrors the counters the HBM index and the undo bank keep
     /// internally into the lane's registry: `hbm_hits`, `hbm_misses`,
-    /// and `log_cas_retries` are monotone, `hbm_resident` and
-    /// `log_reserved` are occupancy gauges.
+    /// `log_cas_retries`, `log_blocks` and `log_lines_written` are
+    /// monotone, `hbm_resident` and `log_reserved` are occupancy gauges.
     fn sync_metrics(&self) {
         for (counter, value) in [
             (self.ctr.hbm_hits, self.hbm.hits()),
@@ -564,6 +564,8 @@ impl Lane {
             (self.ctr.hbm_resident, self.hbm.resident() as u64),
             (self.ctr.log_cas_retries, self.log.cas_retries()),
             (self.ctr.log_reserved, self.log.in_flight()),
+            (self.ctr.log_blocks, self.log.blocks_written()),
+            (self.ctr.log_lines_written, self.log.lines_written()),
         ] {
             self.metrics.set(counter, value);
         }
@@ -598,7 +600,7 @@ impl Lane {
         log_pump_batch: usize,
         writeback_batch: usize,
     ) -> Result<()> {
-        if log_pump_batch > 0 && self.log.pending_len() > 0 {
+        if log_pump_batch > 0 && self.log.has_whole_block() {
             self.log.pump(&mut pool.lock(), clock, log_pump_batch)?;
         }
         if writeback_batch == 0 || self.writeback_queue.is_empty() {
@@ -634,7 +636,9 @@ impl Lane {
                 self.count_writeback();
                 self.count_background_writeback();
                 trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
-                self.dir_clear(addr);
+                // The directory stays as it is: a device write back says
+                // nothing about the host, which may have re-acquired the
+                // line since it evicted the value written here.
             }
             budget -= 1;
         }
@@ -677,15 +681,18 @@ pub(crate) fn tick(clock: &CrashClock, pool: &mut PmPool) -> Result<()> {
     Ok(())
 }
 
-/// Splits a pool's log region into `shards` equal banks, returning each
-/// bank's `(base_line, capacity_entries)`. The shard count is clamped so
-/// every bank holds at least one entry.
+/// Splits a pool's log region into `shards` equal banks of whole blocks,
+/// returning each bank's `(base_line, blocks)`. Banks start at block
+/// boundaries of the region, so every block sits at a fixed offset from
+/// the log start whatever the bank geometry. The shard count is clamped
+/// so every bank holds at least one block; a region smaller than one
+/// block yields no banks.
 pub(crate) fn split_log_region(pool: &PmPool, shards: usize) -> Vec<(u64, u64)> {
     let layout = pool.layout();
-    let capacity = (layout.log_lines / ENTRY_LINES).max(1);
-    let shards = (shards.max(1) as u64).min(capacity);
-    let per_shard = capacity / shards;
-    (0..shards).map(|s| (layout.log_start().0 + s * per_shard * ENTRY_LINES, per_shard)).collect()
+    let blocks = layout.log_lines / BLOCK_LINES;
+    let shards = (shards.max(1) as u64).min(blocks);
+    let per_shard = blocks / shards.max(1);
+    (0..shards).map(|s| (layout.log_start().0 + s * per_shard * BLOCK_LINES, per_shard)).collect()
 }
 
 #[cfg(test)]
@@ -709,18 +716,22 @@ mod tests {
         let banks = split_log_region(&pool, 4);
         assert_eq!(banks.len(), 4);
         for w in banks.windows(2) {
-            assert_eq!(w[0].0 + w[0].1 * ENTRY_LINES, w[1].0, "banks must be adjacent");
+            assert_eq!(w[0].0 + w[0].1 * BLOCK_LINES, w[1].0, "banks must be adjacent");
         }
+        let start = pool.layout().log_start().0;
+        assert!(banks.iter().all(|(base, _)| (base - start).is_multiple_of(BLOCK_LINES)));
         let total: u64 = banks.iter().map(|(_, c)| c).sum();
-        assert!(total <= pool.layout().log_lines / ENTRY_LINES);
+        assert!(total <= pool.layout().log_lines / BLOCK_LINES);
     }
 
     #[test]
     fn shard_count_is_clamped_to_log_capacity() {
         let mut cfg = PoolConfig::small();
-        cfg.log_bytes = 4 * LINE_SIZE; // 2 entries
+        cfg.log_bytes = 2 * BLOCK_LINES as usize * LINE_SIZE + LINE_SIZE; // 2 blocks
         let pool = PmPool::create(cfg).unwrap();
         assert_eq!(split_log_region(&pool, 8).len(), 2);
+        cfg.log_bytes = (BLOCK_LINES as usize - 1) * LINE_SIZE; // no whole block
+        assert!(split_log_region(&PmPool::create(cfg).unwrap(), 1).is_empty());
     }
 
     #[test]

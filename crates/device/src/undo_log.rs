@@ -9,72 +9,113 @@
 //!
 //! # Offsets are logical and monotonic
 //!
-//! Entry offsets never reset: they count appends over the writer's whole
-//! lifetime. The physical slot of offset `o` is `o % capacity`, so the
-//! region is a ring. A slot may be overwritten only once the epoch of the
-//! entry it holds has committed — [`UndoLog::recycle_to`] advances the
-//! recycle watermark when that happens. This makes two things true by
-//! construction:
+//! Entry offsets never reset: they count reservations over the writer's
+//! whole lifetime. Offset `o` lives in slot `o % BLOCK_ENTRIES` of block
+//! `o / BLOCK_ENTRIES` (modulo the writer's block count), so the region
+//! is a ring of blocks. A block may be reopened only once every offset of
+//! its previous lap has been recycled — [`UndoLog::recycle_to`] advances
+//! the recycle watermark when an epoch commits. This makes two things
+//! true by construction:
 //!
 //! 1. a `log_offset` stamped on a buffered line stays comparable against
 //!    [`UndoLog::durable_offset`] forever (committed entries are simply
 //!    `< durable` for the rest of time — no stale-offset ambiguity), and
 //! 2. the region can be recycled *incrementally* under overlapped epochs:
-//!    committing epoch N frees exactly N's slots, even while epoch N+1 is
+//!    committing epoch N frees exactly N's blocks, even while epoch N+1 is
 //!    already appending.
 //!
 //! # The append engine
 //!
 //! The volatile tail is a lock-free llfree-style reserve-then-fill ring:
-//! a CAS on one packed tail word reserves a slot, the entry is filled,
+//! a CAS on one packed tail word reserves an offset, the entry is filled,
 //! then *release-published* via a per-slot ready word; the pump consumes
 //! a contiguous published prefix with an acquire scan. Concurrent
 //! appenders never serialize on a mutex, and the pump's media handoff
 //! needs no lane lock at all. Under a single driving thread the sequence
 //! of media writes and crash-clock ticks is fully determined
 //! (`tests/determinism.rs` pins it; `tests/lockfree_log.rs` pins the
-//! durable images to golden digests that the retired mutex-guarded
-//! engine produced too).
+//! durable images to golden digests).
+//!
+//! A block holds entries of one epoch of one tenant. An append whose
+//! epoch or tenant differs from the open block's first entry reserves
+//! the rest of that block as *padding* together with its own offset at
+//! the next block start. Padding is published like an entry, so it never
+//! stalls the pump or the durable watermark; it only costs log capacity.
 //!
 //! # On-media format
 //!
-//! Each entry occupies [`ENTRY_LINES`] = 2 consecutive lines in its slot
-//! of the pool's log region:
+//! The region is a sequence of [`BLOCK_LINES`]-line blocks at fixed
+//! offsets from the log start: one header line, then [`BLOCK_ENTRIES`]
+//! pre-image lines.
 //!
 //! ```text
-//! line 0 (header): magic[8] | epoch u64 | vpm_line u64 | checksum u64 | tenant u32 | commit u8
-//! line 1 (data):   the 64-byte pre-image of the logged line
+//! header: magic[8] | epoch u64 | tenant u32 | commit u8 | count u8 | 0[2]
+//!         | BLOCK_ENTRIES × (vpm_line u48 | checksum u32)
+//! line 1+i: the 64-byte pre-image of entry i
 //! ```
 //!
-//! The checksum folds the data line with the header fields — including
-//! the commit mark — so recovery can detect (and safely skip) entries
-//! torn by a crash mid-append: a torn entry's data write back cannot have
-//! happened — write back is gated on the entry being durable — so
-//! skipping it is always sound. The commit mark exists for the
-//! reserve-then-fill ring: a slot that was *reserved* but never
-//! *published* at the moment of a crash never reaches media at all (the
-//! pump only drains published slots), so whatever the slot's media lines
-//! hold is either a stale
-//! committed entry or garbage that fails the magic/commit/checksum
-//! gauntlet — reserved-but-unready slots are structurally invisible to
-//! recovery.
+//! Only the first `count` entry fields are meaningful. Each entry's
+//! checksum folds its pre-image with the block's epoch, tenant and commit
+//! mark, the entry's vPM line and its position in the block, so recovery
+//! validates every entry on its own:
+//!
+//! * Block positions are fixed, so recovery needs no bank geometry and
+//!   never parses a pre-image line as a header — not even one whose bytes
+//!   are a valid header.
+//! * A background pump writes a whole block at once: pre-images first,
+//!   header last, one crash-clock step and one drain per block. A torn
+//!   block (header durable, a pre-image stale) fails that entry's
+//!   checksum. Its data line cannot have been written back — write back
+//!   is gated on the durable watermark, which only advances after the
+//!   drain — so skipping it is sound.
+//! * `flush`, forced drains and the baselines' synchronous appends may
+//!   write a *partial* block; later entries of the same epoch extend it,
+//!   rewriting the header with a larger `count`. The already-durable
+//!   entries' fields are copied unchanged, so whichever header version a
+//!   crash leaves behind still validates them.
+//! * The commit mark exists for the reserve-then-fill ring: a slot that
+//!   was *reserved* but never *published* at the moment of a crash never
+//!   reaches media at all (the pump only drains published slots), so its
+//!   media is either a stale committed entry or garbage that fails the
+//!   magic/commit/checksum gauntlet.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use pax_pm::{CacheLine, CrashOutcome, LineAddr, PmError, PmPool, Result, LINE_SIZE};
+use pax_pm::{CacheLine, CrashOutcome, LineAddr, PmError, PmPool, Result};
+use pax_telemetry::{Histogram, MetricSet, MetricSnapshot};
 
-/// Lines per undo-log entry (header + pre-image).
-pub const ENTRY_LINES: u64 = 2;
+/// Undo entries (pre-image lines) per log block.
+pub const BLOCK_ENTRIES: u64 = 4;
 
-const LOG_MAGIC: &[u8; 8] = b"PAXUNDO1";
+/// Lines per log block: one header line, then the pre-images.
+pub const BLOCK_LINES: u64 = 1 + BLOCK_ENTRIES;
+
+const LOG_MAGIC: &[u8; 8] = b"PAXUNDO2";
+
+/// Header byte offset of the block's tenant.
+const TENANT_OFFSET: usize = 16;
 
 /// Header byte offset of the commit mark.
-pub(crate) const COMMIT_OFFSET: usize = 36;
+pub(crate) const COMMIT_OFFSET: usize = 20;
 
-/// Value of the commit mark in every published header. [`UndoEntry::parse`]
-/// rejects anything else, so a slot whose header was never fully written
-/// by the pump (or was scribbled) cannot masquerade as a log record.
+/// Header byte offset of the entry count.
+const COUNT_OFFSET: usize = 21;
+
+/// Header byte offset of the per-entry fields.
+const ENTRY_FIELDS_OFFSET: usize = 24;
+
+/// Bytes of one entry's header field: a 48-bit vPM line and a 32-bit
+/// checksum.
+const ENTRY_FIELD_BYTES: usize = 10;
+
+/// vPM line numbers are stored in 48 bits (2⁴⁸ lines is 16 EiB of vPM).
+const VPM_LINE_MASK: u64 = (1 << 48) - 1;
+
+/// Value of the commit mark in every published header. A header with any
+/// other value is rejected, so a block whose header was never fully
+/// written by the pump (or was scribbled) cannot masquerade as a log
+/// record.
 const COMMIT_MARK: u8 = 1;
 
 /// One undo-log record: "line `vpm_line` held `old` at the start of
@@ -89,7 +130,7 @@ pub struct UndoEntry {
     /// The pool context (tenant) the entry belongs to. Recovery rolls
     /// each entry back against *its own tenant's* committed epoch, so
     /// entries of different tenants can interleave freely in shared
-    /// banks without cross-contaminating rollback.
+    /// regions without cross-contaminating rollback.
     pub tenant: u32,
     /// The line's contents when the epoch began.
     pub old: CacheLine,
@@ -101,53 +142,104 @@ impl UndoEntry {
         UndoEntry { epoch, vpm_line, tenant: 0, old }
     }
 
-    fn checksum(&self) -> u64 {
+    /// The checksum stored for this entry at position `index` of its
+    /// block.
+    fn checksum(&self, index: usize) -> u32 {
         let mut sum = 0xfeed_face_cafe_beefu64;
         sum ^= self.epoch.rotate_left(17);
-        sum ^= self.vpm_line.0.rotate_left(31);
+        sum ^= (self.vpm_line.0 & VPM_LINE_MASK).rotate_left(31);
         sum ^= (self.tenant as u64).rotate_left(47);
         sum ^= (COMMIT_MARK as u64).rotate_left(11);
+        sum ^= (index as u64).rotate_left(53);
         for chunk in self.old.as_bytes().chunks(8) {
             let mut b = [0u8; 8];
             b.copy_from_slice(chunk);
             sum = sum.rotate_left(7) ^ u64::from_le_bytes(b);
         }
-        sum
+        // Mix before truncating so a difference in either half of the
+        // fold survives into the stored 32 bits.
+        sum ^= sum >> 33;
+        sum = sum.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        sum ^= sum >> 33;
+        (sum >> 32) as u32
+    }
+}
+
+/// The decoded header line of one log block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct BlockHeader {
+    epoch: u64,
+    tenant: u32,
+    /// Per entry, in block order: its vPM line and checksum.
+    entries: Vec<(LineAddr, u32)>,
+}
+
+impl BlockHeader {
+    fn new(epoch: u64, tenant: u32) -> Self {
+        BlockHeader { epoch, tenant, entries: Vec::with_capacity(BLOCK_ENTRIES as usize) }
     }
 
-    fn header_line(&self) -> CacheLine {
+    fn push(&mut self, entry: &UndoEntry) {
+        debug_assert!(
+            entry.epoch == self.epoch && entry.tenant == self.tenant,
+            "a block holds one epoch of one tenant"
+        );
+        debug_assert!(entry.vpm_line.0 <= VPM_LINE_MASK, "vPM line beyond 48 bits");
+        self.entries.push((entry.vpm_line, entry.checksum(self.entries.len())));
+    }
+
+    fn line(&self) -> CacheLine {
         let mut l = CacheLine::zeroed();
         l.write_at(0, LOG_MAGIC);
         l.write_at(8, &self.epoch.to_le_bytes());
-        l.write_at(16, &self.vpm_line.0.to_le_bytes());
-        l.write_at(24, &self.checksum().to_le_bytes());
-        l.write_at(32, &self.tenant.to_le_bytes());
+        l.write_at(TENANT_OFFSET, &self.tenant.to_le_bytes());
         l.write_at(COMMIT_OFFSET, &[COMMIT_MARK]);
+        l.write_at(COUNT_OFFSET, &[self.entries.len() as u8]);
+        for (i, (line, sum)) in self.entries.iter().enumerate() {
+            let at = ENTRY_FIELDS_OFFSET + i * ENTRY_FIELD_BYTES;
+            l.write_at(at, &line.0.to_le_bytes()[..6]);
+            l.write_at(at + 6, &sum.to_le_bytes());
+        }
         l
     }
 
-    fn parse(header: &CacheLine, data: &CacheLine) -> Option<UndoEntry> {
-        if header.read_at(0, 8) != LOG_MAGIC {
+    fn parse(line: &CacheLine) -> Option<Self> {
+        if line.read_at(0, 8) != LOG_MAGIC {
             return None;
         }
         // The commit mark gates everything else: only the pump writes
-        // headers, and it only drains *published* slots, so a cleared
-        // mark means the slot never held a completed append.
-        if header.read_at(COMMIT_OFFSET, 1) != [COMMIT_MARK] {
+        // headers, and it only drains *published* slots.
+        if line.read_at(COMMIT_OFFSET, 1) != [COMMIT_MARK] {
+            return None;
+        }
+        let count = line.read_at(COUNT_OFFSET, 1)[0] as usize;
+        if count == 0 || count > BLOCK_ENTRIES as usize {
             return None;
         }
         let mut buf = [0u8; 8];
-        buf.copy_from_slice(header.read_at(8, 8));
+        buf.copy_from_slice(line.read_at(8, 8));
         let epoch = u64::from_le_bytes(buf);
-        buf.copy_from_slice(header.read_at(16, 8));
-        let vpm_line = LineAddr(u64::from_le_bytes(buf));
-        buf.copy_from_slice(header.read_at(24, 8));
-        let stored_sum = u64::from_le_bytes(buf);
         let mut tbuf = [0u8; 4];
-        tbuf.copy_from_slice(header.read_at(32, 4));
+        tbuf.copy_from_slice(line.read_at(TENANT_OFFSET, 4));
         let tenant = u32::from_le_bytes(tbuf);
-        let entry = UndoEntry { epoch, vpm_line, tenant, old: data.clone() };
-        (entry.checksum() == stored_sum).then_some(entry)
+        let entries = (0..count)
+            .map(|i| {
+                let at = ENTRY_FIELDS_OFFSET + i * ENTRY_FIELD_BYTES;
+                let mut buf = [0u8; 8];
+                buf[..6].copy_from_slice(line.read_at(at, 6));
+                let mut sum = [0u8; 4];
+                sum.copy_from_slice(line.read_at(at + 6, 4));
+                (LineAddr(u64::from_le_bytes(buf)), u32::from_le_bytes(sum))
+            })
+            .collect();
+        Some(BlockHeader { epoch, tenant, entries })
+    }
+
+    /// Entry `index` with pre-image `old`, if its checksum verifies.
+    fn entry(&self, index: usize, old: CacheLine) -> Option<UndoEntry> {
+        let (vpm_line, sum) = self.entries[index];
+        let entry = UndoEntry { epoch: self.epoch, vpm_line, tenant: self.tenant, old };
+        (entry.checksum(index) == sum).then_some(entry)
     }
 }
 
@@ -167,12 +259,13 @@ struct PaddedAtomicU64(AtomicU64);
 
 /// One reserve-then-fill slot of an [`UndoLog`].
 ///
-/// `ready == 0` means empty; `ready == offset + 1` means the pre-image
-/// for logical offset `offset` is published (the `+1` keeps 0 free for
-/// "empty", and comparing against the *exact* expected offset is what
-/// makes the check ABA-proof across ring laps: a slot republished on a
-/// later lap holds a different offset, so a stale pump scan can never
-/// mistake it for the entry it is waiting on).
+/// `ready == 0` means empty; `ready == offset + 1` means logical offset
+/// `offset` is published (the `+1` keeps 0 free for "empty", and
+/// comparing against the *exact* expected offset is what makes the check
+/// ABA-proof across ring laps: a slot republished on a later lap holds a
+/// different offset, so a stale pump scan can never mistake it for the
+/// entry it is waiting on). A published slot without an entry is
+/// padding.
 ///
 /// The entry box is a `Mutex` only because the crate forbids `unsafe`;
 /// by protocol it is uncontended — exactly one appender owns a reserved
@@ -183,6 +276,19 @@ struct Slot {
     entry: Mutex<Option<Box<UndoEntry>>>,
 }
 
+/// The key of the block a ring position currently holds: the epoch and
+/// tenant of its first entry, which later appenders compare against.
+#[derive(Debug, Default)]
+struct BlockKey {
+    /// `offset + 1` once `epoch` and `tenant` hold the key of the block
+    /// opened at logical offset `offset`. Set right after the opener's
+    /// reservation, before its fill, and kept through the drain, so the
+    /// key stays readable for as long as the block is open.
+    opened_at: AtomicU64,
+    epoch: AtomicU64,
+    tenant: AtomicU32,
+}
+
 /// The device's undo-log writer over (a bank of) the pool's log region:
 /// a lock-free tail with CAS reservation on a packed head/tail word,
 /// per-slot release publication, and acquire-scan consumption
@@ -191,23 +297,24 @@ struct Slot {
 /// All methods take `&self`. The protocol, in memory-ordering terms:
 ///
 /// 1. **Reserve** — a CAS on the packed word claims logical offset `o`
-///    and bumps the in-flight count (one word so the `log_reserved`
-///    gauge is exact). The fullness check `tail − recycled ≥ capacity`
-///    loads `recycled` with *acquire*, pairing with the *release*
-///    `fetch_max` in [`UndoLog::recycle_to`]; transitively (see step
-///    4) the reservation happens-after the pump finished with the slot's
-///    previous lap, so overwriting it is safe.
-/// 2. **Fill** — the appender writes the entry into slot `o % capacity`
+///    (plus any padding before it) and bumps the in-flight count (one
+///    word so the `log_reserved` gauge is exact). The fullness check
+///    `end of o's block − recycled > capacity` loads `recycled` with
+///    *acquire*, pairing with the *release* `fetch_max` in
+///    [`UndoLog::recycle_to`]; transitively (see step 4) the reservation
+///    happens-after the pump finished with the block's previous lap, so
+///    overwriting it is safe.
+/// 2. **Fill** — the appender writes the entry into its slot
 ///    (uncontended by construction).
 /// 3. **Publish** — `ready.store(o + 1, Release)`: everything the
 ///    appender wrote becomes visible to whoever acquires the ready word.
 ///    The in-flight count drops.
 /// 4. **Consume** — the pump (externally serialized: it requires
 ///    `&mut PmPool`, and the device's media pool sits behind one mutex)
-///    scans the contiguous published prefix from the durable watermark
-///    with `ready.load(Acquire)`, writes both lines to media, clears
-///    `ready`, drains, then release-stores the durable watermark
-///    `o + 1`. Commit recycles with a release `fetch_max`, closing the
+///    scans the contiguous published prefix of the block at the durable
+///    watermark with `ready.load(Acquire)`, writes its pre-images and
+///    header, clears `ready`, drains, then release-stores the durable
+///    watermark. Commit recycles with a release `fetch_max`, closing the
 ///    loop back to step 1.
 ///
 /// The durable watermark is what lets readers order against the log
@@ -222,50 +329,70 @@ pub struct UndoLog {
     /// Logical offsets below this belong to committed epochs; their
     /// slots may be reused. Only grows (release `fetch_max`).
     recycled: PaddedAtomicU64,
-    /// Entries drained to media over the writer's lifetime (monotonic,
+    /// Offsets drained to media over the writer's lifetime (monotonic,
     /// never resets; release-stored by the pump).
     durable: PaddedAtomicU64,
     /// The volatile ring, one slot per in-capacity logical offset.
     slots: Box<[Slot]>,
+    /// One key per block of the ring.
+    keys: Box<[BlockKey]>,
+    /// The header of the block at the durable watermark while that block
+    /// is only partly written; the next drain of the block extends it.
+    /// Pump-only (the pump is serialized by the pool lock).
+    open: Mutex<Option<BlockHeader>>,
     /// Failed reservation CAS attempts (contention telemetry).
     cas_retries: AtomicU64,
-    /// Total bytes of log writes issued (write-amplification benches).
-    bytes_written: AtomicU64,
+    /// Header writes issued, one per block drain (whole or partial).
+    blocks_written: AtomicU64,
+    /// Header and pre-image lines issued to media.
+    lines_written: AtomicU64,
+    /// Holds the `log_block_entries` histogram: entries covered by each
+    /// header write.
+    fill: MetricSet,
+    fill_hist: Histogram,
     /// First pool line of this writer's slice of the log region.
     region_start: u64,
-    /// Capacity of this writer's slice, in entries.
-    capacity_entries: u64,
+    /// Capacity of this writer's slice, in blocks.
+    blocks: u64,
 }
 
 impl UndoLog {
     /// A log writer over a pool's whole log region.
     pub fn new(pool: &PmPool) -> Self {
         let layout = pool.layout();
-        Self::with_region(layout.log_start().0, layout.log_lines / ENTRY_LINES)
+        Self::with_region(layout.log_start().0, layout.log_lines / BLOCK_LINES)
     }
 
-    /// A log writer over `capacity_entries` slots starting at pool line
+    /// A log writer over `blocks` blocks starting at pool line
     /// `region_start` — how a sharded device gives each lane its own
     /// bank of the log region.
-    pub fn with_region(region_start: u64, capacity_entries: u64) -> Self {
-        let slots = (0..capacity_entries)
+    pub fn with_region(region_start: u64, blocks: u64) -> Self {
+        let slots = (0..blocks * BLOCK_ENTRIES)
             .map(|_| Slot { ready: AtomicU64::new(0), entry: Mutex::new(None) })
             .collect::<Vec<_>>()
             .into_boxed_slice();
+        let keys = (0..blocks).map(|_| BlockKey::default()).collect::<Vec<_>>().into_boxed_slice();
+        let mut fill = MetricSet::new("device");
+        let fill_hist = fill.histogram("log_block_entries");
         UndoLog {
             state: PaddedAtomicU64::default(),
             recycled: PaddedAtomicU64::default(),
             durable: PaddedAtomicU64::default(),
             slots,
+            keys,
+            open: Mutex::new(None),
             cas_retries: AtomicU64::new(0),
-            bytes_written: AtomicU64::new(0),
+            blocks_written: AtomicU64::new(0),
+            lines_written: AtomicU64::new(0),
+            fill,
+            fill_hist,
             region_start,
-            capacity_entries,
+            blocks,
         }
     }
 
-    /// Entries appended over the writer's lifetime (durable + pending);
-    /// the next append gets this offset.
+    /// Offsets reserved over the writer's lifetime (durable + pending,
+    /// padding included); the next append gets at least this offset.
     pub fn appended(&self) -> u64 {
         self.state.0.load(Ordering::Relaxed) & TAIL_MASK
     }
@@ -282,14 +409,14 @@ impl UndoLog {
         self.cas_retries.load(Ordering::Relaxed)
     }
 
-    /// Entries known durable; write back of a data line tagged with offset
-    /// `o` is legal once `o < durable_offset()`. Acquire: pairs with the
-    /// pump's release store after the media drain.
+    /// Offsets known durable; write back of a data line tagged with
+    /// offset `o` is legal once `o < durable_offset()`. Acquire: pairs
+    /// with the pump's release store after the media drain.
     pub fn durable_offset(&self) -> u64 {
         self.durable.0.load(Ordering::Acquire)
     }
 
-    /// Entries appended but not yet durable. (Loads `durable` first:
+    /// Offsets reserved but not yet durable. (Loads `durable` first:
     /// both only grow and `durable ≤ tail` at every instant, so the
     /// later tail load can only over-approximate, never underflow.)
     pub fn pending_len(&self) -> usize {
@@ -297,7 +424,15 @@ impl UndoLog {
         self.appended().saturating_sub(durable) as usize
     }
 
-    /// Entries whose slots are still held by uncommitted epochs.
+    /// Whether the block at the durable watermark is reserved to its end —
+    /// the condition for the background pump to find a whole block (its
+    /// last appender may still be publishing).
+    pub(crate) fn has_whole_block(&self) -> bool {
+        let durable = self.durable_offset();
+        self.appended() >= (durable / BLOCK_ENTRIES + 1) * BLOCK_ENTRIES
+    }
+
+    /// Offsets whose slots are still held by uncommitted epochs.
     pub fn live_entries(&self) -> u64 {
         let recycled = self.recycled.0.load(Ordering::Acquire);
         self.appended().saturating_sub(recycled)
@@ -305,20 +440,70 @@ impl UndoLog {
 
     /// Capacity of this writer's region slice, in entries.
     pub fn capacity_entries(&self) -> u64 {
-        self.capacity_entries
+        self.blocks * BLOCK_ENTRIES
     }
 
-    /// Total log bytes issued to media.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written.load(Ordering::Relaxed)
+    /// Header writes issued so far — the `log_blocks` counter.
+    pub(crate) fn blocks_written(&self) -> u64 {
+        self.blocks_written.load(Ordering::Relaxed)
     }
 
-    /// Pool line of the slot backing logical offset `offset`.
-    fn slot_base(&self, offset: u64) -> u64 {
-        self.region_start + (offset % self.capacity_entries) * ENTRY_LINES
+    /// Header and pre-image lines issued so far — the
+    /// `log_lines_written` counter.
+    pub(crate) fn lines_written(&self) -> u64 {
+        self.lines_written.load(Ordering::Relaxed)
     }
 
-    /// Lock-free append: reserve a slot with one CAS, fill it, publish
+    /// The `log_block_entries` histogram (entries covered by each header
+    /// write), as a `device` snapshot holding nothing else.
+    pub(crate) fn fill_snapshot(&self) -> MetricSnapshot {
+        self.fill.snapshot()
+    }
+
+    fn slot(&self, offset: u64) -> &Slot {
+        &self.slots[(offset % self.capacity_entries()) as usize]
+    }
+
+    /// The key of the block holding logical offset `offset`.
+    fn key(&self, offset: u64) -> &BlockKey {
+        &self.keys[(offset / BLOCK_ENTRIES % self.blocks) as usize]
+    }
+
+    /// Pool line of the header of the block holding logical offset
+    /// `offset`.
+    fn block_base(&self, offset: u64) -> u64 {
+        self.region_start + (offset / BLOCK_ENTRIES % self.blocks) * BLOCK_LINES
+    }
+
+    /// Whether `entry` may take offset `tail`, which sits inside a block
+    /// that already holds entries: only when the block's first entry has
+    /// the same epoch and tenant.
+    ///
+    /// The key is set, except in the few instructions between another
+    /// appender's reservation of the block and its key store; that
+    /// appender holds no lock and waits on nothing, so the wait ends (it
+    /// yields now and then in case that appender was preempted).
+    fn joins_block(&self, tail: u64, entry: &UndoEntry) -> bool {
+        let first = tail - tail % BLOCK_ENTRIES;
+        let key = self.key(first);
+        let mut spins = 0u32;
+        // Acquire pairs with the opener's release store of `opened_at`.
+        while key.opened_at.load(Ordering::Acquire) != first + 1 {
+            if self.appended() != tail {
+                return false; // the caller's CAS fails and re-decides
+            }
+            spins += 1;
+            if spins.is_multiple_of(64) {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
+            }
+        }
+        key.epoch.load(Ordering::Relaxed) == entry.epoch
+            && key.tenant.load(Ordering::Relaxed) == entry.tenant
+    }
+
+    /// Lock-free append: reserve an offset with one CAS, fill it, publish
     /// it. Returns the entry's logical offset.
     ///
     /// The append itself is volatile — this is the asynchrony of §3.2: the
@@ -326,30 +511,37 @@ impl UndoLog {
     ///
     /// # Errors
     ///
-    /// Returns [`PmError::LogFull`] when every slot is held by an
-    /// uncommitted epoch; the caller (libpax) should `persist()` to
+    /// Returns [`PmError::LogFull`] when the entry's block is still held
+    /// by an uncommitted epoch; the caller (libpax) should `persist()` to
     /// recycle the region.
     pub fn append(&self, entry: UndoEntry) -> Result<u64> {
+        let capacity = self.capacity_entries();
         let mut cur = self.state.0.load(Ordering::Relaxed);
-        let offset = loop {
+        let (tail, offset) = loop {
             let tail = cur & TAIL_MASK;
+            let offset = if tail.is_multiple_of(BLOCK_ENTRIES) || self.joins_block(tail, &entry) {
+                tail
+            } else {
+                tail.next_multiple_of(BLOCK_ENTRIES)
+            };
             // Acquire on `recycled` pairs with the release `fetch_max`
             // in `recycle_to`: if the check admits us, the pump's last
-            // use of the slot we are about to overwrite happened-before
-            // this load (pump cleared `ready` → release-published
-            // durable → committer acquired durable and release-maxed
-            // `recycled` → we acquire `recycled`).
-            if tail - self.recycled.0.load(Ordering::Acquire) >= self.capacity_entries {
-                return Err(PmError::LogFull { capacity_entries: self.capacity_entries });
+            // use of every slot of this block's previous lap
+            // happened-before this load (pump cleared `ready` →
+            // release-published durable → committer acquired durable and
+            // release-maxed `recycled` → we acquire `recycled`).
+            let block_end = (offset / BLOCK_ENTRIES + 1) * BLOCK_ENTRIES;
+            if block_end - self.recycled.0.load(Ordering::Acquire) > capacity {
+                return Err(PmError::LogFull { capacity_entries: capacity });
             }
-            let next = ((cur >> 48) + 1) << 48 | (tail + 1);
+            let next = ((cur >> 48) + 1) << 48 | (offset + 1);
             match self.state.0.compare_exchange_weak(
                 cur,
                 next,
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => break tail,
+                Ok(_) => break (tail, offset),
                 Err(now) => {
                     self.cas_retries.fetch_add(1, Ordering::Relaxed);
                     std::hint::spin_loop();
@@ -357,14 +549,23 @@ impl UndoLog {
                 }
             }
         };
-        let slot = &self.slots[(offset % self.capacity_entries) as usize];
+        if offset.is_multiple_of(BLOCK_ENTRIES) {
+            let key = self.key(offset);
+            key.epoch.store(entry.epoch, Ordering::Relaxed);
+            key.tenant.store(entry.tenant, Ordering::Relaxed);
+            key.opened_at.store(offset + 1, Ordering::Release);
+        }
+        for pad in tail..offset {
+            debug_assert_eq!(self.slot(pad).ready.load(Ordering::Relaxed), 0);
+            self.slot(pad).ready.store(pad + 1, Ordering::Release);
+        }
+        let slot = self.slot(offset);
         debug_assert_eq!(
             slot.ready.load(Ordering::Relaxed),
             0,
             "reserved slot {offset} still published from a previous lap"
         );
-        *slot.entry.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
-            Some(Box::new(entry));
+        *slot.entry.lock().unwrap_or_else(PoisonError::into_inner) = Some(Box::new(entry));
         // Release: the filled entry becomes visible to the pump's
         // acquire scan exactly when the ready word does. `offset + 1`
         // (not a bare flag) makes the scan ABA-proof across ring laps.
@@ -373,9 +574,11 @@ impl UndoLog {
         Ok(offset)
     }
 
-    /// Drains up to `max_entries` of the *contiguous published prefix*
-    /// to the log region and advances the durable watermark. Returns
-    /// entries drained; stops early at the first unpublished slot.
+    /// The background pump: drains *whole* blocks of the contiguous
+    /// published prefix while fewer than `max_entries` offsets have
+    /// drained, and advances the durable watermark. Returns offsets
+    /// drained; padding is drained too but not charged to the budget. A
+    /// block that is not yet full stays pending.
     ///
     /// Needs no lane lock: callers are serialized by `&mut PmPool` (the
     /// media pool lock), which is exactly the resource the pump consumes.
@@ -390,47 +593,111 @@ impl UndoLog {
         clock: &pax_pm::CrashClock,
         max_entries: usize,
     ) -> Result<usize> {
-        let mut drained = 0;
-        while drained < max_entries {
-            let durable = self.durable_offset();
-            let slot = &self.slots[(durable % self.capacity_entries) as usize];
+        self.drain(pool, clock, max_entries, 0)
+    }
+
+    /// Like [`UndoLog::pump`], but the block holding offset `target - 1`
+    /// may be written partially — what a caller waiting for offsets below
+    /// `target` to become durable (a persist, a forced eviction) needs.
+    ///
+    /// # Errors
+    ///
+    /// See [`UndoLog::pump`].
+    pub fn pump_to(
+        &self,
+        pool: &mut PmPool,
+        clock: &pax_pm::CrashClock,
+        target: u64,
+        max_entries: usize,
+    ) -> Result<usize> {
+        self.drain(pool, clock, max_entries, target)
+    }
+
+    fn drain(
+        &self,
+        pool: &mut PmPool,
+        clock: &pax_pm::CrashClock,
+        max_entries: usize,
+        target: u64,
+    ) -> Result<usize> {
+        let (mut drained, mut padding) = (0, 0);
+        while drained < max_entries && !self.slots.is_empty() {
+            let start = self.durable_offset();
+            let block_end = (start / BLOCK_ENTRIES + 1) * BLOCK_ENTRIES;
             // Acquire pairs with the publisher's release store: observing
-            // `durable + 1` makes the boxed entry visible.
-            if slot.ready.load(Ordering::Acquire) != durable + 1 {
+            // `o + 1` makes the boxed entry visible.
+            let mut end = start;
+            while end < block_end && self.slot(end).ready.load(Ordering::Acquire) == end + 1 {
+                end += 1;
+            }
+            if end == start || (end < block_end && target <= start) {
                 break;
             }
-            if clock.tick() == CrashOutcome::Crashed {
-                pool.crash();
-                return Err(PmError::Crashed);
+            let n = (end - start) as usize;
+            if self.write_block(pool, clock, start, end)? {
+                drained += n;
+            } else {
+                padding += n;
             }
-            let entry = slot
-                .entry
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
-                .expect("published slot holds its entry");
+        }
+        Ok(drained + padding)
+    }
+
+    /// Writes the published offsets `start..end` of one block to media:
+    /// pre-images, then the header, then a drain, then the watermark.
+    /// Returns whether the range held any entry (a range of padding only
+    /// just moves the watermark).
+    fn write_block(
+        &self,
+        pool: &mut PmPool,
+        clock: &pax_pm::CrashClock,
+        start: u64,
+        end: u64,
+    ) -> Result<bool> {
+        let padding_only =
+            self.slot(start).entry.lock().unwrap_or_else(PoisonError::into_inner).is_none();
+        if !padding_only && clock.tick() == CrashOutcome::Crashed {
+            pool.crash();
+            return Err(PmError::Crashed);
+        }
+        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut header = if start.is_multiple_of(BLOCK_ENTRIES) { None } else { open.take() };
+        let base = self.block_base(start);
+        for offset in start..end {
+            let slot = self.slot(offset);
+            let entry = slot.entry.lock().unwrap_or_else(PoisonError::into_inner).take();
             // Clearing `ready` before publishing durability keeps the
             // reuse chain intact: clear → durable release → recycle
             // release-max → reserver acquire — a future lap's appender
             // can only see an empty slot.
             slot.ready.store(0, Ordering::Release);
-            let base = self.slot_base(durable);
-            pool.write_line(LineAddr(base), entry.header_line())?;
-            pool.write_line(LineAddr(base + 1), entry.old.clone())?;
-            // The watermark only advances once both lines are durable:
-            // the release store publishes the drained media state to any
-            // thread that acquires the new offset.
-            pool.drain();
-            self.durable.0.store(durable + 1, Ordering::Release);
-            self.bytes_written
-                .fetch_add((ENTRY_LINES as usize * LINE_SIZE) as u64, Ordering::Relaxed);
-            drained += 1;
+            let Some(entry) = entry else { continue };
+            let h = header.get_or_insert_with(|| BlockHeader::new(entry.epoch, entry.tenant));
+            let index = offset % BLOCK_ENTRIES;
+            debug_assert_eq!(h.entries.len() as u64, index, "block entries are contiguous");
+            pool.write_line(LineAddr(base + 1 + index), entry.old.clone())?;
+            h.push(&entry);
+            self.lines_written.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(drained)
+        if !padding_only {
+            let h = header.as_ref().expect("a block with entries has a header");
+            pool.write_line(LineAddr(base), h.line())?;
+            // The watermark only advances once the whole block is
+            // durable: the release store below publishes the drained
+            // media state to any thread that acquires the new offset.
+            pool.drain();
+            self.blocks_written.fetch_add(1, Ordering::Relaxed);
+            self.lines_written.fetch_add(1, Ordering::Relaxed);
+            self.fill.record(self.fill_hist, h.entries.len() as u64);
+        }
+        *open = if end.is_multiple_of(BLOCK_ENTRIES) { None } else { header };
+        self.durable.0.store(end, Ordering::Release);
+        Ok(!padding_only)
     }
 
     /// Drains until everything reserved *at entry* is durable (the
-    /// synchronous step inside `persist()`).
+    /// synchronous step inside `persist()`), writing the last block
+    /// partially if it is not full.
     ///
     /// If the scan meets a reservation that is filled but not yet
     /// published (only possible with a concurrent appender), it yields
@@ -443,14 +710,14 @@ impl UndoLog {
     pub fn flush(&self, pool: &mut PmPool, clock: &pax_pm::CrashClock) -> Result<()> {
         let target = self.appended();
         while self.durable_offset() < target {
-            if self.pump(pool, clock, usize::MAX)? == 0 {
+            if self.pump_to(pool, clock, target, usize::MAX)? == 0 {
                 std::thread::yield_now();
             }
         }
         Ok(())
     }
 
-    /// Marks every entry below logical offset `watermark` as committed,
+    /// Marks every offset below logical offset `watermark` as committed,
     /// freeing its slot for reuse; clamped to the durable offset and
     /// never regresses. The release `fetch_max` pairs with the acquire
     /// load in [`UndoLog::append`]'s fullness check (see the protocol
@@ -471,54 +738,82 @@ impl UndoLog {
 
     /// Drops the volatile tail (power loss): reservations, published
     /// entries, and in-flight counts all vanish; only media (and the
-    /// watermark describing it) survives. Callers must have exclusive
-    /// access in practice (the engine's crash path is stop-the-world).
+    /// watermark and open-block header describing it) survives. Callers
+    /// must have exclusive access in practice (the engine's crash path is
+    /// stop-the-world).
     pub fn crash(&self) {
         for slot in self.slots.iter() {
             slot.ready.store(0, Ordering::Relaxed);
-            *slot.entry.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+            *slot.entry.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
         self.state.0.store(self.durable_offset(), Ordering::Relaxed);
     }
 
     /// Scans the pool's log region for valid entries (recovery, §3.4).
     ///
-    /// Every slot is parsed; torn or never-written slots fail checksum
-    /// validation and are skipped, and slots whose header lacks the
-    /// commit mark — which is what a reserved-but-never-published
-    /// slot's media can look like at worst — are rejected the same way.
-    /// Returns entries in on-media slot order — **not** append order once
-    /// the ring has wrapped; recovery orders rollback by epoch, which
-    /// slot reuse cannot disturb (a slot is only overwritten after its
-    /// epoch commits).
+    /// Every block header at its fixed position is parsed, and every
+    /// entry it lists is validated against its own checksum; torn or
+    /// never-written entries are skipped, and headers lacking the commit
+    /// mark — which is what a reserved-but-never-published slot's media
+    /// can look like at worst — are rejected the same way. Returns
+    /// `(block × BLOCK_ENTRIES + index, entry)` pairs in on-media order —
+    /// **not** append order once the ring has wrapped; recovery orders
+    /// rollback by epoch, which block reuse cannot disturb (a block is
+    /// only overwritten after its epoch commits).
     ///
     /// # Errors
     ///
     /// Surfaces media read errors.
     pub fn scan(pool: &mut PmPool) -> Result<Vec<(u64, UndoEntry)>> {
-        let layout = pool.layout();
-        let capacity = layout.log_lines / ENTRY_LINES;
         let mut out = Vec::new();
-        for i in 0..capacity {
-            let base = layout.log_start().0 + i * ENTRY_LINES;
-            let header = pool.read_line(LineAddr(base))?;
-            // Cheap pre-filter: never-written slots have no magic.
-            if header.read_at(0, 8) != LOG_MAGIC {
-                continue;
-            }
-            let data = pool.read_line(LineAddr(base + 1))?;
-            if let Some(entry) = UndoEntry::parse(&header, &data) {
-                out.push((i, entry));
-            }
-        }
+        Self::scan_each(pool, |_, slot, entry| {
+            out.push((slot, entry));
+            Ok(())
+        })?;
         Ok(out)
     }
+
+    /// Like [`UndoLog::scan`], but hands each valid entry to `f` (with
+    /// the pool, for lookups) instead of collecting them all.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces media read errors and `f`'s errors.
+    pub(crate) fn scan_each(
+        pool: &mut PmPool,
+        mut f: impl FnMut(&mut PmPool, u64, UndoEntry) -> Result<()>,
+    ) -> Result<()> {
+        let layout = pool.layout();
+        for block in 0..layout.log_lines / BLOCK_LINES {
+            let base = layout.log_start().0 + block * BLOCK_LINES;
+            let Some(header) = BlockHeader::parse(&pool.read_line(LineAddr(base))?) else {
+                continue;
+            };
+            for i in 0..header.entries.len() {
+                let old = pool.read_line(LineAddr(base + 1 + i as u64))?;
+                if let Some(entry) = header.entry(i, old) {
+                    f(pool, block * BLOCK_ENTRIES + i as u64, entry)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The header line a block holding `entries` (one epoch of one tenant, in
+/// block order) carries on media.
+pub fn block_header_line(entries: &[UndoEntry]) -> CacheLine {
+    let mut header = BlockHeader::new(entries[0].epoch, entries[0].tenant);
+    for e in entries {
+        header.push(e);
+    }
+    header.line()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_pm::{CrashClock, PoolConfig};
+    use pax_pm::{CrashClock, PoolConfig, LINE_SIZE};
 
     fn pool() -> PmPool {
         PmPool::create(PoolConfig::small()).unwrap()
@@ -528,13 +823,17 @@ mod tests {
         UndoEntry::single(epoch, LineAddr(line), CacheLine::filled(fill))
     }
 
-    /// A writer over `slots` entries of `p`'s log region, laid out the two
+    /// A writer over `blocks` blocks of `p`'s log region, laid out the two
     /// ways the workspace uses: at the region start (the baselines'
     /// whole-region writers) or as the second of two banks (a device
     /// lane). The `_in_both_modes` tests check each contract both ways.
-    fn mode_log(p: &PmPool, banked: bool, slots: u64) -> UndoLog {
-        let base = p.layout().log_start().0 + if banked { slots * ENTRY_LINES } else { 0 };
-        UndoLog::with_region(base, slots)
+    fn mode_log(p: &PmPool, banked: bool, blocks: u64) -> UndoLog {
+        let base = p.layout().log_start().0 + if banked { blocks * BLOCK_LINES } else { 0 };
+        UndoLog::with_region(base, blocks)
+    }
+
+    fn pool_with_log_lines(lines: usize) -> PmPool {
+        PmPool::create(PoolConfig::small().with_log_bytes(lines * LINE_SIZE)).unwrap()
     }
 
     #[test]
@@ -551,7 +850,7 @@ mod tests {
         // corrupted tag cannot silently reassign an entry to another pool.
         let header = LineAddr(p.layout().log_start().0);
         let mut line = p.read_line(header).unwrap();
-        line.write_at(32, &5u32.to_le_bytes());
+        line.write_at(TENANT_OFFSET, &5u32.to_le_bytes());
         p.write_line(header, line).unwrap();
         p.drain();
         assert!(UndoLog::scan(&mut p).unwrap().is_empty());
@@ -580,7 +879,7 @@ mod tests {
     fn append_assigns_monotonic_offsets_in_both_modes() {
         let p = pool();
         for banked in [false, true] {
-            let log = mode_log(&p, banked, 1024);
+            let log = mode_log(&p, banked, 256);
             assert_eq!(log.append(entry(1, 0, 0)).unwrap(), 0);
             assert_eq!(log.append(entry(1, 1, 0)).unwrap(), 1);
             assert_eq!(log.appended(), 2);
@@ -593,40 +892,95 @@ mod tests {
         let clock = CrashClock::new();
         for banked in [false, true] {
             let mut p = pool();
-            let log = mode_log(&p, banked, 1024);
+            let log = mode_log(&p, banked, 256);
             for i in 0..5 {
                 log.append(entry(1, i, i as u8)).unwrap();
             }
-            assert_eq!(log.pump(&mut p, &clock, 2).unwrap(), 2);
-            assert_eq!(log.durable_offset(), 2);
-            assert_eq!(log.pending_len(), 3);
+            // A budget of two drains the one whole block; the fifth entry
+            // waits for its block to fill.
+            assert_eq!(log.pump(&mut p, &clock, 2).unwrap(), 4);
+            assert_eq!(log.durable_offset(), 4);
+            assert_eq!(log.pending_len(), 1);
+            assert_eq!(log.pump(&mut p, &clock, 2).unwrap(), 0);
             log.flush(&mut p, &clock).unwrap();
             assert_eq!(log.durable_offset(), 5);
-            assert_eq!(log.bytes_written(), 5 * 128);
+            assert_eq!((log.blocks_written(), log.lines_written()), (2, 7));
         }
     }
 
     #[test]
+    fn epoch_switch_pads_to_the_next_block() {
+        let clock = CrashClock::new();
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        assert_eq!(log.append(entry(1, 0, 1)).unwrap(), 0);
+        // A new epoch (or tenant) never joins the open block.
+        assert_eq!(log.append(entry(2, 1, 2)).unwrap(), 4);
+        assert_eq!(log.append(UndoEntry { tenant: 1, ..entry(2, 2, 3) }).unwrap(), 8);
+        assert_eq!(log.append(UndoEntry { tenant: 1, ..entry(2, 3, 4) }).unwrap(), 9);
+        // The padding is published: the pump drains past it without
+        // waiting, and the partial blocks become durable on flush.
+        log.flush(&mut p, &clock).unwrap();
+        assert_eq!(log.durable_offset(), 10);
+        let scanned = UndoLog::scan(&mut p).unwrap();
+        let slots: Vec<u64> = scanned.iter().map(|(s, _)| *s).collect();
+        assert_eq!(slots, vec![0, 4, 8, 9]);
+        assert_eq!(log.blocks_written(), 3);
+        let fill = log.fill_snapshot();
+        let h = fill.histogram("log_block_entries").unwrap();
+        assert_eq!((h.count, h.sum, h.max), (3, 4, 2));
+    }
+
+    #[test]
+    fn partial_block_is_extended_without_invalidating_durable_entries() {
+        let clock = CrashClock::new();
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        log.append(entry(1, 0, 1)).unwrap();
+        log.append(entry(1, 1, 2)).unwrap();
+        log.flush(&mut p, &clock).unwrap();
+        let header = LineAddr(p.layout().log_start().0);
+        let first = p.read_line(header).unwrap();
+        log.append(entry(1, 2, 3)).unwrap();
+        log.flush(&mut p, &clock).unwrap();
+        assert_eq!(UndoLog::scan(&mut p).unwrap().len(), 3);
+        // A crash that kept the previous header version still finds the
+        // two entries that were durable under it.
+        p.write_line(header, first).unwrap();
+        p.drain();
+        let scanned = UndoLog::scan(&mut p).unwrap();
+        assert_eq!(scanned.iter().map(|(_, e)| e.vpm_line.0).collect::<Vec<_>>(), vec![0, 1]);
+    }
+
+    #[test]
     fn engines_produce_identical_media_bytes() {
-        // The media contract every writer honours: after a flush, slot i
-        // holds exactly entry i's header line and pre-image, whatever the
-        // tenant/epoch mix — the bytes recovery and the golden durable
-        // images depend on.
+        // The media contract every writer honours: after a flush, each
+        // block holds exactly its header line and its entries'
+        // pre-images, whatever the tenant/epoch mix — the bytes recovery
+        // and the golden durable images depend on.
         let clock = CrashClock::new();
         let mut p = pool();
         let log = UndoLog::new(&p);
         let entries: Vec<UndoEntry> = (0..32u64)
-            .map(|i| UndoEntry { tenant: (i % 3) as u32, ..entry(1 + i / 10, i % 7, i as u8) })
+            .map(|i| UndoEntry { tenant: (i / 8 % 3) as u32, ..entry(1 + i / 12, i % 7, i as u8) })
             .collect();
+        let mut blocks: Vec<(u64, Vec<UndoEntry>)> = Vec::new();
         for e in &entries {
-            log.append(e.clone()).unwrap();
+            let offset = log.append(e.clone()).unwrap();
+            match blocks.last_mut() {
+                Some((b, v)) if *b == offset / BLOCK_ENTRIES => v.push(e.clone()),
+                _ => blocks.push((offset / BLOCK_ENTRIES, vec![e.clone()])),
+            }
         }
         log.flush(&mut p, &clock).unwrap();
         let start = p.layout().log_start().0;
-        for (i, e) in entries.iter().enumerate() {
-            let base = start + i as u64 * ENTRY_LINES;
-            assert_eq!(p.read_line(LineAddr(base)).unwrap(), e.header_line(), "slot {i} header");
-            assert_eq!(p.read_line(LineAddr(base + 1)).unwrap(), e.old, "slot {i} pre-image");
+        for (b, v) in &blocks {
+            let base = start + b * BLOCK_LINES;
+            assert_eq!(p.read_line(LineAddr(base)).unwrap(), block_header_line(v), "block {b}");
+            for (i, e) in v.iter().enumerate() {
+                let pre = p.read_line(LineAddr(base + 1 + i as u64)).unwrap();
+                assert_eq!(pre, e.old, "block {b} pre-image {i}");
+            }
         }
     }
 
@@ -649,9 +1003,9 @@ mod tests {
         let clock = CrashClock::new();
         for banked in [false, true] {
             let mut p = pool();
-            let log = mode_log(&p, banked, 1024);
+            let log = mode_log(&p, banked, 256);
             log.append(entry(1, 0, 1)).unwrap();
-            log.pump(&mut p, &clock, 1).unwrap();
+            log.pump_to(&mut p, &clock, 1, 1).unwrap();
             log.append(entry(1, 1, 2)).unwrap();
             log.crash();
             p.crash();
@@ -668,24 +1022,41 @@ mod tests {
         let clock = CrashClock::new();
         let log = UndoLog::new(&p);
         log.append(entry(1, 0, 1)).unwrap();
+        log.append(entry(1, 1, 2)).unwrap();
         log.flush(&mut p, &clock).unwrap();
-        // Corrupt the data line of the entry (simulated torn write).
+        // Corrupt the first pre-image (simulated torn write): only that
+        // entry is lost; its block neighbour still validates.
         let data_line = LineAddr(p.layout().log_start().0 + 1);
         p.write_line(data_line, CacheLine::filled(0xFF)).unwrap();
         p.drain();
-        assert!(UndoLog::scan(&mut p).unwrap().is_empty());
+        let scanned = UndoLog::scan(&mut p).unwrap();
+        assert_eq!(scanned.len(), 1);
+        assert_eq!(scanned[0].1, entry(1, 1, 2));
+    }
+
+    #[test]
+    fn header_shaped_pre_image_is_never_parsed_as_a_header() {
+        let clock = CrashClock::new();
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        // A pre-image whose bytes are a valid header of another block.
+        let forged = block_header_line(&[entry(9, 3, 0x33)]);
+        log.append(UndoEntry::single(1, LineAddr(5), forged.clone())).unwrap();
+        log.flush(&mut p, &clock).unwrap();
+        let scanned = UndoLog::scan(&mut p).unwrap();
+        assert_eq!(scanned.len(), 1);
+        assert_eq!(scanned[0].1.old, forged);
     }
 
     #[test]
     fn log_full_is_reported_in_both_modes() {
-        let mut cfg = PoolConfig::small();
-        cfg.log_bytes = 8 * LINE_SIZE; // two banks of 2 entries
-        let p = PmPool::create(cfg).unwrap();
+        let p = pool_with_log_lines(2 * BLOCK_LINES as usize); // two banks of one block
         for banked in [false, true] {
-            let log = mode_log(&p, banked, 2);
-            log.append(entry(1, 0, 0)).unwrap();
-            log.append(entry(1, 1, 0)).unwrap();
-            assert!(matches!(log.append(entry(1, 2, 0)), Err(PmError::LogFull { .. })));
+            let log = mode_log(&p, banked, 1);
+            for i in 0..BLOCK_ENTRIES {
+                log.append(entry(1, i, 0)).unwrap();
+            }
+            assert!(matches!(log.append(entry(1, 9, 0)), Err(PmError::LogFull { .. })));
         }
     }
 
@@ -698,13 +1069,14 @@ mod tests {
         log.flush(&mut p, &clock).unwrap();
         log.reset_after_commit();
         // Offsets keep counting — no ambiguity against stale buffered
-        // offsets — but the region is free again.
+        // offsets — but the region is free again. The new epoch starts a
+        // new block.
         assert_eq!(log.durable_offset(), 1);
         assert_eq!(log.live_entries(), 0);
-        assert_eq!(log.append(entry(2, 6, 2)).unwrap(), 1);
+        assert_eq!(log.append(entry(2, 6, 2)).unwrap(), BLOCK_ENTRIES);
         log.flush(&mut p, &clock).unwrap();
         let scanned = UndoLog::scan(&mut p).unwrap();
-        // Both slots hold valid entries; recovery tells them apart by
+        // Both blocks hold valid entries; recovery tells them apart by
         // epoch, not by position.
         assert_eq!(scanned.len(), 2);
         assert_eq!(scanned.iter().filter(|(_, e)| e.epoch == 2).count(), 1);
@@ -714,26 +1086,28 @@ mod tests {
     fn recycle_to_frees_slots_incrementally_in_both_modes() {
         let clock = CrashClock::new();
         for banked in [false, true] {
-            let mut cfg = PoolConfig::small();
-            cfg.log_bytes = 16 * LINE_SIZE; // two banks of 4 slots
-            let mut p = PmPool::create(cfg).unwrap();
-            let log = mode_log(&p, banked, 4);
-            for i in 0..4 {
-                log.append(entry(1, i, 0)).unwrap();
+            let mut p = pool_with_log_lines(4 * BLOCK_LINES as usize); // two banks of 2 blocks
+            let log = mode_log(&p, banked, 2);
+            for i in 0..8 {
+                log.append(entry(1 + i / 4, i, 0)).unwrap();
             }
-            assert!(matches!(log.append(entry(2, 9, 0)), Err(PmError::LogFull { .. })));
+            assert!(matches!(log.append(entry(3, 9, 0)), Err(PmError::LogFull { .. })));
             log.flush(&mut p, &clock).unwrap();
-            // Epoch 1 committed up to offset 2: two slots free, two live.
-            log.recycle_to(2);
-            assert_eq!(log.live_entries(), 2);
-            assert_eq!(log.append(entry(2, 9, 0)).unwrap(), 4);
-            assert_eq!(log.append(entry(2, 10, 0)).unwrap(), 5);
-            assert!(matches!(log.append(entry(2, 11, 0)), Err(PmError::LogFull { .. })));
-            // The wrapped entries physically overwrite the recycled slots.
+            // Epoch 1 committed up to offset 4: its block is free, epoch
+            // 2's is live.
+            log.recycle_to(4);
+            assert_eq!(log.live_entries(), 4);
+            assert_eq!(log.append(entry(3, 9, 0)).unwrap(), 8);
+            assert_eq!(log.append(entry(3, 10, 0)).unwrap(), 9);
+            // A block is reopened only once all of its previous lap is
+            // recycled, so a mid-block watermark frees nothing.
+            log.recycle_to(6);
+            assert!(matches!(log.append(entry(4, 11, 0)), Err(PmError::LogFull { .. })));
+            // The wrapped entries physically overwrite the recycled block.
             log.flush(&mut p, &clock).unwrap();
             let scanned = UndoLog::scan(&mut p).unwrap();
-            assert_eq!(scanned.len(), 4);
-            assert_eq!(scanned.iter().filter(|(_, e)| e.epoch == 2).count(), 2);
+            assert_eq!(scanned.len(), 6);
+            assert_eq!(scanned.iter().filter(|(_, e)| e.epoch == 3).count(), 2);
         }
     }
 
@@ -742,12 +1116,12 @@ mod tests {
         let clock = CrashClock::new();
         for banked in [false, true] {
             let mut p = pool();
-            let log = mode_log(&p, banked, 1024);
-            for i in 0..3 {
+            let log = mode_log(&p, banked, 256);
+            for i in 0..6 {
                 log.append(entry(1, i, 0)).unwrap();
             }
             log.pump(&mut p, &clock, 1).unwrap();
-            log.recycle_to(99); // clamped: only 1 entry is durable
+            log.recycle_to(99); // clamped: only one block is durable
             assert_eq!(log.live_entries(), 2);
             log.recycle_to(0); // never regresses
             assert_eq!(log.live_entries(), 2);
@@ -761,7 +1135,7 @@ mod tests {
         let layout = p.layout();
         let per_shard = 2u64;
         let a = UndoLog::with_region(layout.log_start().0, per_shard);
-        let b = UndoLog::with_region(layout.log_start().0 + per_shard * ENTRY_LINES, per_shard);
+        let b = UndoLog::with_region(layout.log_start().0 + per_shard * BLOCK_LINES, per_shard);
         a.append(entry(1, 0, 0xA)).unwrap();
         a.append(entry(1, 2, 0xA)).unwrap();
         b.append(entry(1, 1, 0xB)).unwrap();
@@ -769,8 +1143,8 @@ mod tests {
         b.flush(&mut p, &clock).unwrap();
         let scanned = UndoLog::scan(&mut p).unwrap();
         assert_eq!(scanned.len(), 3);
-        // Shard B's entry landed in its own bank (slot index 2).
-        assert_eq!(scanned[2].0, 2);
+        // Shard B's entry landed in its own bank (its first block).
+        assert_eq!(scanned[2].0, per_shard * BLOCK_ENTRIES);
         assert_eq!(scanned[2].1.old, CacheLine::filled(0xB));
     }
 
@@ -779,14 +1153,14 @@ mod tests {
         for banked in [false, true] {
             let mut p = pool();
             let clock = CrashClock::new();
-            let log = mode_log(&p, banked, 1024);
-            for i in 0..4 {
+            let log = mode_log(&p, banked, 256);
+            for i in 0..12 {
                 log.append(entry(1, i, 0)).unwrap();
             }
-            clock.arm(clock.steps_taken() + 2); // two pump steps, then crash
-            assert_eq!(log.pump(&mut p, &clock, 2).unwrap(), 2);
+            clock.arm(clock.steps_taken() + 2); // two blocks, then crash
+            assert_eq!(log.pump(&mut p, &clock, 8).unwrap(), 8);
             assert!(matches!(log.flush(&mut p, &clock), Err(PmError::Crashed)));
-            assert_eq!(log.durable_offset(), 2);
+            assert_eq!(log.durable_offset(), 8);
             clock.reset();
         }
     }
@@ -798,7 +1172,14 @@ mod tests {
         let log = UndoLog::new(&p);
         log.append(entry(1, 0, 0)).unwrap();
         log.flush(&mut p, &clock).unwrap();
-        assert_eq!(log.bytes_written(), 128);
+        assert_eq!(log.lines_written(), 2);
+        // A full block costs one header line for four pre-images.
+        for i in 1..BLOCK_ENTRIES + 1 {
+            log.append(entry(1, i, 0)).unwrap();
+        }
+        log.flush(&mut p, &clock).unwrap();
+        assert_eq!(log.lines_written(), 2 + 4 + 2);
+        assert_eq!(log.blocks_written(), 3);
     }
 
     #[test]
@@ -807,9 +1188,7 @@ mod tests {
         // O(N). 50k entries through repeated small pumps completes in
         // well under a second with a VecDeque; the old Vec::remove(0)
         // drain was O(N²) and took tens of seconds.
-        let mut cfg = PoolConfig::small();
-        cfg.log_bytes = 50_000 * (ENTRY_LINES as usize) * LINE_SIZE;
-        let mut p = PmPool::create(cfg).unwrap();
+        let mut p = pool_with_log_lines(12_500 * BLOCK_LINES as usize);
         let clock = CrashClock::new();
         let log = UndoLog::new(&p);
         for i in 0..50_000u64 {
@@ -827,21 +1206,19 @@ mod tests {
     #[test]
     fn concurrent_appends_reserve_unique_contiguous_offsets() {
         // The lock-free claim itself: N threads hammering one bank get
-        // disjoint offsets covering exactly 0..N*OPS, every reservation
-        // is published, and the in-flight gauge settles back to zero.
+        // disjoint offsets covering exactly 0..N*OPS (one epoch of one
+        // tenant never pads), every reservation is published, and the
+        // in-flight gauge settles back to zero.
         const THREADS: usize = 4;
         const OPS: u64 = 2_000;
-        let bank = UndoLog::with_region(0, THREADS as u64 * OPS + 1);
+        let bank = UndoLog::with_region(0, THREADS as u64 * OPS / BLOCK_ENTRIES);
         let per_thread: Vec<Vec<u64>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|t| {
                     let bank = &bank;
                     s.spawn(move || {
                         (0..OPS)
-                            .map(|i| {
-                                bank.append(UndoEntry { tenant: t as u32, ..entry(1, i, t as u8) })
-                                    .unwrap()
-                            })
+                            .map(|i| bank.append(entry(1, t as u64 * OPS + i, t as u8)).unwrap())
                             .collect()
                     })
                 })
@@ -864,9 +1241,8 @@ mod tests {
         // and everything drains.
         const THREADS: usize = 3;
         const OPS: u64 = 1_000;
-        let mut cfg = PoolConfig::small();
-        cfg.log_bytes = ((THREADS as u64 * OPS + 1) * ENTRY_LINES) as usize * LINE_SIZE;
-        let mut p = PmPool::create(cfg).unwrap();
+        let mut p =
+            pool_with_log_lines((THREADS as u64 * OPS / BLOCK_ENTRIES * BLOCK_LINES) as usize);
         let clock = CrashClock::new();
         let bank = UndoLog::new(&p);
         std::thread::scope(|s| {
@@ -874,8 +1250,7 @@ mod tests {
                 let bank = &bank;
                 s.spawn(move || {
                     for i in 0..OPS {
-                        bank.append(UndoEntry { tenant: t as u32, ..entry(1, i, t as u8) })
-                            .unwrap();
+                        bank.append(entry(1, t as u64 * OPS + i, t as u8)).unwrap();
                     }
                 });
             }

@@ -34,7 +34,10 @@ use crate::media::{Memory, PersistenceDomain, PmMedia};
 use crate::Result;
 
 const MAGIC: &[u8; 8] = b"PAXPOOL1";
-const VERSION: u32 = 1;
+/// On-media format version. Version 2 lays the undo-log region out as
+/// 5-line blocks (a header line and four pre-images); a version-1 file
+/// holds 2-line entries that recovery would misread, so it is rejected.
+const VERSION: u32 = 2;
 
 /// Header line indices (within the header page).
 const HDR_META: u64 = 0; // magic, version, layout sizes
@@ -490,6 +493,22 @@ mod tests {
 
         let mut re = PmPool::load(&path).unwrap();
         assert_eq!(re.read_line(data0).unwrap(), CacheLine::zeroed());
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn load_rejects_a_version_1_file() {
+        let dir = std::env::temp_dir().join("pax-pm-test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("version1.pool");
+        PmPool::create(PoolConfig::small()).unwrap().save(&path).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        match PmPool::load(&path) {
+            Err(PmError::BadPool(msg)) => assert!(msg.contains("version 1"), "{msg}"),
+            other => panic!("expected BadPool, got {other:?}"),
+        }
         fs::remove_file(&path).unwrap();
     }
 

@@ -301,6 +301,25 @@ impl HistogramSnapshot {
         }
     }
 
+    /// The `q`-quantile (`0.0..=1.0`) as the upper bound of the
+    /// power-of-two bucket that holds it, clamped to `[min, max]`; 0 when
+    /// empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                let upper = if i == 0 { 0 } else { u64::MAX >> (64 - i) };
+                return upper.clamp(self.min, self.max);
+            }
+        }
+        self.max
+    }
+
     fn to_json(&self) -> Json {
         Json::obj()
             .field("count", Json::U64(self.count))
@@ -308,6 +327,8 @@ impl HistogramSnapshot {
             .field("min", Json::U64(self.min))
             .field("max", Json::U64(self.max))
             .field("mean", Json::F64(self.mean()))
+            .field("p50", Json::U64(self.quantile(0.5)))
+            .field("p99", Json::U64(self.quantile(0.99)))
     }
 }
 
@@ -625,6 +646,22 @@ mod tests {
         assert_eq!(hist.min, 1);
         assert_eq!(hist.max, 100);
         assert!((hist.mean() - 26.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn histogram_quantiles_come_from_the_buckets() {
+        let mut ms = MetricSet::new("dev");
+        let h = ms.histogram("batch");
+        assert_eq!(ms.snapshot().histogram("batch").unwrap().quantile(0.5), 0);
+        for v in [1u64, 2, 3, 100] {
+            ms.record(h, v);
+        }
+        let snap = ms.snapshot();
+        let hist = snap.histogram("batch").unwrap();
+        // p50 falls in the 2..=3 bucket; p99 in 64..=127, clamped to max.
+        assert_eq!((hist.quantile(0.5), hist.quantile(0.99)), (3, 100));
+        let json = snap.to_json().render();
+        assert!(json.contains("\"p50\":3") && json.contains("\"p99\":100"), "{json}");
     }
 
     #[test]

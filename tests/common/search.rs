@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use libpax::{MemSpace, PaxPool};
-use pax_device::{recover, UndoLog, ENTRY_LINES};
+use pax_device::{recover, UndoLog, BLOCK_ENTRIES, BLOCK_LINES};
 use pax_pm::{CacheLine, LineAddr, PmPool};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -236,6 +236,10 @@ pub enum Fault {
     /// Overwrite these undo-log lines (taken modulo the log length) with
     /// lines filled with the given byte.
     Log(Vec<u64>, u8),
+    /// Tear the newest log block: its header stays durable while one of
+    /// its pre-image lines (the given index, modulo the entries the
+    /// header lists) goes stale.
+    TearBlock(u64),
 }
 
 /// How a faulted image fared.
@@ -259,9 +263,17 @@ impl Crashed {
     /// survived (corruption of stale or empty slots), pass the full
     /// oracle; otherwise the pool must still reopen.
     pub fn inject(mut self, fault: &Fault) -> Verdict<Faulted> {
-        let lines = match fault {
+        let layout = self.pm.layout();
+        let damage: Vec<(LineAddr, CacheLine)> = match fault {
             Fault::Truncate(_) | Fault::FlipMagic => return self.reload(fault),
-            Fault::Log(lines, garbage) => (lines, CacheLine::filled(*garbage)),
+            Fault::Log(lines, garbage) => lines
+                .iter()
+                .map(|off| {
+                    let line = LineAddr(layout.log_start().0 + off % layout.log_lines);
+                    (line, CacheLine::filled(*garbage))
+                })
+                .collect(),
+            Fault::TearBlock(k) => self.stale_pre_image(*k)?.into_iter().collect(),
         };
         let config = self.run.rig().config;
         let tenants = config.tenants;
@@ -277,10 +289,8 @@ impl Crashed {
                 .collect())
         };
         let before = live(&mut self.pm)?;
-        let layout = self.pm.layout();
-        for &off in lines.0 {
-            let line = LineAddr(layout.log_start().0 + off % layout.log_lines);
-            self.pm.write_line(line, lines.1.clone()).map_err(|e| format!("corrupt: {e}"))?;
+        for (line, garbage) in damage {
+            self.pm.write_line(line, garbage).map_err(|e| format!("corrupt: {e}"))?;
         }
         self.pm.drain();
         let after = live(&mut self.pm)?;
@@ -294,9 +304,12 @@ impl Crashed {
         if first.0.committed_epoch != second.0.committed_epoch || first.1 != second.1 {
             return bug(format!("recovery is not idempotent: {:?} then {:?}", first.0, second.0));
         }
-        if first.0.scanned as u64 > layout.log_lines / ENTRY_LINES {
+        // Each whole block of the region holds at most BLOCK_ENTRIES
+        // entries; a trailing partial block holds none.
+        let capacity = layout.log_lines / BLOCK_LINES * BLOCK_ENTRIES;
+        if first.0.scanned as u64 > capacity {
             return bug(format!(
-                "scanned {} entries from {} lines",
+                "scanned {} entries from {} lines ({capacity} entry slots)",
                 first.0.scanned, layout.log_lines
             ));
         }
@@ -306,6 +319,27 @@ impl Crashed {
         let pool = PaxPool::open(self.pm, config).map_err(|e| format!("reopen: {e}"))?;
         pool.vpm().read_u64(0).map_err(|e| format!("read after reopen: {e}"))?;
         Ok(Faulted::Reopened)
+    }
+
+    /// The pre-image line [`Fault::TearBlock`] makes stale, and the stale
+    /// bytes: pre-image `k` (modulo its count) of the block holding the
+    /// newest entry (highest epoch, then highest slot), bitwise inverted.
+    /// `None` when the log holds no entry.
+    fn stale_pre_image(&mut self, k: u64) -> Verdict<Option<(LineAddr, CacheLine)>> {
+        let entries = UndoLog::scan(&mut self.pm).map_err(|e| format!("scan: {e}"))?;
+        let Some(block) =
+            entries.iter().max_by_key(|(slot, e)| (e.epoch, *slot)).map(|(s, _)| s / BLOCK_ENTRIES)
+        else {
+            return Ok(None);
+        };
+        let slots: Vec<u64> =
+            entries.iter().map(|(s, _)| *s).filter(|s| s / BLOCK_ENTRIES == block).collect();
+        let slot = slots[(k % slots.len() as u64) as usize];
+        let base = self.pm.layout().log_start().0 + block * BLOCK_LINES;
+        let line = LineAddr(base + 1 + slot % BLOCK_ENTRIES);
+        let mut stale = self.pm.read_line(line).map_err(|e| format!("read: {e}"))?;
+        stale.as_bytes_mut().iter_mut().for_each(|b| *b = !*b);
+        Ok(Some((line, stale)))
     }
 
     /// Saves the image, damages the file, and requires the reload to fail.

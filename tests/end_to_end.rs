@@ -119,7 +119,11 @@ fn metrics_compose_consistently() {
         m.total_messages(),
         m.rd_shared + m.rd_own + m.clean_evicts + m.dirty_evicts + m.snoops_sent
     );
-    assert_eq!(m.log_bytes(), m.undo_entries * 128);
+    // Every undo entry is one pre-image line, and every block drain adds
+    // one header line: 32 entries of one epoch fill 8 whole blocks.
+    assert_eq!(m.log_lines_written, m.undo_entries + m.log_blocks);
+    assert_eq!(m.log_bytes(), m.log_lines_written * 64);
+    assert_eq!((m.undo_entries, m.log_blocks), (32, 8));
     assert!(m.persists == 1);
     let cache = pool.cache_stats();
     assert!(cache.write_upgrades >= 32);

@@ -190,9 +190,9 @@ mod log_full {
     use pax_pm::PoolConfig;
 
     fn tiny_log(auto: bool) -> PaxConfig {
-        // Room for only 16 undo entries per epoch.
+        // Room for only 16 undo entries per epoch: four 5-line blocks.
         let cfg = PaxConfig::default()
-            .with_pool(PoolConfig::small().with_data_bytes(1 << 20).with_log_bytes(16 * 128));
+            .with_pool(PoolConfig::small().with_data_bytes(1 << 20).with_log_bytes(20 * 64));
         if auto {
             cfg.with_auto_persist_on_log_full()
         } else {

@@ -5,6 +5,7 @@
 //! the same lines.
 
 use libpax::{Heap, MemSpace, PHashMap, PaxConfig, PaxError, PaxPool};
+use pax_device::{BLOCK_ENTRIES, BLOCK_LINES};
 use pax_pm::{PmError, PoolConfig, LINE_SIZE};
 
 fn config() -> PaxConfig {
@@ -12,11 +13,12 @@ fn config() -> PaxConfig {
         .with_pool(PoolConfig::small().with_data_bytes(8 << 20).with_log_bytes(64 << 20))
 }
 
-/// A pool whose undo log holds only `slots` entries (2 lines per entry).
+/// A pool whose undo log holds only `slots` entries (a whole number of
+/// blocks of `BLOCK_ENTRIES` entries, `BLOCK_LINES` lines each).
 fn tiny_log_config(slots: usize) -> PaxConfig {
-    PaxConfig::default().with_pool(
-        PoolConfig::small().with_data_bytes(1 << 20).with_log_bytes(slots * 2 * LINE_SIZE),
-    )
+    let lines = slots / BLOCK_ENTRIES as usize * BLOCK_LINES as usize;
+    PaxConfig::default()
+        .with_pool(PoolConfig::small().with_data_bytes(1 << 20).with_log_bytes(lines * LINE_SIZE))
 }
 
 #[test]

@@ -9,7 +9,10 @@
 
 mod common;
 
-use common::{drive, exhaustive, points, random, schedule, shrink, Alloc, Mix, Point, Rig, Step};
+use common::{
+    check_or_fail, drive, exhaustive, points, random, schedule, shrink, Alloc, Mix, Point, Rig,
+    Step,
+};
 use libpax::PersistencyModel;
 use pax_device::{recover_traced, SchedConfig};
 use pax_telemetry::{TraceBuf, TraceEvent};
@@ -56,6 +59,32 @@ fn overlapped_epochs_crash_anywhere() {
 fn btree_recovery_restores_last_persisted_snapshot() {
     let pts = points(|p| not_strict(p) && p.alloc == Alloc::Bitmap);
     random(0xb7ee, 24, &pts, Mix::Map, 20..80, 2);
+}
+
+/// Shrunk from a planted bug that committed a buffered epoch's header
+/// before writing its captured values back: the recovered maps were torn.
+/// (Torn B-trees once recursed forever; the walk now stops at a node
+/// reachable twice, so such a bug shrinks like any other.)
+#[test]
+fn header_commit_before_write_back_regression() {
+    check_or_fail(
+        &Point {
+            shards: 8,
+            tenants: 1,
+            cores: 3,
+            model: PersistencyModel::BufferedEpoch { k: 4 },
+            dir: true,
+            alloc: Alloc::Bitmap,
+        }
+        .rig(),
+        &[
+            Step::Put(1, 2, 13644806791751102172),
+            Step::Put(3, 47, 13384701005241175597),
+            Step::Close(0),
+            Step::Put(3, 47, 17269788448967318300),
+        ],
+        None,
+    );
 }
 
 /// Bounded-exhaustive mode: every schedule of up to three line steps,

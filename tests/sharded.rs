@@ -70,10 +70,13 @@ fn skewed_traffic_cannot_starve_an_idle_shards_background_work() {
         .with_device(DeviceConfig::default().with_shards(4));
     let pool = PaxPool::create(config).unwrap();
     let vpm = pool.vpm();
-    // Seed shards 1..3 with pending undo entries (appends happen after
-    // the shard's own pump step, so each write leaves one entry behind).
+    // Seed shards 1..3 with a full block of pending undo entries each
+    // (appends happen after the shard's own pump step, so the block's
+    // last write leaves the whole block behind).
     for line in [1u64, 2, 3] {
-        vpm.write_u64(line * 64, line).unwrap();
+        for k in 0..pax_device::BLOCK_ENTRIES {
+            vpm.write_u64((line + 4 * k) * 64, line).unwrap();
+        }
     }
     // Then traffic lands only on shard 0 — distinct lines so every read
     // misses the host cache and actually reaches the device.

@@ -102,9 +102,10 @@ fn crash_window_seed(seed: u64) {
     let bank = pax_device::UndoLog::new(&pool);
     let clock = CrashClock::new();
     let mut rng = StdRng::seed_from_u64(seed);
-    // Each pumped entry ticks the clock once; arming below the total
-    // guarantees the cut hits mid-drain, with append traffic in flight.
-    clock.arm(rng.gen_range(1..APPENDERS * APPEND_OPS / 2));
+    // Each pumped block ticks the clock once; arming below half the
+    // block count guarantees the cut hits mid-drain, with append traffic
+    // in flight.
+    clock.arm(rng.gen_range(1..APPENDERS * APPEND_OPS / pax_device::BLOCK_ENTRIES / 2));
 
     let pool = Mutex::new(pool);
     let stop = AtomicBool::new(false);

@@ -119,6 +119,47 @@ fn conservation_invariants_hold_summed_across_shards() {
     }
 }
 
+/// The undo-log block counters and the entries-per-block histogram merge
+/// across lanes and conserve under the `shard{s}/` and `tenant{t}/`
+/// labels, and account for every log line the media wrote.
+#[test]
+fn log_block_telemetry_conserves_across_lanes_and_labels() {
+    let cfg =
+        config().with_tenants(2).with_device(pax_device::DeviceConfig::default().with_shards(2));
+    let pool = PaxPool::create(cfg).expect("pool");
+    for t in 0..2 {
+        let tenant = pool.attach(t).expect("tenant");
+        let vpm = tenant.vpm();
+        for i in 0..40u64 {
+            vpm.write_u64(i * 64, i).expect("write");
+        }
+        tenant.persist().expect("persist");
+    }
+    let t = pool.telemetry();
+    let device = t.component("device").expect("device");
+    let blocks = device.counter("log_blocks");
+    let lines = device.counter("log_lines_written");
+    let hist = device.histogram("log_block_entries").expect("histogram");
+    // Every entry was drained once, and each block drain wrote one header.
+    assert_eq!(lines, device.counter("undo_entries") + blocks);
+    assert_eq!(hist.count, blocks);
+    assert!((1..=pax_device::BLOCK_ENTRIES).contains(&hist.quantile(0.5)));
+    assert_eq!(hist.max, pax_device::BLOCK_ENTRIES, "40 stores per tenant fill whole blocks");
+    for dim in ["shard", "tenant"] {
+        let sum = |name: &str| -> u64 {
+            (0..2).map(|i| device.counter(&format!("{dim}{i}/{name}"))).sum()
+        };
+        assert_eq!(sum("log_blocks"), blocks, "{dim} labels conserve log_blocks");
+        assert_eq!(sum("log_lines_written"), lines, "{dim} labels conserve log_lines_written");
+        let count: u64 = (0..2)
+            .map(|i| {
+                device.histogram(&format!("{dim}{i}/log_block_entries")).map_or(0, |h| h.count)
+            })
+            .sum();
+        assert_eq!(count, hist.count, "{dim} labels conserve the histogram");
+    }
+}
+
 #[test]
 fn telemetry_diff_isolates_an_epoch_and_preserves_conservation() {
     let pool = PaxPool::create(config()).expect("pool");

@@ -12,7 +12,7 @@ use std::collections::HashMap as StdMap;
 
 use libpax::{MemSpace, PaxConfig, PaxPool};
 use pax_cache::{CacheConfig, CoherentCache};
-use pax_device::{DeviceConfig, PaxDevice, SchedConfig, TenantRegion};
+use pax_device::{DeviceConfig, PaxDevice, SchedConfig, TenantRegion, BLOCK_ENTRIES};
 use pax_pm::{CacheLine, LineAddr, PmPool, PoolConfig, LINE_SIZE};
 use proptest::prelude::*;
 
@@ -94,20 +94,22 @@ fn weighted_scheduler_never_starves_the_light_tenant() {
     let mut device = PaxDevice::open_multi(pool, config, regions).unwrap();
     let mut cache = CoherentCache::new(CacheConfig::tiny(256 << 10, 8));
 
-    // Heavy tenant logs 64 entries; light tenant logs one per shard.
+    // Heavy tenant logs 64 entries; light tenant logs one log block per
+    // shard (background pumps drain whole blocks).
+    let light = 2 * BLOCK_ENTRIES;
     for i in 0..64u64 {
         cache.write(LineAddr(i), CacheLine::filled(1), &mut device).unwrap();
     }
-    for i in 0..2u64 {
+    for i in 0..light {
         cache.write(LineAddr(half + i), CacheLine::filled(2), &mut device).unwrap();
     }
     assert_eq!(device.log_pending_for(0), 64);
-    assert_eq!(device.log_pending_for(1), 2);
+    assert_eq!(device.log_pending_for(1), light as usize);
 
     // One tick. An unweighted scheduler would hand the heavy tenant the
     // whole per-shard budget and leave the light tenant's entries sitting;
     // the weighted floor guarantees every active lane drains at least one
-    // entry per tick, so the light backlog clears immediately.
+    // block per tick, so the light backlog clears immediately.
     device.tick(1).unwrap();
     assert_eq!(device.log_pending_for(1), 0, "light tenant drained on the first tick");
     assert!(device.log_pending_for(0) > 0, "heavy backlog is still working off");
@@ -117,7 +119,7 @@ fn weighted_scheduler_never_starves_the_light_tenant() {
         device.tick(1).unwrap();
     }
     assert_eq!(device.log_pending_for(0), 0);
-    assert_eq!(device.log_durable_offset(), 66, "both tenants' logs fully drained");
+    assert_eq!(device.log_durable_offset(), 64 + light, "both tenants' logs fully drained");
 }
 
 /// Adaptive budgets stay per-lane: one tenant's deep backlog boosts its
@@ -136,11 +138,18 @@ fn adaptive_mode_with_tenants_drains_and_commits() {
     for i in 0..64u64 {
         cache.write(LineAddr(i), CacheLine::filled(1), &mut device).unwrap();
     }
-    cache.write(LineAddr(base), CacheLine::filled(2), &mut device).unwrap();
+    // One whole block for tenant 1 (background pumps drain whole blocks).
+    for i in 0..BLOCK_ENTRIES {
+        cache.write(LineAddr(base + i), CacheLine::filled(2), &mut device).unwrap();
+    }
     for _ in 0..128 {
         device.tick(1).unwrap();
     }
-    assert_eq!(device.log_durable_offset(), 65, "both tenants drained under adaptive mode");
+    assert_eq!(
+        device.log_durable_offset(),
+        64 + BLOCK_ENTRIES,
+        "both tenants drained under adaptive mode"
+    );
     device.persist_tenant(1, &mut cache).unwrap();
     assert_eq!(device.committed_epoch_for(1).unwrap(), 1);
     assert_eq!(device.committed_epoch_for(0).unwrap(), 0);
