@@ -34,7 +34,9 @@ noisy-neighbor victim keeps >= 70 % of its solo throughput; the snoop
 filter cuts persist snoops/op at least 2x; buffered-epoch (K=4) sustains
 >= 1.3x strict ops/kstep; allocbench's adversarial carpet leaves partial
 trees, its churn over the carpet keeps >= 0.3 Mops, and its attach-time
-recovery scan stays linear (scan_steps <= 2x pool_frames); write_amp's
+recovery scan stays linear (scan_steps <= 2x pool_frames); logappend's
+undo-log recovery rolls back every entry and scans in proportion to the
+entries logged (scanned <= 2x entries, growing with them); write_amp's
 PAX line log stays <= 18.5x per 8 B field at one field per page.
 
 A missing baseline file seeds the ratchet (exit 0); the workflow then
@@ -60,6 +62,7 @@ SCHEMAS = {
         "config": ("ops_per_thread", "host_cores"),
         "rows": THREAD_ROW,
         "threads": {"cas": [1, 2, 4]},
+        "series": {"recovery": (3, ("entries", "rolled_back", "scanned", "recover_us"))},
     },
     "hbmstore": {
         "config": ("ops_per_thread", "lines", "host_cores"),
@@ -285,6 +288,20 @@ def check_allocbench(doc, failures):
                       f"{r['scan_steps']} vs 2 x {r['pool_frames']} pool_frames")
 
 
+def check_logappend(doc, failures):
+    rows = sorted((r for r in doc["results"] if r.get("series") == "recovery"),
+                  key=lambda r: r["entries"])
+    for r in rows:
+        check_bar(failures, r["rolled_back"] == r["entries"],
+                  f"logappend recovery at {r['entries']} entries: rolled_back {r['rolled_back']}")
+        check_bar(failures, r["scanned"] <= 2 * r["entries"],
+                  f"logappend recovery at {r['entries']} entries: scanned {r['scanned']} "
+                  f"vs 2 x {r['entries']} entries")
+    scanned = [r["scanned"] for r in rows]
+    check_bar(failures, all(a < b for a, b in zip(scanned, scanned[1:])),
+              f"logappend recovery: scanned {scanned} grows with entries")
+
+
 def check_write_amp(doc, failures):
     amp = {r["fields_per_page"]: r["pax_amp"] for r in doc["results"]}
     if 1 not in amp:
@@ -301,6 +318,7 @@ ACCEPTANCE = {
     "snoopfilter": check_snoopfilter,
     "persistency": check_persistency,
     "allocbench": check_allocbench,
+    "logappend": check_logappend,
     "write_amp": check_write_amp,
 }
 

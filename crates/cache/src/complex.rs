@@ -318,24 +318,6 @@ impl SharedComplex {
         lock(&self.cores[core]).write(addr, data, home)
     }
 
-    /// Read-modify-write by `core`: load (with peer transfer), apply `f`,
-    /// store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures.
-    pub fn update(
-        &self,
-        core: usize,
-        addr: LineAddr,
-        home: &mut impl HomeAgent,
-        f: impl FnOnce(&mut CacheLine),
-    ) -> Result<()> {
-        let mut line = self.read(core, addr, home)?;
-        f(&mut line);
-        self.write(core, addr, line, home)
-    }
-
     /// Like [`SharedComplex::read`], against a [`ShardedHome`]: the
     /// access is additionally accounted to the shard owning `addr`, so
     /// callers can observe how evenly the interleave spreads the
@@ -371,24 +353,6 @@ impl SharedComplex {
         self.write(core, addr, data, home)
     }
 
-    /// Like [`SharedComplex::update`], against a [`ShardedHome`], with
-    /// per-shard accounting on both the load and the store.
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures.
-    pub fn update_on(
-        &self,
-        core: usize,
-        addr: LineAddr,
-        home: &mut impl ShardedHome,
-        f: impl FnOnce(&mut CacheLine),
-    ) -> Result<()> {
-        let mut line = self.read_on(core, addr, home)?;
-        f(&mut line);
-        self.write_on(core, addr, line, home)
-    }
-
     fn note_shard(&self, count: usize, shard: usize) {
         {
             let traffic = self.shard_traffic.read().unwrap_or_else(|e| e.into_inner());
@@ -414,18 +378,6 @@ impl SharedComplex {
             .iter()
             .map(|c| c.load(Ordering::Relaxed))
             .collect()
-    }
-
-    /// Writes back every dirty line in every core.
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures.
-    pub fn flush_all(&self, home: &mut impl HomeAgent) -> Result<()> {
-        for c in &self.cores {
-            lock(c).flush_all(home)?;
-        }
-        Ok(())
     }
 
     /// Simulates power loss across all cores.
@@ -471,17 +423,6 @@ impl SharedComplex {
 }
 
 impl HostSnoop for SharedComplex {
-    fn snoop_shared(&mut self, addr: LineAddr) -> Option<CacheLine> {
-        self.snoop_shared_all(addr)
-    }
-
-    fn snoop_invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
-        self.snoop_invalidate_all(addr)
-    }
-}
-
-/// Shim for `HostSnoop` callers that only have `&SharedComplex`.
-impl HostSnoop for &SharedComplex {
     fn snoop_shared(&mut self, addr: LineAddr) -> Option<CacheLine> {
         self.snoop_shared_all(addr)
     }

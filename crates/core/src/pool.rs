@@ -358,11 +358,19 @@ impl PaxPool {
     ///
     /// # Errors
     ///
-    /// Returns a config error for a host of zero cores or a device of
-    /// zero tenants, and propagates recovery/media errors.
+    /// Returns a config error for a host of zero cores, a host cache
+    /// that cannot hold one full set, or a device of zero tenants, and
+    /// propagates recovery/media errors.
     pub fn open(pool: PmPool, config: PaxConfig) -> Result<Self> {
         if config.cores == 0 {
             return Err(PaxError::Pm(PmError::Config("a host needs at least one core".into())));
+        }
+        let cache = config.cache;
+        if cache.ways == 0 || cache.capacity_bytes / LINE_SIZE < cache.ways {
+            return Err(PaxError::Pm(PmError::Config(format!(
+                "host cache of {} bytes and {} ways holds no full set",
+                cache.capacity_bytes, cache.ways
+            ))));
         }
         let vpm_bytes = pool.layout().data_lines * LINE_SIZE as u64;
         let regions = even_split(pool.layout().data_lines, config.tenants);
@@ -1151,14 +1159,19 @@ mod tests {
         assert!(pool.persist().is_err());
     }
 
-    /// A zero-core host is a typed config error, whether it comes from
-    /// the builder or a struct literal — never a panic, never a silent
+    /// A zero-core host, or a host cache with no ways or too small for
+    /// one full set, is a typed config error, whether it comes from the
+    /// builder or a struct literal — never a panic, never a silent
     /// single core.
     #[test]
-    fn zero_cores_is_a_config_error() {
-        for config in
-            [PaxConfig::default().with_cores(0), PaxConfig { cores: 0, ..Default::default() }]
-        {
+    fn bad_host_config_is_a_config_error() {
+        for config in [
+            PaxConfig::default().with_cores(0),
+            PaxConfig { cores: 0, ..Default::default() },
+            PaxConfig::default().with_cache(CacheConfig::tiny(4 << 10, 0)),
+            PaxConfig::default().with_cache(CacheConfig::tiny(0, 8)),
+            PaxConfig::default().with_cores(3).with_cache(CacheConfig::tiny(7 * 64, 8)),
+        ] {
             let err = PaxPool::create(config).unwrap_err();
             assert!(matches!(err, PaxError::Pm(PmError::Config(_))), "{err}");
         }

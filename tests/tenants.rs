@@ -8,13 +8,13 @@
 //! undo entries interleave in the shared log region; and the weighted
 //! scheduler never starves a light tenant behind a heavy one.
 
-use std::collections::HashMap as StdMap;
+mod common;
 
+use common::{points, random, Mix};
 use libpax::{MemSpace, PaxConfig, PaxPool};
 use pax_cache::{CacheConfig, CoherentCache};
 use pax_device::{DeviceConfig, PaxDevice, SchedConfig, TenantRegion, BLOCK_ENTRIES};
 use pax_pm::{CacheLine, LineAddr, PmPool, PoolConfig, LINE_SIZE};
-use proptest::prelude::*;
 
 fn config(tenants: usize) -> PaxConfig {
     PaxConfig::default()
@@ -155,77 +155,11 @@ fn adaptive_mode_with_tenants_drains_and_commits() {
     assert_eq!(device.committed_epoch_for(0).unwrap(), 0);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
-
-    /// Independent recovery for any tenant count (2–4), any skewed write
-    /// mix, and any subset of tenants persisting their second epoch: a
-    /// crash restores each tenant to exactly its own last committed
-    /// snapshot — never a neighbour's epoch, never a mix.
-    #[test]
-    fn each_tenant_recovers_its_own_snapshot(
-        tenants in 2usize..5,
-        // Per-tenant write counts for epoch 2 — skewed ratios included.
-        writes in proptest::collection::vec(1u64..48, 4..5),
-        persist_mask in proptest::collection::vec(any::<bool>(), 4..5),
-        crash_offset in 0u64..600,
-    ) {
-        let pool = PaxPool::create(config(tenants)).unwrap();
-        let handles: Vec<_> = (0..tenants).map(|t| pool.attach(t).unwrap()).collect();
-
-        // Epoch 1: every tenant persists a known base state.
-        for (t, h) in handles.iter().enumerate() {
-            for i in 0..8u64 {
-                h.vpm().write_u64(i * LINE_SIZE as u64, (t as u64 + 1) * 1000 + i).unwrap();
-            }
-            h.persist().unwrap();
-        }
-
-        // Epoch 2: skewed writes; a subset of tenants persists; then the
-        // crash clock may cut power anywhere in a trailing write storm.
-        let mut expected: StdMap<usize, Vec<u64>> = StdMap::new();
-        for (t, h) in handles.iter().enumerate() {
-            let n = writes[t % writes.len()];
-            for i in 0..n.min(8) {
-                h.vpm().write_u64(i * LINE_SIZE as u64, (t as u64 + 1) * 2000 + i).unwrap();
-            }
-            let persisted = persist_mask[t % persist_mask.len()] && h.persist().is_ok();
-            expected.insert(
-                t,
-                (0..8u64)
-                    .map(|i| {
-                        if persisted && i < n.min(8) {
-                            (t as u64 + 1) * 2000 + i
-                        } else {
-                            (t as u64 + 1) * 1000 + i
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        let clock = pool.crash_clock().unwrap();
-        clock.arm(clock.steps_taken() + crash_offset);
-        for h in &handles {
-            for i in 0..8u64 {
-                if h.vpm().write_u64(i * LINE_SIZE as u64, 0xDEAD).is_err() {
-                    break;
-                }
-            }
-        }
-
-        let pm = pool.crash().unwrap();
-        let pool = PaxPool::open(pm, config(tenants)).unwrap();
-        for t in 0..tenants {
-            let h = pool.attach(t).unwrap();
-            let want = &expected[&t];
-            for i in 0..8u64 {
-                let got = h.vpm().read_u64(i * LINE_SIZE as u64).unwrap();
-                prop_assert_eq!(
-                    got, want[i as usize],
-                    "tenant {} line {} after crash (committed epoch {})",
-                    t, i, h.committed_epoch().unwrap()
-                );
-            }
-        }
-    }
+/// Independent recovery for any tenant count (2–4), any skewed mix of
+/// per-tenant stores, and any subset of tenants closing: a crash at any
+/// durable-write step restores each tenant to exactly its own last
+/// committed snapshot — never a neighbour's epoch, never a mix.
+#[test]
+fn each_tenant_recovers_its_own_snapshot() {
+    random(0x7e4a, 24, &points(|p| p.tenants > 1), Mix::Lines, 1..60, 4);
 }
