@@ -1,8 +1,8 @@
 //! The functional, data-carrying coherent CPU cache.
 //!
-//! [`CoherentCache`] models the host cache system as one coherence unit
-//! (the paper never needs per-core detail: the home agent sees one request
-//! stream per socket). It holds real line data in MESI states and talks to
+//! [`CoherentCache`] models one host core's cache; the
+//! [`SharedComplex`](crate::SharedComplex) keeps one per core coherent.
+//! It holds real line data in MESI states and talks to
 //! a [`HomeAgent`] — the memory controller for ordinary addresses, or the
 //! PAX device for vPM addresses — exactly at the points real hardware
 //! would:
@@ -371,11 +371,18 @@ impl CoherentCache {
     /// resident (now clean+shared) — the home receives the data in the
     /// return value, matching CXL's snoop-with-data response.
     pub fn snoop_shared(&mut self, addr: LineAddr) -> Option<CacheLine> {
+        self.snoop_shared_dirty(addr).map(|(_, data)| data)
+    }
+
+    /// [`CoherentCache::snoop_shared`] that also reports whether the copy
+    /// was dirty before the downgrade, in the same single lookup.
+    pub(crate) fn snoop_shared_dirty(&mut self, addr: LineAddr) -> Option<(bool, CacheLine)> {
         match self.lines.get_mut(addr) {
             Some(l) => {
                 self.metrics.inc(self.ctr.snoop_hits);
+                let was_dirty = l.state.is_dirty();
                 l.state = l.state.after_snoop_shared();
-                Some(l.data.clone())
+                Some((was_dirty, l.data.clone()))
             }
             None => {
                 self.metrics.inc(self.ctr.snoop_misses);

@@ -1,13 +1,12 @@
-//! A multi-core host: per-core coherent caches over one home agent.
+//! The host: per-core coherent caches over one home agent.
 //!
-//! The single [`CoherentCache`] models the socket as one coherence unit —
-//! sufficient for most experiments because the home agent (the PAX
-//! device) sees one request stream either way. What it cannot express is
-//! §3.5's concurrent structure access with *core-to-core* line transfers,
-//! which resolve inside the socket without informing the device. The
-//! [`SharedComplex`] adds that: N private caches, MESI kept coherent
-//! among them, and only socket-leaving traffic (true misses, write backs)
-//! reaching the [`HomeAgent`].
+//! [`SharedComplex`] models §3.5's host for every core count: N private
+//! [`CoherentCache`]s, MESI kept coherent among them with *core-to-core*
+//! line transfers that resolve inside the socket without informing the
+//! device, and only socket-leaving traffic (true misses, write backs)
+//! reaching the [`HomeAgent`]. A one-core complex has no peer to probe,
+//! so it makes exactly the home-agent calls its one cache makes, at the
+//! cost of one lock per access.
 //!
 //! The PAX-relevant consequence, preserved here exactly: when a modified
 //! line migrates from core A to core B, the device is *not* informed — it
@@ -16,7 +15,7 @@
 //! is unaffected. The tests pin this down.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 use pax_pm::{CacheLine, LineAddr, PersistenceDomain, Result};
 use pax_telemetry::{Counter, MetricSet, MetricSnapshot};
@@ -26,8 +25,9 @@ use crate::cache::{CacheConfig, CacheStats, CoherentCache, HomeAgent};
 /// The host-side snoop surface `persist()` needs: downgrade or invalidate
 /// a line across *all* host caches, returning the freshest data.
 ///
-/// Implemented by the single-cache model and by [`SharedComplex`], so the
-/// device's epoch protocol is agnostic to the host's core count.
+/// Implemented by one [`CoherentCache`] and by [`SharedComplex`] (also
+/// through `&SharedComplex`), so the device's epoch protocol is agnostic
+/// to the host's core count.
 pub trait HostSnoop {
     /// Downgrades every copy of `addr` to shared; returns the data if any
     /// cache held the line.
@@ -46,23 +46,6 @@ impl HostSnoop for CoherentCache {
     fn snoop_invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
         CoherentCache::snoop_invalidate(self, addr)
     }
-}
-
-/// A [`HomeAgent`] whose per-line state is split into address-interleaved
-/// shards — independent banks that can service requests for different
-/// lines concurrently (the PAX device's HBM slices and log banks).
-///
-/// The host side doesn't route *to* a shard — the interleave is the
-/// home's own — but knowing the mapping lets the complex account which
-/// bank each request lands on ([`SharedComplex::read_on`] /
-/// [`SharedComplex::write_on`]), which is what the throughput model and
-/// the cross-layer telemetry need to see shard parallelism.
-pub trait ShardedHome: HomeAgent {
-    /// Number of address-interleaved shards.
-    fn shard_count(&self) -> usize;
-
-    /// The shard whose banks own `addr`.
-    fn shard_of_line(&self, addr: LineAddr) -> usize;
 }
 
 /// Cross-core traffic counters.
@@ -109,18 +92,18 @@ const PRESENCE_SLOTS: usize = 1024;
 /// metric increment — is skipped without taking the locks. False
 /// positives (hash aliasing, evicted lines) only cost a redundant probe.
 /// With more than 64 cores the bit encoding would alias, so the filter
-/// disables itself and every probe runs.
+/// disables itself and every probe runs. A one-core complex has no peer:
+/// it keeps no filter, never probes, and takes its core lock once per
+/// access.
 #[derive(Debug)]
 pub struct SharedComplex {
     cores: Vec<Mutex<CoherentCache>>,
     metrics: MetricSet,
     cache_to_cache_transfers: Counter,
     peer_invalidations: Counter,
-    /// Accesses issued through `read_on`/`write_on`, by home shard; grown
-    /// to the home's shard count on first use.
-    shard_traffic: RwLock<Vec<AtomicU64>>,
-    /// Per-slot core-presence bitmaps (see type docs). Empty when the
-    /// filter is disabled (`cores > 64`).
+    /// Per-slot core-presence bitmaps (see type docs). Empty when there
+    /// is no peer to filter (one core) or the filter is disabled
+    /// (`cores > 64`).
     presence: Vec<AtomicU64>,
 }
 
@@ -135,7 +118,7 @@ impl SharedComplex {
         let mut metrics = MetricSet::new("core_complex");
         let cache_to_cache_transfers = metrics.counter("cache_to_cache_transfers");
         let peer_invalidations = metrics.counter("peer_invalidations");
-        let presence = if n <= 64 {
+        let presence = if (2..=64).contains(&n) {
             (0..PRESENCE_SLOTS).map(|_| AtomicU64::new(0)).collect()
         } else {
             Vec::new()
@@ -145,7 +128,6 @@ impl SharedComplex {
             metrics,
             cache_to_cache_transfers,
             peer_invalidations,
-            shard_traffic: RwLock::new(Vec::new()),
             presence,
         }
     }
@@ -176,7 +158,8 @@ impl SharedComplex {
         }
     }
 
-    /// `false` only when no peer of `core` can possibly hold `addr`.
+    /// `false` only when no peer of `core` can possibly hold `addr` —
+    /// always, on a one-core complex.
     ///
     /// Ordering: `Acquire`, pairing with [`SharedComplex::note_present`]'s
     /// `Release` `fetch_or` — a set bit happens-after the installer
@@ -184,7 +167,7 @@ impl SharedComplex {
     /// a stale read racing an in-flight install.
     fn peer_may_hold(&self, core: usize, addr: LineAddr) -> bool {
         if self.presence.is_empty() {
-            return true;
+            return self.cores.len() > 1;
         }
         self.presence[Self::slot(addr)].load(Ordering::Acquire) & !(1u64 << core) != 0
     }
@@ -236,38 +219,39 @@ impl SharedComplex {
     ) -> Result<CacheLine> {
         {
             let mut own = lock(&self.cores[core]);
-            if own.state_of(addr).is_some() {
+            // Without a peer, every access is the one cache's own.
+            if self.cores.len() == 1 || own.state_of(addr).is_some() {
+                return own.read(addr, home);
+            }
+            // A miss no peer can serve goes home under this same lock.
+            if !self.peer_may_hold(core, addr) {
+                self.note_present(core, addr);
                 return own.read(addr, home);
             }
         }
         // Probe peers before leaving the socket — one lock at a time.
-        if self.peer_may_hold(core, addr) {
-            for peer in 0..self.cores.len() {
-                if peer == core {
-                    continue;
+        for peer in 0..self.cores.len() {
+            if peer == core {
+                continue;
+            }
+            let transfer = {
+                let mut p = lock(&self.cores[peer]);
+                if p.state_of(addr).is_some() {
+                    p.snoop_shared_dirty(addr)
+                } else {
+                    None
                 }
-                let transfer = {
-                    let mut p = lock(&self.cores[peer]);
-                    if p.state_of(addr).is_some() {
-                        let was_dirty = p.state_of(addr).is_some_and(|s| s.is_dirty());
-                        let data = p.snoop_shared(addr).expect("peer held the line");
-                        Some((was_dirty, data))
-                    } else {
-                        None
-                    }
-                };
-                if let Some((was_dirty, data)) = transfer {
-                    if was_dirty {
-                        // Ownership of dirty data returns to the home when
-                        // the line becomes shared (MESI has no shared-dirty
-                        // state).
-                        home.dirty_evict(addr, data.clone())?;
-                    }
-                    self.metrics.inc(self.cache_to_cache_transfers);
-                    self.note_present(core, addr);
-                    lock(&self.cores[core]).install_shared(addr, data.clone(), home)?;
-                    return Ok(data);
+            };
+            if let Some((was_dirty, data)) = transfer {
+                if was_dirty {
+                    // Ownership of dirty data returns to the home when the
+                    // line becomes shared (MESI has no shared-dirty state).
+                    home.dirty_evict(addr, data.clone())?;
                 }
+                self.metrics.inc(self.cache_to_cache_transfers);
+                self.note_present(core, addr);
+                lock(&self.cores[core]).install_shared(addr, data.clone(), home)?;
+                return Ok(data);
             }
         }
         self.note_present(core, addr);
@@ -318,68 +302,6 @@ impl SharedComplex {
         lock(&self.cores[core]).write(addr, data, home)
     }
 
-    /// Like [`SharedComplex::read`], against a [`ShardedHome`]: the
-    /// access is additionally accounted to the shard owning `addr`, so
-    /// callers can observe how evenly the interleave spreads the
-    /// workload.
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures.
-    pub fn read_on(
-        &self,
-        core: usize,
-        addr: LineAddr,
-        home: &mut impl ShardedHome,
-    ) -> Result<CacheLine> {
-        self.note_shard(home.shard_count(), home.shard_of_line(addr));
-        self.read(core, addr, home)
-    }
-
-    /// Like [`SharedComplex::write`], against a [`ShardedHome`], with the
-    /// same per-shard accounting as [`SharedComplex::read_on`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures.
-    pub fn write_on(
-        &self,
-        core: usize,
-        addr: LineAddr,
-        data: CacheLine,
-        home: &mut impl ShardedHome,
-    ) -> Result<()> {
-        self.note_shard(home.shard_count(), home.shard_of_line(addr));
-        self.write(core, addr, data, home)
-    }
-
-    fn note_shard(&self, count: usize, shard: usize) {
-        {
-            let traffic = self.shard_traffic.read().unwrap_or_else(|e| e.into_inner());
-            if shard < traffic.len() {
-                traffic[shard].fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let mut traffic = self.shard_traffic.write().unwrap_or_else(|e| e.into_inner());
-        while traffic.len() < count {
-            traffic.push(AtomicU64::new(0));
-        }
-        traffic[shard].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accesses issued through [`SharedComplex::read_on`] /
-    /// [`SharedComplex::write_on`] per home shard. Empty until the first
-    /// sharded access.
-    pub fn shard_traffic(&self) -> Vec<u64> {
-        self.shard_traffic
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
     /// Simulates power loss across all cores.
     ///
     /// # Errors
@@ -398,9 +320,7 @@ impl SharedComplex {
     pub fn snoop_shared_all(&self, addr: LineAddr) -> Option<CacheLine> {
         let mut best: Option<CacheLine> = None;
         for c in &self.cores {
-            let mut c = lock(c);
-            let was_dirty = c.state_of(addr).is_some_and(|s| s.is_dirty());
-            if let Some(data) = c.snoop_shared(addr) {
+            if let Some((was_dirty, data)) = lock(c).snoop_shared_dirty(addr) {
                 if was_dirty || best.is_none() {
                     best = Some(data);
                 }
@@ -423,6 +343,19 @@ impl SharedComplex {
 }
 
 impl HostSnoop for SharedComplex {
+    fn snoop_shared(&mut self, addr: LineAddr) -> Option<CacheLine> {
+        self.snoop_shared_all(addr)
+    }
+
+    fn snoop_invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
+        self.snoop_invalidate_all(addr)
+    }
+}
+
+/// Persist paths snoop the host through `&SharedComplex`: the device
+/// calls back into the host while holding no host lock itself, and each
+/// snoop locks one core at a time.
+impl HostSnoop for &SharedComplex {
     fn snoop_shared(&mut self, addr: LineAddr) -> Option<CacheLine> {
         self.snoop_shared_all(addr)
     }
@@ -511,70 +444,6 @@ mod tests {
         assert_eq!(HostSnoop::snoop_invalidate(&mut cx, LineAddr(2)), None);
     }
 
-    /// A test home that stripes lines across `shards` banks by modulo —
-    /// the same interleave the PAX device uses.
-    struct StripedHome {
-        inner: MemoryHome<DramMedia>,
-        shards: usize,
-    }
-
-    impl HomeAgent for StripedHome {
-        fn read_shared(&mut self, addr: LineAddr) -> Result<CacheLine> {
-            self.inner.read_shared(addr)
-        }
-        fn read_own(&mut self, addr: LineAddr) -> Result<CacheLine> {
-            self.inner.read_own(addr)
-        }
-        fn clean_evict(&mut self, addr: LineAddr) {
-            self.inner.clean_evict(addr)
-        }
-        fn dirty_evict(&mut self, addr: LineAddr, data: CacheLine) -> Result<()> {
-            self.inner.dirty_evict(addr, data)
-        }
-    }
-
-    impl ShardedHome for StripedHome {
-        fn shard_count(&self) -> usize {
-            self.shards
-        }
-        fn shard_of_line(&self, addr: LineAddr) -> usize {
-            addr.0 as usize % self.shards
-        }
-    }
-
-    #[test]
-    fn sharded_accesses_are_accounted_per_bank() {
-        let cx = SharedComplex::new(2, CacheConfig::tiny(4 << 10, 4));
-        let mut home = StripedHome { inner: MemoryHome::new(DramMedia::new(1 << 20)), shards: 4 };
-        assert!(cx.shard_traffic().is_empty(), "no sharded traffic yet");
-        // 8 writes + 8 reads over lines 0..8: every shard sees 2 lines,
-        // twice each.
-        for i in 0..8u64 {
-            cx.write_on(0, LineAddr(i), CacheLine::filled(i as u8), &mut home).unwrap();
-        }
-        for i in 0..8u64 {
-            assert_eq!(cx.read_on(1, LineAddr(i), &mut home).unwrap(), CacheLine::filled(i as u8));
-        }
-        assert_eq!(cx.shard_traffic(), &[4, 4, 4, 4]);
-    }
-
-    #[test]
-    fn sharded_routing_matches_unsharded_protocol() {
-        // read_on/write_on are accounting wrappers: coherence behaviour
-        // (invalidations, transfers) must be identical to read/write.
-        let cx_a = SharedComplex::new(2, CacheConfig::tiny(4 << 10, 4));
-        let cx_b = SharedComplex::new(2, CacheConfig::tiny(4 << 10, 4));
-        let mut home_a = StripedHome { inner: MemoryHome::new(DramMedia::new(1 << 20)), shards: 4 };
-        let mut home_b = MemoryHome::new(DramMedia::new(1 << 20));
-        for i in 0..6u64 {
-            cx_a.write_on(0, LineAddr(i), CacheLine::filled(1), &mut home_a).unwrap();
-            cx_b.write(0, LineAddr(i), CacheLine::filled(1), &mut home_b).unwrap();
-            cx_a.read_on(1, LineAddr(i), &mut home_a).unwrap();
-            cx_b.read(1, LineAddr(i), &mut home_b).unwrap();
-        }
-        assert_eq!(cx_a.stats(), cx_b.stats());
-    }
-
     #[test]
     fn shared_complex_snoops_match() {
         let sx = SharedComplex::new(4, CacheConfig::tiny(4 << 10, 4));
@@ -635,6 +504,65 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(sx.stats(), ComplexStats::default(), "disjoint lines: no peer traffic");
+    }
+
+    /// The one-core contract: a one-core complex is its one cache behind
+    /// a lock. A seeded mix of reads, writes, snoops and a final crash,
+    /// over a cache small enough to evict, returns the same values and
+    /// counters and leaves the same home media as a bare cache.
+    #[test]
+    fn one_core_complex_matches_a_bare_cache() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        const LINES: u64 = 64;
+        let cfg = CacheConfig::tiny(1 << 10, 2);
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cx = SharedComplex::new(1, cfg);
+            let mut bare = CoherentCache::new(cfg);
+            let mut cx_home = MemoryHome::new(DramMedia::new(LINES as usize * 64));
+            let mut bare_home = MemoryHome::new(DramMedia::new(LINES as usize * 64));
+            for step in 0..400 {
+                let addr = LineAddr(rng.gen_range(0..LINES));
+                let at = format!("seed {seed}, step {step}");
+                match rng.gen_range(0..10u32) {
+                    0..=3 => assert_eq!(
+                        cx.read(0, addr, &mut cx_home).unwrap(),
+                        bare.read(addr, &mut bare_home).unwrap(),
+                        "{at}"
+                    ),
+                    4..=7 => {
+                        let data = CacheLine::filled(rng.gen());
+                        cx.write(0, addr, data.clone(), &mut cx_home).unwrap();
+                        bare.write(addr, data, &mut bare_home).unwrap();
+                    }
+                    8 => assert_eq!(
+                        HostSnoop::snoop_shared(&mut &cx, addr),
+                        bare.snoop_shared(addr),
+                        "{at}"
+                    ),
+                    _ => assert_eq!(
+                        HostSnoop::snoop_invalidate(&mut &cx, addr),
+                        bare.snoop_invalidate(addr),
+                        "{at}"
+                    ),
+                }
+            }
+            let domain =
+                if seed % 2 == 0 { PersistenceDomain::Adr } else { PersistenceDomain::Eadr };
+            cx.crash(domain, &mut cx_home).unwrap();
+            bare.crash(domain, &mut bare_home).unwrap();
+            assert_eq!(cx.core_stats(0), bare.stats(), "seed {seed}");
+            assert_eq!(cx.stats(), ComplexStats::default(), "seed {seed}");
+            assert_eq!(cx_home.memory().stats(), bare_home.memory().stats(), "seed {seed}");
+            for line in 0..LINES {
+                assert_eq!(
+                    cx_home.memory_mut().read_line(LineAddr(line)).unwrap(),
+                    bare_home.memory_mut().read_line(LineAddr(line)).unwrap(),
+                    "seed {seed}, line {line}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   a [`HomeAgent`] on misses and upgrades, answers snoops, and loses its
 //!   dirty lines on crash (unless the platform has eADR). This is the
 //!   component whose behaviour makes crash consistency hard.
+//! * [`complex`] — the host: [`SharedComplex`] keeps one [`CoherentCache`]
+//!   per core coherent with core-to-core transfers, for any core count,
+//!   and answers the device's persist snoops ([`HostSnoop`]).
 //! * [`hierarchy`] — the three-level (L1/L2/LLC) statistics hierarchy used
 //!   to measure per-level miss rates exactly as the paper's Fig. 2a
 //!   methodology requires.
@@ -53,7 +56,7 @@ pub mod set;
 
 pub use amat::{AmatBreakdown, AmatEstimator, MemKind};
 pub use cache::{CacheConfig, CacheStats, CoherentCache, HomeAgent, MemoryHome};
-pub use complex::{ComplexStats, HostSnoop, ShardedHome, SharedComplex};
+pub use complex::{ComplexStats, HostSnoop, SharedComplex};
 pub use concurrent::ConcurrentSetAssoc;
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats, LevelStats};
 pub use mesi::MesiState;

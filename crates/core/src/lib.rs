@@ -40,9 +40,10 @@
 //!   covers allocator state like any other data (§3.4 "recovers the
 //!   pool's allocator state").
 //! * [`pool`] — [`PaxPool`]: wires a [`PmPool`](pax_pm::PmPool) to a
-//!   [`PaxDevice`](pax_device::PaxDevice) and a host
-//!   [`CoherentCache`](pax_cache::CoherentCache), exposes `persist()`,
-//!   crash/reopen for tests, and optional miss-rate instrumentation.
+//!   [`PaxDevice`](pax_device::PaxDevice) and a host of per-core caches
+//!   ([`SharedComplex`](pax_cache::SharedComplex), one core by default),
+//!   exposes `persist()`, crash/reopen for tests, and optional miss-rate
+//!   instrumentation.
 //! * [`structures`] — volatile-style collections ([`PHashMap`], [`PVec`],
 //!   [`PList`]) generic over any [`MemSpace`].
 //! * [`snapshotter`] — the Listing 1 façade: [`HwSnapshotter`] +

@@ -30,7 +30,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use pax_cache::{HomeAgent, HostSnoop, ShardedHome};
+use pax_cache::{HomeAgent, HostSnoop};
 use pax_pm::{CacheLine, CrashClock, LineAddr, PersistencyModel, PmError, PmPool, Result};
 use pax_telemetry::{MetricSet, MetricSnapshot, TraceBuf, TraceEvent};
 
@@ -1609,28 +1609,6 @@ impl HomeAgent for &PaxDevice {
     }
 }
 
-impl ShardedHome for PaxDevice {
-    fn shard_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn shard_of_line(&self, addr: LineAddr) -> usize {
-        self.tenants.tenant_of(addr).map_or(addr.0 as usize % self.stride, |t| {
-            t * self.stride + addr.0 as usize % self.stride
-        })
-    }
-}
-
-impl ShardedHome for &PaxDevice {
-    fn shard_count(&self) -> usize {
-        self.lanes.len()
-    }
-
-    fn shard_of_line(&self, addr: LineAddr) -> usize {
-        ShardedHome::shard_of_line(*self, addr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1991,7 +1969,7 @@ mod tests {
         let (device, _) = setup_sharded(4);
         assert_eq!(device.shard_count(), 4);
         for i in 0..16u64 {
-            assert_eq!(device.shard_of_line(LineAddr(i)), (i % 4) as usize);
+            assert_eq!(device.lane_of(LineAddr(i)).unwrap(), (i % 4) as usize);
         }
     }
 

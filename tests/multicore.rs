@@ -122,6 +122,7 @@ mod libpax_level {
     //! mappings shared by one structure.
 
     use libpax::{Heap, MemSpace, PHashMap, PaxConfig, PaxPool};
+    use pax_cache::ComplexStats;
     use pax_pm::PoolConfig;
 
     fn config(cores: usize) -> PaxConfig {
@@ -146,7 +147,7 @@ mod libpax_level {
         // Every core observes every other core's writes (coherence).
         assert_eq!(maps[0].len().unwrap(), 200);
         assert_eq!(maps[3].get(2_049).unwrap(), Some(49));
-        assert!(pool.complex_stats().unwrap().cache_to_cache_transfers > 0);
+        assert!(pool.complex_stats().cache_to_cache_transfers > 0);
 
         pool.persist().unwrap();
         let pm = pool.crash().unwrap();
@@ -157,10 +158,15 @@ mod libpax_level {
     }
 
     #[test]
-    fn single_core_pool_has_no_complex_stats() {
+    fn single_core_pool_has_no_cross_core_traffic() {
         let pool = PaxPool::create(config(1)).unwrap();
-        assert!(pool.complex_stats().is_none());
-        let _ = pool.vpm_for_core(0);
+        let vpm = pool.vpm_for_core(0);
+        for i in 0..64u64 {
+            vpm.write_u64(i * 64, i).unwrap();
+            assert_eq!(vpm.read_u64(i * 64).unwrap(), i);
+        }
+        pool.persist().unwrap();
+        assert_eq!(pool.complex_stats(), ComplexStats::default());
     }
 
     #[test]

@@ -76,9 +76,9 @@ fn conservation_invariants_hold_on_a_deterministic_workload() {
     run_workload(&pool);
     let t = pool.telemetry();
 
-    // All four layers report, in stack order.
+    // Every layer reports, in stack order.
     let names: Vec<&str> = t.components.iter().map(|c| c.component.as_str()).collect();
-    assert_eq!(names, vec!["host_cache", "cxl", "device", "media"]);
+    assert_eq!(names, vec!["host_cache", "core_complex", "cxl", "device", "media"]);
     assert_conservation(&t);
 
     // The workload actually exercised the counters.
