@@ -6,7 +6,7 @@
 //!   allocations (alloc on an empty slot, free on a full one) against a
 //!   shared space. The `bitmap` mode runs [`BitmapAlloc`] over the
 //!   striped multicore space with one per-core handle per thread; the
-//!   `heap` mode runs the serial first-fit [`Heap`](libpax::Heap) as the
+//!   `heap` mode runs the serial first-fit [`Heap`] as the
 //!   single-thread baseline it is (its free list has one lock and O(list)
 //!   frees, so it only appears at `threads = 1`).
 //! * **Fragment** — an adversarial layout: carpet the pool with

@@ -133,7 +133,7 @@ impl CacheCounters {
 /// The home side of the coherence protocol for some address range.
 ///
 /// Implemented by [`MemoryHome`] (plain memory controller) here and by the
-/// PAX device (via its CXL endpoint) in `pax-device`.
+/// the PAX device in `pax-device`.
 pub trait HomeAgent {
     /// The CPU requests `addr` in shared state (read miss).
     ///

@@ -9,12 +9,12 @@
 //! (`Heap` stays available through `new_in` as the differential
 //! baseline):
 //!
-//! * **Persistent layer** ([`layout`], [`lower`]) — one allocation bit
+//! * **Persistent layer** ([`layout`], `lower`) — one allocation bit
 //!   per 32-byte frame plus a `u32` free counter per 512-frame *tree*,
 //!   all stored inside the managed space. When that space is a pool's
 //!   vPM, the PAX device's undo logging rolls allocator metadata back
 //!   together with user data; no allocator-specific logging exists.
-//! * **Volatile layer** ([`upper`]) — per-core claimed trees and an
+//! * **Volatile layer** (`upper`) — per-core claimed trees and an
 //!   atomic per-tree index of free counts and longest-free-run hints. A
 //!   core allocates from its claimed tree without touching any other
 //!   core's state; when its tree cannot hold a request it reserves

@@ -372,12 +372,13 @@ impl PaxPool {
         Ok(e.device.persist(&mut &e.host)?)
     }
 
-    /// Begins a **non-blocking** persist (the paper's §6 extension):
-    /// captures the epoch's modified lines and returns its number
-    /// immediately; the device drains it in the background while the
-    /// application works in the next epoch. Durability holds only once
-    /// the epoch commits — [`PaxPool::persist_poll`] reports it, or
-    /// [`PaxPool::persist_wait`] blocks for it.
+    /// Begins a **non-blocking** persist (the paper's §6 extension) of
+    /// every tenant's epoch, in tenant order: captures each epoch's
+    /// modified lines and returns tenant 0's epoch number immediately;
+    /// the device drains them in the background while the application
+    /// works in the next epoch. Durability holds only once
+    /// an epoch commits — [`PaxPool::persist_poll`] reports it, or
+    /// [`PaxPool::persist_wait`] blocks for every tenant's.
     ///
     /// # Errors
     ///
@@ -530,10 +531,11 @@ impl PaxPool {
         }
     }
 
-    /// The implied CXL link traffic of the synchronous host↔device path,
-    /// in the same schema a `pax_cxl::Transport` records (`messages`,
-    /// `data_bytes`): every request earns a response, and data crosses on
-    /// read responses, dirty-evict payloads, and snoop data returns.
+    /// The implied CXL link traffic of the host↔device path, derived from
+    /// the device's request counters — the only record of link traffic
+    /// (`messages`, `data_bytes`): every request earns a response, and
+    /// data crosses on read responses, dirty-evict payloads, and snoop
+    /// data returns.
     fn link_snapshot(m: &DeviceMetrics) -> MetricSnapshot {
         let mut set = MetricSet::new("cxl");
         let messages = set.counter("messages");
@@ -1086,6 +1088,19 @@ mod tests {
         assert_eq!(b2.vpm().read_u64(0).unwrap(), 2, "B keeps its epoch 2");
         assert_eq!(a2.committed_epoch().unwrap(), 1);
         assert_eq!(b2.committed_epoch().unwrap(), 2);
+
+        // The pool-wide non-blocking persist closes every tenant, as the
+        // synchronous one does.
+        a2.vpm().write_u64(0, 3).unwrap();
+        b2.vpm().write_u64(0, 9).unwrap();
+        assert_eq!(reopened.persist_async().unwrap(), 2, "tenant 0's epoch is returned");
+        reopened.persist_wait().unwrap();
+        assert_eq!(a2.committed_epoch().unwrap(), 2);
+        assert_eq!(b2.committed_epoch().unwrap(), 3);
+        let pm = reopened.crash().unwrap();
+        let again = PaxPool::open(pm, config).unwrap();
+        assert_eq!(again.attach(0).unwrap().vpm().read_u64(0).unwrap(), 3);
+        assert_eq!(again.attach(1).unwrap().vpm().read_u64(0).unwrap(), 9);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! not have as much visibility into coherence as CXL.cache, which has less
 //! visibility than Enzian". [`Capability`] encodes that lattice.
 
-use pax_pm::Platform;
-
 use crate::eci::EciMsg;
 use crate::message::H2DReq;
 
@@ -48,21 +46,12 @@ impl Capability {
 /// only the translated [`H2DReq`] stream and is therefore portable across
 /// platforms (the paper's key deployment argument for CXL).
 pub trait CoherenceAdapter {
-    /// The platform this adapter models (selects timing).
-    fn platform(&self) -> Platform;
-
     /// The coherence visibility of this platform.
     fn capability(&self) -> Capability;
 
     /// Translates one native message; `None` means "filtered out" (no CXL
     /// equivalent, or below this platform's visibility).
     fn translate(&self, native: EciMsg) -> Option<H2DReq>;
-
-    /// One-way message latency between host and device on this platform,
-    /// given the profile's interposition costs (half a round trip).
-    fn one_way_latency_ns(&self, profile: &pax_pm::LatencyProfile) -> u64 {
-        profile.interposition_ns(self.platform()) / 2
-    }
 }
 
 /// Identity adapter for a native CXL 2.0 device: the host home agent
@@ -71,10 +60,6 @@ pub trait CoherenceAdapter {
 pub struct CxlNative;
 
 impl CoherenceAdapter for CxlNative {
-    fn platform(&self) -> Platform {
-        Platform::Cxl
-    }
-
     fn capability(&self) -> Capability {
         Capability::CacheHome
     }
@@ -95,8 +80,9 @@ impl CoherenceAdapter for CxlNative {
 
 /// The Enzian adapter: filters ThunderX bus noise and translates the rest
 /// to CXL semantics (§4). Functionally identical output to [`CxlNative`],
-/// but at [`Platform::Enzian`] timing and [`Capability::FullBus`]
-/// visibility, and it counts how much noise it filtered.
+/// but at [`Capability::FullBus`] visibility, and it counts how much noise
+/// it filtered. Platform timing is not the adapter's business: it comes
+/// from `LatencyProfile::interposition_ns`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EnzianAdapter {
     filtered: u64,
@@ -132,10 +118,6 @@ impl EnzianAdapter {
 }
 
 impl CoherenceAdapter for EnzianAdapter {
-    fn platform(&self) -> Platform {
-        Platform::Enzian
-    }
-
     fn capability(&self) -> Capability {
         Capability::FullBus
     }
@@ -150,7 +132,7 @@ impl CoherenceAdapter for EnzianAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_pm::{CacheLine, LatencyProfile, LineAddr};
+    use pax_pm::{CacheLine, LineAddr};
 
     #[test]
     fn capability_lattice_matches_section_6() {
@@ -200,11 +182,9 @@ mod tests {
     }
 
     #[test]
-    fn adapters_differ_only_in_timing_and_capability() {
-        let p = LatencyProfile::c6420();
+    fn adapters_differ_only_in_capability() {
         let cxl = CxlNative;
         let enz = EnzianAdapter::new();
-        assert!(cxl.one_way_latency_ns(&p) < enz.one_way_latency_ns(&p));
         assert_eq!(cxl.capability(), Capability::CacheHome);
         assert_eq!(enz.capability(), Capability::FullBus);
         // Semantics identical:

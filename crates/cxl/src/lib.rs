@@ -4,13 +4,8 @@
 //! as the home agent of the vPM range. This crate models that protocol
 //! surface:
 //!
-//! * [`message`] — the message vocabulary, named after CXL 2.0 §3.2
-//!   opcodes: host→device requests (`RdShared`, `RdOwn`, `CleanEvict`,
-//!   `DirtyEvict`), device→host snoops (`SnpData`, `SnpInv`), and their
-//!   responses.
-//! * [`channel`] — FIFO channels with latency/traffic accounting, modelling
-//!   the shared-memory queues of the paper's software prototype (§4) as
-//!   well as a real link's request/response channels.
+//! * [`message`] — the host→device request vocabulary, named after CXL
+//!   2.0 §3.2 opcodes (`RdShared`, `RdOwn`, `CleanEvict`, `DirtyEvict`).
 //! * [`eci`] — a simplified rendition of Enzian's lower-level,
 //!   ThunderX-coupled coherence messages.
 //! * [`adapter`] — the paper's "adapter layer": translates platform-native
@@ -19,18 +14,21 @@
 //!   the §6 CXL.mem < CXL.cache < Enzian visibility comparison.
 //! * [`link`] — PCIe 5.0 / PM bandwidth model for the §5.1 bottleneck
 //!   analysis.
+//!
+//! The device itself is driven through `pax_cache::HomeAgent` calls, not
+//! through queued messages: PAX uses only the information content of the
+//! protocol. The link traffic a run implies is derived from the device's
+//! own request counters (the pool's `cxl` telemetry component).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adapter;
-pub mod channel;
 pub mod eci;
 pub mod link;
 pub mod message;
 
 pub use adapter::{Capability, CoherenceAdapter, CxlNative, EnzianAdapter};
-pub use channel::{Channel, ChannelStats, Transport};
 pub use eci::EciMsg;
 pub use link::{BottleneckReport, LinkModel, Resource};
-pub use message::{D2HReq, D2HResp, H2DReq, H2DResp};
+pub use message::H2DReq;

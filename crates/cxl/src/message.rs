@@ -1,10 +1,11 @@
 //! CXL.cache message vocabulary.
 //!
 //! Names follow CXL 2.0 §3.2: the host CPU's cache home agent forwards
-//! requests for device-homed (vPM) lines on the H2D channels; the device
-//! initiates back-snoops on the D2H channels. Only the opcodes PAX consumes
-//! are modelled — this is the "information content" of the protocol, not a
-//! flit-accurate encoding.
+//! requests for device-homed (vPM) lines on the H2D channels. Only the
+//! opcodes PAX consumes are modelled — this is the "information content"
+//! of the protocol, not a flit-accurate encoding. The device's back-snoops
+//! (`SnpData`, `SnpInv`) need no message type: the device issues them as
+//! `HostSnoop` calls against the host cache model.
 
 use pax_pm::{CacheLine, LineAddr};
 
@@ -35,103 +36,4 @@ pub enum H2DReq {
         /// Its modified contents.
         data: CacheLine,
     },
-}
-
-impl H2DReq {
-    /// The line this request concerns.
-    pub fn addr(&self) -> LineAddr {
-        match self {
-            H2DReq::RdShared { addr }
-            | H2DReq::RdOwn { addr }
-            | H2DReq::CleanEvict { addr }
-            | H2DReq::DirtyEvict { addr, .. } => *addr,
-        }
-    }
-
-    /// Whether this request carries a 64-byte data payload.
-    pub fn carries_data(&self) -> bool {
-        matches!(self, H2DReq::DirtyEvict { .. })
-    }
-}
-
-/// Device→host response to an [`H2DReq`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum D2HResp {
-    /// Grant + data for `RdShared`/`RdOwn` (CXL "GO" with data).
-    GoData {
-        /// The requested line.
-        addr: LineAddr,
-        /// Current contents as known to the device.
-        data: CacheLine,
-    },
-    /// Grant without data (evict acknowledgements).
-    Go {
-        /// The acknowledged line.
-        addr: LineAddr,
-    },
-}
-
-/// Device→host snoop: the device (home agent) needs host-cache state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum D2HReq {
-    /// Downgrade `addr` to shared and forward its current value —
-    /// issued for every logged line at `persist()` (§3.3).
-    SnpData {
-        /// The line to downgrade.
-        addr: LineAddr,
-    },
-    /// Invalidate `addr` in all host caches.
-    SnpInv {
-        /// The line to invalidate.
-        addr: LineAddr,
-    },
-}
-
-impl D2HReq {
-    /// The line this snoop concerns.
-    pub fn addr(&self) -> LineAddr {
-        match self {
-            D2HReq::SnpData { addr } | D2HReq::SnpInv { addr } => *addr,
-        }
-    }
-}
-
-/// Host→device snoop response.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum H2DResp {
-    /// Snoop response; `data` is present when a host cache held the line
-    /// (for `SnpData`) or held it dirty (for `SnpInv`).
-    SnpResp {
-        /// The snooped line.
-        addr: LineAddr,
-        /// Forwarded contents, if any.
-        data: Option<CacheLine>,
-    },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn addr_accessors() {
-        let a = LineAddr(5);
-        assert_eq!(H2DReq::RdShared { addr: a }.addr(), a);
-        assert_eq!(H2DReq::RdOwn { addr: a }.addr(), a);
-        assert_eq!(H2DReq::DirtyEvict { addr: a, data: CacheLine::zeroed() }.addr(), a);
-        assert_eq!(D2HReq::SnpData { addr: a }.addr(), a);
-        assert_eq!(D2HReq::SnpInv { addr: a }.addr(), a);
-    }
-
-    #[test]
-    fn only_dirty_evict_carries_data() {
-        let a = LineAddr(1);
-        assert!(!H2DReq::RdShared { addr: a }.carries_data());
-        assert!(!H2DReq::RdOwn { addr: a }.carries_data());
-        assert!(!H2DReq::CleanEvict { addr: a }.carries_data());
-        assert!(H2DReq::DirtyEvict { addr: a, data: CacheLine::zeroed() }.carries_data());
-    }
 }

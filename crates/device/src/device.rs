@@ -39,7 +39,7 @@ use crate::directory::{coalesce_runs, DirectoryConfig};
 use crate::hbm::{HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
 use crate::recovery::{recover_traced, RecoveryReport};
-use crate::sched::{persist_drain_budget, weighted_budget, DeviceScheduler, SchedConfig};
+use crate::sched::{persist_drain_budget, tick_budgets, DeviceScheduler};
 use crate::shard::{split_log_region, tick, Lane};
 use crate::tenant::{TenantId, TenantMap, TenantRegion};
 
@@ -74,10 +74,6 @@ pub struct DeviceConfig {
     /// Address-interleaved shards each tenant's per-line state is split
     /// into. 1 = the unsharded device.
     pub shards: usize,
-    /// Per-tick engine budgets of the virtual-time scheduler
-    /// ([`PaxDevice::tick`]); the persist-drain budget also paces
-    /// [`PaxDevice::persist_poll`].
-    pub sched: SchedConfig,
     /// Whether persist-time snoops are filtered through the per-lane
     /// ownership directory ([`crate::OwnershipDirectory`]). Enabled by
     /// default; [`DirectoryConfig::disabled`] restores always-snoop for
@@ -133,12 +129,6 @@ impl DeviceConfig {
     /// rejected by [`DeviceConfig::validate`] when the device opens.
     pub fn with_shards(mut self, n: usize) -> Self {
         self.shards = n;
-        self
-    }
-
-    /// Returns the config with different scheduler tick budgets.
-    pub fn with_sched(mut self, sched: SchedConfig) -> Self {
-        self.sched = sched;
         self
     }
 
@@ -214,7 +204,6 @@ impl Default for DeviceConfig {
             writeback_batch: 1,
             trace_capacity: 1024,
             shards: 1,
-            sched: SchedConfig::default(),
             directory: DirectoryConfig::enabled(),
             persist_wb_batch: 8,
             persistency: PersistencyModel::Epoch,
@@ -269,7 +258,7 @@ struct DrainState {
 /// stripe / epoch-log stripe → pool → trace**
 /// (DESIGN.md §15). Persist paths hold their tenant's ctl lock for their
 /// whole duration; hot paths only ever `try_lock` it (a contended ctl
-/// implies a concurrent persist, and non-blocking [`DrainState`]s exist
+/// implies a concurrent persist, and non-blocking `DrainState`s exist
 /// only in single-driver mode, so skipping is correct there — the
 /// bounded-spin starvation fallback in `poll_one_tenant` likewise never
 /// blocks on ctl, because `SharedComplex::write` reaches this code while
@@ -286,7 +275,7 @@ struct DrainState {
 /// sweep on the *same lane* proceed concurrently. Undo appends reserve a
 /// slot with a CAS on the bank's packed tail word (no lock at all), and
 /// the pump/flush media handoff takes **pool only**. Write-back *drains*
-/// serialize on the per-lane [`WbGate`](crate::cell::WbGate). Epoch
+/// serialize on the per-lane `WbGate`. Epoch
 /// commit — which takes ctl, flushes every lane of the tenant, and
 /// writes the header slot — is the only cross-shard rendezvous; crash is
 /// stop-the-world by construction (it consumes the device).
@@ -328,8 +317,8 @@ pub struct PaxDevice {
     /// hot-path ctl traffic. Relaxed ordering: a pure heuristic counter,
     /// it guards no data.
     poll_skips: Vec<AtomicU64>,
-    /// Virtual-time run-queue state: per-lane pump credits and adaptive
-    /// boosts, the round-robin idle-service cursor, and the tick counter.
+    /// Virtual-time run-queue state: per-lane pump credits, the
+    /// round-robin idle-service cursor, and the tick counter.
     sched: DeviceScheduler,
     /// Device-level counter registry: scheduler events that belong to no
     /// single lane. Lane registries merge into it in every snapshot.
@@ -420,16 +409,6 @@ impl PaxDevice {
         metrics.add(shards_gauge, stride as u64);
         let tenants_gauge = metrics.counter("tenants");
         metrics.add(tenants_gauge, t as u64);
-        // So are the tick budgets: a trace full of `tick` events is only
-        // replayable knowing how much work each tick was allowed.
-        for (name, value) in [
-            ("sched_log_budget", config.sched.log_drain_per_tick),
-            ("sched_writeback_budget", config.sched.writeback_per_tick),
-            ("sched_persist_budget", config.sched.persist_drain_per_tick),
-        ] {
-            let gauge = metrics.counter(name);
-            metrics.add(gauge, value as u64);
-        }
         // So is the persistency model: a report's persist counts mean
         // different things under different ordering contracts.
         for (name, value) in [
@@ -727,29 +706,25 @@ impl PaxDevice {
 
     /// Advances the device's free-running engines by `n` **virtual
     /// ticks**, fully decoupled from foreground traffic: each tick first
-    /// moves any draining non-blocking persist along
-    /// ([`SchedConfig::persist_drain_per_tick`]), then runs every lane's
+    /// moves any draining non-blocking persist along (a fixed budget of
+    /// write-back batches per tick), then runs every lane's
     /// log-drain and write-back engines, in lane-index order. Within each
     /// physical shard the tick budgets are divided across the tenants
     /// that have pending work by their scheduler weight, floored at one
     /// unit — a log-hammering tenant gets a proportional share, never the
-    /// whole shard, and a light tenant always makes progress. In adaptive
-    /// mode ([`SchedConfig::adaptive`]) each lane's log budget scales
-    /// with its observed backlog before the weighted split.
+    /// whole shard, and a light tenant always makes progress.
     ///
     /// Determinism contract: ticks are the device's only time source, so
     /// the same request sequence interleaved with the same tick schedule
     /// performs the identical sequence of durable-write steps — an armed
     /// [`CrashClock`] cuts power at the identical machine state on every
-    /// replay. (The adaptive controller keeps this: its only inputs are
-    /// queue depths, never wall-clock time.)
+    /// replay.
     ///
     /// # Errors
     ///
     /// Surfaces [`PmError::Crashed`] when the crash clock fires mid-tick,
     /// and media errors.
     pub fn tick(&self, n: u64) -> Result<u64> {
-        let cfg = self.config.sched;
         let mut total = 0u64;
         for _ in 0..n {
             let before = self.clock.steps_taken();
@@ -763,15 +738,8 @@ impl PaxDevice {
                     active.iter().map(|&l| self.tenants.weight(l / self.stride) as u64).sum();
                 for &l in &active {
                     let w = self.tenants.weight(l / self.stride) as u64;
-                    let log_budget =
-                        weighted_budget(self.sched.log_budget(l, &cfg), w, active_weight);
-                    let wb_budget = weighted_budget(cfg.writeback_per_tick, w, active_weight);
+                    let (log_budget, wb_budget) = tick_budgets(w, active_weight);
                     self.lane_background(l, log_budget, wb_budget)?;
-                }
-            }
-            if cfg.adaptive {
-                for (l, lane) in self.lanes.iter().enumerate() {
-                    self.sched.observe_log_depth(l, lane.log.pending_len(), &cfg);
                 }
             }
             let now = self.sched.advance();
@@ -1061,7 +1029,6 @@ impl PaxDevice {
                 h.count_writeback();
                 self.trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
                 h.hbm_mark_clean(*addr);
-                h.dir_clear(*addr);
             }
         }
         Ok(())
@@ -1121,15 +1088,23 @@ impl PaxDevice {
         Ok(())
     }
 
-    /// Begins a **non-blocking** persist of tenant 0's epoch (§6) — the
-    /// single-tenant legacy entry point; see
+    /// Begins a **non-blocking** persist of every tenant's epoch (§6),
+    /// in tenant order, and returns tenant 0's draining epoch — the
+    /// non-blocking twin of [`PaxDevice::persist`]; see
     /// [`PaxDevice::persist_async_tenant`].
     ///
     /// # Errors
     ///
     /// Surfaces [`PmError::Crashed`] and media errors.
     pub fn persist_async(&self, cache: &mut impl HostSnoop) -> Result<u64> {
-        self.persist_async_tenant(0, cache)
+        let mut first = 0;
+        for t in 0..self.tenants.len() {
+            let epoch = self.persist_async_tenant(t, cache)?;
+            if t == 0 {
+                first = epoch;
+            }
+        }
+        Ok(first)
     }
 
     /// Begins a **non-blocking** persist of tenant `t`'s epoch (§6):
@@ -1313,17 +1288,15 @@ impl PaxDevice {
             return Ok(None);
         }
         // Phase 2: write back the scheduler's persist-drain budget of
-        // *batches* per poll (clamped to 1 so `persist_wait` always makes
-        // progress). Each batch greedily extends along the queue while
+        // *batches* per poll. Each batch greedily extends along the queue while
         // the lines stay contiguous in lane-local space, sharing one
         // durable-write step like the synchronous pipeline.
         let stride = self.stride;
         let max_batch = self.config.persist_wb_batch.max(1);
         // The budget scales with queue depth so a buffered device drains
         // K epochs as fast as a synchronous one drains one; with ≤ 1
-        // queued epoch (strict/epoch) this is exactly the historical
-        // `persist_drain_per_tick` budget.
-        for _ in 0..persist_drain_budget(&self.config.sched, ctl.len()) {
+        // queued epoch (strict/epoch) it is the plain per-poll budget.
+        for _ in 0..persist_drain_budget(ctl.len()) {
             let Some(ds) = ctl.front_mut() else { break };
             let Some(addr) = ds.queue.pop_front() else { break };
             // Lines resolved early (dirty_evict ordering) have no value.
@@ -2148,31 +2121,49 @@ mod tests {
         assert_eq!(snap.counter("tenant1/persists"), 0);
     }
 
+    /// Feeds a platform-native message stream, translated by `translate`,
+    /// into a fresh device through its `HomeAgent` interface.
+    fn feed_native(
+        stream: &[pax_cxl::EciMsg],
+        mut translate: impl FnMut(pax_cxl::EciMsg) -> Option<pax_cxl::H2DReq>,
+    ) -> DeviceMetrics {
+        use pax_cxl::H2DReq;
+        let (mut device, _) = setup();
+        for msg in stream {
+            match translate(msg.clone()) {
+                None => {}
+                Some(H2DReq::RdShared { addr }) => {
+                    device.read_shared(addr).unwrap();
+                }
+                Some(H2DReq::RdOwn { addr }) => {
+                    device.read_own(addr).unwrap();
+                }
+                Some(H2DReq::CleanEvict { addr }) => device.clean_evict(addr),
+                Some(H2DReq::DirtyEvict { addr, data }) => device.dirty_evict(addr, data).unwrap(),
+                Some(other) => panic!("untranslated request {other:?}"),
+            }
+        }
+        device.metrics()
+    }
+
+    /// The §4 adapter layer: a raw Enzian bus stream, noise included,
+    /// drives the device exactly as the same events do on native CXL.
     #[test]
-    fn adaptive_budgets_drain_backlog_faster() {
-        let run = |adaptive: bool| -> u64 {
-            let pool = PmPool::create(PoolConfig::small()).unwrap();
-            let sched = if adaptive {
-                SchedConfig::default().with_adaptive()
-            } else {
-                SchedConfig::default()
-            };
-            let config =
-                DeviceConfig::default().with_log_pump_interval(usize::MAX).with_sched(sched);
-            let mut device = PaxDevice::open(pool, config).unwrap();
-            let mut cache = CoherentCache::new(CacheConfig::tiny(64 << 10, 8));
-            for i in 0..64u64 {
-                cache.write(LineAddr(i), CacheLine::filled(1), &mut device).unwrap();
-            }
-            let mut ticks = 0u64;
-            while device.log_durable_offset() < 64 {
-                device.tick(1).unwrap();
-                ticks += 1;
-                assert!(ticks < 1_000, "backlog must drain");
-            }
-            ticks
-        };
-        assert!(run(true) < run(false), "adaptive boost must drain a deep backlog in fewer ticks");
+    fn enzian_stream_filters_noise_but_matches_cxl_semantics() {
+        use pax_cxl::{CoherenceAdapter, CxlNative, EciMsg, EnzianAdapter};
+        let stream = [
+            EciMsg::PrefetchProbe { addr: LineAddr(0) },
+            EciMsg::StoreMiss { addr: LineAddr(0) },
+            EciMsg::DvmOp,
+            EciMsg::VictimDirty { addr: LineAddr(0), data: CacheLine::filled(9) },
+        ];
+        let mut enzian = EnzianAdapter::new();
+        let m = feed_native(&stream, |msg| enzian.translate_counted(msg));
+        assert_eq!(enzian.filtered(), 2);
+        // The store intent was undo-logged exactly as on CXL.
+        assert_eq!(m.undo_entries, 1);
+        assert_eq!(m.dirty_evicts, 1);
+        assert_eq!(m, feed_native(&stream, |msg| CxlNative.translate(msg)));
     }
 
     /// Host writes `n` lines, then gives every copy back via dirty

@@ -77,7 +77,7 @@ const DIR_STRIPES: usize = 16;
 /// the line modified (see module docs). Purely volatile device state:
 /// ticks never mutate it, and [`OwnershipDirectory::crash`] empties it.
 ///
-/// Since PR 10 the set is striped across [`DIR_STRIPES`] mutexes with an
+/// The set is striped across `DIR_STRIPES` mutexes with an
 /// atomic residency counter, so hot-path `RdOwn`/eviction epilogues can
 /// update it through a shared reference (DESIGN.md §15). Each operation touches exactly one stripe lock.
 #[derive(Debug)]

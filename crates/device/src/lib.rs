@@ -33,6 +33,11 @@
 //!   decoupled from foreground traffic yet crash points stay replayable.
 //! * [`metrics`] — event counters consumed by the benchmark harness.
 //!
+//! The device is the home agent and is driven directly through
+//! [`pax_cache::HomeAgent`] calls; the link traffic a run implies is
+//! derived from its request counters (the pool's `cxl` telemetry
+//! component), not carried through a modelled transport.
+//!
 //! # Example
 //!
 //! ```
@@ -59,7 +64,6 @@
 pub(crate) mod cell;
 pub mod device;
 pub mod directory;
-pub mod endpoint;
 pub mod hbm;
 pub mod metrics;
 pub mod recovery;
@@ -70,10 +74,9 @@ pub mod undo_log;
 
 pub use device::{DeviceConfig, PaxDevice};
 pub use directory::{coalesce_runs, DirectoryConfig, OwnershipDirectory};
-pub use endpoint::CxlEndpoint;
 pub use hbm::{EvictionPolicy, HbmCache, HbmConfig, HbmLine};
 pub use metrics::DeviceMetrics;
 pub use recovery::{recover, recover_traced, RecoveryReport};
-pub use sched::{DeviceScheduler, SchedConfig};
+pub use sched::DeviceScheduler;
 pub use tenant::{even_split, TenantId, TenantMap, TenantRegion};
 pub use undo_log::{block_header_line, UndoEntry, UndoLog, BLOCK_ENTRIES, BLOCK_LINES};

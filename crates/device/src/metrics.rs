@@ -6,7 +6,7 @@
 //!
 //! The counters themselves live in the device's
 //! [`MetricSet`] registry; [`DeviceMetrics`] is a point-in-time typed
-//! view built by [`DeviceCounters::view`].
+//! view built by `DeviceCounters::view`.
 
 use pax_telemetry::{Counter, MetricSet};
 

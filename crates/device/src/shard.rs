@@ -320,7 +320,8 @@ impl Lane {
     }
 
     /// Records evidence the host gave `addr` up (dirty eviction, snoop
-    /// response, CLWB invalidate, device write-back).
+    /// response, CLWB invalidate). A device write-back is no such
+    /// evidence: it says nothing about the host's copy.
     pub(crate) fn dir_clear(&self, addr: LineAddr) {
         if self.directory.clear_line(addr) {
             self.metrics.sub(self.ctr.dir_resident, 1);

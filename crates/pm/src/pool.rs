@@ -49,7 +49,7 @@ const HEADER_LINES: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
 /// Maximum number of tenants a pool header can hold epoch slots for.
 ///
 /// Each tenant's committed epoch lives alone on header line `1 + tenant`
-/// (tenant 0 aliases the legacy [`HDR_EPOCH`] line) so an 8-byte store
+/// (tenant 0 aliases the legacy `HDR_EPOCH` line) so an 8-byte store
 /// commits it atomically without touching any other tenant's slot. The
 /// header page has 64 lines; 32 leaves room for future header fields.
 pub const MAX_TENANTS: usize = 32;

@@ -1,7 +1,7 @@
 //! Foundation crate for PAX observability.
 //!
-//! Every simulated component in the stack — PM media, CXL channels, the
-//! host cache hierarchy, the PAX device — records its counters in a
+//! Every simulated component in the stack — PM media, the host cache
+//! hierarchy, the PAX device — records its counters in a
 //! [`MetricSet`] owned by that component, and optionally emits structured
 //! [`TraceEvent`]s into a bounded [`TraceBuf`]. Snapshots of many metric
 //! sets combine into a [`TelemetrySnapshot`] (what `PaxPool::telemetry()`

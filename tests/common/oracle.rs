@@ -34,7 +34,7 @@ pub struct Rig {
 }
 
 impl Rig {
-    /// A rig outside the matrix (golden digests, scheduler variants);
+    /// A rig outside the matrix (golden digests, device variants);
     /// `source` rebuilds it in the suite that defines it.
     pub fn custom(config: PaxConfig, span: u64, source: String) -> Rig {
         Rig { config, alloc: Alloc::Heap, span, source }

@@ -10,11 +10,10 @@
 mod common;
 
 use common::{
-    check_or_fail, drive, exhaustive, points, random, schedule, shrink, Alloc, Mix, Point, Rig,
-    Step,
+    check_or_fail, drive, exhaustive, points, random, schedule, shrink, Alloc, Mix, Point, Step,
 };
 use libpax::PersistencyModel;
-use pax_device::{recover_traced, SchedConfig};
+use pax_device::recover_traced;
 use pax_telemetry::{TraceBuf, TraceEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -178,22 +177,13 @@ fn mid_epoch_crash_replays_from_trace_dump() {
     }
 }
 
-/// The base point with the adaptive budget controller on.
-fn adaptive() -> Rig {
-    let mut config = Point::BASE.config();
-    config.device.sched = SchedConfig::default().with_adaptive_watermarks(8, 2, 4);
-    Rig::custom(config, common::SPAN, "adaptive()".into())
-}
-
 /// Virtual-time determinism: the same schedule with the crash clock armed
-/// at the same step replays the identical durable image and recovery,
-/// with the adaptive budget controller on too (its inputs are queue
-/// depths, never wall-clock time).
+/// at the same step replays the identical durable image and recovery.
 #[test]
 fn identical_tick_schedules_replay_identical_crash_states() {
     let mut rng = StdRng::seed_from_u64(0x71c);
+    let rig = Point::BASE.rig();
     for _ in 0..24 {
-        let rig = if rng.gen_bool(0.5) { adaptive() } else { Point::BASE.rig() };
         let n = rng.gen_range(8..32);
         let steps = schedule(&mut rng, Mix::Lines, n);
         let crash_at = Some(rng.gen_range(1..250));

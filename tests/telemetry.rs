@@ -8,7 +8,7 @@
 //! breaks an equality here.
 
 use libpax::{MemSpace, PaxConfig, PaxPool};
-use pax_pm::PoolConfig;
+use pax_pm::{PoolConfig, LINE_SIZE};
 use pax_telemetry::{TelemetrySnapshot, TraceBuf};
 
 fn config() -> PaxConfig {
@@ -68,6 +68,13 @@ fn assert_conservation(t: &TelemetrySnapshot) {
         + t.counter("device", "dirty_evicts")
         + t.counter("device", "snoops_sent");
     assert_eq!(t.counter("cxl", "messages"), 2 * msgs);
+    // A line of payload crosses on every read response, dirty-evict
+    // payload and snoop data return.
+    let payloads = rd_shared
+        + rd_own
+        + t.counter("device", "dirty_evicts")
+        + t.counter("device", "snoop_data_returned");
+    assert_eq!(t.counter("cxl", "data_bytes"), payloads * LINE_SIZE as u64);
 }
 
 #[test]

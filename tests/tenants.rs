@@ -13,7 +13,7 @@ mod common;
 use common::{points, random, Mix};
 use libpax::{MemSpace, PaxConfig, PaxPool};
 use pax_cache::{CacheConfig, CoherentCache};
-use pax_device::{DeviceConfig, PaxDevice, SchedConfig, TenantRegion, BLOCK_ENTRIES};
+use pax_device::{DeviceConfig, PaxDevice, TenantRegion, BLOCK_ENTRIES};
 use pax_pm::{CacheLine, LineAddr, PmPool, PoolConfig, LINE_SIZE};
 
 fn config(tenants: usize) -> PaxConfig {
@@ -120,39 +120,6 @@ fn weighted_scheduler_never_starves_the_light_tenant() {
     }
     assert_eq!(device.log_pending_for(0), 0);
     assert_eq!(device.log_durable_offset(), 64 + light, "both tenants' logs fully drained");
-}
-
-/// Adaptive budgets stay per-lane: one tenant's deep backlog boosts its
-/// own lanes without inflating the other tenant's budget share.
-#[test]
-fn adaptive_mode_with_tenants_drains_and_commits() {
-    let pool = PmPool::create(PoolConfig::small()).unwrap();
-    let data_lines = pool.layout().data_lines;
-    let regions = pax_device::even_split(data_lines, 2);
-    let config = DeviceConfig::default()
-        .with_log_pump_interval(usize::MAX)
-        .with_sched(SchedConfig::default().with_adaptive());
-    let mut device = PaxDevice::open_multi(pool, config, regions).unwrap();
-    let mut cache = CoherentCache::new(CacheConfig::tiny(256 << 10, 8));
-    let base = data_lines / 2;
-    for i in 0..64u64 {
-        cache.write(LineAddr(i), CacheLine::filled(1), &mut device).unwrap();
-    }
-    // One whole block for tenant 1 (background pumps drain whole blocks).
-    for i in 0..BLOCK_ENTRIES {
-        cache.write(LineAddr(base + i), CacheLine::filled(2), &mut device).unwrap();
-    }
-    for _ in 0..128 {
-        device.tick(1).unwrap();
-    }
-    assert_eq!(
-        device.log_durable_offset(),
-        64 + BLOCK_ENTRIES,
-        "both tenants drained under adaptive mode"
-    );
-    device.persist_tenant(1, &mut cache).unwrap();
-    assert_eq!(device.committed_epoch_for(1).unwrap(), 1);
-    assert_eq!(device.committed_epoch_for(0).unwrap(), 0);
 }
 
 /// Independent recovery for any tenant count (2–4), any skewed mix of
