@@ -37,7 +37,9 @@ trees, its churn over the carpet keeps >= 0.3 Mops, and its attach-time
 recovery scan stays linear (scan_steps <= 2x pool_frames); logappend's
 undo-log recovery rolls back every entry and scans in proportion to the
 entries logged (scanned <= 2x entries, growing with them); write_amp's
-PAX line log stays <= 18.5x per 8 B field at one field per page.
+PAX line log stays <= 18.5x per 8 B field at one field per page;
+capacity's host memory at pool creation does not follow the pool size
+(a 1 GiB pool grows RSS by at most 8 MiB more than a 64 MiB one).
 
 A missing baseline file seeds the ratchet (exit 0); the workflow then
 saves CURRENT_DIR as the next run's baseline.
@@ -97,6 +99,15 @@ SCHEMAS = {
             s: (1, ("ops", "steps", "ops_per_kstep", "persists", "persists_per_op",
                     "modeled_close_ns"))
             for s in ("strict", "epoch", "buffered2", "buffered4")
+        },
+    },
+    "capacity": {
+        "config": ("hbm_lines",),
+        "rows": ("write_set_lines", "hbm_factor", "epoch_committed", "background_writebacks",
+                 "eviction_stalls"),
+        "series": {
+            "host_memory": (3, ("data_mib", "log_mib", "touched_lines", "rss_create_kib",
+                                "rss_touched_kib")),
         },
     },
     "write_amp": {
@@ -311,6 +322,21 @@ def check_write_amp(doc, failures):
               f"write_amp: PAX line log {amp[1]:.2f}x vs 18.5x ceiling at 1 field/page")
 
 
+def check_capacity(doc, failures):
+    rss = {r["data_mib"]: r["rss_create_kib"] for r in doc["results"]
+           if r.get("series") == "host_memory"}
+    small, large = rss.get(64), rss.get(1024)
+    if small is None or large is None:
+        failures.append("capacity: host_memory rows for 64 and 1024 MiB missing")
+        return
+    if not any(rss.values()):
+        print("ok  capacity host_memory: no RSS reported on this platform, bar skipped")
+        return
+    check_bar(failures, large <= small + 8 * 1024,
+              f"capacity host_memory: 1 GiB pool grew RSS {large} KiB at create vs "
+              f"64 MiB pool {small} KiB + 8 MiB")
+
+
 ACCEPTANCE = {
     "fig2b": check_fig2b,
     "ablation_overlap": check_ablation_overlap,
@@ -320,6 +346,7 @@ ACCEPTANCE = {
     "allocbench": check_allocbench,
     "logappend": check_logappend,
     "write_amp": check_write_amp,
+    "capacity": check_capacity,
 }
 
 

@@ -10,11 +10,21 @@
 //! buffer capacity and shows every epoch still commits, plus the PM
 //! capacity a copy-based snapshotter would have needed.
 //!
+//! A `host_memory` series then checks the simulator's side of "never
+//! capacity-limited": pools of 64 MiB, 256 MiB and 1 GiB vPM (4 MiB log
+//! each) record how far this process's `VmRSS` grew at
+//! `PaxPool::create`, and again after storing to 4096 lines spread over
+//! the data region and persisting. The media is lazily zeroed, so the
+//! growth follows the lines touched, not the capacity (0 where `/proc` is
+//! absent).
+//!
 //! Run: `cargo run --release -p pax-bench --bin capacity` (add `--json`
 //! for machine-readable output)
 
+use std::process::Command;
+
 use libpax::{MemSpace, PaxConfig, PaxPool};
-use pax_bench::{BenchOut, Json};
+use pax_bench::{arg_value, rss_kib, BenchOut, Json};
 use pax_cache::CacheConfig;
 use pax_device::{DeviceConfig, EvictionPolicy, HbmConfig};
 use pax_pm::{PoolConfig, LINE_SIZE};
@@ -22,6 +32,10 @@ use pax_pm::{PoolConfig, LINE_SIZE};
 const HBM_LINES: usize = 64;
 
 fn main() {
+    if let Some(mib) = arg_value(PROBE_FLAG) {
+        probe_host_memory(mib.parse().expect("pool size in MiB"));
+        return;
+    }
     let mut out = BenchOut::from_args("capacity");
     out.config("hbm_lines", Json::U64(HBM_LINES as u64));
     out.line(format!(
@@ -92,5 +106,83 @@ fn main() {
     out.line("every epoch commits regardless of write-set size: logged-durable lines are");
     out.line("evicted from HBM mid-epoch and written back early (§3.3). Kamino-Tx/Pronto-");
     out.line("style physical snapshots would hold a second full copy on PM (2× capacity).");
+
+    host_memory(&mut out);
     out.finish();
+}
+
+/// Lines stored to (one per equal slice of the data region) before the
+/// second RSS reading.
+const TOUCHED_LINES: u64 = 4096;
+
+/// Log region of every `host_memory` pool, so only the vPM size varies.
+const LOG_MIB: u64 = 4;
+
+/// Hidden flag: measure one pool size in this process and print the two
+/// RSS growths (KiB) on one line.
+const PROBE_FLAG: &str = "--host-memory-probe";
+
+/// The `host_memory` series: host RSS growth per pool size. Each size is
+/// measured in a child process of its own, so no pool reuses memory an
+/// earlier one freed.
+fn host_memory(out: &mut BenchOut) {
+    out.blank();
+    out.line(format!(
+        "host memory (VmRSS growth) per pool with a {LOG_MIB} MiB log; \
+         touched = {TOUCHED_LINES} lines stored and persisted\n"
+    ));
+    let mut rows = vec![vec![
+        "vPM data [MiB]".to_string(),
+        "after create [KiB]".to_string(),
+        "after touch [KiB]".to_string(),
+    ]];
+    let exe = std::env::current_exe().expect("own executable");
+    for data_mib in [64u64, 256, 1024] {
+        let child = Command::new(&exe)
+            .args([PROBE_FLAG, &data_mib.to_string()])
+            .output()
+            .expect("host memory probe");
+        assert!(child.status.success(), "host memory probe failed: {child:?}");
+        let text = String::from_utf8(child.stdout).expect("probe output");
+        let kib: Vec<u64> =
+            text.split_whitespace().map(|v| v.parse().expect("probe reading")).collect();
+        let [created, touched] = kib[..] else { panic!("probe printed {text:?}") };
+
+        rows.push(vec![data_mib.to_string(), created.to_string(), touched.to_string()]);
+        out.push_result(
+            Json::obj()
+                .field("series", Json::str("host_memory"))
+                .field("data_mib", Json::U64(data_mib))
+                .field("log_mib", Json::U64(LOG_MIB))
+                .field("touched_lines", Json::U64(TOUCHED_LINES))
+                .field("rss_create_kib", Json::U64(created))
+                .field("rss_touched_kib", Json::U64(touched)),
+        );
+    }
+    out.table(&rows);
+}
+
+/// One `host_memory` point: a pool of `data_mib` MiB vPM and a
+/// [`LOG_MIB`] MiB log; prints this process's RSS growth after
+/// `PaxPool::create`, then after storing to [`TOUCHED_LINES`] lines and
+/// persisting.
+fn probe_host_memory(data_mib: u64) {
+    let before = rss_kib();
+    let pool = PaxPool::create(
+        PaxConfig::default().with_pool(
+            PoolConfig::small()
+                .with_data_bytes((data_mib << 20) as usize)
+                .with_log_bytes((LOG_MIB << 20) as usize),
+        ),
+    )
+    .expect("pool");
+    let created = rss_kib().saturating_sub(before);
+    let stride = pool.vpm_bytes() / LINE_SIZE as u64 / TOUCHED_LINES;
+    let vpm = pool.vpm();
+    for i in 0..TOUCHED_LINES {
+        vpm.write_u64(i * stride * LINE_SIZE as u64, i + 1).expect("write");
+    }
+    pool.persist().expect("persist");
+    let touched = rss_kib().saturating_sub(before);
+    println!("{created} {touched}");
 }

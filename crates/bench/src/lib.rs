@@ -131,6 +131,18 @@ pub fn thread_series(default: &[usize]) -> Vec<usize> {
     arg_counts("--threads", default)
 }
 
+/// Resident set size of this process in KiB (`VmRSS` from
+/// `/proc/self/status`), or 0 where `/proc` is absent.
+pub fn rss_kib() -> u64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("VmRSS:"))?;
+            line.split_whitespace().nth(1)?.parse().ok()
+        })
+        .unwrap_or(0)
+}
+
 /// Measured wall-clock store throughput in Mops: `threads` OS threads,
 /// each attached to its own tenant pool context and issuing
 /// line-granularity stores through its own core's cache against a

@@ -389,7 +389,9 @@ impl PaxPool {
         Ok(e.device.persist_async(&mut &e.host)?)
     }
 
-    /// Advances a non-blocking persist; `Some(epoch)` when it commits.
+    /// Advances a non-blocking persist; `Some(epoch)` — tenant 0's
+    /// committed epoch, the number [`PaxPool::persist_async`] returned —
+    /// on the poll that commits and leaves no other tenant draining.
     ///
     /// # Errors
     ///
@@ -1101,6 +1103,26 @@ mod tests {
         let again = PaxPool::open(pm, config).unwrap();
         assert_eq!(again.attach(0).unwrap().vpm().read_u64(0).unwrap(), 3);
         assert_eq!(again.attach(1).unwrap().vpm().read_u64(0).unwrap(), 9);
+    }
+
+    #[test]
+    fn persist_poll_reports_tenant_zeros_epoch_once_every_tenant_commits() {
+        let pool = PaxPool::create(PaxConfig::default().with_tenants(2)).unwrap();
+        let a = pool.attach(0).unwrap();
+        let b = pool.attach(1).unwrap();
+        // Tenant 1 runs one epoch ahead of tenant 0.
+        b.vpm().write_u64(0, 1).unwrap();
+        b.persist().unwrap();
+        a.vpm().write_u64(0, 2).unwrap();
+        b.vpm().write_u64(0, 2).unwrap();
+        assert_eq!(pool.persist_async().unwrap(), 1);
+        let mut reports = Vec::new();
+        for _ in 0..64 {
+            reports.extend(pool.persist_poll().unwrap());
+        }
+        assert_eq!(reports, [1], "one report, carrying the epoch persist_async returned");
+        assert_eq!(a.committed_epoch().unwrap(), 1);
+        assert_eq!(b.committed_epoch().unwrap(), 2);
     }
 
     #[test]

@@ -1172,21 +1172,31 @@ impl PaxDevice {
     }
 
     /// Advances every tenant's in-flight non-blocking persist by a
-    /// bounded amount. Returns `Some(epoch)` the moment an epoch durably
-    /// commits (the last one, if several tenants commit in the same
-    /// poll), `None` while still draining or when nothing is draining.
+    /// bounded amount. Returns `Some(epoch)` — tenant 0's committed
+    /// epoch, the number [`PaxDevice::persist_async`] returned — on a
+    /// poll that commits an epoch and leaves no other tenant draining,
+    /// so every close made alongside it is durable too (as
+    /// [`PaxDevice::persist`] returns tenant 0's epoch once every tenant
+    /// has committed). `None` while any other tenant is still draining
+    /// or when this poll committed nothing.
     ///
     /// # Errors
     ///
     /// Surfaces [`PmError::Crashed`] and media errors.
     pub fn persist_poll(&self) -> Result<Option<u64>> {
-        let mut committed = None;
+        let mut any = false;
         for t in 0..self.tenants.len() {
-            if let Some(e) = self.persist_poll_tenant(t)? {
-                committed = Some(e);
-            }
+            any |= self.persist_poll_tenant(t)?.is_some();
         }
-        Ok(committed)
+        let others_idle = self.drain_depth[1..].iter().all(|d| d.load(Ordering::Acquire) == 0);
+        if !(any && others_idle) {
+            return Ok(None);
+        }
+        // Tenant 0's epochs retire in close order, each close advancing
+        // `epochs[0]` by one: the committed one trails the open epoch by
+        // one plus the closes still queued (both read under ctl).
+        let ctl = lock(&self.draining[0]);
+        Ok(Some(self.epochs[0].load(Ordering::Acquire) - 1 - ctl.len() as u64))
     }
 
     /// Hot-path variant of [`PaxDevice::persist_poll`]: a tenant whose
@@ -1196,10 +1206,14 @@ impl PaxDevice {
     /// skip is counted (`persist_poll_skipped`), and a tenant skipped
     /// [`POLL_SKIP_LIMIT`] times in a row escalates to a
     /// bounded spin so a store-heavy thread mix cannot starve an async
-    /// drain indefinitely — see [`PaxDevice::poll_one_tenant`].
+    /// drain indefinitely — see [`PaxDevice::poll_one_tenant`]. A tenant
+    /// with nothing draining is skipped without touching its ctl lock
+    /// (the depth mirror, as in [`PaxDevice::resolve`]).
     fn persist_poll_try(&self) -> Result<()> {
         for t in 0..self.tenants.len() {
-            self.poll_one_tenant(t)?;
+            if self.drain_depth[t].load(Ordering::Acquire) != 0 {
+                self.poll_one_tenant(t)?;
+            }
         }
         Ok(())
     }

@@ -50,8 +50,8 @@ pub struct DeviceMetrics {
     /// Reads that had to touch PM.
     pub pm_reads: u64,
     /// HBM set-index lookups that hit (the buffer's own atomic counter,
-    /// synced into the registry at snapshot time; unlike `hbm_read_hits`
-    /// this also counts resolve-path probes that found dirty lines).
+    /// synced into the registry at snapshot time). Every lookup is a
+    /// resolve-path read, so this equals `hbm_read_hits`.
     pub hbm_hits: u64,
     /// HBM set-index lookups that missed (atomic, synced at snapshot).
     pub hbm_misses: u64,

@@ -452,7 +452,6 @@ impl Lane {
         addr: LineAddr,
     ) -> Result<CacheLine> {
         if let Some(l) = self.hbm_lookup(addr) {
-            self.metrics.inc(self.ctr.hbm_read_hits);
             return Ok(l.data);
         }
         // A draining epoch's final values are newer than PM until their
@@ -555,12 +554,15 @@ impl Lane {
     }
 
     /// Mirrors the counters the HBM index and the undo bank keep
-    /// internally into the lane's registry: `hbm_hits`, `hbm_misses`,
-    /// `log_cas_retries`, `log_blocks` and `log_lines_written` are
-    /// monotone, `hbm_resident` and `log_reserved` are occupancy gauges.
+    /// internally into the lane's registry: `hbm_hits`, `hbm_read_hits`,
+    /// `hbm_misses`, `log_cas_retries`, `log_blocks` and
+    /// `log_lines_written` are monotone, `hbm_resident` and
+    /// `log_reserved` are occupancy gauges. The HBM index is probed only
+    /// by [`Lane::resolve`], so its hit count is the read-hit count too.
     fn sync_metrics(&self) {
         for (counter, value) in [
             (self.ctr.hbm_hits, self.hbm.hits()),
+            (self.ctr.hbm_read_hits, self.hbm.hits()),
             (self.ctr.hbm_misses, self.hbm.misses()),
             (self.ctr.hbm_resident, self.hbm.resident() as u64),
             (self.ctr.log_cas_retries, self.log.cas_retries()),

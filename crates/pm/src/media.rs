@@ -11,6 +11,12 @@
 //!   with [`PersistenceDomain::None`] queued writes are lost.
 //! * [`DramMedia`] models volatile memory: a crash clears everything.
 //!
+//! Both store their lines in one flat, zero-allocated byte buffer, so a
+//! medium costs host memory for the pages a run writes, not for its
+//! configured capacity (where the platform allocator maps zeroed memory
+//! lazily, as glibc does for large requests; the contents are the same
+//! either way).
+//!
 //! Host-CPU caches are *not* part of any medium — dirty lines living in the
 //! simulated CPU cache (see `pax-cache`) are simply absent from the medium
 //! and therefore lost on crash, exactly the hazard the paper addresses.
@@ -20,7 +26,7 @@ use std::collections::VecDeque;
 use pax_telemetry::{Counter, MetricSet, MetricSnapshot};
 
 use crate::error::PmError;
-use crate::line::{CacheLine, LineAddr};
+use crate::line::{CacheLine, LineAddr, LINE_SIZE};
 use crate::Result;
 
 /// Which part of the write path survives power loss (§1 of the paper).
@@ -99,12 +105,12 @@ impl MediaCounters {
 impl MediaStats {
     /// Total bytes read from the medium.
     pub fn bytes_read(&self) -> u64 {
-        self.line_reads * crate::LINE_SIZE as u64
+        self.line_reads * LINE_SIZE as u64
     }
 
     /// Total bytes written to the medium.
     pub fn bytes_written(&self) -> u64 {
-        self.line_writes * crate::LINE_SIZE as u64
+        self.line_writes * LINE_SIZE as u64
     }
 }
 
@@ -148,6 +154,54 @@ pub trait Memory {
     fn metrics(&self) -> MetricSnapshot;
 }
 
+/// The lines of one medium, stored flat: line `i` is bytes
+/// `[i * LINE_SIZE, (i + 1) * LINE_SIZE)` of one buffer.
+///
+/// The buffer comes from `vec![0u8; n]`, which std allocates zeroed
+/// (`calloc`), so pages no line was ever written to stay unmapped. An
+/// array of lines would not: `vec![CacheLine::zeroed(); n]` writes every
+/// byte, because std zero-allocates only primitive element types.
+struct LineStore(Vec<u8>);
+
+impl LineStore {
+    fn zeroed(lines: usize) -> Self {
+        LineStore(vec![0u8; lines * LINE_SIZE])
+    }
+
+    fn lines(&self) -> u64 {
+        (self.0.len() / LINE_SIZE) as u64
+    }
+
+    fn check(&self, addr: LineAddr) -> Result<()> {
+        if addr.0 >= self.lines() {
+            return Err(PmError::OutOfBounds { addr, capacity_lines: self.lines() });
+        }
+        Ok(())
+    }
+
+    /// The byte range of the line at `addr`, which [`LineStore::check`]
+    /// has bounded.
+    fn span(addr: LineAddr) -> std::ops::Range<usize> {
+        let at = addr.0 as usize * LINE_SIZE;
+        at..at + LINE_SIZE
+    }
+
+    fn get(&self, addr: LineAddr) -> CacheLine {
+        CacheLine::from_bytes(&self.0[Self::span(addr)])
+    }
+
+    fn set(&mut self, addr: LineAddr, line: &CacheLine) {
+        self.0[Self::span(addr)].copy_from_slice(line.as_bytes());
+    }
+}
+
+impl std::fmt::Debug for LineStore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The contents can be gigabytes; show the size only.
+        write!(f, "LineStore({} lines)", self.lines())
+    }
+}
+
 /// Simulated persistent memory: durable array + write-pending queue.
 ///
 /// # Example
@@ -163,7 +217,7 @@ pub trait Memory {
 /// ```
 #[derive(Debug)]
 pub struct PmMedia {
-    durable: Vec<CacheLine>,
+    durable: LineStore,
     wpq: VecDeque<(LineAddr, CacheLine)>,
     wpq_capacity: usize,
     domain: PersistenceDomain,
@@ -178,11 +232,10 @@ impl PmMedia {
     /// Creates a zero-filled persistent medium of `capacity_bytes`
     /// (rounded up to whole lines) with the given persistence domain.
     pub fn new(capacity_bytes: usize, domain: PersistenceDomain) -> Self {
-        let lines = capacity_bytes.div_ceil(crate::LINE_SIZE);
         let mut metrics = MetricSet::new("media");
         let ctr = MediaCounters::register(&mut metrics);
         PmMedia {
-            durable: vec![CacheLine::zeroed(); lines],
+            durable: LineStore::zeroed(capacity_bytes.div_ceil(LINE_SIZE)),
             wpq: VecDeque::new(),
             wpq_capacity: DEFAULT_WPQ_DEPTH,
             domain,
@@ -206,27 +259,20 @@ impl PmMedia {
     /// This is what a post-crash reader would see if the WPQ were lost;
     /// recovery tests use it to assert on-media state.
     pub fn read_durable(&self, addr: LineAddr) -> Result<CacheLine> {
-        self.check(addr)?;
-        Ok(self.durable[addr.0 as usize].clone())
-    }
-
-    fn check(&self, addr: LineAddr) -> Result<()> {
-        if addr.0 >= self.durable.len() as u64 {
-            return Err(PmError::OutOfBounds { addr, capacity_lines: self.durable.len() as u64 });
-        }
-        Ok(())
+        self.durable.check(addr)?;
+        Ok(self.durable.get(addr))
     }
 
     fn drain_one(&mut self) {
         if let Some((addr, line)) = self.wpq.pop_front() {
-            self.durable[addr.0 as usize] = line;
+            self.durable.set(addr, &line);
         }
     }
 }
 
 impl Memory for PmMedia {
     fn read_line(&mut self, addr: LineAddr) -> Result<CacheLine> {
-        self.check(addr)?;
+        self.durable.check(addr)?;
         self.metrics.inc(self.ctr.line_reads);
         // Reads must observe queued writes (store-to-load forwarding at
         // the controller); scan the WPQ newest-first.
@@ -235,11 +281,11 @@ impl Memory for PmMedia {
                 return Ok(l.clone());
             }
         }
-        Ok(self.durable[addr.0 as usize].clone())
+        Ok(self.durable.get(addr))
     }
 
     fn write_line(&mut self, addr: LineAddr, line: CacheLine) -> Result<()> {
-        self.check(addr)?;
+        self.durable.check(addr)?;
         self.metrics.inc(self.ctr.line_writes);
         if self.wpq.len() >= self.wpq_capacity {
             // A full WPQ forces the oldest entry to media, like real iMCs.
@@ -266,7 +312,7 @@ impl Memory for PmMedia {
     }
 
     fn capacity_lines(&self) -> u64 {
-        self.durable.len() as u64
+        self.durable.lines()
     }
 
     fn stats(&self) -> MediaStats {
@@ -281,7 +327,7 @@ impl Memory for PmMedia {
 /// Volatile memory: contents are cleared by a crash.
 #[derive(Debug)]
 pub struct DramMedia {
-    lines: Vec<CacheLine>,
+    lines: LineStore,
     metrics: MetricSet,
     ctr: MediaCounters,
 }
@@ -289,31 +335,23 @@ pub struct DramMedia {
 impl DramMedia {
     /// Creates a zero-filled volatile medium of `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
-        let lines = capacity_bytes.div_ceil(crate::LINE_SIZE);
         let mut metrics = MetricSet::new("dram_media");
         let ctr = MediaCounters::register(&mut metrics);
-        DramMedia { lines: vec![CacheLine::zeroed(); lines], metrics, ctr }
-    }
-
-    fn check(&self, addr: LineAddr) -> Result<()> {
-        if addr.0 >= self.lines.len() as u64 {
-            return Err(PmError::OutOfBounds { addr, capacity_lines: self.lines.len() as u64 });
-        }
-        Ok(())
+        DramMedia { lines: LineStore::zeroed(capacity_bytes.div_ceil(LINE_SIZE)), metrics, ctr }
     }
 }
 
 impl Memory for DramMedia {
     fn read_line(&mut self, addr: LineAddr) -> Result<CacheLine> {
-        self.check(addr)?;
+        self.lines.check(addr)?;
         self.metrics.inc(self.ctr.line_reads);
-        Ok(self.lines[addr.0 as usize].clone())
+        Ok(self.lines.get(addr))
     }
 
     fn write_line(&mut self, addr: LineAddr, line: CacheLine) -> Result<()> {
-        self.check(addr)?;
+        self.lines.check(addr)?;
         self.metrics.inc(self.ctr.line_writes);
-        self.lines[addr.0 as usize] = line;
+        self.lines.set(addr, &line);
         Ok(())
     }
 
@@ -321,13 +359,13 @@ impl Memory for DramMedia {
 
     fn crash(&mut self) {
         self.metrics.inc(self.ctr.crashes);
-        for l in &mut self.lines {
-            *l = CacheLine::zeroed();
-        }
+        // A fresh zeroed buffer, not a zeroing pass: the old pages go
+        // back to the allocator instead of being written.
+        self.lines = LineStore::zeroed(self.lines.lines() as usize);
     }
 
     fn capacity_lines(&self) -> u64 {
-        self.lines.len() as u64
+        self.lines.lines()
     }
 
     fn stats(&self) -> MediaStats {
@@ -403,18 +441,38 @@ mod tests {
 
     #[test]
     fn out_of_bounds_is_reported() {
-        let mut pm = PmMedia::new(64, PersistenceDomain::Adr);
-        assert!(matches!(pm.read_line(LineAddr(1)), Err(PmError::OutOfBounds { .. })));
-        assert!(pm.write_line(LineAddr(99), fill(0)).is_err());
+        let mut pm = PmMedia::new(1 << 12, PersistenceDomain::Adr);
+        let mut dram = DramMedia::new(1 << 12);
+        let media: [&mut dyn Memory; 2] = [&mut pm, &mut dram];
+        for m in media {
+            let cap = m.capacity_lines();
+            assert_eq!(cap, 64);
+            m.write_line(LineAddr(cap - 1), fill(4)).unwrap();
+            assert_eq!(m.read_line(LineAddr(cap - 1)).unwrap(), fill(4));
+            let end = LineAddr(cap);
+            let oob =
+                |e| matches!(e, PmError::OutOfBounds { addr, capacity_lines: 64 } if addr == end);
+            assert!(m.read_line(end).is_err_and(oob));
+            assert!(m.write_line(end, fill(4)).is_err_and(oob));
+            assert!(m.write_line(LineAddr(99), fill(0)).is_err());
+        }
     }
 
     #[test]
     fn dram_crash_clears_contents() {
         let mut d = DramMedia::new(1 << 12);
-        d.write_line(LineAddr(1), fill(3)).unwrap();
+        for i in [0, 1, 63] {
+            d.write_line(LineAddr(i), fill(3)).unwrap();
+        }
         assert_eq!(d.read_line(LineAddr(1)).unwrap(), fill(3));
         d.crash();
-        assert_eq!(d.read_line(LineAddr(1)).unwrap(), CacheLine::zeroed());
+        assert_eq!(d.capacity_lines(), 64);
+        for i in 0..64 {
+            assert_eq!(d.read_line(LineAddr(i)).unwrap(), CacheLine::zeroed());
+        }
+        // The fresh buffer takes writes like the old one.
+        d.write_line(LineAddr(63), fill(5)).unwrap();
+        assert_eq!(d.read_line(LineAddr(63)).unwrap(), fill(5));
     }
 
     #[test]

@@ -369,10 +369,15 @@ impl PmPool {
         };
         let layout = PoolLayout { header_lines: HEADER_LINES, log_lines, data_lines };
         let mut media = PmMedia::new(layout.total_lines() as usize * LINE_SIZE, domain);
-        let mut buf = vec![0u8; LINE_SIZE];
+        let mut buf = [0u8; LINE_SIZE];
         for i in 0..layout.total_lines() {
             f.read_exact(&mut buf)?;
-            media.write_line(LineAddr(i), CacheLine::from_bytes(&buf))?;
+            // The new media is already zero: writing only the other lines
+            // keeps a mostly-empty pool's host memory as sparse as it was
+            // before the save.
+            if buf != [0u8; LINE_SIZE] {
+                media.write_line(LineAddr(i), CacheLine::from(buf))?;
+            }
         }
         media.drain();
         Ok(PmPool { media, layout, domain })
@@ -464,17 +469,26 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("roundtrip.pool");
 
+        // Mostly zero: load skips the zero lines, so the rest must still
+        // come back line for line.
         let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         pool.commit_epoch(3).unwrap();
-        let data0 = pool.layout().data_start();
+        let l = pool.layout();
+        let data0 = l.data_start();
+        let last = LineAddr(l.total_lines() - 1);
         pool.write_line(data0, CacheLine::filled(0x5A)).unwrap();
+        pool.write_line(l.log_start(), CacheLine::filled(1)).unwrap();
+        pool.write_line(last, CacheLine::filled(2)).unwrap();
         pool.drain();
         pool.save(&path).unwrap();
 
         let mut re = PmPool::load(&path).unwrap();
         assert_eq!(re.committed_epoch().unwrap(), 3);
         assert_eq!(re.read_line(data0).unwrap(), CacheLine::filled(0x5A));
-        assert_eq!(re.layout(), pool.layout());
+        assert_eq!(re.layout(), l);
+        for i in 0..l.total_lines() {
+            assert_eq!(re.read_line(LineAddr(i)).unwrap(), pool.read_line(LineAddr(i)).unwrap());
+        }
         fs::remove_file(&path).unwrap();
     }
 
