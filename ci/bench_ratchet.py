@@ -39,7 +39,9 @@ undo-log recovery rolls back every entry and scans in proportion to the
 entries logged (scanned <= 2x entries, growing with them); write_amp's
 PAX line log stays <= 18.5x per 8 B field at one field per page;
 capacity's host memory at pool creation does not follow the pool size
-(a 1 GiB pool grows RSS by at most 8 MiB more than a 64 MiB one).
+(a 1 GiB pool grows RSS by at most 8 MiB more than a 64 MiB one), and
+cycling the undo log twice grows no pool's RSS by more than 1 MiB over
+its touched reading (the log rewinds after each drained commit).
 
 A missing baseline file seeds the ratchet (exit 0); the workflow then
 saves CURRENT_DIR as the next run's baseline.
@@ -107,7 +109,7 @@ SCHEMAS = {
                  "eviction_stalls"),
         "series": {
             "host_memory": (3, ("data_mib", "log_mib", "touched_lines", "rss_create_kib",
-                                "rss_touched_kib")),
+                                "rss_touched_kib", "rss_cycled_kib")),
         },
     },
     "write_amp": {
@@ -323,8 +325,8 @@ def check_write_amp(doc, failures):
 
 
 def check_capacity(doc, failures):
-    rss = {r["data_mib"]: r["rss_create_kib"] for r in doc["results"]
-           if r.get("series") == "host_memory"}
+    rows = [r for r in doc["results"] if r.get("series") == "host_memory"]
+    rss = {r["data_mib"]: r["rss_create_kib"] for r in rows}
     small, large = rss.get(64), rss.get(1024)
     if small is None or large is None:
         failures.append("capacity: host_memory rows for 64 and 1024 MiB missing")
@@ -335,6 +337,11 @@ def check_capacity(doc, failures):
     check_bar(failures, large <= small + 8 * 1024,
               f"capacity host_memory: 1 GiB pool grew RSS {large} KiB at create vs "
               f"64 MiB pool {small} KiB + 8 MiB")
+    for r in rows:
+        check_bar(failures, r["rss_cycled_kib"] <= r["rss_touched_kib"] + 1024,
+                  f"capacity host_memory: cycling the log grew the {r['data_mib']} MiB "
+                  f"pool's RSS to {r['rss_cycled_kib']} KiB vs touched "
+                  f"{r['rss_touched_kib']} KiB + 1 MiB")
 
 
 ACCEPTANCE = {

@@ -13,10 +13,13 @@
 //! A `host_memory` series then checks the simulator's side of "never
 //! capacity-limited": pools of 64 MiB, 256 MiB and 1 GiB vPM (4 MiB log
 //! each) record how far this process's `VmRSS` grew at
-//! `PaxPool::create`, and again after storing to 4096 lines spread over
-//! the data region and persisting. The media is lazily zeroed, so the
-//! growth follows the lines touched, not the capacity (0 where `/proc` is
-//! absent).
+//! `PaxPool::create`, again after storing to 4096 lines spread over
+//! the data region and persisting, and once more after enough 64-store
+//! epochs over those lines to cycle the log twice. The media is lazily
+//! zeroed, so the growth follows the lines touched, not the capacity,
+//! and the log rewinds to its first block after each drained commit, so
+//! cycling it touches no more log than the deepest epoch (0 where
+//! `/proc` is absent).
 //!
 //! Run: `cargo run --release -p pax-bench --bin capacity` (add `--json`
 //! for machine-readable output)
@@ -26,7 +29,7 @@ use std::process::Command;
 use libpax::{MemSpace, PaxConfig, PaxPool};
 use pax_bench::{arg_value, rss_kib, BenchOut, Json};
 use pax_cache::CacheConfig;
-use pax_device::{DeviceConfig, EvictionPolicy, HbmConfig};
+use pax_device::{DeviceConfig, EvictionPolicy, HbmConfig, BLOCK_ENTRIES, BLOCK_LINES};
 use pax_pm::{PoolConfig, LINE_SIZE};
 
 const HBM_LINES: usize = 64;
@@ -115,11 +118,14 @@ fn main() {
 /// second RSS reading.
 const TOUCHED_LINES: u64 = 4096;
 
+/// Stores per epoch of the cycling step before the third RSS reading.
+const CYCLE_EPOCH_STORES: u64 = 64;
+
 /// Log region of every `host_memory` pool, so only the vPM size varies.
 const LOG_MIB: u64 = 4;
 
-/// Hidden flag: measure one pool size in this process and print the two
-/// RSS growths (KiB) on one line.
+/// Hidden flag: measure one pool size in this process and print the
+/// three RSS growths (KiB) on one line.
 const PROBE_FLAG: &str = "--host-memory-probe";
 
 /// The `host_memory` series: host RSS growth per pool size. Each size is
@@ -129,12 +135,14 @@ fn host_memory(out: &mut BenchOut) {
     out.blank();
     out.line(format!(
         "host memory (VmRSS growth) per pool with a {LOG_MIB} MiB log; \
-         touched = {TOUCHED_LINES} lines stored and persisted\n"
+         touched = {TOUCHED_LINES} lines stored and persisted; cycling = \
+         {CYCLE_EPOCH_STORES}-store epochs until the log wrapped twice\n"
     ));
     let mut rows = vec![vec![
         "vPM data [MiB]".to_string(),
         "after create [KiB]".to_string(),
         "after touch [KiB]".to_string(),
+        "after cycling [KiB]".to_string(),
     ]];
     let exe = std::env::current_exe().expect("own executable");
     for data_mib in [64u64, 256, 1024] {
@@ -146,9 +154,14 @@ fn host_memory(out: &mut BenchOut) {
         let text = String::from_utf8(child.stdout).expect("probe output");
         let kib: Vec<u64> =
             text.split_whitespace().map(|v| v.parse().expect("probe reading")).collect();
-        let [created, touched] = kib[..] else { panic!("probe printed {text:?}") };
+        let [created, touched, cycled] = kib[..] else { panic!("probe printed {text:?}") };
 
-        rows.push(vec![data_mib.to_string(), created.to_string(), touched.to_string()]);
+        rows.push(vec![
+            data_mib.to_string(),
+            created.to_string(),
+            touched.to_string(),
+            cycled.to_string(),
+        ]);
         out.push_result(
             Json::obj()
                 .field("series", Json::str("host_memory"))
@@ -156,7 +169,8 @@ fn host_memory(out: &mut BenchOut) {
                 .field("log_mib", Json::U64(LOG_MIB))
                 .field("touched_lines", Json::U64(TOUCHED_LINES))
                 .field("rss_create_kib", Json::U64(created))
-                .field("rss_touched_kib", Json::U64(touched)),
+                .field("rss_touched_kib", Json::U64(touched))
+                .field("rss_cycled_kib", Json::U64(cycled)),
         );
     }
     out.table(&rows);
@@ -164,8 +178,10 @@ fn host_memory(out: &mut BenchOut) {
 
 /// One `host_memory` point: a pool of `data_mib` MiB vPM and a
 /// [`LOG_MIB`] MiB log; prints this process's RSS growth after
-/// `PaxPool::create`, then after storing to [`TOUCHED_LINES`] lines and
-/// persisting.
+/// `PaxPool::create`, after storing to [`TOUCHED_LINES`] lines and
+/// persisting, and after [`CYCLE_EPOCH_STORES`]-store epochs over the
+/// first of those lines whose entries add up to twice the log's
+/// capacity.
 fn probe_host_memory(data_mib: u64) {
     let before = rss_kib();
     let pool = PaxPool::create(
@@ -184,5 +200,13 @@ fn probe_host_memory(data_mib: u64) {
     }
     pool.persist().expect("persist");
     let touched = rss_kib().saturating_sub(before);
-    println!("{created} {touched}");
+    let log_entries = (LOG_MIB << 20) / LINE_SIZE as u64 / BLOCK_LINES * BLOCK_ENTRIES;
+    for _ in 0..2 * log_entries.div_ceil(CYCLE_EPOCH_STORES) {
+        for i in 0..CYCLE_EPOCH_STORES {
+            vpm.write_u64(i * stride * LINE_SIZE as u64, i + 2).expect("write");
+        }
+        pool.persist().expect("persist");
+    }
+    let cycled = rss_kib().saturating_sub(before);
+    println!("{created} {touched} {cycled}");
 }

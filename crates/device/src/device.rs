@@ -1056,7 +1056,7 @@ impl PaxDevice {
         self.pool.lock().commit_epoch_for(t, committed)?;
 
         for l in self.tenant_lanes(t) {
-            self.lanes[l].reset_after_commit();
+            self.lanes[l].reset_after_commit(&self.pool);
         }
         // Release pairs with the Acquire load in `home_read_own`: a store
         // thread that tags an undo entry with the new epoch number must
@@ -1362,6 +1362,9 @@ impl PaxDevice {
             // log to go idle — under continuous overlapped traffic that
             // never happens, and the region filled up with committed
             // entries until spurious `LogFull`.)
+            // Only the synchronous epilogue (`retire_epoch`) rewinds a
+            // bank to its first block; here the next epoch is usually
+            // appending already, so the bank keeps its lap.
             for (i, &target) in ds.flush_to.iter().enumerate() {
                 self.lanes[t * self.stride + i].log.recycle_to(target);
             }

@@ -6,8 +6,12 @@
 //! line in PM with the value stored in the log entry. Next, it performs an
 //! SFENCE, and initializes the device and vPM as usual."
 //!
-//! [`recover`] is that procedure. It is idempotent — recovering twice is
-//! harmless — and running it on a clean pool is a no-op, which is why
+//! [`recover`] is that procedure, plus one step the paper leaves
+//! implicit: once the rollback is durable, the blocks it rolled back are
+//! invalidated, so the next life — which reuses their epoch numbers —
+//! can never mistake them for its own uncommitted work. It is idempotent
+//! — recovering twice is harmless, and the second pass finds nothing to
+//! roll back — and running it on a clean pool is a no-op, which is why
 //! "from the application's perspective, there is no difference between
 //! constructing a new persistent map and recovering one".
 
@@ -81,13 +85,15 @@ pub fn recover_traced(pool: &mut PmPool, trace: &mut TraceBuf) -> Result<Recover
     // Newest-epoch-first: each entry restores its line's epoch-start
     // value, so when the same line was logged in several uncommitted
     // epochs the *oldest* pre-image must be applied last. Slot order is
-    // not append order — the log is a ring and banked per shard — so the
-    // epoch tag, not the slot index, decides the order. Within an epoch a
+    // not append order — the log is a ring that rewinds after drained
+    // commits, and banked per shard — so the epoch tag, not the slot
+    // index, decides the order. Within an epoch a
     // line is logged at most once, so intra-epoch order is free. Tenants'
     // entries interleave in the shared region but never name the same
     // line (regions are disjoint), so one global sort is sound.
     live.sort_by(|(sa, a, _), (sb, b, _)| b.epoch.cmp(&a.epoch).then(sa.cmp(sb)));
     let rolled_back = live.len();
+    let slots: Vec<u64> = live.iter().map(|(slot, _, _)| *slot).collect();
     let mut rollback_gap = 0u64;
     for (_, entry, tenant_committed) in live {
         let abs = pool.layout().vpm_to_pool(entry.vpm_line.0)?;
@@ -100,6 +106,17 @@ pub fn recover_traced(pool: &mut PmPool, trace: &mut TraceBuf) -> Result<Recover
     }
     // The §3.4 SFENCE: rollback writes reach media before execution
     // continues.
+    pool.drain();
+    // The rolled-back entries must not outlive this recovery: the next
+    // life reuses their epoch numbers, and once it commits one of them a
+    // later recovery would take the stale entries for uncommitted work
+    // and roll committed data back. Clearing their blocks' commit marks
+    // only after the rollback drained keeps recovery idempotent: a crash
+    // in between leaves the rolled-back data plus entries that restore it
+    // again. The marks clear in rollback order (newest epoch first), and
+    // media keeps a prefix of its writes, so what a crash leaves valid is
+    // the oldest epochs — whose pre-images are the ones that win anyway.
+    UndoLog::invalidate(pool, slots)?;
     pool.drain();
     Ok(RecoveryReport { committed_epoch: committed, scanned, rolled_back, rollback_gap })
 }
@@ -302,6 +319,37 @@ mod tests {
     }
 
     #[test]
+    fn a_crash_inside_the_invalidation_leaves_a_recoverable_log() {
+        // Line 7 logged in uncommitted epochs 2 (block 0) and 3 (block
+        // 1). Recovery clears block 1's mark before block 0's, so a crash
+        // in between keeps only epoch 2's entry, whose pre-image is the
+        // one the rollback must end on.
+        let mut pool = PmPool::create(PoolConfig::small()).unwrap();
+        let clock = CrashClock::new();
+        pool.commit_epoch(1).unwrap();
+        let log = UndoLog::new(&pool);
+        log.append(UndoEntry::single(2, LineAddr(7), CacheLine::filled(0x22))).unwrap();
+        log.append(UndoEntry::single(3, LineAddr(7), CacheLine::filled(0x33))).unwrap();
+        log.flush(&mut pool, &clock).unwrap();
+        let abs = pool.layout().vpm_to_pool(7).unwrap();
+        pool.write_line(abs, CacheLine::filled(0x99)).unwrap();
+        pool.drain();
+        let header = LineAddr(pool.layout().log_start().0);
+        let epoch2 = pool.read_line(header).unwrap();
+
+        assert_eq!(recover(&mut pool).unwrap().rolled_back, 2);
+        assert!(UndoLog::scan(&mut pool).unwrap().is_empty(), "both blocks invalidated");
+        // Model the crash after the first invalidation: block 0 valid
+        // (and the line scribbled again, to see the rollback act).
+        pool.write_line(header, epoch2).unwrap();
+        pool.drain();
+        pool.write_line(abs, CacheLine::filled(0x99)).unwrap();
+        pool.drain();
+        assert_eq!(recover(&mut pool).unwrap().rolled_back, 1);
+        assert_eq!(pool.read_line(abs).unwrap(), CacheLine::filled(0x22));
+    }
+
+    #[test]
     fn recovery_is_idempotent() {
         let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         let clock = CrashClock::new();
@@ -312,7 +360,9 @@ mod tests {
         let r1 = recover(&mut pool).unwrap();
         let r2 = recover(&mut pool).unwrap();
         assert_eq!(r1.rolled_back, 1);
-        assert_eq!(r2.rolled_back, 1); // same rollback, same result
+        // The first pass invalidated what it rolled back, so the second
+        // finds nothing to do and leaves the same image.
+        assert_eq!((r2.committed_epoch, r2.scanned, r2.rolled_back), (0, 0, 0));
         let abs = pool.layout().vpm_to_pool(2).unwrap();
         assert_eq!(pool.read_line(abs).unwrap(), CacheLine::filled(0x33));
     }

@@ -656,10 +656,11 @@ impl Lane {
         self.writeback_queue.clear();
     }
 
-    /// Per-epoch volatile state reset after a fully-drained commit.
-    pub(crate) fn reset_after_commit(&self) {
+    /// Per-epoch volatile state reset after a fully-drained commit; the
+    /// log bank rewinds to its first block under the pool lock.
+    pub(crate) fn reset_after_commit(&self, pool: &PoolCell) {
         self.begin_next_epoch();
-        self.log.reset_after_commit();
+        self.log.reset_after_commit(&mut pool.lock());
     }
 
     /// Drops all volatile state (power loss). The ownership directory is

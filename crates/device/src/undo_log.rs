@@ -10,12 +10,13 @@
 //! # Offsets are logical and monotonic
 //!
 //! Entry offsets never reset: they count reservations over the writer's
-//! whole lifetime. Offset `o` lives in slot `o % BLOCK_ENTRIES` of block
-//! `o / BLOCK_ENTRIES` (modulo the writer's block count), so the region
-//! is a ring of blocks. A block may be reopened only once every offset of
-//! its previous lap has been recycled — [`UndoLog::recycle_to`] advances
-//! the recycle watermark when an epoch commits. This makes two things
-//! true by construction:
+//! whole lifetime. The region is a ring of blocks laid over them from a
+//! block-aligned *lap base*: offset `o` lives in slot
+//! `(o − base) % BLOCK_ENTRIES` of block `(o − base) / BLOCK_ENTRIES`
+//! (modulo the writer's block count). A block may be reopened only once
+//! every offset of its previous use has been recycled —
+//! [`UndoLog::recycle_to`] advances the recycle watermark when an epoch
+//! commits. This makes two things true by construction:
 //!
 //! 1. a `log_offset` stamped on a buffered line stays comparable against
 //!    [`UndoLog::durable_offset`] forever (committed entries are simply
@@ -23,6 +24,27 @@
 //! 2. the region can be recycled *incrementally* under overlapped epochs:
 //!    committing epoch N frees exactly N's blocks, even while epoch N+1 is
 //!    already appending.
+//!
+//! # Rewinding to the first block
+//!
+//! When a commit leaves the writer empty — everything reserved is
+//! durable and recycled, and nothing is in flight — the next block opens
+//! at the writer's first block again: the lap base moves to the tail
+//! (rounded up to a block; the skipped offsets are the padding the next
+//! epoch would have reserved anyway), and the durable and recycled
+//! watermarks move with it. Offsets stay dense, so only the base, not
+//! the tail, jumps. Without the rewind every epoch opens where the last
+//! one stopped and a long run writes every line of the region; with it,
+//! the region a run touches is as deep as its deepest epoch. Only the
+//! synchronous-persist epilogue ([`UndoLog::reset_after_commit`])
+//! rewinds; a non-blocking commit only recycles, since the next epoch is
+//! usually appending by then and the writer is not empty.
+//!
+//! The rewind is volatile only. Blocks beyond the new lap's reach keep
+//! their entries, which belong to committed epochs and which recovery
+//! ignores (recovery invalidates the entries it rolls back, so no block
+//! outlives a recovery holding an uncommitted epoch); recovery needs no
+//! base because block positions are fixed.
 //!
 //! # The append engine
 //!
@@ -246,8 +268,11 @@ impl BlockHeader {
 /// Reserved-tail bits of the packed word (low 48: the monotonic logical
 /// offset of the next reservation; 2⁴⁸ appends outlives any simulation).
 const TAIL_MASK: u64 = (1 << 48) - 1;
-/// One reservation in flight, in the high 16 bits of the packed word.
+/// One reservation in flight, in bits 48..63 of the packed word.
 const INFLIGHT_UNIT: u64 = 1 << 48;
+/// Top bit of the packed word: a rewind holds the tail (see
+/// `UndoLog::rewind`). Appenders wait while it is set.
+const REWINDING: u64 = 1 << 63;
 
 /// A 64-byte-aligned atomic so the hot tail word and the recycle
 /// watermark never share a cache line with each other (or a neighbor) —
@@ -302,8 +327,10 @@ struct BlockKey {
 ///    `end of o's block − recycled > capacity` loads `recycled` with
 ///    *acquire*, pairing with the *release* `fetch_max` in
 ///    [`UndoLog::recycle_to`]; transitively (see step 4) the reservation
-///    happens-after the pump finished with the block's previous lap, so
-///    overwriting it is safe.
+///    happens-after the pump finished with the block's previous use, so
+///    overwriting it is safe. The packed word is loaded and swapped with
+///    *acquire*, pairing with step 5's release store, so the appender
+///    maps its offset through the lap base it was reserved under.
 /// 2. **Fill** — the appender writes the entry into its slot
 ///    (uncontended by construction).
 /// 3. **Publish** — `ready.store(o + 1, Release)`: everything the
@@ -316,6 +343,23 @@ struct BlockKey {
 ///    header, clears `ready`, drains, then release-stores the durable
 ///    watermark. Commit recycles with a release `fetch_max`, closing the
 ///    loop back to step 1.
+/// 5. **Rewind** — after a commit that left the writer empty,
+///    `UndoLog::rewind` (which takes `&mut PmPool`, so no pump runs)
+///    claims the packed word by a CAS from "nothing in flight, tail `t`"
+///    to `t | REWINDING`, having seen `durable == recycled == t`. The
+///    claim fails if any appender reserved since, and no appender can
+///    reserve while the bit is set, so no reserved offset is ever mapped
+///    through a base that moves under it. It then stores the new base `b`
+///    (`t` rounded up to a block), moves `durable` and `recycled` to `b`,
+///    and *release*-stores the tail `b`: an appender that acquires any
+///    later value of the word (every later write is an RMW in this
+///    store's release sequence) sees the new base and watermarks. An
+///    appender still holding the word from before the claim may read the
+///    new base while it decides whether to join `t`'s block; it finds the
+///    base past `t` and defers to its CAS, which fails because the word
+///    moved from `t` to `b > t` (offsets never repeat, so no ABA).
+///    Only the synchronous epilogue rewinds: after a non-blocking commit
+///    the next epoch is usually appending already.
 ///
 /// The durable watermark is what lets readers order against the log
 /// without any lock: [`UndoLog::durable_offset`] is an acquire load, so
@@ -323,9 +367,13 @@ struct BlockKey {
 #[derive(Debug)]
 pub struct UndoLog {
     /// Packed word: low 48 bits = reserved tail (monotonic logical
-    /// offset), high 16 bits = reservations in flight (reserved, not yet
-    /// published).
+    /// offset), bits 48..63 = reservations in flight (reserved, not yet
+    /// published), top bit = [`REWINDING`].
     state: PaddedAtomicU64,
+    /// The lap base: a block-aligned logical offset that the writer's
+    /// first block holds. Offsets below it are durable and recycled.
+    /// Written only by [`UndoLog::rewind`].
+    lap: AtomicU64,
     /// Logical offsets below this belong to committed epochs; their
     /// slots may be reused. Only grows (release `fetch_max`).
     recycled: PaddedAtomicU64,
@@ -378,6 +426,7 @@ impl UndoLog {
             state: PaddedAtomicU64::default(),
             recycled: PaddedAtomicU64::default(),
             durable: PaddedAtomicU64::default(),
+            lap: AtomicU64::new(0),
             slots,
             keys,
             open: Mutex::new(None),
@@ -400,7 +449,7 @@ impl UndoLog {
     /// Reservations currently in flight (reserved, not yet published) —
     /// the `log_reserved` gauge.
     pub fn in_flight(&self) -> u64 {
-        self.state.0.load(Ordering::Relaxed) >> 48
+        (self.state.0.load(Ordering::Relaxed) & !REWINDING) >> 48
     }
 
     /// Failed reservation CAS attempts so far — the `log_cas_retries`
@@ -460,19 +509,35 @@ impl UndoLog {
         self.fill.snapshot()
     }
 
+    /// `offset`'s position in the current lap. Callers hold an offset
+    /// the base cannot move under (see the type's step 5): an appender's
+    /// own reservation, or the pump's watermark under the pool lock. A
+    /// tail loaded but not yet reserved is not such an offset;
+    /// `joins_block` maps it on its own.
+    fn lap_offset(&self, offset: u64) -> u64 {
+        let lap = self.lap.load(Ordering::Relaxed);
+        debug_assert!(offset >= lap, "offset {offset} precedes lap base {lap}");
+        offset - lap
+    }
+
     fn slot(&self, offset: u64) -> &Slot {
-        &self.slots[(offset % self.capacity_entries()) as usize]
+        &self.slots[(self.lap_offset(offset) % self.capacity_entries()) as usize]
+    }
+
+    /// Index of the block holding logical offset `offset`.
+    fn block_index(&self, offset: u64) -> u64 {
+        self.lap_offset(offset) / BLOCK_ENTRIES % self.blocks
     }
 
     /// The key of the block holding logical offset `offset`.
     fn key(&self, offset: u64) -> &BlockKey {
-        &self.keys[(offset / BLOCK_ENTRIES % self.blocks) as usize]
+        &self.keys[self.block_index(offset) as usize]
     }
 
     /// Pool line of the header of the block holding logical offset
     /// `offset`.
     fn block_base(&self, offset: u64) -> u64 {
-        self.region_start + (offset / BLOCK_ENTRIES % self.blocks) * BLOCK_LINES
+        self.region_start + self.block_index(offset) * BLOCK_LINES
     }
 
     /// Whether `entry` may take offset `tail`, which sits inside a block
@@ -485,7 +550,16 @@ impl UndoLog {
     /// yields now and then in case that appender was preempted).
     fn joins_block(&self, tail: u64, entry: &UndoEntry) -> bool {
         let first = tail - tail % BLOCK_ENTRIES;
-        let key = self.key(first);
+        // `tail` may be stale: a rewind may have moved the base past it
+        // since the caller loaded the word. Map it through one load of the
+        // base (any value keeps the index in bounds), and give up if it
+        // precedes it — the tail moved too, so the caller's CAS fails and
+        // it re-decides.
+        let lap = self.lap.load(Ordering::Relaxed);
+        if first < lap {
+            return false;
+        }
+        let key = &self.keys[((first - lap) / BLOCK_ENTRIES % self.blocks) as usize];
         let mut spins = 0u32;
         // Acquire pairs with the opener's release store of `opened_at`.
         while key.opened_at.load(Ordering::Acquire) != first + 1 {
@@ -516,8 +590,21 @@ impl UndoLog {
     /// recycle the region.
     pub fn append(&self, entry: UndoEntry) -> Result<u64> {
         let capacity = self.capacity_entries();
-        let mut cur = self.state.0.load(Ordering::Relaxed);
+        let mut cur = self.state.0.load(Ordering::Acquire);
+        let mut spins = 0u32;
         let (tail, offset) = loop {
+            if cur & REWINDING != 0 {
+                // A rewind holds the tail for a few stores; like the
+                // key wait in `joins_block`, it waits on nothing.
+                spins += 1;
+                if spins.is_multiple_of(64) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+                cur = self.state.0.load(Ordering::Acquire);
+                continue;
+            }
             let tail = cur & TAIL_MASK;
             let offset = if tail.is_multiple_of(BLOCK_ENTRIES) || self.joins_block(tail, &entry) {
                 tail
@@ -535,11 +622,14 @@ impl UndoLog {
                 return Err(PmError::LogFull { capacity_entries: capacity });
             }
             let next = ((cur >> 48) + 1) << 48 | (offset + 1);
+            // Acquire (both ways) pairs with `rewind`'s release store of
+            // the tail: `offset` maps through the base it was reserved
+            // under.
             match self.state.0.compare_exchange_weak(
                 cur,
                 next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
+                Ordering::Acquire,
+                Ordering::Acquire,
             ) {
                 Ok(_) => break (tail, offset),
                 Err(now) => {
@@ -728,12 +818,49 @@ impl UndoLog {
     }
 
     /// Recycles the whole region after a fully-drained epoch commits (the
-    /// synchronous-persist epilogue). Offsets stay monotonic; only slot
-    /// ownership resets. Stale entries left on media belong to committed
-    /// epochs and are ignored by recovery.
-    pub fn reset_after_commit(&self) {
+    /// synchronous-persist epilogue) and rewinds it to its first block.
+    /// Offsets stay monotonic; only slot ownership and the lap base
+    /// reset. Stale entries left on media belong to committed epochs and
+    /// are ignored by recovery.
+    pub fn reset_after_commit(&self, pool: &mut PmPool) {
         debug_assert_eq!(self.pending_len(), 0, "reset with undrained entries");
         self.recycle_to(self.durable_offset());
+        self.rewind(pool);
+    }
+
+    /// Moves the lap base to the tail, so the next block opens at the
+    /// writer's first block — only when the writer is empty: everything
+    /// reserved is durable and recycled, and nothing is in flight.
+    /// Returns whether it rewound; a writer already at its lap base, or
+    /// with an entry undrained, in flight or held by an uncommitted
+    /// epoch, stays as it is. The pool is taken only to exclude the pump
+    /// (step 5 of the type's protocol).
+    fn rewind(&self, _pool: &mut PmPool) -> bool {
+        let cur = self.state.0.load(Ordering::Acquire);
+        let tail = cur & TAIL_MASK;
+        if cur != tail
+            || tail == self.lap.load(Ordering::Relaxed)
+            || self.durable_offset() != tail
+            || self.recycled.0.load(Ordering::Acquire) != tail
+        {
+            return false;
+        }
+        // Only the pump (excluded) moves `durable`, and `recycled` is
+        // clamped to it, so both still equal `tail` once the claim holds.
+        if self
+            .state
+            .0
+            .compare_exchange(cur, cur | REWINDING, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            return false;
+        }
+        let base = tail.next_multiple_of(BLOCK_ENTRIES);
+        self.lap.store(base, Ordering::Relaxed);
+        self.durable.0.store(base, Ordering::Release);
+        self.recycled.0.store(base, Ordering::Release);
+        self.state.0.store(base, Ordering::Release);
+        true
     }
 
     /// Drops the volatile tail (power loss): reservations, published
@@ -757,9 +884,9 @@ impl UndoLog {
     /// mark — which is what a reserved-but-never-published slot's media
     /// can look like at worst — are rejected the same way. Returns
     /// `(block × BLOCK_ENTRIES + index, entry)` pairs in on-media order —
-    /// **not** append order once the ring has wrapped; recovery orders
-    /// rollback by epoch, which block reuse cannot disturb (a block is
-    /// only overwritten after its epoch commits).
+    /// **not** append order once the ring has wrapped or rewound;
+    /// recovery orders rollback by epoch, which block reuse cannot
+    /// disturb (a block is only overwritten after its epoch commits).
     ///
     /// # Errors
     ///
@@ -795,6 +922,34 @@ impl UndoLog {
                     f(pool, block * BLOCK_ENTRIES + i as u64, entry)?;
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// Clears the commit mark of the block holding each of `slots` (as
+    /// [`UndoLog::scan`] numbers them), so none of the block's entries
+    /// scans again. Recovery calls it on the entries it rolled back; a
+    /// block holds one epoch of one tenant, so it holds nothing else.
+    /// Blocks are written in the order of `slots` (repeats of the block
+    /// just written are skipped); the caller drains.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces media errors.
+    pub(crate) fn invalidate(
+        pool: &mut PmPool,
+        slots: impl IntoIterator<Item = u64>,
+    ) -> Result<()> {
+        let start = pool.layout().log_start().0;
+        let mut last = None;
+        for block in slots.into_iter().map(|slot| slot / BLOCK_ENTRIES) {
+            if last.replace(block) == Some(block) {
+                continue;
+            }
+            let at = LineAddr(start + block * BLOCK_LINES);
+            let mut header = pool.read_line(at)?;
+            header.write_at(COMMIT_OFFSET, &[0]);
+            pool.write_line(at, header)?;
         }
         Ok(())
     }
@@ -1066,20 +1221,177 @@ mod tests {
         let clock = CrashClock::new();
         let log = UndoLog::new(&p);
         log.append(entry(1, 5, 1)).unwrap();
+        log.append(entry(1, 6, 1)).unwrap();
         log.flush(&mut p, &clock).unwrap();
-        log.reset_after_commit();
+        log.reset_after_commit(&mut p);
         // Offsets keep counting — no ambiguity against stale buffered
-        // offsets — but the region is free again. The new epoch starts a
-        // new block.
-        assert_eq!(log.durable_offset(), 1);
+        // offsets — but the region is free again, and the new epoch's
+        // block opens at the first block.
+        assert_eq!(log.durable_offset(), BLOCK_ENTRIES);
         assert_eq!(log.live_entries(), 0);
-        assert_eq!(log.append(entry(2, 6, 2)).unwrap(), BLOCK_ENTRIES);
+        assert_eq!(log.append(entry(2, 7, 2)).unwrap(), BLOCK_ENTRIES);
         log.flush(&mut p, &clock).unwrap();
+        // Epoch 2's one-entry header replaced epoch 1's; epoch 1's second
+        // pre-image is left behind, unlisted, so scan finds one entry.
         let scanned = UndoLog::scan(&mut p).unwrap();
-        // Both blocks hold valid entries; recovery tells them apart by
-        // epoch, not by position.
-        assert_eq!(scanned.len(), 2);
-        assert_eq!(scanned.iter().filter(|(_, e)| e.epoch == 2).count(), 1);
+        assert_eq!(scanned, vec![(0, entry(2, 7, 2))]);
+    }
+
+    /// Drains and commits everything `log` holds, as the synchronous
+    /// epilogue does.
+    fn commit(log: &UndoLog, p: &mut PmPool, clock: &CrashClock) {
+        log.flush(p, clock).unwrap();
+        log.reset_after_commit(p);
+    }
+
+    #[test]
+    fn drained_commit_rewinds_to_the_first_block_in_both_modes() {
+        let clock = CrashClock::new();
+        for banked in [false, true] {
+            let mut p = pool();
+            let log = mode_log(&p, banked, 8);
+            let first = log.block_base(log.appended());
+            for i in 0..6 {
+                log.append(entry(1, i, i as u8)).unwrap();
+            }
+            commit(&log, &mut p, &clock);
+            // Six entries end mid-block 1: the tail rounds up to offset
+            // 8, which now maps to the first block.
+            let offset = log.append(entry(2, 9, 0x99)).unwrap();
+            assert_eq!(offset, 2 * BLOCK_ENTRIES);
+            assert_eq!(log.block_base(offset), first);
+            log.flush(&mut p, &clock).unwrap();
+            let header = BlockHeader::parse(&p.read_line(LineAddr(first)).unwrap()).unwrap();
+            assert_eq!((header.epoch, header.entries.len()), (2, 1));
+            assert_eq!(p.read_line(LineAddr(first + 1)).unwrap(), CacheLine::filled(0x99));
+        }
+    }
+
+    #[test]
+    fn offsets_keep_rising_across_rewinds() {
+        let clock = CrashClock::new();
+        let mut p = pool();
+        let log = mode_log(&p, true, 4);
+        let mut last = None;
+        for epoch in 1..=40u64 {
+            // 1..=7 entries per epoch: laps of every length, aligned and
+            // not.
+            for i in 0..1 + epoch % 7 {
+                let offset = log.append(entry(epoch, i, epoch as u8)).unwrap();
+                assert!(last.is_none_or(|l| offset > l), "offset {offset} after {last:?}");
+                last = Some(offset);
+            }
+            commit(&log, &mut p, &clock);
+            assert_eq!(log.appended(), log.durable_offset());
+            assert_eq!(log.appended() % BLOCK_ENTRIES, 0, "the tail rests on a block start");
+        }
+        // Every epoch fit the 4-block bank only because each one started
+        // at its first block: 40 epochs reserved far more than 16 offsets.
+        assert!(log.appended() > 4 * log.capacity_entries());
+    }
+
+    #[test]
+    fn no_rewind_while_an_entry_is_undrained_in_flight_or_draining() {
+        let clock = CrashClock::new();
+        let mut p = pool();
+        let log = mode_log(&p, false, 8);
+        for i in 0..5 {
+            log.append(entry(1, i, 0)).unwrap();
+        }
+        // Undrained: the fifth entry is still pending.
+        log.pump(&mut p, &clock, usize::MAX).unwrap();
+        log.recycle_to(log.durable_offset());
+        assert!(!log.rewind(&mut p));
+        // In flight: a reservation not yet published holds the tail.
+        log.flush(&mut p, &clock).unwrap();
+        log.recycle_to(log.durable_offset());
+        log.state.0.fetch_add(INFLIGHT_UNIT, Ordering::Relaxed);
+        assert!(!log.rewind(&mut p));
+        log.state.0.fetch_sub(INFLIGHT_UNIT, Ordering::Relaxed);
+        // Held by a draining async epoch: durable but not yet recycled.
+        log.append(entry(2, 9, 0)).unwrap();
+        log.flush(&mut p, &clock).unwrap();
+        assert!(!log.rewind(&mut p));
+        assert_eq!(log.append(entry(3, 10, 0)).unwrap(), 3 * BLOCK_ENTRIES, "no rewind");
+        // Once every offset is durable and recycled, it rewinds.
+        log.flush(&mut p, &clock).unwrap();
+        log.recycle_to(log.durable_offset());
+        assert!(log.rewind(&mut p));
+        assert!(!log.rewind(&mut p), "already at its lap base");
+        assert_eq!(log.block_base(log.append(entry(4, 11, 0)).unwrap()), log.region_start);
+    }
+
+    #[test]
+    fn a_stale_tail_does_not_join_a_block_the_base_moved_past() {
+        let clock = CrashClock::new();
+        let mut p = pool();
+        let log = mode_log(&p, false, 8);
+        for i in 0..5 {
+            log.append(entry(1, i, 0)).unwrap();
+        }
+        // An appender loads the word mid-block 1 ...
+        let stale = log.appended();
+        assert_ne!(stale % BLOCK_ENTRIES, 0);
+        // ... and a drained commit rewinds before it decides.
+        commit(&log, &mut p, &clock);
+        assert!(log.lap.load(Ordering::Relaxed) > stale);
+        assert!(!log.joins_block(stale, &entry(1, 9, 0)));
+        // The word moved past the stale tail, so the appender's CAS
+        // fails; its retry opens the first block.
+        assert_ne!(log.appended(), stale);
+        assert_eq!(log.block_base(log.append(entry(2, 9, 0)).unwrap()), log.region_start);
+    }
+
+    #[test]
+    fn crash_after_a_rewind_recovers_past_stale_committed_blocks() {
+        let clock = CrashClock::new();
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        // Epoch 1 fills three blocks and commits.
+        for i in 0..3 * BLOCK_ENTRIES {
+            log.append(entry(1, i, 0x11)).unwrap();
+        }
+        commit(&log, &mut p, &clock);
+        p.commit_epoch(1).unwrap();
+        // Epoch 2 rewinds over block 0 only, and the crash hits mid-epoch
+        // after its line reached PM.
+        log.append(entry(2, 0, 0x22)).unwrap();
+        log.flush(&mut p, &clock).unwrap();
+        let abs = p.layout().vpm_to_pool(0).unwrap();
+        p.write_line(abs, CacheLine::filled(0x33)).unwrap();
+        log.crash();
+        p.crash();
+        // Blocks 1 and 2 still hold epoch 1's entries: committed, so
+        // recovery scans and ignores them, and rolls back epoch 2 only.
+        let r = crate::recover(&mut p).unwrap();
+        assert_eq!((r.committed_epoch, r.scanned, r.rolled_back), (1, 9, 1));
+        assert_eq!(p.read_line(abs).unwrap(), CacheLine::filled(0x22));
+    }
+
+    #[test]
+    fn scan_reports_the_slots_of_the_lap_mapping_in_both_modes() {
+        let clock = CrashClock::new();
+        for banked in [false, true] {
+            let mut p = pool_with_log_lines(8 * BLOCK_LINES as usize); // two banks of 4 blocks
+            let log = mode_log(&p, banked, 4);
+            let bank = if banked { log.capacity_entries() } else { 0 };
+            for i in 0..7 {
+                log.append(entry(1, i, 0)).unwrap();
+            }
+            commit(&log, &mut p, &clock);
+            let offsets: Vec<u64> =
+                (0..6).map(|i| log.append(entry(2, 20 + i, 0)).unwrap()).collect();
+            log.flush(&mut p, &clock).unwrap();
+            assert_eq!(offsets[0], 2 * BLOCK_ENTRIES);
+            // Epoch 2 overwrote blocks 0 and 1 of the bank, so epoch 1's
+            // entries there are gone; each of epoch 2's lands at its
+            // offset's place in the lap.
+            let scanned = UndoLog::scan(&mut p).unwrap();
+            let slots: Vec<u64> = scanned.iter().map(|(slot, _)| *slot).collect();
+            let want: Vec<u64> = offsets.iter().map(|o| bank + o - offsets[0]).collect();
+            assert_eq!(slots, want);
+            assert!(scanned.iter().all(|(_, e)| e.epoch == 2));
+        }
     }
 
     #[test]

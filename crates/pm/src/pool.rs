@@ -46,6 +46,10 @@ const HDR_EPOCH: u64 = 1; // committed epoch number, alone on its line
 /// Lines in the header region (one 4 KiB page).
 const HEADER_LINES: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
 
+/// Bytes before the first line in a saved pool file: magic, version,
+/// log and data line counts, persistence-domain tag.
+const FILE_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 8;
+
 /// Maximum number of tenants a pool header can hold epoch slots for.
 ///
 /// Each tenant's committed epoch lives alone on header line `1 + tenant`
@@ -346,11 +350,12 @@ impl PmPool {
     ///
     /// # Errors
     ///
-    /// Returns [`PmError::BadPool`] for wrong magic/version and
-    /// [`PmError::Io`] on file-system failure.
+    /// Returns [`PmError::BadPool`] for wrong magic/version, for region
+    /// sizes that do not match the file's length, and [`PmError::Io`] on
+    /// file-system failure.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let mut f = fs::File::open(path)?;
-        let mut hdr = [0u8; 8 + 4 + 8 + 8 + 8];
+        let mut hdr = [0u8; FILE_HEADER_BYTES];
         f.read_exact(&mut hdr)?;
         if &hdr[0..8] != MAGIC {
             return Err(PmError::BadPool("bad magic number".into()));
@@ -368,6 +373,20 @@ impl PmPool {
             t => return Err(PmError::BadPool(format!("unknown persistence domain tag {t}"))),
         };
         let layout = PoolLayout { header_lines: HEADER_LINES, log_lines, data_lines };
+        // The sizes are checked against the file before anything is
+        // allocated: a corrupt size must not wrap `total_lines()` or ask
+        // for more host memory than the file could fill.
+        let bytes = HEADER_LINES
+            .checked_add(log_lines)
+            .and_then(|n| n.checked_add(data_lines))
+            .and_then(|n| n.checked_mul(LINE_SIZE as u64))
+            .and_then(|n| n.checked_add(FILE_HEADER_BYTES as u64));
+        let file_len = f.metadata()?.len();
+        if bytes != Some(file_len) {
+            return Err(PmError::BadPool(format!(
+                "{log_lines} log and {data_lines} data lines do not fit a {file_len}-byte file"
+            )));
+        }
         let mut media = PmMedia::new(layout.total_lines() as usize * LINE_SIZE, domain);
         let mut buf = [0u8; LINE_SIZE];
         for i in 0..layout.total_lines() {
@@ -523,6 +542,31 @@ mod tests {
             Err(PmError::BadPool(msg)) => assert!(msg.contains("version 1"), "{msg}"),
             other => panic!("expected BadPool, got {other:?}"),
         }
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn load_rejects_region_sizes_the_file_does_not_hold() {
+        let dir = std::env::temp_dir().join("pax-pm-test");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bad-sizes.pool");
+        let mut pool = PmPool::create(PoolConfig::small()).unwrap();
+        pool.save(&path).unwrap();
+        let saved = fs::read(&path).unwrap();
+        let data_lines = pool.layout().data_lines;
+        // A size that wraps `total_lines()`, and one that does not but
+        // claims more lines than the file holds.
+        for lines in [u64::MAX - 10, data_lines + 1] {
+            let mut bytes = saved.clone();
+            bytes[20..28].copy_from_slice(&lines.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            match PmPool::load(&path) {
+                Err(PmError::BadPool(msg)) => assert!(msg.contains("data lines"), "{msg}"),
+                other => panic!("{lines} data lines: expected BadPool, got {other:?}"),
+            }
+        }
+        fs::write(&path, &saved).unwrap();
+        assert_eq!(PmPool::load(&path).unwrap().layout(), pool.layout());
         fs::remove_file(&path).unwrap();
     }
 

@@ -283,6 +283,23 @@ struct Tenant {
 }
 
 impl Tenant {
+    /// A tenant whose committed epoch `base` holds `now`.
+    fn new(handle: PaxTenant, now: Image, base: u64) -> Tenant {
+        Tenant {
+            handle,
+            closes: HashMap::from([(base, now.clone())]),
+            now,
+            next: base + 1,
+            last_close: base,
+            floor: base,
+            blocks_opened: false,
+            maps_opened: false,
+            blocks: None,
+            maps: None,
+            tag: 1,
+        }
+    }
+
     fn arena(&self, i: u64) -> Window {
         Window::arena(self.handle.vpm(), i)
     }
@@ -327,54 +344,61 @@ pub struct Run {
     pub pool: PaxPool,
     rig: Rig,
     tenants: Vec<Tenant>,
-    /// Whether the armed crash fired.
+    /// Whether the armed crash fired (in any life).
     pub crashed: bool,
     /// Crash-clock steps the run took.
     pub steps_taken: u64,
     /// Every value a `Read` saw, in order.
     pub reads: Vec<u64>,
+    /// Durable-write steps before the armed crash, counted over every
+    /// life from the first; `None` when unarmed or once it fired.
+    armed: Option<u64>,
+    /// Durable-write steps the earlier lives took.
+    steps_before: u64,
 }
 
 /// Runs `steps` on a fresh pool with the crash clock armed `crash_at`
 /// durable-write steps in, checking each step's own promises on the way.
 pub fn drive(rig: &Rig, steps: &[Step], crash_at: Option<u64>) -> Verdict<Run> {
     let pool = PaxPool::create(rig.config).map_err(|e| format!("create: {e}"))?;
-    let clock = pool.crash_clock().map_err(|e| format!("clock: {e}"))?;
-    if let Some(n) = crash_at {
-        clock.arm(clock.steps_taken() + n);
-    }
     let mut tenants = Vec::new();
     for t in 0..rig.config.tenants {
         let handle = pool.attach(t).map_err(|e| format!("attach: {e}"))?;
         let base = handle.committed_epoch().map_err(|e| format!("epoch: {e}"))?;
         let now = Image { lines: vec![0; rig.span as usize], ..Image::default() };
-        tenants.push(Tenant {
-            handle,
-            closes: HashMap::from([(base, now.clone())]),
-            now,
-            next: base + 1,
-            last_close: base,
-            floor: base,
-            blocks_opened: false,
-            maps_opened: false,
-            blocks: None,
-            maps: None,
-            tag: 1,
-        });
+        tenants.push(Tenant::new(handle, now, base));
     }
-    let mut run =
-        Run { pool, rig: rig.clone(), tenants, crashed: false, steps_taken: 0, reads: vec![] };
-    for (i, &step) in steps.iter().enumerate() {
+    let mut run = Run {
+        pool,
+        rig: rig.clone(),
+        tenants,
+        crashed: false,
+        steps_taken: 0,
+        reads: vec![],
+        armed: crash_at,
+        steps_before: 0,
+    };
+    run.arm()?;
+    let mut i = 0;
+    while let Some(&step) = steps.get(i) {
+        if step == Step::Reboot {
+            run = run.reboot().map_err(|h| format!("step {i} {step:?}: {h}"))?;
+            i += 1;
+            continue;
+        }
         match run.step(step) {
-            Ok(()) => {}
+            Ok(()) => i += 1,
             Err(Halt::Crash) => {
                 run.crashed = true;
-                break;
+                // The crash ends this life: the schedule resumes at its
+                // next reboot, if it has one.
+                let Some(k) = steps[i..].iter().position(|&s| s == Step::Reboot) else { break };
+                i += k;
             }
             Err(Halt::Bug(msg)) => return bug(format!("step {i} {step:?}: {msg}")),
         }
     }
-    run.steps_taken = clock.steps_taken();
+    run.steps_taken = run.steps_before + run.clock()?.steps_taken();
     Ok(run)
 }
 
@@ -459,13 +483,52 @@ impl Run {
             }
             Step::Put(_, key, value) => tm.map_op(kind, key, Some(value))?,
             Step::Del(_, key) => tm.map_op(kind, key, None)?,
-            Step::Tick(_) => unreachable!(),
+            Step::Tick(_) | Step::Reboot => unreachable!(),
         }
         Ok(())
     }
 
     pub fn rig(&self) -> &Rig {
         &self.rig
+    }
+
+    fn clock(&self) -> Verdict<pax_pm::CrashClock> {
+        self.pool.crash_clock().map_err(|e| Halt::Bug(format!("clock: {e}")))
+    }
+
+    /// Arms this life's crash clock for the steps the armed crash has
+    /// left.
+    fn arm(&self) -> Verdict<()> {
+        if let Some(at) = self.armed {
+            let clock = self.clock()?;
+            clock.arm(clock.steps_taken() + at.saturating_sub(self.steps_before));
+        }
+        Ok(())
+    }
+
+    /// [`Step::Reboot`]: cuts power (unless the armed crash already
+    /// did), checks what recovery restored, and starts the next life on
+    /// the recovered pool from each tenant's recovered close.
+    fn reboot(mut self) -> Verdict<Run> {
+        let steps_before = self.steps_before + self.clock()?.steps_taken();
+        if self.crashed {
+            self.armed = None;
+        }
+        let (pool, old) = self.power_loss()?.reopen(false)?;
+        let mut tenants = Vec::new();
+        for (t, tm) in old.tenants.into_iter().enumerate() {
+            let handle = pool.attach(t)?;
+            let e = handle.committed_epoch()?;
+            tenants.push(Tenant {
+                blocks_opened: tm.blocks_opened,
+                maps_opened: tm.maps_opened,
+                tag: tm.tag,
+                ..Tenant::new(handle, tm.closes[&e].clone(), e)
+            });
+        }
+        let run = Run { pool, tenants, steps_before, ..old };
+        run.arm()?;
+        Ok(run)
     }
 
     /// Cuts power, keeping the durable image for recovery.
@@ -533,6 +596,15 @@ impl Crashed {
     /// * recovered maps hold exactly the close's entries, and the B-tree
     ///   keeps its structural invariants.
     pub fn recover(self) -> Verdict<Outcome> {
+        let (_, run) = self.reopen(true)?;
+        Ok(Outcome { crashed: run.crashed, steps_taken: run.steps_taken, reads: run.reads })
+    }
+
+    /// [`Crashed::recover`]'s checks, returning the recovered pool. With
+    /// `probe` off, the check that fresh allocations land disjoint is
+    /// skipped, so a [`Step::Reboot`] hands the next life a pool holding
+    /// exactly the recovered close.
+    fn reopen(self, probe: bool) -> Verdict<(PaxPool, Run)> {
         let Crashed { pm, run } = self;
         let (rig, model) = (&run.rig, run.rig.config.device.persistency);
         let pool = PaxPool::open(pm, rig.config).map_err(|e| format!("reopen: {e}"))?;
@@ -541,13 +613,13 @@ impl Crashed {
             return bug(format!("rollback gap {gap} exceeds the {} bound", model.label()));
         }
         for (t, tm) in run.tenants.iter().enumerate() {
-            recover_tenant(&pool, rig, t, tm).map_err(|h| format!("tenant {t}: {h}"))?;
+            recover_tenant(&pool, rig, t, tm, probe).map_err(|h| format!("tenant {t}: {h}"))?;
         }
-        Ok(Outcome { crashed: run.crashed, steps_taken: run.steps_taken, reads: run.reads })
+        Ok((pool, run))
     }
 }
 
-fn recover_tenant(pool: &PaxPool, rig: &Rig, t: usize, tm: &Tenant) -> Verdict<()> {
+fn recover_tenant(pool: &PaxPool, rig: &Rig, t: usize, tm: &Tenant, probe: bool) -> Verdict<()> {
     let h = pool.attach(t)?;
     let e = h.committed_epoch()?;
     let Some(want) = tm.closes.get(&e) else {
@@ -572,7 +644,8 @@ fn recover_tenant(pool: &PaxPool, rig: &Rig, t: usize, tm: &Tenant) -> Verdict<(
         }
         // Fresh allocations must not land on any recovered block.
         let mut all = want.blocks.clone();
-        for i in 0..12 {
+        let probes = if probe { 12 } else { 0 };
+        for i in 0..probes {
             all.push(alloc_block(&a, 64 + i * 24, 0xC0DE + i, &all)?);
         }
         all.iter().try_for_each(|b| check_block(&a, b))?;

@@ -47,14 +47,20 @@ pub enum Step {
     Put(u8, u64, u64),
     /// `Del(tenant, key)` from both maps.
     Del(u8, u64),
+    /// Power loss and recovery, checked against the oracle; the schedule
+    /// goes on in a second life on the recovered pool. An armed crash
+    /// counts durable-write steps across lives; one that fires before
+    /// the reboot ends that life early, and the schedule resumes here.
+    Reboot,
 }
 
 impl Step {
-    /// The tenant the step acts on; `None` for device-wide ticks.
+    /// The tenant the step acts on; `None` for device-wide ticks and
+    /// reboots.
     pub fn tenant(self) -> Option<u8> {
         use Step::*;
         match self {
-            Tick(_) => None,
+            Tick(_) | Reboot => None,
             Store(t, ..) | Read(t, ..) | Alloc(t, _) | Free(t, _) | Put(t, ..) | Del(t, _) => {
                 Some(t)
             }
@@ -87,6 +93,29 @@ pub fn settle(steps: &[Step]) -> Vec<Step> {
         out.extend([Step::Close(t), Step::Wait(t)]);
     }
     out
+}
+
+/// Two lives: a random schedule of `len` steps of `mix`, a burst, a
+/// [`Step::Reboot`], and a second life of up to `len / 2 + 1` more
+/// random steps. The burst stores to every span line of one tenant from
+/// three cores, closes that epoch without waiting and stores a few lines
+/// of the next, so power is cut (or an armed crash lands) while a large
+/// epoch drains behind durable entries of the next one — the state in
+/// which a recovery's leftovers can meet the second life's commits.
+pub fn rebooted(rng: &mut StdRng, mix: Mix, len: usize) -> Vec<Step> {
+    let mut steps = schedule(rng, mix, len);
+    let t = rng.gen_range(0..4u8);
+    for line in 0..SPAN as u16 {
+        steps.push(Step::Store(t, (line % 3) as u8, line, rng.gen_range(1..u64::MAX)));
+    }
+    steps.push(Step::CloseAsync(t));
+    for line in 0..rng.gen_range(1..8u16) {
+        steps.push(Step::Store(t, 0, line, rng.gen_range(1..u64::MAX)));
+    }
+    steps.push(Step::Reboot);
+    let more = rng.gen_range(1..len / 2 + 2);
+    steps.extend(schedule(rng, mix, more));
+    steps
 }
 
 /// `steps` without its device ticks.

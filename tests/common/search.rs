@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::oracle::{bug, check, drive, Crashed, Halt, Outcome, Rig, Verdict};
-use super::schedule::{golden, literal, schedule, Alloc, Mix, Point, Step};
+use super::schedule::{golden, literal, rebooted, schedule, Alloc, Mix, Point, Step};
 
 /// Shrinks a failing case to a minimal schedule and crash step, then
 /// fails the test with it as a [`check_or_fail`] call to paste into a
@@ -126,11 +126,41 @@ pub fn random(
     len: std::ops::Range<usize>,
     crashes: usize,
 ) {
+    random_with(seed, cases, points, crashes, |rng| {
+        let n = rng.gen_range(len.clone());
+        schedule(rng, mix, n)
+    });
+}
+
+/// Random mode over two lives: each schedule ([`rebooted`]) crashes and
+/// recovers once mid-way and goes on on the recovered pool, so what the
+/// first recovery leaves on media meets a second life's commits and a
+/// second crash (unarmed at the end, or armed in either life).
+pub fn random_two_lives(
+    seed: u64,
+    cases: usize,
+    points: &[Point],
+    mix: Mix,
+    len: std::ops::Range<usize>,
+    crashes: usize,
+) {
+    random_with(seed, cases, points, crashes, |rng| {
+        let n = rng.gen_range(len.clone());
+        rebooted(rng, mix, n)
+    });
+}
+
+fn random_with(
+    seed: u64,
+    cases: usize,
+    points: &[Point],
+    crashes: usize,
+    gen: impl Fn(&mut StdRng) -> Vec<Step>,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..cases {
         let rig = points[rng.gen_range(0..points.len())].rig();
-        let n = rng.gen_range(len.clone());
-        let steps = schedule(&mut rng, mix, n);
+        let steps = gen(&mut rng);
         let total = check_or_fail(&rig, &steps, None).steps_taken;
         for _ in 0..crashes {
             check_or_fail(&rig, &steps, Some(rng.gen_range(0..total + 1)));
@@ -296,12 +326,58 @@ impl Crashed {
         let after = live(&mut self.pm)?;
         let intact = before.iter().all(|e| after.contains(e));
 
-        let mut pass = |n| -> Verdict<_> {
-            let report = recover(&mut self.pm).map_err(|e| format!("recovery {n}: {e}"))?;
-            Ok((report, UndoLog::scan(&mut self.pm).map_err(|e| format!("scan {n}: {e}"))?))
+        // The blocks recovery will invalidate, in the order it writes
+        // their headers (rollback order: newest epoch first, then slot),
+        // with the headers as they are before it runs.
+        let mut order = after.clone();
+        order.sort_by(|(sa, a), (sb, b)| b.epoch.cmp(&a.epoch).then(sa.cmp(sb)));
+        let mut blocks: Vec<u64> = order.iter().map(|(slot, _)| slot / BLOCK_ENTRIES).collect();
+        blocks.dedup();
+        let headers = blocks
+            .iter()
+            .map(|b| {
+                let at = LineAddr(layout.log_start().0 + b * BLOCK_LINES);
+                self.pm.read_line(at).map(|line| (at, line))
+            })
+            .collect::<pax_pm::Result<Vec<_>>>()
+            .map_err(|e| format!("read header: {e}"))?;
+
+        // Each pass: the report, then the entries and data it left. The
+        // first pass invalidates what it rolled back, so the second rolls
+        // back nothing; both must leave the same epoch, log and data.
+        let pass = |c: &mut Crashed, n| -> Verdict<_> {
+            let report = recover(&mut c.pm).map_err(|e| format!("recovery {n}: {e}"))?;
+            let entries = UndoLog::scan(&mut c.pm).map_err(|e| format!("scan {n}: {e}"))?;
+            Ok((report, entries, c.data_digest()))
         };
-        let (first, second) = (pass(1)?, pass(2)?);
-        if first.0.committed_epoch != second.0.committed_epoch || first.1 != second.1 {
+        let first = pass(&mut self, 1)?;
+        // A crash may cut the invalidation short after any prefix of its
+        // header writes, with the rollback already durable: put back the
+        // headers past the cut and recover again. That pass rolls the
+        // surviving (oldest) entries back once more and must end on the
+        // same epoch and data.
+        for cut in 0..headers.len() {
+            for (at, line) in &headers[cut..] {
+                self.pm
+                    .write_line(*at, line.clone())
+                    .map_err(|e| format!("restore header: {e}"))?;
+            }
+            self.pm.drain();
+            let again = pass(&mut self, 2)?;
+            if (again.0.committed_epoch, again.2) != (first.0.committed_epoch, first.2) {
+                return bug(format!(
+                    "recovery cut after {cut} of {} invalidations is not idempotent: {:?} then \
+                     {:?}",
+                    headers.len(),
+                    first.0,
+                    again.0
+                ));
+            }
+        }
+        let second = pass(&mut self, 2)?;
+        if (first.0.committed_epoch, &first.1, first.2)
+            != (second.0.committed_epoch, &second.1, second.2)
+        {
             return bug(format!("recovery is not idempotent: {:?} then {:?}", first.0, second.0));
         }
         // Each whole block of the region holds at most BLOCK_ENTRIES

@@ -4,7 +4,10 @@
 //! mutex-era engine, which kept the whole lane behind a mutex on the
 //! store hot path, was retired once these golden digests pinned their
 //! equivalence on the same schedules ([`common::golden`]); they were
-//! re-recorded once when the undo log moved to 5-line blocks. The schedules run a 64-line
+//! re-recorded once when the undo log moved to 5-line blocks, and once
+//! when each log bank began rewinding to its first block after a drained
+//! commit (which moves only log-region bytes: every schedule's data
+//! image and committed epoch stayed). The schedules run a 64-line
 //! host cache over a 512-line span into an HBM buffer far smaller than
 //! the span, so dirty evictions, HBM victims with undrained undo
 //! entries (forced log flushes), background write-back, and the
@@ -46,17 +49,17 @@ const fn sched(seed: u64, ops: u64, crash_at: Option<u64>) -> Schedule {
 }
 
 const SPILL_GOLDEN: [(Schedule, u64); 5] = [
-    (sched(5, 399, Some(320)), 0xb6fe_d259_429f_21e7),
-    (sched(42, 300, None), 0xd084_357f_18dd_fac1),
+    (sched(5, 399, Some(320)), 0xe6ff_ba9d_0b12_a4ec),
+    (sched(42, 300, None), 0x0926_0138_885a_f069),
     (sched(7, 256, Some(37)), 0xdc61_ba8d_a926_1d2e),
-    (sched(1001, 384, Some(250)), 0x5e5d_3c3c_afcf_30d2),
+    (sched(1001, 384, Some(250)), 0xc8d5_407d_bc8b_81d8),
     (sched(990_017, 128, Some(9)), 0xcb71_4cfe_cbd9_bc8b),
 ];
 
 const LRU_GOLDEN: [(Schedule, u64); 3] = [
-    (sched(42, 300, None), 0x2b6a_7a80_ab4b_e98b),
-    (sched(7, 256, Some(90)), 0x144c_bab4_3bf6_47c7),
-    (sched(1001, 384, Some(400)), 0xfc46_7d81_1581_dab7),
+    (sched(42, 300, None), 0xab57_abc1_413e_46ba),
+    (sched(7, 256, Some(90)), 0xd91a_200b_2c76_fc80),
+    (sched(1001, 384, Some(400)), 0x445e_4422_6c56_4f6a),
 ];
 
 /// Random spill schedules ending in power loss with no armed crash.

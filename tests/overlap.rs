@@ -253,3 +253,40 @@ fn empty_async_epoch_commits() {
     pool.persist_wait().unwrap();
     assert_eq!(pool.committed_epoch().unwrap(), e);
 }
+
+#[test]
+fn rolled_back_entries_cannot_roll_back_a_later_committed_epoch() {
+    // Recovery rolls back every entry newer than the committed epoch. If
+    // it left those entries valid on media, the next life — which reuses
+    // the same epoch numbers — would commit over them, and a second crash
+    // would roll its committed data back to the first life's snapshot.
+    let pool = PaxPool::create(config()).unwrap();
+    let vpm = pool.vpm();
+    vpm.write_u64(0, 1).unwrap();
+    assert_eq!(pool.persist().unwrap(), 1);
+    // A big epoch 2 keeps draining while epoch 3 logs and drains its
+    // blocks ahead of it.
+    for i in 1..=40_000u64 {
+        vpm.write_u64(i * 64, i).unwrap();
+    }
+    assert_eq!(pool.persist_async().unwrap(), 2);
+    vpm.write_u64(0, 3).unwrap();
+    for i in 1..=11u64 {
+        vpm.write_u64((50_000 + i) * 64, i).unwrap();
+    }
+    for i in 0..3u64 {
+        vpm.read_u64((60_000 + i) * 64).unwrap();
+    }
+
+    let pool = PaxPool::open(pool.crash().unwrap(), config()).unwrap();
+    assert_eq!(pool.committed_epoch().unwrap(), 1);
+    assert_eq!(pool.vpm().read_u64(0).unwrap(), 1);
+    // The second life commits its own epoch 2, overwriting X.
+    pool.vpm().write_u64(0, 22).unwrap();
+    assert_eq!(pool.persist().unwrap(), 2);
+
+    let pool = PaxPool::open(pool.crash().unwrap(), config()).unwrap();
+    let report = pool.recovery_report().unwrap();
+    assert_eq!((report.committed_epoch, report.rolled_back), (2, 0), "{report:?}");
+    assert_eq!(pool.vpm().read_u64(0).unwrap(), 22, "committed epoch 2 must survive");
+}
