@@ -39,7 +39,9 @@ undo-log recovery rolls back every entry and scans in proportion to the
 entries logged (scanned <= 2x entries, growing with them); write_amp's
 PAX line log stays <= 18.5x per 8 B field at one field per page;
 capacity's host memory at pool creation does not follow the pool size
-(a 1 GiB pool grows RSS by at most 8 MiB more than a 64 MiB one), and
+(a 1 GiB pool grows RSS by at most 8 MiB more than a 64 MiB one) nor
+the log size (a 64 MiB log grows it by at most 1 MiB more than a 4 MiB
+one: the device's volatile log ring is built as appends reach it), and
 cycling the undo log twice grows no pool's RSS by more than 1 MiB over
 its touched reading (the log rewinds after each drained commit).
 
@@ -108,7 +110,7 @@ SCHEMAS = {
         "rows": ("write_set_lines", "hbm_factor", "epoch_committed", "background_writebacks",
                  "eviction_stalls"),
         "series": {
-            "host_memory": (3, ("data_mib", "log_mib", "touched_lines", "rss_create_kib",
+            "host_memory": (4, ("data_mib", "log_mib", "touched_lines", "rss_create_kib",
                                 "rss_touched_kib", "rss_cycled_kib")),
         },
     },
@@ -326,10 +328,11 @@ def check_write_amp(doc, failures):
 
 def check_capacity(doc, failures):
     rows = [r for r in doc["results"] if r.get("series") == "host_memory"]
-    rss = {r["data_mib"]: r["rss_create_kib"] for r in rows}
-    small, large = rss.get(64), rss.get(1024)
-    if small is None or large is None:
-        failures.append("capacity: host_memory rows for 64 and 1024 MiB missing")
+    rss = {(r["data_mib"], r["log_mib"]): r["rss_create_kib"] for r in rows}
+    small, large, big_log = rss.get((64, 4)), rss.get((1024, 4)), rss.get((64, 64))
+    if small is None or large is None or big_log is None:
+        failures.append("capacity: host_memory rows for 64 and 1024 MiB vPM with a 4 MiB "
+                        "log, and 64 MiB vPM with a 64 MiB log, missing")
         return
     if not any(rss.values()):
         print("ok  capacity host_memory: no RSS reported on this platform, bar skipped")
@@ -337,10 +340,13 @@ def check_capacity(doc, failures):
     check_bar(failures, large <= small + 8 * 1024,
               f"capacity host_memory: 1 GiB pool grew RSS {large} KiB at create vs "
               f"64 MiB pool {small} KiB + 8 MiB")
+    check_bar(failures, big_log <= small + 1024,
+              f"capacity host_memory: a 64 MiB log grew RSS {big_log} KiB at create vs "
+              f"a 4 MiB log {small} KiB + 1 MiB")
     for r in rows:
         check_bar(failures, r["rss_cycled_kib"] <= r["rss_touched_kib"] + 1024,
                   f"capacity host_memory: cycling the log grew the {r['data_mib']} MiB "
-                  f"pool's RSS to {r['rss_cycled_kib']} KiB vs touched "
+                  f"pool's ({r['log_mib']} MiB log) RSS to {r['rss_cycled_kib']} KiB vs touched "
                   f"{r['rss_touched_kib']} KiB + 1 MiB")
 
 

@@ -11,15 +11,16 @@
 //! capacity a copy-based snapshotter would have needed.
 //!
 //! A `host_memory` series then checks the simulator's side of "never
-//! capacity-limited": pools of 64 MiB, 256 MiB and 1 GiB vPM (4 MiB log
-//! each) record how far this process's `VmRSS` grew at
-//! `PaxPool::create`, again after storing to 4096 lines spread over
-//! the data region and persisting, and once more after enough 64-store
-//! epochs over those lines to cycle the log twice. The media is lazily
-//! zeroed, so the growth follows the lines touched, not the capacity,
-//! and the log rewinds to its first block after each drained commit, so
-//! cycling it touches no more log than the deepest epoch (0 where
-//! `/proc` is absent).
+//! capacity-limited": pools of 64 MiB, 256 MiB and 1 GiB vPM with a
+//! 4 MiB log, and one of 64 MiB vPM with a 64 MiB log, record how far
+//! this process's `VmRSS` grew at `PaxPool::create`, again after storing
+//! to 4096 lines spread over the data region and persisting, and once
+//! more after enough 64-store epochs over those lines to cycle the log
+//! twice. The media is lazily zeroed and the device's volatile log ring
+//! is built as appends reach it, so the growth follows the lines
+//! touched, not the capacity of either region; and the log rewinds to
+//! its first block after each drained commit, so cycling it touches no
+//! more log than the deepest epoch (0 where `/proc` is absent).
 //!
 //! Run: `cargo run --release -p pax-bench --bin capacity` (add `--json`
 //! for machine-readable output)
@@ -36,7 +37,8 @@ const HBM_LINES: usize = 64;
 
 fn main() {
     if let Some(mib) = arg_value(PROBE_FLAG) {
-        probe_host_memory(mib.parse().expect("pool size in MiB"));
+        let (data, log) = mib.split_once('x').expect("<vPM MiB>x<log MiB>");
+        probe_host_memory(data.parse().expect("vPM MiB"), log.parse().expect("log MiB"));
         return;
     }
     let mut out = BenchOut::from_args("capacity");
@@ -121,11 +123,12 @@ const TOUCHED_LINES: u64 = 4096;
 /// Stores per epoch of the cycling step before the third RSS reading.
 const CYCLE_EPOCH_STORES: u64 = 64;
 
-/// Log region of every `host_memory` pool, so only the vPM size varies.
-const LOG_MIB: u64 = 4;
+/// `host_memory` pool sizes, `(vPM MiB, log MiB)`: the vPM size varies
+/// under a 4 MiB log, then the log size under 64 MiB of vPM.
+const HOST_MEMORY_POOLS: [(u64, u64); 4] = [(64, 4), (256, 4), (1024, 4), (64, 64)];
 
-/// Hidden flag: measure one pool size in this process and print the
-/// three RSS growths (KiB) on one line.
+/// Hidden flag: measure one pool size (`<vPM MiB>x<log MiB>`) in this
+/// process and print the three RSS growths (KiB) on one line.
 const PROBE_FLAG: &str = "--host-memory-probe";
 
 /// The `host_memory` series: host RSS growth per pool size. Each size is
@@ -134,20 +137,21 @@ const PROBE_FLAG: &str = "--host-memory-probe";
 fn host_memory(out: &mut BenchOut) {
     out.blank();
     out.line(format!(
-        "host memory (VmRSS growth) per pool with a {LOG_MIB} MiB log; \
+        "host memory (VmRSS growth) per pool; \
          touched = {TOUCHED_LINES} lines stored and persisted; cycling = \
          {CYCLE_EPOCH_STORES}-store epochs until the log wrapped twice\n"
     ));
     let mut rows = vec![vec![
         "vPM data [MiB]".to_string(),
+        "log [MiB]".to_string(),
         "after create [KiB]".to_string(),
         "after touch [KiB]".to_string(),
         "after cycling [KiB]".to_string(),
     ]];
     let exe = std::env::current_exe().expect("own executable");
-    for data_mib in [64u64, 256, 1024] {
+    for (data_mib, log_mib) in HOST_MEMORY_POOLS {
         let child = Command::new(&exe)
-            .args([PROBE_FLAG, &data_mib.to_string()])
+            .args([PROBE_FLAG, &format!("{data_mib}x{log_mib}")])
             .output()
             .expect("host memory probe");
         assert!(child.status.success(), "host memory probe failed: {child:?}");
@@ -158,6 +162,7 @@ fn host_memory(out: &mut BenchOut) {
 
         rows.push(vec![
             data_mib.to_string(),
+            log_mib.to_string(),
             created.to_string(),
             touched.to_string(),
             cycled.to_string(),
@@ -166,7 +171,7 @@ fn host_memory(out: &mut BenchOut) {
             Json::obj()
                 .field("series", Json::str("host_memory"))
                 .field("data_mib", Json::U64(data_mib))
-                .field("log_mib", Json::U64(LOG_MIB))
+                .field("log_mib", Json::U64(log_mib))
                 .field("touched_lines", Json::U64(TOUCHED_LINES))
                 .field("rss_create_kib", Json::U64(created))
                 .field("rss_touched_kib", Json::U64(touched))
@@ -177,18 +182,18 @@ fn host_memory(out: &mut BenchOut) {
 }
 
 /// One `host_memory` point: a pool of `data_mib` MiB vPM and a
-/// [`LOG_MIB`] MiB log; prints this process's RSS growth after
+/// `log_mib` MiB log; prints this process's RSS growth after
 /// `PaxPool::create`, after storing to [`TOUCHED_LINES`] lines and
 /// persisting, and after [`CYCLE_EPOCH_STORES`]-store epochs over the
 /// first of those lines whose entries add up to twice the log's
 /// capacity.
-fn probe_host_memory(data_mib: u64) {
+fn probe_host_memory(data_mib: u64, log_mib: u64) {
     let before = rss_kib();
     let pool = PaxPool::create(
         PaxConfig::default().with_pool(
             PoolConfig::small()
                 .with_data_bytes((data_mib << 20) as usize)
-                .with_log_bytes((LOG_MIB << 20) as usize),
+                .with_log_bytes((log_mib << 20) as usize),
         ),
     )
     .expect("pool");
@@ -200,7 +205,7 @@ fn probe_host_memory(data_mib: u64) {
     }
     pool.persist().expect("persist");
     let touched = rss_kib().saturating_sub(before);
-    let log_entries = (LOG_MIB << 20) / LINE_SIZE as u64 / BLOCK_LINES * BLOCK_ENTRIES;
+    let log_entries = (log_mib << 20) / LINE_SIZE as u64 / BLOCK_LINES * BLOCK_ENTRIES;
     for _ in 0..2 * log_entries.div_ceil(CYCLE_EPOCH_STORES) {
         for i in 0..CYCLE_EPOCH_STORES {
             vpm.write_u64(i * stride * LINE_SIZE as u64, i + 2).expect("write");

@@ -102,7 +102,7 @@
 //!   magic/commit/checksum gauntlet.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use pax_pm::{CacheLine, CrashOutcome, LineAddr, PmError, PmPool, Result};
 use pax_telemetry::{Histogram, MetricSet, MetricSnapshot};
@@ -274,6 +274,13 @@ const INFLIGHT_UNIT: u64 = 1 << 48;
 /// `UndoLog::rewind`). Appenders wait while it is set.
 const REWINDING: u64 = 1 << 63;
 
+/// Blocks per chunk of the volatile ring (see [`Chunk`]): about 30 KiB
+/// of host memory, built the first time the ring reaches it.
+const CHUNK_BLOCKS: u64 = 256;
+
+/// Entries per chunk of the volatile ring.
+const CHUNK_ENTRIES: u64 = CHUNK_BLOCKS * BLOCK_ENTRIES;
+
 /// A 64-byte-aligned atomic so the hot tail word and the recycle
 /// watermark never share a cache line with each other (or a neighbor) —
 /// false sharing between appenders and recyclers would serialize the very
@@ -312,6 +319,23 @@ struct BlockKey {
     opened_at: AtomicU64,
     epoch: AtomicU64,
     tenant: AtomicU32,
+}
+
+/// The slots and block keys of [`CHUNK_BLOCKS`] consecutive blocks of the
+/// ring (fewer in a writer's last chunk).
+#[derive(Debug)]
+struct Chunk {
+    slots: Box<[Slot]>,
+    keys: Box<[BlockKey]>,
+}
+
+impl Chunk {
+    fn new(blocks: u64) -> Self {
+        let slots = (0..blocks * BLOCK_ENTRIES)
+            .map(|_| Slot { ready: AtomicU64::new(0), entry: Mutex::new(None) })
+            .collect();
+        Chunk { slots, keys: (0..blocks).map(|_| BlockKey::default()).collect() }
+    }
 }
 
 /// The device's undo-log writer over (a bank of) the pool's log region:
@@ -361,6 +385,14 @@ struct BlockKey {
 ///    Only the synchronous epilogue rewinds: after a non-blocking commit
 ///    the next epoch is usually appending already.
 ///
+/// The volatile ring (slots and block keys) is built in chunks of
+/// `CHUNK_BLOCKS` (256) blocks, each the first time an offset maps into it,
+/// so its host memory follows the deepest lap the writer reaches rather
+/// than the region. Building a chunk is the one place an appender may
+/// wait on another: racing first touches of one chunk run a single
+/// initializer (`OnceLock`), and the others wait for it, once per chunk
+/// per writer.
+///
 /// The durable watermark is what lets readers order against the log
 /// without any lock: [`UndoLog::durable_offset`] is an acquire load, so
 /// any offset a reader observes is backed by media.
@@ -380,10 +412,9 @@ pub struct UndoLog {
     /// Offsets drained to media over the writer's lifetime (monotonic,
     /// never resets; release-stored by the pump).
     durable: PaddedAtomicU64,
-    /// The volatile ring, one slot per in-capacity logical offset.
-    slots: Box<[Slot]>,
-    /// One key per block of the ring.
-    keys: Box<[BlockKey]>,
+    /// The volatile ring in chunks, each built on first touch: one slot
+    /// per in-capacity logical offset and one key per block.
+    chunks: Box<[OnceLock<Chunk>]>,
     /// The header of the block at the durable watermark while that block
     /// is only partly written; the next drain of the block extends it.
     /// Pump-only (the pump is serialized by the pool lock).
@@ -415,11 +446,6 @@ impl UndoLog {
     /// `region_start` — how a sharded device gives each lane its own
     /// bank of the log region.
     pub fn with_region(region_start: u64, blocks: u64) -> Self {
-        let slots = (0..blocks * BLOCK_ENTRIES)
-            .map(|_| Slot { ready: AtomicU64::new(0), entry: Mutex::new(None) })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let keys = (0..blocks).map(|_| BlockKey::default()).collect::<Vec<_>>().into_boxed_slice();
         let mut fill = MetricSet::new("device");
         let fill_hist = fill.histogram("log_block_entries");
         UndoLog {
@@ -427,8 +453,7 @@ impl UndoLog {
             recycled: PaddedAtomicU64::default(),
             durable: PaddedAtomicU64::default(),
             lap: AtomicU64::new(0),
-            slots,
-            keys,
+            chunks: (0..blocks.div_ceil(CHUNK_BLOCKS)).map(|_| OnceLock::new()).collect(),
             open: Mutex::new(None),
             cas_retries: AtomicU64::new(0),
             blocks_written: AtomicU64::new(0),
@@ -520,8 +545,21 @@ impl UndoLog {
         offset - lap
     }
 
+    /// The chunk holding ring block `block`, built on first touch.
+    fn chunk(&self, block: u64) -> &Chunk {
+        let i = block / CHUNK_BLOCKS;
+        self.chunks[i as usize]
+            .get_or_init(|| Chunk::new(CHUNK_BLOCKS.min(self.blocks - i * CHUNK_BLOCKS)))
+    }
+
     fn slot(&self, offset: u64) -> &Slot {
-        &self.slots[(self.lap_offset(offset) % self.capacity_entries()) as usize]
+        let pos = self.lap_offset(offset) % self.capacity_entries();
+        &self.chunk(pos / BLOCK_ENTRIES).slots[(pos % CHUNK_ENTRIES) as usize]
+    }
+
+    /// The key of ring block `block`.
+    fn block_key(&self, block: u64) -> &BlockKey {
+        &self.chunk(block).keys[(block % CHUNK_BLOCKS) as usize]
     }
 
     /// Index of the block holding logical offset `offset`.
@@ -531,7 +569,7 @@ impl UndoLog {
 
     /// The key of the block holding logical offset `offset`.
     fn key(&self, offset: u64) -> &BlockKey {
-        &self.keys[self.block_index(offset) as usize]
+        self.block_key(self.block_index(offset))
     }
 
     /// Pool line of the header of the block holding logical offset
@@ -559,7 +597,7 @@ impl UndoLog {
         if first < lap {
             return false;
         }
-        let key = &self.keys[((first - lap) / BLOCK_ENTRIES % self.blocks) as usize];
+        let key = self.block_key((first - lap) / BLOCK_ENTRIES % self.blocks);
         let mut spins = 0u32;
         // Acquire pairs with the opener's release store of `opened_at`.
         while key.opened_at.load(Ordering::Acquire) != first + 1 {
@@ -711,7 +749,9 @@ impl UndoLog {
         target: u64,
     ) -> Result<usize> {
         let (mut drained, mut padding) = (0, 0);
-        while drained < max_entries && !self.slots.is_empty() {
+        // Stop at the tail: scanning an unreserved block would build its
+        // chunk before any append reaches it.
+        while drained < max_entries && self.durable_offset() < self.appended() {
             let start = self.durable_offset();
             let block_end = (start / BLOCK_ENTRIES + 1) * BLOCK_ENTRIES;
             // Acquire pairs with the publisher's release store: observing
@@ -865,11 +905,12 @@ impl UndoLog {
 
     /// Drops the volatile tail (power loss): reservations, published
     /// entries, and in-flight counts all vanish; only media (and the
-    /// watermark and open-block header describing it) survives. Callers
-    /// must have exclusive access in practice (the engine's crash path is
+    /// watermark and open-block header describing it) survives. Only
+    /// chunks that were built hold anything to clear. Callers must have
+    /// exclusive access in practice (the engine's crash path is
     /// stop-the-world).
     pub fn crash(&self) {
-        for slot in self.slots.iter() {
+        for slot in self.chunks.iter().filter_map(OnceLock::get).flat_map(|c| c.slots.iter()) {
             slot.ready.store(0, Ordering::Relaxed);
             *slot.entry.lock().unwrap_or_else(PoisonError::into_inner) = None;
         }
@@ -1319,6 +1360,123 @@ mod tests {
         assert!(log.rewind(&mut p));
         assert!(!log.rewind(&mut p), "already at its lap base");
         assert_eq!(log.block_base(log.append(entry(4, 11, 0)).unwrap()), log.region_start);
+    }
+
+    /// Indices of the ring chunks `log` has built.
+    fn built(log: &UndoLog) -> Vec<usize> {
+        (0..log.chunks.len()).filter(|&i| log.chunks[i].get().is_some()).collect()
+    }
+
+    #[test]
+    fn a_fresh_bank_builds_no_chunk() {
+        let clock = CrashClock::new();
+        let mut p = pool();
+        let blocks = (32 << 20) / LINE_SIZE as u64 / BLOCK_LINES;
+        let log = UndoLog::with_region(p.layout().log_start().0, blocks);
+        assert_eq!(log.chunks.len() as u64, blocks.div_ceil(CHUNK_BLOCKS));
+        // Neither opening nor an idle pump touches the ring.
+        assert_eq!(log.pump(&mut p, &clock, usize::MAX).unwrap(), 0);
+        log.flush(&mut p, &clock).unwrap();
+        log.crash();
+        assert_eq!(built(&log), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn appends_build_only_the_chunks_they_reach_in_both_modes() {
+        let clock = CrashClock::new();
+        for banked in [false, true] {
+            let blocks = 3 * CHUNK_BLOCKS;
+            let mut p = pool_with_log_lines(2 * (blocks * BLOCK_LINES) as usize);
+            let log = mode_log(&p, banked, blocks);
+            for i in 0..CHUNK_ENTRIES {
+                log.append(entry(1, i, 0)).unwrap();
+            }
+            assert_eq!(built(&log), vec![0]);
+            // The last block of chunk 0 is full: draining it stops at the
+            // tail instead of scanning into chunk 1.
+            log.flush(&mut p, &clock).unwrap();
+            assert_eq!(built(&log), vec![0]);
+            log.append(entry(1, CHUNK_ENTRIES, 0)).unwrap();
+            log.flush(&mut p, &clock).unwrap();
+            assert_eq!(built(&log), vec![0, 1]);
+            // A drained commit rewinds; the next epoch stays in chunk 0.
+            log.reset_after_commit(&mut p);
+            log.append(entry(2, 0, 0)).unwrap();
+            assert_eq!(built(&log), vec![0, 1]);
+        }
+    }
+
+    #[test]
+    fn a_lap_across_a_chunk_boundary_then_a_rewind_keeps_offsets_and_keys_in_both_modes() {
+        let clock = CrashClock::new();
+        for banked in [false, true] {
+            // Chunk 1 holds the ring's last four blocks.
+            let blocks = CHUNK_BLOCKS + 4;
+            let mut p = pool_with_log_lines(2 * (blocks * BLOCK_LINES) as usize);
+            let log = mode_log(&p, banked, blocks);
+            let first = log.region_start;
+            // Epoch 1 reaches two blocks into chunk 1 and commits without
+            // a rewind (the non-blocking commit only recycles).
+            for i in 0..(CHUNK_BLOCKS + 2) * BLOCK_ENTRIES {
+                log.append(entry(1, i, 1)).unwrap();
+            }
+            log.flush(&mut p, &clock).unwrap();
+            log.recycle_to(log.durable_offset());
+            // Epoch 2 fills the ring's last two blocks and wraps into
+            // chunk 0's first blocks: offsets stay dense, and each block
+            // maps to its ring position and carries epoch 2's key.
+            let tail = log.appended();
+            for i in 0..4 * BLOCK_ENTRIES + 2 {
+                let offset = log.append(entry(2, 1000 + i, 2)).unwrap();
+                assert_eq!(offset, tail + i);
+                let block = (CHUNK_BLOCKS + 2 + i / BLOCK_ENTRIES) % blocks;
+                assert_eq!(log.block_base(offset), first + block * BLOCK_LINES);
+                let key = log.key(offset);
+                assert_eq!(key.opened_at.load(Ordering::Relaxed), offset - i % BLOCK_ENTRIES + 1);
+                assert_eq!(key.epoch.load(Ordering::Relaxed), 2);
+            }
+            commit(&log, &mut p, &clock);
+            // The rewind maps the next block to the first again.
+            let offset = log.append(entry(3, 7, 3)).unwrap();
+            assert_eq!(offset, (tail + 4 * BLOCK_ENTRIES + 2).next_multiple_of(BLOCK_ENTRIES));
+            assert_eq!(log.block_base(offset), first);
+            assert_eq!(log.key(offset).epoch.load(Ordering::Relaxed), 3);
+            log.flush(&mut p, &clock).unwrap();
+            let bank = if banked { blocks * BLOCK_ENTRIES } else { 0 };
+            let scanned = UndoLog::scan(&mut p).unwrap();
+            let epochs = |slot: u64| {
+                let at = scanned.iter().filter(|(s, _)| *s == bank + slot);
+                at.map(|(_, e)| e.epoch).collect::<Vec<_>>()
+            };
+            assert_eq!(epochs(0), vec![3]);
+            assert_eq!(epochs(BLOCK_ENTRIES), vec![2]);
+            assert_eq!(epochs((CHUNK_BLOCKS + 2) * BLOCK_ENTRIES), vec![2]);
+            assert_eq!(epochs(CHUNK_BLOCKS * BLOCK_ENTRIES), vec![1]);
+        }
+    }
+
+    #[test]
+    fn crash_empties_every_built_chunk() {
+        let clock = CrashClock::new();
+        let blocks = 3 * CHUNK_BLOCKS;
+        let mut p = pool_with_log_lines((blocks * BLOCK_LINES) as usize);
+        let log = mode_log(&p, false, blocks);
+        for i in 0..CHUNK_ENTRIES + 6 {
+            log.append(entry(1, i, 0)).unwrap();
+        }
+        // One block drains; the rest is published but volatile.
+        log.pump(&mut p, &clock, 1).unwrap();
+        assert_eq!(log.durable_offset(), BLOCK_ENTRIES);
+        log.crash();
+        assert_eq!(built(&log), vec![0, 1]);
+        for chunk in log.chunks.iter().filter_map(OnceLock::get) {
+            for slot in chunk.slots.iter() {
+                assert_eq!(slot.ready.load(Ordering::Relaxed), 0);
+                assert!(slot.entry.lock().unwrap().is_none());
+            }
+        }
+        // The tail restarts at the durable watermark.
+        assert_eq!(log.append(entry(2, 0, 0)).unwrap(), BLOCK_ENTRIES);
     }
 
     #[test]

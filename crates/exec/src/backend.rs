@@ -212,9 +212,12 @@ impl Backend {
         op: &OpProfile,
     ) -> (SimMachine, OpRecipe) {
         let mut stages = vec![Stage::Compute(op.compute_ns)];
-        // Deterministic expansion of fractional event counts.
-        let misses = op.misses_per_op.round() as usize;
-        let stores = op.stores_per_op.round() as usize;
+        // Deterministic expansion of fractional event counts: rounded,
+        // except that an event the profile measured at all happens at
+        // least once, so a write-only op never models zero stores.
+        let events = |per_op: f64| if per_op > 0.0 { (per_op.round() as usize).max(1) } else { 0 };
+        let misses = events(op.misses_per_op);
+        let stores = events(op.stores_per_op);
         let pm_read = Resource { name: "PM read", concurrency: machine.pm_read_concurrency };
         let pm_write = Resource { name: "PM write", concurrency: machine.pm_write_concurrency };
 
@@ -400,6 +403,17 @@ mod tests {
             let gap = mops(Backend::PmDirect, threads) / mops(Backend::Pmdk, threads);
             assert!((1.5..=3.5).contains(&gap), "{threads} threads: gap {gap}");
         }
+    }
+
+    #[test]
+    fn a_measured_event_rate_is_never_rounded_to_zero() {
+        let writes = |stores_per_op| {
+            let op = OpProfile { misses_per_op: 0.0, stores_per_op, compute_ns: 60 };
+            let (_, recipe) =
+                Backend::PmDirect.build(&LatencyProfile::c6420(), &MachineParams::paper(), &op);
+            recipe.stages.iter().filter(|s| matches!(s, Stage::Use { resource: 1, .. })).count()
+        };
+        assert_eq!([writes(0.0), writes(0.4), writes(1.4), writes(1.6)], [0, 1, 1, 2]);
     }
 
     #[test]

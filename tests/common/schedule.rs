@@ -95,20 +95,26 @@ pub fn settle(steps: &[Step]) -> Vec<Step> {
     out
 }
 
-/// Two lives: a random schedule of `len` steps of `mix`, a burst, a
+/// A long epoch: tenant `t` stores to every span line from the three
+/// cores in turn and closes without waiting, so the epoch drains for many
+/// steps — long enough, on a slow-draining point, for the next epoch's
+/// entries to become durable first.
+fn burst(rng: &mut StdRng, t: u8) -> impl Iterator<Item = Step> + '_ {
+    let stores = (0..SPAN as u16)
+        .map(move |line| Step::Store(t, (line % 3) as u8, line, rng.gen_range(1..u64::MAX)));
+    stores.chain([Step::CloseAsync(t)])
+}
+
+/// Two lives: a random schedule of `len` steps of `mix`, a [`burst`], a
 /// [`Step::Reboot`], and a second life of up to `len / 2 + 1` more
-/// random steps. The burst stores to every span line of one tenant from
-/// three cores, closes that epoch without waiting and stores a few lines
-/// of the next, so power is cut (or an armed crash lands) while a large
-/// epoch drains behind durable entries of the next one — the state in
-/// which a recovery's leftovers can meet the second life's commits.
+/// random steps. After the burst a few lines of the next epoch are
+/// stored, so power is cut (or an armed crash lands) while a large epoch
+/// drains behind durable entries of the next one — the state in which a
+/// recovery's leftovers can meet the second life's commits.
 pub fn rebooted(rng: &mut StdRng, mix: Mix, len: usize) -> Vec<Step> {
     let mut steps = schedule(rng, mix, len);
     let t = rng.gen_range(0..4u8);
-    for line in 0..SPAN as u16 {
-        steps.push(Step::Store(t, (line % 3) as u8, line, rng.gen_range(1..u64::MAX)));
-    }
-    steps.push(Step::CloseAsync(t));
+    steps.extend(burst(rng, t));
     for line in 0..rng.gen_range(1..8u16) {
         steps.push(Step::Store(t, 0, line, rng.gen_range(1..u64::MAX)));
     }
@@ -238,35 +244,46 @@ pub enum Mix {
     Map,
 }
 
-/// A random schedule of `len` steps over four tenants and three cores.
+/// One draw in this many of a [`Mix::Lines`] schedule is a [`burst`].
+const BURST_ODDS: u32 = 48;
+
+/// A random schedule of `len` draws over four tenants and three cores.
+/// Each draw is one step, except that under [`Mix::Lines`] about one in
+/// [`BURST_ODDS`] is a [`burst`]: with closes every few steps, a random
+/// schedule would almost never hold an epoch that is still draining when
+/// the next one's entries become durable.
 pub fn schedule(rng: &mut StdRng, mix: Mix, len: usize) -> Vec<Step> {
-    (0..len)
-        .map(|_| {
-            let t = rng.gen_range(0..4u8);
-            let roll = rng.gen_range(0..20u32);
-            match (mix, roll) {
-                (_, 0..=1) => Step::Close(t),
-                (_, 2) => Step::Tick(rng.gen_range(1..4)),
-                (Mix::Lines, 3..=10) => Step::Store(
-                    t,
-                    rng.gen_range(0..3),
-                    rng.gen_range(0..SPAN as u16),
-                    rng.gen_range(1..u64::MAX),
-                ),
-                (Mix::Lines, 11..=14) => {
-                    Step::Read(t, rng.gen_range(0..3), rng.gen_range(0..SPAN as u16))
-                }
-                (Mix::Lines, 15..=16) => Step::CloseAsync(t),
-                (Mix::Lines, 17..=18) => Step::Poll(t),
-                (Mix::Lines, _) => Step::Wait(t),
-                (Mix::Blocks, 3..=12) => Step::Alloc(t, rng.gen_range(1..300)),
-                (Mix::Blocks, 13..=18) => Step::Free(t, rng.gen_range(0..u16::MAX)),
-                (Mix::Blocks, _) => Step::Attach(t),
-                (Mix::Map, 3..=14) => Step::Put(t, rng.gen_range(0..64), rng.gen()),
-                (Mix::Map, _) => Step::Del(t, rng.gen_range(0..64)),
+    let mut steps = Vec::with_capacity(len);
+    for _ in 0..len {
+        let t = rng.gen_range(0..4u8);
+        if mix == Mix::Lines && rng.gen_range(0..BURST_ODDS) == 0 {
+            steps.extend(burst(rng, t));
+            continue;
+        }
+        let roll = rng.gen_range(0..20u32);
+        steps.push(match (mix, roll) {
+            (_, 0..=1) => Step::Close(t),
+            (_, 2) => Step::Tick(rng.gen_range(1..4)),
+            (Mix::Lines, 3..=10) => Step::Store(
+                t,
+                rng.gen_range(0..3),
+                rng.gen_range(0..SPAN as u16),
+                rng.gen_range(1..u64::MAX),
+            ),
+            (Mix::Lines, 11..=14) => {
+                Step::Read(t, rng.gen_range(0..3), rng.gen_range(0..SPAN as u16))
             }
-        })
-        .collect()
+            (Mix::Lines, 15..=16) => Step::CloseAsync(t),
+            (Mix::Lines, 17..=18) => Step::Poll(t),
+            (Mix::Lines, _) => Step::Wait(t),
+            (Mix::Blocks, 3..=12) => Step::Alloc(t, rng.gen_range(1..300)),
+            (Mix::Blocks, 13..=18) => Step::Free(t, rng.gen_range(0..u16::MAX)),
+            (Mix::Blocks, _) => Step::Attach(t),
+            (Mix::Map, 3..=14) => Step::Put(t, rng.gen_range(0..64), rng.gen()),
+            (Mix::Map, _) => Step::Del(t, rng.gen_range(0..64)),
+        });
+    }
+    steps
 }
 
 /// The golden-digest schedule: `ops` stores of random values to random

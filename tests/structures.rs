@@ -114,6 +114,122 @@ fn crash_mid_rehash_rolls_back_cleanly() {
     }
 }
 
+/// Inserting keys `0..n` into a fresh map: growth starts at 33 entries
+/// (16 buckets at load 2), and each later insert migrates one of the 16
+/// old buckets, so 41 inserts leave the migration half done.
+const HALF_MIGRATED: u64 = 41;
+
+fn heap_map(pool: &PaxPool) -> PHashMap<u64, u64, libpax::VPm, Heap<libpax::VPm>> {
+    PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap()
+}
+
+fn sorted_entries<S: MemSpace, A: libpax::PmAllocator<S>>(
+    map: &PHashMap<u64, u64, S, A>,
+) -> Vec<(u64, u64)> {
+    let mut e = map.entries().unwrap();
+    e.sort_unstable();
+    e
+}
+
+#[test]
+fn crash_mid_migration_recovers_each_committed_key_once() {
+    let pool = pool();
+    let map = heap_map(&pool);
+    for k in 0..HALF_MIGRATED {
+        map.insert(k, k * 10).unwrap();
+    }
+    assert_eq!(map.bucket_count().unwrap(), 32);
+    // Header, both bucket arrays, one block per node.
+    let live = map.heap().live_allocations().unwrap();
+    assert_eq!(live, 3 + HALF_MIGRATED);
+    pool.persist().unwrap();
+    // More migration, then a crash before the next persist.
+    for k in 100..104u64 {
+        map.insert(k, 0).unwrap();
+    }
+
+    let pm = pool.crash().unwrap();
+    let pool = PaxPool::open(pm, config()).unwrap();
+    let map = heap_map(&pool);
+    let want: Vec<(u64, u64)> = (0..HALF_MIGRATED).map(|k| (k, k * 10)).collect();
+    assert_eq!(sorted_entries(&map), want, "every committed key exactly once");
+    assert_eq!(map.len().unwrap(), HALF_MIGRATED);
+    assert_eq!(map.heap().live_allocations().unwrap(), live);
+    // The eight remaining old buckets move with the next eight inserts;
+    // the last one frees the old array.
+    for k in HALF_MIGRATED..HALF_MIGRATED + 8 {
+        map.insert(k, k * 10).unwrap();
+    }
+    let n = HALF_MIGRATED + 8;
+    assert_eq!(map.heap().live_allocations().unwrap(), 2 + n);
+    assert_eq!(sorted_entries(&map), (0..n).map(|k| (k, k * 10)).collect::<Vec<_>>());
+    for k in 0..n {
+        assert_eq!(map.get(k).unwrap(), Some(k * 10), "key {k}");
+    }
+}
+
+#[test]
+fn updates_and_removes_run_correctly_during_a_migration() {
+    fn drive<S: MemSpace>(space: S) -> Vec<(u64, u64)> {
+        let map: PHashMap<u64, u64, S, Heap<S>> =
+            PHashMap::attach(Heap::attach(space).unwrap()).unwrap();
+        let mut model = std::collections::BTreeMap::new();
+        for k in 0..33u64 {
+            map.insert(k, k).unwrap();
+            model.insert(k, k);
+        }
+        // Growth has started. Updates, fresh inserts and removes of keys
+        // in migrated and unmigrated buckets alike, checked against the
+        // model after every step until the migration is long done.
+        for step in 0..48u64 {
+            let key = (step * 7) % 40;
+            let got = match step % 3 {
+                0 => map.remove(key).unwrap(),
+                _ => map.insert(key, step + 100).unwrap(),
+            };
+            let want = match step % 3 {
+                0 => model.remove(&key),
+                _ => model.insert(key, step + 100),
+            };
+            assert_eq!(got, want, "step {step}, key {key}");
+            assert_eq!(map.len().unwrap(), model.len() as u64);
+            for k in 0..40u64 {
+                assert_eq!(map.get(k).unwrap(), model.get(&k).copied(), "step {step}, key {k}");
+            }
+            let e = sorted_entries(&map);
+            assert_eq!(e, model.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>());
+        }
+        sorted_entries(&map)
+    }
+    let volatile = drive(VolatileSpace::new(1 << 20));
+    let pool = pool();
+    assert_eq!(drive(pool.vpm()), volatile);
+    pool.persist().unwrap();
+    let pm = pool.crash().unwrap();
+    let pool = PaxPool::open(pm, config()).unwrap();
+    assert_eq!(sorted_entries(&heap_map(&pool)), volatile);
+}
+
+#[test]
+fn no_insert_logs_more_than_a_few_undo_entries() {
+    // Under PAX an epoch logs every line it first writes. A growth that
+    // relinked the whole table in one insert would log a line per few
+    // nodes (over a thousand entries for the growth at 2 048 keys); one
+    // migrated bucket per insert keeps every insert to a dozen or so.
+    let pool = pool();
+    let map = heap_map(&pool);
+    let mut worst = (0, 0);
+    for k in 0..3_000u64 {
+        pool.persist().unwrap();
+        let before = pool.device_metrics().unwrap().undo_entries;
+        map.insert(k, k).unwrap();
+        let logged = pool.device_metrics().unwrap().undo_entries - before;
+        worst = worst.max((logged, k));
+    }
+    assert!(map.bucket_count().unwrap() >= 1024, "several growths ran");
+    assert!(worst.0 <= 32, "insert of key {} logged {} undo entries", worst.1, worst.0);
+}
+
 #[test]
 fn vec_growth_mid_epoch_crash() {
     let pool = pool();
