@@ -43,7 +43,9 @@ capacity's host memory at pool creation does not follow the pool size
 the log size (a 64 MiB log grows it by at most 1 MiB more than a 4 MiB
 one: the device's volatile log ring is built as appends reach it), and
 cycling the undo log twice grows no pool's RSS by more than 1 MiB over
-its touched reading (the log rewinds after each drained commit).
+its touched reading, whether epochs close with a synchronous persist or
+a non-blocking one (every commit rewinds a log it leaves empty; the
+buffered K=2 point is recorded without a bar).
 
 A missing baseline file seeds the ratchet (exit 0); the workflow then
 saves CURRENT_DIR as the next run's baseline.
@@ -110,8 +112,8 @@ SCHEMAS = {
         "rows": ("write_set_lines", "hbm_factor", "epoch_committed", "background_writebacks",
                  "eviction_stalls"),
         "series": {
-            "host_memory": (4, ("data_mib", "log_mib", "touched_lines", "rss_create_kib",
-                                "rss_touched_kib", "rss_cycled_kib")),
+            "host_memory": (6, ("data_mib", "log_mib", "close", "touched_lines",
+                                "rss_create_kib", "rss_touched_kib", "rss_cycled_kib")),
         },
     },
     "write_amp": {
@@ -328,7 +330,8 @@ def check_write_amp(doc, failures):
 
 def check_capacity(doc, failures):
     rows = [r for r in doc["results"] if r.get("series") == "host_memory"]
-    rss = {(r["data_mib"], r["log_mib"]): r["rss_create_kib"] for r in rows}
+    rss = {(r["data_mib"], r["log_mib"]): r["rss_create_kib"]
+           for r in rows if r["close"] == "sync"}
     small, large, big_log = rss.get((64, 4)), rss.get((1024, 4)), rss.get((64, 64))
     if small is None or large is None or big_log is None:
         failures.append("capacity: host_memory rows for 64 and 1024 MiB vPM with a 4 MiB "
@@ -344,10 +347,12 @@ def check_capacity(doc, failures):
               f"capacity host_memory: a 64 MiB log grew RSS {big_log} KiB at create vs "
               f"a 4 MiB log {small} KiB + 1 MiB")
     for r in rows:
+        if r["close"] == "buffered2":
+            continue  # under K = 2 the log is rarely empty at a commit
         check_bar(failures, r["rss_cycled_kib"] <= r["rss_touched_kib"] + 1024,
-                  f"capacity host_memory: cycling the log grew the {r['data_mib']} MiB "
-                  f"pool's ({r['log_mib']} MiB log) RSS to {r['rss_cycled_kib']} KiB vs touched "
-                  f"{r['rss_touched_kib']} KiB + 1 MiB")
+                  f"capacity host_memory: cycling the log with {r['close']} closes grew the "
+                  f"{r['data_mib']} MiB pool's ({r['log_mib']} MiB log) RSS to "
+                  f"{r['rss_cycled_kib']} KiB vs touched {r['rss_touched_kib']} KiB + 1 MiB")
 
 
 ACCEPTANCE = {

@@ -123,7 +123,7 @@ impl HybridSpace {
         state.epoch += 1;
         state.touched_pages.clear();
         state.logged_lines.clear();
-        state.log.reset_after_commit(&mut state.pool);
+        state.log.reset_after_commit(&mut state.pool, state.log.appended());
         Ok(committed)
     }
 

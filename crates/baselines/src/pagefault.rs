@@ -103,7 +103,7 @@ impl PageFaultSpace {
         costs.sfences += 1;
         state.epoch += 1;
         state.touched_pages.clear();
-        state.log.reset_after_commit(&mut state.pool);
+        state.log.reset_after_commit(&mut state.pool, state.log.appended());
         Ok(committed)
     }
 

@@ -142,7 +142,7 @@ impl RedoSpace {
         state.txid += 1;
         state.tx_open = false;
         state.buffer.clear();
-        state.log.reset_after_commit(&mut state.pool);
+        state.log.reset_after_commit(&mut state.pool, state.log.appended());
         Ok(())
     }
 

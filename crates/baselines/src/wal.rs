@@ -115,7 +115,7 @@ impl WalSpace {
         state.txid += 1;
         state.tx_open = false;
         state.logged.clear();
-        state.log.reset_after_commit(&mut state.pool);
+        state.log.reset_after_commit(&mut state.pool, state.log.appended());
         Ok(())
     }
 

@@ -19,15 +19,20 @@
 //! twice. The media is lazily zeroed and the device's volatile log ring
 //! is built as appends reach it, so the growth follows the lines
 //! touched, not the capacity of either region; and the log rewinds to
-//! its first block after each drained commit, so cycling it touches no
-//! more log than the deepest epoch (0 where `/proc` is absent).
+//! its first block after each commit that leaves it empty, so cycling it
+//! touches no more log than the deepest epoch (0 where `/proc` is
+//! absent). Those four points close every epoch with `persist()`; two
+//! more 64 MiB / 4 MiB points close them with `persist_async()` +
+//! `persist_wait()`, and with `persist()` under
+//! `BufferedEpoch { k: 2 }`, whose commits mostly land while the next
+//! epoch is already appending.
 //!
 //! Run: `cargo run --release -p pax-bench --bin capacity` (add `--json`
 //! for machine-readable output)
 
 use std::process::Command;
 
-use libpax::{MemSpace, PaxConfig, PaxPool};
+use libpax::{MemSpace, PaxConfig, PaxPool, PersistencyModel};
 use pax_bench::{arg_value, rss_kib, BenchOut, Json};
 use pax_cache::CacheConfig;
 use pax_device::{DeviceConfig, EvictionPolicy, HbmConfig, BLOCK_ENTRIES, BLOCK_LINES};
@@ -36,9 +41,10 @@ use pax_pm::{PoolConfig, LINE_SIZE};
 const HBM_LINES: usize = 64;
 
 fn main() {
-    if let Some(mib) = arg_value(PROBE_FLAG) {
+    if let Some(point) = arg_value(PROBE_FLAG) {
+        let (mib, close) = point.split_once(':').expect("<vPM MiB>x<log MiB>:<close>");
         let (data, log) = mib.split_once('x').expect("<vPM MiB>x<log MiB>");
-        probe_host_memory(data.parse().expect("vPM MiB"), log.parse().expect("log MiB"));
+        probe_host_memory(data.parse().expect("vPM MiB"), log.parse().expect("log MiB"), close);
         return;
     }
     let mut out = BenchOut::from_args("capacity");
@@ -123,12 +129,23 @@ const TOUCHED_LINES: u64 = 4096;
 /// Stores per epoch of the cycling step before the third RSS reading.
 const CYCLE_EPOCH_STORES: u64 = 64;
 
-/// `host_memory` pool sizes, `(vPM MiB, log MiB)`: the vPM size varies
-/// under a 4 MiB log, then the log size under 64 MiB of vPM.
-const HOST_MEMORY_POOLS: [(u64, u64); 4] = [(64, 4), (256, 4), (1024, 4), (64, 64)];
+/// `host_memory` points, `(vPM MiB, log MiB, close)`: the vPM size
+/// varies under a 4 MiB log, then the log size under 64 MiB of vPM, all
+/// closing epochs with a synchronous `persist()` (`sync`); then the
+/// 64 MiB / 4 MiB pool closes them non-blocking (`async`: `persist_async`
+/// then `persist_wait`) and buffered (`buffered2`: `persist()` under
+/// `BufferedEpoch { k: 2 }`).
+const HOST_MEMORY_POOLS: [(u64, u64, &str); 6] = [
+    (64, 4, "sync"),
+    (256, 4, "sync"),
+    (1024, 4, "sync"),
+    (64, 64, "sync"),
+    (64, 4, "async"),
+    (64, 4, "buffered2"),
+];
 
-/// Hidden flag: measure one pool size (`<vPM MiB>x<log MiB>`) in this
-/// process and print the three RSS growths (KiB) on one line.
+/// Hidden flag: measure one point (`<vPM MiB>x<log MiB>:<close>`) in
+/// this process and print the three RSS growths (KiB) on one line.
 const PROBE_FLAG: &str = "--host-memory-probe";
 
 /// The `host_memory` series: host RSS growth per pool size. Each size is
@@ -144,14 +161,15 @@ fn host_memory(out: &mut BenchOut) {
     let mut rows = vec![vec![
         "vPM data [MiB]".to_string(),
         "log [MiB]".to_string(),
+        "close".to_string(),
         "after create [KiB]".to_string(),
         "after touch [KiB]".to_string(),
         "after cycling [KiB]".to_string(),
     ]];
     let exe = std::env::current_exe().expect("own executable");
-    for (data_mib, log_mib) in HOST_MEMORY_POOLS {
+    for (data_mib, log_mib, close) in HOST_MEMORY_POOLS {
         let child = Command::new(&exe)
-            .args([PROBE_FLAG, &format!("{data_mib}x{log_mib}")])
+            .args([PROBE_FLAG, &format!("{data_mib}x{log_mib}:{close}")])
             .output()
             .expect("host memory probe");
         assert!(child.status.success(), "host memory probe failed: {child:?}");
@@ -163,6 +181,7 @@ fn host_memory(out: &mut BenchOut) {
         rows.push(vec![
             data_mib.to_string(),
             log_mib.to_string(),
+            close.to_string(),
             created.to_string(),
             touched.to_string(),
             cycled.to_string(),
@@ -172,6 +191,7 @@ fn host_memory(out: &mut BenchOut) {
                 .field("series", Json::str("host_memory"))
                 .field("data_mib", Json::U64(data_mib))
                 .field("log_mib", Json::U64(log_mib))
+                .field("close", Json::str(close))
                 .field("touched_lines", Json::U64(TOUCHED_LINES))
                 .field("rss_create_kib", Json::U64(created))
                 .field("rss_touched_kib", Json::U64(touched))
@@ -182,36 +202,52 @@ fn host_memory(out: &mut BenchOut) {
 }
 
 /// One `host_memory` point: a pool of `data_mib` MiB vPM and a
-/// `log_mib` MiB log; prints this process's RSS growth after
+/// `log_mib` MiB log whose epochs end the `close` way (see
+/// [`HOST_MEMORY_POOLS`]); prints this process's RSS growth after
 /// `PaxPool::create`, after storing to [`TOUCHED_LINES`] lines and
-/// persisting, and after [`CYCLE_EPOCH_STORES`]-store epochs over the
-/// first of those lines whose entries add up to twice the log's
-/// capacity.
-fn probe_host_memory(data_mib: u64, log_mib: u64) {
+/// closing the epoch, and after [`CYCLE_EPOCH_STORES`]-store epochs over
+/// the first of those lines whose entries add up to twice the log's
+/// capacity, each reading taken once every close has committed.
+fn probe_host_memory(data_mib: u64, log_mib: u64, close: &str) {
     let before = rss_kib();
+    let persistency = match close {
+        "buffered2" => PersistencyModel::BufferedEpoch { k: 2 },
+        _ => PersistencyModel::Epoch,
+    };
     let pool = PaxPool::create(
-        PaxConfig::default().with_pool(
-            PoolConfig::small()
-                .with_data_bytes((data_mib << 20) as usize)
-                .with_log_bytes((log_mib << 20) as usize),
-        ),
+        PaxConfig::default()
+            .with_pool(
+                PoolConfig::small()
+                    .with_data_bytes((data_mib << 20) as usize)
+                    .with_log_bytes((log_mib << 20) as usize),
+            )
+            .with_persistency(persistency),
     )
     .expect("pool");
+    let end_epoch = || {
+        match close {
+            "async" => pool.persist_async().map(drop).and_then(|()| pool.persist_wait()),
+            _ => pool.persist().map(drop),
+        }
+        .expect("close")
+    };
     let created = rss_kib().saturating_sub(before);
     let stride = pool.vpm_bytes() / LINE_SIZE as u64 / TOUCHED_LINES;
     let vpm = pool.vpm();
     for i in 0..TOUCHED_LINES {
         vpm.write_u64(i * stride * LINE_SIZE as u64, i + 1).expect("write");
     }
-    pool.persist().expect("persist");
+    end_epoch();
+    pool.persist_wait().expect("wait");
     let touched = rss_kib().saturating_sub(before);
     let log_entries = (log_mib << 20) / LINE_SIZE as u64 / BLOCK_LINES * BLOCK_ENTRIES;
     for _ in 0..2 * log_entries.div_ceil(CYCLE_EPOCH_STORES) {
         for i in 0..CYCLE_EPOCH_STORES {
             vpm.write_u64(i * stride * LINE_SIZE as u64, i + 2).expect("write");
         }
-        pool.persist().expect("persist");
+        end_epoch();
     }
+    pool.persist_wait().expect("wait");
     let cycled = rss_kib().saturating_sub(before);
     println!("{created} {touched} {cycled}");
 }

@@ -15,8 +15,8 @@
 //! is unaffected. The tests pin this down.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use parking_lot::Mutex;
 use pax_pm::{CacheLine, LineAddr, PersistenceDomain, Result};
 use pax_telemetry::{Counter, MetricSet, MetricSnapshot};
 
@@ -190,12 +190,12 @@ impl SharedComplex {
     pub fn cache_metrics(&self) -> MetricSnapshot {
         self.cores
             .iter()
-            .fold(MetricSnapshot::empty("host_cache"), |acc, c| acc.merge(&lock(c).metrics()))
+            .fold(MetricSnapshot::empty("host_cache"), |acc, c| acc.merge(&c.lock().metrics()))
     }
 
     /// Per-core cache statistics.
     pub fn core_stats(&self, core: usize) -> CacheStats {
-        lock(&self.cores[core]).stats()
+        self.cores[core].lock().stats()
     }
 
     /// A load by `core`.
@@ -218,7 +218,7 @@ impl SharedComplex {
         home: &mut impl HomeAgent,
     ) -> Result<CacheLine> {
         {
-            let mut own = lock(&self.cores[core]);
+            let mut own = self.cores[core].lock();
             // Without a peer, every access is the one cache's own.
             if self.cores.len() == 1 || own.state_of(addr).is_some() {
                 return own.read(addr, home);
@@ -235,7 +235,7 @@ impl SharedComplex {
                 continue;
             }
             let transfer = {
-                let mut p = lock(&self.cores[peer]);
+                let mut p = self.cores[peer].lock();
                 if p.state_of(addr).is_some() {
                     p.snoop_shared_dirty(addr)
                 } else {
@@ -250,12 +250,12 @@ impl SharedComplex {
                 }
                 self.metrics.inc(self.cache_to_cache_transfers);
                 self.note_present(core, addr);
-                lock(&self.cores[core]).install_shared(addr, data.clone(), home)?;
+                self.cores[core].lock().install_shared(addr, data.clone(), home)?;
                 return Ok(data);
             }
         }
         self.note_present(core, addr);
-        lock(&self.cores[core]).read(addr, home)
+        self.cores[core].lock().read(addr, home)
     }
 
     /// A store by `core`: peers' copies are invalidated; a peer's
@@ -283,7 +283,7 @@ impl SharedComplex {
                 if peer == core {
                     continue;
                 }
-                let mut p = lock(&self.cores[peer]);
+                let mut p = self.cores[peer].lock();
                 if p.state_of(addr).is_some() {
                     let dirty = p.snoop_invalidate(addr);
                     self.metrics.inc(self.peer_invalidations);
@@ -297,9 +297,9 @@ impl SharedComplex {
         if migrated_dirty {
             // Silent M-to-M migration: install directly as modified.
             self.metrics.inc(self.cache_to_cache_transfers);
-            return lock(&self.cores[core]).install_modified(addr, data, home);
+            return self.cores[core].lock().install_modified(addr, data, home);
         }
-        lock(&self.cores[core]).write(addr, data, home)
+        self.cores[core].lock().write(addr, data, home)
     }
 
     /// Simulates power loss across all cores.
@@ -309,7 +309,7 @@ impl SharedComplex {
     /// Propagates home-agent failures during an eADR flush.
     pub fn crash(&self, domain: PersistenceDomain, home: &mut impl HomeAgent) -> Result<()> {
         for c in &self.cores {
-            lock(c).crash(domain, home)?;
+            c.lock().crash(domain, home)?;
         }
         Ok(())
     }
@@ -320,7 +320,7 @@ impl SharedComplex {
     pub fn snoop_shared_all(&self, addr: LineAddr) -> Option<CacheLine> {
         let mut best: Option<CacheLine> = None;
         for c in &self.cores {
-            if let Some((was_dirty, data)) = lock(c).snoop_shared_dirty(addr) {
+            if let Some((was_dirty, data)) = c.lock().snoop_shared_dirty(addr) {
                 if was_dirty || best.is_none() {
                     best = Some(data);
                 }
@@ -334,7 +334,7 @@ impl SharedComplex {
     pub fn snoop_invalidate_all(&self, addr: LineAddr) -> Option<CacheLine> {
         let mut dirty = None;
         for c in &self.cores {
-            if let Some(d) = lock(c).snoop_invalidate(addr) {
+            if let Some(d) = c.lock().snoop_invalidate(addr) {
                 dirty = Some(d);
             }
         }
@@ -363,10 +363,6 @@ impl HostSnoop for &SharedComplex {
     fn snoop_invalidate(&mut self, addr: LineAddr) -> Option<CacheLine> {
         self.snoop_invalidate_all(addr)
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 #[cfg(test)]
@@ -472,16 +468,16 @@ mod tests {
                 struct LockedHome(Arc<Mutex<MemoryHome<DramMedia>>>);
                 impl HomeAgent for LockedHome {
                     fn read_shared(&mut self, addr: LineAddr) -> Result<CacheLine> {
-                        lock(&self.0).read_shared(addr)
+                        self.0.lock().read_shared(addr)
                     }
                     fn read_own(&mut self, addr: LineAddr) -> Result<CacheLine> {
-                        lock(&self.0).read_own(addr)
+                        self.0.lock().read_own(addr)
                     }
                     fn clean_evict(&mut self, addr: LineAddr) {
-                        lock(&self.0).clean_evict(addr)
+                        self.0.lock().clean_evict(addr)
                     }
                     fn dirty_evict(&mut self, addr: LineAddr, data: CacheLine) -> Result<()> {
-                        lock(&self.0).dirty_evict(addr, data)
+                        self.0.lock().dirty_evict(addr, data)
                     }
                 }
                 let mut h = LockedHome(home);

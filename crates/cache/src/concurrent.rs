@@ -9,7 +9,7 @@
 //!
 //! Concurrency design:
 //!
-//! - Each set is a [`std::sync::Mutex`] over its ways. Critical sections
+//! - Each set is a [`parking_lot::Mutex`] over its ways. Critical sections
 //!   are tiny (scan ≤ `ways` entries, mutate one), so a plain mutex is a
 //!   spinlock in practice and keeps the crate `forbid(unsafe_code)`.
 //! - Each set also carries a 64-bit *presence signature* (a one-word
@@ -36,8 +36,8 @@
 //! [`SetAssoc`]: crate::SetAssoc
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
+use parking_lot::Mutex;
 use pax_pm::{LineAddr, LINE_SIZE};
 
 /// One resident line: address tag, payload, and LRU stamp.
@@ -143,7 +143,7 @@ impl<T> ConcurrentSetAssoc<T> {
         if set.sig.load(Ordering::Acquire) & sig_bit(addr) == 0 {
             return None;
         }
-        let mut ways = set.ways.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ways = set.ways.lock();
         let way = ways.iter_mut().find(|w| w.addr == addr)?;
         way.last_use = stamp;
         Some(f(&mut way.payload))
@@ -155,7 +155,7 @@ impl<T> ConcurrentSetAssoc<T> {
         if set.sig.load(Ordering::Acquire) & sig_bit(addr) == 0 {
             return None;
         }
-        let ways = set.ways.lock().unwrap_or_else(|e| e.into_inner());
+        let ways = set.ways.lock();
         ways.iter().find(|w| w.addr == addr).map(|w| f(&w.payload))
     }
 
@@ -165,7 +165,7 @@ impl<T> ConcurrentSetAssoc<T> {
         if set.sig.load(Ordering::Acquire) & sig_bit(addr) == 0 {
             return None;
         }
-        let mut ways = set.ways.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ways = set.ways.lock();
         ways.iter_mut().find(|w| w.addr == addr).map(|w| f(&mut w.payload))
     }
 
@@ -190,7 +190,7 @@ impl<T> ConcurrentSetAssoc<T> {
     ) -> Option<R> {
         let stamp = self.stamp();
         let set = self.set_of(addr);
-        let mut ways = set.ways.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ways = set.ways.lock();
         if let Some(way) = ways.iter_mut().find(|w| w.addr == addr) {
             way.payload = payload;
             way.last_use = stamp;
@@ -244,7 +244,7 @@ impl<T> ConcurrentSetAssoc<T> {
     ) -> Option<R> {
         let stamp = self.stamp();
         let set = self.set_of(addr);
-        let mut ways = set.ways.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ways = set.ways.lock();
         if ways.iter().any(|w| w.addr == addr) {
             return None;
         }
@@ -286,7 +286,7 @@ impl<T> ConcurrentSetAssoc<T> {
         if set.sig.load(Ordering::Acquire) & sig_bit(addr) == 0 {
             return None;
         }
-        let mut ways = set.ways.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ways = set.ways.lock();
         let idx = ways.iter().position(|w| w.addr == addr)?;
         let way = ways.swap_remove(idx);
         set.sig.store(rebuild_sig(&ways), Ordering::Release);
@@ -301,7 +301,7 @@ impl<T> ConcurrentSetAssoc<T> {
     /// way order (matching `SetAssoc::iter`).
     pub fn for_each_mut(&self, mut f: impl FnMut(LineAddr, &mut T)) {
         for set in &self.sets {
-            let mut ways = set.ways.lock().unwrap_or_else(|e| e.into_inner());
+            let mut ways = set.ways.lock();
             for way in ways.iter_mut() {
                 f(way.addr, &mut way.payload);
             }
@@ -311,7 +311,7 @@ impl<T> ConcurrentSetAssoc<T> {
     /// Drop every resident line.
     pub fn clear(&self) {
         for set in &self.sets {
-            let mut ways = set.ways.lock().unwrap_or_else(|e| e.into_inner());
+            let mut ways = set.ways.lock();
             let n = ways.len();
             ways.clear();
             set.sig.store(0, Ordering::Release);

@@ -391,7 +391,9 @@ impl PaxPool {
 
     /// Advances a non-blocking persist; `Some(epoch)` — tenant 0's
     /// committed epoch, the number [`PaxPool::persist_async`] returned —
-    /// on the poll that commits and leaves no other tenant draining.
+    /// once, on the first poll that finds it committed with no other
+    /// tenant draining, whether this poll, an earlier one or
+    /// [`PaxPool::run_device`] committed it.
     ///
     /// # Errors
     ///
@@ -690,8 +692,8 @@ impl PaxTenant {
         Ok(e.device.persist_async_tenant(self.tenant, &mut &e.host)?)
     }
 
-    /// Advances this tenant's non-blocking persist; `Some(epoch)` when it
-    /// commits.
+    /// Advances this tenant's non-blocking persist; `Some(epoch)` once
+    /// for its newest commit that no earlier poll reported.
     ///
     /// # Errors
     ///

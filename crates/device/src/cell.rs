@@ -21,29 +21,15 @@
 //!   each other — the only lane-local lock. Lock order: ctl → core →
 //!   wb-gate → HBM set → pool → trace (DESIGN.md §15).
 //!
-//! All recover from poisoning (a panicked thread must not wedge every
-//! other thread's persist), matching the vendored `parking_lot` shim's
-//! policy.
+//! All are the vendored `parking_lot` shim's poison-free locks, like
+//! every other lock in the crate: a panicked thread must not wedge every
+//! other thread's persist.
 
-use std::sync::{Mutex, MutexGuard, TryLockError};
+use std::sync::MutexGuard;
 
+use parking_lot::Mutex;
 use pax_pm::PmPool;
 use pax_telemetry::{TraceBuf, TraceEvent};
-
-/// Locks a mutex, recovering the guard from a poisoned lock.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Tries to lock a mutex without blocking, recovering from poison;
-/// `None` only when the lock is held by another thread.
-pub(crate) fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match m.try_lock() {
-        Ok(g) => Some(g),
-        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
-}
 
 /// The device's PM media behind its single lock (see module docs).
 #[derive(Debug)]
@@ -57,11 +43,11 @@ impl PoolCell {
     /// Locks the media. Hold the guard only across the durable-write
     /// steps that need it.
     pub(crate) fn lock(&self) -> MutexGuard<'_, PmPool> {
-        lock(&self.0)
+        self.0.lock()
     }
 
     pub(crate) fn into_inner(self) -> PmPool {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
+        self.0.into_inner()
     }
 }
 
@@ -75,7 +61,7 @@ pub(crate) struct WbGate(Mutex<()>);
 impl WbGate {
     /// Locks the gate.
     pub(crate) fn lock(&self) -> MutexGuard<'_, ()> {
-        lock(&self.0)
+        self.0.lock()
     }
 }
 
@@ -95,16 +81,16 @@ impl TraceCell {
     /// Appends a record; a no-op without the lock when tracing is off.
     pub(crate) fn record(&self, component: &'static str, event: TraceEvent) {
         if self.enabled {
-            lock(&self.inner).record(component, event);
+            self.inner.lock().record(component, event);
         }
     }
 
     /// Direct access for dump/forensics paths.
     pub(crate) fn lock(&self) -> MutexGuard<'_, TraceBuf> {
-        lock(&self.inner)
+        self.inner.lock()
     }
 
     pub(crate) fn into_inner(self) -> TraceBuf {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
+        self.inner.into_inner()
     }
 }

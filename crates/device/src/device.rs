@@ -28,13 +28,13 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
+use parking_lot::Mutex;
 use pax_cache::{HomeAgent, HostSnoop};
 use pax_pm::{CacheLine, CrashClock, LineAddr, PersistencyModel, PmError, PmPool, Result};
 use pax_telemetry::{MetricSet, MetricSnapshot, TraceBuf, TraceEvent};
 
-use crate::cell::{lock, try_lock, PoolCell, TraceCell};
+use crate::cell::{PoolCell, TraceCell};
 use crate::directory::{coalesce_runs, DirectoryConfig};
 use crate::hbm::{HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
@@ -216,8 +216,8 @@ impl Default for DeviceConfig {
 /// snoop opcode and HBM housekeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SweepMode {
-    /// `SnpData` downgrade; the caller writes gathered lines back
-    /// immediately (synchronous barrier).
+    /// `SnpData` downgrade; the barrier writes gathered lines back
+    /// immediately.
     Snoop,
     /// `SnpInv` full eviction — the §4 CLWB ablation baseline.
     Clwb,
@@ -234,10 +234,12 @@ enum SweepMode {
 struct DrainState {
     /// The epoch being made durable.
     epoch: u64,
-    /// Lines still to be written to PM, in (lane, log-offset) order.
-    queue: VecDeque<LineAddr>,
-    /// The epoch-final value of each queued line. Also consulted by
-    /// `resolve`, because these values are newer than PM until written.
+    /// Write-back runs still to issue, in (lane, log-offset) order: each
+    /// a [`coalesce_runs`] run of lines contiguous in lane-local space.
+    runs: VecDeque<Vec<LineAddr>>,
+    /// The epoch-final value of each queued line, until it is written.
+    /// Also consulted by `resolve`, because these values are newer than
+    /// PM until written.
     values: HashMap<LineAddr, CacheLine>,
     /// Per-lane log offset (exclusive) over the tenant's `S` lanes in
     /// phase order that must be durable before writes proceed — the
@@ -317,6 +319,10 @@ pub struct PaxDevice {
     /// hot-path ctl traffic. Relaxed ordering: a pure heuristic counter,
     /// it guards no data.
     poll_skips: Vec<AtomicU64>,
+    /// Per tenant: the newest committed epoch already handed to the
+    /// caller, by a poll or by the synchronous persist that committed it
+    /// — what makes `persist_poll` level-triggered. Updated under ctl.
+    reported: Vec<AtomicU64>,
     /// Virtual-time run-queue state: per-lane pump credits, the
     /// round-robin idle-service cursor, and the tick counter.
     sched: DeviceScheduler,
@@ -427,6 +433,7 @@ impl PaxDevice {
             sched: DeviceScheduler::new(lanes.len()),
             lanes,
             drain_depth: (0..t).map(|_| AtomicUsize::new(0)).collect(),
+            reported: epochs.iter().map(|&e| AtomicU64::new(e - 1)).collect(),
             epochs: epochs.into_iter().map(AtomicU64::new).collect(),
             draining: (0..t).map(|_| Mutex::new(VecDeque::new())).collect(),
             poll_skips: (0..t).map(|_| AtomicU64::new(0)).collect(),
@@ -440,17 +447,6 @@ impl PaxDevice {
     /// The recovery report from when this device was opened.
     pub fn recovery_report(&self) -> RecoveryReport {
         self.recovery
-    }
-
-    /// The epoch currently being built (tenant 0's on a multi-tenant
-    /// device; see [`PaxDevice::current_epoch_for`]).
-    pub fn current_epoch(&self) -> u64 {
-        self.epochs[0].load(Ordering::Acquire)
-    }
-
-    /// The epoch tenant `t` is currently building.
-    pub fn current_epoch_for(&self, t: TenantId) -> u64 {
-        self.epochs[t].load(Ordering::Acquire)
     }
 
     /// The committed (recovery-point) epoch (tenant 0's).
@@ -530,16 +526,6 @@ impl PaxDevice {
         self.trace.lock().dump_json_lines()
     }
 
-    /// Undo-log entries appended in the current epoch (all lanes).
-    pub fn epoch_log_len(&self) -> usize {
-        self.lanes.iter().map(|h| h.epoch_log.len()).sum()
-    }
-
-    /// Undo-log entries tenant `t` appended in its current epoch.
-    pub fn epoch_log_len_for(&self, t: TenantId) -> usize {
-        self.tenant_lanes(t).map(|l| self.lanes[l].epoch_log.len()).sum()
-    }
-
     /// Total entries drained durably across all lane log banks.
     pub fn log_durable_offset(&self) -> u64 {
         self.lanes.iter().map(|h| h.log.durable_offset()).sum()
@@ -555,22 +541,6 @@ impl PaxDevice {
     /// power at an exact durable-write step.
     pub fn crash_clock(&self) -> CrashClock {
         self.clock.clone()
-    }
-
-    /// HBM read hit rate so far (aggregated over lanes) — pure atomic
-    /// reads, no lock taken.
-    pub fn hbm_hit_rate(&self) -> f64 {
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for h in &self.lanes {
-            hits += h.hbm.hits();
-            misses += h.hbm.misses();
-        }
-        let total = hits + misses;
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
     }
 
     /// Snapshot of the media's counter registry (reads, writes, drains)
@@ -597,7 +567,7 @@ impl PaxDevice {
             lane.crash();
         }
         for d in &self.draining {
-            lock(d).clear();
+            d.lock().clear();
         }
         for d in &self.drain_depth {
             d.store(0, Ordering::Release);
@@ -616,13 +586,6 @@ impl PaxDevice {
     /// Propagates file I/O errors.
     pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<()> {
         self.pool.lock().save(path)
-    }
-
-    /// Gracefully detaches, returning the pool *without* simulating a
-    /// crash (durable state only; equivalent to crash for PAX since
-    /// consistency never depends on a clean shutdown).
-    pub fn into_pool(self) -> PmPool {
-        self.pool.into_inner()
     }
 
     /// The lanes belonging to tenant `t`, in phase order.
@@ -662,7 +625,8 @@ impl PaxDevice {
         let drain_value = if self.drain_depth[t].load(Ordering::Acquire) == 0 {
             None
         } else {
-            try_lock(&self.draining[t])
+            self.draining[t]
+                .try_lock()
                 .and_then(|g| g.iter().rev().find_map(|d| d.values.get(&addr)).cloned())
         };
         self.lanes[lane].resolve(&self.pool, &self.clock, &self.trace, drain_value, addr)
@@ -728,7 +692,7 @@ impl PaxDevice {
         let mut total = 0u64;
         for _ in 0..n {
             let before = self.clock.steps_taken();
-            self.persist_poll()?;
+            self.advance_drains()?;
             for s in 0..self.stride {
                 let active: Vec<usize> = (0..self.tenants.len())
                     .map(|t| t * self.stride + s)
@@ -765,6 +729,18 @@ impl PaxDevice {
         !self.lanes[l].writeback_queue.is_empty() || self.lanes[l].log.has_whole_block()
     }
 
+    /// Runs `close` on every tenant in tenant order and returns tenant
+    /// 0's epoch: the whole-device form of each per-tenant close
+    /// ([`PaxDevice::persist`], [`PaxDevice::persist_clwb`],
+    /// [`PaxDevice::persist_async`]).
+    fn each_tenant(&self, mut close: impl FnMut(TenantId) -> Result<u64>) -> Result<u64> {
+        let first = close(0)?;
+        for t in 1..self.tenants.len() {
+            close(t)?;
+        }
+        Ok(first)
+    }
+
     /// Ends every tenant's current epoch in tenant order and returns
     /// tenant 0's committed epoch number — the single-tenant (and legacy)
     /// `persist()`. Multi-tenant callers wanting an independent barrier
@@ -775,19 +751,13 @@ impl PaxDevice {
     /// Surfaces [`PmError::Crashed`] when the crash clock fires mid-epoch
     /// — recovery will roll the epoch back — and media errors.
     pub fn persist(&self, cache: &mut impl HostSnoop) -> Result<u64> {
-        let mut first = 0;
-        for t in 0..self.tenants.len() {
-            let committed = self.persist_tenant(t, cache)?;
-            if t == 0 {
-                first = committed;
-            }
-        }
-        Ok(first)
+        self.each_tenant(|t| self.persist_tenant(t, cache))
     }
 
     /// Ends tenant `t`'s current epoch: makes a crash-consistent snapshot
     /// of `t`'s pool context durable and returns the committed epoch
-    /// number (§3.3).
+    /// number (§3.3). Under buffered-epoch persistency this is a
+    /// non-blocking close instead ([`PaxDevice::persist_async_tenant`]).
     ///
     /// This is a barrier across `t`'s own lanes only. Steps, in order:
     /// (1) drain `t`'s undo-log banks; (2) for every line `t` logged this
@@ -810,89 +780,74 @@ impl PaxDevice {
         if self.config.persistency.closes_async() {
             return self.persist_async_tenant(t, cache);
         }
-        // (0) Take the tenant's ctl lock for the whole barrier (the top
-        // of the lock order — see the struct docs). Non-blocking persists
-        // by this tenant may still be draining; their epochs commit in
-        // order, completed through the held guard.
-        let mut ctl = lock(&self.draining[t]);
-        while !ctl.is_empty() {
-            self.poll_drain(t, &mut ctl)?;
-        }
-        // (1) All of t's pre-images durable before any further write
-        // back.
-        for l in self.tenant_lanes(t) {
-            self.flush_lane_log(l)?;
-        }
-
-        // (2)+(3) Gather and write back, lane by lane — the per-lane
-        // interleave keeps the durable-step order identical to the
-        // pre-refactor pipeline (see [`PaxDevice::sweep_lane`]).
-        let mut entries = 0u64;
-        for l in self.tenant_lanes(t) {
-            let (logged, pending) = self.sweep_lane(l, cache, SweepMode::Snoop)?;
-            entries += logged;
-            self.write_back_batched(l, pending)?;
-        }
-
-        self.retire_epoch(t, entries)
+        self.barrier(t, cache, SweepMode::Snoop)
     }
 
     /// Ends every tenant's epoch using **CLWB-style forced flushes**
-    /// (see [`PaxDevice::persist_clwb_tenant`]); returns tenant 0's
-    /// committed epoch.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces [`PmError::Crashed`] and media errors.
-    pub fn persist_clwb(&self, cache: &mut impl HostSnoop) -> Result<u64> {
-        let mut first = 0;
-        for t in 0..self.tenants.len() {
-            let committed = self.persist_clwb_tenant(t, cache)?;
-            if t == 0 {
-                first = committed;
-            }
-        }
-        Ok(first)
-    }
-
-    /// Ends tenant `t`'s epoch using **CLWB-style forced flushes**
     /// instead of device snoops — the alternative §4 argues against:
     /// "this is more efficient than forcing CPUs to issue CLWBs which are
     /// serialized, consume cycles, and cause complete evictions of cache
-    /// lines and future cache misses".
+    /// lines and future cache misses". Returns tenant 0's committed
+    /// epoch.
     ///
     /// For every logged line the host cache is made to *invalidate and
     /// write back* its copy (the classic CLWB-without-downgrade
     /// behaviour), so post-persist accesses miss — the `ablation_clwb`
     /// bench quantifies the cache-warmth difference against the
-    /// snoop-based [`PaxDevice::persist_tenant`].
+    /// snoop-based [`PaxDevice::persist`].
     ///
     /// # Errors
     ///
-    /// Surfaces [`PmError::Config`] for an out-of-range tenant,
-    /// [`PmError::Crashed`], and media errors.
-    pub fn persist_clwb_tenant(&self, t: TenantId, cache: &mut impl HostSnoop) -> Result<u64> {
-        self.check_tenant(t)?;
+    /// Surfaces [`PmError::Crashed`] and media errors.
+    pub fn persist_clwb(&self, cache: &mut impl HostSnoop) -> Result<u64> {
         // Always a synchronous barrier, regardless of the configured
         // persistency model: this flavour exists as the §4 ablation
         // baseline, and buffering it would erase exactly the
         // serialized-eviction cost it measures.
-        let mut ctl = lock(&self.draining[t]);
+        self.each_tenant(|t| self.barrier(t, cache, SweepMode::Clwb))
+    }
+
+    /// The synchronous barrier behind [`PaxDevice::persist_tenant`] and
+    /// [`PaxDevice::persist_clwb`], which differ only in `mode` (the
+    /// snoop opcode; see [`PaxDevice::sweep_lane`]): steps (1)–(3) of
+    /// `persist_tenant`, after completing `t`'s earlier non-blocking
+    /// closes in order, then [`PaxDevice::retire_epoch`] for (4)–(5).
+    /// Returns the committed epoch.
+    ///
+    /// # Errors
+    ///
+    /// Surfaces [`PmError::Crashed`] and media errors.
+    fn barrier(&self, t: TenantId, cache: &mut impl HostSnoop, mode: SweepMode) -> Result<u64> {
+        // (0) Take the tenant's ctl lock for the whole barrier (the top
+        // of the lock order — see the struct docs). Non-blocking persists
+        // by this tenant may still be draining; their epochs commit in
+        // order, completed through the held guard.
+        let mut ctl = self.draining[t].lock();
         while !ctl.is_empty() {
             self.poll_drain(t, &mut ctl)?;
         }
+        // (1) All of t's pre-images durable before any further write
+        // back.
+        let flush_to: Vec<u64> =
+            self.tenant_lanes(t).map(|l| self.lanes[l].log.appended()).collect();
         for l in self.tenant_lanes(t) {
             self.flush_lane_log(l)?;
         }
-
+        // (2)+(3) Gather and write back, lane by lane — the per-lane
+        // interleave keeps the durable-step order identical to the
+        // pre-refactor pipeline.
         let mut entries = 0u64;
         for l in self.tenant_lanes(t) {
-            let (logged, pending) = self.sweep_lane(l, cache, SweepMode::Clwb)?;
+            let (logged, pending) = self.sweep_lane(l, cache, mode)?;
             entries += logged;
-            self.write_back_batched(l, pending)?;
+            self.write_back_runs(l, &pending)?;
         }
-
-        self.retire_epoch(t, entries)
+        let epoch = self.epochs[t].load(Ordering::Acquire);
+        self.retire_epoch(t, epoch, &flush_to, entries)?;
+        self.begin_next_epoch(t);
+        // The caller holds the commit now; no poll reports it again.
+        self.reported[t].fetch_max(epoch, Ordering::Relaxed);
+        Ok(epoch)
     }
 
     /// The shared persist-time gather behind every persist flavour:
@@ -995,79 +950,90 @@ impl PaxDevice {
         Ok((entries, pending))
     }
 
-    /// The back half of the batched persist pipeline: issues `lane`'s
-    /// gathered write-backs as coalesced batches. Lines contiguous in
+    /// The back half of the batched persist pipeline, shared by the
+    /// barrier and the non-blocking drain: writes `lines` (lane `l`'s, in
+    /// log order) back to PM as coalesced runs. Lines contiguous in
     /// lane-local address space (successive global addresses one shard
-    /// stride apart) share a single durable-write step, up to
-    /// [`DeviceConfig::persist_wb_batch`] lines per batch — the queue/row
-    /// locality a contiguous burst enjoys on real media. Writes land in
-    /// the identical order as unbatched issue; only the step count
-    /// differs.
+    /// stride apart) share a single durable-write step
+    /// ([`Lane::write_back`]), up to [`DeviceConfig::persist_wb_batch`]
+    /// lines per run — the queue/row locality a contiguous burst enjoys
+    /// on real media. Writes land in the identical order as unbatched
+    /// issue; only the step count differs. Each written line's HBM copy
+    /// is marked clean.
     ///
     /// # Errors
     ///
     /// Surfaces [`PmError::Crashed`] (recovery rolls the epoch back) and
     /// media errors.
-    fn write_back_batched(&self, lane: usize, pending: Vec<(LineAddr, CacheLine)>) -> Result<()> {
-        if pending.is_empty() {
+    fn write_back_runs(&self, l: usize, lines: &[(LineAddr, CacheLine)]) -> Result<()> {
+        if lines.is_empty() {
             return Ok(());
         }
-        let addrs: Vec<LineAddr> = pending.iter().map(|&(a, _)| a).collect();
-        let h = &self.lanes[lane];
+        let addrs: Vec<LineAddr> = lines.iter().map(|&(a, _)| a).collect();
+        let h = &self.lanes[l];
         // The gate keeps a concurrent background drain from landing a
-        // stale HBM copy on top of these just-snooped values.
+        // stale HBM copy on top of these values.
         let _gate = h.wb_gate.lock();
         for run in coalesce_runs(&addrs, self.stride as u64, self.config.persist_wb_batch) {
             h.count_wb_batch();
-            tick(&self.clock, &mut self.pool.lock())?;
-            for (addr, data) in &pending[run] {
-                {
-                    let mut pm = self.pool.lock();
-                    let abs = pm.layout().vpm_to_pool(addr.0)?;
-                    pm.write_line(abs, data.clone())?;
-                }
-                h.count_writeback();
-                self.trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
-                h.hbm_mark_clean(*addr);
+            h.write_back(&self.pool, &self.clock, &self.trace, &lines[run.clone()])?;
+            for &addr in &addrs[run] {
+                h.hbm_mark_clean(addr);
             }
         }
         Ok(())
     }
 
-    /// The shared retirement epilogue of every synchronous persist
-    /// flavour (the model-independent half of an epoch's life: buffered
-    /// closes retire through `poll_drain`'s phase 3 instead): drain PM,
-    /// atomically commit tenant `t`'s built epoch into its header slot,
-    /// reset `t`'s lanes' per-epoch state (recycling their log banks),
-    /// and advance `t`'s epoch counter.
+    /// The one commit epilogue, shared by every close — the synchronous
+    /// barrier, the non-blocking drain and buffered retirement: drain PM,
+    /// atomically commit tenant `t`'s `epoch` into its header slot, free
+    /// the epoch's log slots (each of `t`'s banks up to its `flush_to`
+    /// offset, in phase order), rewind every bank that leaves empty, and
+    /// count and trace the commit.
     ///
     /// # Errors
     ///
     /// Surfaces [`PmError::Crashed`] (the commit record never made it —
     /// recovery rolls the epoch back) and media errors.
-    fn retire_epoch(&self, t: TenantId, entries: u64) -> Result<u64> {
+    fn retire_epoch(&self, t: TenantId, epoch: u64, flush_to: &[u64], entries: u64) -> Result<()> {
+        let mut pm = self.pool.lock();
         // (4) Everything reaches media before the commit record.
-        self.pool.lock().drain();
-
+        pm.drain();
         // (5) The atomic epoch commit — one record covers the tenant's
         // lanes, and only that tenant's header slot moves.
-        tick(&self.clock, &mut self.pool.lock())?;
-        let committed = self.epochs[t].load(Ordering::Acquire);
-        self.pool.lock().commit_epoch_for(t, committed)?;
-
-        for l in self.tenant_lanes(t) {
-            self.lanes[l].reset_after_commit(&self.pool);
+        tick(&self.clock, &mut pm)?;
+        pm.commit_epoch_for(t, epoch)?;
+        // The committed epoch's slots are free *now*, even while the next
+        // epoch is already appending. A bank this leaves empty rewinds to
+        // its first block; one a later epoch already appends to keeps its
+        // lap (the rewind's guard). Offsets stay monotonic across a
+        // rewind, so the `flush_to` of an epoch still queued behind this
+        // one stays valid: it is at or below the new base, durable, and
+        // recycling up to it is a no-op.
+        for (l, &target) in self.tenant_lanes(t).zip(flush_to) {
+            self.lanes[l].log.reset_after_commit(&mut pm, target);
         }
-        // Release pairs with the Acquire load in `home_read_own`: a store
-        // thread that tags an undo entry with the new epoch number must
-        // also observe the recycled banks and reset per-epoch state
-        // published above.
-        self.epochs[t].store(committed + 1, Ordering::Release);
+        drop(pm);
         // Charged to the tenant's phase-0 lane so per-tenant rollups
         // conserve the persist count.
         self.lanes[t * self.stride].count_persist();
-        self.trace.record(COMPONENT, TraceEvent::EpochCommit { epoch: committed, entries });
-        Ok(committed)
+        self.trace.record(COMPONENT, TraceEvent::EpochCommit { epoch, entries });
+        Ok(())
+    }
+
+    /// Opens tenant `t`'s next epoch once the current one is closed
+    /// (captured or committed): its lanes forget the closed epoch's
+    /// logged lines and queued write-backs, and the epoch counter
+    /// advances.
+    fn begin_next_epoch(&self, t: TenantId) {
+        for l in self.tenant_lanes(t) {
+            self.lanes[l].begin_next_epoch();
+        }
+        // Release pairs with the Acquire load in `home_read_own`: a store
+        // thread that tags an undo entry with the new epoch number also
+        // observes the per-epoch state reset above (and, after a
+        // synchronous commit, the recycled banks).
+        self.epochs[t].fetch_add(1, Ordering::Release);
     }
 
     /// Drains lane `l`'s undo bank to full durability, holding only the
@@ -1097,14 +1063,7 @@ impl PaxDevice {
     ///
     /// Surfaces [`PmError::Crashed`] and media errors.
     pub fn persist_async(&self, cache: &mut impl HostSnoop) -> Result<u64> {
-        let mut first = 0;
-        for t in 0..self.tenants.len() {
-            let epoch = self.persist_async_tenant(t, cache)?;
-            if t == 0 {
-                first = epoch;
-            }
-        }
-        Ok(first)
+        self.each_tenant(|t| self.persist_async_tenant(t, cache))
     }
 
     /// Begins a **non-blocking** persist of tenant `t`'s epoch (§6):
@@ -1113,10 +1072,11 @@ impl PaxDevice {
     /// epoch number now draining. The tenant continues in its next epoch
     /// while the device flushes the log, writes lines back, and commits
     /// in the background ([`PaxDevice::persist_poll`] advances it;
-    /// ordinary host requests advance it too).
+    /// ordinary host requests advance it too) — through the same
+    /// write-back runs and commit epilogue as the synchronous barrier.
     ///
     /// Durability is only guaranteed once the epoch *commits* —
-    /// [`PaxDevice::persist_poll`] returns it, or
+    /// [`PaxDevice::persist_poll`] reports it, or
     /// [`PaxDevice::persist_wait`] blocks for it. A crash before commit
     /// recovers to the tenant's previous epoch.
     ///
@@ -1128,7 +1088,7 @@ impl PaxDevice {
     /// (a tenant's epochs commit in order).
     pub fn persist_async_tenant(&self, t: TenantId, cache: &mut impl HostSnoop) -> Result<u64> {
         self.check_tenant(t)?;
-        let mut ctl = lock(&self.draining[t]);
+        let mut ctl = self.draining[t].lock();
         // Admission: the model bounds how many closed-but-uncommitted
         // epochs may be in flight (1 under strict/epoch — the classic
         // non-blocking persist — K under buffered-epoch). At capacity
@@ -1140,15 +1100,15 @@ impl PaxDevice {
         }
 
         let mut entries = 0u64;
-        let mut queue = VecDeque::new();
+        let mut runs = VecDeque::new();
         let mut values = HashMap::new();
         for l in self.tenant_lanes(t) {
             let (logged, captured) = self.sweep_lane(l, cache, SweepMode::Capture)?;
             entries += logged;
-            for (addr, d) in captured {
-                queue.push_back(addr);
-                values.insert(addr, d);
-            }
+            let addrs: Vec<LineAddr> = captured.iter().map(|&(a, _)| a).collect();
+            let lane_runs = coalesce_runs(&addrs, self.stride as u64, self.config.persist_wb_batch);
+            runs.extend(lane_runs.into_iter().map(|run| addrs[run].to_vec()));
+            values.extend(captured);
         }
 
         // Each of the tenant's banks must drain through the epoch's last
@@ -1156,47 +1116,55 @@ impl PaxDevice {
         let flush_to: Vec<u64> =
             self.tenant_lanes(t).map(|l| self.lanes[l].log.appended()).collect();
         let epoch = self.epochs[t].load(Ordering::Acquire);
-        ctl.push_back(DrainState { epoch, queue, values, flush_to, entries });
+        ctl.push_back(DrainState { epoch, runs, values, flush_to, entries });
         // Mirror of the queue depth for the lock-free fast paths:
         // `resolve` / `drain_one_line_now` skip their ctl `try_lock`
         // entirely while this reads 0 (DESIGN.md §15).
         self.drain_depth[t].fetch_add(1, Ordering::Release);
-        for l in self.tenant_lanes(t) {
-            self.lanes[l].begin_next_epoch();
-        }
-        // Release pairs with the Acquire load in `home_read_own`: appends
-        // tagged with the next epoch happen-after the lanes rolled their
-        // per-epoch dedup maps above.
-        self.epochs[t].store(epoch + 1, Ordering::Release);
+        self.begin_next_epoch(t);
         Ok(epoch)
     }
 
     /// Advances every tenant's in-flight non-blocking persist by a
-    /// bounded amount. Returns `Some(epoch)` — tenant 0's committed
-    /// epoch, the number [`PaxDevice::persist_async`] returned — on a
-    /// poll that commits an epoch and leaves no other tenant draining,
-    /// so every close made alongside it is durable too (as
-    /// [`PaxDevice::persist`] returns tenant 0's epoch once every tenant
-    /// has committed). `None` while any other tenant is still draining
-    /// or when this poll committed nothing.
+    /// bounded amount. Level-triggered: returns `Some(epoch)` — tenant
+    /// 0's newest committed epoch, the number [`PaxDevice::persist_async`]
+    /// returned — once, on the first poll that finds it committed, not
+    /// yet reported, and no other tenant draining, so every close made
+    /// alongside it is durable too (as [`PaxDevice::persist`] returns
+    /// tenant 0's epoch once every tenant has committed). The commit may
+    /// come from this poll, an earlier one, or [`PaxDevice::tick`]. A
+    /// synchronous persist reports its own commit. `None` while any
+    /// other tenant is still draining or when there is nothing new.
     ///
     /// # Errors
     ///
     /// Surfaces [`PmError::Crashed`] and media errors.
     pub fn persist_poll(&self) -> Result<Option<u64>> {
-        let mut any = false;
-        for t in 0..self.tenants.len() {
-            any |= self.persist_poll_tenant(t)?.is_some();
-        }
-        let others_idle = self.drain_depth[1..].iter().all(|d| d.load(Ordering::Acquire) == 0);
-        if !(any && others_idle) {
+        self.advance_drains()?;
+        if self.drain_depth[1..].iter().any(|d| d.load(Ordering::Acquire) != 0) {
             return Ok(None);
         }
-        // Tenant 0's epochs retire in close order, each close advancing
-        // `epochs[0]` by one: the committed one trails the open epoch by
-        // one plus the closes still queued (both read under ctl).
-        let ctl = lock(&self.draining[0]);
-        Ok(Some(self.epochs[0].load(Ordering::Acquire) - 1 - ctl.len() as u64))
+        let ctl = self.draining[0].lock();
+        Ok(self.report(0, &ctl))
+    }
+
+    /// Advances every tenant's in-flight non-blocking persist by one
+    /// poll's budget, reporting nothing (the drain step of
+    /// [`PaxDevice::tick`] and [`PaxDevice::persist_poll`]).
+    fn advance_drains(&self) -> Result<()> {
+        for (t, ctl) in self.draining.iter().enumerate() {
+            self.poll_drain(t, &mut ctl.lock())?;
+        }
+        Ok(())
+    }
+
+    /// Tenant `t`'s newest committed epoch if nothing has reported it yet
+    /// (read under `t`'s ctl lock). `t`'s closes commit in order, each
+    /// close advancing `epochs[t]` by one, so the committed epoch trails
+    /// the open one by one plus the closes still queued.
+    fn report(&self, t: TenantId, ctl: &VecDeque<DrainState>) -> Option<u64> {
+        let committed = self.epochs[t].load(Ordering::Acquire) - 1 - ctl.len() as u64;
+        (self.reported[t].fetch_max(committed, Ordering::Relaxed) < committed).then_some(committed)
     }
 
     /// Hot-path variant of [`PaxDevice::persist_poll`]: a tenant whose
@@ -1237,10 +1205,9 @@ impl PaxDevice {
         // outlast a poll-sized critical section on the other side, small
         // enough that a long persist barrier cannot capture hot paths.
         const BOUNDED_POLL_SPINS: usize = 128;
-        if let Some(mut ctl) = try_lock(&self.draining[t]) {
+        if let Some(mut ctl) = self.draining[t].try_lock() {
             self.poll_skips[t].store(0, Ordering::Relaxed);
-            self.poll_drain(t, &mut ctl)?;
-            return Ok(());
+            return self.poll_drain(t, &mut ctl);
         }
         self.metrics.inc(self.ctr.persist_poll_skipped);
         let streak = self.poll_skips[t].fetch_add(1, Ordering::Relaxed) + 1;
@@ -1249,17 +1216,18 @@ impl PaxDevice {
         }
         for _ in 0..BOUNDED_POLL_SPINS {
             std::thread::yield_now();
-            if let Some(mut ctl) = try_lock(&self.draining[t]) {
+            if let Some(mut ctl) = self.draining[t].try_lock() {
                 self.poll_skips[t].store(0, Ordering::Relaxed);
-                self.poll_drain(t, &mut ctl)?;
-                return Ok(());
+                return self.poll_drain(t, &mut ctl);
             }
         }
         Ok(())
     }
 
     /// Advances tenant `t`'s in-flight non-blocking persist by a bounded
-    /// amount; `Some(epoch)` the moment it durably commits.
+    /// amount. Level-triggered like [`PaxDevice::persist_poll`]:
+    /// `Some(epoch)` once for `t`'s newest committed epoch that nothing
+    /// has reported yet, whichever poll or tick committed it.
     ///
     /// # Errors
     ///
@@ -1267,8 +1235,9 @@ impl PaxDevice {
     /// [`PmError::Crashed`], and media errors.
     pub fn persist_poll_tenant(&self, t: TenantId) -> Result<Option<u64>> {
         self.check_tenant(t)?;
-        let mut ctl = lock(&self.draining[t]);
-        self.poll_drain(t, &mut ctl)
+        let mut ctl = self.draining[t].lock();
+        self.poll_drain(t, &mut ctl)?;
+        Ok(self.report(t, &ctl))
     }
 
     /// The drain engine behind every poll flavour, operating on the
@@ -1278,9 +1247,9 @@ impl PaxDevice {
     /// Retirement is strictly in order: only the *front* (oldest) queued
     /// epoch drains and commits, so under buffered-epoch the durable
     /// image always reflects a prefix-closed cut of epoch history.
-    fn poll_drain(&self, t: TenantId, ctl: &mut VecDeque<DrainState>) -> Result<Option<u64>> {
-        let Some(flush_to) = ctl.front().map(|d| d.flush_to.clone()) else {
-            return Ok(None);
+    fn poll_drain(&self, t: TenantId, ctl: &mut VecDeque<DrainState>) -> Result<()> {
+        let Some(front) = ctl.front() else {
+            return Ok(());
         };
         // Phase 1: the tenant's undo entries for the epoch must be
         // durable first. The atomic watermarks answer the common
@@ -1288,8 +1257,8 @@ impl PaxDevice {
         // on the pool lock alone.
         let batch = self.config.log_pump_batch.max(1);
         let mut lagging = false;
-        for (i, &target) in flush_to.iter().enumerate() {
-            let log = &self.lanes[t * self.stride + i].log;
+        for (l, &target) in self.tenant_lanes(t).zip(&front.flush_to) {
+            let log = &self.lanes[l].log;
             if log.durable_offset() >= target {
                 continue;
             }
@@ -1299,78 +1268,30 @@ impl PaxDevice {
             }
         }
         if lagging {
-            return Ok(None);
+            return Ok(());
         }
         // Phase 2: write back the scheduler's persist-drain budget of
-        // *batches* per poll. Each batch greedily extends along the queue while
-        // the lines stay contiguous in lane-local space, sharing one
-        // durable-write step like the synchronous pipeline.
-        let stride = self.stride;
-        let max_batch = self.config.persist_wb_batch.max(1);
-        // The budget scales with queue depth so a buffered device drains
-        // K epochs as fast as a synchronous one drains one; with ≤ 1
-        // queued epoch (strict/epoch) it is the plain per-poll budget.
+        // runs per poll, through the barrier's write-back step. The
+        // budget scales with queue depth so a buffered device drains K
+        // epochs as fast as a synchronous one drains one; with ≤ 1 queued
+        // epoch (strict/epoch) it is the plain per-poll budget.
         for _ in 0..persist_drain_budget(ctl.len()) {
             let Some(ds) = ctl.front_mut() else { break };
-            let Some(addr) = ds.queue.pop_front() else { break };
-            // Lines resolved early (dirty_evict ordering) have no value.
-            let Some(data) = ds.values.remove(&addr) else { continue };
-            let mut batch = vec![(addr, data)];
-            while batch.len() < max_batch {
-                let Some(&next) = ds.queue.front() else { break };
-                let last = batch.last().expect("nonempty").0;
-                if next.0 != last.0.wrapping_add(stride as u64) {
-                    break;
-                }
-                let Some(d) = ds.values.remove(&next) else { break };
-                ds.queue.pop_front();
-                batch.push((next, d));
-            }
-            let lane = t * stride + addr.0 as usize % stride;
-            let h = &self.lanes[lane];
-            // The gate serializes this drain's PM writes against the
-            // lane's background write-back consumer.
-            let _gate = h.wb_gate.lock();
-            h.count_wb_batch();
-            tick(&self.clock, &mut self.pool.lock())?;
-            for (a, d) in batch {
-                {
-                    let mut pm = self.pool.lock();
-                    let abs = pm.layout().vpm_to_pool(a.0)?;
-                    pm.write_line(abs, d)?;
-                }
-                h.count_writeback();
-                self.trace.record(COMPONENT, TraceEvent::WriteBack { line: a.0 });
+            let Some(run) = ds.runs.pop_front() else { break };
+            // Lines `drain_one_line_now` already wrote have no value.
+            let lines: Vec<(LineAddr, CacheLine)> =
+                run.into_iter().filter_map(|a| Some((a, ds.values.remove(&a)?))).collect();
+            if let Some(&(addr, _)) = lines.first() {
+                self.write_back_runs(t * self.stride + addr.0 as usize % self.stride, &lines)?;
             }
         }
         // Phase 3: commit once everything landed.
-        let done = ctl.front().is_some_and(|d| d.queue.is_empty());
-        if done {
+        if ctl.front().is_some_and(|d| d.runs.is_empty()) {
             let ds = ctl.pop_front().expect("checked");
             self.drain_depth[t].fetch_sub(1, Ordering::Release);
-            self.pool.lock().drain();
-            tick(&self.clock, &mut self.pool.lock())?;
-            self.pool.lock().commit_epoch_for(t, ds.epoch)?;
-            self.lanes[t * self.stride].count_persist();
-            self.trace.record(
-                COMPONENT,
-                TraceEvent::EpochCommit { epoch: ds.epoch, entries: ds.entries },
-            );
-            // The committed epoch's log slots are free *now*, even while
-            // the next epoch is already appending: recycle each bank up to
-            // the drained watermark. (Recycling used to wait for the whole
-            // log to go idle — under continuous overlapped traffic that
-            // never happens, and the region filled up with committed
-            // entries until spurious `LogFull`.)
-            // Only the synchronous epilogue (`retire_epoch`) rewinds a
-            // bank to its first block; here the next epoch is usually
-            // appending already, so the bank keeps its lap.
-            for (i, &target) in ds.flush_to.iter().enumerate() {
-                self.lanes[t * self.stride + i].log.recycle_to(target);
-            }
-            return Ok(Some(ds.epoch));
+            self.retire_epoch(t, ds.epoch, &ds.flush_to, ds.entries)?;
         }
-        Ok(None)
+        Ok(())
     }
 
     /// Completes every tenant's in-flight non-blocking persist.
@@ -1393,7 +1314,7 @@ impl PaxDevice {
     /// [`PmError::Crashed`], and media errors.
     pub fn persist_wait_tenant(&self, t: TenantId) -> Result<()> {
         self.check_tenant(t)?;
-        let mut ctl = lock(&self.draining[t]);
+        let mut ctl = self.draining[t].lock();
         while !ctl.is_empty() {
             self.poll_drain(t, &mut ctl)?;
         }
@@ -1404,12 +1325,12 @@ impl PaxDevice {
     /// tenant has one (the first, scanning in tenant order; under
     /// buffered-epoch, the oldest queued epoch — the next to retire).
     pub fn persist_pending(&self) -> Option<u64> {
-        self.draining.iter().find_map(|d| lock(d).front().map(|ds| ds.epoch))
+        self.draining.iter().find_map(|d| d.lock().front().map(|ds| ds.epoch))
     }
 
     /// The epoch tenant `t` will retire next, if any are draining.
     pub fn persist_pending_tenant(&self, t: TenantId) -> Option<u64> {
-        lock(self.draining.get(t)?).front().map(|d| d.epoch)
+        self.draining.get(t)?.lock().front().map(|d| d.epoch)
     }
 
     /// Writes the owning tenant's draining-epoch value for `addr` to PM
@@ -1428,7 +1349,7 @@ impl PaxDevice {
         if self.drain_depth[t].load(Ordering::Acquire) == 0 {
             return Ok(());
         }
-        let Some(mut ctl) = try_lock(&self.draining[t]) else {
+        let Some(mut ctl) = self.draining[t].try_lock() else {
             return Ok(());
         };
         // Oldest epoch first: every queued epoch's buffered value for the
@@ -1440,8 +1361,7 @@ impl PaxDevice {
                 continue;
             };
             let flush_to = ds.flush_to[s];
-            let lane = t * self.stride + s;
-            let h = &self.lanes[lane];
+            let h = &self.lanes[t * self.stride + s];
             let _gate = h.wb_gate.lock();
             while h.log.durable_offset() < flush_to {
                 h.count_forced_flush();
@@ -1451,14 +1371,7 @@ impl PaxDevice {
                     });
                 }
             }
-            tick(&self.clock, &mut self.pool.lock())?;
-            {
-                let mut pm = self.pool.lock();
-                let abs = pm.layout().vpm_to_pool(addr.0)?;
-                pm.write_line(abs, data)?;
-            }
-            h.count_writeback();
-            self.trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
+            h.write_back(&self.pool, &self.clock, &self.trace, &[(addr, data)])?;
         }
         Ok(())
     }
@@ -1484,10 +1397,9 @@ impl PaxDevice {
         let old = self.resolve(l, addr)?;
         // The paper's key move: log asynchronously and acknowledge the
         // host immediately — no stall for durability here. Acquire pairs
-        // with the Release stores in `retire_epoch` /
-        // `persist_async_tenant`: reading epoch N+1 guarantees this
-        // thread also sees the lane state those commits published before
-        // bumping the counter.
+        // with the Release add in `begin_next_epoch`: reading epoch N+1
+        // guarantees this thread also sees the lane state the close
+        // published before bumping the counter.
         let epoch = self.epochs[l / self.stride].load(Ordering::Acquire);
         let h = &self.lanes[l];
         h.log_if_first(&self.trace, epoch, addr, &old)?;
@@ -1642,7 +1554,7 @@ mod tests {
     #[test]
     fn open_fresh_pool_starts_epoch_one() {
         let (device, _) = setup();
-        assert_eq!(device.current_epoch(), 1);
+        assert_eq!(device.epochs[0].load(Ordering::Acquire), 1);
         assert_eq!(device.committed_epoch().unwrap(), 0);
         assert_eq!(device.recovery_report().rolled_back, 0);
     }
@@ -1901,6 +1813,86 @@ mod tests {
         assert_eq!(device.committed_epoch().unwrap(), epoch);
     }
 
+    /// `persist_poll` is level-triggered: a commit that ticks made is
+    /// reported by the next poll, once, at the device level (tenant 0's
+    /// epoch) and at the tenant level alike.
+    #[test]
+    fn polls_report_a_tick_driven_commit_once() {
+        let (mut device, mut cache) = setup_tenants(2, 1);
+        let b = device.tenants().region(1).vpm_base;
+        cache.write(LineAddr(0), CacheLine::filled(1), &mut device).unwrap();
+        cache.write(LineAddr(b), CacheLine::filled(2), &mut device).unwrap();
+        let epoch = device.persist_async(&mut cache).unwrap();
+        for _ in 0..256 {
+            if device.persist_pending().is_none() {
+                break;
+            }
+            device.tick(1).unwrap();
+        }
+        assert_eq!(device.persist_pending(), None, "ticks commit both tenants");
+        assert_eq!(device.persist_poll().unwrap(), Some(epoch));
+        assert_eq!(device.persist_poll().unwrap(), None, "reported once");
+        assert_eq!(device.persist_poll_tenant(1).unwrap(), Some(1));
+        assert_eq!(device.persist_poll_tenant(1).unwrap(), None, "reported once");
+    }
+
+    /// The slots of `pool`'s undo entries of `epoch`, as the recovery scan
+    /// numbers them (block × entries per block + index).
+    fn scanned_slots(pool: &mut PmPool, epoch: u64) -> Vec<u64> {
+        let scanned = crate::UndoLog::scan(pool).unwrap();
+        scanned.into_iter().filter(|(_, e)| e.epoch == epoch).map(|(slot, _)| slot).collect()
+    }
+
+    /// A non-blocking commit runs the synchronous commit's epilogue: on a
+    /// bank no later epoch has appended to, it rewinds to the first
+    /// block, so the next epoch's entry lands in block 0 again.
+    #[test]
+    fn non_blocking_commit_rewinds_an_idle_bank() {
+        let (mut device, mut cache) = setup();
+        // Epoch 1 fills block 0 and half of block 1.
+        for i in 0..6u64 {
+            cache.write(LineAddr(i), CacheLine::filled(1), &mut device).unwrap();
+        }
+        device.persist_async(&mut cache).unwrap();
+        device.persist_wait().unwrap();
+        cache.write(LineAddr(40), CacheLine::filled(2), &mut device).unwrap();
+        device.persist(&mut cache).unwrap();
+        let mut pool = device.crash_into_pool();
+        assert_eq!(scanned_slots(&mut pool, 2), [0], "epoch 2 reopened block 0");
+    }
+
+    /// A buffered commit that lands while the next epoch is already
+    /// appending to the same bank leaves the bank's lap where it is, even
+    /// with the next epoch's entries durable: they stay unrecycled, and
+    /// the next epoch keeps appending behind them.
+    #[test]
+    fn buffered_commit_leaves_an_appending_bank_in_place() {
+        let config = DeviceConfig::default()
+            .with_persistency(PersistencyModel::BufferedEpoch { k: 2 })
+            .with_log_pump_interval(usize::MAX);
+        let (mut device, mut cache) = setup_cfg(config, 1);
+        for i in 0..6u64 {
+            cache.write(LineAddr(i), CacheLine::filled(1), &mut device).unwrap();
+        }
+        assert_eq!(device.persist(&mut cache).unwrap(), 1, "a buffered close");
+        // Epoch 2 fills block 2, durably, before epoch 1 commits.
+        for i in 0..=BLOCK_ENTRIES {
+            if i == BLOCK_ENTRIES {
+                device.flush_lane_log(0).unwrap();
+                while device.committed_epoch().unwrap() < 1 {
+                    device.persist_poll_tenant(0).unwrap();
+                }
+            }
+            cache.write(LineAddr(40 + i), CacheLine::filled(2), &mut device).unwrap();
+        }
+        device.persist(&mut cache).unwrap();
+        device.persist_wait().unwrap();
+        let mut pool = device.crash_into_pool();
+        let block2 = 2 * BLOCK_ENTRIES;
+        let want: Vec<u64> = (block2..=block2 + BLOCK_ENTRIES).collect();
+        assert_eq!(scanned_slots(&mut pool, 2), want, "epoch 2's fifth entry follows block 2");
+    }
+
     #[test]
     fn identical_tick_schedules_replay_identical_crash_states() {
         let run = |crash_at: u64| -> (u64, Vec<CacheLine>) {
@@ -2052,16 +2044,17 @@ mod tests {
         let b = device.tenants().region(1).vpm_base;
         cache.write(LineAddr(0), CacheLine::filled(0xA1), &mut device).unwrap();
         cache.write(LineAddr(b), CacheLine::filled(0xB1), &mut device).unwrap();
-        assert_eq!(device.epoch_log_len_for(0), 1);
-        assert_eq!(device.epoch_log_len_for(1), 1);
+        let logged = |t: usize| device.tenant_lanes(t).map(|l| device.lanes[l].epoch_log.len());
+        assert_eq!(logged(0).sum::<usize>(), 1);
+        assert_eq!(logged(1).sum::<usize>(), 1);
 
         // Tenant 0 persists; tenant 1's epoch stays open and uncommitted.
         assert_eq!(device.persist_tenant(0, &mut cache).unwrap(), 1);
         assert_eq!(device.committed_epoch_for(0).unwrap(), 1);
         assert_eq!(device.committed_epoch_for(1).unwrap(), 0);
-        assert_eq!(device.epoch_log_len_for(1), 1, "tenant 1's epoch log must be untouched");
-        assert_eq!(device.current_epoch_for(0), 2);
-        assert_eq!(device.current_epoch_for(1), 1);
+        assert_eq!(logged(1).sum::<usize>(), 1, "tenant 1's epoch log must be untouched");
+        assert_eq!(device.epochs[0].load(Ordering::Acquire), 2);
+        assert_eq!(device.epochs[1].load(Ordering::Acquire), 1);
         // Tenant 1's line is still only host-cached: its epoch was not
         // flushed by tenant 0's barrier.
         assert!(cache.state_of(LineAddr(b)).is_some(), "tenant 1's line must stay cached");
@@ -2379,7 +2372,7 @@ mod tests {
         let epoch = device.persist_async(&mut cache).unwrap();
         {
             // A persist barrier on another thread, frozen mid-flight.
-            let _ctl = lock(&device.draining[0]);
+            let _ctl = device.draining[0].lock();
             // Past the limit, each poll also runs (and loses) the
             // bounded spin.
             let polls = POLL_SKIP_LIMIT + 2;

@@ -36,7 +36,8 @@
 use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+
+use parking_lot::Mutex;
 
 use pax_pm::LineAddr;
 
@@ -109,7 +110,7 @@ impl OwnershipDirectory {
     /// Records an `RdOwn`: the host now plausibly holds `addr` modified.
     /// Returns `true` when the line was not already tracked.
     pub fn note_owned(&self, addr: LineAddr) -> bool {
-        let new = self.stripe(addr).lock().unwrap_or_else(|e| e.into_inner()).insert(addr);
+        let new = self.stripe(addr).lock().insert(addr);
         if new {
             self.resident.fetch_add(1, Ordering::Relaxed);
         }
@@ -120,7 +121,7 @@ impl OwnershipDirectory {
     /// response, CLWB invalidate, device write-back). Returns `true`
     /// when the line was tracked.
     pub fn clear_line(&self, addr: LineAddr) -> bool {
-        let was = self.stripe(addr).lock().unwrap_or_else(|e| e.into_inner()).remove(&addr);
+        let was = self.stripe(addr).lock().remove(&addr);
         if was {
             self.resident.fetch_sub(1, Ordering::Relaxed);
         }
@@ -129,7 +130,7 @@ impl OwnershipDirectory {
 
     /// Whether the host plausibly holds `addr` modified.
     pub fn holds(&self, addr: LineAddr) -> bool {
-        self.stripe(addr).lock().unwrap_or_else(|e| e.into_inner()).contains(&addr)
+        self.stripe(addr).lock().contains(&addr)
     }
 
     /// Lines currently tracked.
@@ -140,7 +141,7 @@ impl OwnershipDirectory {
     /// Power loss: the directory is volatile and restarts empty.
     pub fn crash(&self) {
         for stripe in &self.stripes {
-            let mut set = stripe.lock().unwrap_or_else(|e| e.into_inner());
+            let mut set = stripe.lock();
             let n = set.len();
             set.clear();
             self.resident.fetch_sub(n, Ordering::Relaxed);

@@ -73,12 +73,6 @@ impl HbmConfig {
         self.capacity_bytes = bytes;
         self
     }
-
-    /// Returns the config with a different eviction policy.
-    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
 }
 
 impl Default for HbmConfig {
@@ -116,19 +110,6 @@ impl HbmCache {
     /// Read misses observed so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Read hit rate (0 when never read). Snapshot of the atomic
-    /// counters; under concurrent traffic the two loads may straddle an
-    /// update, which only skews the ratio by one access.
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits();
-        let total = hits + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
     }
 
     /// Lines currently resident.
@@ -223,24 +204,6 @@ impl HbmCache {
         self.lines.remove(addr)
     }
 
-    /// Drains all dirty lines (persist-time write back), leaving clean
-    /// copies resident so post-persist reads still hit.
-    ///
-    /// Cleaning happens in place: draining is housekeeping, not access,
-    /// so it must not promote the drained lines to MRU and wipe out the
-    /// recency order real reads and evictions established.
-    pub fn take_dirty(&self) -> Vec<(LineAddr, CacheLine)> {
-        let mut drained = Vec::new();
-        self.lines.for_each_mut(|addr, line| {
-            if line.dirty {
-                drained.push((addr, line.data.clone()));
-                line.dirty = false;
-                line.log_offset = None;
-            }
-        });
-        drained
-    }
-
     /// Marks `addr` clean in place (post-write-back), without disturbing
     /// LRU order. Returns whether the line was resident.
     pub fn mark_clean(&self, addr: LineAddr) -> bool {
@@ -284,7 +247,6 @@ mod tests {
         assert!(h.lookup(LineAddr(1)).is_none());
         assert_eq!(h.hits(), 1);
         assert_eq!(h.misses(), 1);
-        assert!((h.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -315,36 +277,6 @@ mod tests {
         h.insert(LineAddr(1), clean(2), 0);
         let victim = h.insert(LineAddr(2), clean(3), 0);
         assert_eq!(victim.unwrap().0, LineAddr(0), "LRU evicts not-durable dirty line");
-    }
-
-    #[test]
-    fn take_dirty_returns_and_cleans() {
-        let h = HbmCache::new(HbmConfig::default_config());
-        h.insert(LineAddr(0), dirty(1, 0), 0);
-        h.insert(LineAddr(1), clean(2), 0);
-        h.insert(LineAddr(2), dirty(3, 1), 0);
-        let mut taken = h.take_dirty();
-        taken.sort_by_key(|(a, _)| a.0);
-        assert_eq!(taken.len(), 2);
-        assert_eq!(taken[0], (LineAddr(0), CacheLine::filled(1)));
-        // Lines stay resident but are now clean.
-        assert_eq!(h.resident(), 3);
-        assert!(!h.peek(LineAddr(0)).unwrap().dirty);
-        assert!(h.take_dirty().is_empty());
-    }
-
-    #[test]
-    fn take_dirty_preserves_lru_recency() {
-        // 1 set × 2 ways: addrs 0 and 1 collide in HbmCache's set index
-        // only if the set count is 1, so use the tiny geometry.
-        let h = tiny(EvictionPolicy::Lru);
-        h.insert(LineAddr(0), dirty(1, 0), 0); // LRU
-        h.insert(LineAddr(1), clean(2), 0); // MRU
-                                            // Draining must not promote addr 0: it stays the LRU victim.
-        let taken = h.take_dirty();
-        assert_eq!(taken, vec![(LineAddr(0), CacheLine::filled(1))]);
-        let victim = h.insert(LineAddr(2), clean(3), 0);
-        assert_eq!(victim.unwrap().0, LineAddr(0), "drained line must stay LRU");
     }
 
     #[test]

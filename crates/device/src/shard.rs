@@ -35,12 +35,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
+use parking_lot::Mutex;
 use pax_pm::{CacheLine, CrashClock, LineAddr, PmError, PmPool, Result};
 use pax_telemetry::{MetricSet, MetricSnapshot, TraceEvent};
 
-use crate::cell::{lock, PoolCell, TraceCell, WbGate};
+use crate::cell::{PoolCell, TraceCell, WbGate};
 
 use crate::directory::OwnershipDirectory;
 use crate::hbm::{HbmCache, HbmConfig, HbmLine};
@@ -88,7 +88,7 @@ impl EpochLog {
         addr: LineAddr,
         make: impl FnOnce() -> Result<u64>,
     ) -> Result<u64> {
-        let mut map = lock(self.stripe(addr));
+        let mut map = self.stripe(addr).lock();
         if let Some(&off) = map.get(&addr) {
             return Ok(off);
         }
@@ -100,7 +100,7 @@ impl EpochLog {
 
     /// The offset covering `addr` this epoch, if it was logged.
     pub(crate) fn offset_of(&self, addr: LineAddr) -> Option<u64> {
-        lock(self.stripe(addr)).get(&addr).copied()
+        self.stripe(addr).lock().get(&addr).copied()
     }
 
     /// Number of lines logged this epoch.
@@ -115,7 +115,7 @@ impl EpochLog {
     pub(crate) fn sorted(&self) -> Vec<(u64, LineAddr)> {
         let mut logged = Vec::with_capacity(self.len());
         for stripe in &self.stripes {
-            logged.extend(lock(stripe).iter().map(|(a, o)| (*o, *a)));
+            logged.extend(stripe.lock().iter().map(|(a, o)| (*o, *a)));
         }
         logged.sort_unstable();
         logged
@@ -124,7 +124,7 @@ impl EpochLog {
     /// Forgets every logged line (epoch boundary).
     pub(crate) fn clear(&self) {
         for stripe in &self.stripes {
-            let mut map = lock(stripe);
+            let mut map = stripe.lock();
             let n = map.len();
             map.clear();
             self.len.fetch_sub(n, Ordering::Relaxed);
@@ -144,17 +144,17 @@ pub(crate) struct WbQueue {
 
 impl WbQueue {
     pub(crate) fn push_back(&self, addr: LineAddr) {
-        lock(&self.queue).push_back(addr);
+        self.queue.lock().push_back(addr);
         self.len.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The oldest queued line, without popping it.
     pub(crate) fn front(&self) -> Option<LineAddr> {
-        lock(&self.queue).front().copied()
+        self.queue.lock().front().copied()
     }
 
     pub(crate) fn pop_front(&self) -> Option<LineAddr> {
-        let popped = lock(&self.queue).pop_front();
+        let popped = self.queue.lock().pop_front();
         if popped.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
@@ -162,7 +162,7 @@ impl WbQueue {
     }
 
     pub(crate) fn clear(&self) {
-        let mut q = lock(&self.queue);
+        let mut q = self.queue.lock();
         let n = q.len();
         q.clear();
         self.len.fetch_sub(n, Ordering::Relaxed);
@@ -272,16 +272,6 @@ impl Lane {
     /// Counts a dirty eviction for a line this lane never logged.
     pub(crate) fn count_unlogged_dirty_evict(&self) {
         self.metrics.inc(self.ctr.unlogged_dirty_evicts);
-    }
-
-    /// Counts a line this lane wrote back to PM.
-    pub(crate) fn count_writeback(&self) {
-        self.metrics.inc(self.ctr.device_writebacks);
-    }
-
-    /// Counts a background (opportunistic) write back.
-    pub(crate) fn count_background_writeback(&self) {
-        self.metrics.inc(self.ctr.background_writebacks);
     }
 
     /// Counts a stall that forced a synchronous log flush on this lane.
@@ -529,14 +519,35 @@ impl Lane {
                 }
             }
         }
+        self.write_back(pool, clock, trace, &[(addr, line.data)])
+    }
+
+    /// The one data-line write-back step, behind every path that moves a
+    /// data line to PM (persist runs, a draining epoch's runs and forced
+    /// lines, HBM victims, background write back): one durable-write step
+    /// (a crash-clock tick), then `run`'s 1..n lines written in order,
+    /// each counted and traced. Callers serialize it per lane — under the
+    /// lane's [`WbGate`], or for an HBM victim under its set's lock — and
+    /// do their own HBM housekeeping.
+    pub(crate) fn write_back(
+        &self,
+        pool: &PoolCell,
+        clock: &CrashClock,
+        trace: &TraceCell,
+        run: &[(LineAddr, CacheLine)],
+    ) -> Result<()> {
         {
             let mut pm = pool.lock();
-            let abs = pm.layout().vpm_to_pool(addr.0)?;
             tick(clock, &mut pm)?;
-            pm.write_line(abs, line.data)?;
+            for (addr, data) in run {
+                let abs = pm.layout().vpm_to_pool(addr.0)?;
+                pm.write_line(abs, data.clone())?;
+            }
         }
-        self.metrics.inc(self.ctr.device_writebacks);
-        trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
+        self.metrics.add(self.ctr.device_writebacks, run.len() as u64);
+        for (addr, _) in run {
+            trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
+        }
         Ok(())
     }
 
@@ -630,15 +641,8 @@ impl Lane {
                 // Clean in place: background write-back must not promote
                 // the line to MRU and erase real-access recency.
                 self.hbm_mark_clean(addr);
-                {
-                    let mut pm = pool.lock();
-                    let abs = pm.layout().vpm_to_pool(addr.0)?;
-                    tick(clock, &mut pm)?;
-                    pm.write_line(abs, data)?;
-                }
-                self.count_writeback();
-                self.count_background_writeback();
-                trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
+                self.write_back(pool, clock, trace, &[(addr, data)])?;
+                self.metrics.inc(self.ctr.background_writebacks);
                 // The directory stays as it is: a device write back says
                 // nothing about the host, which may have re-acquired the
                 // line since it evicted the value written here.
@@ -648,19 +652,11 @@ impl Lane {
         Ok(())
     }
 
-    /// Starts the next epoch after a non-blocking persist captured this
-    /// one: per-epoch maps reset, but the log bank stays live until the
-    /// drain commits and recycles it.
+    /// Starts the next epoch once this one is closed: per-epoch maps
+    /// reset; the log bank is recycled by the commit epilogue.
     pub(crate) fn begin_next_epoch(&self) {
         self.epoch_log.clear();
         self.writeback_queue.clear();
-    }
-
-    /// Per-epoch volatile state reset after a fully-drained commit; the
-    /// log bank rewinds to its first block under the pool lock.
-    pub(crate) fn reset_after_commit(&self, pool: &PoolCell) {
-        self.begin_next_epoch();
-        self.log.reset_after_commit(&mut pool.lock());
     }
 
     /// Drops all volatile state (power loss). The ownership directory is

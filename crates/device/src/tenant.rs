@@ -102,7 +102,6 @@ pub struct TenantMap {
     regions: Vec<TenantRegion>,
     /// `(vpm_base, tenant)` sorted by base, for binary-search lookup.
     by_base: Vec<(u64, TenantId)>,
-    total_weight: u64,
 }
 
 impl TenantMap {
@@ -155,8 +154,7 @@ impl TenantMap {
                 )));
             }
         }
-        let total_weight = regions.iter().map(|r| r.weight as u64).sum();
-        Ok(TenantMap { regions, by_base, total_weight })
+        Ok(TenantMap { regions, by_base })
     }
 
     /// Number of tenants.
@@ -177,11 +175,6 @@ impl TenantMap {
     /// Tenant `t`'s scheduler weight.
     pub fn weight(&self, t: TenantId) -> u32 {
         self.regions[t].weight
-    }
-
-    /// Sum of all tenants' weights.
-    pub fn total_weight(&self) -> u64 {
-        self.total_weight
     }
 
     /// Tenant `t`'s HBM capacity share.
@@ -295,6 +288,6 @@ mod tests {
             vec![TenantRegion::new(0, 10).with_weight(3), TenantRegion::new(10, 10).with_weight(1)];
         let map = TenantMap::new(regions, 100).unwrap();
         assert_eq!(map.weight(0), 3);
-        assert_eq!(map.total_weight(), 4);
+        assert_eq!(map.weight(1), 1);
     }
 }

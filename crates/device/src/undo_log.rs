@@ -35,10 +35,12 @@
 //! watermarks move with it. Offsets stay dense, so only the base, not
 //! the tail, jumps. Without the rewind every epoch opens where the last
 //! one stopped and a long run writes every line of the region; with it,
-//! the region a run touches is as deep as its deepest epoch. Only the
-//! synchronous-persist epilogue ([`UndoLog::reset_after_commit`])
-//! rewinds; a non-blocking commit only recycles, since the next epoch is
-//! usually appending by then and the writer is not empty.
+//! the region a run touches is as deep as its deepest epoch. Every
+//! commit — synchronous, non-blocking or buffered — ends in
+//! [`UndoLog::reset_after_commit`], which recycles the committed epoch's
+//! offsets and rewinds the writer if that left it empty; a writer that a
+//! later epoch already appends to keeps its lap until a later commit
+//! finds it empty.
 //!
 //! The rewind is volatile only. Blocks beyond the new lap's reach keep
 //! their entries, which belong to committed epochs and which recovery
@@ -102,7 +104,9 @@
 //!   magic/commit/checksum gauntlet.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
+
+use parking_lot::Mutex;
 
 use pax_pm::{CacheLine, CrashOutcome, LineAddr, PmError, PmPool, Result};
 use pax_telemetry::{Histogram, MetricSet, MetricSnapshot};
@@ -382,8 +386,8 @@ impl Chunk {
 ///    new base while it decides whether to join `t`'s block; it finds the
 ///    base past `t` and defers to its CAS, which fails because the word
 ///    moved from `t` to `b > t` (offsets never repeat, so no ABA).
-///    Only the synchronous epilogue rewinds: after a non-blocking commit
-///    the next epoch is usually appending already.
+///    Every commit tries it; one whose writer a later epoch already
+///    appends to leaves the lap as it is.
 ///
 /// The volatile ring (slots and block keys) is built in chunks of
 /// `CHUNK_BLOCKS` (256) blocks, each the first time an offset maps into it,
@@ -504,12 +508,6 @@ impl UndoLog {
     pub(crate) fn has_whole_block(&self) -> bool {
         let durable = self.durable_offset();
         self.appended() >= (durable / BLOCK_ENTRIES + 1) * BLOCK_ENTRIES
-    }
-
-    /// Offsets whose slots are still held by uncommitted epochs.
-    pub fn live_entries(&self) -> u64 {
-        let recycled = self.recycled.0.load(Ordering::Acquire);
-        self.appended().saturating_sub(recycled)
     }
 
     /// Capacity of this writer's region slice, in entries.
@@ -693,7 +691,7 @@ impl UndoLog {
             0,
             "reserved slot {offset} still published from a previous lap"
         );
-        *slot.entry.lock().unwrap_or_else(PoisonError::into_inner) = Some(Box::new(entry));
+        *slot.entry.lock() = Some(Box::new(entry));
         // Release: the filled entry becomes visible to the pump's
         // acquire scan exactly when the ready word does. `offset + 1`
         // (not a bare flag) makes the scan ABA-proof across ring laps.
@@ -784,18 +782,17 @@ impl UndoLog {
         start: u64,
         end: u64,
     ) -> Result<bool> {
-        let padding_only =
-            self.slot(start).entry.lock().unwrap_or_else(PoisonError::into_inner).is_none();
+        let padding_only = self.slot(start).entry.lock().is_none();
         if !padding_only && clock.tick() == CrashOutcome::Crashed {
             pool.crash();
             return Err(PmError::Crashed);
         }
-        let mut open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut open = self.open.lock();
         let mut header = if start.is_multiple_of(BLOCK_ENTRIES) { None } else { open.take() };
         let base = self.block_base(start);
         for offset in start..end {
             let slot = self.slot(offset);
-            let entry = slot.entry.lock().unwrap_or_else(PoisonError::into_inner).take();
+            let entry = slot.entry.lock().take();
             // Clearing `ready` before publishing durability keeps the
             // reuse chain intact: clear → durable release → recycle
             // release-max → reserver acquire — a future lap's appender
@@ -857,14 +854,14 @@ impl UndoLog {
         self.recycled.0.fetch_max(clamped, Ordering::AcqRel);
     }
 
-    /// Recycles the whole region after a fully-drained epoch commits (the
-    /// synchronous-persist epilogue) and rewinds it to its first block.
+    /// The log's half of every commit: recycles the offsets below
+    /// `watermark` (the committed epoch's, see [`UndoLog::recycle_to`])
+    /// and rewinds the writer to its first block if that left it empty.
     /// Offsets stay monotonic; only slot ownership and the lap base
     /// reset. Stale entries left on media belong to committed epochs and
     /// are ignored by recovery.
-    pub fn reset_after_commit(&self, pool: &mut PmPool) {
-        debug_assert_eq!(self.pending_len(), 0, "reset with undrained entries");
-        self.recycle_to(self.durable_offset());
+    pub fn reset_after_commit(&self, pool: &mut PmPool, watermark: u64) {
+        self.recycle_to(watermark);
         self.rewind(pool);
     }
 
@@ -912,7 +909,7 @@ impl UndoLog {
     pub fn crash(&self) {
         for slot in self.chunks.iter().filter_map(OnceLock::get).flat_map(|c| c.slots.iter()) {
             slot.ready.store(0, Ordering::Relaxed);
-            *slot.entry.lock().unwrap_or_else(PoisonError::into_inner) = None;
+            *slot.entry.lock() = None;
         }
         self.state.0.store(self.durable_offset(), Ordering::Relaxed);
     }
@@ -1264,12 +1261,12 @@ mod tests {
         log.append(entry(1, 5, 1)).unwrap();
         log.append(entry(1, 6, 1)).unwrap();
         log.flush(&mut p, &clock).unwrap();
-        log.reset_after_commit(&mut p);
+        log.reset_after_commit(&mut p, log.durable_offset());
         // Offsets keep counting — no ambiguity against stale buffered
         // offsets — but the region is free again, and the new epoch's
         // block opens at the first block.
         assert_eq!(log.durable_offset(), BLOCK_ENTRIES);
-        assert_eq!(log.live_entries(), 0);
+        assert_eq!(log.recycled.0.load(Ordering::Acquire), log.appended());
         assert_eq!(log.append(entry(2, 7, 2)).unwrap(), BLOCK_ENTRIES);
         log.flush(&mut p, &clock).unwrap();
         // Epoch 2's one-entry header replaced epoch 1's; epoch 1's second
@@ -1282,7 +1279,7 @@ mod tests {
     /// epilogue does.
     fn commit(log: &UndoLog, p: &mut PmPool, clock: &CrashClock) {
         log.flush(p, clock).unwrap();
-        log.reset_after_commit(p);
+        log.reset_after_commit(p, log.durable_offset());
     }
 
     #[test]
@@ -1400,7 +1397,7 @@ mod tests {
             log.flush(&mut p, &clock).unwrap();
             assert_eq!(built(&log), vec![0, 1]);
             // A drained commit rewinds; the next epoch stays in chunk 0.
-            log.reset_after_commit(&mut p);
+            log.reset_after_commit(&mut p, log.durable_offset());
             log.append(entry(2, 0, 0)).unwrap();
             assert_eq!(built(&log), vec![0, 1]);
         }
@@ -1472,7 +1469,7 @@ mod tests {
         for chunk in log.chunks.iter().filter_map(OnceLock::get) {
             for slot in chunk.slots.iter() {
                 assert_eq!(slot.ready.load(Ordering::Relaxed), 0);
-                assert!(slot.entry.lock().unwrap().is_none());
+                assert!(slot.entry.lock().is_none());
             }
         }
         // The tail restarts at the durable watermark.
@@ -1566,7 +1563,7 @@ mod tests {
             // Epoch 1 committed up to offset 4: its block is free, epoch
             // 2's is live.
             log.recycle_to(4);
-            assert_eq!(log.live_entries(), 4);
+            assert_eq!(log.recycled.0.load(Ordering::Acquire), 4);
             assert_eq!(log.append(entry(3, 9, 0)).unwrap(), 8);
             assert_eq!(log.append(entry(3, 10, 0)).unwrap(), 9);
             // A block is reopened only once all of its previous lap is
@@ -1592,9 +1589,9 @@ mod tests {
             }
             log.pump(&mut p, &clock, 1).unwrap();
             log.recycle_to(99); // clamped: only one block is durable
-            assert_eq!(log.live_entries(), 2);
+            assert_eq!(log.recycled.0.load(Ordering::Acquire), 4);
             log.recycle_to(0); // never regresses
-            assert_eq!(log.live_entries(), 2);
+            assert_eq!(log.recycled.0.load(Ordering::Acquire), 4);
         }
     }
 
