@@ -346,6 +346,11 @@ def check_capacity(doc, failures):
     check_bar(failures, big_log <= small + 1024,
               f"capacity host_memory: a 64 MiB log grew RSS {big_log} KiB at create vs "
               f"a 4 MiB log {small} KiB + 1 MiB")
+    # Opening a pool builds no HBM set, undo ring chunk or media page;
+    # each is built on first touch.
+    check_bar(failures, small <= 2048,
+              f"capacity host_memory: a 64 MiB pool (4 MiB log) grew RSS {small} KiB at "
+              f"create vs 2 MiB")
     for r in rows:
         if r["close"] == "buffered2":
             continue  # under K = 2 the log is rarely empty at a commit

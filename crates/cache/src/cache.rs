@@ -244,11 +244,6 @@ impl CoherentCache {
         self.metrics.snapshot()
     }
 
-    /// Number of resident lines.
-    pub fn resident_lines(&self) -> usize {
-        self.lines.len()
-    }
-
     /// The MESI state of `addr`, if resident (for tests and assertions).
     pub fn state_of(&self, addr: LineAddr) -> Option<MesiState> {
         self.lines.peek(addr).map(|l| l.state)
@@ -315,23 +310,6 @@ impl CoherentCache {
         self.metrics.inc(self.ctr.write_upgrades);
         home.read_own(addr)?;
         self.install(addr, CachedLine { state: MesiState::Modified, data }, home)
-    }
-
-    /// Read-modify-write convenience: loads the line, applies `f`, stores
-    /// the result. This is how typed sub-line accessors mutate fields.
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures (bounds, simulated crash).
-    pub fn update(
-        &mut self,
-        addr: LineAddr,
-        home: &mut impl HomeAgent,
-        f: impl FnOnce(&mut CacheLine),
-    ) -> Result<()> {
-        let mut line = self.read(addr, home)?;
-        f(&mut line);
-        self.write(addr, line, home)
     }
 
     /// Installs a line received from a *peer cache* in shared state —
@@ -536,23 +514,13 @@ mod tests {
     }
 
     #[test]
-    fn update_applies_sub_line_mutation() {
-        let mut home = dram_home(1 << 16);
-        let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
-        c.update(LineAddr(0), &mut home, |l| l.write_at(8, &[1, 2, 3])).unwrap();
-        let line = c.read(LineAddr(0), &mut home).unwrap();
-        assert_eq!(line.read_at(8, 3), &[1, 2, 3]);
-        assert_eq!(line.read_at(0, 8), &[0; 8]);
-    }
-
-    #[test]
     fn flush_all_empties_cache_and_persists() {
         let mut home = dram_home(1 << 16);
         let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
         c.write(LineAddr(0), CacheLine::filled(1), &mut home).unwrap();
         c.read(LineAddr(1), &mut home).unwrap();
         c.flush_all(&mut home).unwrap();
-        assert_eq!(c.resident_lines(), 0);
+        assert_eq!((c.state_of(LineAddr(0)), c.state_of(LineAddr(1))), (None, None));
         assert_eq!(home.memory_mut().read_line(LineAddr(0)).unwrap(), CacheLine::filled(1));
     }
 }

@@ -1,17 +1,20 @@
-//! Concurrent set-associative index: `SetAssoc` semantics behind per-set
-//! locks plus a lock-free presence probe.
+//! Concurrent set-associative index: the crate's one set policy behind
+//! per-set locks plus a lock-free presence probe.
 //!
-//! `ConcurrentSetAssoc<T>` is the shared-index twin of [`SetAssoc`]: the
-//! same set geometry, the same single logical LRU clock, and the same
-//! victim-selection rules, but every operation takes `&self` so many
-//! threads can drive disjoint sets (and, with short critical sections,
-//! even the same set) without an exclusive borrow of the whole index.
+//! `ConcurrentSetAssoc<T>` drives the same set type as the single-owner
+//! `SetAssoc` (the crate-private `Ways` of `set.rs`): tag lookup, LRU
+//! stamps and victim choice live there, once. This wrapper adds only
+//! what sharing needs, so every operation takes `&self` and many threads
+//! can drive disjoint sets (and, with short critical sections, even the
+//! same set) without an exclusive borrow of the whole index.
 //!
 //! Concurrency design:
 //!
 //! - Each set is a [`parking_lot::Mutex`] over its ways. Critical sections
 //!   are tiny (scan ≤ `ways` entries, mutate one), so a plain mutex is a
-//!   spinlock in practice and keeps the crate `forbid(unsafe_code)`.
+//!   spinlock in practice and keeps the crate `forbid(unsafe_code)`. A
+//!   set allocates its ways on its first insert, so an index costs host
+//!   memory only for the sets a run touches.
 //! - Each set also carries a 64-bit *presence signature* (a one-word
 //!   Bloom filter over the addresses resident in the set). A reader
 //!   probes the signature with an `Acquire` load before locking; a clear
@@ -29,29 +32,20 @@
 //!
 //! Lock ordering: callers may acquire downstream locks (pool, trace)
 //! inside `dispose`/`get` closures; `ConcurrentSetAssoc` itself never
-//! takes more than one set lock at a time except in the documented
-//! whole-index walks (`for_each_mut`, `clear`), which lock sets strictly
-//! in index order.
-//!
-//! [`SetAssoc`]: crate::SetAssoc
+//! takes more than one set lock at a time except in `clear`, which locks
+//! sets strictly in index order.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use pax_pm::{LineAddr, LINE_SIZE};
+use pax_pm::LineAddr;
 
-/// One resident line: address tag, payload, and LRU stamp.
-#[derive(Debug)]
-struct Way<T> {
-    addr: LineAddr,
-    payload: T,
-    last_use: u64,
-}
+use crate::set::{sets_for, Ways};
 
 /// One set: locked ways plus the lock-free presence signature.
 #[derive(Debug)]
 struct SetSlot<T> {
-    ways: Mutex<Vec<Way<T>>>,
+    ways: Mutex<Ways<T>>,
     /// One-word Bloom filter over resident addresses; bit index =
     /// [`sig_bit`]. Cleared bits prove absence; set bits may be stale.
     sig: AtomicU64,
@@ -63,15 +57,15 @@ fn sig_bit(addr: LineAddr) -> u64 {
 }
 
 /// Rebuild a set's signature from its resident ways (after a removal).
-fn rebuild_sig<T>(ways: &[Way<T>]) -> u64 {
-    ways.iter().fold(0u64, |sig, w| sig | sig_bit(w.addr))
+fn rebuild_sig<T>(ways: &Ways<T>) -> u64 {
+    ways.iter().fold(0u64, |sig, (addr, _)| sig | sig_bit(addr))
 }
 
 /// A set-associative index shared across threads.
 ///
-/// See the module docs for the concurrency design. The observable
-/// single-driver behaviour (hit/miss outcomes, victim choice, LRU
-/// stamps) is bit-identical to [`SetAssoc`](crate::SetAssoc).
+/// See the module docs for the concurrency design. It runs the same set
+/// policy as the crate's single-owner array, so a single driver sees the
+/// same hit/miss outcomes, victims and LRU stamps.
 #[derive(Debug)]
 pub struct ConcurrentSetAssoc<T> {
     sets: Vec<SetSlot<T>>,
@@ -81,7 +75,8 @@ pub struct ConcurrentSetAssoc<T> {
 }
 
 impl<T> ConcurrentSetAssoc<T> {
-    /// Build an index with `num_sets` sets of `ways` ways each.
+    /// Build an index with `num_sets` sets of `ways` ways each. No set
+    /// allocates its ways until its first insert.
     ///
     /// # Panics
     /// Panics if either dimension is zero.
@@ -89,23 +84,18 @@ impl<T> ConcurrentSetAssoc<T> {
         assert!(num_sets > 0, "need at least one set");
         assert!(ways > 0, "need at least one way");
         let sets = (0..num_sets)
-            .map(|_| SetSlot { ways: Mutex::new(Vec::with_capacity(ways)), sig: AtomicU64::new(0) })
+            .map(|_| SetSlot { ways: Mutex::new(Ways::new()), sig: AtomicU64::new(0) })
             .collect();
         Self { sets, ways, clock: AtomicU64::new(0), resident: AtomicUsize::new(0) }
     }
 
-    /// Build an index sized to `bytes` of line storage with the given
-    /// associativity, mirroring `SetAssoc::with_capacity_bytes`.
+    /// Build an index sized to `bytes` of 64-byte lines with the given
+    /// associativity.
     ///
     /// # Panics
     /// Panics if `bytes` holds fewer lines than one full set.
     pub fn with_capacity_bytes(bytes: usize, ways: usize) -> Self {
-        let lines = bytes / LINE_SIZE;
-        assert!(
-            lines >= ways,
-            "capacity {bytes} bytes holds {lines} lines, fewer than {ways} ways"
-        );
-        Self::new(lines / ways, ways)
+        Self::new(sets_for(bytes, ways), ways)
     }
 
     fn set_of(&self, addr: LineAddr) -> &SetSlot<T> {
@@ -133,20 +123,17 @@ impl<T> ConcurrentSetAssoc<T> {
 
     /// Look up `addr`, running `f` on the payload under the set lock.
     ///
-    /// Advances the LRU clock even on a miss (matching
-    /// `SetAssoc::get_mut`) and freshens the line's stamp on a hit. A
-    /// clear presence-signature bit short-circuits to `None` without
-    /// locking the set.
+    /// Advances the LRU clock even on a miss (as the single-owner array
+    /// does) and freshens the line's stamp on a hit. A clear
+    /// presence-signature bit short-circuits to `None` without locking
+    /// the set.
     pub fn get<R>(&self, addr: LineAddr, f: impl FnOnce(&mut T) -> R) -> Option<R> {
         let stamp = self.stamp();
         let set = self.set_of(addr);
         if set.sig.load(Ordering::Acquire) & sig_bit(addr) == 0 {
             return None;
         }
-        let mut ways = set.ways.lock();
-        let way = ways.iter_mut().find(|w| w.addr == addr)?;
-        way.last_use = stamp;
-        Some(f(&mut way.payload))
+        set.ways.lock().touch(addr, stamp).map(f)
     }
 
     /// Run `f` on `addr`'s payload without disturbing LRU state.
@@ -155,8 +142,7 @@ impl<T> ConcurrentSetAssoc<T> {
         if set.sig.load(Ordering::Acquire) & sig_bit(addr) == 0 {
             return None;
         }
-        let ways = set.ways.lock();
-        ways.iter().find(|w| w.addr == addr).map(|w| f(&w.payload))
+        set.ways.lock().find(addr).map(f)
     }
 
     /// Run `f` mutably on `addr`'s payload without disturbing LRU state.
@@ -165,15 +151,13 @@ impl<T> ConcurrentSetAssoc<T> {
         if set.sig.load(Ordering::Acquire) & sig_bit(addr) == 0 {
             return None;
         }
-        let mut ways = set.ways.lock();
-        ways.iter_mut().find(|w| w.addr == addr).map(|w| f(&mut w.payload))
+        set.ways.lock().find_mut(addr).map(f)
     }
 
     /// Insert `payload` at `addr`, evicting a victim if the set is full.
     ///
-    /// Victim selection mirrors `SetAssoc::insert_with_policy`: among
-    /// ways for which `prefer` returns true the least-recently-used one
-    /// is chosen; if none is preferred, the overall LRU way is evicted.
+    /// Among ways for which `prefer` returns true the least-recently-used
+    /// one is the victim; if none is preferred, the overall LRU way is.
     /// On a hit the payload is replaced in place (and its stamp
     /// freshened) with no eviction.
     ///
@@ -191,44 +175,11 @@ impl<T> ConcurrentSetAssoc<T> {
         let stamp = self.stamp();
         let set = self.set_of(addr);
         let mut ways = set.ways.lock();
-        if let Some(way) = ways.iter_mut().find(|w| w.addr == addr) {
-            way.payload = payload;
-            way.last_use = stamp;
+        if let Some(resident) = ways.touch(addr, stamp) {
+            *resident = payload;
             return None;
         }
-        let victim = if ways.len() >= self.ways {
-            let preferred = ways
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| prefer(&w.payload))
-                .min_by_key(|(_, w)| w.last_use)
-                .map(|(i, _)| i);
-            let idx = preferred.unwrap_or_else(|| {
-                ways.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.last_use)
-                    .map(|(i, _)| i)
-                    .expect("full set has at least one way")
-            });
-            Some(ways.swap_remove(idx))
-        } else {
-            None
-        };
-        ways.push(Way { addr, payload, last_use: stamp });
-        match victim {
-            Some(v) => {
-                set.sig.store(rebuild_sig(&ways), Ordering::Release);
-                // Dispose under the set lock: the victim must not be
-                // missing from the index while its data is still in
-                // flight to its home location.
-                Some(dispose(v.addr, v.payload))
-            }
-            None => {
-                set.sig.fetch_or(sig_bit(addr), Ordering::Release);
-                self.resident.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        self.admit_locked(&mut ways, addr, payload, stamp, prefer, dispose)
     }
 
     /// Insert only if `addr` is absent; an existing line (and its LRU
@@ -245,32 +196,33 @@ impl<T> ConcurrentSetAssoc<T> {
         let stamp = self.stamp();
         let set = self.set_of(addr);
         let mut ways = set.ways.lock();
-        if ways.iter().any(|w| w.addr == addr) {
+        if ways.find(addr).is_some() {
             return None;
         }
-        let victim = if ways.len() >= self.ways {
-            let preferred = ways
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| prefer(&w.payload))
-                .min_by_key(|(_, w)| w.last_use)
-                .map(|(i, _)| i);
-            let idx = preferred.unwrap_or_else(|| {
-                ways.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.last_use)
-                    .map(|(i, _)| i)
-                    .expect("full set has at least one way")
-            });
-            Some(ways.swap_remove(idx))
-        } else {
-            None
-        };
-        ways.push(Way { addr, payload, last_use: stamp });
-        match victim {
-            Some(v) => {
-                set.sig.store(rebuild_sig(&ways), Ordering::Release);
-                Some(dispose(v.addr, v.payload))
+        self.admit_locked(&mut ways, addr, payload, stamp, prefer, dispose)
+    }
+
+    /// The tail both inserts share once `addr` is known to be absent:
+    /// admit it into `ways` (the locked contents of its set), update the
+    /// signature and the resident count, and dispose of a victim while
+    /// the caller still holds the set lock.
+    fn admit_locked<R>(
+        &self,
+        ways: &mut Ways<T>,
+        addr: LineAddr,
+        payload: T,
+        stamp: u64,
+        prefer: impl Fn(&T) -> bool,
+        dispose: impl FnOnce(LineAddr, T) -> R,
+    ) -> Option<R> {
+        let set = self.set_of(addr);
+        match ways.admit(addr, payload, stamp, self.ways, prefer) {
+            Some((victim_addr, victim)) => {
+                set.sig.store(rebuild_sig(ways), Ordering::Release);
+                // Dispose under the set lock: the victim must not be
+                // missing from the index while its data is still in
+                // flight to its home location.
+                Some(dispose(victim_addr, victim))
             }
             None => {
                 set.sig.fetch_or(sig_bit(addr), Ordering::Release);
@@ -287,25 +239,10 @@ impl<T> ConcurrentSetAssoc<T> {
             return None;
         }
         let mut ways = set.ways.lock();
-        let idx = ways.iter().position(|w| w.addr == addr)?;
-        let way = ways.swap_remove(idx);
+        let payload = ways.remove(addr)?;
         set.sig.store(rebuild_sig(&ways), Ordering::Release);
         self.resident.fetch_sub(1, Ordering::Relaxed);
-        Some(way.payload)
-    }
-
-    /// Visit every resident line mutably, without disturbing LRU state.
-    ///
-    /// Sets are locked one at a time in index order, so concurrent
-    /// operations on other sets proceed; within a set, visit order is
-    /// way order (matching `SetAssoc::iter`).
-    pub fn for_each_mut(&self, mut f: impl FnMut(LineAddr, &mut T)) {
-        for set in &self.sets {
-            let mut ways = set.ways.lock();
-            for way in ways.iter_mut() {
-                f(way.addr, &mut way.payload);
-            }
-        }
+        Some(payload)
     }
 
     /// Drop every resident line.
@@ -399,19 +336,12 @@ mod tests {
     }
 
     #[test]
-    fn for_each_mut_visits_everything_in_set_order() {
-        let c = idx();
-        for a in 0..4u64 {
-            c.insert_with(LineAddr(a), a, |_| true, |_, _| ());
-        }
-        let mut seen = Vec::new();
-        c.for_each_mut(|addr, v| {
-            *v += 100;
-            seen.push(addr.0);
-        });
-        // Set 0 holds even addresses, set 1 odd; within a set, insertion order.
-        assert_eq!(seen, vec![0, 2, 1, 3]);
-        assert_eq!(c.peek(LineAddr(3), |v| *v), Some(103));
+    fn a_set_allocates_its_ways_on_first_insert() {
+        let c: ConcurrentSetAssoc<u64> = ConcurrentSetAssoc::new(2, 4);
+        assert!(c.sets.iter().all(|s| s.ways.lock().allocated() == 0), "open allocates no ways");
+        c.insert_with(LineAddr(0), 1, |_| true, |_, _| ());
+        assert_eq!(c.sets[0].ways.lock().allocated(), 4);
+        assert_eq!(c.sets[1].ways.lock().allocated(), 0, "an untouched set stays unbuilt");
     }
 
     #[test]
@@ -438,8 +368,7 @@ mod tests {
             }
         });
         assert_eq!(c.len(), c.capacity());
-        let mut count = 0;
-        c.for_each_mut(|_, _| count += 1);
+        let count: usize = c.sets.iter().map(|s| s.ways.lock().len()).sum();
         assert_eq!(count, c.len());
     }
 }

@@ -289,9 +289,9 @@ mod tests {
         h.access(LineAddr(0));
         h.access(LineAddr(1));
         h.access(LineAddr(2)); // evicts 0 or 1 from LLC and back-invalidates
-        let evicted = if h.llc.contains(LineAddr(0)) { LineAddr(1) } else { LineAddr(0) };
-        assert!(!h.l1.contains(evicted));
-        assert!(!h.l2.contains(evicted));
+        let evicted = if h.llc.peek(LineAddr(0)).is_some() { LineAddr(1) } else { LineAddr(0) };
+        assert!(h.l1.peek(evicted).is_none());
+        assert!(h.l2.peek(evicted).is_none());
         assert_eq!(h.access(evicted), ServedBy::Memory);
     }
 

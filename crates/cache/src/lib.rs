@@ -4,11 +4,13 @@
 //! the host CPU's caches and the device that is the *home agent* for vPM
 //! addresses. This crate models the host side:
 //!
-//! * [`set`] — a generic set-associative array with LRU replacement,
-//!   reused by every cache in the workspace (L1/L2/LLC here).
-//! * [`concurrent`] — the shared (`&self`) twin of [`set`]: per-set
-//!   locks plus a lock-free presence probe, used by the device HBM
-//!   cache in `pax-device` so same-lane stores scale across threads.
+//! * `set` (crate-private) — the one set-associative engine: a set type
+//!   that owns tag lookup, LRU stamps and victim choice, and the
+//!   single-owner array over it that backs the host caches (L1/L2/LLC
+//!   here).
+//! * [`concurrent`] — the same sets behind per-set locks plus a
+//!   lock-free presence probe, used by the device HBM cache in
+//!   `pax-device` so same-lane stores scale across threads.
 //! * [`mesi`] — MESI coherence states and their legal transitions.
 //! * [`cache`] — the functional, data-carrying coherent cache
 //!   ([`CoherentCache`]): it holds real line contents, requests lines from
@@ -52,7 +54,7 @@ pub mod complex;
 pub mod concurrent;
 pub mod hierarchy;
 pub mod mesi;
-pub mod set;
+mod set;
 
 pub use amat::{AmatBreakdown, AmatEstimator, MemKind};
 pub use cache::{CacheConfig, CacheStats, CoherentCache, HomeAgent, MemoryHome};
@@ -60,4 +62,3 @@ pub use complex::{ComplexStats, HostSnoop, SharedComplex};
 pub use concurrent::ConcurrentSetAssoc;
 pub use hierarchy::{Hierarchy, HierarchyConfig, HierarchyStats, LevelStats};
 pub use mesi::MesiState;
-pub use set::SetAssoc;

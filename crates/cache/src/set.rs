@@ -1,38 +1,144 @@
-//! A generic set-associative array with LRU replacement.
+//! The set-associative engine: one set type that owns the set policy.
 //!
 //! Both the host caches and the PAX device's HBM cache are set-associative
-//! structures that differ only in what they store per line. [`SetAssoc<T>`]
-//! factors that shape out: it maps a [`LineAddr`] tag to a payload `T`,
-//! evicting the least-recently-used way of a set when it fills.
+//! structures that differ only in what they store per line and in how many
+//! threads drive them. [`Ways<T>`] is one set and holds the whole set
+//! policy: tag lookup, LRU stamps, and admission, which evicts the
+//! least-recently-used way among those a `prefer` predicate accepts and
+//! falls back to plain LRU when none qualifies. A set allocates its ways
+//! on its first insert, so an index costs host memory only for the sets a
+//! run touches.
+//!
+//! Two containers drive an array of these sets. [`SetAssoc<T>`] has one
+//! owner, a plain `u64` clock and plain LRU; it backs the host caches and
+//! the Fig. 2a hierarchy. [`ConcurrentSetAssoc`](crate::ConcurrentSetAssoc)
+//! puts each set behind its own lock with an atomic clock and backs the
+//! device's HBM buffer.
 
-use pax_pm::LineAddr;
+use pax_pm::{LineAddr, LINE_SIZE};
 
 /// One occupied way of a set.
 #[derive(Debug, Clone)]
 struct Way<T> {
     addr: LineAddr,
     payload: T,
-    /// Monotonic counter value at last touch; smallest = LRU victim.
+    /// Clock value at last touch; smallest = LRU victim.
     last_use: u64,
 }
 
-/// A set-associative map from line addresses to payloads with LRU eviction.
-///
-/// # Example
-///
-/// ```
-/// use pax_cache::SetAssoc;
-/// use pax_pm::LineAddr;
-///
-/// let mut sa: SetAssoc<u32> = SetAssoc::new(2, 1); // 2 sets × 1 way
-/// assert_eq!(sa.insert(LineAddr(0), 10), None);
-/// // Address 2 maps to the same set as 0 (2 % 2 == 0) and evicts it.
-/// let evicted = sa.insert(LineAddr(2), 20);
-/// assert_eq!(evicted, Some((LineAddr(0), 10)));
-/// ```
+/// One set: its resident ways and the set policy (see module docs).
 #[derive(Debug, Clone)]
-pub struct SetAssoc<T> {
-    sets: Vec<Vec<Way<T>>>,
+pub(crate) struct Ways<T>(Vec<Way<T>>);
+
+impl<T> Ways<T> {
+    /// An empty set; it allocates nothing until its first insert.
+    pub(crate) const fn new() -> Self {
+        Ways(Vec::new())
+    }
+
+    /// Number of resident ways.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Way slots allocated so far: zero before the first insert.
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> usize {
+        self.0.capacity()
+    }
+
+    /// `addr`'s payload, without disturbing LRU order.
+    pub(crate) fn find(&self, addr: LineAddr) -> Option<&T> {
+        self.0.iter().find(|w| w.addr == addr).map(|w| &w.payload)
+    }
+
+    /// `addr`'s payload, mutably, without disturbing LRU order.
+    ///
+    /// Background maintenance (device write-back) flips payload flags
+    /// through this: promoting the line would let housekeeping traffic
+    /// overwrite the recency signal left by real accesses.
+    pub(crate) fn find_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
+        self.0.iter_mut().find(|w| w.addr == addr).map(|w| &mut w.payload)
+    }
+
+    /// `addr`'s payload, stamped most recently used at `stamp`.
+    pub(crate) fn touch(&mut self, addr: LineAddr, stamp: u64) -> Option<&mut T> {
+        let way = self.0.iter_mut().find(|w| w.addr == addr)?;
+        way.last_use = stamp;
+        Some(&mut way.payload)
+    }
+
+    /// Removes `addr`, returning its payload.
+    pub(crate) fn remove(&mut self, addr: LineAddr) -> Option<T> {
+        let pos = self.0.iter().position(|w| w.addr == addr)?;
+        Some(self.0.swap_remove(pos).payload)
+    }
+
+    /// Admits `addr`, which must not be resident, stamped at `stamp` in a
+    /// set of `ways` ways. If the set is full, the victim is the
+    /// least-recently-used way whose payload `prefer` accepts, or the
+    /// least-recently-used way if `prefer` accepts none; it is removed
+    /// and returned.
+    pub(crate) fn admit(
+        &mut self,
+        addr: LineAddr,
+        payload: T,
+        stamp: u64,
+        ways: usize,
+        prefer: impl Fn(&T) -> bool,
+    ) -> Option<(LineAddr, T)> {
+        debug_assert!(self.find(addr).is_none(), "admit takes a missing tag");
+        if self.0.capacity() == 0 {
+            // First insert: build the set's ways now, not when the index opens.
+            self.0.reserve_exact(ways);
+        }
+        let victim = if self.0.len() >= ways {
+            // `false` sorts first, so a preferred way beats any other.
+            let (idx, _) = self
+                .0
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| (!prefer(&w.payload), w.last_use))
+                .expect("a full set has a way");
+            let w = self.0.swap_remove(idx);
+            Some((w.addr, w.payload))
+        } else {
+            None
+        };
+        self.0.push(Way { addr, payload, last_use: stamp });
+        victim
+    }
+
+    /// Every resident `(addr, payload)` pair, in way order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
+        self.0.iter().map(|w| (w.addr, &w.payload))
+    }
+
+    /// Removes every resident way, keeping the allocated slots.
+    pub(crate) fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+/// Number of `ways`-way sets that `capacity_bytes` of 64-byte lines fill.
+///
+/// # Panics
+///
+/// Panics if the capacity holds fewer lines than `ways`.
+pub(crate) fn sets_for(capacity_bytes: usize, ways: usize) -> usize {
+    let lines = capacity_bytes / LINE_SIZE;
+    assert!(
+        lines >= ways,
+        "capacity {capacity_bytes} bytes holds {lines} lines, fewer than {ways} ways"
+    );
+    lines / ways
+}
+
+/// A set-associative map from line addresses to payloads with LRU
+/// eviction, driven by one owner.
+#[derive(Debug, Clone)]
+pub(crate) struct SetAssoc<T> {
+    sets: Vec<Ways<T>>,
     ways: usize,
     clock: u64,
 }
@@ -43,10 +149,10 @@ impl<T> SetAssoc<T> {
     /// # Panics
     ///
     /// Panics if `num_sets` or `ways` is zero.
-    pub fn new(num_sets: usize, ways: usize) -> Self {
+    pub(crate) fn new(num_sets: usize, ways: usize) -> Self {
         assert!(num_sets > 0, "cache must have at least one set");
         assert!(ways > 0, "cache must have at least one way");
-        SetAssoc { sets: (0..num_sets).map(|_| Vec::with_capacity(ways)).collect(), ways, clock: 0 }
+        SetAssoc { sets: (0..num_sets).map(|_| Ways::new()).collect(), ways, clock: 0 }
     }
 
     /// Builds an array sized for `capacity_bytes` of 64-byte lines.
@@ -54,10 +160,8 @@ impl<T> SetAssoc<T> {
     /// # Panics
     ///
     /// Panics if the capacity holds fewer lines than `ways`.
-    pub fn with_capacity_bytes(capacity_bytes: usize, ways: usize) -> Self {
-        let lines = capacity_bytes / pax_pm::LINE_SIZE;
-        assert!(lines >= ways, "capacity must hold at least one full set");
-        Self::new(lines / ways, ways)
+    pub(crate) fn with_capacity_bytes(capacity_bytes: usize, ways: usize) -> Self {
+        Self::new(sets_for(capacity_bytes, ways), ways)
     }
 
     fn set_index(&self, addr: LineAddr) -> usize {
@@ -65,152 +169,60 @@ impl<T> SetAssoc<T> {
     }
 
     /// Number of lines currently resident.
-    pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the array holds no lines.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total capacity in lines.
-    pub fn capacity(&self) -> usize {
-        self.sets.len() * self.ways
+    pub(crate) fn len(&self) -> usize {
+        self.sets.iter().map(Ways::len).sum()
     }
 
     /// Looks up `addr`, updating LRU order on hit.
-    pub fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
         self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_index(addr);
-        self.sets[set].iter_mut().find(|w| w.addr == addr).map(|w| {
-            w.last_use = clock;
-            &mut w.payload
-        })
+        let (clock, set) = (self.clock, self.set_index(addr));
+        self.sets[set].touch(addr, clock)
     }
 
     /// Looks up `addr` without disturbing LRU order (for assertions).
-    pub fn peek(&self, addr: LineAddr) -> Option<&T> {
-        let set = self.set_index(addr);
-        self.sets[set].iter().find(|w| w.addr == addr).map(|w| &w.payload)
-    }
-
-    /// Looks up `addr` mutably without disturbing LRU order.
-    ///
-    /// Background maintenance (log drain, device write-back) must be
-    /// able to flip payload flags without promoting the line to MRU —
-    /// promotion would let housekeeping traffic overwrite the recency
-    /// signal left by real accesses.
-    pub fn peek_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
-        let set = self.set_index(addr);
-        self.sets[set].iter_mut().find(|w| w.addr == addr).map(|w| &mut w.payload)
-    }
-
-    /// Whether `addr` is resident.
-    pub fn contains(&self, addr: LineAddr) -> bool {
-        self.peek(addr).is_some()
+    pub(crate) fn peek(&self, addr: LineAddr) -> Option<&T> {
+        self.sets[self.set_index(addr)].find(addr)
     }
 
     /// Inserts (or replaces) `addr`'s payload, returning an LRU victim if a
     /// set overflowed — the caller decides what an eviction means (write
     /// back, drop, stall…).
-    pub fn insert(&mut self, addr: LineAddr, payload: T) -> Option<(LineAddr, T)> {
+    pub(crate) fn insert(&mut self, addr: LineAddr, payload: T) -> Option<(LineAddr, T)> {
         self.clock += 1;
-        let clock = self.clock;
-        let set_idx = self.set_index(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(w) = set.iter_mut().find(|w| w.addr == addr) {
-            w.payload = payload;
-            w.last_use = clock;
+        let (clock, ways, set) = (self.clock, self.ways, self.set_index(addr));
+        let set = &mut self.sets[set];
+        if let Some(resident) = set.touch(addr, clock) {
+            *resident = payload;
             return None;
         }
-        let victim = if set.len() >= self.ways {
-            let (lru_idx, _) =
-                set.iter().enumerate().min_by_key(|(_, w)| w.last_use).expect("set is non-empty");
-            let w = set.swap_remove(lru_idx);
-            Some((w.addr, w.payload))
-        } else {
-            None
-        };
-        set.push(Way { addr, payload, last_use: clock });
-        victim
-    }
-
-    /// Inserts like [`SetAssoc::insert`], but chooses the victim with
-    /// `prefer`: among occupied ways, the way whose payload `prefer`
-    /// returns `true` for with the oldest use is evicted first; if none
-    /// match, plain LRU applies.
-    ///
-    /// The PAX device uses this for §3.3's policy of preferring to evict
-    /// lines whose undo-log entries are already durable.
-    pub fn insert_with_policy(
-        &mut self,
-        addr: LineAddr,
-        payload: T,
-        prefer: impl Fn(&T) -> bool,
-    ) -> Option<(LineAddr, T)> {
-        self.clock += 1;
-        let clock = self.clock;
-        let set_idx = self.set_index(addr);
-        let set = &mut self.sets[set_idx];
-        if let Some(w) = set.iter_mut().find(|w| w.addr == addr) {
-            w.payload = payload;
-            w.last_use = clock;
-            return None;
-        }
-        let victim = if set.len() >= self.ways {
-            let preferred = set
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| prefer(&w.payload))
-                .min_by_key(|(_, w)| w.last_use)
-                .map(|(i, _)| i);
-            let idx = preferred.unwrap_or_else(|| {
-                set.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.last_use)
-                    .map(|(i, _)| i)
-                    .expect("set is non-empty")
-            });
-            let w = set.swap_remove(idx);
-            Some((w.addr, w.payload))
-        } else {
-            None
-        };
-        set.push(Way { addr, payload, last_use: clock });
-        victim
+        set.admit(addr, payload, clock, ways, |_| false)
     }
 
     /// Removes `addr`, returning its payload.
-    pub fn remove(&mut self, addr: LineAddr) -> Option<T> {
+    pub(crate) fn remove(&mut self, addr: LineAddr) -> Option<T> {
         let set = self.set_index(addr);
-        let pos = self.sets[set].iter().position(|w| w.addr == addr)?;
-        Some(self.sets[set].swap_remove(pos).payload)
+        self.sets[set].remove(addr)
     }
 
     /// Iterates over all resident `(addr, payload)` pairs in no particular
     /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.sets.iter().flatten().map(|w| (w.addr, &w.payload))
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
+        self.sets.iter().flat_map(Ways::iter)
     }
 
     /// Drains every resident line, leaving the array empty.
-    pub fn drain_all(&mut self) -> Vec<(LineAddr, T)> {
+    pub(crate) fn drain_all(&mut self) -> Vec<(LineAddr, T)> {
         let mut out = Vec::with_capacity(self.len());
         for set in &mut self.sets {
-            for w in set.drain(..) {
-                out.push((w.addr, w.payload));
-            }
+            out.extend(set.0.drain(..).map(|w| (w.addr, w.payload)));
         }
         out
     }
 
     /// Removes every resident line without returning them.
-    pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+    pub(crate) fn clear(&mut self) {
+        self.sets.iter_mut().for_each(Ways::clear);
     }
 }
 
@@ -237,21 +249,20 @@ mod tests {
         sa.get_mut(LineAddr(0)); // touch "a"; "b" is now LRU
         let victim = sa.insert(LineAddr(8), "c");
         assert_eq!(victim, Some((LineAddr(4), "b")));
-        assert!(sa.contains(LineAddr(0)));
-        assert!(sa.contains(LineAddr(8)));
+        assert!(sa.peek(LineAddr(0)).is_some());
+        assert!(sa.peek(LineAddr(8)).is_some());
     }
 
     #[test]
     fn peek_mut_mutates_without_promoting() {
-        // One set, two ways: 0 and 4 and 8 all collide (mod 4 = 0).
-        let mut sa: SetAssoc<u32> = SetAssoc::new(4, 2);
-        sa.insert(LineAddr(0), 1);
-        sa.insert(LineAddr(4), 2);
-        // A peek_mut of the LRU line must leave it LRU.
-        *sa.peek_mut(LineAddr(0)).unwrap() = 10;
-        let victim = sa.insert(LineAddr(8), 3);
-        assert_eq!(victim, Some((LineAddr(0), 10)));
-        assert_eq!(sa.peek_mut(LineAddr(12)), None);
+        // `find_mut` (behind `ConcurrentSetAssoc::peek_mut`) on the LRU
+        // way must leave it LRU.
+        let mut set: Ways<u32> = Ways::new();
+        set.admit(LineAddr(0), 1, 1, 2, |_| false);
+        set.admit(LineAddr(4), 2, 2, 2, |_| false);
+        *set.find_mut(LineAddr(0)).unwrap() = 10;
+        assert_eq!(set.admit(LineAddr(8), 3, 3, 2, |_| false), Some((LineAddr(0), 10)));
+        assert_eq!(set.find_mut(LineAddr(12)), None);
     }
 
     #[test]
@@ -265,28 +276,28 @@ mod tests {
     #[test]
     fn policy_eviction_prefers_matching_ways() {
         // One set, two ways; payload bool = "cheap to evict".
-        let mut sa: SetAssoc<bool> = SetAssoc::new(1, 2);
-        sa.insert(LineAddr(0), false);
-        sa.insert(LineAddr(1), true);
-        sa.get_mut(LineAddr(1)); // make the preferred line also the MRU line
-        let victim = sa.insert_with_policy(LineAddr(2), false, |cheap| *cheap);
+        let mut set: Ways<bool> = Ways::new();
+        set.admit(LineAddr(0), false, 1, 2, |_| false);
+        set.admit(LineAddr(1), true, 2, 2, |_| false);
+        set.touch(LineAddr(1), 3); // make the preferred line also the MRU line
+        let victim = set.admit(LineAddr(2), false, 4, 2, |cheap| *cheap);
         // LRU alone would pick LineAddr(0); the policy overrides to pick 1.
         assert_eq!(victim, Some((LineAddr(1), true)));
     }
 
     #[test]
     fn policy_falls_back_to_lru() {
-        let mut sa: SetAssoc<bool> = SetAssoc::new(1, 2);
-        sa.insert(LineAddr(0), false);
-        sa.insert(LineAddr(1), false);
-        let victim = sa.insert_with_policy(LineAddr(2), false, |cheap| *cheap);
+        let mut set: Ways<bool> = Ways::new();
+        set.admit(LineAddr(0), false, 1, 2, |_| false);
+        set.admit(LineAddr(1), false, 2, 2, |_| false);
+        let victim = set.admit(LineAddr(2), false, 3, 2, |cheap| *cheap);
         assert_eq!(victim, Some((LineAddr(0), false)));
     }
 
     #[test]
     fn capacity_bytes_constructor() {
         let sa: SetAssoc<()> = SetAssoc::with_capacity_bytes(32 << 10, 8);
-        assert_eq!(sa.capacity(), 512); // 32 KiB / 64 B
+        assert_eq!(sa.sets.len() * sa.ways, 512); // 32 KiB / 64 B
     }
 
     #[test]
@@ -298,7 +309,7 @@ mod tests {
         assert_eq!(sa.remove(LineAddr(1)), None);
         let drained = sa.drain_all();
         assert_eq!(drained, vec![(LineAddr(2), 2)]);
-        assert!(sa.is_empty());
+        assert_eq!(sa.len(), 0);
     }
 
     #[test]

@@ -80,11 +80,6 @@ impl BottleneckReport {
             .expect("report always has entries")
     }
 
-    /// Whether the configuration can sustain the offered load.
-    pub fn feasible(&self) -> bool {
-        self.binding().1 <= 1.0
-    }
-
     /// Utilisation of a specific resource.
     pub fn of(&self, r: Resource) -> f64 {
         self.utilisation.iter().find(|(res, _)| *res == r).map(|(_, u)| *u).unwrap_or(0.0)
@@ -103,7 +98,7 @@ impl BottleneckReport {
             .field("utilisation", util)
             .field("binding", Json::str(binding.key()))
             .field("binding_utilisation", Json::F64(u))
-            .field("feasible", Json::Bool(self.feasible()))
+            .field("feasible", Json::Bool(u <= 1.0))
     }
 }
 
@@ -157,17 +152,6 @@ impl LinkModel {
                 (Resource::PmWrite, pm_write_bytes / (p.pm_write_gbps * gb)),
                 (Resource::DeviceMsgRate, msgs / p.device_msgs_per_sec()),
             ],
-        }
-    }
-
-    /// Maximum sustainable message rate before the binding resource
-    /// saturates, for a workload shaped like `load` (linear scaling).
-    pub fn max_scale_factor(&self, load: &OfferedLoad) -> f64 {
-        let (_, u) = self.analyze(load).binding();
-        if u == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / u
         }
     }
 }
@@ -226,15 +210,13 @@ mod tests {
     #[test]
     fn feasibility_and_scale() {
         let m = LinkModel::default();
-        let small = load(1e6, 1e6, 1e6);
-        let r = m.analyze(&small);
-        assert!(r.feasible());
-        let k = m.max_scale_factor(&small);
-        assert!(k > 1.0);
-        // Scaling to exactly the max keeps the load feasible (≈1.0).
-        let at_max = load(1e6 * k, 1e6 * k, 1e6 * k);
-        let u = m.analyze(&at_max).binding().1;
-        assert!((u - 1.0).abs() < 1e-9);
+        let u = m.analyze(&load(1e6, 1e6, 1e6)).binding().1;
+        assert!(u > 0.0 && u < 1.0, "a small load is feasible");
+        // Utilisation is linear in the load: scaling by 1/u saturates
+        // the binding resource exactly.
+        let k = 1.0 / u;
+        let at_max = m.analyze(&load(1e6 * k, 1e6 * k, 1e6 * k)).binding().1;
+        assert!((at_max - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -242,7 +224,6 @@ mod tests {
         let m = LinkModel::default();
         let r = m.analyze(&OfferedLoad::default());
         assert_eq!(r.binding().1, 0.0);
-        assert_eq!(m.max_scale_factor(&OfferedLoad::default()), f64::INFINITY);
     }
 
     #[test]

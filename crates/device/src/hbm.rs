@@ -14,12 +14,14 @@
 //! preferring to evict cache lines whose undo log entries are already
 //! durable". The `ablation_eviction` bench quantifies the difference.
 //!
-//! Since PR 10 the buffer is a *concurrent* index
-//! ([`ConcurrentSetAssoc`]): every method takes `&self`, hit/miss
-//! counters are atomics, and same-lane stores probe and update the set
-//! index concurrently, each touching one set lock (DESIGN.md §15). Eviction disposal runs inside the per-set critical section via
-//! [`HbmCache::insert_then`], so a dirty victim is never invisible while
-//! its data is still in flight to PM.
+//! The buffer is a *concurrent* index ([`ConcurrentSetAssoc`]): every
+//! method takes `&self`, hit/miss counters are atomics, and same-lane
+//! stores probe and update the set index concurrently, each touching one
+//! set lock (DESIGN.md §15). A set's ways are allocated on its first
+//! insert, so an open buffer costs host memory only for the sets a run
+//! touches. Eviction disposal runs inside the per-set critical section
+//! via [`HbmCache::insert_then`], so a dirty victim is never invisible
+//! while its data is still in flight to PM.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -153,28 +155,12 @@ impl HbmCache {
         }
     }
 
-    /// Inserts or replaces `addr`, returning an evicted victim (if any)
-    /// for the caller to dispose of. `durable_offset` is the log
-    /// watermark, consulted by [`EvictionPolicy::PreferDurable`].
-    ///
-    /// Note the victim is returned *after* the set critical section
-    /// ends; concurrent hot paths should use [`insert_then`] so disposal
-    /// happens before the victim becomes invisible.
-    ///
-    /// [`insert_then`]: Self::insert_then
-    pub fn insert(
-        &self,
-        addr: LineAddr,
-        line: HbmLine,
-        durable_offset: u64,
-    ) -> Option<(LineAddr, HbmLine)> {
-        self.insert_then(addr, line, durable_offset, |a, l| (a, l))
-    }
-
     /// Inserts or replaces `addr`; if a victim is evicted, `dispose`
     /// runs on it *while the set lock is still held* and its result is
-    /// returned. See [`ConcurrentSetAssoc::insert_with`] for the
-    /// visibility guarantee this provides.
+    /// returned. `durable_offset` is the log watermark, consulted by
+    /// [`EvictionPolicy::PreferDurable`]. See
+    /// [`ConcurrentSetAssoc::insert_with`] for the visibility guarantee
+    /// this provides.
     pub fn insert_then<R>(
         &self,
         addr: LineAddr,
@@ -239,10 +225,15 @@ mod tests {
         HbmCache::new(HbmConfig { capacity_bytes: 128, ways: 2, policy })
     }
 
+    /// Inserts through `insert_then`, handing the victim back.
+    fn insert(h: &HbmCache, addr: u64, line: HbmLine, durable: u64) -> Option<LineAddr> {
+        h.insert_then(LineAddr(addr), line, durable, |a, _| a)
+    }
+
     #[test]
     fn lookup_counts_hits_and_misses() {
         let h = tiny(EvictionPolicy::Lru);
-        h.insert(LineAddr(0), clean(1), 0);
+        insert(&h, 0, clean(1), 0);
         assert!(h.lookup(LineAddr(0)).is_some());
         assert!(h.lookup(LineAddr(1)).is_none());
         assert_eq!(h.hits(), 1);
@@ -255,48 +246,48 @@ mod tests {
         // Two dirty lines: offset 0 (durable: watermark 1) and offset 5
         // (not durable). LRU order would evict addr 0 first either way,
         // so make the non-durable line the LRU one.
-        h.insert(LineAddr(1), dirty(2, 5), 1); // not durable, inserted first (LRU)
-        h.insert(LineAddr(0), dirty(1, 0), 1); // durable, MRU
-        let victim = h.insert(LineAddr(2), clean(3), 1);
-        assert_eq!(victim.unwrap().0, LineAddr(0), "durable line evicted despite being MRU");
+        insert(&h, 1, dirty(2, 5), 1); // not durable, inserted first (LRU)
+        insert(&h, 0, dirty(1, 0), 1); // durable, MRU
+        let victim = insert(&h, 2, clean(3), 1);
+        assert_eq!(victim, Some(LineAddr(0)), "durable line evicted despite being MRU");
     }
 
     #[test]
     fn prefer_durable_falls_back_to_lru() {
         let h = tiny(EvictionPolicy::PreferDurable);
-        h.insert(LineAddr(0), dirty(1, 7), 0); // not durable
-        h.insert(LineAddr(1), dirty(2, 8), 0); // not durable
-        let victim = h.insert(LineAddr(2), clean(3), 0);
-        assert_eq!(victim.unwrap().0, LineAddr(0), "plain LRU fallback");
+        insert(&h, 0, dirty(1, 7), 0); // not durable
+        insert(&h, 1, dirty(2, 8), 0); // not durable
+        let victim = insert(&h, 2, clean(3), 0);
+        assert_eq!(victim, Some(LineAddr(0)), "plain LRU fallback");
     }
 
     #[test]
     fn lru_policy_ignores_durability() {
         let h = tiny(EvictionPolicy::Lru);
-        h.insert(LineAddr(0), dirty(1, 99), 0); // not durable, LRU
-        h.insert(LineAddr(1), clean(2), 0);
-        let victim = h.insert(LineAddr(2), clean(3), 0);
-        assert_eq!(victim.unwrap().0, LineAddr(0), "LRU evicts not-durable dirty line");
+        insert(&h, 0, dirty(1, 99), 0); // not durable, LRU
+        insert(&h, 1, clean(2), 0);
+        let victim = insert(&h, 2, clean(3), 0);
+        assert_eq!(victim, Some(LineAddr(0)), "LRU evicts not-durable dirty line");
     }
 
     #[test]
     fn mark_clean_cleans_in_place_without_promoting() {
         let h = tiny(EvictionPolicy::Lru);
-        h.insert(LineAddr(0), dirty(1, 3), 0); // LRU
-        h.insert(LineAddr(1), clean(2), 0); // MRU
+        insert(&h, 0, dirty(1, 3), 0); // LRU
+        insert(&h, 1, clean(2), 0); // MRU
         assert!(h.mark_clean(LineAddr(0)));
         assert!(!h.mark_clean(LineAddr(7)));
         let line = h.peek(LineAddr(0)).unwrap();
         assert!(!line.dirty);
         assert_eq!(line.log_offset, None);
-        let victim = h.insert(LineAddr(2), clean(3), 0);
-        assert_eq!(victim.unwrap().0, LineAddr(0), "cleaned line must stay LRU");
+        let victim = insert(&h, 2, clean(3), 0);
+        assert_eq!(victim, Some(LineAddr(0)), "cleaned line must stay LRU");
     }
 
     #[test]
     fn insert_if_absent_keeps_resident_line() {
         let h = tiny(EvictionPolicy::Lru);
-        h.insert(LineAddr(0), dirty(1, 3), 5);
+        insert(&h, 0, dirty(1, 3), 5);
         assert!(h.insert_clean_if_absent_then(LineAddr(0), clean(9), 5, |a, l| (a, l)).is_none());
         let line = h.peek(LineAddr(0)).unwrap();
         assert!(line.dirty, "refresh must not clobber a resident dirty line");
@@ -306,7 +297,7 @@ mod tests {
     #[test]
     fn crash_clears_buffer() {
         let h = HbmCache::new(HbmConfig::default_config());
-        h.insert(LineAddr(0), dirty(1, 0), 0);
+        insert(&h, 0, dirty(1, 0), 0);
         h.crash();
         assert_eq!(h.resident(), 0);
     }

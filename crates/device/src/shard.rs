@@ -585,21 +585,6 @@ impl Lane {
         }
     }
 
-    /// HBM insert, in global address space; the victim (if any) comes
-    /// back with its global address. Test-path helper — hot paths use
-    /// [`Lane::hbm_insert_disposing`] so disposal happens inside the
-    /// set's critical section.
-    #[cfg(test)]
-    pub(crate) fn hbm_insert(
-        &self,
-        addr: LineAddr,
-        line: HbmLine,
-        durable_offset: u64,
-    ) -> Option<(LineAddr, HbmLine)> {
-        let victim = self.hbm.insert(self.hbm_key(addr), line, durable_offset);
-        victim.map(|(local, l)| (self.hbm_unkey(local), l))
-    }
-
     /// One background step for this lane's free-running engines: drain
     /// up to `log_pump_batch` log entries, then opportunistically write
     /// back up to `writeback_batch` dirty lines whose entries are
@@ -762,11 +747,8 @@ mod tests {
         // Insert 4 shard-0 lines (global addresses 0,2,4,6): all resident
         // only if both sets are used.
         for g in [0u64, 2, 4, 6] {
-            let v = shard.hbm_insert(
-                LineAddr(g),
-                HbmLine { data: CacheLine::filled(g as u8), dirty: false, log_offset: None },
-                0,
-            );
+            let line = HbmLine { data: CacheLine::filled(g as u8), dirty: false, log_offset: None };
+            let v = shard.hbm.insert_then(shard.hbm_key(LineAddr(g)), line, 0, |_, _| ());
             assert!(v.is_none(), "line {g} must not evict");
         }
         assert_eq!(shard.hbm.resident(), 4);

@@ -16,7 +16,7 @@
 //! assert_eq!(clock.tick(), CrashOutcome::Continue);
 //! assert_eq!(clock.tick(), CrashOutcome::Continue);
 //! assert_eq!(clock.tick(), CrashOutcome::Crashed);
-//! assert!(clock.is_crashed());
+//! assert_eq!(clock.tick(), CrashOutcome::Crashed); // stays crashed until reset
 //! ```
 
 use std::fmt;
@@ -87,20 +87,10 @@ impl CrashClock {
         }
     }
 
-    /// Whether power has been cut.
-    pub fn is_crashed(&self) -> bool {
-        self.0.crashed.load(Ordering::SeqCst)
-    }
-
     /// Number of steps taken so far; property tests use this to size the
     /// crash-point search space after a fault-free dry run.
     pub fn steps_taken(&self) -> u64 {
         self.0.step.load(Ordering::SeqCst)
-    }
-
-    /// Forces an immediate crash regardless of the armed step.
-    pub fn crash_now(&self) {
-        self.0.crashed.store(true, Ordering::SeqCst);
     }
 }
 
@@ -130,7 +120,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(c.tick(), CrashOutcome::Continue);
         }
-        assert!(!c.is_crashed());
         assert_eq!(c.steps_taken(), 1000);
     }
 
@@ -152,7 +141,7 @@ mod tests {
         let c2 = c.clone();
         c.arm(0);
         assert_eq!(c2.tick(), CrashOutcome::Crashed);
-        assert!(c.is_crashed());
+        assert_eq!(c.tick(), CrashOutcome::Crashed);
     }
 
     #[test]
@@ -161,15 +150,7 @@ mod tests {
         c.arm(0);
         assert_eq!(c.tick(), CrashOutcome::Crashed);
         c.reset();
-        assert!(!c.is_crashed());
         assert_eq!(c.tick(), CrashOutcome::Continue);
-    }
-
-    #[test]
-    fn crash_now_is_immediate() {
-        let c = CrashClock::new();
-        c.crash_now();
-        assert_eq!(c.tick(), CrashOutcome::Crashed);
     }
 
     #[test]

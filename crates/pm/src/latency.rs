@@ -86,24 +86,6 @@ impl LatencyProfile {
         }
     }
 
-    /// Returns the profile with a different CXL interposition latency.
-    pub fn with_cxl_overhead_ns(mut self, ns: u64) -> Self {
-        self.cxl_overhead_ns = ns;
-        self
-    }
-
-    /// Returns the profile with a different Enzian interposition latency.
-    pub fn with_enzian_overhead_ns(mut self, ns: u64) -> Self {
-        self.enzian_overhead_ns = ns;
-        self
-    }
-
-    /// Returns the profile with a different PM media latency.
-    pub fn with_pm(mut self, pm: MediaLatency) -> Self {
-        self.pm = pm;
-        self
-    }
-
     /// Latency of an LLC miss to PM on `platform`, including interposition.
     pub fn pm_miss_ns(&self, platform: Platform) -> u64 {
         self.pm.read_ns + self.interposition_ns(platform)
@@ -196,14 +178,5 @@ mod tests {
         // 63 GB/s over 64 B lines ≈ 984 M lines/s — far above the device's
         // 300 M msg/s, supporting §5.1's "I/O bus is not the bottleneck".
         assert!(b.cxl_lines_per_sec() > b.device_msgs_per_sec());
-    }
-
-    #[test]
-    fn builders_override_fields() {
-        let p = LatencyProfile::c6420().with_cxl_overhead_ns(10).with_enzian_overhead_ns(20);
-        assert_eq!(p.cxl_overhead_ns, 10);
-        assert_eq!(p.enzian_overhead_ns, 20);
-        let p = p.with_pm(MediaLatency { read_ns: 1, write_ns: 2 });
-        assert_eq!(p.pm.read_ns, 1);
     }
 }

@@ -102,18 +102,6 @@ impl MediaCounters {
     }
 }
 
-impl MediaStats {
-    /// Total bytes read from the medium.
-    pub fn bytes_read(&self) -> u64 {
-        self.line_reads * LINE_SIZE as u64
-    }
-
-    /// Total bytes written to the medium.
-    pub fn bytes_written(&self) -> u64 {
-        self.line_writes * LINE_SIZE as u64
-    }
-}
-
 /// Line-granularity memory with crash semantics.
 ///
 /// Implemented by [`PmMedia`] and [`DramMedia`]. All PAX components are
@@ -247,11 +235,6 @@ impl PmMedia {
     /// The configured persistence domain.
     pub fn domain(&self) -> PersistenceDomain {
         self.domain
-    }
-
-    /// Number of writes currently pending in the WPQ.
-    pub fn wpq_len(&self) -> usize {
-        self.wpq.len()
     }
 
     /// Reads the *durable* contents at `addr`, ignoring the WPQ.
@@ -430,10 +413,10 @@ mod tests {
         for i in 0..(DEFAULT_WPQ_DEPTH as u64 + 8) {
             pm.write_line(LineAddr(i), fill(i as u8)).unwrap();
         }
-        assert_eq!(pm.wpq_len(), DEFAULT_WPQ_DEPTH);
         // The first 8 writes were forced out and are durable even after a
-        // non-ADR crash.
+        // non-ADR crash, which loses a full WPQ.
         pm.crash();
+        assert_eq!(pm.stats().lines_lost_in_wpq, DEFAULT_WPQ_DEPTH as u64);
         for i in 0..8u64 {
             assert_eq!(pm.read_durable(LineAddr(i)).unwrap(), fill(i as u8));
         }
@@ -480,8 +463,7 @@ mod tests {
         let mut pm = PmMedia::new(1 << 12, PersistenceDomain::Adr);
         pm.write_line(LineAddr(0), fill(1)).unwrap();
         pm.read_line(LineAddr(0)).unwrap();
-        assert_eq!(pm.stats().bytes_written(), 64);
-        assert_eq!(pm.stats().bytes_read(), 64);
+        assert_eq!((pm.stats().line_writes, pm.stats().line_reads), (1, 1));
     }
 
     #[test]

@@ -219,11 +219,6 @@ impl MetricSet {
         self.counters[c.0 as usize].store(value, Ordering::Relaxed);
     }
 
-    /// Times [`MetricSet::sub`] underflowed (zero in a healthy run).
-    pub fn underflows(&self) -> u64 {
-        self.underflows.load(Ordering::Relaxed)
-    }
-
     /// Current value of a counter.
     #[inline]
     pub fn get(&self, c: Counter) -> u64 {
@@ -542,8 +537,11 @@ mod tests {
         assert_eq!(ms.get(a), 1);
         ms.sub(a, 1);
         assert_eq!(ms.get(a), 0);
-        assert_eq!(ms.underflows(), 0, "exact accounting must not trip the alarm");
-        assert_eq!(ms.snapshot().counter("metric_underflows"), 0, "no synthetic counter");
+        assert_eq!(
+            ms.snapshot().counter("metric_underflows"),
+            0,
+            "exact accounting trips no alarm"
+        );
     }
 
     /// Underflow is a caller-side conservation bug: debug builds assert,
@@ -556,7 +554,6 @@ mod tests {
         ms.add(a, 3);
         ms.sub(a, 5);
         assert_eq!(ms.get(a), 0, "still saturates instead of wrapping");
-        assert_eq!(ms.underflows(), 1);
         assert_eq!(ms.snapshot().counter("metric_underflows"), 1);
     }
 

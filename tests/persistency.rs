@@ -20,7 +20,7 @@ mod common;
 
 use common::{
     check_or_fail, differential, points, random, random_two_lives, rigs, schedule, settle, sweep,
-    Mix, Point, MODELS,
+    Mix, Point, Step, MODELS,
 };
 use libpax::PersistencyModel;
 use rand::rngs::StdRng;
@@ -73,4 +73,27 @@ fn buffered_closes_retire_in_order() {
         let total = check_or_fail(&p.rig(), &steps, None).steps_taken;
         check_or_fail(&p.rig(), &steps, Some(rng.gen_range(0..total + 1)));
     }
+}
+
+/// A buffered commit must not rewind an undo bank that the next epoch
+/// already holds durable entries in. Three epochs of one tenant store
+/// from three cores on one shard without a snoop filter, so each close
+/// drains one line per write-back run: epoch 1 commits after a tick has
+/// made epoch 2's first block durable, and epoch 2 still drains while
+/// epoch 3's entries reach the block after epoch 1's. A rewind at epoch
+/// 1's commit would reopen the bank at its first block, epoch 3 would
+/// overwrite epoch 2's first block, and recovery would leave epoch 2's
+/// first lines unrolled.
+#[test]
+fn buffered_commit_keeps_a_later_epochs_durable_block() {
+    let point = Point { cores: 3, model: PersistencyModel::buffered(2), dir: false, ..Point::BASE };
+    let stores = |e: u64, lines: std::ops::Range<u16>| {
+        lines.map(move |l| Step::Store(0, (l % 3) as u8, l, e << 16 | u64::from(l)))
+    };
+    let steps: Vec<Step> = (stores(1, 0..48).chain([Step::Close(0)]))
+        .chain(stores(2, 0..4).chain([Step::Tick(12)]))
+        .chain(stores(2, 4..48).chain([Step::Close(0)]))
+        .chain(stores(3, 0..12).chain([Step::Close(0), Step::Wait(0)]))
+        .collect();
+    sweep(&point.rig(), &steps, u64::MAX);
 }
