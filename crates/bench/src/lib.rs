@@ -150,9 +150,10 @@ pub fn rss_kib() -> u64 {
 ///
 /// This is the *real-thread* fig2b series: no event model, no virtual
 /// clock — just the `Send + Sync` [`PaxPool`] under `std::thread` and an
-/// [`std::time::Instant`]. Tracing is disabled so the trace lock never
-/// serializes the hot path, and the working set per thread exceeds the
-/// host cache share so stores keep reaching the device's lanes.
+/// [`std::time::Instant`]. The device traces at its shipped capacity
+/// (each thread's tenant records into its own lanes' rings), and the
+/// working set per thread exceeds the host cache share so stores keep
+/// reaching the device's lanes.
 ///
 /// # Panics
 ///
@@ -166,7 +167,6 @@ pub fn measure_threaded_store_mops(threads: usize, shards: usize, ops_per_thread
         .with_device(
             DeviceConfig::default()
                 .with_shards(shards)
-                .with_trace_capacity(0)
                 // Pump the undo banks in large, infrequent batches: same
                 // per-entry durable work, far fewer acquisitions of the
                 // global media lock on the store path.

@@ -93,13 +93,18 @@ impl<T> Ways<T> {
             self.0.reserve_exact(ways);
         }
         let victim = if self.0.len() >= ways {
-            // `false` sorts first, so a preferred way beats any other.
-            let (idx, _) = self
-                .0
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, w)| (!prefer(&w.payload), w.last_use))
-                .expect("a full set has a way");
+            // `false` sorts first, so a preferred way beats any other. A
+            // plain loop, not `min_by_key`: the iterator form spilled the
+            // running minimum to the stack through overlapping partial
+            // stores, a store-forwarding stall on every way.
+            let key = |w: &Way<T>| (!prefer(&w.payload), w.last_use);
+            let (mut idx, mut best) = (0, key(&self.0[0]));
+            for (i, w) in self.0.iter().enumerate().skip(1) {
+                let k = key(w);
+                if k < best {
+                    (idx, best) = (i, k);
+                }
+            }
             let w = self.0.swap_remove(idx);
             Some((w.addr, w.payload))
         } else {

@@ -32,9 +32,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 use pax_cache::{HomeAgent, HostSnoop};
 use pax_pm::{CacheLine, CrashClock, LineAddr, PersistencyModel, PmError, PmPool, Result};
-use pax_telemetry::{MetricSet, MetricSnapshot, TraceBuf, TraceEvent};
+use pax_telemetry::{MetricSet, MetricSnapshot, TraceBuf};
 
-use crate::cell::{PoolCell, TraceCell};
+use crate::cell::{merge_traces, Op, PoolCell, RingEvent, TraceRing, STAMP_LAST};
 use crate::directory::{coalesce_runs, DirectoryConfig};
 use crate::hbm::{HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
@@ -68,8 +68,9 @@ pub struct DeviceConfig {
     /// Dirty-durable lines written back per host request (§3.3's
     /// proactive write back); 0 disables background write back.
     pub writeback_batch: usize,
-    /// Most recent trace events retained by the device's [`TraceBuf`]
-    /// (0 disables tracing entirely).
+    /// Most recent trace events retained by each of the device's trace
+    /// rings — one per lane and one for device-wide events (0 disables
+    /// tracing entirely).
     pub trace_capacity: usize,
     /// Address-interleaved shards each tenant's per-line state is split
     /// into. 1 = the unsharded device.
@@ -257,9 +258,9 @@ struct DrainState {
 /// OS threads may issue stores concurrently (one tenant/core per thread;
 /// see DESIGN.md §11). The lock order is
 /// **ctl (`draining[t]`) → host core → wb-gate → HBM set / directory
-/// stripe / epoch-log stripe → pool → trace**
-/// (DESIGN.md §15). Persist paths hold their tenant's ctl lock for their
-/// whole duration; hot paths only ever `try_lock` it (a contended ctl
+/// stripe / epoch-log stripe → pool**
+/// (DESIGN.md §15); the trace rings take no lock. Persist paths hold
+/// their tenant's ctl lock for their whole duration; hot paths only ever `try_lock` it (a contended ctl
 /// implies a concurrent persist, and non-blocking `DrainState`s exist
 /// only in single-driver mode, so skipping is correct there — the
 /// bounded-spin starvation fallback in `poll_one_tenant` likewise never
@@ -331,8 +332,12 @@ pub struct PaxDevice {
     metrics: MetricSet,
     /// Counter handles into `metrics`.
     ctr: DeviceCounters,
-    /// Bounded structured event trace (crash forensics, replay tests).
-    trace: TraceCell,
+    /// The device-wide trace ring: ticks, epoch commits and the crash.
+    /// Each lane records its own events in its own ring.
+    trace: TraceRing,
+    /// The trace recovery left when the device was opened — the prefix
+    /// of every dump.
+    trace_prefix: TraceBuf,
     /// Recovery performed when the device was opened.
     recovery: RecoveryReport,
 }
@@ -371,8 +376,8 @@ impl PaxDevice {
         config.validate(&regions)?;
         let tenants = TenantMap::new(regions, pool.layout().data_lines)?;
         let t = tenants.len();
-        let mut trace = TraceBuf::new(config.trace_capacity);
-        let recovery = recover_traced(&mut pool, &mut trace)?;
+        let mut trace_prefix = TraceBuf::new(config.trace_capacity);
+        let recovery = recover_traced(&mut pool, &mut trace_prefix)?;
         let epochs =
             (0..t).map(|i| Ok(pool.committed_epoch_for(i)? + 1)).collect::<Result<Vec<u64>>>()?;
         let banks = split_log_region(&pool, config.shards * t);
@@ -397,13 +402,14 @@ impl PaxDevice {
         let lanes: Vec<Lane> = banks
             .iter()
             .enumerate()
-            .map(|(i, &(base, cap))| {
+            .map(|(i, &bank)| {
                 let tenant = i / stride;
                 let share = tenants.hbm_share(tenant) as u64;
                 let slice = (config.hbm.capacity_bytes as u64 * share
                     / total_shares
                     / stride as u64) as usize;
-                Lane::new(i, tenant, stride, config.hbm.with_capacity_bytes(slice), base, cap)
+                let hbm = config.hbm.with_capacity_bytes(slice);
+                Lane::new(i, tenant, stride, hbm, bank, config.trace_capacity, epochs[tenant])
             })
             .collect();
         let mut metrics = MetricSet::new(COMPONENT);
@@ -439,7 +445,8 @@ impl PaxDevice {
             poll_skips: (0..t).map(|_| AtomicU64::new(0)).collect(),
             metrics,
             ctr,
-            trace: TraceCell::new(trace),
+            trace: TraceRing::new(config.trace_capacity),
+            trace_prefix,
             recovery,
         })
     }
@@ -521,9 +528,20 @@ impl PaxDevice {
         snap
     }
 
-    /// The trace serialized as JSON lines (oldest first).
+    /// The trace serialized as JSON lines (oldest first): the recovery
+    /// steps from open, then every lane's trace ring and the device ring
+    /// merged by (tenant epoch, lane, ring sequence), device-wide events
+    /// after their epoch's lane events, `seq` renumbered from 0. Each
+    /// ring keeps its newest `trace_capacity` records.
     pub fn trace_dump(&self) -> String {
-        self.trace.lock().dump_json_lines()
+        self.trace_buf().dump_json_lines()
+    }
+
+    /// The recovery prefix and the trace rings as one buffer (see
+    /// [`PaxDevice::trace_dump`]).
+    fn trace_buf(&self) -> TraceBuf {
+        let rings = self.lanes.iter().map(|l| &l.trace).chain([&self.trace]);
+        merge_traces(&self.trace_prefix, rings)
     }
 
     /// Total entries drained durably across all lane log banks.
@@ -557,12 +575,13 @@ impl PaxDevice {
     }
 
     /// Like [`PaxDevice::crash_into_pool`], but also hands back the
-    /// trace (with the injected [`TraceEvent::Crash`] appended) and the
+    /// trace (with the injected
+    /// [`TraceEvent::Crash`](pax_telemetry::TraceEvent::Crash) last) and the
     /// final metric snapshot — forensic state a real crash would leave in
     /// the debugger, which the pool layer stashes for post-mortems.
     pub fn crash_into_parts(self) -> (PmPool, TraceBuf, MetricSnapshot) {
-        self.trace
-            .record(COMPONENT, TraceEvent::Crash { epoch: self.epochs[0].load(Ordering::Acquire) });
+        let epoch = self.epochs[0].load(Ordering::Acquire);
+        self.trace.record(STAMP_LAST, RingEvent::Crash { epoch });
         for lane in &self.lanes {
             lane.crash();
         }
@@ -574,7 +593,8 @@ impl PaxDevice {
         }
         self.pool.lock().crash();
         let snapshot = self.metric_snapshot();
-        (self.pool.into_inner(), self.trace.into_inner(), snapshot)
+        let trace = self.trace_buf();
+        (self.pool.into_inner(), trace, snapshot)
     }
 
     /// Saves the pool's durable state to `path` (see
@@ -629,7 +649,7 @@ impl PaxDevice {
                 .try_lock()
                 .and_then(|g| g.iter().rev().find_map(|d| d.values.get(&addr)).cloned())
         };
-        self.lanes[lane].resolve(&self.pool, &self.clock, &self.trace, drain_value, addr)
+        self.lanes[lane].resolve(&self.pool, &self.clock, drain_value, addr)
     }
 
     /// One background step on the lane a request routed to: advance any
@@ -665,7 +685,7 @@ impl PaxDevice {
     /// media, then run the lane's write-back engine for `wb_batch` lines
     /// (see [`Lane::background`]).
     fn lane_background(&self, lane: usize, log_batch: usize, wb_batch: usize) -> Result<()> {
-        self.lanes[lane].background(&self.pool, &self.clock, &self.trace, log_batch, wb_batch)
+        self.lanes[lane].background(&self.pool, &self.clock, log_batch, wb_batch)
     }
 
     /// Advances the device's free-running engines by `n` **virtual
@@ -710,7 +730,8 @@ impl PaxDevice {
             self.metrics.inc(self.ctr.sched_ticks);
             let work = self.clock.steps_taken() - before;
             if work > 0 {
-                self.trace.record(COMPONENT, TraceEvent::Tick { tick: now, work });
+                let stamp = self.epochs[0].load(Ordering::Acquire);
+                self.trace.record(stamp, RingEvent::Tick { tick: now, work });
             }
             total += work;
         }
@@ -894,8 +915,8 @@ impl PaxDevice {
                 h.count_snoop_sent();
             }
             let host_data = if should_snoop {
-                let op = if mode == SweepMode::Clwb { "snp_inv" } else { "snp_data" };
-                self.trace.record(COMPONENT, TraceEvent::Coherence { op: op.into(), line: addr.0 });
+                let op = if mode == SweepMode::Clwb { Op::SnpInv } else { Op::SnpData };
+                h.trace_event(RingEvent::Coherence { op, line: addr.0 });
                 let d = match mode {
                     SweepMode::Clwb => cache.snoop_invalidate(addr),
                     _ => cache.snoop_shared(addr),
@@ -914,14 +935,7 @@ impl PaxDevice {
                     // Replace-mode: the host just returned the
                     // authoritative value, so any resident (possibly
                     // stale-dirty) copy must lose.
-                    h.hbm_refresh_clean(
-                        &self.pool,
-                        &self.clock,
-                        &self.trace,
-                        addr,
-                        d.clone(),
-                        false,
-                    )?;
+                    h.hbm_refresh_clean(&self.pool, &self.clock, addr, d.clone(), false)?;
                     Some(d)
                 }
                 (None, SweepMode::Capture) => match h.hbm_peek(addr) {
@@ -976,7 +990,7 @@ impl PaxDevice {
         let _gate = h.wb_gate.lock();
         for run in coalesce_runs(&addrs, self.stride as u64, self.config.persist_wb_batch) {
             h.count_wb_batch();
-            h.write_back(&self.pool, &self.clock, &self.trace, &lines[run.clone()])?;
+            h.write_back(&self.pool, &self.clock, &lines[run.clone()])?;
             for &addr in &addrs[run] {
                 h.hbm_mark_clean(addr);
             }
@@ -1017,7 +1031,8 @@ impl PaxDevice {
         // Charged to the tenant's phase-0 lane so per-tenant rollups
         // conserve the persist count.
         self.lanes[t * self.stride].count_persist();
-        self.trace.record(COMPONENT, TraceEvent::EpochCommit { epoch, entries });
+        let stamp = self.epochs[t].load(Ordering::Acquire);
+        self.trace.record(stamp, RingEvent::EpochCommit { epoch, entries });
         Ok(())
     }
 
@@ -1371,7 +1386,7 @@ impl PaxDevice {
                     });
                 }
             }
-            h.write_back(&self.pool, &self.clock, &self.trace, &[(addr, data)])?;
+            h.write_back(&self.pool, &self.clock, &[(addr, data)])?;
         }
         Ok(())
     }
@@ -1382,8 +1397,7 @@ impl PaxDevice {
     fn home_read_shared(&self, addr: LineAddr) -> Result<CacheLine> {
         let l = self.lane_of(addr)?;
         self.lanes[l].count_rd_shared();
-        self.trace
-            .record(COMPONENT, TraceEvent::Coherence { op: "rd_shared".into(), line: addr.0 });
+        self.lanes[l].trace_event(RingEvent::Coherence { op: Op::RdShared, line: addr.0 });
         self.background(l)?;
         self.resolve(l, addr)
     }
@@ -1392,7 +1406,7 @@ impl PaxDevice {
     fn home_read_own(&self, addr: LineAddr) -> Result<CacheLine> {
         let l = self.lane_of(addr)?;
         self.lanes[l].count_rd_own();
-        self.trace.record(COMPONENT, TraceEvent::Coherence { op: "rd_own".into(), line: addr.0 });
+        self.lanes[l].trace_event(RingEvent::Coherence { op: Op::RdOwn, line: addr.0 });
         self.background(l)?;
         let old = self.resolve(l, addr)?;
         // The paper's key move: log asynchronously and acknowledge the
@@ -1402,7 +1416,7 @@ impl PaxDevice {
         // published before bumping the counter.
         let epoch = self.epochs[l / self.stride].load(Ordering::Acquire);
         let h = &self.lanes[l];
-        h.log_if_first(&self.trace, epoch, addr, &old)?;
+        h.log_if_first(epoch, addr, &old)?;
         // The ownership grant is the directory's set point: from here the
         // host plausibly holds the line modified. Gated so the disabled
         // ablation leaves the directory (and its gauges) untouched.
@@ -1419,9 +1433,8 @@ impl PaxDevice {
             // Safe to untrack: Shared and Modified copies never coexist,
             // so a clean eviction means no core holds the line modified.
             self.lanes[l].dir_clear(addr);
+            self.lanes[l].trace_event(RingEvent::Coherence { op: Op::CleanEvict, line: addr.0 });
         }
-        self.trace
-            .record(COMPONENT, TraceEvent::Coherence { op: "clean_evict".into(), line: addr.0 });
     }
 
     /// Dirty-eviction service, shared by both [`HomeAgent`] impls.
@@ -1431,8 +1444,7 @@ impl PaxDevice {
         // The host just handed its modified copy back: the line needs no
         // persist-time snoop until the next `RdOwn`.
         self.lanes[l].dir_clear(addr);
-        self.trace
-            .record(COMPONENT, TraceEvent::Coherence { op: "dirty_evict".into(), line: addr.0 });
+        self.lanes[l].trace_event(RingEvent::Coherence { op: Op::DirtyEvict, line: addr.0 });
         self.background(l)?;
         // Ordering with a draining epoch: the previous epoch's value for
         // this line must reach PM before any newer value can (otherwise a
@@ -1453,7 +1465,7 @@ impl PaxDevice {
                     let abs = pm.layout().vpm_to_pool(addr.0)?;
                     pm.read_line(abs)?
                 };
-                h.log_if_first(&self.trace, epoch, addr, &old)?
+                h.log_if_first(epoch, addr, &old)?
             }
         };
         // Insert-then-dispose keeps a dirty victim indexed until its PM
@@ -1463,7 +1475,6 @@ impl PaxDevice {
         h.hbm_insert_disposing(
             &self.pool,
             &self.clock,
-            &self.trace,
             addr,
             HbmLine { data, dirty: true, log_offset: Some(offset) },
         )?;
@@ -2413,6 +2424,99 @@ mod tests {
         assert_eq!(m.rd_own, 800, "every RdOwn counted");
         assert_eq!(m.undo_entries, 16, "epoch-log dedup admits each line once");
         assert_eq!(m.hbm_hits + m.hbm_misses, 800, "every resolve classified");
+    }
+
+    /// The `line` of a dumped coherence record with op `op`; panics on
+    /// any other record.
+    fn coherence_line(record: &pax_telemetry::TraceRecord, op: &str) -> u64 {
+        match &record.event {
+            pax_telemetry::TraceEvent::Coherence { op: o, line } if o == op => *line,
+            e => panic!("expected a {op} record, got {e:?}"),
+        }
+    }
+
+    /// One lane records three rings' worth of events: the dump keeps
+    /// exactly the newest `capacity`, in order and renumbered from 0,
+    /// and counts the overwritten ones as dropped.
+    #[test]
+    fn trace_ring_keeps_the_newest_capacity_records() {
+        // Not a power of two: the ring rounds its slots up, the dump
+        // still keeps exactly `capacity`.
+        const CAP: u64 = 12;
+        let (mut device, _) = setup_cfg(DeviceConfig::default().with_trace_capacity(12), 1);
+        for line in 0..3 * CAP {
+            device.read_shared(LineAddr(line)).unwrap();
+        }
+        let records = TraceBuf::parse_json_lines(&device.trace_dump()).unwrap();
+        let lines: Vec<u64> = records.iter().map(|r| coherence_line(r, "rd_shared")).collect();
+        assert_eq!(lines, (2 * CAP..3 * CAP).collect::<Vec<_>>());
+        assert!(records.iter().enumerate().all(|(i, r)| r.seq == i as u64));
+        let (_pool, trace, _) = device.crash_into_parts();
+        assert_eq!(trace.dropped(), 2 * CAP);
+        assert_eq!(trace.len() as u64, CAP + 1, "the newest records, then the crash");
+    }
+
+    /// Four threads on four tenants record past their rings' capacity
+    /// while a fifth dumps: every dump parses in strict `seq` order, lists
+    /// the tenants' lanes in lane order, keeps each thread's records in
+    /// issue order, and holds no record mixing two events (each line and
+    /// op is one its tenant's thread issued).
+    #[test]
+    fn tenants_trace_concurrently_while_a_reader_dumps() {
+        const OPS: u64 = 256;
+        let pool = PmPool::create(PoolConfig::small()).unwrap();
+        let regions = even_split(pool.layout().data_lines, 4);
+        let config = DeviceConfig::default().with_trace_capacity(64);
+        let device = PaxDevice::open_multi(pool, config, regions.clone()).unwrap();
+        let check = |dump: &str| {
+            let records = TraceBuf::parse_json_lines(dump).unwrap();
+            assert!(records.windows(2).all(|w| w[0].seq < w[1].seq), "dump in seq order");
+            // (tenant, issue position) of the previous record.
+            let mut last: Option<(usize, u64)> = None;
+            for r in &records {
+                let pax_telemetry::TraceEvent::Coherence { op, line } = &r.event else {
+                    panic!("unexpected record {r:?}");
+                };
+                let t = regions
+                    .iter()
+                    .position(|g| (g.vpm_base..g.vpm_base + OPS).contains(line))
+                    .unwrap_or_else(|| panic!("line {line} no thread issued"));
+                let i = line - regions[t].vpm_base;
+                let pos = match op.as_ref() {
+                    "rd_shared" => 2 * i,
+                    "clean_evict" => 2 * i + 1,
+                    other => panic!("op {other} no thread issued"),
+                };
+                if let Some((lt, lpos)) = last {
+                    assert!(t > lt || (t == lt && pos > lpos), "out of order at {r:?}");
+                }
+                last = Some((t, pos));
+            }
+            records.len()
+        };
+        let done = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for region in &regions {
+                let (device, done) = (&device, &done);
+                scope.spawn(move || {
+                    let mut home = device;
+                    for i in 0..OPS {
+                        let line = LineAddr(region.vpm_base + i);
+                        home.read_shared(line).unwrap();
+                        home.clean_evict(line);
+                    }
+                    done.fetch_add(1, Ordering::Release);
+                });
+            }
+            scope.spawn(|| {
+                let mut dumps = 0;
+                while done.load(Ordering::Acquire) < regions.len() || dumps == 0 {
+                    check(&device.trace_dump());
+                    dumps += 1;
+                }
+            });
+        });
+        assert_eq!(check(&device.trace_dump()), 4 * 64, "each ring holds its newest 64");
     }
 
     /// Every tenant-indexed persist entry point rejects an out-of-range

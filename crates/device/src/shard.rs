@@ -13,9 +13,10 @@
 //! * its own undo-log **bank** — a `capacity/S` slice of the pool's log
 //!   region with an independent monotonic watermark, so appends on
 //!   different shards never contend on one append port,
-//! * its own write-back queue and epoch-log map, and
+//! * its own write-back queue and epoch-log map,
 //! * its own [`MetricSet`] (all stamped with the `device` component, so
-//!   cross-layer telemetry merges them back into one view).
+//!   cross-layer telemetry merges them back into one view), and
+//! * its own trace ring, which dumps merge back into one trace.
 //!
 //! What stays *global* is the epoch: `persist()` is a cross-shard barrier
 //! — flush every bank, snoop, write back, then one atomic `commit_epoch`
@@ -26,21 +27,21 @@
 //! Every piece of a lane's state is reachable through `&self` and safe
 //! to share across threads: the concurrent HBM set index, the striped
 //! epoch-log map, the write-back queue, the striped ownership directory,
-//! the atomic counter registry, and the lock-free undo bank. `RdShared`
-//! / `RdOwn` / eviction traffic and the persist sweep on the same lane
-//! therefore proceed without any lane-wide mutex. The only lane-local
+//! the atomic counter registry, the lock-free undo bank, and the trace
+//! ring. `RdShared` / `RdOwn` / eviction traffic and the persist sweep
+//! on the same lane therefore proceed without any lane-wide mutex. The only lane-local
 //! serialization left is the [`WbGate`](crate::cell::WbGate), which
 //! orders the lane's write-back *drains* against each other. See
 //! DESIGN.md §15–§16 for the full protocol and ordering invariants.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
 use pax_pm::{CacheLine, CrashClock, LineAddr, PmError, PmPool, Result};
-use pax_telemetry::{MetricSet, MetricSnapshot, TraceEvent};
+use pax_telemetry::{MetricSet, MetricSnapshot};
 
-use crate::cell::{PoolCell, TraceCell, WbGate};
+use crate::cell::{PoolCell, RingEvent, TraceRing, WbGate};
 
 use crate::directory::OwnershipDirectory;
 use crate::hbm::{HbmCache, HbmConfig, HbmLine};
@@ -209,6 +210,12 @@ pub(crate) struct Lane {
     pub(crate) wb_gate: WbGate,
     /// This lane's bank of the undo-log region.
     pub(crate) log: UndoLog,
+    /// This lane's trace ring: its coherence messages, log appends and
+    /// write-backs.
+    pub(crate) trace: TraceRing,
+    /// The tenant's epoch as this lane last saw it open — every record's
+    /// merge stamp.
+    trace_epoch: AtomicU64,
 }
 
 impl Lane {
@@ -219,14 +226,17 @@ impl Lane {
     /// [`PaxDevice::open_multi`](crate::PaxDevice::open_multi) — slices
     /// the device's total HBM capacity across lanes (weighted by each
     /// tenant's HBM share) before construction; this floors every lane
-    /// at one full associativity set.
+    /// at one full associativity set. The lane's trace ring keeps
+    /// `trace_capacity` records, stamped from `epoch` on (the tenant's
+    /// open epoch).
     pub(crate) fn new(
         index: usize,
         tenant: usize,
         stride: usize,
         hbm: HbmConfig,
-        log_base: u64,
-        log_blocks: u64,
+        (log_base, log_blocks): (u64, u64),
+        trace_capacity: usize,
+        epoch: u64,
     ) -> Self {
         let per_lane = HbmConfig {
             capacity_bytes: hbm.capacity_bytes.max(hbm.ways * pax_pm::LINE_SIZE),
@@ -246,7 +256,15 @@ impl Lane {
             ctr,
             wb_gate: WbGate::default(),
             log: UndoLog::with_region(log_base, log_blocks),
+            trace: TraceRing::new(trace_capacity),
+            trace_epoch: AtomicU64::new(epoch),
         }
+    }
+
+    /// Records `event` in this lane's ring, stamped with the tenant's
+    /// current epoch.
+    pub(crate) fn trace_event(&self, event: RingEvent) {
+        self.trace.record(self.trace_epoch.load(Ordering::Relaxed), event);
     }
 
     /// Counts a `RdShared` routed to this lane.
@@ -382,14 +400,13 @@ impl Lane {
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
-        trace: &TraceCell,
         addr: LineAddr,
         line: HbmLine,
     ) -> Result<()> {
         let durable = self.log.durable_offset();
         let key = self.hbm_key(addr);
         match self.hbm.insert_then(key, line, durable, |vlocal, vline| {
-            self.dispose_victim(pool, clock, trace, self.hbm_unkey(vlocal), vline)
+            self.dispose_victim(pool, clock, self.hbm_unkey(vlocal), vline)
         }) {
             Some(res) => res,
             None => Ok(()),
@@ -409,7 +426,6 @@ impl Lane {
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
-        trace: &TraceCell,
         addr: LineAddr,
         data: CacheLine,
         if_absent: bool,
@@ -418,7 +434,7 @@ impl Lane {
         let key = self.hbm_key(addr);
         let line = HbmLine { data, dirty: false, log_offset: None };
         let dispose = |vlocal: LineAddr, vline: HbmLine| {
-            self.dispose_victim(pool, clock, trace, self.hbm_unkey(vlocal), vline)
+            self.dispose_victim(pool, clock, self.hbm_unkey(vlocal), vline)
         };
         let disposed = if if_absent {
             self.hbm.insert_clean_if_absent_then(key, line, durable, dispose)
@@ -437,7 +453,6 @@ impl Lane {
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
-        trace: &TraceCell,
         drain_value: Option<CacheLine>,
         addr: LineAddr,
     ) -> Result<CacheLine> {
@@ -458,7 +473,7 @@ impl Lane {
         // if_absent: a concurrent RdOwn may have inserted a dirty line for
         // this address since the PM read above — the stale clean copy must
         // not clobber it.
-        self.hbm_refresh_clean(pool, clock, trace, addr, data.clone(), true)?;
+        self.hbm_refresh_clean(pool, clock, addr, data.clone(), true)?;
         Ok(data)
     }
 
@@ -466,19 +481,13 @@ impl Lane {
     /// returning the covering log offset. The epoch-log stripe lock is
     /// held across the append, so concurrent first-writes to one line
     /// append exactly once.
-    pub(crate) fn log_if_first(
-        &self,
-        trace: &TraceCell,
-        epoch: u64,
-        addr: LineAddr,
-        old: &CacheLine,
-    ) -> Result<u64> {
+    pub(crate) fn log_if_first(&self, epoch: u64, addr: LineAddr, old: &CacheLine) -> Result<u64> {
         self.epoch_log.try_insert(addr, || {
             let entry =
                 UndoEntry { epoch, vpm_line: addr, tenant: self.tenant as u32, old: old.clone() };
             let offset = self.log.append(entry)?;
             self.metrics.inc(self.ctr.undo_entries);
-            trace.record(COMPONENT, TraceEvent::LogAppend { epoch, line: addr.0 });
+            self.trace_event(RingEvent::LogAppend { epoch, line: addr.0 });
             Ok(offset)
         })
     }
@@ -497,7 +506,6 @@ impl Lane {
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
-        trace: &TraceCell,
         addr: LineAddr,
         line: HbmLine,
     ) -> Result<()> {
@@ -519,7 +527,7 @@ impl Lane {
                 }
             }
         }
-        self.write_back(pool, clock, trace, &[(addr, line.data)])
+        self.write_back(pool, clock, &[(addr, line.data)])
     }
 
     /// The one data-line write-back step, behind every path that moves a
@@ -533,7 +541,6 @@ impl Lane {
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
-        trace: &TraceCell,
         run: &[(LineAddr, CacheLine)],
     ) -> Result<()> {
         {
@@ -546,7 +553,7 @@ impl Lane {
         }
         self.metrics.add(self.ctr.device_writebacks, run.len() as u64);
         for (addr, _) in run {
-            trace.record(COMPONENT, TraceEvent::WriteBack { line: addr.0 });
+            self.trace_event(RingEvent::WriteBack { line: addr.0 });
         }
         Ok(())
     }
@@ -595,7 +602,6 @@ impl Lane {
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
-        trace: &TraceCell,
         log_pump_batch: usize,
         writeback_batch: usize,
     ) -> Result<()> {
@@ -626,7 +632,7 @@ impl Lane {
                 // Clean in place: background write-back must not promote
                 // the line to MRU and erase real-access recency.
                 self.hbm_mark_clean(addr);
-                self.write_back(pool, clock, trace, &[(addr, data)])?;
+                self.write_back(pool, clock, &[(addr, data)])?;
                 self.metrics.inc(self.ctr.background_writebacks);
                 // The directory stays as it is: a device write back says
                 // nothing about the host, which may have re-acquired the
@@ -642,6 +648,7 @@ impl Lane {
     pub(crate) fn begin_next_epoch(&self) {
         self.epoch_log.clear();
         self.writeback_queue.clear();
+        self.trace_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drops all volatile state (power loss). The ownership directory is
@@ -690,8 +697,8 @@ mod tests {
         let pool = PmPool::create(PoolConfig::small()).unwrap();
         let banks = split_log_region(&pool, 2);
         let hbm = HbmConfig::default_config();
-        let a = Lane::new(0, 0, 2, hbm, banks[0].0, banks[0].1);
-        let b = Lane::new(1, 0, 2, hbm, banks[1].0, banks[1].1);
+        let a = Lane::new(0, 0, 2, hbm, banks[0], 0, 1);
+        let b = Lane::new(1, 0, 2, hbm, banks[1], 0, 1);
         (pool, a, b)
     }
 
@@ -739,8 +746,9 @@ mod tests {
             0,
             2,
             HbmConfig { capacity_bytes: 2 * 128, ways: 2, policy: EvictionPolicy::Lru },
+            (0, 64),
             0,
-            64,
+            1,
         );
         // Shard capacity: 4 lines (2 sets × 2 ways) — the per-lane slice
         // the device would hand this lane of a 4-line-per-lane buffer.
@@ -762,9 +770,8 @@ mod tests {
         let (pool, a, _b) = shard_pair();
         let pool = PoolCell::new(pool);
         let clock = CrashClock::new();
-        let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
         let line = HbmLine { data: CacheLine::filled(1), dirty: true, log_offset: Some(99) };
-        let err = a.dispose_victim(&pool, &clock, &trace, LineAddr(0), line).unwrap_err();
+        let err = a.dispose_victim(&pool, &clock, LineAddr(0), line).unwrap_err();
         assert!(
             matches!(err, PmError::ProtocolViolation { .. }),
             "expected a protocol-invariant error, got {err}"
@@ -776,10 +783,9 @@ mod tests {
         let (pool, a, _b) = shard_pair();
         let pool = PoolCell::new(pool);
         let clock = CrashClock::new();
-        let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
-        let off = a.log_if_first(&trace, 1, LineAddr(0), &CacheLine::zeroed()).unwrap();
+        let off = a.log_if_first(1, LineAddr(0), &CacheLine::zeroed()).unwrap();
         let line = HbmLine { data: CacheLine::filled(7), dirty: true, log_offset: Some(off) };
-        a.dispose_victim(&pool, &clock, &trace, LineAddr(0), line).unwrap();
+        a.dispose_victim(&pool, &clock, LineAddr(0), line).unwrap();
         assert!(a.log.durable_offset() > off, "covering entry was drained first");
         let mut pool = pool.into_inner();
         let abs = pool.layout().vpm_to_pool(0).unwrap();
@@ -790,10 +796,9 @@ mod tests {
     fn shard_banks_append_independently() {
         let (mut pool, a, b) = shard_pair();
         let clock = CrashClock::new();
-        let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
-        a.log_if_first(&trace, 1, LineAddr(0), &CacheLine::filled(1)).unwrap();
-        b.log_if_first(&trace, 1, LineAddr(1), &CacheLine::filled(2)).unwrap();
-        b.log_if_first(&trace, 1, LineAddr(3), &CacheLine::filled(3)).unwrap();
+        a.log_if_first(1, LineAddr(0), &CacheLine::filled(1)).unwrap();
+        b.log_if_first(1, LineAddr(1), &CacheLine::filled(2)).unwrap();
+        b.log_if_first(1, LineAddr(3), &CacheLine::filled(3)).unwrap();
         a.log.flush(&mut pool, &clock).unwrap();
         b.log.flush(&mut pool, &clock).unwrap();
         assert_eq!(a.log.durable_offset(), 1);

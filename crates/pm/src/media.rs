@@ -208,6 +208,9 @@ pub struct PmMedia {
     durable: LineStore,
     wpq: VecDeque<(LineAddr, CacheLine)>,
     wpq_capacity: usize,
+    /// Queued WPQ entries per address bucket (see [`wpq_bucket`]), so a
+    /// read scans the queue only when its bucket holds something.
+    wpq_index: [u16; WPQ_INDEX_BUCKETS],
     domain: PersistenceDomain,
     metrics: MetricSet,
     ctr: MediaCounters,
@@ -215,6 +218,16 @@ pub struct PmMedia {
 
 /// Default depth of the write-pending queue (tens of entries on real iMCs).
 pub const DEFAULT_WPQ_DEPTH: usize = 64;
+
+/// Buckets in [`PmMedia`]'s WPQ address index: four per queue entry, so
+/// a full queue leaves most reads with an empty bucket.
+const WPQ_INDEX_BUCKETS: usize = 256;
+
+/// `addr`'s bucket in the WPQ address index (a multiplicative hash, so
+/// strided write streams still spread).
+fn wpq_bucket(addr: LineAddr) -> usize {
+    (addr.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize
+}
 
 impl PmMedia {
     /// Creates a zero-filled persistent medium of `capacity_bytes`
@@ -226,6 +239,7 @@ impl PmMedia {
             durable: LineStore::zeroed(capacity_bytes.div_ceil(LINE_SIZE)),
             wpq: VecDeque::new(),
             wpq_capacity: DEFAULT_WPQ_DEPTH,
+            wpq_index: [0; WPQ_INDEX_BUCKETS],
             domain,
             metrics,
             ctr,
@@ -248,6 +262,7 @@ impl PmMedia {
 
     fn drain_one(&mut self) {
         if let Some((addr, line)) = self.wpq.pop_front() {
+            self.wpq_index[wpq_bucket(addr)] -= 1;
             self.durable.set(addr, &line);
         }
     }
@@ -258,9 +273,10 @@ impl Memory for PmMedia {
         self.durable.check(addr)?;
         self.metrics.inc(self.ctr.line_reads);
         // Reads must observe queued writes (store-to-load forwarding at
-        // the controller); scan the WPQ newest-first.
-        for (a, l) in self.wpq.iter().rev() {
-            if *a == addr {
+        // the controller); scan the WPQ newest-first when the index says
+        // the line may be queued.
+        if self.wpq_index[wpq_bucket(addr)] > 0 {
+            if let Some((_, l)) = self.wpq.iter().rev().find(|(a, _)| *a == addr) {
                 return Ok(l.clone());
             }
         }
@@ -275,6 +291,7 @@ impl Memory for PmMedia {
             self.drain_one();
         }
         self.wpq.push_back((addr, line));
+        self.wpq_index[wpq_bucket(addr)] += 1;
         Ok(())
     }
 
@@ -291,6 +308,7 @@ impl Memory for PmMedia {
         } else {
             self.metrics.add(self.ctr.lines_lost_in_wpq, self.wpq.len() as u64);
             self.wpq.clear();
+            self.wpq_index = [0; WPQ_INDEX_BUCKETS];
         }
     }
 
@@ -387,6 +405,12 @@ mod tests {
         assert_eq!(pm.read_line(LineAddr(5)).unwrap(), fill(2));
         pm.drain();
         assert_eq!(pm.read_durable(LineAddr(5)).unwrap(), fill(2));
+        // Drained entries leave the index: the line reads from media, and
+        // a later write is forwarded again.
+        assert_eq!(pm.read_line(LineAddr(5)).unwrap(), fill(2));
+        pm.write_line(LineAddr(5), fill(3)).unwrap();
+        assert_eq!(pm.read_line(LineAddr(5)).unwrap(), fill(3));
+        assert_eq!(pm.read_durable(LineAddr(5)).unwrap(), fill(2));
     }
 
     #[test]
@@ -415,11 +439,24 @@ mod tests {
         }
         // The first 8 writes were forced out and are durable even after a
         // non-ADR crash, which loses a full WPQ.
+        // Spilled lines read their (durable) value while the rest are
+        // still forwarded from the queue.
+        for i in 0..(DEFAULT_WPQ_DEPTH as u64 + 8) {
+            assert_eq!(pm.read_line(LineAddr(i)).unwrap(), fill(i as u8));
+        }
         pm.crash();
         assert_eq!(pm.stats().lines_lost_in_wpq, DEFAULT_WPQ_DEPTH as u64);
         for i in 0..8u64 {
             assert_eq!(pm.read_durable(LineAddr(i)).unwrap(), fill(i as u8));
+            assert_eq!(pm.read_line(LineAddr(i)).unwrap(), fill(i as u8));
         }
+        // Lines lost in the crash read media again, and a line written
+        // after it is forwarded.
+        for i in 8..(DEFAULT_WPQ_DEPTH as u64 + 8) {
+            assert_eq!(pm.read_line(LineAddr(i)).unwrap(), CacheLine::zeroed());
+        }
+        pm.write_line(LineAddr(9), fill(0xee)).unwrap();
+        assert_eq!(pm.read_line(LineAddr(9)).unwrap(), fill(0xee));
     }
 
     #[test]

@@ -156,7 +156,9 @@ impl TraceEvent {
 /// A sequenced, attributed trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Global [`SimClock`] sequence number.
+    /// Sequence number: the global [`SimClock`]'s for a record made by
+    /// [`TraceBuf::record`], the producer's own for one handed over
+    /// through [`TraceBuf::from_records`].
     pub seq: u64,
     /// Component that emitted the event (e.g. `"device"`).
     pub component: Cow<'static, str>,
@@ -210,6 +212,21 @@ impl TraceBuf {
     /// An enabled buffer retaining the most recent `capacity` events.
     pub fn new(capacity: usize) -> Self {
         TraceBuf { capacity, records: VecDeque::new(), dropped: 0 }
+    }
+
+    /// A buffer retaining `records` (oldest first, already sequenced),
+    /// with `dropped` earlier records counted as evicted — how a producer
+    /// that keeps its own rings hands them out as one buffer. Keeps the
+    /// newest `capacity`, counting the rest as dropped too.
+    pub fn from_records(
+        capacity: usize,
+        records: impl IntoIterator<Item = TraceRecord>,
+        dropped: u64,
+    ) -> Self {
+        let mut records: VecDeque<TraceRecord> = records.into_iter().collect();
+        let excess = records.len().saturating_sub(capacity);
+        records.drain(..excess);
+        TraceBuf { capacity, records, dropped: dropped + excess as u64 }
     }
 
     /// A buffer that discards everything (capacity 0).
@@ -340,6 +357,19 @@ mod tests {
         buf.record("dev", TraceEvent::EpochCommit { epoch: 0, entries: 1 });
         let seqs: Vec<u64> = buf.records().map(|r| r.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seq strictly increases: {seqs:?}");
+    }
+
+    #[test]
+    fn from_records_keeps_the_newest_capacity() {
+        let records = (0..6u64).map(|seq| TraceRecord {
+            seq,
+            component: Cow::Borrowed("dev"),
+            event: TraceEvent::WriteBack { line: seq },
+        });
+        let buf = TraceBuf::from_records(4, records, 3);
+        let seqs: Vec<u64> = buf.records().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![2, 3, 4, 5]);
+        assert_eq!(buf.dropped(), 5, "the 3 handed over plus the 2 trimmed");
     }
 
     #[test]
