@@ -48,6 +48,7 @@ struct SetSlot<T> {
     ways: Mutex<Ways<T>>,
     /// One-word Bloom filter over resident addresses; bit index =
     /// [`sig_bit`]. Cleared bits prove absence; set bits may be stale.
+    /// Written only under `ways`' lock; read lock-free.
     sig: AtomicU64,
 }
 
@@ -225,7 +226,13 @@ impl<T> ConcurrentSetAssoc<T> {
                 Some(dispose(victim_addr, victim))
             }
             None => {
-                set.sig.fetch_or(sig_bit(addr), Ordering::Release);
+                // A plain load and store, not a locked `fetch_or`: every
+                // writer of `sig` holds this set's lock (held here), so
+                // no update can land in between. The `Release` store
+                // still pairs with the probes' `Acquire` loads.
+                let sig = set.sig.load(Ordering::Relaxed);
+                set.sig.store(sig | sig_bit(addr), Ordering::Release);
+                // `resident` is shared by every set, so it keeps its RMW.
                 self.resident.fetch_add(1, Ordering::Relaxed);
                 None
             }

@@ -75,10 +75,10 @@ pub struct DeviceConfig {
     /// Address-interleaved shards each tenant's per-line state is split
     /// into. 1 = the unsharded device.
     pub shards: usize,
-    /// Whether persist-time snoops are filtered through the per-lane
-    /// ownership directory ([`crate::OwnershipDirectory`]). Enabled by
-    /// default; [`DirectoryConfig::disabled`] restores always-snoop for
-    /// ablation.
+    /// Whether persist-time snoops are filtered by the host-ownership
+    /// mark each lane keeps on its epoch-log entries (DESIGN.md §10).
+    /// Enabled by default; [`DirectoryConfig::disabled`] restores
+    /// always-snoop for ablation.
     pub directory: DirectoryConfig,
     /// Maximum lines per coalesced persist write-back batch: persist
     /// write-backs contiguous in lane-local address space share one
@@ -257,8 +257,8 @@ struct DrainState {
 /// Every public method takes `&self`: the device is `Send + Sync`, and N
 /// OS threads may issue stores concurrently (one tenant/core per thread;
 /// see DESIGN.md §11). The lock order is
-/// **ctl (`draining[t]`) → host core → wb-gate → HBM set / directory
-/// stripe / epoch-log stripe → pool**
+/// **ctl (`draining[t]`) → host core → wb-gate → HBM set / epoch-log
+/// stripe → pool**
 /// (DESIGN.md §15); the trace rings take no lock. Persist paths hold
 /// their tenant's ctl lock for their whole duration; hot paths only ever `try_lock` it (a contended ctl
 /// implies a concurrent persist, and non-blocking `DrainState`s exist
@@ -271,15 +271,15 @@ struct DrainState {
 /// log watermarks are atomics, read lock-free.
 ///
 /// **Lanes have no lane-wide mutex.** Each lane's state — the
-/// concurrent HBM set index, the striped epoch-log map, the write-back
-/// queue, the striped ownership directory, the atomic counter registry,
-/// and the lock-free undo bank ([`crate::UndoLog`]) — is reached through
-/// `&Lane`, so `RdShared` / `RdOwn` / eviction service and the persist
-/// sweep on the *same lane* proceed concurrently. Undo appends reserve a
-/// slot with a CAS on the bank's packed tail word (no lock at all), and
-/// the pump/flush media handoff takes **pool only**. Write-back *drains*
-/// serialize on the per-lane `WbGate`. Epoch
-/// commit — which takes ctl, flushes every lane of the tenant, and
+/// concurrent HBM set index, the striped epoch-log table (which also
+/// holds each line's host-ownership mark), the write-back queue, the
+/// atomic counter registry, and the lock-free undo bank
+/// ([`crate::UndoLog`]) — is reached through `&Lane`, so `RdShared` /
+/// `RdOwn` / eviction service and the persist sweep on the *same lane*
+/// proceed concurrently. Undo appends reserve a slot with a CAS on the
+/// bank's packed tail word (no lock at all), and the pump/flush media
+/// handoff takes **pool only**. Write-back *drains* serialize on the
+/// per-lane `WbGate`. Epoch commit — which takes ctl, flushes every lane of the tenant, and
 /// writes the header slot — is the only cross-shard rendezvous; crash is
 /// stop-the-world by construction (it consumes the device).
 #[derive(Debug)]
@@ -874,7 +874,7 @@ impl PaxDevice {
     /// The shared persist-time gather behind every persist flavour:
     /// iterates lane `l`'s logged lines in log order (§3.3 "iterating
     /// through each undo log entry as it persists"), snooping only the
-    /// lines the ownership directory says the host may still hold
+    /// lines whose ownership mark says the host may still hold them
     /// modified, and returns the lane's epoch-log length plus the
     /// `(addr, value)` pairs that still need a PM write back. No lock is
     /// held across a snoop (host core locks order *before* every device
@@ -885,7 +885,7 @@ impl PaxDevice {
     /// * `Clwb` — full eviction from host caches; dirty data comes back
     ///   to the device, the line does NOT stay host-cached. An unowned
     ///   line can hold at most a clean Shared copy whose value the
-    ///   device already has, so the directory filter skips its
+    ///   device already has, so the snoop filter skips its
     ///   invalidate too (leaving it warm — strictly kinder than real
     ///   CLWB). Lines with no dirty copy anywhere are marked clean in
     ///   HBM.
@@ -907,8 +907,8 @@ impl PaxDevice {
         let logged = h.epoch_log.sorted();
         let entries = logged.len() as u64;
         let mut pending = Vec::with_capacity(logged.len());
-        for (_offset, addr) in logged {
-            let should_snoop = h.dir_should_snoop(addr, filter);
+        for (_offset, addr, owned) in logged {
+            let should_snoop = h.dir_should_snoop(owned, filter);
             // CLWB invalidates rather than snoops; only the downgrade
             // flavours count toward `snoops_sent`.
             if should_snoop && mode != SweepMode::Clwb {
@@ -922,7 +922,7 @@ impl PaxDevice {
                     _ => cache.snoop_shared(addr),
                 };
                 // The snoop itself is the host's give-up evidence.
-                h.dir_clear(addr);
+                h.disown(addr);
                 d
             } else {
                 None
@@ -1415,14 +1415,11 @@ impl PaxDevice {
         // guarantees this thread also sees the lane state the close
         // published before bumping the counter.
         let epoch = self.epochs[l / self.stride].load(Ordering::Acquire);
-        let h = &self.lanes[l];
-        h.log_if_first(epoch, addr, &old)?;
-        // The ownership grant is the directory's set point: from here the
-        // host plausibly holds the line modified. Gated so the disabled
-        // ablation leaves the directory (and its gauges) untouched.
-        if self.config.directory.enabled {
-            h.dir_note_owned(addr);
-        }
+        // The ownership grant sets the line's mark in the same stripe
+        // visit that logs it: from here the host plausibly holds the line
+        // modified. Gated so the disabled ablation leaves the marks (and
+        // their gauge) untouched.
+        self.lanes[l].log_if_first(epoch, addr, &old, self.config.directory.enabled)?;
         Ok(old)
     }
 
@@ -1430,9 +1427,9 @@ impl PaxDevice {
     fn home_clean_evict(&self, addr: LineAddr) {
         if let Ok(l) = self.lane_of(addr) {
             self.lanes[l].count_clean_evict();
-            // Safe to untrack: Shared and Modified copies never coexist,
+            // Safe to disown: Shared and Modified copies never coexist,
             // so a clean eviction means no core holds the line modified.
-            self.lanes[l].dir_clear(addr);
+            self.lanes[l].disown(addr);
             self.lanes[l].trace_event(RingEvent::Coherence { op: Op::CleanEvict, line: addr.0 });
         }
     }
@@ -1441,9 +1438,6 @@ impl PaxDevice {
     fn home_dirty_evict(&self, addr: LineAddr, data: CacheLine) -> Result<()> {
         let l = self.lane_of(addr)?;
         self.lanes[l].count_dirty_evict();
-        // The host just handed its modified copy back: the line needs no
-        // persist-time snoop until the next `RdOwn`.
-        self.lanes[l].dir_clear(addr);
         self.lanes[l].trace_event(RingEvent::Coherence { op: Op::DirtyEvict, line: addr.0 });
         self.background(l)?;
         // Ordering with a draining epoch: the previous epoch's value for
@@ -1452,7 +1446,10 @@ impl PaxDevice {
         self.drain_one_line_now(addr)?;
         let epoch = self.epochs[l / self.stride].load(Ordering::Acquire);
         let h = &self.lanes[l];
-        let offset = match h.epoch_offset_of(addr) {
+        // The host just handed its modified copy back: the line needs no
+        // persist-time snoop until the next `RdOwn`. One stripe visit
+        // clears the mark and reads the covering offset.
+        let offset = match h.disown(addr) {
             Some(o) => o,
             None => {
                 // Protocol anomaly: an eviction for a line we never saw an
@@ -1465,7 +1462,7 @@ impl PaxDevice {
                     let abs = pm.layout().vpm_to_pool(addr.0)?;
                     pm.read_line(abs)?
                 };
-                h.log_if_first(epoch, addr, &old)?
+                h.log_if_first(epoch, addr, &old, false)?
             }
         };
         // Insert-then-dispose keeps a dirty victim indexed until its PM
@@ -2423,7 +2420,7 @@ mod tests {
         let m = device.metrics();
         assert_eq!(m.rd_own, 800, "every RdOwn counted");
         assert_eq!(m.undo_entries, 16, "epoch-log dedup admits each line once");
-        assert_eq!(m.hbm_hits + m.hbm_misses, 800, "every resolve classified");
+        assert_eq!(m.hbm_read_hits + m.hbm_misses, 800, "every resolve classified");
     }
 
     /// The `line` of a dumped coherence record with op `op`; panics on

@@ -1,27 +1,32 @@
-//! Per-lane host-ownership directory (snoop filter) and the persist
-//! write-back batcher.
+//! The persist-time snoop filter's switch and the persist write-back
+//! batcher.
 //!
 //! The device is the home agent for its vPM range, so it *already sees*
 //! every coherence message the host issues: a line can only become
 //! Modified in the host cache through an `RdOwn` at this device, and a
 //! modified line can only leave the host through a dirty eviction, a
 //! persist-time snoop, or a CLWB invalidate — all of which also pass
-//! through the device. [`OwnershipDirectory`] records that knowledge per
-//! lane: a line is *tracked* from the `RdOwn` that granted ownership
-//! until the device observes the host give it up. `persist()` consults
-//! the directory and skips the snoop round-trip for lines the host no
-//! longer plausibly owns, so persist cost scales with lines *still owned
-//! by the host*, not lines logged.
+//! through the device. Each lane records that knowledge as one bit on
+//! the line's entry in its per-epoch line table (the `EpochLog` in
+//! `shard.rs`): set by the `RdOwn` that logged (or re-owned) the line,
+//! cleared when the device observes the host give it up. `persist()`
+//! reads the bit off each logged line it walks and skips the snoop
+//! round-trip for lines the host no longer plausibly owns, so persist
+//! cost scales with lines *still owned by the host*, not lines logged.
+//! [`DirectoryConfig`] turns that filter on or off.
 //!
-//! The directory is deliberately conservative and **volatile**:
+//! The bit is exact for every question the device asks: a line is only
+//! ever owned after an `RdOwn` logged it this epoch, and every close
+//! snoops (and clears) each owned line it logged before the table
+//! empties. It is deliberately conservative and **volatile**:
 //!
-//! * A tracked line that the host silently migrated core-to-core stays
-//!   tracked (the original `RdOwn` set the bit; peer transfer clears
-//!   nothing) — a useless snoop, never a missed one.
-//! * Crash consistency never depends on it. It is rebuilt empty on
-//!   open and cleared on crash; a filtered persist and an always-snoop
-//!   persist produce byte-identical durable state (property-tested in
-//!   `tests/snoopfilter.rs`), because a snoop of an untracked line can
+//! * A line the host silently migrated core-to-core stays owned (the
+//!   original `RdOwn` set the bit; peer transfer clears nothing) — a
+//!   useless snoop, never a missed one.
+//! * Crash consistency never depends on it. It starts empty on open and
+//!   is dropped on crash; a filtered persist and an always-snoop persist
+//!   produce byte-identical durable state (property-tested in
+//!   `tests/snoopfilter.rs`), because a snoop of an unowned line can
 //!   only return a clean Shared copy whose value the device already
 //!   holds.
 //!
@@ -33,15 +38,12 @@
 //! writes, modelling the row-buffer/queue locality a contiguous burst
 //! enjoys on real media.
 
-use std::collections::HashSet;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
 
 use pax_pm::LineAddr;
 
-/// Whether persist-time snoops consult the ownership directory.
+/// Whether persist-time snoops are filtered by the lanes' host-ownership
+/// bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirectoryConfig {
     /// When `false`, every logged line is snooped — the pre-directory
@@ -66,86 +68,6 @@ impl DirectoryConfig {
 impl Default for DirectoryConfig {
     fn default() -> Self {
         Self::enabled()
-    }
-}
-
-/// Number of independently locked stripes in the directory. Tracked
-/// lines hash across stripes so concurrent stores on the same lane
-/// rarely contend on a directory lock.
-const DIR_STRIPES: usize = 16;
-
-/// Tracks, per vPM line of one lane, whether the host plausibly holds
-/// the line modified (see module docs). Purely volatile device state:
-/// ticks never mutate it, and [`OwnershipDirectory::crash`] empties it.
-///
-/// The set is striped across `DIR_STRIPES` mutexes with an
-/// atomic residency counter, so hot-path `RdOwn`/eviction epilogues can
-/// update it through a shared reference (DESIGN.md §15). Each operation touches exactly one stripe lock.
-#[derive(Debug)]
-pub struct OwnershipDirectory {
-    stripes: Vec<Mutex<HashSet<LineAddr>>>,
-    resident: AtomicUsize,
-}
-
-impl Default for OwnershipDirectory {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OwnershipDirectory {
-    /// An empty directory (nothing tracked — maximally conservative).
-    pub fn new() -> Self {
-        OwnershipDirectory {
-            stripes: (0..DIR_STRIPES).map(|_| Mutex::new(HashSet::new())).collect(),
-            resident: AtomicUsize::new(0),
-        }
-    }
-
-    fn stripe(&self, addr: LineAddr) -> &Mutex<HashSet<LineAddr>> {
-        let i = (addr.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize;
-        &self.stripes[i % DIR_STRIPES]
-    }
-
-    /// Records an `RdOwn`: the host now plausibly holds `addr` modified.
-    /// Returns `true` when the line was not already tracked.
-    pub fn note_owned(&self, addr: LineAddr) -> bool {
-        let new = self.stripe(addr).lock().insert(addr);
-        if new {
-            self.resident.fetch_add(1, Ordering::Relaxed);
-        }
-        new
-    }
-
-    /// Records evidence the host gave `addr` up (dirty eviction, snoop
-    /// response, CLWB invalidate, device write-back). Returns `true`
-    /// when the line was tracked.
-    pub fn clear_line(&self, addr: LineAddr) -> bool {
-        let was = self.stripe(addr).lock().remove(&addr);
-        if was {
-            self.resident.fetch_sub(1, Ordering::Relaxed);
-        }
-        was
-    }
-
-    /// Whether the host plausibly holds `addr` modified.
-    pub fn holds(&self, addr: LineAddr) -> bool {
-        self.stripe(addr).lock().contains(&addr)
-    }
-
-    /// Lines currently tracked.
-    pub fn resident(&self) -> usize {
-        self.resident.load(Ordering::Relaxed)
-    }
-
-    /// Power loss: the directory is volatile and restarts empty.
-    pub fn crash(&self) {
-        for stripe in &self.stripes {
-            let mut set = stripe.lock();
-            let n = set.len();
-            set.clear();
-            self.resident.fetch_sub(n, Ordering::Relaxed);
-        }
     }
 }
 
@@ -182,30 +104,6 @@ mod tests {
         assert!(DirectoryConfig::default().enabled);
         assert!(DirectoryConfig::enabled().enabled);
         assert!(!DirectoryConfig::disabled().enabled);
-    }
-
-    #[test]
-    fn tracks_own_then_clear_lifecycle() {
-        let dir = OwnershipDirectory::new();
-        assert!(!dir.holds(LineAddr(3)));
-        assert!(dir.note_owned(LineAddr(3)));
-        assert!(!dir.note_owned(LineAddr(3)), "re-own of a tracked line is not new");
-        assert!(dir.holds(LineAddr(3)));
-        assert_eq!(dir.resident(), 1);
-        assert!(dir.clear_line(LineAddr(3)));
-        assert!(!dir.clear_line(LineAddr(3)), "double clear reports untracked");
-        assert!(!dir.holds(LineAddr(3)));
-        assert_eq!(dir.resident(), 0);
-    }
-
-    #[test]
-    fn crash_empties_the_directory() {
-        let dir = OwnershipDirectory::new();
-        dir.note_owned(LineAddr(1));
-        dir.note_owned(LineAddr(2));
-        dir.crash();
-        assert_eq!(dir.resident(), 0);
-        assert!(!dir.holds(LineAddr(1)));
     }
 
     fn addrs(raw: &[u64]) -> Vec<LineAddr> {

@@ -11,13 +11,15 @@
 //!   with the log offset whose durability gates its write back; its
 //!   eviction policy can prefer already-durable lines (§3.3).
 //! * `shard` — the per-lane slice of the device's per-line state (HBM
-//!   sets, undo-log bank, write-back queue, metrics); `S`
+//!   sets, undo-log bank, write-back queue, metrics, and the epoch
+//!   table: each line logged this epoch, its log offset, and whether the
+//!   host plausibly still holds it modified — the snoop filter that lets
+//!   `persist()` skip lines the host already gave up); `S`
 //!   address-interleaved shards service independent lines without
 //!   contending, and no lane-wide lock guards any of it.
-//! * [`directory`] — [`OwnershipDirectory`]: the per-lane snoop filter
-//!   tracking which lines the host plausibly holds modified, so
-//!   `persist()` skips snoops for lines the host already gave up; plus
-//!   the contiguous-run batcher of the persist write-back pipeline.
+//! * [`directory`] — [`DirectoryConfig`], the snoop filter's on/off
+//!   switch, and the contiguous-run batcher of the persist write-back
+//!   pipeline.
 //! * [`device`] — [`PaxDevice`]: routes `RdShared`/`RdOwn`/evictions to
 //!   the owning shard, performs undo logging on ownership requests,
 //!   coordinates write back, and implements the `persist()` epoch
@@ -73,7 +75,7 @@ pub mod tenant;
 pub mod undo_log;
 
 pub use device::{DeviceConfig, PaxDevice};
-pub use directory::{coalesce_runs, DirectoryConfig, OwnershipDirectory};
+pub use directory::{coalesce_runs, DirectoryConfig};
 pub use hbm::{EvictionPolicy, HbmCache, HbmConfig, HbmLine};
 pub use metrics::DeviceMetrics;
 pub use recovery::{recover, recover_traced, RecoveryReport};

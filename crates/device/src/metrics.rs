@@ -45,14 +45,12 @@ pub struct DeviceMetrics {
     pub background_writebacks: u64,
     /// `persist()` calls completed.
     pub persists: u64,
-    /// Reads served from device HBM instead of PM.
+    /// Reads served from device HBM instead of PM (the HBM set index's
+    /// own atomic hit counter, synced into the registry at snapshot
+    /// time: every lookup is a resolve-path read).
     pub hbm_read_hits: u64,
     /// Reads that had to touch PM.
     pub pm_reads: u64,
-    /// HBM set-index lookups that hit (the buffer's own atomic counter,
-    /// synced into the registry at snapshot time). Every lookup is a
-    /// resolve-path read, so this equals `hbm_read_hits`.
-    pub hbm_hits: u64,
     /// HBM set-index lookups that missed (atomic, synced at snapshot).
     pub hbm_misses: u64,
     /// Lines currently resident in the lane's HBM slice (an occupancy
@@ -64,14 +62,14 @@ pub struct DeviceMetrics {
     /// Durable-write steps donated round-robin to shards with pending
     /// work but no traffic of their own (the pump-starvation fix).
     pub sched_idle_steps: u64,
-    /// Persist-time directory lookups that confirmed the host still
-    /// plausibly owns the line (snoop required).
+    /// Persist-time snoop-filter checks that found the line's ownership
+    /// mark set: the host still plausibly owns it (snoop required).
     pub dir_hits: u64,
-    /// Persist-time snoops skipped because the ownership directory knew
-    /// the host no longer holds the line modified.
+    /// Persist-time snoops skipped because the line's ownership mark
+    /// showed the host no longer holds it modified.
     pub dir_filtered_snoops: u64,
-    /// Lines currently tracked as host-owned by the ownership directory
-    /// (an occupancy gauge, not a monotone counter).
+    /// Logged lines currently marked host-owned (an occupancy gauge,
+    /// not a monotone counter).
     pub dir_resident: u64,
     /// Coalesced write-back batches issued by the persist pipeline.
     pub wb_batches: u64,
@@ -135,7 +133,6 @@ impl std::ops::Add for DeviceMetrics {
             persists: self.persists + rhs.persists,
             hbm_read_hits: self.hbm_read_hits + rhs.hbm_read_hits,
             pm_reads: self.pm_reads + rhs.pm_reads,
-            hbm_hits: self.hbm_hits + rhs.hbm_hits,
             hbm_misses: self.hbm_misses + rhs.hbm_misses,
             hbm_resident: self.hbm_resident + rhs.hbm_resident,
             sched_ticks: self.sched_ticks + rhs.sched_ticks,
@@ -171,7 +168,6 @@ pub(crate) struct DeviceCounters {
     pub(crate) persists: Counter,
     pub(crate) hbm_read_hits: Counter,
     pub(crate) pm_reads: Counter,
-    pub(crate) hbm_hits: Counter,
     pub(crate) hbm_misses: Counter,
     pub(crate) hbm_resident: Counter,
     pub(crate) sched_ticks: Counter,
@@ -204,7 +200,6 @@ impl DeviceCounters {
             persists: metrics.counter("persists"),
             hbm_read_hits: metrics.counter("hbm_read_hits"),
             pm_reads: metrics.counter("pm_reads"),
-            hbm_hits: metrics.counter("hbm_hits"),
             hbm_misses: metrics.counter("hbm_misses"),
             hbm_resident: metrics.counter("hbm_resident"),
             sched_ticks: metrics.counter("sched_ticks"),
@@ -237,7 +232,6 @@ impl DeviceCounters {
             persists: metrics.get(self.persists),
             hbm_read_hits: metrics.get(self.hbm_read_hits),
             pm_reads: metrics.get(self.pm_reads),
-            hbm_hits: metrics.get(self.hbm_hits),
             hbm_misses: metrics.get(self.hbm_misses),
             hbm_resident: metrics.get(self.hbm_resident),
             sched_ticks: metrics.get(self.sched_ticks),

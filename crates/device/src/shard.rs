@@ -13,7 +13,9 @@
 //! * its own undo-log **bank** — a `capacity/S` slice of the pool's log
 //!   region with an independent monotonic watermark, so appends on
 //!   different shards never contend on one append port,
-//! * its own write-back queue and epoch-log map,
+//! * its own write-back queue and epoch table ([`EpochLog`]: each line
+//!   logged this epoch, its undo offset, and whether the host may still
+//!   hold it modified — the persist-time snoop filter),
 //! * its own [`MetricSet`] (all stamped with the `device` component, so
 //!   cross-layer telemetry merges them back into one view), and
 //! * its own trace ring, which dumps merge back into one trace.
@@ -26,10 +28,10 @@
 //!
 //! Every piece of a lane's state is reachable through `&self` and safe
 //! to share across threads: the concurrent HBM set index, the striped
-//! epoch-log map, the write-back queue, the striped ownership directory,
-//! the atomic counter registry, the lock-free undo bank, and the trace
-//! ring. `RdShared` / `RdOwn` / eviction traffic and the persist sweep
-//! on the same lane therefore proceed without any lane-wide mutex. The only lane-local
+//! epoch table, the write-back queue, the atomic counter registry, the
+//! lock-free undo bank, and the trace ring. `RdShared` / `RdOwn` /
+//! eviction traffic and the persist sweep on the same lane therefore
+//! proceed without any lane-wide mutex. The only lane-local
 //! serialization left is the [`WbGate`](crate::cell::WbGate), which
 //! orders the lane's write-back *drains* against each other. See
 //! DESIGN.md §15–§16 for the full protocol and ordering invariants.
@@ -43,7 +45,6 @@ use pax_telemetry::{MetricSet, MetricSnapshot};
 
 use crate::cell::{PoolCell, RingEvent, TraceRing, WbGate};
 
-use crate::directory::OwnershipDirectory;
 use crate::hbm::{HbmCache, HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
 use crate::undo_log::{UndoEntry, UndoLog, BLOCK_LINES};
@@ -52,18 +53,20 @@ use crate::undo_log::{UndoEntry, UndoLog, BLOCK_LINES};
 /// identical to the device's, so merged snapshots stay one `device` row.
 pub(crate) const COMPONENT: &str = "device";
 
-/// Number of independently locked stripes in the per-epoch logged-line
-/// map, so concurrent first-writes on one lane rarely contend.
+/// Number of independently locked stripes in the per-epoch line table,
+/// so concurrent first-writes on one lane rarely contend.
 const EPOCH_LOG_STRIPES: usize = 16;
 
-/// The per-epoch "which lines are already undo-logged" map, striped for
-/// concurrency. `try_insert` holds one stripe lock across the
-/// dedup-check *and* the caller's log append, making
-/// "log exactly once per line per epoch" atomic under concurrent
-/// `RdOwn`s to the same line.
+/// The lane's per-epoch line table, striped for concurrency: each line
+/// undo-logged this epoch → `(offset, owned)`, its log offset and
+/// whether the host may still hold it modified (the persist-time snoop
+/// filter; DESIGN.md §10 says why one bit here is exact). `try_insert`
+/// holds one stripe lock across the dedup-check, the caller's log
+/// append *and* the ownership grant, making "log exactly once per line
+/// per epoch" atomic under concurrent `RdOwn`s to the same line.
 #[derive(Debug, Default)]
 pub(crate) struct EpochLog {
-    stripes: Vec<Mutex<HashMap<LineAddr, u64>>>,
+    stripes: Vec<Mutex<HashMap<LineAddr, (u64, bool)>>>,
     len: AtomicUsize,
 }
 
@@ -75,33 +78,41 @@ impl EpochLog {
         }
     }
 
-    fn stripe(&self, addr: LineAddr) -> &Mutex<HashMap<LineAddr, u64>> {
+    fn stripe(&self, addr: LineAddr) -> &Mutex<HashMap<LineAddr, (u64, bool)>> {
         let i = (addr.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize;
         &self.stripes[i % EPOCH_LOG_STRIPES]
     }
 
     /// Returns `addr`'s existing offset, or runs `make` (the log append)
-    /// under the stripe lock and records its result. `make` must not
-    /// acquire any lock that can wait on an `EpochLog` stripe — the
-    /// lock-free undo-bank append qualifies.
+    /// under the stripe lock and records its result; with `own`, also
+    /// marks the line host-owned. The flag says whether that mark is
+    /// new. `make` must not acquire any lock that can wait on an
+    /// `EpochLog` stripe — the lock-free undo-bank append qualifies.
     pub(crate) fn try_insert(
         &self,
         addr: LineAddr,
+        own: bool,
         make: impl FnOnce() -> Result<u64>,
-    ) -> Result<u64> {
+    ) -> Result<(u64, bool)> {
         let mut map = self.stripe(addr).lock();
-        if let Some(&off) = map.get(&addr) {
-            return Ok(off);
+        if let Some((offset, owned)) = map.get_mut(&addr) {
+            let newly_owned = own && !*owned;
+            *owned |= own;
+            return Ok((*offset, newly_owned));
         }
-        let off = make()?;
-        map.insert(addr, off);
+        let offset = make()?;
+        map.insert(addr, (offset, own));
         self.len.fetch_add(1, Ordering::Relaxed);
-        Ok(off)
+        Ok((offset, own))
     }
 
-    /// The offset covering `addr` this epoch, if it was logged.
-    pub(crate) fn offset_of(&self, addr: LineAddr) -> Option<u64> {
-        self.stripe(addr).lock().get(&addr).copied()
+    /// Clears `addr`'s ownership mark. Returns its offset if it was
+    /// logged this epoch, and whether the mark was set; an unlogged line
+    /// is left alone.
+    pub(crate) fn disown(&self, addr: LineAddr) -> Option<(u64, bool)> {
+        let mut map = self.stripe(addr).lock();
+        let (offset, owned) = map.get_mut(&addr)?;
+        Some((*offset, std::mem::take(owned)))
     }
 
     /// Number of lines logged this epoch.
@@ -110,26 +121,29 @@ impl EpochLog {
     }
 
     /// The epoch's logged lines in log-offset order (§3.3 "iterating
-    /// through each undo log entry as it persists"). Locks stripes one
-    /// at a time in index order; the sort makes the result independent
-    /// of stripe assignment, so it is deterministic.
-    pub(crate) fn sorted(&self) -> Vec<(u64, LineAddr)> {
+    /// through each undo log entry as it persists"), each with its
+    /// ownership mark. Locks stripes one at a time in index order; the
+    /// sort makes the result independent of stripe assignment, so it is
+    /// deterministic.
+    pub(crate) fn sorted(&self) -> Vec<(u64, LineAddr, bool)> {
         let mut logged = Vec::with_capacity(self.len());
         for stripe in &self.stripes {
-            logged.extend(stripe.lock().iter().map(|(a, o)| (*o, *a)));
+            logged.extend(stripe.lock().iter().map(|(a, &(o, owned))| (o, *a, owned)));
         }
         logged.sort_unstable();
         logged
     }
 
-    /// Forgets every logged line (epoch boundary).
-    pub(crate) fn clear(&self) {
+    /// Forgets every logged line (epoch boundary), returning how many of
+    /// them were still marked host-owned.
+    pub(crate) fn clear(&self) -> usize {
+        let mut owned = 0;
         for stripe in &self.stripes {
             let mut map = stripe.lock();
-            let n = map.len();
-            map.clear();
-            self.len.fetch_sub(n, Ordering::Relaxed);
+            self.len.fetch_sub(map.len(), Ordering::Relaxed);
+            owned += map.drain().filter(|&(_, (_, owned))| owned).count();
         }
+        owned
     }
 }
 
@@ -194,13 +208,12 @@ pub(crate) struct Lane {
     pub(crate) stride: u64,
     /// This lane's slice of the HBM buffer, keyed by lane-local line.
     pub(crate) hbm: HbmCache,
-    /// vPM lines undo-logged this epoch → their log entry offset.
+    /// vPM lines undo-logged this epoch → their log entry offset and
+    /// host-ownership mark. Volatile; emptied at every epoch boundary
+    /// and on crash.
     pub(crate) epoch_log: EpochLog,
     /// Dirty lines awaiting opportunistic write back, oldest first.
     pub(crate) writeback_queue: WbQueue,
-    /// Which of this lane's lines the host plausibly holds modified —
-    /// the persist-time snoop filter. Volatile; cleared on crash.
-    pub(crate) directory: OwnershipDirectory,
     /// The lane's counter registry (recording is `&self`/atomic).
     pub(crate) metrics: MetricSet,
     /// Counter handles into `metrics` (same registration order as the
@@ -251,7 +264,6 @@ impl Lane {
             hbm: HbmCache::new(per_lane),
             epoch_log: EpochLog::new(),
             writeback_queue: WbQueue::default(),
-            directory: OwnershipDirectory::new(),
             metrics,
             ctr,
             wb_gate: WbGate::default(),
@@ -318,45 +330,36 @@ impl Lane {
         self.metrics.inc(self.ctr.wb_batches);
     }
 
-    /// Records an `RdOwn` in the ownership directory: the host now
-    /// plausibly holds `addr` modified. `dir_resident` is an occupancy
-    /// gauge, so it moves only on tracked-set transitions.
-    pub(crate) fn dir_note_owned(&self, addr: LineAddr) {
-        if self.directory.note_owned(addr) {
-            self.metrics.inc(self.ctr.dir_resident);
-        }
-    }
-
     /// Records evidence the host gave `addr` up (dirty eviction, snoop
-    /// response, CLWB invalidate). A device write-back is no such
-    /// evidence: it says nothing about the host's copy.
-    pub(crate) fn dir_clear(&self, addr: LineAddr) {
-        if self.directory.clear_line(addr) {
+    /// response, CLWB invalidate) by clearing its ownership mark, and
+    /// returns the log offset covering it this epoch, if it was logged
+    /// here. A device write-back is no such evidence: it says nothing
+    /// about the host's copy. `dir_resident` is an occupancy gauge, so
+    /// it moves only when a mark is cleared.
+    pub(crate) fn disown(&self, addr: LineAddr) -> Option<u64> {
+        let (offset, was_owned) = self.epoch_log.disown(addr)?;
+        if was_owned {
             self.metrics.sub(self.ctr.dir_resident, 1);
         }
+        Some(offset)
     }
 
-    /// Whether a persist must snoop the host for `addr`. With filtering
-    /// off this is unconditionally `true` (and uncounted — the exact
-    /// pre-directory behaviour); with it on, a tracked line counts a
-    /// directory hit and snoops, an untracked one counts a filtered
-    /// snoop and skips the round-trip.
-    pub(crate) fn dir_should_snoop(&self, addr: LineAddr, filter: bool) -> bool {
+    /// Whether a persist must snoop the host for a logged line whose
+    /// ownership mark reads `owned`. With filtering off this is
+    /// unconditionally `true` (and uncounted — the exact pre-filter
+    /// behaviour); with it on, an owned line counts a directory hit and
+    /// snoops, an unowned one counts a filtered snoop and skips the
+    /// round-trip.
+    pub(crate) fn dir_should_snoop(&self, owned: bool, filter: bool) -> bool {
         if !filter {
             return true;
         }
-        if self.directory.holds(addr) {
+        if owned {
             self.metrics.inc(self.ctr.dir_hits);
-            true
         } else {
             self.metrics.inc(self.ctr.dir_filtered_snoops);
-            false
         }
-    }
-
-    /// The log offset covering `addr` this epoch, if it was logged here.
-    pub(crate) fn epoch_offset_of(&self, addr: LineAddr) -> Option<u64> {
-        self.epoch_log.offset_of(addr)
+        owned
     }
 
     /// Maps a global vPM line (which satisfies `addr % stride == phase`)
@@ -478,18 +481,30 @@ impl Lane {
     }
 
     /// Undo-logs `addr` if this is its first modification of the epoch,
-    /// returning the covering log offset. The epoch-log stripe lock is
-    /// held across the append, so concurrent first-writes to one line
-    /// append exactly once.
-    pub(crate) fn log_if_first(&self, epoch: u64, addr: LineAddr, old: &CacheLine) -> Result<u64> {
-        self.epoch_log.try_insert(addr, || {
+    /// returning the covering log offset; with `own` (an `RdOwn` under
+    /// the snoop filter), also marks the line host-owned, moving the
+    /// `dir_resident` gauge if the mark is new. The epoch-table stripe
+    /// lock is held across the append and the mark, so concurrent
+    /// first-writes to one line append exactly once.
+    pub(crate) fn log_if_first(
+        &self,
+        epoch: u64,
+        addr: LineAddr,
+        old: &CacheLine,
+        own: bool,
+    ) -> Result<u64> {
+        let (offset, newly_owned) = self.epoch_log.try_insert(addr, own, || {
             let entry =
                 UndoEntry { epoch, vpm_line: addr, tenant: self.tenant as u32, old: old.clone() };
             let offset = self.log.append(entry)?;
             self.metrics.inc(self.ctr.undo_entries);
             self.trace_event(RingEvent::LogAppend { epoch, line: addr.0 });
             Ok(offset)
-        })
+        })?;
+        if newly_owned {
+            self.metrics.inc(self.ctr.dir_resident);
+        }
+        Ok(offset)
     }
 
     /// Writes an HBM eviction victim back to PM if dirty, stalling for a
@@ -572,14 +587,13 @@ impl Lane {
     }
 
     /// Mirrors the counters the HBM index and the undo bank keep
-    /// internally into the lane's registry: `hbm_hits`, `hbm_read_hits`,
+    /// internally into the lane's registry: `hbm_read_hits`,
     /// `hbm_misses`, `log_cas_retries`, `log_blocks` and
     /// `log_lines_written` are monotone, `hbm_resident` and
     /// `log_reserved` are occupancy gauges. The HBM index is probed only
-    /// by [`Lane::resolve`], so its hit count is the read-hit count too.
+    /// by [`Lane::resolve`], so its hit count is the read-hit count.
     fn sync_metrics(&self) {
         for (counter, value) in [
-            (self.ctr.hbm_hits, self.hbm.hits()),
             (self.ctr.hbm_read_hits, self.hbm.hits()),
             (self.ctr.hbm_misses, self.hbm.misses()),
             (self.ctr.hbm_resident, self.hbm.resident() as u64),
@@ -634,32 +648,32 @@ impl Lane {
                 self.hbm_mark_clean(addr);
                 self.write_back(pool, clock, &[(addr, data)])?;
                 self.metrics.inc(self.ctr.background_writebacks);
-                // The directory stays as it is: a device write back says
-                // nothing about the host, which may have re-acquired the
-                // line since it evicted the value written here.
+                // The ownership mark stays as it is: a device write back
+                // says nothing about the host, which may have re-acquired
+                // the line since it evicted the value written here.
             }
             budget -= 1;
         }
         Ok(())
     }
 
-    /// Starts the next epoch once this one is closed: per-epoch maps
-    /// reset; the log bank is recycled by the commit epilogue.
+    /// Starts the next epoch once this one is closed: per-epoch state
+    /// resets, ownership marks included (a close has snooped every owned
+    /// line, so any mark left is one a concurrent `RdOwn` set after the
+    /// sweep passed it); the log bank is recycled by the commit epilogue.
     pub(crate) fn begin_next_epoch(&self) {
-        self.epoch_log.clear();
+        let owned = self.epoch_log.clear();
+        self.metrics.sub(self.ctr.dir_resident, owned as u64);
         self.writeback_queue.clear();
         self.trace_epoch.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drops all volatile state (power loss). The ownership directory is
-    /// volatile by design — it restarts empty, and correctness never
-    /// depended on it.
+    /// Drops all volatile state (power loss). The ownership marks go
+    /// with the epoch table — correctness never depended on them.
     pub(crate) fn crash(&self) {
         self.hbm.crash();
         self.log.crash();
         self.begin_next_epoch();
-        self.metrics.sub(self.ctr.dir_resident, self.directory.resident() as u64);
-        self.directory.crash();
     }
 }
 
@@ -783,7 +797,7 @@ mod tests {
         let (pool, a, _b) = shard_pair();
         let pool = PoolCell::new(pool);
         let clock = CrashClock::new();
-        let off = a.log_if_first(1, LineAddr(0), &CacheLine::zeroed()).unwrap();
+        let off = a.log_if_first(1, LineAddr(0), &CacheLine::zeroed(), false).unwrap();
         let line = HbmLine { data: CacheLine::filled(7), dirty: true, log_offset: Some(off) };
         a.dispose_victim(&pool, &clock, LineAddr(0), line).unwrap();
         assert!(a.log.durable_offset() > off, "covering entry was drained first");
@@ -796,9 +810,9 @@ mod tests {
     fn shard_banks_append_independently() {
         let (mut pool, a, b) = shard_pair();
         let clock = CrashClock::new();
-        a.log_if_first(1, LineAddr(0), &CacheLine::filled(1)).unwrap();
-        b.log_if_first(1, LineAddr(1), &CacheLine::filled(2)).unwrap();
-        b.log_if_first(1, LineAddr(3), &CacheLine::filled(3)).unwrap();
+        a.log_if_first(1, LineAddr(0), &CacheLine::filled(1), false).unwrap();
+        b.log_if_first(1, LineAddr(1), &CacheLine::filled(2), false).unwrap();
+        b.log_if_first(1, LineAddr(3), &CacheLine::filled(3), false).unwrap();
         a.log.flush(&mut pool, &clock).unwrap();
         b.log.flush(&mut pool, &clock).unwrap();
         assert_eq!(a.log.durable_offset(), 1);
@@ -811,15 +825,36 @@ mod tests {
     fn epoch_log_dedupes_and_sorts_deterministically() {
         let log = EpochLog::new();
         for (addr, off) in [(7u64, 2u64), (1, 0), (4, 1)] {
-            assert_eq!(log.try_insert(LineAddr(addr), || Ok(off)).unwrap(), off);
+            assert_eq!(log.try_insert(LineAddr(addr), false, || Ok(off)).unwrap(), (off, false));
         }
         // Re-insert must return the recorded offset without calling make.
-        assert_eq!(log.try_insert(LineAddr(7), || panic!("dedup must skip make")).unwrap(), 2);
+        let again = log.try_insert(LineAddr(7), false, || panic!("dedup must skip make"));
+        assert_eq!(again.unwrap(), (2, false));
         assert_eq!(log.len(), 3);
-        assert_eq!(log.sorted(), vec![(0, LineAddr(1)), (1, LineAddr(4)), (2, LineAddr(7))]);
-        log.clear();
+        let unowned =
+            vec![(0, LineAddr(1), false), (1, LineAddr(4), false), (2, LineAddr(7), false)];
+        assert_eq!(log.sorted(), unowned);
+        assert_eq!(log.clear(), 0);
         assert_eq!(log.len(), 0);
         assert!(log.sorted().is_empty());
+    }
+
+    #[test]
+    fn epoch_log_tracks_host_ownership_per_entry() {
+        let log = EpochLog::new();
+        assert_eq!(log.disown(LineAddr(3)), None, "an unlogged line is left alone");
+        assert_eq!(log.try_insert(LineAddr(3), true, || Ok(5)).unwrap(), (5, true));
+        let reown = log.try_insert(LineAddr(3), true, || panic!("dedup must skip make"));
+        assert_eq!(reown.unwrap(), (5, false), "re-own of an owned line is not new");
+        assert_eq!(log.sorted(), vec![(5, LineAddr(3), true)]);
+        assert_eq!(log.disown(LineAddr(3)), Some((5, true)));
+        assert_eq!(log.disown(LineAddr(3)), Some((5, false)), "double disown finds it unowned");
+        // An unowned logged line is owned again by the next RdOwn.
+        assert_eq!(log.try_insert(LineAddr(3), true, || unreachable!()).unwrap(), (5, true));
+        log.try_insert(LineAddr(9), false, || Ok(6)).unwrap();
+        assert_eq!(log.clear(), 1, "clear reports the marks it dropped");
+        assert_eq!(log.try_insert(LineAddr(3), false, || Ok(0)).unwrap(), (0, false));
+        assert_eq!(log.sorted(), vec![(0, LineAddr(3), false)], "clear dropped the mark");
     }
 
     #[test]

@@ -33,18 +33,6 @@ struct RunResult {
     committed_epoch: u64,
 }
 
-/// Drops the `"seq":N,` prefix from every trace event line.
-fn strip_seq(trace: &str) -> String {
-    trace
-        .lines()
-        .map(|l| match l.find("\"component\"") {
-            Some(i) => &l[i..],
-            None => l,
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 /// One seeded single-driver run over a fixed schedule: seeded writes,
 /// persists every 257 ops, explicit device ticks every 97 ops, a
 /// persisted body plus an unpersisted tail, then a crash and reopen.
@@ -78,10 +66,7 @@ fn run_once_with(seed: u64, config: PaxConfig) -> RunResult {
     let pm = pool.crash().unwrap();
     let post_crash_telemetry = pool.telemetry();
     let pool = PaxPool::open(pm, config).unwrap();
-    // The trace `seq` counter is process-global (it orders events across
-    // pools), so it keeps counting between the two runs; the determinism
-    // contract covers event content and order, not the global numbering.
-    let trace = strip_seq(&pool.trace_dump());
+    let trace = pool.trace_dump();
     let committed_epoch = pool.committed_epoch().unwrap();
     let vpm = pool.vpm();
     let mut durable = vec![0u8; (SPAN_LINES * LINE_SIZE as u64) as usize];
@@ -105,8 +90,8 @@ fn single_driver_runs_are_bit_identical() {
 
 /// The `PersistencyModel` refactor's compatibility pin: explicitly
 /// selecting `Epoch` — the default — is not a different engine. Durable
-/// bytes, committed epoch, telemetry, and the seq-normalized trace all
-/// stay bit-identical to a config that never mentions persistency.
+/// bytes, committed epoch, telemetry, and the trace all stay
+/// bit-identical to a config that never mentions persistency.
 #[test]
 fn explicit_epoch_model_is_bit_identical_to_the_default() {
     use libpax::PersistencyModel;
