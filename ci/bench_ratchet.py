@@ -10,8 +10,9 @@ the tables below:
 
   SCHEMAS     what every artifact must contain: the `bench` /
               `schema_version` header, config keys, per-row keys, the
-              thread series of each mode, and the rows of each named
-              series.
+              thread series of each listed mode (allocbench lists one,
+              `bitmap`, at 1, 2 and 4 threads), and the rows of each
+              named series.
   RATCHETS    per-point regression floors against the baseline: a
               metric, the row fields that identify a point, and a
               tolerance (a floor for higher-is-better metrics, a ceiling
@@ -80,7 +81,7 @@ SCHEMAS = {
     "allocbench": {
         "config": ("ops_per_thread", "host_cores", "pool_bytes"),
         "rows": THREAD_ROW,
-        "threads": {"bitmap": [1, 2, 4], "heap": [1]},
+        "threads": {"bitmap": [1, 2, 4]},
         "series": {
             "recovery": (3, ("pool_bytes", "pool_frames", "live_frames", "scan_steps", "scan_ns")),
             "fragment": (1, ("ops", "mops", "frag_permille_peak", "frag_permille_end",

@@ -113,13 +113,13 @@ impl Costed for DirectPmSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use libpax::{Heap, PHashMap};
+    use libpax::{BitmapAlloc, PHashMap};
 
     #[test]
     fn structures_run_unmodified() {
         let space = DirectPmSpace::new(1 << 20);
-        let heap = Heap::attach(space.clone()).unwrap();
-        let m: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(heap).unwrap();
+        let alloc = BitmapAlloc::attach(space.clone()).unwrap();
+        let m: PHashMap<u64, u64, _> = PHashMap::attach(alloc).unwrap();
         m.insert(1, 10).unwrap();
         assert_eq!(m.get(1).unwrap(), Some(10));
     }

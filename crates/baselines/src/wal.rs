@@ -246,7 +246,7 @@ impl Costed for WalSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use libpax::{Heap, PHashMap};
+    use libpax::{BitmapAlloc, PHashMap};
 
     #[test]
     fn committed_tx_survives_crash() {
@@ -294,8 +294,8 @@ mod tests {
     fn unmodified_structure_code_is_crash_safe_under_wal() {
         let space = WalSpace::create(PoolConfig::small().with_data_bytes(4 << 20)).unwrap();
         {
-            let heap = Heap::attach(space.clone()).unwrap();
-            let m: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(heap).unwrap();
+            let alloc = BitmapAlloc::attach(space.clone()).unwrap();
+            let m: PHashMap<u64, u64, _> = PHashMap::attach(alloc).unwrap();
             space
                 .tx(|| {
                     m.insert(1, 100)?;
@@ -306,8 +306,8 @@ mod tests {
         }
         let pool = space.crash().unwrap();
         let space2 = WalSpace::open(pool).unwrap();
-        let m2: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(space2).unwrap()).unwrap();
+        let m2: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(space2).unwrap()).unwrap();
         assert_eq!(m2.get(1).unwrap(), Some(100));
         assert_eq!(m2.get(2).unwrap(), Some(200));
     }

@@ -11,7 +11,7 @@
 //! Run: `cargo run --release -p pax-bench --bin ablation_epoch` (add
 //! `--json` for machine-readable output)
 
-use libpax::{Heap, PHashMap, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, PHashMap, PaxConfig, PaxPool};
 use pax_bench::{BenchOut, Json};
 use pax_pm::PoolConfig;
 
@@ -37,12 +37,16 @@ fn main() {
                 .with_pool(PoolConfig::small().with_data_bytes(32 << 20).with_log_bytes(64 << 20)),
         )
         .expect("pool");
-        let map: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(pool.vpm()).expect("heap")).expect("map");
+        let map: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(pool.vpm()).expect("allocator")).expect("map");
+        // Count from a persist that closes the attach, so the allocator's
+        // format is not charged to the first batch.
+        pool.persist().expect("persist the attach");
+        let base = pool.device_metrics().expect("metrics");
 
         let mut peak_log = 0u64;
         let mut persists = 0u64;
-        let mut entries_at_last_persist = 0u64;
+        let mut entries_at_last_persist = base.undo_entries;
         for k in 0..TOTAL_OPS {
             map.insert(k, k).expect("insert");
             if (k + 1) % batch == 0 {
@@ -55,22 +59,24 @@ fn main() {
             }
         }
         let m = pool.device_metrics().expect("metrics");
+        let snoops = m.snoops_sent - base.snoops_sent;
+        let log_bytes = m.log_bytes() - base.log_bytes();
         rows.push(vec![
             batch.to_string(),
             persists.to_string(),
-            m.snoops_sent.to_string(),
-            format!("{:.3}", m.snoops_sent as f64 / TOTAL_OPS as f64),
+            snoops.to_string(),
+            format!("{:.3}", snoops as f64 / TOTAL_OPS as f64),
             peak_log.to_string(),
-            format!("{:.0}", m.log_bytes() as f64 / TOTAL_OPS as f64),
+            format!("{:.0}", log_bytes as f64 / TOTAL_OPS as f64),
         ]);
         out.push_result(
             Json::obj()
                 .field("ops_per_persist", Json::U64(batch))
                 .field("persists", Json::U64(persists))
-                .field("snoops_sent", Json::U64(m.snoops_sent))
-                .field("snoops_per_op", Json::F64(m.snoops_sent as f64 / TOTAL_OPS as f64))
+                .field("snoops_sent", Json::U64(snoops))
+                .field("snoops_per_op", Json::F64(snoops as f64 / TOTAL_OPS as f64))
                 .field("peak_log_entries", Json::U64(peak_log))
-                .field("log_bytes_per_op", Json::F64(m.log_bytes() as f64 / TOTAL_OPS as f64)),
+                .field("log_bytes_per_op", Json::F64(log_bytes as f64 / TOTAL_OPS as f64)),
         );
         last_telemetry = Some(pool.telemetry());
     }

@@ -1,14 +1,12 @@
-//! Allocator engine comparison: llfree-style bitmap vs first-fit heap.
+//! Allocator throughput, fragmentation and recovery for the llfree-style
+//! bitmap allocator.
 //!
 //! Three series, one artifact (`BENCH_allocbench.json`):
 //!
 //! * **Throughput** — N OS threads churn a slot table of mixed-size
 //!   allocations (alloc on an empty slot, free on a full one) against a
 //!   shared space. The `bitmap` mode runs [`BitmapAlloc`] over the
-//!   striped multicore space with one per-core handle per thread; the
-//!   `heap` mode runs the serial first-fit [`Heap`] as the
-//!   single-thread baseline it is (its free list has one lock and O(list)
-//!   frees, so it only appears at `threads = 1`).
+//!   striped multicore space with one per-core handle per thread.
 //! * **Fragment** — an adversarial layout: carpet the pool with
 //!   single-frame allocations, free every other one so *every* tree is
 //!   partial (recorded as `frag_permille_peak`/`frag_permille_end` in
@@ -31,7 +29,7 @@
 
 use std::time::Instant;
 
-use libpax::{BitmapAlloc, Heap, MemSpace, PmAllocator, StripedSpace, VolatileSpace};
+use libpax::{BitmapAlloc, MemSpace, PmAllocator, StripedSpace, VolatileSpace};
 use pax_bench::{arg_value, thread_series, BenchOut, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -86,18 +84,6 @@ fn measure_bitmap(threads: usize, ops_per_thread: u64) -> (f64, Vec<(&'static st
         ("frag_permille", Json::U64(alloc.fragmentation_permille())),
     ];
     (mops, telemetry)
-}
-
-/// Timed heap baseline: the first-fit free list is serial by design, so
-/// this only runs single-threaded — and on a fraction of the op budget,
-/// because its O(free-list) frees make the full storm take minutes. The
-/// reported rate is honest; only the sample is shorter.
-fn measure_heap(ops: u64) -> (u64, f64) {
-    let ops = (ops / 16).max(1_000);
-    let heap = Heap::attach(VolatileSpace::new(POOL_BYTES)).expect("heap formats");
-    let start = Instant::now();
-    churn(&heap, ops, 0x5EED);
-    (ops, ops as f64 / start.elapsed().as_secs_f64() / 1e6)
 }
 
 /// Adversarial fragmentation: carpet the pool with single-frame
@@ -173,16 +159,9 @@ fn main() {
     out.config("host_cores", Json::U64(host_cores as u64));
     out.config("pool_bytes", Json::U64(POOL_BYTES as u64));
 
-    out.line(format!(
-        "\nAllocator slot churn [Mops] — bitmap (per-core trees) vs first-fit \
-         heap, {ops} ops/thread"
-    ));
-    let mut rows = vec![vec![
-        "threads".to_string(),
-        "bitmap".to_string(),
-        "bitmap vs 1".to_string(),
-        "heap".to_string(),
-    ]];
+    out.line(format!("\nAllocator slot churn [Mops] — bitmap (per-core trees), {ops} ops/thread"));
+    let mut rows =
+        vec![vec!["threads".to_string(), "bitmap".to_string(), "bitmap vs 1".to_string()]];
     let mut bitmap_base = None;
     for &t in &threads {
         eprintln!("measuring {t} thread(s) …");
@@ -198,21 +177,7 @@ fn main() {
             row = row.field(key, value);
         }
         out.push_result(row);
-        let heap = if t == 1 {
-            let (heap_ops, mops) = measure_heap(ops);
-            out.push_result(
-                Json::obj()
-                    .field("threads", Json::U64(1))
-                    .field("mode", Json::str("heap"))
-                    .field("ops", Json::U64(heap_ops))
-                    .field("mops", Json::F64(mops))
-                    .field("scaling_vs_1", Json::F64(1.0)),
-            );
-            format!("{mops:.3}")
-        } else {
-            "—".to_string()
-        };
-        rows.push(vec![t.to_string(), format!("{bitmap:.2}"), format!("{scaling:.2}×"), heap]);
+        rows.push(vec![t.to_string(), format!("{bitmap:.2}"), format!("{scaling:.2}×")]);
     }
     out.table(&rows);
 

@@ -10,7 +10,7 @@
 //! Run: `cargo run --release -p pax-bench --bin ycsb` (add `--json` for
 //! machine-readable output)
 
-use libpax::{Heap, MemSpace, PHashMap, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, MemSpace, PHashMap, PaxConfig, PaxPool};
 use pax_baselines::{Costed, DirectPmSpace, HybridSpace, PageFaultSpace, WalSpace};
 use pax_bench::{arg_value, BenchOut, Json};
 use pax_pm::{LatencyProfile, PoolConfig};
@@ -23,8 +23,8 @@ fn pool_config() -> PoolConfig {
 /// Loads the table, then runs the measured op phase; `measure_from` is
 /// called between the two so load-phase events are excluded.
 fn run_ops<S: MemSpace>(space: &S, spec: &WorkloadSpec, measure_from: impl FnOnce()) {
-    let map: PHashMap<u64, u64, S, Heap<S>> =
-        PHashMap::attach(Heap::attach(space.clone()).expect("heap")).expect("map");
+    let map: PHashMap<u64, u64, S> =
+        PHashMap::attach(BitmapAlloc::attach(space.clone()).expect("allocator")).expect("map");
     for k in spec.load_keys() {
         map.insert(k, k).expect("load");
     }

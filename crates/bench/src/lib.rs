@@ -9,7 +9,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use libpax::{Heap, MemSpace, PHashMap, PStructure, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, MemSpace, PHashMap, PaxConfig, PaxPool};
 use pax_cache::{CacheConfig, HierarchyConfig, HierarchyStats};
 use pax_device::{DeviceConfig, DeviceMetrics};
 use pax_pm::{PoolConfig, LINE_SIZE};
@@ -243,19 +243,19 @@ pub fn instrumented_pool(data_bytes: usize) -> PaxPool {
 }
 
 /// Runs `spec` against a `PHashMap` on the given space; returns ops run.
+/// `measure_from` is called once the map is attached (and preloaded),
+/// right before the first op, so callers can exclude that setup.
 ///
 /// # Panics
 ///
 /// Panics on simulation errors (they indicate harness bugs, not results).
-pub fn run_workload<S: MemSpace>(space: S, spec: &WorkloadSpec) -> u64
-where
-    PHashMap<u64, u64, S, Heap<S>>: PStructure<S, Heap<S>>,
-{
-    // Pinned to the serial `Heap` so the figure workloads keep their
-    // historical allocation pattern (the `BitmapAlloc` default changes
-    // address layout, which would shift measured miss rates).
-    let heap = Heap::attach(space).expect("heap attach");
-    let map: PHashMap<u64, u64, S, Heap<S>> = PHashMap::attach(heap).expect("map attach");
+pub fn run_workload<S: MemSpace>(
+    space: S,
+    spec: &WorkloadSpec,
+    measure_from: impl FnOnce(),
+) -> u64 {
+    let alloc = BitmapAlloc::attach(space).expect("allocator attach");
+    let map: PHashMap<u64, u64, S> = PHashMap::attach(alloc).expect("map attach");
     // Preload so reads hit (the paper's read benchmarks run on a loaded
     // table).
     if spec.mix.read_pct > 0 || spec.mix.update_pct > 0 {
@@ -263,6 +263,7 @@ where
             map.insert(k, k).expect("load");
         }
     }
+    measure_from();
     let mut n = 0;
     for op in spec.ops() {
         match op {
@@ -290,13 +291,14 @@ pub fn measure_fig2a_miss_rates(keys: u64, ops: u64) -> (HierarchyStats, DeviceM
     let pool = instrumented_pool(64 << 20);
     let spec = WorkloadSpec::fig2a_read_only(keys, 0);
     // Load phase (not measured):
-    run_workload(pool.vpm(), &spec);
-    let loaded = pool.hierarchy_stats().expect("instrumented");
+    run_workload(pool.vpm(), &spec, || ());
 
-    // Measurement phase:
+    // Measurement phase, counted from after the re-attach (the
+    // allocator's attach scans its whole bitmap):
     let spec = WorkloadSpec::fig2a_read_only(keys, ops);
-    let heap = Heap::attach(pool.vpm()).expect("heap");
-    let map: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(heap).expect("map");
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).expect("allocator")).expect("map");
+    let loaded = pool.hierarchy_stats().expect("instrumented");
     for op in spec.ops() {
         if let Op::Get(k) = op {
             map.get(k).expect("get");
@@ -323,10 +325,13 @@ fn subtract_stats(a: HierarchyStats, b: HierarchyStats) -> HierarchyStats {
 pub fn measure_insert_profile(keys: u64, ops: u64) -> pax_exec::OpProfile {
     let pool = instrumented_pool(64 << 20);
     let spec = WorkloadSpec::fig2b_write_only(keys, ops);
-    let n = run_workload(pool.vpm(), &spec);
-    let cache = pool.cache_stats();
-    let misses = (cache.read_misses + cache.write_upgrades) as f64 / n as f64;
-    let stores = cache.write_upgrades as f64 / n as f64;
+    // Counted from after the attach, which formats the allocator.
+    let before = std::cell::Cell::new(pax_cache::CacheStats::default());
+    let n = run_workload(pool.vpm(), &spec, || before.set(pool.cache_stats()));
+    let (cache, before) = (pool.cache_stats(), before.get());
+    let upgrades = cache.write_upgrades - before.write_upgrades;
+    let misses = (cache.read_misses - before.read_misses + upgrades) as f64 / n as f64;
+    let stores = upgrades as f64 / n as f64;
     pax_exec::OpProfile { misses_per_op: misses, stores_per_op: stores, compute_ns: 60 }
 }
 

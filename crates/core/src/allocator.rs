@@ -3,16 +3,12 @@
 //! The paper's §3.4 claim — undo logging covers allocator metadata like
 //! any other data, so recovering the pool recovers its allocator — is a
 //! property of *any* allocator whose persistent state lives inside the
-//! [`MemSpace`] it manages. This trait captures exactly that contract so
-//! the structure zoo ([`structures`](crate::structures)) can run over
-//! interchangeable allocators:
-//!
-//! * [`Heap`](crate::Heap) — the first-fit bump + free-list baseline in
-//!   this crate; serializes every structure op, O(n) free-list scans.
-//! * [`BitmapAlloc`](crate::BitmapAlloc) — the llfree-style scalable
-//!   allocator (per-core frame caches over a hierarchical persistent
-//!   bitmap) in [`balloc`](crate::balloc), the default behind
-//!   `Persistent::new`.
+//! [`MemSpace`] it manages. This trait captures exactly that contract;
+//! the structures ([`structures`](crate::structures)) are generic over
+//! it. The allocator is [`BitmapAlloc`](crate::BitmapAlloc), the
+//! llfree-style scalable allocator (per-core frame caches over a
+//! hierarchical persistent bitmap) in [`balloc`](crate::balloc); a
+//! wrapper that instruments it implements the trait by delegation.
 //!
 //! The contract every implementation must keep:
 //!
@@ -71,9 +67,9 @@ pub trait PmAllocator<S: MemSpace>: Clone {
     /// Propagates space I/O errors.
     fn set_root(&self, addr: u64) -> Result<()>;
 
-    /// Live-allocation accounting for leak checks. The unit is
-    /// implementation-specific (blocks for [`Heap`](crate::Heap), frames
-    /// for a bitmap allocator); the invariant callers may rely on is
+    /// Live-allocation accounting for leak checks, in 32-byte frames
+    /// ([`FRAME_BYTES`](crate::balloc::layout::FRAME_BYTES)): an
+    /// allocation of `len` bytes counts `max(1, ceil(len / 32))`, so
     /// `live_allocations() == 0` exactly when nothing is outstanding.
     ///
     /// # Errors
@@ -90,56 +86,5 @@ pub trait PmAllocator<S: MemSpace>: Clone {
         let addr = self.alloc(data.len() as u64)?;
         self.space().write_bytes(addr, data)?;
         Ok(addr)
-    }
-}
-
-impl<S: MemSpace> PmAllocator<S> for crate::Heap<S> {
-    fn space(&self) -> &S {
-        crate::Heap::space(self)
-    }
-
-    fn alloc(&self, len: u64) -> Result<u64> {
-        crate::Heap::alloc(self, len)
-    }
-
-    fn free(&self, addr: u64, len: u64) -> Result<()> {
-        crate::Heap::free(self, addr, len)
-    }
-
-    fn root(&self) -> Result<u64> {
-        crate::Heap::root(self)
-    }
-
-    fn set_root(&self, addr: u64) -> Result<()> {
-        crate::Heap::set_root(self, addr)
-    }
-
-    fn live_allocations(&self) -> Result<u64> {
-        crate::Heap::live_allocations(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::space::VolatileSpace;
-    use crate::Heap;
-
-    fn generic_roundtrip<S: MemSpace, A: PmAllocator<S>>(a: &A) {
-        let x = a.alloc(64).unwrap();
-        let y = a.alloc_bytes(b"trait objectless").unwrap();
-        assert_ne!(x, y);
-        assert_eq!(a.live_allocations().unwrap(), 2);
-        a.set_root(x).unwrap();
-        assert_eq!(a.root().unwrap(), x);
-        a.free(x, 64).unwrap();
-        a.free(y, 16).unwrap();
-        assert_eq!(a.live_allocations().unwrap(), 0);
-    }
-
-    #[test]
-    fn heap_satisfies_the_trait_contract() {
-        let heap = Heap::attach(VolatileSpace::new(1 << 16)).unwrap();
-        generic_roundtrip(&heap);
     }
 }

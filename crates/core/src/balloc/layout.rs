@@ -6,7 +6,7 @@
 //! allocator metadata, and all of it lives *inside* the managed
 //! [`MemSpace`](crate::MemSpace) — so when the space is a pool's vPM,
 //! undo logging rolls allocator state back together with user data
-//! (§3.4), exactly like the first-fit [`Heap`](crate::Heap).
+//! (§3.4).
 //!
 //! ```text
 //! | header 64B | bitmap words | tree counters | pad | frames ... |

@@ -142,13 +142,15 @@ pub(crate) fn load_words<S: MemSpace>(
     Ok(buf.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect())
 }
 
-/// Applies a run mutation to frames `[frame, frame + n)` on media:
-/// `set = true` marks them allocated, `set = false` frees them. Every
-/// touched bit must currently hold the opposite value; a same-value bit
-/// means a double free (or handing out live frames) and fails the whole
-/// call with [`PaxError::Corrupt`] before any word is written. Returns
-/// the written `(word index, new value)` pairs, ascending.
-pub(crate) fn flip_run<S: MemSpace>(
+/// Checks a run mutation of frames `[frame, frame + n)`: `set = true`
+/// marks them allocated, `set = false` frees them. Every touched bit
+/// must currently hold the opposite value; a same-value bit means a
+/// double free (or handing out live frames) and fails with
+/// [`PaxError::Corrupt`]. Reads the words holding the frames and returns
+/// their new `(word index, value)` pairs, ascending, for
+/// [`write_words`]; writes nothing, so a caller can check a whole run
+/// before any word changes.
+pub(crate) fn check_run<S: MemSpace>(
     space: &S,
     geom: &Geometry,
     frame: u64,
@@ -173,10 +175,16 @@ pub(crate) fn flip_run<S: MemSpace>(
         }
         words.push((w, if set { cur | mask } else { cur & !mask }));
     }
-    for &(w, val) in &words {
-        space.write_u64(geom.word_addr(w), val)?;
-    }
     Ok(words)
+}
+
+/// Writes `(word index, value)` pairs to the bitmap.
+pub(crate) fn write_words<S: MemSpace>(
+    space: &S,
+    geom: &Geometry,
+    words: &[(u64, u64)],
+) -> Result<()> {
+    words.iter().try_for_each(|&(w, val)| space.write_u64(geom.word_addr(w), val))
 }
 
 #[cfg(test)]

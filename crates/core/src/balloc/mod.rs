@@ -1,13 +1,9 @@
 //! A scalable crash-consistent vPM allocator in the style of llfree:
 //! per-core tree claims over a hierarchical persistent bitmap.
 //!
-//! The first-fit [`Heap`](crate::Heap) is correct but serial: one free
-//! list, one lock, O(list) frees. This module provides [`BitmapAlloc`],
-//! a drop-in [`PmAllocator`] with the same §3.4 crash-consistency story
-//! and a multicore-friendly design — and, since PR 10, the **default**
-//! pool allocator behind [`Persistent::new`](crate::Persistent::new)
-//! (`Heap` stays available through `new_in` as the differential
-//! baseline):
+//! [`BitmapAlloc`] is the [`PmAllocator`] every structure, pool and
+//! bench runs on, and the default behind
+//! [`Persistent::new`](crate::Persistent::new):
 //!
 //! * **Persistent layer** ([`layout`], `lower`) — one allocation bit
 //!   per 32-byte frame plus a `u32` free counter per 512-frame *tree*,
@@ -31,7 +27,6 @@
 //!
 //! # fn main() -> libpax::Result<()> {
 //! let alloc = BitmapAlloc::attach(VolatileSpace::new(1 << 20))?;
-//! // The same structure code that runs over Heap runs over BitmapAlloc.
 //! let v: PVec<u64, _, _> = PVec::attach(alloc.clone())?;
 //! v.push(7)?;
 //! assert_eq!(v.get(0)?, Some(7));
@@ -278,7 +273,8 @@ impl<S: MemSpace> BitmapAlloc<S> {
     /// (single-tree path) or the span lock plus each tree lock in turn.
     fn commit_run(&self, frame: u64, n: u64) -> Result<()> {
         let s = &self.shared;
-        lower::flip_run(&self.space, &s.geom, frame, n, true)?;
+        let words = lower::check_run(&self.space, &s.geom, frame, n, true)?;
+        lower::write_words(&self.space, &s.geom, &words)?;
         let mut left = n;
         let mut f = frame;
         while left > 0 {
@@ -412,15 +408,20 @@ impl<S: MemSpace> PmAllocator<S> for BitmapAlloc<S> {
                 "pax-alloc: free of {need} frames at {frame} runs past the pool"
             )));
         }
-        // Tree by tree, ascending, one lock at a time.
+        // Every involved tree's lock, ascending as `alloc_span` takes
+        // them, and every bit checked before any word is written: a
+        // double free caught in a later tree leaves the earlier ones as
+        // they were.
+        let trees = Geometry::tree_of(frame)..=Geometry::tree_of(frame + need - 1);
+        let _guards: Vec<_> = trees.map(|t| s.index.trees[t as usize].lock.lock()).collect();
+        let written = lower::check_run(&self.space, &s.geom, frame, need, false)?;
+        lower::write_words(&self.space, &s.geom, &written)?;
         let mut f = frame;
         let mut left = need;
         while left > 0 {
             let tree = Geometry::tree_of(f);
             let in_tree = (s.geom.frames_in_tree(tree) - f % TREE_FRAMES).min(left);
             let entry = &s.index.trees[tree as usize];
-            let _g = entry.lock.lock();
-            let written = lower::flip_run(&self.space, &s.geom, f, in_tree, false)?;
             let caddr = s.geom.counter_addr(tree);
             let cur = self.space.read_u32(caddr)?;
             self.space.write_u32(caddr, cur + in_tree as u32)?;
@@ -514,6 +515,77 @@ mod tests {
         assert_eq!(a.live_frames(), 0);
         let snap = a.metrics_snapshot();
         assert!(snap.counter("alloc_span_allocs") >= 1);
+    }
+
+    #[test]
+    fn rejected_span_free_changes_nothing() {
+        let space = VolatileSpace::new(1 << 20);
+        let a = BitmapAlloc::attach(space.clone()).unwrap();
+        let big = TREE_FRAMES * FRAME_BYTES * 3;
+        let x = a.alloc(big).unwrap();
+        // Free two frames inside the span's third tree, then the whole
+        // span: the double free is found in that tree, after two trees
+        // whose frames are still live.
+        let hole = x + 2 * TREE_FRAMES * FRAME_BYTES + 4 * FRAME_BYTES;
+        a.free(hole, 2 * FRAME_BYTES).unwrap();
+        let live = 3 * TREE_FRAMES - 2;
+        assert_eq!(a.live_frames(), live);
+        assert!(matches!(a.free(x, big), Err(PaxError::Corrupt(_))));
+        assert_eq!(a.live_frames(), live, "volatile counts moved");
+        assert_eq!(BitmapAlloc::attach(space).unwrap().live_frames(), live, "media moved");
+    }
+
+    /// A space that records every media access as `(write, addr, len)`.
+    #[derive(Debug, Clone)]
+    struct Recording {
+        inner: VolatileSpace,
+        log: Arc<Mutex<Vec<(bool, u64, usize)>>>,
+    }
+
+    impl MemSpace for Recording {
+        fn read_bytes(&self, addr: u64, buf: &mut [u8]) -> Result<()> {
+            self.log.lock().push((false, addr, buf.len()));
+            self.inner.read_bytes(addr, buf)
+        }
+
+        fn write_bytes(&self, addr: u64, data: &[u8]) -> Result<()> {
+            self.log.lock().push((true, addr, data.len()));
+            self.inner.write_bytes(addr, data)
+        }
+
+        fn capacity_bytes(&self) -> u64 {
+            self.inner.capacity_bytes()
+        }
+    }
+
+    /// A successful free, in one tree or across three, reads and writes
+    /// exactly the bitmap words holding its frames and its trees'
+    /// counters, each once.
+    #[test]
+    fn successful_frees_touch_only_their_words_and_counters() {
+        let space = Recording { inner: VolatileSpace::new(1 << 20), log: Arc::default() };
+        let a = BitmapAlloc::attach(space.clone()).unwrap();
+        let big = TREE_FRAMES * FRAME_BYTES * 3;
+        let x = a.alloc(big).unwrap();
+        let y = a.alloc(100).unwrap();
+        let g = *a.geometry();
+        for (addr, len) in [(y, 100), (x, big)] {
+            let first = g.frame_of(addr).unwrap();
+            let last = first + BitmapAlloc::<VolatileSpace>::frames_for(len) - 1;
+            let words = (first / 64..=last / 64).map(|w| (g.word_addr(w), 8));
+            let trees = Geometry::tree_of(first)..=Geometry::tree_of(last);
+            let touched: Vec<_> = words.chain(trees.map(|t| (g.counter_addr(t), 4))).collect();
+            let mut want: Vec<_> = [false, true]
+                .iter()
+                .flat_map(|&w| touched.iter().map(move |&(a, n)| (w, a, n)))
+                .collect();
+            want.sort_unstable();
+            space.log.lock().clear();
+            a.free(addr, len).unwrap();
+            let mut got = std::mem::take(&mut *space.log.lock());
+            got.sort_unstable();
+            assert_eq!(got, want, "free of {len} bytes");
+        }
     }
 
     #[test]

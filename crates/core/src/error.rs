@@ -12,7 +12,7 @@ pub enum PaxError {
     /// An error from the PM substrate (media bounds, simulated crash,
     /// pool-file problems, log capacity).
     Pm(PmError),
-    /// The persistent heap could not satisfy an allocation.
+    /// The allocator could not satisfy an allocation.
     OutOfMemory {
         /// Bytes requested.
         requested: u64,

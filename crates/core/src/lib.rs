@@ -32,13 +32,12 @@
 //!   over plain memory (the "DRAM" world); [`VPm`] implements it over the
 //!   host-cache + PAX-device simulation. *The structure code is identical
 //!   in both worlds* — that is the paper's black-box-reuse claim in code.
-//! * [`allocator`] — [`PmAllocator`]: the allocator seam. Structures are
-//!   generic over it, so the first-fit [`Heap`] and the scalable
-//!   [`BitmapAlloc`] are interchangeable under the same structure code.
-//! * [`heap`] — a first-fit persistent heap (bump + free list) whose
-//!   metadata lives inside the space it manages, so PAX's undo logging
-//!   covers allocator state like any other data (§3.4 "recovers the
-//!   pool's allocator state").
+//! * [`allocator`] — [`PmAllocator`]: the allocator seam the structures
+//!   are generic over.
+//! * [`balloc`] — [`BitmapAlloc`], the llfree-style allocator whose
+//!   metadata (a frame bitmap and per-tree counters) lives inside the
+//!   space it manages, so PAX's undo logging covers allocator state like
+//!   any other data (§3.4 "recovers the pool's allocator state").
 //! * [`pool`] — [`PaxPool`]: wires a [`PmPool`](pax_pm::PmPool) to a
 //!   [`PaxDevice`](pax_device::PaxDevice) and a host of per-core caches
 //!   ([`SharedComplex`](pax_cache::SharedComplex), one core by default),
@@ -55,7 +54,6 @@
 pub mod allocator;
 pub mod balloc;
 pub mod error;
-pub mod heap;
 pub mod pod;
 pub mod pool;
 pub mod snapshotter;
@@ -65,7 +63,6 @@ pub mod structures;
 pub use allocator::PmAllocator;
 pub use balloc::{BitmapAlloc, DEFAULT_CORES};
 pub use error::PaxError;
-pub use heap::Heap;
 pub use pax_pm::PersistencyModel;
 pub use pod::Pod;
 pub use pool::{PaxConfig, PaxPool, PaxTenant, VPm};

@@ -28,11 +28,9 @@ use crate::Result;
 ///
 /// Implemented by every collection in [`structures`](crate::structures),
 /// for any [`PmAllocator`]. The default `A = BitmapAlloc<S>` is the
-/// scalable llfree-style allocator (since PR 10); the serial first-fit
-/// [`Heap`](crate::Heap) stays available by naming it explicitly, and is
-/// CI's differential baseline. `attach` must treat "fresh allocator" and
-/// "existing structure" uniformly so construction and recovery are
-/// indistinguishable to the application.
+/// scalable llfree-style allocator. `attach` must treat "fresh
+/// allocator" and "existing structure" uniformly so construction and
+/// recovery are indistinguishable to the application.
 pub trait PStructure<S: MemSpace, A: PmAllocator<S> = BitmapAlloc<S>>: Sized {
     /// Opens the structure rooted in `alloc`, creating it on first use.
     ///
@@ -145,10 +143,8 @@ impl<T: PStructure<VPm>> Persistent<T> {
     /// application's perspective, there is no difference between
     /// constructing a new persistent map and recovering one."
     ///
-    /// A pool formatted by another allocator (e.g. the first-fit
-    /// [`Heap`](crate::Heap)) is rejected with a bad-magic error rather
-    /// than silently reinterpreted — keep opening such pools through
-    /// [`Persistent::new_in`].
+    /// A pool formatted by another allocator is rejected with a
+    /// bad-magic error rather than silently reinterpreted.
     ///
     /// # Errors
     ///
@@ -160,11 +156,11 @@ impl<T: PStructure<VPm>> Persistent<T> {
 }
 
 impl<T> Persistent<T> {
-    /// Attaches the structure through an explicit allocator, for pools
-    /// managed by an allocator other than the default [`BitmapAlloc`]
-    /// (e.g. the serial first-fit [`Heap`](crate::Heap) baseline). The
-    /// allocator must already wrap the pool's vPM so undo logging covers
-    /// its metadata.
+    /// Attaches the structure through an explicit allocator handle: a
+    /// [`BitmapAlloc`] with its own core count
+    /// ([`BitmapAlloc::attach_with_cores`]), or a [`PmAllocator`] that
+    /// wraps one. The allocator must already wrap the pool's vPM so undo
+    /// logging covers its metadata.
     ///
     /// # Errors
     ///

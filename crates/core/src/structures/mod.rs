@@ -3,7 +3,8 @@
 //! These structures contain **no crash-consistency code whatsoever** — no
 //! logging, no flushes, no ordering barriers. They are ordinary collection
 //! implementations that read and write a [`MemSpace`] through a
-//! [`Heap`](crate::Heap). Attached to a [`VolatileSpace`](crate::VolatileSpace)
+//! [`PmAllocator`](crate::PmAllocator) ([`BitmapAlloc`](crate::BitmapAlloc)
+//! by default). Attached to a [`VolatileSpace`](crate::VolatileSpace)
 //! they are plain volatile structures; attached to a [`VPm`](crate::VPm)
 //! they become crash-consistent persistent structures with snapshot
 //! semantics, because the PAX device interposes below them. That is the

@@ -29,9 +29,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::allocator::PmAllocator;
-use crate::error::PaxError;
 #[cfg(test)]
-use crate::heap::Heap;
+use crate::balloc::BitmapAlloc;
+use crate::error::PaxError;
 use crate::pod::Pod;
 use crate::space::MemSpace;
 use crate::Result;
@@ -62,11 +62,11 @@ const TAG_INTERNAL: u64 = 2;
 /// # Example
 ///
 /// ```
-/// use libpax::{Heap, PBTreeMap, VolatileSpace};
+/// use libpax::{BitmapAlloc, PBTreeMap, VolatileSpace};
 ///
 /// # fn main() -> libpax::Result<()> {
-/// let heap = Heap::attach(VolatileSpace::new(1 << 20))?;
-/// let map: PBTreeMap<u64, u64, _, Heap<_>> = PBTreeMap::attach(heap)?;
+/// let alloc = BitmapAlloc::attach(VolatileSpace::new(1 << 20))?;
+/// let map: PBTreeMap<u64, u64, _> = PBTreeMap::attach(alloc)?;
 /// map.insert(3, 30)?;
 /// map.insert(1, 10)?;
 /// map.insert(2, 20)?;
@@ -601,8 +601,8 @@ mod tests {
     use super::*;
     use crate::space::VolatileSpace;
 
-    fn tree() -> PBTreeMap<u64, u64, VolatileSpace, Heap<VolatileSpace>> {
-        PBTreeMap::attach(Heap::attach(VolatileSpace::new(8 << 20)).unwrap()).unwrap()
+    fn tree() -> PBTreeMap<u64, u64, VolatileSpace> {
+        PBTreeMap::attach(BitmapAlloc::attach(VolatileSpace::new(8 << 20)).unwrap()).unwrap()
     }
 
     #[test]
@@ -712,14 +712,14 @@ mod tests {
     fn reattach_preserves_tree() {
         let space = VolatileSpace::new(8 << 20);
         {
-            let t: PBTreeMap<u64, u64, _, Heap<_>> =
-                PBTreeMap::attach(Heap::attach(space.clone()).unwrap()).unwrap();
+            let t: PBTreeMap<u64, u64, _> =
+                PBTreeMap::attach(BitmapAlloc::attach(space.clone()).unwrap()).unwrap();
             for k in 0..100 {
                 t.insert(k, k).unwrap();
             }
         }
-        let t: PBTreeMap<u64, u64, _, Heap<_>> =
-            PBTreeMap::attach(Heap::attach(space).unwrap()).unwrap();
+        let t: PBTreeMap<u64, u64, _> =
+            PBTreeMap::attach(BitmapAlloc::attach(space).unwrap()).unwrap();
         assert_eq!(t.len().unwrap(), 100);
         assert_eq!(t.get(42).unwrap(), Some(42));
         t.check_invariants().unwrap();

@@ -2,7 +2,7 @@
 //!
 //! The Rust analogue of the paper's `std::unordered_map` example: ordinary
 //! hash-table code (bucket array, chain nodes, incremental growth) whose
-//! only interface to memory is the [`Heap`]/[`MemSpace`] pair. Nothing in
+//! only interface to memory is the [`PmAllocator`]/[`MemSpace`] pair. Nothing in
 //! this file knows about epochs, logs, or flushes.
 //!
 //! # Incremental growth
@@ -29,9 +29,9 @@ use parking_lot::Mutex;
 use pax_pm::LINE_SIZE;
 
 use crate::allocator::PmAllocator;
-use crate::error::PaxError;
 #[cfg(test)]
-use crate::heap::Heap;
+use crate::balloc::BitmapAlloc;
+use crate::error::PaxError;
 use crate::pod::Pod;
 use crate::space::MemSpace;
 use crate::Result;
@@ -123,11 +123,11 @@ impl Meta {
 /// # Example
 ///
 /// ```
-/// use libpax::{Heap, PHashMap, VolatileSpace};
+/// use libpax::{BitmapAlloc, PHashMap, VolatileSpace};
 ///
 /// # fn main() -> libpax::Result<()> {
-/// let heap = Heap::attach(VolatileSpace::new(1 << 20))?;
-/// let map: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(heap)?;
+/// let alloc = BitmapAlloc::attach(VolatileSpace::new(1 << 20))?;
+/// let map: PHashMap<u64, u64, _> = PHashMap::attach(alloc)?;
 /// map.insert(1, 100)?;
 /// assert_eq!(map.get(1)?, Some(100));
 /// assert_eq!(map.remove(1)?, Some(100));
@@ -426,8 +426,8 @@ mod tests {
     use super::*;
     use crate::space::VolatileSpace;
 
-    fn map() -> PHashMap<u64, u64, VolatileSpace, Heap<VolatileSpace>> {
-        PHashMap::attach(Heap::attach(VolatileSpace::new(4 << 20)).unwrap()).unwrap()
+    fn map() -> PHashMap<u64, u64, VolatileSpace> {
+        PHashMap::attach(BitmapAlloc::attach(VolatileSpace::new(4 << 20)).unwrap()).unwrap()
     }
 
     #[test]
@@ -474,19 +474,19 @@ mod tests {
     fn reattach_finds_existing_map() {
         let space = VolatileSpace::new(4 << 20);
         {
-            let m: PHashMap<u64, u64, _, Heap<_>> =
-                PHashMap::attach(Heap::attach(space.clone()).unwrap()).unwrap();
+            let m: PHashMap<u64, u64, _> =
+                PHashMap::attach(BitmapAlloc::attach(space.clone()).unwrap()).unwrap();
             m.insert(7, 77).unwrap();
         }
-        let m2: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(space).unwrap()).unwrap();
+        let m2: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(space).unwrap()).unwrap();
         assert_eq!(m2.get(7).unwrap(), Some(77));
     }
 
     #[test]
     fn array_keys_work() {
-        let heap = Heap::attach(VolatileSpace::new(1 << 20)).unwrap();
-        let m: PHashMap<[u8; 8], u32, _, Heap<_>> = PHashMap::attach(heap).unwrap();
+        let alloc = BitmapAlloc::attach(VolatileSpace::new(1 << 20)).unwrap();
+        let m: PHashMap<[u8; 8], u32, _> = PHashMap::attach(alloc).unwrap();
         m.insert(*b"keykey01", 5).unwrap();
         assert_eq!(m.get(*b"keykey01").unwrap(), Some(5));
         assert_eq!(m.get(*b"keykey02").unwrap(), None);
@@ -511,30 +511,27 @@ mod tests {
     #[test]
     fn corrupt_root_is_detected() {
         let space = VolatileSpace::new(1 << 20);
-        let heap = Heap::attach(space).unwrap();
-        let junk = heap.alloc(64).unwrap();
-        heap.set_root(junk).unwrap();
-        assert!(matches!(
-            PHashMap::<u64, u64, _, Heap<_>>::attach(heap),
-            Err(PaxError::Corrupt(_))
-        ));
+        let alloc = BitmapAlloc::attach(space).unwrap();
+        let junk = alloc.alloc(64).unwrap();
+        alloc.set_root(junk).unwrap();
+        assert!(matches!(PHashMap::<u64, u64, _>::attach(alloc), Err(PaxError::Corrupt(_))));
     }
 
     #[test]
     fn v1_header_is_rejected_as_corrupt() {
         // The 32-byte `PAXHMAP1` header (magic, buckets, count, len) had no
         // migration fields; what follows it belongs to the next allocation.
-        let heap = Heap::attach(VolatileSpace::new(1 << 20)).unwrap();
-        let s = heap.space();
-        let header = heap.alloc(32).unwrap();
-        let buckets = heap.alloc(INITIAL_BUCKETS * 8).unwrap();
+        let alloc = BitmapAlloc::attach(VolatileSpace::new(1 << 20)).unwrap();
+        let s = alloc.space();
+        let header = alloc.alloc(32).unwrap();
+        let buckets = alloc.alloc(INITIAL_BUCKETS * 8).unwrap();
         for (i, field) in
             [u64::from_le_bytes(*b"PAXHMAP1"), buckets, INITIAL_BUCKETS, 0].into_iter().enumerate()
         {
             s.write_u64(header + i as u64 * 8, field).unwrap();
         }
-        heap.set_root(header).unwrap();
-        let err = PHashMap::<u64, u64, _, Heap<_>>::attach(heap).unwrap_err();
+        alloc.set_root(header).unwrap();
+        let err = PHashMap::<u64, u64, _>::attach(alloc).unwrap_err();
         assert!(matches!(err, PaxError::Corrupt(ref m) if m.contains("PHashMap")), "{err:?}");
     }
 

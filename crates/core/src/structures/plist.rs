@@ -6,9 +6,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::allocator::PmAllocator;
-use crate::error::PaxError;
 #[cfg(test)]
-use crate::heap::Heap;
+use crate::balloc::BitmapAlloc;
+use crate::error::PaxError;
 use crate::pod::Pod;
 use crate::space::MemSpace;
 use crate::Result;
@@ -34,10 +34,10 @@ const N_VALUE: u64 = 16;
 /// # Example
 ///
 /// ```
-/// use libpax::{Heap, PList, VolatileSpace};
+/// use libpax::{BitmapAlloc, PList, VolatileSpace};
 ///
 /// # fn main() -> libpax::Result<()> {
-/// let l: PList<u64, _, Heap<_>> = PList::attach(Heap::attach(VolatileSpace::new(1 << 20))?)?;
+/// let l: PList<u64, _> = PList::attach(BitmapAlloc::attach(VolatileSpace::new(1 << 20))?)?;
 /// l.push_back(2)?;
 /// l.push_front(1)?;
 /// l.push_back(3)?;
@@ -252,8 +252,8 @@ mod tests {
     use super::*;
     use crate::space::VolatileSpace;
 
-    fn list() -> PList<u64, VolatileSpace, Heap<VolatileSpace>> {
-        PList::attach(Heap::attach(VolatileSpace::new(1 << 20)).unwrap()).unwrap()
+    fn list() -> PList<u64, VolatileSpace> {
+        PList::attach(BitmapAlloc::attach(VolatileSpace::new(1 << 20)).unwrap()).unwrap()
     }
 
     #[test]
@@ -295,25 +295,24 @@ mod tests {
     #[test]
     fn nodes_are_recycled() {
         let l = list();
-        let heap_headroom_before = l.heap().headroom().unwrap();
+        let live_before = l.heap().live_frames();
         for _ in 0..100 {
             l.push_back(1).unwrap();
             l.pop_front().unwrap();
         }
-        let consumed = heap_headroom_before - l.heap().headroom().unwrap();
-        assert!(consumed <= 64, "alloc/free cycles consumed {consumed} bytes");
+        assert_eq!(l.heap().live_frames(), live_before, "alloc/free cycles leaked frames");
     }
 
     #[test]
     fn reattach_preserves_order() {
         let space = VolatileSpace::new(1 << 20);
         {
-            let l: PList<u32, _, Heap<_>> =
-                PList::attach(Heap::attach(space.clone()).unwrap()).unwrap();
+            let l: PList<u32, _> =
+                PList::attach(BitmapAlloc::attach(space.clone()).unwrap()).unwrap();
             l.push_back(1).unwrap();
             l.push_back(2).unwrap();
         }
-        let l2: PList<u32, _, Heap<_>> = PList::attach(Heap::attach(space).unwrap()).unwrap();
+        let l2: PList<u32, _> = PList::attach(BitmapAlloc::attach(space).unwrap()).unwrap();
         assert_eq!(l2.to_vec().unwrap(), vec![1, 2]);
     }
 }

@@ -12,9 +12,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::allocator::PmAllocator;
-use crate::error::PaxError;
 #[cfg(test)]
-use crate::heap::Heap;
+use crate::balloc::BitmapAlloc;
+use crate::error::PaxError;
 use crate::pod::Pod;
 use crate::space::MemSpace;
 use crate::Result;
@@ -33,11 +33,11 @@ const HEADER_BYTES: u64 = 40;
 /// # Example
 ///
 /// ```
-/// use libpax::{Heap, PRing, VolatileSpace};
+/// use libpax::{BitmapAlloc, PRing, VolatileSpace};
 ///
 /// # fn main() -> libpax::Result<()> {
-/// let heap = Heap::attach(VolatileSpace::new(1 << 20))?;
-/// let ring: PRing<u64, _, Heap<_>> = PRing::create(heap, 4)?;
+/// let alloc = BitmapAlloc::attach(VolatileSpace::new(1 << 20))?;
+/// let ring: PRing<u64, _> = PRing::create(alloc, 4)?;
 /// ring.push(1)?;
 /// ring.push(2)?;
 /// assert_eq!(ring.pop()?, Some(1));
@@ -201,8 +201,8 @@ mod tests {
     use super::*;
     use crate::space::VolatileSpace;
 
-    fn ring(cap: u64) -> PRing<u32, VolatileSpace, Heap<VolatileSpace>> {
-        PRing::create(Heap::attach(VolatileSpace::new(1 << 20)).unwrap(), cap).unwrap()
+    fn ring(cap: u64) -> PRing<u32, VolatileSpace> {
+        PRing::create(BitmapAlloc::attach(VolatileSpace::new(1 << 20)).unwrap(), cap).unwrap()
     }
 
     #[test]
@@ -245,19 +245,19 @@ mod tests {
     fn reattach_preserves_contents_and_capacity() {
         let space = VolatileSpace::new(1 << 20);
         {
-            let r: PRing<u32, _, Heap<_>> =
-                PRing::create(Heap::attach(space.clone()).unwrap(), 3).unwrap();
+            let r: PRing<u32, _> =
+                PRing::create(BitmapAlloc::attach(space.clone()).unwrap(), 3).unwrap();
             r.push(7).unwrap();
         }
         // Different capacity argument is ignored on reattach.
-        let r: PRing<u32, _, Heap<_>> = PRing::create(Heap::attach(space).unwrap(), 999).unwrap();
+        let r: PRing<u32, _> = PRing::create(BitmapAlloc::attach(space).unwrap(), 999).unwrap();
         assert_eq!(r.capacity().unwrap(), 3);
         assert_eq!(r.pop().unwrap(), Some(7));
     }
 
     #[test]
     fn zero_capacity_rejected() {
-        let heap = Heap::attach(VolatileSpace::new(1 << 20)).unwrap();
-        assert!(PRing::<u32, _, Heap<_>>::create(heap, 0).is_err());
+        let alloc = BitmapAlloc::attach(VolatileSpace::new(1 << 20)).unwrap();
+        assert!(PRing::<u32, _>::create(alloc, 0).is_err());
     }
 }

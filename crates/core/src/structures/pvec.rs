@@ -6,9 +6,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::allocator::PmAllocator;
-use crate::error::PaxError;
 #[cfg(test)]
-use crate::heap::Heap;
+use crate::balloc::BitmapAlloc;
+use crate::error::PaxError;
 use crate::pod::Pod;
 use crate::space::MemSpace;
 use crate::Result;
@@ -31,10 +31,10 @@ const INITIAL_CAP: u64 = 8;
 /// # Example
 ///
 /// ```
-/// use libpax::{Heap, PVec, VolatileSpace};
+/// use libpax::{BitmapAlloc, PVec, VolatileSpace};
 ///
 /// # fn main() -> libpax::Result<()> {
-/// let v: PVec<u32, _, Heap<_>> = PVec::attach(Heap::attach(VolatileSpace::new(1 << 20))?)?;
+/// let v: PVec<u32, _> = PVec::attach(BitmapAlloc::attach(VolatileSpace::new(1 << 20))?)?;
 /// v.push(3)?;
 /// v.push(5)?;
 /// assert_eq!(v.get(1)?, Some(5));
@@ -207,8 +207,8 @@ mod tests {
     use super::*;
     use crate::space::VolatileSpace;
 
-    fn vec_u32() -> PVec<u32, VolatileSpace, Heap<VolatileSpace>> {
-        PVec::attach(Heap::attach(VolatileSpace::new(1 << 20)).unwrap()).unwrap()
+    fn vec_u32() -> PVec<u32, VolatileSpace> {
+        PVec::attach(BitmapAlloc::attach(VolatileSpace::new(1 << 20)).unwrap()).unwrap()
     }
 
     #[test]
@@ -251,21 +251,21 @@ mod tests {
     fn reattach_preserves_contents() {
         let space = VolatileSpace::new(1 << 20);
         {
-            let v: PVec<u64, _, Heap<_>> =
-                PVec::attach(Heap::attach(space.clone()).unwrap()).unwrap();
+            let v: PVec<u64, _> =
+                PVec::attach(BitmapAlloc::attach(space.clone()).unwrap()).unwrap();
             for i in 0..20 {
                 v.push(i).unwrap();
             }
         }
-        let v2: PVec<u64, _, Heap<_>> = PVec::attach(Heap::attach(space).unwrap()).unwrap();
+        let v2: PVec<u64, _> = PVec::attach(BitmapAlloc::attach(space).unwrap()).unwrap();
         assert_eq!(v2.len().unwrap(), 20);
         assert_eq!(v2.get(19).unwrap(), Some(19));
     }
 
     #[test]
     fn float_elements() {
-        let heap = Heap::attach(VolatileSpace::new(1 << 20)).unwrap();
-        let v: PVec<f64, _, Heap<_>> = PVec::attach(heap).unwrap();
+        let alloc = BitmapAlloc::attach(VolatileSpace::new(1 << 20)).unwrap();
+        let v: PVec<f64, _> = PVec::attach(alloc).unwrap();
         v.push(3.75).unwrap();
         assert_eq!(v.get(0).unwrap(), Some(3.75));
     }

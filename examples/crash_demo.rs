@@ -11,7 +11,7 @@
 //! (a) direct PM, (b) PMDK-style WAL, and (c) PAX — then prints what a
 //! restarted process observes.
 
-use libpax::{Heap, MemSpace, PHashMap, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, MemSpace, PHashMap, PaxConfig, PaxPool};
 use pax_baselines::{Costed, WalSpace};
 use pax_pm::PoolConfig;
 
@@ -39,7 +39,7 @@ fn main() -> libpax::Result<()> {
     println!("== (b) PMDK-style WAL: safe, but every store stalled ==");
     {
         let wal = WalSpace::create(pool_config())?;
-        let map: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(Heap::attach(wal.clone())?)?;
+        let map: PHashMap<u64, u64, _> = PHashMap::attach(BitmapAlloc::attach(wal.clone())?)?;
         wal.tx(|| map.insert(1, 100).map(|_| ()))?;
         // Crash mid-transaction:
         wal.begin_tx()?;
@@ -47,7 +47,7 @@ fn main() -> libpax::Result<()> {
         let stalls = wal.costs().sfences;
         let pm = wal.crash()?;
         let wal = WalSpace::open(pm)?;
-        let map: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(Heap::attach(wal)?)?;
+        let map: PHashMap<u64, u64, _> = PHashMap::attach(BitmapAlloc::attach(wal)?)?;
         println!(
             "  after reboot: key1={:?} key2={:?}; cost: {stalls} SFENCE stalls this session",
             map.get(1)?,
@@ -59,7 +59,7 @@ fn main() -> libpax::Result<()> {
     {
         let config = PaxConfig::default().with_pool(pool_config());
         let pool = PaxPool::create(config)?;
-        let map: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(Heap::attach(pool.vpm())?)?;
+        let map: PHashMap<u64, u64, _> = PHashMap::attach(BitmapAlloc::attach(pool.vpm())?)?;
         map.insert(1, 100)?;
         pool.persist()?;
         map.insert(2, 200)?; // epoch 2, in flight
@@ -77,7 +77,7 @@ fn main() -> libpax::Result<()> {
         let pm = pool.crash()?;
         let pool = PaxPool::open(pm, PaxConfig::default().with_pool(pool_config()))?;
         let report = pool.recovery_report()?;
-        let map: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(Heap::attach(pool.vpm())?)?;
+        let map: PHashMap<u64, u64, _> = PHashMap::attach(BitmapAlloc::attach(pool.vpm())?)?;
         println!(
             "  after reboot: key1={:?} key2={:?}; rolled back {} lines; op-path stalls: {}",
             map.get(1)?,

@@ -10,7 +10,7 @@
 //! drains while the next batch is being ingested, so the ingest loop
 //! never stalls on persistence.
 
-use libpax::{Heap, PBTreeMap, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, PBTreeMap, PaxConfig, PaxPool};
 use pax_pm::PoolConfig;
 
 fn config() -> PaxConfig {
@@ -20,7 +20,7 @@ fn config() -> PaxConfig {
 
 fn main() -> libpax::Result<()> {
     let pool = PaxPool::create(config())?;
-    let index: PBTreeMap<u64, u64, _, Heap<_>> = PBTreeMap::attach(Heap::attach(pool.vpm())?)?;
+    let index: PBTreeMap<u64, u64, _> = PBTreeMap::attach(BitmapAlloc::attach(pool.vpm())?)?;
 
     // Pipelined ingest: persist_async the previous batch while writing
     // the next one.
@@ -52,7 +52,7 @@ fn main() -> libpax::Result<()> {
     let pm = pool.crash()?;
     println!("-- power failure --");
     let pool = PaxPool::open(pm, config())?;
-    let index: PBTreeMap<u64, u64, _, Heap<_>> = PBTreeMap::attach(Heap::attach(pool.vpm())?)?;
+    let index: PBTreeMap<u64, u64, _> = PBTreeMap::attach(BitmapAlloc::attach(pool.vpm())?)?;
     index.check_invariants()?;
     println!(
         "recovered {} events; first {:?}, last {:?}",

@@ -11,7 +11,7 @@
 //! reading, then crashes mid-batch and shows the recovery point landing
 //! exactly on the last batch boundary.
 
-use libpax::{Heap, PHashMap, PVec, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, PHashMap, PVec, PaxConfig, PaxPool};
 use pax_pm::PoolConfig;
 
 /// One reading: sensor id, timestamp tick, value — 3×u64 packed.
@@ -29,7 +29,7 @@ fn main() -> libpax::Result<()> {
     println!("  batch   persists   snoops/reading   log bytes/reading");
     for batch in [10u64, 100, 1000] {
         let pool = PaxPool::create(config())?;
-        let readings: PVec<u128, _, Heap<_>> = PVec::attach(Heap::attach(pool.vpm())?)?;
+        let readings: PVec<u128, _> = PVec::attach(BitmapAlloc::attach(pool.vpm())?)?;
         let total = 3_000u64;
         for t in 0..total {
             readings.push(encode(t % 16, t, t * 7))?;
@@ -48,7 +48,7 @@ fn main() -> libpax::Result<()> {
 
     println!("\ncrash mid-batch: recovery lands on the last batch boundary\n");
     let pool = PaxPool::create(config())?;
-    let readings: PVec<u128, _, Heap<_>> = PVec::attach(Heap::attach(pool.vpm())?)?;
+    let readings: PVec<u128, _> = PVec::attach(BitmapAlloc::attach(pool.vpm())?)?;
     let batch = 100u64;
     let mut persisted_upto = 0u64;
     for t in 0..1_234u64 {
@@ -63,7 +63,7 @@ fn main() -> libpax::Result<()> {
     println!("  -- power failure --");
 
     let pool = PaxPool::open(pm, config())?;
-    let readings: PVec<u128, _, Heap<_>> = PVec::attach(Heap::attach(pool.vpm())?)?;
+    let readings: PVec<u128, _> = PVec::attach(BitmapAlloc::attach(pool.vpm())?)?;
     let recovered = readings.len()?;
     println!("  recovered {recovered} readings (exactly the last persist boundary)");
     assert_eq!(recovered, persisted_upto);
@@ -71,7 +71,7 @@ fn main() -> libpax::Result<()> {
     // Downstream index: rebuilt from recovered data — two structures,
     // one pool API.
     let index_pool = PaxPool::create(config())?;
-    let latest: PHashMap<u64, u64, _, Heap<_>> = PHashMap::attach(Heap::attach(index_pool.vpm())?)?;
+    let latest: PHashMap<u64, u64, _> = PHashMap::attach(BitmapAlloc::attach(index_pool.vpm())?)?;
     for i in 0..recovered {
         let r = readings.get(i)?.expect("in range");
         let sensor = (r >> 96) as u64;

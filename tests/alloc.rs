@@ -1,6 +1,6 @@
-//! Differential allocator tests: the first-fit [`Heap`] and the
-//! llfree-style [`BitmapAlloc`] run the same schedules behind the same
-//! [`PmAllocator`] trait and must both keep the allocator contract:
+//! Allocator tests: the llfree-style [`BitmapAlloc`] runs seeded
+//! schedules behind the [`PmAllocator`] trait and must keep the
+//! allocator contract:
 //!
 //! * returned blocks are 8-aligned, disjoint, and inside the space;
 //! * data written to a block survives every later alloc/free;
@@ -9,49 +9,43 @@
 //!   recovers exactly the blocks live at the recovered epoch — contents
 //!   intact, accounting exact, and fresh allocations disjoint from them
 //!   (§3.4: recovering the pool recovers its allocator);
-//! * the bitmap allocator's volatile longest-free-run hints never fall
-//!   below a tree's true longest run, and re-attaching rebuilds them
-//!   exactly.
+//! * the volatile longest-free-run hints never fall below a tree's true
+//!   longest run, and re-attaching rebuilds them exactly.
 //!
-//! Both run on the checker in `tests/common/`, whose oracle checks all
-//! of the above as the schedule runs and after recovery.
+//! The schedules run on the checker in `tests/common/`, whose oracle
+//! checks all of the above as the schedule runs and after recovery.
 
 mod common;
 
-use common::{check_or_fail, fragmented_blocks, schedule, settle, sweep, Alloc, Mix, Point, Step};
+use common::{check_or_fail, fragmented_blocks, schedule, settle, sweep, Mix, Point, Step};
 use libpax::{BitmapAlloc, PaxConfig, PaxPool, VPm, VolatileSpace};
 use pax_pm::PoolConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The same random alloc/free schedules hold every invariant on both
-/// allocators, and freeing everything leaves nothing live.
+/// Random alloc/free schedules hold every invariant, and freeing
+/// everything leaves nothing live.
 #[test]
-fn schedules_hold_invariants_on_both_allocators() {
+fn schedules_hold_allocator_invariants() {
     let mut rng = StdRng::seed_from_u64(0xa110c);
     for _ in 0..12 {
         let n = rng.gen_range(1..140);
         let mut steps = schedule(&mut rng, Mix::Blocks, n);
         steps.extend((0..n).map(|_| Step::Free(0, 0)));
-        for alloc in [Alloc::Heap, Alloc::Bitmap] {
-            check_or_fail(&Point { alloc, ..Point::BASE }.rig(), &settle(&steps), None);
-        }
+        check_or_fail(&Point::BASE.rig(), &settle(&steps), None);
     }
 }
 
-/// For each allocator, a random and a fragmenting schedule crashed at
-/// sampled durable-write steps across the whole run: recovery is
-/// leak-free and intact every time, and the run hints stay sound.
+/// A random and a fragmenting schedule crashed at sampled durable-write
+/// steps across the whole run: recovery is leak-free and intact every
+/// time, and the run hints stay sound.
 #[test]
-fn armed_crash_sweep_recovers_both_allocators() {
-    for alloc in [Alloc::Heap, Alloc::Bitmap] {
-        let rig = Point { alloc, ..Point::BASE }.rig();
-        for seed in [7u64, 40] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            for steps in [settle(&schedule(&mut rng, Mix::Blocks, 60)), fragmented_blocks(&mut rng)]
-            {
-                sweep(&rig, &steps, 24);
-            }
+fn armed_crash_sweep_recovers_the_allocator() {
+    let rig = Point::BASE.rig();
+    for seed in [7u64, 40] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for steps in [settle(&schedule(&mut rng, Mix::Blocks, 60)), fragmented_blocks(&mut rng)] {
+            sweep(&rig, &steps, 24);
         }
     }
 }
@@ -65,8 +59,7 @@ fn pool_config() -> PaxConfig {
 
 #[test]
 fn structures_run_unmodified_over_bitmap_alloc() {
-    // One structure per space (one root pointer each), same volatile-
-    // style code as over Heap.
+    // One structure per space (one root pointer each).
     let v: libpax::PVec<u64, _, _> =
         libpax::PVec::attach(BitmapAlloc::attach(VolatileSpace::new(1 << 20)).unwrap()).unwrap();
     for i in 0..500 {

@@ -2,7 +2,7 @@
 //! same result on every memory space, and the crash-consistency
 //! mechanisms must differ exactly where the paper says they do.
 
-use libpax::{Heap, MemSpace, PHashMap, PaxConfig, PaxPool, VolatileSpace};
+use libpax::{BitmapAlloc, MemSpace, PHashMap, PaxConfig, PaxPool, VolatileSpace};
 use pax_baselines::{Costed, DirectPmSpace, HybridSpace, PageFaultSpace, RedoSpace, WalSpace};
 use pax_pm::PoolConfig;
 
@@ -11,7 +11,7 @@ fn pool_config() -> PoolConfig {
 }
 
 fn drive<S: MemSpace>(space: S) -> Vec<(u64, u64)> {
-    let m: PHashMap<u64, u64, S, Heap<S>> = PHashMap::attach(Heap::attach(space).unwrap()).unwrap();
+    let m: PHashMap<u64, u64, S> = PHashMap::attach(BitmapAlloc::attach(space).unwrap()).unwrap();
     for k in 0..150u64 {
         m.insert(k, k + 1).unwrap();
     }
@@ -114,8 +114,8 @@ fn wal_and_pax_recover_the_same_state_for_the_same_committed_work() {
     // uncommitted suffix; both must recover to the prefix.
     let run_wal = || {
         let wal = WalSpace::create(pool_config()).unwrap();
-        let m: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(wal.clone()).unwrap()).unwrap();
+        let m: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(wal.clone()).unwrap()).unwrap();
         wal.tx(|| {
             for k in 0..50 {
                 m.insert(k, k).unwrap();
@@ -130,16 +130,15 @@ fn wal_and_pax_recover_the_same_state_for_the_same_committed_work() {
         // no commit
         let pool = wal.crash().unwrap();
         let wal = WalSpace::open(pool).unwrap();
-        let m: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(wal).unwrap()).unwrap();
+        let m: PHashMap<u64, u64, _> = PHashMap::attach(BitmapAlloc::attach(wal).unwrap()).unwrap();
         let mut e = m.entries().unwrap();
         e.sort_unstable();
         e
     };
     let run_pax = || {
         let pax = PaxPool::create(PaxConfig::default().with_pool(pool_config())).unwrap();
-        let m: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(pax.vpm()).unwrap()).unwrap();
+        let m: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(pax.vpm()).unwrap()).unwrap();
         for k in 0..50 {
             m.insert(k, k).unwrap();
         }
@@ -150,8 +149,8 @@ fn wal_and_pax_recover_the_same_state_for_the_same_committed_work() {
         // no persist
         let pm = pax.crash().unwrap();
         let pax = PaxPool::open(pm, PaxConfig::default().with_pool(pool_config())).unwrap();
-        let m: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(pax.vpm()).unwrap()).unwrap();
+        let m: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(pax.vpm()).unwrap()).unwrap();
         let mut e = m.entries().unwrap();
         e.sort_unstable();
         e

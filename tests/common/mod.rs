@@ -6,7 +6,7 @@
 //! * **Oracle**: [`drive`] models every close, [`Crashed::recover`]
 //!   judges what recovery restored.
 //! * **Matrix**: [`Point`] — shards × tenants × cores × persistency ×
-//!   snoop filter × allocator.
+//!   snoop filter.
 //! * **Modes**: [`exhaustive`], [`random`], [`sweep`], [`differential`];
 //!   every failure is cut down by [`shrink`] and printed as a
 //!   [`check_or_fail`] call to pin as a regression.

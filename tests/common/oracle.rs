@@ -5,13 +5,13 @@ use std::collections::{BTreeMap, HashMap};
 
 use libpax::balloc::layout::TREE_FRAMES;
 use libpax::{
-    BitmapAlloc, Heap, MemSpace, PBTreeMap, PHashMap, PaxConfig, PaxError, PaxPool, PaxTenant,
+    BitmapAlloc, MemSpace, PBTreeMap, PHashMap, PaxConfig, PaxError, PaxPool, PaxTenant,
     PersistencyModel, PmAllocator, VPm,
 };
 use pax_device::even_split;
 use pax_pm::{LineAddr, PmPool, LINE_SIZE};
 
-use super::schedule::{Alloc, Point, Step, SPAN};
+use super::schedule::{Point, Step, SPAN};
 
 /// A checker verdict: `Err` says why the run stopped.
 pub type Verdict<T> = Result<T, Halt>;
@@ -26,7 +26,6 @@ const ARENA_BYTES: u64 = 128 << 10;
 #[derive(Debug, Clone)]
 pub struct Rig {
     pub config: PaxConfig,
-    pub alloc: Alloc,
     /// Raw lines modelled per tenant.
     pub span: u64,
     /// A Rust expression that rebuilds the rig, for failure reports.
@@ -37,14 +36,14 @@ impl Rig {
     /// A rig outside the matrix (golden digests, device variants);
     /// `source` rebuilds it in the suite that defines it.
     pub fn custom(config: PaxConfig, span: u64, source: String) -> Rig {
-        Rig { config, alloc: Alloc::Heap, span, source }
+        Rig { config, span, source }
     }
 }
 
 impl Point {
     pub fn rig(self) -> Rig {
         let source = format!("{}.rig()", self.literal());
-        Rig { config: self.config(), alloc: self.alloc, span: SPAN, source }
+        Rig { config: self.config(), span: SPAN, source }
     }
 }
 
@@ -87,86 +86,36 @@ impl MemSpace for Window {
     }
 }
 
-/// Either allocator behind one [`PmAllocator`].
-#[derive(Clone)]
-enum AnyAlloc<S: MemSpace> {
-    Heap(Heap<S>),
-    Bitmap(BitmapAlloc<S>),
+/// What `live_allocations` must report for `blocks`: their 32-byte
+/// frames.
+fn expected_live(blocks: &[Block]) -> u64 {
+    blocks.iter().map(|b| b.len.div_ceil(32).max(1)).sum()
 }
 
-macro_rules! either {
-    ($self:ident, $a:ident => $e:expr) => {
-        match $self {
-            AnyAlloc::Heap($a) => $e,
-            AnyAlloc::Bitmap($a) => $e,
+/// Each bitmap tree's longest-free-run hint is never below the tree's
+/// true longest free run (counted bit by bit), and equals it when
+/// `exact` (right after an attach).
+fn check_run_hints(a: &BitmapAlloc<Window>, exact: bool) -> Verdict<()> {
+    let g = *a.geometry();
+    let mut raw = vec![0u8; (g.words * 8) as usize];
+    a.space().read_bytes(g.word_addr(0), &mut raw)?;
+    let used = |f: u64| raw[(f / 8) as usize] >> (f % 8) & 1 == 1;
+    for (t, hint) in (0..g.trees).zip(a.run_hints()) {
+        let frames = TREE_FRAMES * t..TREE_FRAMES * t + g.frames_in_tree(t);
+        let free = frames.clone().filter(|&f| !used(f)).count() as u64;
+        if hint >= free && !exact {
+            continue; // a hint at or above the free count bounds every run
         }
-    };
-}
-
-impl<S: MemSpace> PmAllocator<S> for AnyAlloc<S> {
-    fn space(&self) -> &S {
-        either!(self, a => PmAllocator::space(a))
-    }
-    fn alloc(&self, len: u64) -> libpax::Result<u64> {
-        either!(self, a => PmAllocator::alloc(a, len))
-    }
-    fn free(&self, addr: u64, len: u64) -> libpax::Result<()> {
-        either!(self, a => PmAllocator::free(a, addr, len))
-    }
-    fn root(&self) -> libpax::Result<u64> {
-        either!(self, a => PmAllocator::root(a))
-    }
-    fn set_root(&self, addr: u64) -> libpax::Result<()> {
-        either!(self, a => PmAllocator::set_root(a, addr))
-    }
-    fn live_allocations(&self) -> libpax::Result<u64> {
-        either!(self, a => PmAllocator::live_allocations(a))
-    }
-}
-
-impl<S: MemSpace> AnyAlloc<S> {
-    pub fn attach(kind: Alloc, space: S) -> libpax::Result<Self> {
-        Ok(match kind {
-            Alloc::Heap => AnyAlloc::Heap(Heap::attach(space)?),
-            Alloc::Bitmap => AnyAlloc::Bitmap(BitmapAlloc::attach(space)?),
-        })
-    }
-
-    /// What `live_allocations` must report for `blocks`: blocks for the
-    /// heap, 32-byte frames for the bitmap allocator.
-    fn expected_live(&self, blocks: &[Block]) -> u64 {
-        match self {
-            AnyAlloc::Heap(_) => blocks.len() as u64,
-            AnyAlloc::Bitmap(_) => blocks.iter().map(|b| b.len.div_ceil(32).max(1)).sum(),
+        let (mut run, mut longest) = (0u64, 0u64);
+        for f in frames {
+            run = if used(f) { 0 } else { run + 1 };
+            longest = longest.max(run);
+        }
+        if hint < longest || (exact && hint != longest) {
+            return Err(Halt::Bug(format!("tree {t}: run hint {hint}, longest run {longest}")));
         }
     }
-
-    /// Each bitmap tree's longest-free-run hint is never below the tree's
-    /// true longest free run (counted bit by bit), and equals it when
-    /// `exact` (right after an attach).
-    fn check_run_hints(&self, exact: bool) -> Verdict<()> {
-        let AnyAlloc::Bitmap(a) = self else { return Ok(()) };
-        let g = *a.geometry();
-        let mut raw = vec![0u8; (g.words * 8) as usize];
-        PmAllocator::space(a).read_bytes(g.word_addr(0), &mut raw)?;
-        let used = |f: u64| raw[(f / 8) as usize] >> (f % 8) & 1 == 1;
-        for (t, hint) in (0..g.trees).zip(a.run_hints()) {
-            let frames = TREE_FRAMES * t..TREE_FRAMES * t + g.frames_in_tree(t);
-            let free = frames.clone().filter(|&f| !used(f)).count() as u64;
-            if hint >= free && !exact {
-                continue; // a hint at or above the free count bounds every run
-            }
-            let (mut run, mut longest) = (0u64, 0u64);
-            for f in frames {
-                run = if used(f) { 0 } else { run + 1 };
-                longest = longest.max(run);
-            }
-            if hint < longest || (exact && hint != longest) {
-                return Err(Halt::Bug(format!("tree {t}: run hint {hint}, longest run {longest}")));
-            }
-        }
-        Ok(())
-    }
+    Ok(())
 }
 
 /// One live block: where, how long, which fill.
@@ -257,8 +206,7 @@ struct Image {
     map: BTreeMap<u64, u64>,
 }
 
-type Maps =
-    (PHashMap<u64, u64, Window, AnyAlloc<Window>>, PBTreeMap<u64, u64, Window, AnyAlloc<Window>>);
+type Maps = (PHashMap<u64, u64, Window>, PBTreeMap<u64, u64, Window>);
 
 /// One tenant's handles and model.
 struct Tenant {
@@ -277,7 +225,7 @@ struct Tenant {
     /// arenas), so a crash inside the format still gets them checked.
     blocks_opened: bool,
     maps_opened: bool,
-    blocks: Option<AnyAlloc<Window>>,
+    blocks: Option<BitmapAlloc<Window>>,
     maps: Option<Maps>,
     tag: u64,
 }
@@ -321,11 +269,11 @@ impl Tenant {
 
     /// Puts (`Some(value)`) or deletes `key` in both maps, which must
     /// return what the model held.
-    fn map_op(&mut self, kind: Alloc, key: u64, put: Option<u64>) -> Verdict<()> {
+    fn map_op(&mut self, key: u64, put: Option<u64>) -> Verdict<()> {
         if self.maps.is_none() {
             self.maps_opened = true;
-            let hash = PHashMap::attach(AnyAlloc::attach(kind, self.arena(1))?)?;
-            self.maps = Some((hash, PBTreeMap::attach(AnyAlloc::attach(kind, self.arena(2))?)?));
+            let hash = PHashMap::attach(BitmapAlloc::attach(self.arena(1))?)?;
+            self.maps = Some((hash, PBTreeMap::attach(BitmapAlloc::attach(self.arena(2))?)?));
         }
         let (hash, tree) = self.maps.as_ref().unwrap();
         let (got, want) = match put {
@@ -412,7 +360,7 @@ impl Run {
         if step.uses_arena() && model == PersistencyModel::Strict {
             return Ok(());
         }
-        let (cores, span, kind) = (self.rig.config.cores, self.rig.span, self.rig.alloc);
+        let (cores, span) = (self.rig.config.cores, self.rig.span);
         let n = self.tenants.len();
         let tm = &mut self.tenants[t as usize % n];
         match step {
@@ -458,18 +406,18 @@ impl Run {
             }
             Step::Attach(_) => {
                 tm.blocks_opened = true;
-                let a = AnyAlloc::attach(kind, tm.arena(0))?;
-                a.check_run_hints(true)?;
+                let a = BitmapAlloc::attach(tm.arena(0))?;
+                check_run_hints(&a, true)?;
                 tm.blocks = Some(a);
             }
             Step::Alloc(_, len) => {
                 if tm.blocks.is_none() {
                     tm.blocks_opened = true;
-                    tm.blocks = Some(AnyAlloc::attach(kind, tm.arena(0))?);
+                    tm.blocks = Some(BitmapAlloc::attach(tm.arena(0))?);
                 }
                 let a = tm.blocks.as_ref().unwrap();
                 tm.now.blocks.push(alloc_block(a, len, tm.tag, &tm.now.blocks)?);
-                a.check_run_hints(false)?;
+                check_run_hints(a, false)?;
                 tm.tag += 1;
             }
             Step::Free(_, i) => {
@@ -479,10 +427,10 @@ impl Run {
                 let b = tm.now.blocks.remove(i as usize % tm.now.blocks.len());
                 check_block(a, &b)?;
                 a.free(b.addr, b.len)?;
-                a.check_run_hints(false)?;
+                check_run_hints(a, false)?;
             }
-            Step::Put(_, key, value) => tm.map_op(kind, key, Some(value))?,
-            Step::Del(_, key) => tm.map_op(kind, key, None)?,
+            Step::Put(_, key, value) => tm.map_op(key, Some(value))?,
+            Step::Del(_, key) => tm.map_op(key, None)?,
             Step::Tick(_) | Step::Reboot => unreachable!(),
         }
         Ok(())
@@ -636,10 +584,10 @@ fn recover_tenant(pool: &PaxPool, rig: &Rig, t: usize, tm: &Tenant, probe: bool)
         ));
     }
     if tm.blocks_opened {
-        let a = AnyAlloc::attach(rig.alloc, Window::arena(h.vpm(), 0))?;
-        a.check_run_hints(true)?;
+        let a = BitmapAlloc::attach(Window::arena(h.vpm(), 0))?;
+        check_run_hints(&a, true)?;
         let live = a.live_allocations()?;
-        if live != a.expected_live(&want.blocks) {
+        if live != expected_live(&want.blocks) {
             return bug(format!("live_allocations {live} at epoch {e}, blocks {:?}", want.blocks));
         }
         // Fresh allocations must not land on any recovered block.
@@ -651,10 +599,10 @@ fn recover_tenant(pool: &PaxPool, rig: &Rig, t: usize, tm: &Tenant, probe: bool)
         all.iter().try_for_each(|b| check_block(&a, b))?;
     }
     if tm.maps_opened {
-        let hash: PHashMap<u64, u64, _, _> =
-            PHashMap::attach(AnyAlloc::attach(rig.alloc, Window::arena(h.vpm(), 1))?)?;
-        let tree: PBTreeMap<u64, u64, _, _> =
-            PBTreeMap::attach(AnyAlloc::attach(rig.alloc, Window::arena(h.vpm(), 2))?)?;
+        let hash: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(Window::arena(h.vpm(), 1))?)?;
+        let tree: PBTreeMap<u64, u64, _> =
+            PBTreeMap::attach(BitmapAlloc::attach(Window::arena(h.vpm(), 2))?)?;
         let want: Vec<(u64, u64)> = want.map.iter().map(|(&k, &v)| (k, v)).collect();
         let mut entries = hash.entries()?;
         entries.sort_unstable();

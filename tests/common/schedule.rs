@@ -129,15 +129,6 @@ pub fn without_ticks(steps: &[Step]) -> Vec<Step> {
     steps.iter().copied().filter(|s| !matches!(s, Step::Tick(_))).collect()
 }
 
-/// Which allocator manages a tenant's arenas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Alloc {
-    /// The first-fit persistent heap.
-    Heap,
-    /// The llfree-style bitmap allocator.
-    Bitmap,
-}
-
 /// One point of the configuration matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Point {
@@ -148,10 +139,9 @@ pub struct Point {
     /// Snoop filter on (batched persist write-back), or off (every logged
     /// line snooped, one line per write-back step).
     pub dir: bool,
-    pub alloc: Alloc,
 }
 
-pub const SHARDS: [usize; 3] = [1, 2, 8];
+pub const SHARDS: [usize; 4] = [1, 2, 4, 8];
 pub const TENANTS: [usize; 4] = [1, 2, 3, 4];
 pub const CORES: [usize; 2] = [1, 3];
 pub const MODELS: [PersistencyModel; 4] = [
@@ -161,8 +151,7 @@ pub const MODELS: [PersistencyModel; 4] = [
     PersistencyModel::buffered(4),
 ];
 
-/// Every point: shards × tenants × cores × persistency × directory ×
-/// allocator.
+/// Every point: shards × tenants × cores × persistency × directory.
 pub fn matrix() -> Vec<Point> {
     let (s, t, c, m) = (SHARDS.len(), TENANTS.len(), CORES.len(), MODELS.len());
     let point = |i: usize| Point {
@@ -170,10 +159,9 @@ pub fn matrix() -> Vec<Point> {
         tenants: TENANTS[i / s % t],
         cores: CORES[i / (s * t) % c],
         model: MODELS[i / (s * t * c) % m],
-        dir: (i / (s * t * c * m)).is_multiple_of(2),
-        alloc: if i < s * t * c * m * 2 { Alloc::Heap } else { Alloc::Bitmap },
+        dir: i < s * t * c * m,
     };
-    (0..s * t * c * m * 4).map(point).collect()
+    (0..s * t * c * m * 2).map(point).collect()
 }
 
 /// The matrix points `keep` selects.
@@ -187,16 +175,9 @@ pub fn rigs(keep: impl Fn(&Point) -> bool) -> Vec<super::Rig> {
 }
 
 impl Point {
-    /// One shard, tenant and core under the epoch barrier, filter on,
-    /// over the heap.
-    pub const BASE: Point = Point {
-        shards: 1,
-        tenants: 1,
-        cores: 1,
-        model: PersistencyModel::Epoch,
-        dir: true,
-        alloc: Alloc::Heap,
-    };
+    /// One shard, tenant and core under the epoch barrier, filter on.
+    pub const BASE: Point =
+        Point { shards: 1, tenants: 1, cores: 1, model: PersistencyModel::Epoch, dir: true };
 
     /// The pool this point builds: 2 MiB of vPM (each tenant window holds
     /// the raw span and three 128 KiB arenas), a log far larger than any
@@ -227,8 +208,8 @@ impl Point {
     pub fn literal(self) -> String {
         format!(
             "Point {{ shards: {}, tenants: {}, cores: {}, model: PersistencyModel::{:?}, \
-             dir: {}, alloc: Alloc::{:?} }}",
-            self.shards, self.tenants, self.cores, self.model, self.dir, self.alloc
+             dir: {} }}",
+            self.shards, self.tenants, self.cores, self.model, self.dir
         )
     }
 }

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::oracle::{bug, check, drive, Crashed, Halt, Outcome, Rig, Verdict};
-use super::schedule::{golden, literal, rebooted, schedule, Alloc, Mix, Point, Step};
+use super::schedule::{golden, literal, rebooted, schedule, Mix, Point, Step};
 
 /// Shrinks a failing case to a minimal schedule and crash step, then
 /// fails the test with it as a [`check_or_fail`] call to paste into a
@@ -169,22 +169,21 @@ fn random_with(
 }
 
 /// Differential mode: each schedule of `variants` runs unarmed on every
-/// rig, and within each tenant count and allocator every run must leave
-/// the same vPM data image and read the same values. Schedules that use
-/// the arenas skip strict rigs, where those steps are skipped.
+/// rig, and within each tenant count every run must leave the same vPM
+/// data image and read the same values. Schedules that use the arenas
+/// skip strict rigs, where those steps are skipped.
 pub fn differential(rigs: &[Rig], variants: &[Vec<Step>]) {
     let arena = variants.iter().flatten().any(|s| s.uses_arena());
-    // The first run of each tenant count and allocator: (rig, variant,
-    // what it settled to).
-    let mut first: HashMap<(usize, Alloc), (&Rig, usize, Settled)> = HashMap::new();
+    // The first run of each tenant count: (rig, variant, what it settled
+    // to).
+    let mut first: HashMap<usize, (&Rig, usize, Settled)> = HashMap::new();
     for (v, steps) in variants.iter().enumerate() {
         for rig in rigs {
             if arena && rig.config.device.persistency == libpax::PersistencyModel::Strict {
                 continue;
             }
             let got = settled(rig, steps).unwrap_or_else(|msg| fail(rig, steps, None, &msg));
-            let key = (rig.config.tenants, rig.alloc);
-            let (q, w, want) = first.entry(key).or_insert((rig, v, got.clone()));
+            let (q, w, want) = first.entry(rig.config.tenants).or_insert((rig, v, got.clone()));
             if *want != got {
                 let q = *q;
                 let diverges = |s: &[Step], _| settled(q, s).ok() != settled(rig, s).ok();

@@ -1,7 +1,7 @@
 //! End-to-end crash/recovery tests through the full stack: structure →
-//! heap → vPM → host cache → CXL-style requests → PAX device → pool.
+//! allocator → vPM → host cache → CXL-style requests → PAX device → pool.
 
-use libpax::{Heap, MemSpace, PHashMap, PVec, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, MemSpace, PHashMap, PVec, PaxConfig, PaxPool, PmAllocator};
 use pax_pm::PoolConfig;
 
 fn config() -> PaxConfig {
@@ -13,8 +13,8 @@ fn config() -> PaxConfig {
 fn unpersisted_operations_roll_back() {
     let pool = PaxPool::create(config()).unwrap();
     {
-        let map: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+        let map: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
         map.insert(1, 100).unwrap();
         map.insert(2, 200).unwrap();
         pool.persist().unwrap();
@@ -24,8 +24,8 @@ fn unpersisted_operations_roll_back() {
     }
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert_eq!(map.get(1).unwrap(), Some(100), "remove rolled back");
     assert_eq!(map.get(2).unwrap(), Some(200));
     assert_eq!(map.get(3).unwrap(), None, "unpersisted insert rolled back");
@@ -37,19 +37,20 @@ fn allocator_state_recovers_with_the_data() {
     // §3.4: allocator state lives in vPM, so rollback covers it: an
     // allocation made in a lost epoch must be available again.
     let pool = PaxPool::create(config()).unwrap();
-    let heap = Heap::attach(pool.vpm()).unwrap();
-    let live_before = heap.live_allocations().unwrap();
+    let alloc = BitmapAlloc::attach(pool.vpm()).unwrap();
+    let live_before = alloc.live_allocations().unwrap();
     pool.persist().unwrap();
 
-    heap.alloc(256).unwrap();
-    heap.alloc(256).unwrap();
-    assert_eq!(heap.live_allocations().unwrap(), live_before + 2);
+    alloc.alloc(256).unwrap();
+    alloc.alloc(256).unwrap();
+    // Two 256-byte allocations are eight 32-byte frames each.
+    assert_eq!(alloc.live_allocations().unwrap(), live_before + 16);
 
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let heap = Heap::attach(pool.vpm()).unwrap();
+    let alloc = BitmapAlloc::attach(pool.vpm()).unwrap();
     assert_eq!(
-        heap.live_allocations().unwrap(),
+        alloc.live_allocations().unwrap(),
         live_before,
         "allocations from the lost epoch must be rolled back"
     );
@@ -63,7 +64,7 @@ fn repeated_crashes_between_epochs() {
             None => PaxPool::create(config()).unwrap(),
             Some(p) => PaxPool::open(p, config()).unwrap(),
         };
-        let vec: PVec<u64, _, Heap<_>> = PVec::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+        let vec: PVec<u64, _> = PVec::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
         assert_eq!(vec.len().unwrap(), round, "round {round}");
         vec.push(round).unwrap();
         pool.persist().unwrap();
@@ -72,7 +73,7 @@ fn repeated_crashes_between_epochs() {
         pm = Some(pool.crash().unwrap());
     }
     let pool = PaxPool::open(pm.unwrap(), config()).unwrap();
-    let vec: PVec<u64, _, Heap<_>> = PVec::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let vec: PVec<u64, _> = PVec::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert_eq!(vec.to_vec().unwrap(), vec![0, 1, 2, 3, 4]);
 }
 
@@ -159,7 +160,7 @@ fn recovery_is_transparent_for_fresh_pools() {
     let report = pool.recovery_report().unwrap();
     assert_eq!(report.rolled_back, 0);
     assert_eq!(report.committed_epoch, 0);
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert!(map.is_empty().unwrap());
 }

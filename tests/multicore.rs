@@ -121,7 +121,7 @@ mod libpax_level {
     //! The same multi-core model through the libpax surface: per-core vPM
     //! mappings shared by one structure.
 
-    use libpax::{Heap, MemSpace, PHashMap, PaxConfig, PaxPool};
+    use libpax::{BitmapAlloc, MemSpace, PHashMap, PaxConfig, PaxPool};
     use pax_cache::ComplexStats;
     use pax_pm::PoolConfig;
 
@@ -135,15 +135,19 @@ mod libpax_level {
     fn per_core_mappings_share_one_structure() {
         let pool = PaxPool::create(config(4)).unwrap();
         // Each "thread" gets its own core's mapping; the structure code is
-        // identical — only the space handle differs.
-        let maps: Vec<PHashMap<u64, u64, _, Heap<_>>> = (0..4)
-            .map(|core| PHashMap::attach(Heap::attach(pool.vpm_for_core(core)).unwrap()).unwrap())
+        // identical — only the space handle differs. A core attaches once
+        // the previous one is done inserting: attach rebuilds the
+        // allocator's volatile state from the bitmap the others wrote.
+        let maps: Vec<PHashMap<u64, u64, _>> = (0..4u64)
+            .map(|core| {
+                let alloc = BitmapAlloc::attach(pool.vpm_for_core(core as usize)).unwrap();
+                let map = PHashMap::attach(alloc).unwrap();
+                for i in 0..50u64 {
+                    map.insert(core * 1000 + i, i).unwrap();
+                }
+                map
+            })
             .collect();
-        for (core, map) in maps.iter().enumerate() {
-            for i in 0..50u64 {
-                map.insert(core as u64 * 1000 + i, i).unwrap();
-            }
-        }
         // Every core observes every other core's writes (coherence).
         assert_eq!(maps[0].len().unwrap(), 200);
         assert_eq!(maps[3].get(2_049).unwrap(), Some(49));
@@ -152,8 +156,8 @@ mod libpax_level {
         pool.persist().unwrap();
         let pm = pool.crash().unwrap();
         let pool = PaxPool::open(pm, config(1)).unwrap(); // reopen single-core
-        let map: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+        let map: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
         assert_eq!(map.len().unwrap(), 200);
     }
 

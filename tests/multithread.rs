@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::thread;
 
-use libpax::{Heap, PHashMap, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, PHashMap, PaxConfig, PaxPool};
 use pax_pm::PoolConfig;
 
 fn config() -> PaxConfig {
@@ -16,8 +16,8 @@ fn config() -> PaxConfig {
 #[test]
 fn concurrent_inserts_then_quiescent_persist() {
     let pool = PaxPool::create(config()).unwrap();
-    let map: Arc<PHashMap<u64, u64, _, Heap<_>>> =
-        Arc::new(PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap());
+    let map: Arc<PHashMap<u64, u64, _>> =
+        Arc::new(PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap());
 
     let threads = 4;
     let per_thread = 200u64;
@@ -38,8 +38,8 @@ fn concurrent_inserts_then_quiescent_persist() {
 
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert_eq!(map.len().unwrap(), threads * per_thread);
     for t in 0..threads {
         for i in (0..per_thread).step_by(17) {
@@ -51,8 +51,8 @@ fn concurrent_inserts_then_quiescent_persist() {
 #[test]
 fn mixed_readers_and_writers() {
     let pool = PaxPool::create(config()).unwrap();
-    let map: Arc<PHashMap<u64, u64, _, Heap<_>>> =
-        Arc::new(PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap());
+    let map: Arc<PHashMap<u64, u64, _>> =
+        Arc::new(PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap());
     for k in 0..500u64 {
         map.insert(k, k).unwrap();
     }
@@ -97,8 +97,8 @@ fn epochs_interleave_with_thread_batches() {
     // Alternating parallel batches and persists: every persisted batch
     // must survive a final crash; the last (unpersisted) one must not.
     let pool = PaxPool::create(config()).unwrap();
-    let map: Arc<PHashMap<u64, u64, _, Heap<_>>> =
-        Arc::new(PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap());
+    let map: Arc<PHashMap<u64, u64, _>> =
+        Arc::new(PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap());
 
     for batch in 0..3u64 {
         let mut handles = Vec::new();
@@ -123,8 +123,8 @@ fn epochs_interleave_with_thread_batches() {
 
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert_eq!(map.len().unwrap(), 3 * 3 * 50);
     assert_eq!(map.get(3_000).unwrap(), None);
     assert_eq!(map.get(2_149).unwrap(), Some(2));

@@ -4,7 +4,7 @@
 //! newest *committed* epoch, even with interleaved cross-epoch writes to
 //! the same lines.
 
-use libpax::{Heap, MemSpace, PHashMap, PaxConfig, PaxError, PaxPool};
+use libpax::{BitmapAlloc, MemSpace, PHashMap, PaxConfig, PaxError, PaxPool};
 use pax_device::{BLOCK_ENTRIES, BLOCK_LINES};
 use pax_pm::{PmError, PoolConfig, LINE_SIZE};
 
@@ -126,8 +126,8 @@ fn crash_while_draining_recovers_to_previous_epoch() {
 #[test]
 fn overlapping_epochs_with_structures() {
     let pool = PaxPool::create(config()).unwrap();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
 
     let mut committed_lens = Vec::new();
     for batch in 0..6u64 {
@@ -142,8 +142,8 @@ fn overlapping_epochs_with_structures() {
 
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert_eq!(map.len().unwrap(), 300);
     assert_eq!(map.get(523).unwrap(), Some(5));
 }

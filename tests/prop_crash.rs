@@ -10,7 +10,7 @@
 mod common;
 
 use common::{
-    check_or_fail, drive, exhaustive, points, random, schedule, shrink, Alloc, Mix, Point, Step,
+    check_or_fail, drive, exhaustive, points, random, schedule, shrink, Mix, Point, Step,
 };
 use libpax::PersistencyModel;
 use pax_device::recover_traced;
@@ -26,8 +26,7 @@ fn not_strict(p: &Point) -> bool {
 /// B-tree recover exactly the model at the last close.
 #[test]
 fn recovery_restores_last_persisted_snapshot() {
-    let pts = points(|p| not_strict(p) && p.alloc == Alloc::Heap);
-    random(0x5eed, 48, &pts, Mix::Map, 1..120, 0);
+    random(0x5eed, 48, &points(not_strict), Mix::Map, 1..120, 0);
 }
 
 /// Map schedules crashed at arbitrary durable-write steps (mid-op and
@@ -38,7 +37,7 @@ fn arbitrary_crash_points_are_safe() {
 }
 
 /// Allocations and frees never overlap, stay aligned, keep their fills,
-/// and recover with exact accounting on both allocators.
+/// and recover with exact accounting.
 #[test]
 fn heap_allocations_never_overlap() {
     random(0x4ea9, 32, &points(not_strict), Mix::Blocks, 1..80, 1);
@@ -52,12 +51,10 @@ fn overlapped_epochs_crash_anywhere() {
     random(0x0e1a, 48, &points(|_| true), Mix::Lines, 1..60, 4);
 }
 
-/// The B-tree's structural invariants survive crashes mid-rebalance, on
-/// the bitmap allocator.
+/// The B-tree's structural invariants survive crashes mid-rebalance.
 #[test]
 fn btree_recovery_restores_last_persisted_snapshot() {
-    let pts = points(|p| not_strict(p) && p.alloc == Alloc::Bitmap);
-    random(0xb7ee, 24, &pts, Mix::Map, 20..80, 2);
+    random(0xb7ee, 24, &points(not_strict), Mix::Map, 20..80, 2);
 }
 
 /// Shrunk from a planted bug that committed a buffered epoch's header
@@ -73,7 +70,6 @@ fn header_commit_before_write_back_regression() {
             cores: 3,
             model: PersistencyModel::BufferedEpoch { k: 4 },
             dir: true,
-            alloc: Alloc::Bitmap,
         }
         .rig(),
         &[

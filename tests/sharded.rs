@@ -17,10 +17,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Random cross-core schedules leave the same vPM image and read the same
-/// values on 1, 2 and 8 shards.
+/// values on 1, 2, 4 and 8 shards.
 #[test]
 fn shard_count_is_state_transparent() {
-    let pts = rigs(|p| p.tenants == 1 && p.cores == 3 && p.dir && p.alloc == common::Alloc::Heap);
+    let pts = rigs(|p| p.tenants == 1 && p.cores == 3 && p.dir);
     let mut rng = StdRng::seed_from_u64(0x5a4d);
     for _ in 0..6 {
         differential(&pts, &[settle(&schedule(&mut rng, Mix::Lines, 60))]);
@@ -31,7 +31,7 @@ fn shard_count_is_state_transparent() {
 /// unchanged: ticks are pure background progress.
 #[test]
 fn device_ticks_are_state_transparent() {
-    let pts = rigs(|p| p.tenants <= 2 && p.cores == 1 && p.dir && p.alloc == common::Alloc::Heap);
+    let pts = rigs(|p| p.tenants <= 2 && p.cores == 1 && p.dir);
     let mut rng = StdRng::seed_from_u64(0x71c5);
     for _ in 0..4 {
         let steps = schedule(&mut rng, Mix::Lines, 60);
@@ -40,7 +40,7 @@ fn device_ticks_are_state_transparent() {
 }
 
 /// One line schedule and one arena schedule settle to the same image on
-/// every matrix point of each tenant count and allocator.
+/// every matrix point of each tenant count.
 #[test]
 fn settled_runs_agree_across_the_whole_matrix() {
     let mut rng = StdRng::seed_from_u64(0x3a7);

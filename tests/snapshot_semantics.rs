@@ -2,7 +2,7 @@
 //! state at the most recent completed `persist()` — never a mix of
 //! epochs, never a partial operation.
 
-use libpax::{Heap, MemSpace, PHashMap, PaxConfig, PaxPool};
+use libpax::{BitmapAlloc, MemSpace, PHashMap, PaxConfig, PaxPool};
 use pax_cache::CacheConfig;
 use pax_device::{DeviceConfig, EvictionPolicy, HbmConfig};
 use pax_pm::PoolConfig;
@@ -125,8 +125,8 @@ fn structure_level_snapshot_equality() {
     // without any extra ops; recovered entries must match exactly.
     let build = |extra_garbage: bool| -> Vec<(u64, u64)> {
         let pool = PaxPool::create(config()).unwrap();
-        let map: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+        let map: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
         for k in 0..200u64 {
             map.insert(k, k * 7).unwrap();
         }
@@ -141,8 +141,8 @@ fn structure_level_snapshot_equality() {
         }
         let pm = pool.crash().unwrap();
         let pool = PaxPool::open(pm, config()).unwrap();
-        let map: PHashMap<u64, u64, _, Heap<_>> =
-            PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+        let map: PHashMap<u64, u64, _> =
+            PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
         let mut e = map.entries().unwrap();
         e.sort_unstable();
         e

@@ -20,7 +20,7 @@
 mod common;
 
 use common::{
-    differential, drive, fail, points, random, rigs, schedule, settle, Alloc, Mix, Point, Rig, SPAN,
+    differential, drive, fail, points, random, rigs, schedule, settle, Mix, Point, Rig, SPAN,
 };
 use libpax::PersistencyModel;
 use pax_cache::{CacheConfig, CoherentCache};
@@ -36,13 +36,12 @@ fn batch_rig(batch: usize) -> Rig {
     Rig::custom(config, SPAN, format!("batch_rig({batch})"))
 }
 
-/// Filtered + batched vs always-snoop + unbatched, on 1, 2 and 8 shards,
+/// Filtered + batched vs always-snoop + unbatched, on 1, 2, 4 and 8 shards,
 /// one or three cores, and every write-back batch cap from 1 to 8:
 /// identical settled images.
 #[test]
 fn filtered_persist_is_durably_identical_to_unfiltered() {
-    let mut rigs =
-        rigs(|p| p.tenants == 1 && p.model == PersistencyModel::Epoch && p.alloc == Alloc::Heap);
+    let mut rigs = rigs(|p| p.tenants == 1 && p.model == PersistencyModel::Epoch);
     rigs.extend((1..8).map(batch_rig));
     let mut rng = StdRng::seed_from_u64(0xf117);
     for _ in 0..6 {

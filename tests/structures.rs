@@ -4,7 +4,8 @@
 //! reuse claim.
 
 use libpax::{
-    Heap, MemSpace, PBTreeMap, PHashMap, PList, PRing, PVec, PaxConfig, PaxPool, VolatileSpace,
+    BitmapAlloc, MemSpace, PBTreeMap, PHashMap, PList, PRing, PVec, PaxConfig, PaxPool,
+    VolatileSpace,
 };
 use pax_pm::PoolConfig;
 
@@ -20,8 +21,8 @@ fn pool() -> PaxPool {
 #[test]
 fn hashmap_behaves_identically_volatile_and_persistent() {
     fn drive<S: libpax::MemSpace>(space: S) -> Vec<(u64, u64)> {
-        let m: PHashMap<u64, u64, S, Heap<S>> =
-            PHashMap::attach(Heap::attach(space).unwrap()).unwrap();
+        let m: PHashMap<u64, u64, S> =
+            PHashMap::attach(BitmapAlloc::attach(space).unwrap()).unwrap();
         for k in 0..300u64 {
             m.insert(k, k * k).unwrap();
         }
@@ -43,7 +44,7 @@ fn hashmap_behaves_identically_volatile_and_persistent() {
 #[test]
 fn vec_and_list_on_vpm() {
     let p1 = pool();
-    let v: PVec<u64, _, Heap<_>> = PVec::attach(Heap::attach(p1.vpm()).unwrap()).unwrap();
+    let v: PVec<u64, _> = PVec::attach(BitmapAlloc::attach(p1.vpm()).unwrap()).unwrap();
     for i in 0..500 {
         v.push(i).unwrap();
     }
@@ -52,7 +53,7 @@ fn vec_and_list_on_vpm() {
     assert_eq!(v.pop().unwrap(), Some(499));
 
     let p2 = pool();
-    let l: PList<u64, _, Heap<_>> = PList::attach(Heap::attach(p2.vpm()).unwrap()).unwrap();
+    let l: PList<u64, _> = PList::attach(BitmapAlloc::attach(p2.vpm()).unwrap()).unwrap();
     for i in 0..100 {
         l.push_back(i).unwrap();
         l.push_front(1000 + i).unwrap();
@@ -65,8 +66,8 @@ fn vec_and_list_on_vpm() {
 #[test]
 fn hashmap_growth_survives_persist_and_crash() {
     let pool = pool();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     // Enough inserts to trigger several rehashes.
     for k in 0..2_000u64 {
         map.insert(k, k + 1).unwrap();
@@ -76,8 +77,8 @@ fn hashmap_growth_survives_persist_and_crash() {
 
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert_eq!(map.len().unwrap(), 2_000);
     for k in (0..2_000u64).step_by(37) {
         assert_eq!(map.get(k).unwrap(), Some(k + 1), "key {k}");
@@ -90,8 +91,8 @@ fn crash_mid_rehash_rolls_back_cleanly() {
     // over the threshold (rehash) without persisting; crash. The
     // recovered map must be the pre-rehash snapshot, fully intact.
     let pool = pool();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     for k in 0..31u64 {
         map.insert(k, k).unwrap();
     }
@@ -105,8 +106,8 @@ fn crash_mid_rehash_rolls_back_cleanly() {
 
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let map: PHashMap<u64, u64, _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let map: PHashMap<u64, u64, _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert_eq!(map.bucket_count().unwrap(), buckets_before);
     assert_eq!(map.len().unwrap(), 31);
     for k in 0..31u64 {
@@ -119,8 +120,8 @@ fn crash_mid_rehash_rolls_back_cleanly() {
 /// old buckets, so 41 inserts leave the migration half done.
 const HALF_MIGRATED: u64 = 41;
 
-fn heap_map(pool: &PaxPool) -> PHashMap<u64, u64, libpax::VPm, Heap<libpax::VPm>> {
-    PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap()
+fn vpm_map(pool: &PaxPool) -> PHashMap<u64, u64> {
+    PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap()
 }
 
 fn sorted_entries<S: MemSpace, A: libpax::PmAllocator<S>>(
@@ -134,14 +135,15 @@ fn sorted_entries<S: MemSpace, A: libpax::PmAllocator<S>>(
 #[test]
 fn crash_mid_migration_recovers_each_committed_key_once() {
     let pool = pool();
-    let map = heap_map(&pool);
+    let map = vpm_map(&pool);
     for k in 0..HALF_MIGRATED {
         map.insert(k, k * 10).unwrap();
     }
     assert_eq!(map.bucket_count().unwrap(), 32);
-    // Header, both bucket arrays, one block per node.
-    let live = map.heap().live_allocations().unwrap();
-    assert_eq!(live, 3 + HALF_MIGRATED);
+    // In 32-byte frames: the header (4), the old and new bucket arrays
+    // (4 + 8) and one per node.
+    let live = map.heap().live_frames();
+    assert_eq!(live, 16 + HALF_MIGRATED);
     pool.persist().unwrap();
     // More migration, then a crash before the next persist.
     for k in 100..104u64 {
@@ -150,18 +152,18 @@ fn crash_mid_migration_recovers_each_committed_key_once() {
 
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let map = heap_map(&pool);
+    let map = vpm_map(&pool);
     let want: Vec<(u64, u64)> = (0..HALF_MIGRATED).map(|k| (k, k * 10)).collect();
     assert_eq!(sorted_entries(&map), want, "every committed key exactly once");
     assert_eq!(map.len().unwrap(), HALF_MIGRATED);
-    assert_eq!(map.heap().live_allocations().unwrap(), live);
+    assert_eq!(map.heap().live_frames(), live);
     // The eight remaining old buckets move with the next eight inserts;
     // the last one frees the old array.
     for k in HALF_MIGRATED..HALF_MIGRATED + 8 {
         map.insert(k, k * 10).unwrap();
     }
     let n = HALF_MIGRATED + 8;
-    assert_eq!(map.heap().live_allocations().unwrap(), 2 + n);
+    assert_eq!(map.heap().live_frames(), 12 + n);
     assert_eq!(sorted_entries(&map), (0..n).map(|k| (k, k * 10)).collect::<Vec<_>>());
     for k in 0..n {
         assert_eq!(map.get(k).unwrap(), Some(k * 10), "key {k}");
@@ -171,8 +173,8 @@ fn crash_mid_migration_recovers_each_committed_key_once() {
 #[test]
 fn updates_and_removes_run_correctly_during_a_migration() {
     fn drive<S: MemSpace>(space: S) -> Vec<(u64, u64)> {
-        let map: PHashMap<u64, u64, S, Heap<S>> =
-            PHashMap::attach(Heap::attach(space).unwrap()).unwrap();
+        let map: PHashMap<u64, u64, S> =
+            PHashMap::attach(BitmapAlloc::attach(space).unwrap()).unwrap();
         let mut model = std::collections::BTreeMap::new();
         for k in 0..33u64 {
             map.insert(k, k).unwrap();
@@ -207,7 +209,7 @@ fn updates_and_removes_run_correctly_during_a_migration() {
     pool.persist().unwrap();
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    assert_eq!(sorted_entries(&heap_map(&pool)), volatile);
+    assert_eq!(sorted_entries(&vpm_map(&pool)), volatile);
 }
 
 #[test]
@@ -217,7 +219,7 @@ fn no_insert_logs_more_than_a_few_undo_entries() {
     // nodes (over a thousand entries for the growth at 2 048 keys); one
     // migrated bucket per insert keeps every insert to a dozen or so.
     let pool = pool();
-    let map = heap_map(&pool);
+    let map = vpm_map(&pool);
     let mut worst = (0, 0);
     for k in 0..3_000u64 {
         pool.persist().unwrap();
@@ -233,7 +235,7 @@ fn no_insert_logs_more_than_a_few_undo_entries() {
 #[test]
 fn vec_growth_mid_epoch_crash() {
     let pool = pool();
-    let v: PVec<u32, _, Heap<_>> = PVec::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let v: PVec<u32, _> = PVec::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     for i in 0..8u32 {
         v.push(i).unwrap(); // exactly the initial capacity
     }
@@ -243,7 +245,7 @@ fn vec_growth_mid_epoch_crash() {
 
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let v: PVec<u32, _, Heap<_>> = PVec::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let v: PVec<u32, _> = PVec::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     assert_eq!(v.to_vec().unwrap(), (0..8).collect::<Vec<u32>>());
 }
 
@@ -251,8 +253,8 @@ fn vec_growth_mid_epoch_crash() {
 fn multiple_structure_types_share_the_same_code_paths() {
     // Wide-element structures exercise multi-line values.
     let pool = pool();
-    let m: PHashMap<[u8; 24], [u8; 40], _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let m: PHashMap<[u8; 24], [u8; 40], _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     let key = |i: u8| -> [u8; 24] { [i; 24] };
     let val = |i: u8| -> [u8; 40] { [i.wrapping_mul(3); 40] };
     for i in 0..50u8 {
@@ -261,8 +263,8 @@ fn multiple_structure_types_share_the_same_code_paths() {
     pool.persist().unwrap();
     let pm = pool.crash().unwrap();
     let pool = PaxPool::open(pm, config()).unwrap();
-    let m: PHashMap<[u8; 24], [u8; 40], _, Heap<_>> =
-        PHashMap::attach(Heap::attach(pool.vpm()).unwrap()).unwrap();
+    let m: PHashMap<[u8; 24], [u8; 40], _> =
+        PHashMap::attach(BitmapAlloc::attach(pool.vpm()).unwrap()).unwrap();
     for i in 0..50u8 {
         assert_eq!(m.get(key(i)).unwrap(), Some(val(i)), "key {i}");
     }
@@ -288,7 +290,7 @@ fn byte_level_access_patterns() {
 #[test]
 fn ring_buffer_survives_crash_at_snapshot() {
     let p = pool();
-    let r: PRing<u64, _, Heap<_>> = PRing::create(Heap::attach(p.vpm()).unwrap(), 8).unwrap();
+    let r: PRing<u64, _> = PRing::create(BitmapAlloc::attach(p.vpm()).unwrap(), 8).unwrap();
     for i in 0..6 {
         assert!(r.push(i).unwrap());
     }
@@ -300,7 +302,7 @@ fn ring_buffer_survives_crash_at_snapshot() {
 
     let pm = p.crash().unwrap();
     let p = PaxPool::open(pm, config()).unwrap();
-    let r: PRing<u64, _, Heap<_>> = PRing::attach(Heap::attach(p.vpm()).unwrap()).unwrap();
+    let r: PRing<u64, _> = PRing::attach(BitmapAlloc::attach(p.vpm()).unwrap()).unwrap();
     assert_eq!(r.len().unwrap(), 5);
     assert_eq!(r.pop().unwrap(), Some(1));
     assert_eq!(r.capacity().unwrap(), 8);
@@ -312,8 +314,8 @@ fn btree_crash_mid_split_rolls_back() {
     // multi-node split without persisting; crash. The recovered tree must
     // be the pre-split snapshot with all invariants intact.
     let p = pool();
-    let t: PBTreeMap<u64, u64, _, Heap<_>> =
-        PBTreeMap::attach(Heap::attach(p.vpm()).unwrap()).unwrap();
+    let t: PBTreeMap<u64, u64, _> =
+        PBTreeMap::attach(BitmapAlloc::attach(p.vpm()).unwrap()).unwrap();
     for k in 0..7u64 {
         t.insert(k, k).unwrap(); // MAX_KEYS for MIN_DEGREE=4
     }
@@ -325,8 +327,8 @@ fn btree_crash_mid_split_rolls_back() {
 
     let pm = p.crash().unwrap();
     let p = PaxPool::open(pm, config()).unwrap();
-    let t: PBTreeMap<u64, u64, _, Heap<_>> =
-        PBTreeMap::attach(Heap::attach(p.vpm()).unwrap()).unwrap();
+    let t: PBTreeMap<u64, u64, _> =
+        PBTreeMap::attach(BitmapAlloc::attach(p.vpm()).unwrap()).unwrap();
     t.check_invariants().unwrap();
     assert_eq!(t.len().unwrap(), 7);
     assert_eq!(t.entries().unwrap(), (0..7).map(|k| (k, k)).collect::<Vec<_>>());
@@ -335,16 +337,16 @@ fn btree_crash_mid_split_rolls_back() {
 #[test]
 fn btree_range_scans_on_persistent_space() {
     let p = pool();
-    let t: PBTreeMap<u64, u64, _, Heap<_>> =
-        PBTreeMap::attach(Heap::attach(p.vpm()).unwrap()).unwrap();
+    let t: PBTreeMap<u64, u64, _> =
+        PBTreeMap::attach(BitmapAlloc::attach(p.vpm()).unwrap()).unwrap();
     for k in 0..500u64 {
         t.insert(k * 2, k).unwrap();
     }
     p.persist().unwrap();
     let pm = p.crash().unwrap();
     let p = PaxPool::open(pm, config()).unwrap();
-    let t: PBTreeMap<u64, u64, _, Heap<_>> =
-        PBTreeMap::attach(Heap::attach(p.vpm()).unwrap()).unwrap();
+    let t: PBTreeMap<u64, u64, _> =
+        PBTreeMap::attach(BitmapAlloc::attach(p.vpm()).unwrap()).unwrap();
     let r = t.range(100, 110).unwrap();
     assert_eq!(r, vec![(100, 50), (102, 51), (104, 52), (106, 53), (108, 54), (110, 55)]);
     t.check_invariants().unwrap();
