@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Bench gate: schema checks, absolute acceptance bars, and the ratchet.
+"""Bench gate: schema checks, exact references, acceptance bars, and the ratchet.
 
 Usage: bench_ratchet.py BASELINE_DIR CURRENT_DIR
 
-CURRENT_DIR holds one `<bench>.json` per entry of SCHEMAS (each bench
-binary's `--json` output); BASELINE_DIR holds the previous run's copies
-(restored from the CI cache). Three kinds of check run, all driven by
-the tables below:
+CURRENT_DIR holds one `<bench>.json` per entry of SCHEMAS and REFERENCES
+(each bench binary's `--json` output); BASELINE_DIR holds the previous
+run's copies (restored from the CI cache). Four kinds of check run, all
+driven by the tables below:
 
   SCHEMAS     what every artifact must contain: the `bench` /
               `schema_version` header, config keys, per-row keys, the
@@ -26,6 +26,14 @@ the tables below:
               impossible) the bar degrades to a no-collapse floor, so a
               lock convoy still fails without pretending a small host can
               show speedup.
+
+  REFERENCES  exact references for the deterministic modelled benches:
+              each artifact listed must equal its committed
+              ci/reference/BENCH_<bench>.json, apart from the named
+              wall-clock fields. A modelled run is deterministic (the
+              same build prints the same bytes), so any other difference
+              is a change in what the model computes: re-record the
+              reference in the change that moves it, and say why.
 
 plus a handful of absolute acceptance bars that need no baseline (see
 the `check_*` functions): fig2b's S=4 device shards must reach 1.5x the
@@ -145,6 +153,18 @@ RATCHETS = {
     "write_amp": [(("fields_per_page",), "pax_amp", 1.05, False)],
 }
 
+# bench -> row fields measured in wall-clock time, left out of the
+# comparison with the committed reference
+REFERENCES = {
+    "fig2a": (),
+    "fig2b": (),
+    "write_amp": (),
+    "ycsb": (),
+    "trap_overhead": (),
+    "persist_cost": ("flush_host_ns_per_entry",),
+}
+REFERENCE_DIR = Path(__file__).resolve().parent / "reference"
+
 # bench -> (mode whose rows scale or None for all rows, cores needed to
 # arm the bar, scaling bar, no-collapse floor)
 SCALING = {
@@ -211,6 +231,33 @@ def ratchet(bench, baseline, current, failures):
                     f"{bench} {key}: {metric} {value:.3f} "
                     f"{'<' if higher else '>'} {tol}x baseline {base[key]:.3f}"
                 )
+
+
+def without(doc, fields):
+    """`doc` with `fields` dropped from every result row."""
+    rows = [{k: v for k, v in r.items() if k not in fields} for r in doc.get("results", [])]
+    return {**doc, "results": rows}
+
+
+def check_reference(bench, current, failures):
+    reference = load(REFERENCE_DIR / f"BENCH_{bench}.json")
+    if reference is None:
+        failures.append(f"{bench}: reference BENCH_{bench}.json missing")
+        return
+    fields = REFERENCES[bench]
+    want, got = without(reference, fields), without(current, fields)
+    if got == want:
+        print(f"ok  {bench}: equals its committed reference")
+        return
+    for key in sorted(set(want) | set(got)):
+        if key != "results" and want.get(key) != got.get(key):
+            failures.append(f"{bench}: {key} {got.get(key)!r}, reference {want.get(key)!r}")
+    rows_want, rows_got = want.get("results", []), got.get("results", [])
+    if len(rows_want) != len(rows_got):
+        failures.append(f"{bench}: {len(rows_got)} rows, reference {len(rows_want)}")
+    for i, (w, g) in enumerate(zip(rows_want, rows_got)):
+        if w != g:
+            failures.append(f"{bench} row {i}: {g}, reference {w}")
 
 
 def check_scaling(bench, doc, failures):
@@ -405,6 +452,13 @@ def main() -> int:
         ratchet(bench, baseline, current, failures)
         if len(failures) == before:
             print(f"{name}: within tolerance of baseline")
+
+    for bench in REFERENCES:
+        current = load(current_dir / f"{bench}.json")
+        if current is None:
+            failures.append(f"current {bench}.json missing")
+        else:
+            check_reference(bench, current, failures)
 
     if failures:
         print("\nBENCH RATCHET FAILED:")
