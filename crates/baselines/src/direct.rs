@@ -10,9 +10,10 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use libpax::{MemSpace, PaxError};
-use pax_pm::{CacheLine, LineAddr, Memory, PersistenceDomain, PmMedia, LINE_SIZE};
+use pax_pm::{CacheLine, Memory, PersistenceDomain, PmMedia, LINE_SIZE};
 
 use crate::costs::{CostReport, Costed};
+use crate::engine::{check, lines};
 
 #[derive(Debug)]
 struct Inner {
@@ -48,53 +49,31 @@ impl DirectPmSpace {
 
 impl MemSpace for DirectPmSpace {
     fn read_bytes(&self, addr: u64, buf: &mut [u8]) -> libpax::Result<()> {
-        if addr.checked_add(buf.len() as u64).is_none_or(|e| e > self.capacity) {
-            return Err(PaxError::OutOfMemory {
-                requested: addr.saturating_add(buf.len() as u64),
-                capacity: self.capacity,
-            });
-        }
+        check(addr, buf.len(), self.capacity)?;
         let mut inner = self.inner.lock();
-        let mut done = 0;
-        let mut cur = addr;
-        while done < buf.len() {
-            let line = LineAddr::from_byte_addr(cur);
-            let off = (cur - line.byte_addr()) as usize;
-            let n = (LINE_SIZE - off).min(buf.len() - done);
+        for (line, off, span) in lines(addr, buf.len()) {
+            let n = span.len();
             let data = inner.media.read_line(line).map_err(PaxError::from)?;
             inner.costs.pm_reads += 1;
-            buf[done..done + n].copy_from_slice(data.read_at(off, n));
-            done += n;
-            cur += n as u64;
+            buf[span].copy_from_slice(data.read_at(off, n));
         }
         Ok(())
     }
 
     fn write_bytes(&self, addr: u64, data: &[u8]) -> libpax::Result<()> {
-        if addr.checked_add(data.len() as u64).is_none_or(|e| e > self.capacity) {
-            return Err(PaxError::OutOfMemory {
-                requested: addr.saturating_add(data.len() as u64),
-                capacity: self.capacity,
-            });
-        }
+        check(addr, data.len(), self.capacity)?;
         let mut inner = self.inner.lock();
-        let mut done = 0;
-        let mut cur = addr;
-        while done < data.len() {
-            let line = LineAddr::from_byte_addr(cur);
-            let off = (cur - line.byte_addr()) as usize;
-            let n = (LINE_SIZE - off).min(data.len() - done);
-            let mut l: CacheLine = if off == 0 && n == LINE_SIZE {
+        for (line, off, span) in lines(addr, data.len()) {
+            let n = span.len();
+            let mut l: CacheLine = if n == LINE_SIZE {
                 CacheLine::zeroed()
             } else {
                 inner.media.read_line(line).map_err(PaxError::from)?
             };
-            l.write_at(off, &data[done..done + n]);
+            l.write_at(off, &data[span]);
             inner.media.write_line(line, l).map_err(PaxError::from)?;
             inner.costs.pm_write_bytes += LINE_SIZE as u64;
             inner.costs.app_write_bytes += n as u64;
-            done += n;
-            cur += n as u64;
         }
         Ok(())
     }

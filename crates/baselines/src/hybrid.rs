@@ -8,238 +8,72 @@
 //! [`HybridSpace`] models that deployment: the *first* store to a page per
 //! epoch pays one trap (the remap) but logs **nothing** at page
 //! granularity; thereafter the page's modifications are undo-logged per
-//! 64 B line, PAX-style. Compared in the `write_amp` bench against pure
-//! paging (amortizes traps, huge log) and pure PAX (no traps, line log).
+//! 64 B line, PAX-style, and drained in the background. Compared in the
+//! `write_amp` bench against pure paging (amortizes traps, huge log) and
+//! pure PAX (no traps, line log).
 
 use std::collections::HashSet;
-use std::sync::Arc;
 
-use parking_lot::Mutex;
+use pax_pm::LineAddr;
 
-use libpax::{MemSpace, PaxError};
-use pax_device::{UndoEntry, UndoLog};
-use pax_pm::{CrashClock, LineAddr, PmError, PmPool, PoolConfig, LINE_SIZE};
+use crate::engine::{logging_space, Pm, Policy};
 
-use crate::costs::{CostReport, Costed};
+/// Undo entries the background engine drains after each store burst
+/// (the analogue of the PAX device's per-tick log-drain budget).
+const PUMP_BATCH: usize = 2;
 
-#[derive(Debug)]
-struct State {
-    pool: PmPool,
-    log: UndoLog,
-    clock: CrashClock,
-    epoch: u64,
-    touched_pages: HashSet<u64>,
-    logged_lines: HashSet<LineAddr>,
+/// Pages remapped and lines logged this epoch.
+#[derive(Debug, Clone, Default)]
+struct Hybrid {
+    pages: HashSet<u64>,
+    lines: HashSet<LineAddr>,
 }
 
-#[derive(Debug)]
-struct Inner {
-    state: Option<State>,
-    costs: CostReport,
-    /// Undo entries the background engine drains per store burst; 0
-    /// disables draining outside `persist()`.
-    background_pump_batch: usize,
-}
+impl Policy for Hybrid {
+    const TRANSACTIONAL: bool = false;
 
-/// A [`MemSpace`] combining page-fault mapping with line-granularity
-/// PAX tracking (see module docs).
-#[derive(Debug, Clone)]
-pub struct HybridSpace {
-    inner: Arc<Mutex<Inner>>,
-    capacity: u64,
-}
-
-impl HybridSpace {
-    /// Creates a hybrid space over a fresh pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates pool-layout errors.
-    pub fn create(config: PoolConfig) -> libpax::Result<Self> {
-        Self::open(PmPool::create(config)?)
-    }
-
-    /// Opens an existing pool, rolling back any uncommitted epoch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates media errors from recovery.
-    pub fn open(mut pool: PmPool) -> libpax::Result<Self> {
-        let report = pax_device::recover(&mut pool)?;
-        let capacity = pool.layout().data_lines * LINE_SIZE as u64;
-        let log = UndoLog::new(&pool);
-        Ok(HybridSpace {
-            inner: Arc::new(Mutex::new(Inner {
-                state: Some(State {
-                    pool,
-                    log,
-                    clock: CrashClock::new(),
-                    epoch: report.committed_epoch + 1,
-                    touched_pages: HashSet::new(),
-                    logged_lines: HashSet::new(),
-                }),
-                costs: CostReport::default(),
-                background_pump_batch: 2,
-            })),
-            capacity,
-        })
-    }
-
-    /// Returns the space with a different background pump batch — the
-    /// undo entries drained per store burst (the analogue of the PAX
-    /// device's per-tick log-drain budget; 0 defers all draining to
-    /// [`HybridSpace::persist`]).
-    pub fn with_background_pump_batch(self, n: usize) -> Self {
-        self.inner.lock().background_pump_batch = n;
-        self
-    }
-
-    /// Undo entries drained durably to PM so far.
-    ///
-    /// # Errors
-    ///
-    /// Fails if power was already lost.
-    pub fn log_durable_entries(&self) -> libpax::Result<u64> {
-        let inner = self.inner.lock();
-        let state = inner.state.as_ref().ok_or(PaxError::Pm(PmError::Crashed))?;
-        Ok(state.log.durable_offset())
-    }
-
-    /// Ends the epoch: drain, commit, re-protect pages.
-    ///
-    /// # Errors
-    ///
-    /// Fails after a simulated crash; propagates media errors.
-    pub fn persist(&self) -> libpax::Result<u64> {
-        let mut inner = self.inner.lock();
-        let Inner { state, costs, .. } = &mut *inner;
-        let state = state.as_mut().ok_or(PaxError::Pm(PmError::Crashed))?;
-        state.log.flush(&mut state.pool, &state.clock)?;
-        state.pool.drain();
-        costs.sfences += 1;
-        let committed = state.epoch;
-        state.pool.commit_epoch(committed)?;
-        costs.sfences += 1;
-        state.epoch += 1;
-        state.touched_pages.clear();
-        state.logged_lines.clear();
-        state.log.reset_after_commit(&mut state.pool, state.log.appended());
-        Ok(committed)
-    }
-
-    /// Simulates power loss, returning the durable pool.
-    ///
-    /// # Errors
-    ///
-    /// Fails if power was already lost.
-    pub fn crash(&self) -> libpax::Result<PmPool> {
-        let mut inner = self.inner.lock();
-        let mut state = inner.state.take().ok_or(PaxError::Pm(PmError::Crashed))?;
-        state.pool.crash();
-        Ok(state.pool)
-    }
-
-    fn check(&self, addr: u64, len: usize) -> libpax::Result<()> {
-        if addr.checked_add(len as u64).is_none_or(|e| e > self.capacity) {
-            return Err(PaxError::OutOfMemory {
-                requested: addr.saturating_add(len as u64),
-                capacity: self.capacity,
-            });
+    fn store(
+        &mut self,
+        pm: &mut Pm,
+        line: LineAddr,
+        off: usize,
+        data: &[u8],
+    ) -> libpax::Result<()> {
+        // First touch per page: one remap trap, no page-sized logging.
+        if self.pages.insert(line.page()) {
+            pm.costs.traps += 1;
         }
-        Ok(())
+        // First touch per line: PAX-style 64 B undo entry, logged
+        // asynchronously (no SFENCE charged to the application).
+        if self.lines.insert(line) {
+            let old = pm.read(line)?;
+            pm.log(line, old)?;
+        }
+        pm.store(line, off, data)
+    }
+
+    /// Models asynchronous draining: a bounded pump after each store,
+    /// which may write a partly filled block so the entries it covers
+    /// become durable without waiting for the block to fill.
+    fn after_write(&mut self, pm: &mut Pm) -> libpax::Result<()> {
+        pm.pump(PUMP_BATCH)
     }
 }
 
-impl MemSpace for HybridSpace {
-    fn read_bytes(&self, addr: u64, buf: &mut [u8]) -> libpax::Result<()> {
-        self.check(addr, buf.len())?;
-        let mut inner = self.inner.lock();
-        let Inner { state, costs, .. } = &mut *inner;
-        let state = state.as_mut().ok_or(PaxError::Pm(PmError::Crashed))?;
-        let mut done = 0;
-        let mut cur = addr;
-        while done < buf.len() {
-            let vline = LineAddr::from_byte_addr(cur);
-            let off = (cur - vline.byte_addr()) as usize;
-            let n = (LINE_SIZE - off).min(buf.len() - done);
-            let abs = state.pool.layout().vpm_to_pool(vline.0)?;
-            costs.pm_reads += 1;
-            let line = state.pool.read_line(abs)?;
-            buf[done..done + n].copy_from_slice(line.read_at(off, n));
-            done += n;
-            cur += n as u64;
-        }
-        Ok(())
-    }
-
-    fn write_bytes(&self, addr: u64, data: &[u8]) -> libpax::Result<()> {
-        self.check(addr, data.len())?;
-        let mut inner = self.inner.lock();
-        let Inner { state, costs, .. } = &mut *inner;
-        let state = state.as_mut().ok_or(PaxError::Pm(PmError::Crashed))?;
-        let mut done = 0;
-        let mut cur = addr;
-        while done < data.len() {
-            let vline = LineAddr::from_byte_addr(cur);
-            let page = vline.page();
-
-            // First touch per page: one remap trap, no page-sized logging.
-            if state.touched_pages.insert(page) {
-                costs.traps += 1;
-            }
-            // First touch per line: PAX-style 64 B undo entry, logged
-            // asynchronously (no SFENCE charged to the application).
-            if state.logged_lines.insert(vline) {
-                let abs = state.pool.layout().vpm_to_pool(vline.0)?;
-                let old = state.pool.read_line(abs)?;
-                costs.pm_reads += 1;
-                state.log.append(UndoEntry::single(state.epoch, vline, old))?;
-                costs.log_bytes += 128;
-                costs.pm_write_bytes += 128;
-            }
-
-            let off = (cur - vline.byte_addr()) as usize;
-            let n = (LINE_SIZE - off).min(data.len() - done);
-            let abs = state.pool.layout().vpm_to_pool(vline.0)?;
-            let mut line = state.pool.read_line(abs)?;
-            costs.pm_reads += 1;
-            line.write_at(off, &data[done..done + n]);
-            state.pool.write_line(abs, line)?;
-            costs.pm_write_bytes += LINE_SIZE as u64;
-            costs.app_write_bytes += n as u64;
-            done += n;
-            cur += n as u64;
-        }
-        // Model asynchronous draining: a bounded pump after each store,
-        // which may write a partly filled block so the entries it covers
-        // become durable without waiting for the block to fill.
-        let Inner { state, background_pump_batch, .. } = &mut *inner;
-        if *background_pump_batch > 0 {
-            if let Some(state) = state.as_mut() {
-                let target = state.log.appended();
-                state
-                    .log
-                    .pump_to(&mut state.pool, &state.clock, target, *background_pump_batch)
-                    .map_err(PaxError::from)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.capacity
-    }
-}
-
-impl Costed for HybridSpace {
-    fn costs(&self) -> CostReport {
-        self.inner.lock().costs
-    }
+logging_space! {
+    /// A [`MemSpace`](libpax::MemSpace) combining page-fault mapping with
+    /// line-granularity PAX tracking (see module docs). Opening a pool
+    /// rolls back any uncommitted epoch.
+    HybridSpace(Hybrid), epochs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Costed;
+    use libpax::MemSpace;
+    use pax_device::UndoLog;
+    use pax_pm::{PoolConfig, LINE_SIZE};
 
     #[test]
     fn trap_per_page_log_per_line() {
@@ -264,23 +98,17 @@ mod tests {
     }
 
     #[test]
-    fn pump_batch_is_configurable() {
-        // Default batch drains incrementally as stores arrive.
+    fn the_log_drains_in_the_background() {
         let s = HybridSpace::create(PoolConfig::small()).unwrap();
         for i in 0..8u64 {
             s.write_u64(i * LINE_SIZE as u64, i).unwrap();
         }
-        assert!(s.log_durable_entries().unwrap() > 0, "default batch drains in the background");
-
-        // Batch 0 defers every entry to persist().
-        let deferred =
-            HybridSpace::create(PoolConfig::small()).unwrap().with_background_pump_batch(0);
-        for i in 0..8u64 {
-            deferred.write_u64(i * LINE_SIZE as u64, i).unwrap();
-        }
-        assert_eq!(deferred.log_durable_entries().unwrap(), 0, "batch 0 must not drain");
-        deferred.persist().unwrap();
-        assert_eq!(deferred.log_durable_entries().unwrap(), 8, "persist flushes everything");
+        // No persist: whatever is on media was pumped after a store.
+        let mut pool = s.crash().unwrap();
+        let durable = UndoLog::scan(&mut pool).unwrap();
+        assert!(!durable.is_empty(), "stores drain the log in the background");
+        assert!(durable.iter().all(|(_, e)| e.epoch == 1));
+        assert_eq!(pool.committed_epoch().unwrap(), 0);
     }
 
     #[test]
