@@ -522,7 +522,7 @@ impl UndoLog {
 
     /// Header and pre-image lines issued so far — the
     /// `log_lines_written` counter.
-    pub(crate) fn lines_written(&self) -> u64 {
+    pub fn lines_written(&self) -> u64 {
         self.lines_written.load(Ordering::Relaxed)
     }
 
