@@ -41,8 +41,7 @@
 //! * [`pool`] — [`PaxPool`]: wires a [`PmPool`](pax_pm::PmPool) to a
 //!   [`PaxDevice`](pax_device::PaxDevice) and a host of per-core caches
 //!   ([`SharedComplex`](pax_cache::SharedComplex), one core by default),
-//!   exposes `persist()`, crash/reopen for tests, and optional miss-rate
-//!   instrumentation.
+//!   exposes `persist()` and crash/reopen for tests.
 //! * [`structures`] — volatile-style collections ([`PHashMap`], [`PVec`],
 //!   [`PList`]) generic over any [`MemSpace`].
 //! * [`snapshotter`] — the Listing 1 façade: [`HwSnapshotter`] +

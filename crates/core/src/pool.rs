@@ -30,10 +30,7 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use pax_cache::{
-    CacheConfig, CacheStats, ComplexStats, Hierarchy, HierarchyConfig, HierarchyStats,
-    SharedComplex,
-};
+use pax_cache::{CacheConfig, CacheStats, ComplexStats, SharedComplex};
 use pax_device::{even_split, DeviceConfig, DeviceMetrics, PaxDevice, RecoveryReport, TenantId};
 use pax_pm::{CrashClock, LineAddr, PersistencyModel, PmError, PmPool, PoolConfig, LINE_SIZE};
 use pax_telemetry::{MetricSet, MetricSnapshot, TelemetrySnapshot, TraceBuf};
@@ -51,9 +48,6 @@ pub struct PaxConfig {
     pub device: DeviceConfig,
     /// Geometry of each host core's private cache.
     pub cache: CacheConfig,
-    /// Attach a tag-only L1/L2/LLC instrument for miss-rate measurement
-    /// (Fig. 2a methodology); `None` skips the overhead.
-    pub instrument: Option<HierarchyConfig>,
     /// Host cores, each with a private cache kept coherent with its
     /// peers by core-to-core transfers (§3.5) — access them through
     /// [`PaxPool::vpm_for_core`].
@@ -85,12 +79,6 @@ impl PaxConfig {
     /// Returns the config with a different host-cache geometry.
     pub fn with_cache(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
-        self
-    }
-
-    /// Returns the config with miss-rate instrumentation enabled.
-    pub fn with_instrumentation(mut self, h: HierarchyConfig) -> Self {
-        self.instrument = Some(h);
         self
     }
 
@@ -133,7 +121,6 @@ impl Default for PaxConfig {
             pool: PoolConfig::small(),
             device: DeviceConfig::default(),
             cache: CacheConfig::tiny(64 << 10, 8),
-            instrument: None,
             cores: 1,
             auto_persist_on_log_full: false,
             tenants: 1,
@@ -148,11 +135,10 @@ impl Default for PaxConfig {
 struct PostCrash {
     trace: TraceBuf,
     /// Final snapshots in full stack order: `host_cache`,
-    /// `core_complex`, instrumentation, `cxl`, `device`, `media`.
+    /// `core_complex`, `cxl`, `device`, `media`.
     components: Vec<MetricSnapshot>,
     cache_stats: CacheStats,
     complex_stats: ComplexStats,
-    hier_stats: Option<HierarchyStats>,
 }
 
 /// The running machine: everything that dies at power loss.
@@ -160,10 +146,6 @@ struct PostCrash {
 struct Engine {
     device: PaxDevice,
     host: SharedComplex,
-    /// Tag-only miss-rate instrument; its own lock because it is pure
-    /// telemetry — it must not serialize the access path it measures
-    /// beyond its own bookkeeping.
-    hier: Option<Mutex<Hierarchy>>,
 }
 
 #[derive(Debug)]
@@ -237,19 +219,14 @@ impl PaxPool {
     ///
     /// # Errors
     ///
-    /// Returns a config error for a host of zero cores, a host cache or
-    /// instrument level that cannot hold one full set, or a device of
-    /// zero tenants, and propagates recovery/media errors.
+    /// Returns a config error for a host of zero cores, a host cache that
+    /// cannot hold one full set, or a device of zero tenants, and
+    /// propagates recovery/media errors.
     pub fn open(pool: PmPool, config: PaxConfig) -> Result<Self> {
         if config.cores == 0 {
             return Err(PaxError::Pm(PmError::Config("a host needs at least one core".into())));
         }
         check_geometry("host cache", config.cache)?;
-        if let Some(h) = config.instrument {
-            check_geometry("instrument L1", h.l1)?;
-            check_geometry("instrument L2", h.l2)?;
-            check_geometry("instrument LLC", h.llc)?;
-        }
         let vpm_bytes = pool.layout().data_lines * LINE_SIZE as u64;
         let regions = even_split(pool.layout().data_lines, config.tenants);
         let device = PaxDevice::open_multi(pool, config.device, regions)?;
@@ -258,7 +235,6 @@ impl PaxPool {
                 engine: RwLock::new(Some(Engine {
                     device,
                     host: SharedComplex::new(config.cores, config.cache),
-                    hier: config.instrument.map(|h| Mutex::new(Hierarchy::new(h))),
                 })),
                 post_crash: Mutex::new(None),
                 auto_persist_on_log_full: config.auto_persist_on_log_full,
@@ -461,26 +437,22 @@ impl PaxPool {
     /// Returns the crash error if power was already lost.
     pub fn crash(&self) -> Result<PmPool> {
         let mut engine = self.inner.engine.write();
-        let Engine { device, host, hier } = engine.take().ok_or(PaxError::Pm(PmError::Crashed))?;
+        let Engine { device, host } = engine.take().ok_or(PaxError::Pm(PmError::Crashed))?;
         // Host-cache contents die with power. Note that eADR would flush
         // dirty lines *to the device* — whose buffers are equally volatile
         // — so under PAX even eADR does not move the recovery point: it is
         // always the last committed epoch.
         host.crash(pax_pm::PersistenceDomain::Adr, &mut NullHome)
             .expect("discarding cache state cannot fail");
-        let mut components = vec![host.cache_metrics(), host.metrics()];
-        if let Some(h) = &hier {
-            components.push(h.lock().metrics());
-        }
-        components.push(Self::link_snapshot(&device.metrics()));
+        let mut components =
+            vec![host.cache_metrics(), host.metrics(), Self::link_snapshot(&device.metrics())];
         let cache_stats = host.core_stats(0);
         let complex_stats = host.stats();
-        let hier_stats = hier.as_ref().map(|h| h.lock().stats());
         let (pm, trace, device_snapshot) = device.crash_into_parts();
         components.push(device_snapshot);
         components.push(pm.media_metrics());
         *self.inner.post_crash.lock() =
-            Some(PostCrash { trace, components, cache_stats, complex_stats, hier_stats });
+            Some(PostCrash { trace, components, cache_stats, complex_stats });
         Ok(pm)
     }
 
@@ -527,14 +499,6 @@ impl PaxPool {
         }
     }
 
-    /// Miss-rate instrumentation counters, if enabled.
-    pub fn hierarchy_stats(&self) -> Option<HierarchyStats> {
-        match self.inner.engine.read().as_ref() {
-            Some(e) => e.hier.as_ref().map(|h| h.lock().stats()),
-            None => self.inner.post_crash.lock().as_ref().and_then(|pc| pc.hier_stats),
-        }
-    }
-
     /// The implied CXL link traffic of the host↔device path, derived from
     /// the device's request counters — the only record of link traffic
     /// (`messages`, `data_bytes`): every request earns a response, and
@@ -554,8 +518,7 @@ impl PaxPool {
 
     /// One cross-layer snapshot of every component's metric registry, in
     /// stack order: `host_cache` (every core's caches summed),
-    /// `core_complex`, `cache_hierarchy` when configured, `cxl`, `device`,
-    /// `media`.
+    /// `core_complex`, `cxl`, `device`, `media`.
     ///
     /// Works after a crash too: [`PaxPool::crash`] stashes every
     /// component's final snapshot, so post-mortem accounting (e.g. "how
@@ -563,16 +526,13 @@ impl PaxPool {
     /// working while accesses fail.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         match self.inner.engine.read().as_ref() {
-            Some(e) => {
-                let mut components = vec![e.host.cache_metrics(), e.host.metrics()];
-                if let Some(h) = &e.hier {
-                    components.push(h.lock().metrics());
-                }
-                components.push(Self::link_snapshot(&e.device.metrics()));
-                components.push(e.device.metric_snapshot());
-                components.push(e.device.media_metrics());
-                TelemetrySnapshot::new(components)
-            }
+            Some(e) => TelemetrySnapshot::new(vec![
+                e.host.cache_metrics(),
+                e.host.metrics(),
+                Self::link_snapshot(&e.device.metrics()),
+                e.device.metric_snapshot(),
+                e.device.media_metrics(),
+            ]),
             None => TelemetrySnapshot::new(
                 self.inner
                     .post_crash
@@ -784,9 +744,6 @@ impl MemSpace for VPm {
         let e = live(&engine)?;
         let mut done = 0;
         for (line, off, n) in Self::pieces(self.base_bytes + addr, buf.len()) {
-            if let Some(h) = &e.hier {
-                h.lock().access(line);
-            }
             let data = e.host.read(self.core, line, &mut &e.device)?;
             buf[done..done + n].copy_from_slice(data.read_at(off, n));
             done += n;
@@ -800,9 +757,6 @@ impl MemSpace for VPm {
         let e = live(&engine)?;
         let mut done = 0;
         for (line, off, n) in Self::pieces(self.base_bytes + addr, data.len()) {
-            if let Some(h) = &e.hier {
-                h.lock().access(line);
-            }
             let store_line = || {
                 let mut home = &e.device;
                 let bytes = &data[done..done + n];
@@ -913,18 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn instrumentation_counts_accesses() {
-        let config = PaxConfig::default().with_instrumentation(HierarchyConfig::c6420());
-        let pool = PaxPool::create(config).unwrap();
-        let vpm = pool.vpm();
-        vpm.write_u64(0, 1).unwrap();
-        vpm.read_u64(0).unwrap();
-        let stats = pool.hierarchy_stats().unwrap();
-        assert!(stats.total_accesses() >= 2);
-        assert!(PaxPool::create(PaxConfig::default()).unwrap().hierarchy_stats().is_none());
-    }
-
-    #[test]
     fn map_file_round_trip() {
         let dir = std::env::temp_dir().join("libpax-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1024,8 +966,8 @@ mod tests {
         assert!(pool.persist().is_err());
     }
 
-    /// A zero-core host, or a host cache or instrument level with no ways
-    /// or too small for one full set, is a typed config error, whether it
+    /// A zero-core host, or a host cache with no ways or too small for
+    /// one full set, is a typed config error, whether it
     /// comes from the builder or a struct literal — never a panic, never
     /// a silent single core.
     #[test]
@@ -1036,14 +978,6 @@ mod tests {
             PaxConfig::default().with_cache(CacheConfig::tiny(4 << 10, 0)),
             PaxConfig::default().with_cache(CacheConfig::tiny(0, 8)),
             PaxConfig::default().with_cores(3).with_cache(CacheConfig::tiny(7 * 64, 8)),
-            PaxConfig::default().with_instrumentation(HierarchyConfig {
-                l2: CacheConfig::tiny(4 << 10, 0),
-                ..HierarchyConfig::c6420()
-            }),
-            PaxConfig::default().with_instrumentation(HierarchyConfig {
-                l1: CacheConfig::tiny(0, 8),
-                ..HierarchyConfig::c6420()
-            }),
         ] {
             let err = PaxPool::create(config).unwrap_err();
             assert!(matches!(err, PaxError::Pm(PmError::Config(_))), "{err}");
