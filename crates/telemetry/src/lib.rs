@@ -33,4 +33,4 @@ pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricSet, MetricSnapshot, TelemetrySnapshot,
 };
 pub use report::Report;
-pub use trace::{SimClock, TraceBuf, TraceEvent, TraceRecord, TraceScope};
+pub use trace::{TraceBuf, TraceEvent, TraceRecord};

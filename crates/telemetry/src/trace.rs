@@ -1,32 +1,9 @@
-//! Bounded structured trace buffer with a global simulation sequence.
+//! Bounded structured trace buffer; each buffer numbers its own records.
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::Json;
-
-static SIM_SEQUENCE: AtomicU64 = AtomicU64::new(0);
-
-/// Process-global monotonic event sequence.
-///
-/// Every trace record is stamped from one shared counter, so events from
-/// different components (and different pools running in the same test
-/// process) are totally ordered without any clock plumbing. Sequence
-/// numbers are unique and increasing; they are not timestamps.
-pub struct SimClock;
-
-impl SimClock {
-    /// Stamps and returns the next sequence number.
-    pub fn tick() -> u64 {
-        SIM_SEQUENCE.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// The next sequence number that [`SimClock::tick`] would return.
-    pub fn now() -> u64 {
-        SIM_SEQUENCE.load(Ordering::Relaxed)
-    }
-}
 
 /// One structured event in the life of the simulated stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,9 +133,10 @@ impl TraceEvent {
 /// A sequenced, attributed trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Sequence number: the global [`SimClock`]'s for a record made by
-    /// [`TraceBuf::record`], the producer's own for one handed over
-    /// through [`TraceBuf::from_records`].
+    /// Sequence number: the buffer's count of records made before this
+    /// one by [`TraceBuf::record`], or the producer's own for one handed
+    /// over through [`TraceBuf::from_records`]. Unique and increasing
+    /// within a buffer; not a timestamp.
     pub seq: u64,
     /// Component that emitted the event (e.g. `"device"`).
     pub component: Cow<'static, str>,
@@ -206,12 +184,14 @@ pub struct TraceBuf {
     capacity: usize,
     records: VecDeque<TraceRecord>,
     dropped: u64,
+    /// The seq [`TraceBuf::record`] stamps next.
+    next_seq: u64,
 }
 
 impl TraceBuf {
     /// An enabled buffer retaining the most recent `capacity` events.
     pub fn new(capacity: usize) -> Self {
-        TraceBuf { capacity, records: VecDeque::new(), dropped: 0 }
+        TraceBuf { capacity, ..TraceBuf::default() }
     }
 
     /// A buffer retaining `records` (oldest first, already sequenced),
@@ -226,7 +206,8 @@ impl TraceBuf {
         let mut records: VecDeque<TraceRecord> = records.into_iter().collect();
         let excess = records.len().saturating_sub(capacity);
         records.drain(..excess);
-        TraceBuf { capacity, records, dropped: dropped + excess as u64 }
+        let next_seq = records.back().map_or(0, |r| r.seq + 1);
+        TraceBuf { capacity, records, dropped: dropped + excess as u64, next_seq }
     }
 
     /// A buffer that discards everything (capacity 0).
@@ -259,7 +240,8 @@ impl TraceBuf {
         self.dropped
     }
 
-    /// Stamps `event` with the next [`SimClock`] sequence and retains it.
+    /// Stamps `event` with the buffer's next sequence number and
+    /// retains it.
     pub fn record(&mut self, component: &'static str, event: TraceEvent) {
         if self.capacity == 0 {
             return;
@@ -268,17 +250,9 @@ impl TraceBuf {
             self.records.pop_front();
             self.dropped += 1;
         }
-        self.records.push_back(TraceRecord {
-            seq: SimClock::tick(),
-            component: Cow::Borrowed(component),
-            event,
-        });
-    }
-
-    /// A recording handle bound to one component name, so emit sites
-    /// don't repeat it.
-    pub fn scope(&mut self, component: &'static str) -> TraceScope<'_> {
-        TraceScope { buf: self, component }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.records.push_back(TraceRecord { seq, component: Cow::Borrowed(component), event });
     }
 
     /// Retained records, oldest first.
@@ -306,30 +280,9 @@ impl TraceBuf {
     }
 }
 
-/// A [`TraceBuf`] handle pre-bound to one component name.
-pub struct TraceScope<'a> {
-    buf: &'a mut TraceBuf,
-    component: &'static str,
-}
-
-impl TraceScope<'_> {
-    /// Records `event` under this scope's component.
-    pub fn emit(&mut self, event: TraceEvent) {
-        self.buf.record(self.component, event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sim_clock_is_strictly_increasing() {
-        let a = SimClock::tick();
-        let b = SimClock::tick();
-        assert!(b > a);
-        assert!(SimClock::now() > b);
-    }
 
     #[test]
     fn wraparound_keeps_newest_and_counts_dropped() {
@@ -347,16 +300,21 @@ mod tests {
             })
             .collect();
         assert_eq!(lines, vec![2, 3, 4, 5], "oldest events evicted first");
+        let seqs: Vec<u64> = buf.records().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![2, 3, 4, 5], "evicted records keep their numbers");
     }
 
     #[test]
-    fn event_ordering_follows_sim_clock() {
+    fn seq_counts_the_buffers_own_records() {
         let mut buf = TraceBuf::new(16);
+        let mut other = TraceBuf::new(16);
         buf.record("cache", TraceEvent::Coherence { op: "rd_own".into(), line: 1 });
+        other.record("dev", TraceEvent::WriteBack { line: 1 });
         buf.record("dev", TraceEvent::LogAppend { epoch: 0, line: 1 });
         buf.record("dev", TraceEvent::EpochCommit { epoch: 0, entries: 1 });
         let seqs: Vec<u64> = buf.records().map(|r| r.seq).collect();
-        assert!(seqs.windows(2).all(|w| w[0] < w[1]), "seq strictly increases: {seqs:?}");
+        assert_eq!(seqs, vec![0, 1, 2], "another buffer's records take no numbers");
+        assert_eq!(other.records().next().unwrap().seq, 0);
     }
 
     #[test]
@@ -370,6 +328,9 @@ mod tests {
         let seqs: Vec<u64> = buf.records().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![2, 3, 4, 5]);
         assert_eq!(buf.dropped(), 5, "the 3 handed over plus the 2 trimmed");
+        let mut buf = buf;
+        buf.record("dev", TraceEvent::Crash { epoch: 1 });
+        assert_eq!(buf.records().last().unwrap().seq, 6, "numbering continues the producer's");
     }
 
     #[test]
@@ -402,12 +363,5 @@ mod tests {
             "{\"seq\":1,\"component\":\"dev\",\"type\":\"warp_core_breach\"}\n",
         );
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn scope_attributes_events_to_its_component() {
-        let mut buf = TraceBuf::new(4);
-        buf.scope("pm").emit(TraceEvent::WriteBack { line: 1 });
-        assert_eq!(buf.records().next().unwrap().component, "pm");
     }
 }
