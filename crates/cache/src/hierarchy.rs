@@ -9,7 +9,7 @@
 //! can drive both without the instrument perturbing correctness.
 
 use pax_pm::LineAddr;
-use pax_telemetry::{Counter, MetricSet, MetricSnapshot};
+use pax_telemetry::{Counter, MetricSet};
 
 use crate::cache::CacheConfig;
 use crate::set::SetAssoc;
@@ -186,11 +186,6 @@ impl Hierarchy {
     /// Cumulative per-level statistics.
     pub fn stats(&self) -> HierarchyStats {
         self.ctr.view(&self.metrics)
-    }
-
-    /// Snapshot of the hierarchy's metric registry.
-    pub fn metrics(&self) -> MetricSnapshot {
-        self.metrics.snapshot()
     }
 
     /// Classifies one access to `addr` and updates tag state.
