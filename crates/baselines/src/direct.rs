@@ -10,7 +10,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use libpax::{MemSpace, PaxError};
-use pax_pm::{CacheLine, Memory, PersistenceDomain, PmMedia, LINE_SIZE};
+use pax_pm::{CacheLine, PmMedia, LINE_SIZE};
 
 use crate::costs::{CostReport, Costed};
 use crate::engine::{check, lines};
@@ -29,19 +29,19 @@ pub struct DirectPmSpace {
 }
 
 impl DirectPmSpace {
-    /// A direct-PM space of `capacity_bytes` under ADR.
+    /// A direct-PM space of `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
         DirectPmSpace {
             inner: Arc::new(Mutex::new(Inner {
-                media: PmMedia::new(capacity_bytes, PersistenceDomain::Adr),
+                media: PmMedia::new(capacity_bytes),
                 costs: CostReport::default(),
             })),
             capacity: capacity_bytes as u64,
         }
     }
 
-    /// Simulates power loss (ADR: queued writes drain; nothing else
-    /// happens — there is no recovery mechanism to run).
+    /// Simulates power loss (every write already reached media; there
+    /// is no recovery mechanism to run).
     pub fn crash(&self) {
         self.inner.lock().media.crash();
     }

@@ -19,10 +19,10 @@
 //!   the current value, which is how `persist()` collects lines the CPU
 //!   modified but never evicted (§3.3).
 //!
-//! A crash ([`CoherentCache::crash`]) discards all dirty lines unless the
-//! persistence domain is eADR — the precise hazard the paper's §1 sets up.
+//! A crash ([`CoherentCache::crash`]) discards all dirty lines — the
+//! precise hazard the paper's §1 sets up.
 
-use pax_pm::{CacheLine, LineAddr, Memory, PersistenceDomain, Result};
+use pax_pm::{CacheLine, LineAddr, PmMedia, Result};
 use pax_telemetry::{Counter, MetricSet, MetricSnapshot};
 
 use crate::mesi::MesiState;
@@ -82,7 +82,7 @@ pub struct CacheStats {
     pub snoop_hits: u64,
     /// Snoops that found nothing.
     pub snoop_misses: u64,
-    /// Dirty lines lost to a crash (not eADR).
+    /// Dirty lines lost to a crash.
     pub dirty_lines_lost: u64,
 }
 
@@ -163,36 +163,36 @@ pub trait HomeAgent {
     fn dirty_evict(&mut self, addr: LineAddr, data: CacheLine) -> Result<()>;
 }
 
-/// A plain memory controller fronting a [`Memory`] medium — the home agent
-/// for non-vPM address ranges (DRAM, or PM accessed directly without PAX).
+/// A plain memory controller fronting a [`PmMedia`] — the home agent for
+/// PM accessed directly, without PAX.
 #[derive(Debug)]
-pub struct MemoryHome<M> {
-    memory: M,
+pub struct MemoryHome {
+    memory: PmMedia,
 }
 
-impl<M: Memory> MemoryHome<M> {
+impl MemoryHome {
     /// Wraps a medium in a pass-through home agent.
-    pub fn new(memory: M) -> Self {
+    pub fn new(memory: PmMedia) -> Self {
         MemoryHome { memory }
     }
 
     /// Shared access to the underlying medium.
-    pub fn memory(&self) -> &M {
+    pub fn memory(&self) -> &PmMedia {
         &self.memory
     }
 
     /// Mutable access to the underlying medium (tests crash it, etc.).
-    pub fn memory_mut(&mut self) -> &mut M {
+    pub fn memory_mut(&mut self) -> &mut PmMedia {
         &mut self.memory
     }
 
     /// Unwraps the home agent.
-    pub fn into_inner(self) -> M {
+    pub fn into_inner(self) -> PmMedia {
         self.memory
     }
 }
 
-impl<M: Memory> HomeAgent for MemoryHome<M> {
+impl HomeAgent for MemoryHome {
     fn read_shared(&mut self, addr: LineAddr) -> Result<CacheLine> {
         self.memory.read_line(addr)
     }
@@ -384,54 +384,26 @@ impl CoherentCache {
         }
     }
 
-    /// Writes back every dirty line and drops everything (a full cache
-    /// flush, e.g. `wbinvd` or an eADR power-loss flush).
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures.
-    pub fn flush_all(&mut self, home: &mut impl HomeAgent) -> Result<()> {
-        for (addr, l) in self.lines.drain_all() {
-            if l.state.is_dirty() {
-                self.metrics.inc(self.ctr.dirty_evictions);
-                home.dirty_evict(addr, l.data)?;
-            } else {
-                self.metrics.inc(self.ctr.clean_evictions);
-                home.clean_evict(addr);
-            }
-        }
-        Ok(())
-    }
-
-    /// Simulates power loss. Under eADR dirty lines are flushed to `home`
-    /// first (the platform guarantees it); otherwise they are lost.
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures during an eADR flush.
-    pub fn crash(&mut self, domain: PersistenceDomain, home: &mut impl HomeAgent) -> Result<()> {
-        if domain.cpu_caches_survive() {
-            return self.flush_all(home);
-        }
+    /// Simulates power loss: every line is dropped, and the dirty ones
+    /// (never written back) are lost.
+    pub fn crash(&mut self) {
         let lost = self.lines.iter().filter(|(_, l)| l.state.is_dirty()).count();
         self.metrics.add(self.ctr.dirty_lines_lost, lost as u64);
         self.lines.clear();
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_pm::{DramMedia, PmMedia};
 
-    fn dram_home(bytes: usize) -> MemoryHome<DramMedia> {
-        MemoryHome::new(DramMedia::new(bytes))
+    fn pm_home(bytes: usize) -> MemoryHome {
+        MemoryHome::new(PmMedia::new(bytes))
     }
 
     #[test]
     fn read_miss_then_hit() {
-        let mut home = dram_home(1 << 16);
+        let mut home = pm_home(1 << 16);
         let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
         c.read(LineAddr(1), &mut home).unwrap();
         c.read(LineAddr(1), &mut home).unwrap();
@@ -442,7 +414,7 @@ mod tests {
 
     #[test]
     fn write_to_shared_upgrades_once() {
-        let mut home = dram_home(1 << 16);
+        let mut home = pm_home(1 << 16);
         let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
         c.read(LineAddr(2), &mut home).unwrap(); // install in S
         c.write(LineAddr(2), CacheLine::filled(1), &mut home).unwrap(); // upgrade
@@ -454,7 +426,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_reaches_memory() {
-        let mut home = dram_home(1 << 20);
+        let mut home = pm_home(1 << 20);
         // 1 set × 1 way: any second line evicts the first.
         let mut c = CoherentCache::new(CacheConfig::tiny(64, 1));
         c.write(LineAddr(0), CacheLine::filled(9), &mut home).unwrap();
@@ -465,7 +437,7 @@ mod tests {
 
     #[test]
     fn snoop_shared_returns_data_and_downgrades() {
-        let mut home = dram_home(1 << 16);
+        let mut home = pm_home(1 << 16);
         let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
         c.write(LineAddr(3), CacheLine::filled(5), &mut home).unwrap();
         let data = c.snoop_shared(LineAddr(3)).unwrap();
@@ -479,7 +451,7 @@ mod tests {
 
     #[test]
     fn snoop_invalidate_returns_dirty_data_only() {
-        let mut home = dram_home(1 << 16);
+        let mut home = pm_home(1 << 16);
         let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
         c.write(LineAddr(1), CacheLine::filled(1), &mut home).unwrap();
         assert_eq!(c.snoop_invalidate(LineAddr(1)), Some(CacheLine::filled(1)));
@@ -493,34 +465,13 @@ mod tests {
 
     #[test]
     fn crash_without_eadr_loses_dirty_lines() {
-        let mut pm = MemoryHome::new(PmMedia::new(1 << 16, PersistenceDomain::Adr));
+        let mut pm = pm_home(1 << 16);
         let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
         c.write(LineAddr(0), CacheLine::filled(7), &mut pm).unwrap();
-        c.crash(PersistenceDomain::Adr, &mut pm).unwrap();
+        c.crash();
         assert_eq!(c.stats().dirty_lines_lost, 1);
         pm.memory_mut().crash();
         // The store never reached PM: this is the §1 inconsistency hazard.
         assert_eq!(pm.memory_mut().read_line(LineAddr(0)).unwrap(), CacheLine::zeroed());
-    }
-
-    #[test]
-    fn crash_with_eadr_flushes_dirty_lines() {
-        let mut pm = MemoryHome::new(PmMedia::new(1 << 16, PersistenceDomain::Eadr));
-        let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
-        c.write(LineAddr(0), CacheLine::filled(7), &mut pm).unwrap();
-        c.crash(PersistenceDomain::Eadr, &mut pm).unwrap();
-        pm.memory_mut().crash();
-        assert_eq!(pm.memory_mut().read_line(LineAddr(0)).unwrap(), CacheLine::filled(7));
-    }
-
-    #[test]
-    fn flush_all_empties_cache_and_persists() {
-        let mut home = dram_home(1 << 16);
-        let mut c = CoherentCache::new(CacheConfig::tiny(4096, 4));
-        c.write(LineAddr(0), CacheLine::filled(1), &mut home).unwrap();
-        c.read(LineAddr(1), &mut home).unwrap();
-        c.flush_all(&mut home).unwrap();
-        assert_eq!((c.state_of(LineAddr(0)), c.state_of(LineAddr(1))), (None, None));
-        assert_eq!(home.memory_mut().read_line(LineAddr(0)).unwrap(), CacheLine::filled(1));
     }
 }

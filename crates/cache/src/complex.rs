@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use pax_pm::{CacheLine, LineAddr, PersistenceDomain, Result};
+use pax_pm::{CacheLine, LineAddr, Result};
 use pax_telemetry::{Counter, MetricSet, MetricSnapshot};
 
 use crate::cache::{CacheConfig, CacheStats, CoherentCache, HomeAgent};
@@ -302,16 +302,12 @@ impl SharedComplex {
         self.cores[core].lock().write(addr, data, home)
     }
 
-    /// Simulates power loss across all cores.
-    ///
-    /// # Errors
-    ///
-    /// Propagates home-agent failures during an eADR flush.
-    pub fn crash(&self, domain: PersistenceDomain, home: &mut impl HomeAgent) -> Result<()> {
+    /// Simulates power loss across all cores: every core's dirty lines
+    /// are lost.
+    pub fn crash(&self) {
         for c in &self.cores {
-            c.lock().crash(domain, home)?;
+            c.lock().crash();
         }
-        Ok(())
     }
 
     /// Downgrades every copy of `addr` to shared, one core lock at a
@@ -369,12 +365,12 @@ impl HostSnoop for &SharedComplex {
 mod tests {
     use super::*;
     use crate::cache::MemoryHome;
-    use pax_pm::{DramMedia, Memory};
+    use pax_pm::PmMedia;
 
-    fn setup(cores: usize) -> (SharedComplex, MemoryHome<DramMedia>) {
+    fn setup(cores: usize) -> (SharedComplex, MemoryHome) {
         (
             SharedComplex::new(cores, CacheConfig::tiny(4 << 10, 4)),
-            MemoryHome::new(DramMedia::new(1 << 20)),
+            MemoryHome::new(PmMedia::new(1 << 20)),
         )
     }
 
@@ -443,7 +439,7 @@ mod tests {
     #[test]
     fn shared_complex_snoops_match() {
         let sx = SharedComplex::new(4, CacheConfig::tiny(4 << 10, 4));
-        let mut home = MemoryHome::new(DramMedia::new(1 << 20));
+        let mut home = MemoryHome::new(PmMedia::new(1 << 20));
         sx.read(0, LineAddr(2), &mut home).unwrap();
         sx.write(3, LineAddr(2), CacheLine::filled(4), &mut home).unwrap();
         assert_eq!(sx.snoop_shared_all(LineAddr(2)), Some(CacheLine::filled(4)));
@@ -456,16 +452,16 @@ mod tests {
     fn shared_complex_threads_on_disjoint_lines() {
         use std::sync::Arc;
         // 4 real threads, each its own core and a disjoint line range over
-        // a shared DRAM home behind a mutex. Every thread's final stores
+        // a shared PM home behind a mutex. Every thread's final stores
         // must be visible afterwards and no cross-core traffic may appear.
         let sx = Arc::new(SharedComplex::new(4, CacheConfig::tiny(16 << 10, 4)));
-        let home = Arc::new(Mutex::new(MemoryHome::new(DramMedia::new(1 << 20))));
+        let home = Arc::new(Mutex::new(MemoryHome::new(PmMedia::new(1 << 20))));
         let mut handles = Vec::new();
         for core in 0..4usize {
             let sx = Arc::clone(&sx);
             let home = Arc::clone(&home);
             handles.push(std::thread::spawn(move || {
-                struct LockedHome(Arc<Mutex<MemoryHome<DramMedia>>>);
+                struct LockedHome(Arc<Mutex<MemoryHome>>);
                 impl HomeAgent for LockedHome {
                     fn read_shared(&mut self, addr: LineAddr) -> Result<CacheLine> {
                         self.0.lock().read_shared(addr)
@@ -516,8 +512,8 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let cx = SharedComplex::new(1, cfg);
             let mut bare = CoherentCache::new(cfg);
-            let mut cx_home = MemoryHome::new(DramMedia::new(LINES as usize * 64));
-            let mut bare_home = MemoryHome::new(DramMedia::new(LINES as usize * 64));
+            let mut cx_home = MemoryHome::new(PmMedia::new(LINES as usize * 64));
+            let mut bare_home = MemoryHome::new(PmMedia::new(LINES as usize * 64));
             for step in 0..400 {
                 let addr = LineAddr(rng.gen_range(0..LINES));
                 let at = format!("seed {seed}, step {step}");
@@ -544,10 +540,8 @@ mod tests {
                     ),
                 }
             }
-            let domain =
-                if seed % 2 == 0 { PersistenceDomain::Adr } else { PersistenceDomain::Eadr };
-            cx.crash(domain, &mut cx_home).unwrap();
-            bare.crash(domain, &mut bare_home).unwrap();
+            cx.crash();
+            bare.crash();
             assert_eq!(cx.core_stats(0), bare.stats(), "seed {seed}");
             assert_eq!(cx.stats(), ComplexStats::default(), "seed {seed}");
             assert_eq!(cx_home.memory().stats(), bare_home.memory().stats(), "seed {seed}");
@@ -567,7 +561,7 @@ mod tests {
         for core in 0..3 {
             cx.write(core, LineAddr(core as u64 + 10), CacheLine::filled(1), &mut home).unwrap();
         }
-        cx.crash(PersistenceDomain::Adr, &mut home).unwrap();
+        cx.crash();
         for core in 0..3 {
             assert_eq!(cx.core_stats(core).dirty_lines_lost, 1);
         }

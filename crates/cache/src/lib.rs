@@ -15,8 +15,8 @@
 //! * [`cache`] — the functional, data-carrying coherent cache
 //!   ([`CoherentCache`]): it holds real line contents, requests lines from
 //!   a [`HomeAgent`] on misses and upgrades, answers snoops, and loses its
-//!   dirty lines on crash (unless the platform has eADR). This is the
-//!   component whose behaviour makes crash consistency hard.
+//!   dirty lines on crash. This is the component whose behaviour makes
+//!   crash consistency hard.
 //! * [`complex`] — the host: [`SharedComplex`] keeps one [`CoherentCache`]
 //!   per core coherent with core-to-core transfers, for any core count,
 //!   and answers the device's persist snoops ([`HostSnoop`]).
@@ -32,9 +32,9 @@
 //! ```
 //! # fn main() -> pax_pm::Result<()> {
 //! use pax_cache::{CoherentCache, CacheConfig, MemoryHome};
-//! use pax_pm::{DramMedia, LineAddr};
+//! use pax_pm::{LineAddr, PmMedia};
 //!
-//! let mut home = MemoryHome::new(DramMedia::new(1 << 20));
+//! let mut home = MemoryHome::new(PmMedia::new(1 << 20));
 //! let mut cache = CoherentCache::new(CacheConfig::llc_c6420());
 //! let addr = LineAddr(7);
 //! let mut line = cache.read(addr, &mut home)?;

@@ -173,11 +173,6 @@ impl<T> SetAssoc<T> {
         (addr.0 % self.sets.len() as u64) as usize
     }
 
-    /// Number of lines currently resident.
-    pub(crate) fn len(&self) -> usize {
-        self.sets.iter().map(Ways::len).sum()
-    }
-
     /// Looks up `addr`, updating LRU order on hit.
     pub(crate) fn get_mut(&mut self, addr: LineAddr) -> Option<&mut T> {
         self.clock += 1;
@@ -214,15 +209,6 @@ impl<T> SetAssoc<T> {
     /// order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
         self.sets.iter().flat_map(Ways::iter)
-    }
-
-    /// Drains every resident line, leaving the array empty.
-    pub(crate) fn drain_all(&mut self) -> Vec<(LineAddr, T)> {
-        let mut out = Vec::with_capacity(self.len());
-        for set in &mut self.sets {
-            out.extend(set.0.drain(..).map(|w| (w.addr, w.payload)));
-        }
-        out
     }
 
     /// Removes every resident line without returning them.
@@ -312,9 +298,9 @@ mod tests {
         sa.insert(LineAddr(2), 2);
         assert_eq!(sa.remove(LineAddr(1)), Some(1));
         assert_eq!(sa.remove(LineAddr(1)), None);
-        let drained = sa.drain_all();
-        assert_eq!(drained, vec![(LineAddr(2), 2)]);
-        assert_eq!(sa.len(), 0);
+        assert_eq!(sa.iter().collect::<Vec<_>>(), vec![(LineAddr(2), &2)]);
+        sa.clear();
+        assert_eq!((sa.iter().count(), sa.peek(LineAddr(2))), (0, None));
     }
 
     #[test]

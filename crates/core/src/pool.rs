@@ -42,7 +42,7 @@ use crate::Result;
 /// Everything needed to build a PAX-backed pool.
 #[derive(Debug, Clone, Copy)]
 pub struct PaxConfig {
-    /// PM pool sizing and persistence domain.
+    /// PM pool sizing.
     pub pool: PoolConfig,
     /// PAX device tuning.
     pub device: DeviceConfig,
@@ -163,25 +163,6 @@ struct Inner {
 /// Live-engine projection of the read guard, or the crash error.
 fn live(engine: &Option<Engine>) -> Result<&Engine> {
     engine.as_ref().ok_or(PaxError::Pm(PmError::Crashed))
-}
-
-/// Sink for cache state discarded at a crash (nothing survives).
-struct NullHome;
-
-impl pax_cache::HomeAgent for NullHome {
-    fn read_shared(&mut self, addr: LineAddr) -> pax_pm::Result<pax_pm::CacheLine> {
-        Err(PmError::OutOfBounds { addr, capacity_lines: 0 })
-    }
-
-    fn read_own(&mut self, addr: LineAddr) -> pax_pm::Result<pax_pm::CacheLine> {
-        Err(PmError::OutOfBounds { addr, capacity_lines: 0 })
-    }
-
-    fn clean_evict(&mut self, _addr: LineAddr) {}
-
-    fn dirty_evict(&mut self, _addr: LineAddr, _data: pax_pm::CacheLine) -> pax_pm::Result<()> {
-        Ok(())
-    }
 }
 
 /// Rejects a cache geometry with no ways or too small for one full set
@@ -442,8 +423,7 @@ impl PaxPool {
         // dirty lines *to the device* — whose buffers are equally volatile
         // — so under PAX even eADR does not move the recovery point: it is
         // always the last committed epoch.
-        host.crash(pax_pm::PersistenceDomain::Adr, &mut NullHome)
-            .expect("discarding cache state cannot fail");
+        host.crash();
         let mut components =
             vec![host.cache_metrics(), host.metrics(), Self::link_snapshot(&device.metrics())];
         let cache_stats = host.core_stats(0);

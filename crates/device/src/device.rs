@@ -785,9 +785,9 @@ impl PaxDevice {
     /// epoch (lane by lane, in log order within each), send a `SnpData`
     /// snoop to the host cache, which downgrades the line and forwards
     /// its current value; (3) write every modified line back to PM;
-    /// (4) drain PM; (5) atomically commit the epoch number in `t`'s
-    /// header epoch slot. Other tenants' in-flight epochs are never
-    /// flushed, stalled, or committed.
+    /// (4) atomically commit the epoch number in `t`'s header epoch slot.
+    /// Other tenants' in-flight epochs are never flushed, stalled, or
+    /// committed.
     ///
     /// # Errors
     ///
@@ -832,7 +832,7 @@ impl PaxDevice {
     /// [`PaxDevice::persist_clwb`], which differ only in `mode` (the
     /// snoop opcode; see [`PaxDevice::sweep_lane`]): steps (1)–(3) of
     /// `persist_tenant`, after completing `t`'s earlier non-blocking
-    /// closes in order, then [`PaxDevice::retire_epoch`] for (4)–(5).
+    /// closes in order, then [`PaxDevice::retire_epoch`] for (4).
     /// Returns the committed epoch.
     ///
     /// # Errors
@@ -999,11 +999,11 @@ impl PaxDevice {
     }
 
     /// The one commit epilogue, shared by every close — the synchronous
-    /// barrier, the non-blocking drain and buffered retirement: drain PM,
-    /// atomically commit tenant `t`'s `epoch` into its header slot, free
-    /// the epoch's log slots (each of `t`'s banks up to its `flush_to`
-    /// offset, in phase order), rewind every bank that leaves empty, and
-    /// count and trace the commit.
+    /// barrier, the non-blocking drain and buffered retirement: atomically
+    /// commit tenant `t`'s `epoch` into its header slot, free the epoch's
+    /// log slots (each of `t`'s banks up to its `flush_to` offset, in
+    /// phase order), rewind every bank that leaves empty, and count and
+    /// trace the commit.
     ///
     /// # Errors
     ///
@@ -1011,10 +1011,10 @@ impl PaxDevice {
     /// recovery rolls the epoch back) and media errors.
     fn retire_epoch(&self, t: TenantId, epoch: u64, flush_to: &[u64], entries: u64) -> Result<()> {
         let mut pm = self.pool.lock();
-        // (4) Everything reaches media before the commit record.
-        pm.drain();
-        // (5) The atomic epoch commit — one record covers the tenant's
-        // lanes, and only that tenant's header slot moves.
+        // (4) The atomic epoch commit — one record covers the tenant's
+        // lanes, and only that tenant's header slot moves. Data writes
+        // precede it: writes reach media in program order between
+        // crash-clock ticks.
         tick(&self.clock, &mut pm)?;
         pm.commit_epoch_for(t, epoch)?;
         // The committed epoch's slots are free *now*, even while the next

@@ -104,20 +104,18 @@ pub fn recover_traced(pool: &mut PmPool, trace: &mut TraceBuf) -> Result<Recover
         );
         rollback_gap = rollback_gap.max(entry.epoch - tenant_committed);
     }
-    // The §3.4 SFENCE: rollback writes reach media before execution
-    // continues.
-    pool.drain();
+    // The §3.4 SFENCE needs no call here: each rollback write is durable
+    // once the pool accepts it, before execution continues.
     // The rolled-back entries must not outlive this recovery: the next
     // life reuses their epoch numbers, and once it commits one of them a
     // later recovery would take the stale entries for uncommitted work
     // and roll committed data back. Clearing their blocks' commit marks
-    // only after the rollback drained keeps recovery idempotent: a crash
+    // only after the rollback was written keeps recovery idempotent: a crash
     // in between leaves the rolled-back data plus entries that restore it
     // again. The marks clear in rollback order (newest epoch first), and
     // media keeps a prefix of its writes, so what a crash leaves valid is
     // the oldest epochs — whose pre-images are the ones that win anyway.
     UndoLog::invalidate(pool, slots)?;
-    pool.drain();
     Ok(RecoveryReport { committed_epoch: committed, scanned, rolled_back, rollback_gap })
 }
 
@@ -150,7 +148,6 @@ mod tests {
         log.flush(&mut pool, &clock).unwrap();
         let abs = pool.layout().vpm_to_pool(4).unwrap();
         pool.write_line(abs, CacheLine::filled(0xCD)).unwrap();
-        pool.drain();
 
         let r = recover(&mut pool).unwrap();
         assert_eq!(r.rolled_back, 1);
@@ -168,7 +165,6 @@ mod tests {
 
         let abs = pool.layout().vpm_to_pool(0).unwrap();
         pool.write_line(abs, CacheLine::filled(0x22)).unwrap();
-        pool.drain();
 
         let r = recover(&mut pool).unwrap();
         assert_eq!(r.scanned, 1);
@@ -203,7 +199,6 @@ mod tests {
 
         let abs = pool.layout().vpm_to_pool(7).unwrap();
         pool.write_line(abs, CacheLine::filled(0x99)).unwrap();
-        pool.drain();
 
         let r = recover(&mut pool).unwrap();
         assert_eq!(r.rolled_back, 2);
@@ -278,7 +273,6 @@ mod tests {
             let abs = pool.layout().vpm_to_pool(line).unwrap();
             pool.write_line(abs, CacheLine::filled(0xFF)).unwrap();
         }
-        pool.drain();
 
         let r = recover(&mut pool).unwrap();
         assert_eq!(r.scanned, 2);
@@ -301,7 +295,6 @@ mod tests {
         log.flush(&mut pool, &clock).unwrap();
         let abs = pool.layout().vpm_to_pool(5).unwrap();
         pool.write_line(abs, CacheLine::filled(0xBB)).unwrap();
-        pool.drain();
 
         // Model the crash landing inside the reserve→fill window: the
         // header reached media but publication (the commit mark) never
@@ -310,7 +303,6 @@ mod tests {
         let mut line = pool.read_line(header).unwrap();
         line.write_at(crate::undo_log::COMMIT_OFFSET, &[0u8]);
         pool.write_line(header, line).unwrap();
-        pool.drain();
 
         let r = recover(&mut pool).unwrap();
         assert_eq!(r.scanned, 0, "unpublished slot must not scan as an entry");
@@ -333,7 +325,6 @@ mod tests {
         log.flush(&mut pool, &clock).unwrap();
         let abs = pool.layout().vpm_to_pool(7).unwrap();
         pool.write_line(abs, CacheLine::filled(0x99)).unwrap();
-        pool.drain();
         let header = LineAddr(pool.layout().log_start().0);
         let epoch2 = pool.read_line(header).unwrap();
 
@@ -342,9 +333,7 @@ mod tests {
         // Model the crash after the first invalidation: block 0 valid
         // (and the line scribbled again, to see the rollback act).
         pool.write_line(header, epoch2).unwrap();
-        pool.drain();
         pool.write_line(abs, CacheLine::filled(0x99)).unwrap();
-        pool.drain();
         assert_eq!(recover(&mut pool).unwrap().rolled_back, 1);
         assert_eq!(pool.read_line(abs).unwrap(), CacheLine::filled(0x22));
     }

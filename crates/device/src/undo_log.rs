@@ -87,11 +87,11 @@
 //!   never parses a pre-image line as a header — not even one whose bytes
 //!   are a valid header.
 //! * A background pump writes a whole block at once: pre-images first,
-//!   header last, one crash-clock step and one drain per block. A torn
-//!   block (header durable, a pre-image stale) fails that entry's
-//!   checksum. Its data line cannot have been written back — write back
-//!   is gated on the durable watermark, which only advances after the
-//!   drain — so skipping it is sound.
+//!   header last, one crash-clock step per block. A torn block (header
+//!   durable, a pre-image stale) fails that entry's checksum. Its data
+//!   line cannot have been written back — write back is gated on the
+//!   durable watermark, which only advances after the header write — so
+//!   skipping it is sound.
 //! * `flush`, forced drains and the baselines' synchronous appends may
 //!   write a *partial* block; later entries of the same epoch extend it,
 //!   rewriting the header with a larger `count`. The already-durable
@@ -489,7 +489,7 @@ impl UndoLog {
 
     /// Offsets known durable; write back of a data line tagged with
     /// offset `o` is legal once `o < durable_offset()`. Acquire: pairs
-    /// with the pump's release store after the media drain.
+    /// with the pump's release store after the block's media writes.
     pub fn durable_offset(&self) -> u64 {
         self.durable.0.load(Ordering::Acquire)
     }
@@ -772,7 +772,7 @@ impl UndoLog {
     }
 
     /// Writes the published offsets `start..end` of one block to media:
-    /// pre-images, then the header, then a drain, then the watermark.
+    /// pre-images, then the header, then the watermark.
     /// Returns whether the range held any entry (a range of padding only
     /// just moves the watermark).
     fn write_block(
@@ -810,9 +810,8 @@ impl UndoLog {
             let h = header.as_ref().expect("a block with entries has a header");
             pool.write_line(LineAddr(base), h.line())?;
             // The watermark only advances once the whole block is
-            // durable: the release store below publishes the drained
+            // durable: the release store below publishes the written
             // media state to any thread that acquires the new offset.
-            pool.drain();
             self.blocks_written.fetch_add(1, Ordering::Relaxed);
             self.lines_written.fetch_add(1, Ordering::Relaxed);
             self.fill.record(self.fill_hist, h.entries.len() as u64);
@@ -969,7 +968,7 @@ impl UndoLog {
     /// scans again. Recovery calls it on the entries it rolled back; a
     /// block holds one epoch of one tenant, so it holds nothing else.
     /// Blocks are written in the order of `slots` (repeats of the block
-    /// just written are skipped); the caller drains.
+    /// just written are skipped).
     ///
     /// # Errors
     ///
@@ -1045,7 +1044,6 @@ mod tests {
         let mut line = p.read_line(header).unwrap();
         line.write_at(TENANT_OFFSET, &5u32.to_le_bytes());
         p.write_line(header, line).unwrap();
-        p.drain();
         assert!(UndoLog::scan(&mut p).unwrap().is_empty());
     }
 
@@ -1064,7 +1062,6 @@ mod tests {
         let mut line = p.read_line(header).unwrap();
         line.write_at(COMMIT_OFFSET, &[0u8]);
         p.write_line(header, line).unwrap();
-        p.drain();
         assert!(UndoLog::scan(&mut p).unwrap().is_empty());
     }
 
@@ -1140,7 +1137,6 @@ mod tests {
         // A crash that kept the previous header version still finds the
         // two entries that were durable under it.
         p.write_line(header, first).unwrap();
-        p.drain();
         let scanned = UndoLog::scan(&mut p).unwrap();
         assert_eq!(scanned.iter().map(|(_, e)| e.vpm_line.0).collect::<Vec<_>>(), vec![0, 1]);
     }
@@ -1221,7 +1217,6 @@ mod tests {
         // entry is lost; its block neighbour still validates.
         let data_line = LineAddr(p.layout().log_start().0 + 1);
         p.write_line(data_line, CacheLine::filled(0xFF)).unwrap();
-        p.drain();
         let scanned = UndoLog::scan(&mut p).unwrap();
         assert_eq!(scanned.len(), 1);
         assert_eq!(scanned[0].1, entry(1, 1, 2));

@@ -6,9 +6,9 @@
 //! * [`line`](mod@line) — 64-byte cache lines and line-aligned addressing, the
 //!   granularity at which every other component (CPU caches, CXL messages,
 //!   the PAX undo log) operates.
-//! * [`media`] — byte-addressable memory media ([`PmMedia`], [`DramMedia`])
-//!   with an explicit *durability* boundary: writes become crash-survivable
-//!   only when the configured [`PersistenceDomain`] says so.
+//! * [`media`] — the persistent medium ([`PmMedia`]), Optane under ADR:
+//!   a line it accepts is durable, so what a crash loses is only what
+//!   never reached it.
 //! * [`pool`] — DAX-style pool files ([`PmPool`]) with a header carrying the
 //!   committed epoch number, a persistent undo-log region, and a data region,
 //!   mirroring the pool layout `libpax` maps into a process (§3.1 of the
@@ -25,13 +25,13 @@
 //! # Example
 //!
 //! ```
-//! use pax_pm::{PmMedia, Memory, PersistenceDomain, LineAddr, CacheLine};
+//! use pax_pm::{PmMedia, LineAddr, CacheLine};
 //!
 //! # fn main() -> pax_pm::Result<()> {
-//! let mut pm = PmMedia::new(1 << 20, PersistenceDomain::Adr);
+//! let mut pm = PmMedia::new(1 << 20);
 //! let addr = LineAddr::from_byte_addr(0x40);
 //! pm.write_line(addr, CacheLine::filled(0xAB))?;
-//! pm.crash(); // ADR: the write-pending queue drains, so the write survives
+//! pm.crash(); // the medium accepted the write, so it survives
 //! assert_eq!(pm.read_line(addr)?.as_bytes()[0], 0xAB);
 //! # Ok(())
 //! # }
@@ -52,7 +52,7 @@ pub use crash::{CrashClock, CrashOutcome};
 pub use error::PmError;
 pub use latency::{BandwidthProfile, LatencyProfile, MediaLatency, Platform};
 pub use line::{CacheLine, LineAddr, LINE_SIZE, PAGE_SIZE};
-pub use media::{DramMedia, MediaStats, Memory, PersistenceDomain, PmMedia};
+pub use media::{MediaStats, PmMedia};
 pub use persistency::PersistencyModel;
 pub use pool::{PmPool, PoolConfig, PoolLayout, MAX_TENANTS};
 

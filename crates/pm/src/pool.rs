@@ -30,7 +30,7 @@ use std::path::Path;
 
 use crate::error::PmError;
 use crate::line::{CacheLine, LineAddr, LINE_SIZE, PAGE_SIZE};
-use crate::media::{Memory, PersistenceDomain, PmMedia};
+use crate::media::PmMedia;
 use crate::Result;
 
 const MAGIC: &[u8; 8] = b"PAXPOOL1";
@@ -50,6 +50,11 @@ const HEADER_LINES: u64 = (PAGE_SIZE / LINE_SIZE) as u64;
 /// log and data line counts, persistence-domain tag.
 const FILE_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 8;
 
+/// The saved file's persistence-domain tag (header bytes 28..36). The
+/// media is always ADR (every accepted write is durable), so this is the
+/// one value a file may carry.
+const ADR_TAG: u64 = 1;
+
 /// Maximum number of tenants a pool header can hold epoch slots for.
 ///
 /// Each tenant's committed epoch lives alone on header line `1 + tenant`
@@ -58,21 +63,19 @@ const FILE_HEADER_BYTES: usize = 8 + 4 + 8 + 8 + 8;
 /// header page has 64 lines; 32 leaves room for future header fields.
 pub const MAX_TENANTS: usize = 32;
 
-/// Sizing and durability parameters for a new pool.
+/// Sizing parameters for a new pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Bytes reserved for the persistent undo log.
     pub log_bytes: usize,
     /// Bytes of vPM exposed to the application.
     pub data_bytes: usize,
-    /// Persistence domain of the backing media.
-    pub domain: PersistenceDomain,
 }
 
 impl PoolConfig {
-    /// A small pool suitable for tests: 256 KiB log, 1 MiB data, ADR.
+    /// A small pool suitable for tests: 256 KiB log, 1 MiB data.
     pub fn small() -> Self {
-        PoolConfig { log_bytes: 256 << 10, data_bytes: 1 << 20, domain: PersistenceDomain::Adr }
+        PoolConfig { log_bytes: 256 << 10, data_bytes: 1 << 20 }
     }
 
     /// Returns the config with a different log capacity.
@@ -84,12 +87,6 @@ impl PoolConfig {
     /// Returns the config with a different data capacity.
     pub fn with_data_bytes(mut self, bytes: usize) -> Self {
         self.data_bytes = bytes;
-        self
-    }
-
-    /// Returns the config with a different persistence domain.
-    pub fn with_domain(mut self, domain: PersistenceDomain) -> Self {
-        self.domain = domain;
         self
     }
 }
@@ -185,7 +182,6 @@ impl PoolLayout {
 pub struct PmPool {
     media: PmMedia,
     layout: PoolLayout,
-    domain: PersistenceDomain,
 }
 
 impl PmPool {
@@ -196,10 +192,9 @@ impl PmPool {
     /// Returns [`PmError::BadLayout`] if a region is smaller than a line.
     pub fn create(config: PoolConfig) -> Result<Self> {
         let layout = PoolLayout::from_config(&config)?;
-        let media = PmMedia::new(layout.total_lines() as usize * LINE_SIZE, config.domain);
-        let mut pool = PmPool { media, layout, domain: config.domain };
+        let media = PmMedia::new(layout.total_lines() as usize * LINE_SIZE);
+        let mut pool = PmPool { media, layout };
         pool.write_meta()?;
-        pool.media.drain();
         Ok(pool)
     }
 
@@ -215,11 +210,6 @@ impl PmPool {
     /// The pool's region layout.
     pub fn layout(&self) -> PoolLayout {
         self.layout
-    }
-
-    /// The persistence domain of the backing media.
-    pub fn domain(&self) -> PersistenceDomain {
-        self.domain
     }
 
     /// The epoch number most recently committed by `persist()`.
@@ -258,8 +248,8 @@ impl PmPool {
 
     /// Durably commits `epoch` as the recovery point.
     ///
-    /// The write targets a dedicated header line and is drained before
-    /// returning, modelling the atomic 8-byte durable store in §3.3: "the
+    /// The write targets a dedicated header line and is durable once it
+    /// returns, modelling the atomic 8-byte durable store in §3.3: "the
     /// device writes the current epoch number to a special location in the
     /// structure's pool file".
     pub fn commit_epoch(&mut self, epoch: u64) -> Result<()> {
@@ -276,9 +266,7 @@ impl PmPool {
     pub fn commit_epoch_for(&mut self, tenant: usize, epoch: u64) -> Result<()> {
         let mut line = CacheLine::zeroed();
         line.write_at(0, &epoch.to_le_bytes());
-        self.media.write_line(Self::epoch_slot(tenant)?, line)?;
-        self.media.drain();
-        Ok(())
+        self.media.write_line(Self::epoch_slot(tenant)?, line)
     }
 
     /// Reads a pool-absolute line.
@@ -286,14 +274,9 @@ impl PmPool {
         self.media.read_line(addr)
     }
 
-    /// Writes a pool-absolute line (queued; not yet durable).
+    /// Writes a pool-absolute line, durably.
     pub fn write_line(&mut self, addr: LineAddr, line: CacheLine) -> Result<()> {
         self.media.write_line(addr, line)
-    }
-
-    /// Forces queued writes to media.
-    pub fn drain(&mut self) {
-        self.media.drain();
     }
 
     /// Simulates power loss on the backing media.
@@ -311,48 +294,31 @@ impl PmPool {
         self.media.metrics()
     }
 
-    /// Serializes the durable contents to `path`.
-    ///
-    /// Queued (non-durable) writes are **not** saved — the file holds what
-    /// would survive a crash, so save/load round-trips model reboot.
+    /// Serializes the media contents to `path`. They are exactly what
+    /// a crash leaves, so a save/load round trip models a reboot.
     ///
     /// # Errors
     ///
     /// Returns [`PmError::Io`] on file-system failure.
-    pub fn save(&mut self, path: impl AsRef<Path>) -> Result<()> {
-        // What survives depends on the domain; apply it before snapshotting
-        // by draining only if the WPQ is inside the persistence domain.
-        if self.domain.wpq_survives() {
-            self.media.drain();
-        }
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
         let mut f = fs::File::create(path)?;
         f.write_all(MAGIC)?;
         f.write_all(&VERSION.to_le_bytes())?;
         f.write_all(&self.layout.log_lines.to_le_bytes())?;
         f.write_all(&self.layout.data_lines.to_le_bytes())?;
-        f.write_all(&u64::from(self.domain_tag()).to_le_bytes())?;
-        for i in 0..self.layout.total_lines() {
-            let line = self.media.read_durable(LineAddr(i))?;
-            f.write_all(line.as_bytes())?;
-        }
+        f.write_all(&ADR_TAG.to_le_bytes())?;
+        f.write_all(self.media.bytes())?;
         Ok(())
-    }
-
-    fn domain_tag(&self) -> u8 {
-        match self.domain {
-            PersistenceDomain::None => 0,
-            PersistenceDomain::Adr => 1,
-            PersistenceDomain::Eadr => 2,
-        }
     }
 
     /// Loads a pool previously written by [`PmPool::save`].
     ///
     /// # Errors
     ///
-    /// Returns [`PmError::BadPool`] for wrong magic/version, for region
-    /// sizes that do not match the file's length, and [`PmError::Io`] on
-    /// file-system failure.
+    /// Returns [`PmError::BadPool`] for wrong magic/version, for a
+    /// persistence-domain tag other than ADR's, for region sizes that do
+    /// not match the file's length, and [`PmError::Io`] on file-system
+    /// failure.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let mut f = fs::File::open(path)?;
         let mut hdr = [0u8; FILE_HEADER_BYTES];
@@ -366,12 +332,10 @@ impl PmPool {
         }
         let log_lines = u64::from_le_bytes(hdr[12..20].try_into().unwrap());
         let data_lines = u64::from_le_bytes(hdr[20..28].try_into().unwrap());
-        let domain = match u64::from_le_bytes(hdr[28..36].try_into().unwrap()) {
-            0 => PersistenceDomain::None,
-            1 => PersistenceDomain::Adr,
-            2 => PersistenceDomain::Eadr,
-            t => return Err(PmError::BadPool(format!("unknown persistence domain tag {t}"))),
-        };
+        let tag = u64::from_le_bytes(hdr[28..36].try_into().unwrap());
+        if tag != ADR_TAG {
+            return Err(PmError::BadPool(format!("unknown persistence domain tag {tag}")));
+        }
         let layout = PoolLayout { header_lines: HEADER_LINES, log_lines, data_lines };
         // The sizes are checked against the file before anything is
         // allocated: a corrupt size must not wrap `total_lines()` or ask
@@ -387,7 +351,7 @@ impl PmPool {
                 "{log_lines} log and {data_lines} data lines do not fit a {file_len}-byte file"
             )));
         }
-        let mut media = PmMedia::new(layout.total_lines() as usize * LINE_SIZE, domain);
+        let mut media = PmMedia::new(layout.total_lines() as usize * LINE_SIZE);
         let mut buf = [0u8; LINE_SIZE];
         for i in 0..layout.total_lines() {
             f.read_exact(&mut buf)?;
@@ -398,8 +362,7 @@ impl PmPool {
                 media.write_line(LineAddr(i), CacheLine::from(buf))?;
             }
         }
-        media.drain();
-        Ok(PmPool { media, layout, domain })
+        Ok(PmPool { media, layout })
     }
 }
 
@@ -439,8 +402,7 @@ mod tests {
 
     #[test]
     fn epoch_commit_is_durable_across_crash() {
-        let mut pool =
-            PmPool::create(PoolConfig::small().with_domain(PersistenceDomain::None)).unwrap();
+        let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         pool.commit_epoch(7).unwrap();
         pool.crash();
         assert_eq!(pool.committed_epoch().unwrap(), 7);
@@ -462,8 +424,7 @@ mod tests {
 
     #[test]
     fn tenant_epoch_commit_survives_crash() {
-        let mut pool =
-            PmPool::create(PoolConfig::small().with_domain(PersistenceDomain::None)).unwrap();
+        let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         pool.commit_epoch_for(2, 11).unwrap();
         pool.crash();
         assert_eq!(pool.committed_epoch_for(2).unwrap(), 11);
@@ -498,7 +459,6 @@ mod tests {
         pool.write_line(data0, CacheLine::filled(0x5A)).unwrap();
         pool.write_line(l.log_start(), CacheLine::filled(1)).unwrap();
         pool.write_line(last, CacheLine::filled(2)).unwrap();
-        pool.drain();
         pool.save(&path).unwrap();
 
         let mut re = PmPool::load(&path).unwrap();
@@ -512,20 +472,22 @@ mod tests {
     }
 
     #[test]
-    fn save_excludes_non_durable_writes_without_adr() {
+    fn a_written_line_survives_crash_and_save() {
         let dir = std::env::temp_dir().join("pax-pm-test");
         fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("volatile.pool");
+        let path = dir.join("written.pool");
 
-        let mut pool =
-            PmPool::create(PoolConfig::small().with_domain(PersistenceDomain::None)).unwrap();
+        // The write is the pool's last operation: nothing after it
+        // orders or flushes it, and it is durable all the same.
+        let mut pool = PmPool::create(PoolConfig::small()).unwrap();
         let data0 = pool.layout().data_start();
         pool.write_line(data0, CacheLine::filled(0xEE)).unwrap();
-        // No drain: the write sits in the WPQ, which domain=None loses.
+        pool.crash();
+        assert_eq!(pool.read_line(data0).unwrap(), CacheLine::filled(0xEE));
         pool.save(&path).unwrap();
 
         let mut re = PmPool::load(&path).unwrap();
-        assert_eq!(re.read_line(data0).unwrap(), CacheLine::zeroed());
+        assert_eq!(re.read_line(data0).unwrap(), CacheLine::filled(0xEE));
         fs::remove_file(&path).unwrap();
     }
 
@@ -550,7 +512,7 @@ mod tests {
         let dir = std::env::temp_dir().join("pax-pm-test");
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad-sizes.pool");
-        let mut pool = PmPool::create(PoolConfig::small()).unwrap();
+        let pool = PmPool::create(PoolConfig::small()).unwrap();
         pool.save(&path).unwrap();
         let saved = fs::read(&path).unwrap();
         let data_lines = pool.layout().data_lines;
@@ -579,6 +541,18 @@ mod tests {
         match PmPool::load(&path) {
             Err(PmError::BadPool(_)) | Err(PmError::Io(_)) => {}
             other => panic!("expected load failure, got {other:?}"),
+        }
+        // A well-formed file whose persistence-domain tag is not ADR's.
+        PmPool::create(PoolConfig::small()).unwrap().save(&path).unwrap();
+        let saved = fs::read(&path).unwrap();
+        for tag in [0u64, 2, u64::MAX] {
+            let mut bytes = saved.clone();
+            bytes[28..36].copy_from_slice(&tag.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            match PmPool::load(&path) {
+                Err(PmError::BadPool(msg)) => assert!(msg.contains("domain tag"), "{msg}"),
+                other => panic!("tag {tag}: expected BadPool, got {other:?}"),
+            }
         }
         fs::remove_file(&path).unwrap();
     }

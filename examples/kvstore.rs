@@ -69,7 +69,6 @@ fn main() -> libpax::Result<()> {
                                               // -- crash before credit --
         let pm = snap.pool().crash()?;
         println!("session 2: power failed mid-transfer!");
-        let mut pm = pm;
         pm.save(&path)?;
     }
 

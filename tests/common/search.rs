@@ -321,7 +321,6 @@ impl Crashed {
         for (line, garbage) in damage {
             self.pm.write_line(line, garbage).map_err(|e| format!("corrupt: {e}"))?;
         }
-        self.pm.drain();
         let after = live(&mut self.pm)?;
         let intact = before.iter().all(|e| after.contains(e));
 
@@ -361,7 +360,6 @@ impl Crashed {
                     .write_line(*at, line.clone())
                     .map_err(|e| format!("restore header: {e}"))?;
             }
-            self.pm.drain();
             let again = pass(&mut self, 2)?;
             if (again.0.committed_epoch, again.2) != (first.0.committed_epoch, first.2) {
                 return bug(format!(
@@ -418,7 +416,7 @@ impl Crashed {
     }
 
     /// Saves the image, damages the file, and requires the reload to fail.
-    fn reload(mut self, fault: &Fault) -> Verdict<Faulted> {
+    fn reload(self, fault: &Fault) -> Verdict<Faulted> {
         static FILES: AtomicU64 = AtomicU64::new(0);
         let path = std::env::temp_dir().join(format!(
             "pax-checker-{}-{}.pool",
