@@ -5,8 +5,9 @@
 //!
 //! * **Throughput** — N OS threads churn a slot table of mixed-size
 //!   allocations (alloc on an empty slot, free on a full one) against a
-//!   shared space. The `bitmap` mode runs [`BitmapAlloc`] over the
-//!   striped multicore space with one per-core handle per thread.
+//!   shared space. The `bitmap` mode runs [`BitmapAlloc`] over a
+//!   [`VolatileSpace`] (4 KiB stripes, one lock each) with one per-core
+//!   handle per thread.
 //! * **Fragment** — an adversarial layout: carpet the pool with
 //!   single-frame allocations, free every other one so *every* tree is
 //!   partial (recorded as `frag_permille_peak`/`frag_permille_end` in
@@ -29,7 +30,7 @@
 
 use std::time::Instant;
 
-use libpax::{BitmapAlloc, MemSpace, PmAllocator, StripedSpace, VolatileSpace};
+use libpax::{BitmapAlloc, MemSpace, PmAllocator, VolatileSpace};
 use pax_bench::{arg_value, thread_series, BenchOut, Json};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,8 +67,8 @@ fn churn<S: MemSpace, A: PmAllocator<S>>(a: &A, ops: u64, seed: u64) {
 /// Timed bitmap storm: `threads` workers, each on its own per-core
 /// handle of one shared allocator. Returns (Mops, telemetry fields).
 fn measure_bitmap(threads: usize, ops_per_thread: u64) -> (f64, Vec<(&'static str, Json)>) {
-    let alloc = BitmapAlloc::attach_with_cores(StripedSpace::new(POOL_BYTES), threads)
-        .expect("striped space formats");
+    let alloc = BitmapAlloc::attach_with_cores(VolatileSpace::new(POOL_BYTES), threads)
+        .expect("volatile space formats");
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
@@ -97,7 +98,8 @@ fn measure_bitmap(threads: usize, ops_per_thread: u64) -> (f64, Vec<(&'static st
 /// steered to trees with room. Returns (ops, Mops, peak partial-tree
 /// permille, end permille, telemetry).
 fn measure_fragmentation(ops: u64) -> (u64, f64, u64, u64, Vec<(&'static str, Json)>) {
-    let alloc = BitmapAlloc::attach(StripedSpace::new(POOL_BYTES)).expect("striped space formats");
+    let alloc =
+        BitmapAlloc::attach(VolatileSpace::new(POOL_BYTES)).expect("volatile space formats");
     let frame = libpax::balloc::layout::FRAME_BYTES;
     // Phase A: pepper ~half the frames with live single-frame allocs.
     let carpet = alloc.geometry().frames / 2;

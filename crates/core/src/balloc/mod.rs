@@ -709,7 +709,7 @@ mod tests {
 
     #[test]
     fn parallel_allocs_are_disjoint() {
-        let a = BitmapAlloc::attach_with_cores(crate::StripedSpace::new(1 << 20), 4).unwrap();
+        let a = BitmapAlloc::attach_with_cores(VolatileSpace::new(1 << 20), 4).unwrap();
         let mut handles = Vec::new();
         for core in 0..4 {
             let h = a.for_core(core);

@@ -66,7 +66,7 @@ pub use pax_pm::PersistencyModel;
 pub use pod::Pod;
 pub use pool::{PaxConfig, PaxPool, PaxTenant, VPm};
 pub use snapshotter::{HwSnapshotter, PStructure, Persistent};
-pub use space::{MemSpace, StripedSpace, VolatileSpace};
+pub use space::{MemSpace, VolatileSpace};
 pub use structures::{PBTreeMap, PHashMap, PList, PRing, PVec};
 
 /// Result alias for libpax operations.

@@ -88,6 +88,20 @@ pub trait MemSpace: Clone {
 
 /// Plain volatile memory: the "DRAM" world.
 ///
+/// The range is sharded into 4 KiB stripes, each behind its own lock,
+/// so accesses to different stripes proceed concurrently — the property
+/// the [`BitmapAlloc`](crate::BitmapAlloc)'s per-core subtrees are
+/// designed to exploit (different cores touch different stripes).
+///
+/// An access that crosses a stripe boundary is served piecewise, taking
+/// one stripe lock at a time in address order. Within a single call the
+/// bytes of *each stripe* are read or written atomically, but the call
+/// as a whole is not a single atomic unit across stripes — the same
+/// contract real cache-line-grained memory gives multicore code, and
+/// sufficient for every structure in this workspace (each structure
+/// serializes its own mutations; allocator metadata words never span
+/// stripes).
+///
 /// # Example
 ///
 /// ```
@@ -102,105 +116,21 @@ pub trait MemSpace: Clone {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VolatileSpace {
-    bytes: Arc<Mutex<Vec<u8>>>,
+    stripes: Arc<Vec<Mutex<Vec<u8>>>>,
+    capacity: u64,
 }
+
+/// Bytes per [`VolatileSpace`] stripe: a page, and a multiple of 8, so
+/// no metadata word straddles two stripes.
+const STRIPE_BYTES: usize = 4096;
 
 impl VolatileSpace {
     /// A zero-filled volatile space of `capacity_bytes`.
     pub fn new(capacity_bytes: usize) -> Self {
-        VolatileSpace { bytes: Arc::new(Mutex::new(vec![0; capacity_bytes])) }
-    }
-
-    fn check(&self, addr: u64, len: usize) -> Result<()> {
-        let cap = self.capacity_bytes();
-        if addr.checked_add(len as u64).is_none_or(|end| end > cap) {
-            return Err(PaxError::OutOfMemory {
-                requested: addr.saturating_add(len as u64),
-                capacity: cap,
-            });
-        }
-        Ok(())
-    }
-}
-
-impl MemSpace for VolatileSpace {
-    fn read_bytes(&self, addr: u64, buf: &mut [u8]) -> Result<()> {
-        self.check(addr, buf.len())?;
-        let bytes = self.bytes.lock();
-        buf.copy_from_slice(&bytes[addr as usize..addr as usize + buf.len()]);
-        Ok(())
-    }
-
-    fn write_bytes(&self, addr: u64, data: &[u8]) -> Result<()> {
-        self.check(addr, data.len())?;
-        let mut bytes = self.bytes.lock();
-        bytes[addr as usize..addr as usize + data.len()].copy_from_slice(data);
-        Ok(())
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.bytes.lock().len() as u64
-    }
-}
-
-/// Volatile memory under per-stripe locks: the multicore "DRAM" world.
-///
-/// [`VolatileSpace`] guards the whole byte range with one mutex, which
-/// serializes every access and hides any parallelism in the layers above
-/// it. `StripedSpace` shards the range into fixed-size stripes, each
-/// behind its own lock, so accesses to different stripes proceed
-/// concurrently — the property the [`BitmapAlloc`](crate::BitmapAlloc)'s
-/// per-core subtrees are designed to exploit (different cores touch
-/// different stripes).
-///
-/// An access that crosses a stripe boundary is served piecewise, taking
-/// one stripe lock at a time in address order. Within a single call the
-/// bytes of *each stripe* are read or written atomically, but the call
-/// as a whole is not a single atomic unit across stripes — the same
-/// contract real cache-line-grained memory gives multicore code, and
-/// sufficient for every structure in this workspace (each structure
-/// serializes its own mutations; allocator metadata words never span
-/// stripes).
-#[derive(Debug, Clone)]
-pub struct StripedSpace {
-    stripes: Arc<Vec<Mutex<Vec<u8>>>>,
-    stripe_bytes: u64,
-    capacity: u64,
-}
-
-/// Default stripe width for [`StripedSpace::new`].
-pub const DEFAULT_STRIPE_BYTES: u64 = 4096;
-
-impl StripedSpace {
-    /// A zero-filled striped space of `capacity_bytes` with the default
-    /// 4 KiB stripe width.
-    pub fn new(capacity_bytes: usize) -> Self {
-        Self::with_stripe(capacity_bytes, DEFAULT_STRIPE_BYTES as usize)
-    }
-
-    /// A zero-filled striped space with an explicit stripe width.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `stripe_bytes` is 0 or not a multiple of 8 (metadata
-    /// words must never straddle a stripe).
-    pub fn with_stripe(capacity_bytes: usize, stripe_bytes: usize) -> Self {
-        assert!(
-            stripe_bytes > 0 && stripe_bytes.is_multiple_of(8),
-            "stripe must be a multiple of 8 bytes"
-        );
-        let n = capacity_bytes.div_ceil(stripe_bytes);
-        let stripes = (0..n)
-            .map(|i| {
-                let len = (capacity_bytes - i * stripe_bytes).min(stripe_bytes);
-                Mutex::new(vec![0u8; len])
-            })
+        let stripes = (0..capacity_bytes.div_ceil(STRIPE_BYTES))
+            .map(|i| Mutex::new(vec![0u8; (capacity_bytes - i * STRIPE_BYTES).min(STRIPE_BYTES)]))
             .collect();
-        StripedSpace {
-            stripes: Arc::new(stripes),
-            stripe_bytes: stripe_bytes as u64,
-            capacity: capacity_bytes as u64,
-        }
+        VolatileSpace { stripes: Arc::new(stripes), capacity: capacity_bytes as u64 }
     }
 
     fn check(&self, addr: u64, len: usize) -> Result<()> {
@@ -213,7 +143,9 @@ impl StripedSpace {
         Ok(())
     }
 
-    /// Visits each stripe segment of `[addr, addr+len)` in address order.
+    /// Visits each stripe segment of `[addr, addr+len)` in address order:
+    /// the stripe, the offset in it, the offset in the caller's buffer,
+    /// and the segment's length.
     fn for_segments(
         &self,
         addr: u64,
@@ -222,17 +154,16 @@ impl StripedSpace {
     ) {
         let mut off = 0usize;
         while off < len {
-            let a = addr + off as u64;
-            let stripe = (a / self.stripe_bytes) as usize;
-            let in_stripe = (a % self.stripe_bytes) as usize;
-            let take = (len - off).min(self.stripe_bytes as usize - in_stripe);
-            f(&self.stripes[stripe], in_stripe, off, take);
+            let a = addr as usize + off;
+            let in_stripe = a % STRIPE_BYTES;
+            let take = (len - off).min(STRIPE_BYTES - in_stripe);
+            f(&self.stripes[a / STRIPE_BYTES], in_stripe, off, take);
             off += take;
         }
     }
 }
 
-impl MemSpace for StripedSpace {
+impl MemSpace for VolatileSpace {
     fn read_bytes(&self, addr: u64, buf: &mut [u8]) -> Result<()> {
         self.check(addr, buf.len())?;
         self.for_segments(addr, buf.len(), |stripe, in_stripe, off, take| {
@@ -292,44 +223,51 @@ mod tests {
 
     #[test]
     fn striped_round_trips_across_stripe_boundaries() {
-        // Tiny stripes so a medium write crosses several of them.
-        let s = StripedSpace::with_stripe(256, 16);
-        let data: Vec<u8> = (0..100).collect();
-        s.write_bytes(7, &data).unwrap();
-        let mut buf = vec![0u8; 100];
-        s.read_bytes(7, &mut buf).unwrap();
+        // A write that starts in one stripe, spans a whole one and ends
+        // in a third.
+        let s = VolatileSpace::new(4 * STRIPE_BYTES);
+        let data: Vec<u8> = (0..2 * STRIPE_BYTES + 100).map(|i| i as u8).collect();
+        let at = STRIPE_BYTES as u64 - 7;
+        s.write_bytes(at, &data).unwrap();
+        let mut buf = vec![0u8; data.len()];
+        s.read_bytes(at, &mut buf).unwrap();
         assert_eq!(buf, data);
-        s.write_u64(248, 0xFEED).unwrap();
-        assert_eq!(s.read_u64(248).unwrap(), 0xFEED);
+        let last = 4 * STRIPE_BYTES as u64 - 8;
+        s.write_u64(last, 0xFEED).unwrap();
+        assert_eq!(s.read_u64(last).unwrap(), 0xFEED);
     }
 
     #[test]
     fn striped_enforces_bounds_and_tail_stripe() {
-        // 100 bytes with 64-byte stripes: the tail stripe is short.
-        let s = StripedSpace::with_stripe(100, 64);
-        assert_eq!(s.capacity_bytes(), 100);
-        s.write_u64(92, 9).unwrap();
-        assert_eq!(s.read_u64(92).unwrap(), 9);
-        assert!(s.write_u64(93, 1).is_err());
+        // One stripe and 100 bytes: the tail stripe is short.
+        let cap = STRIPE_BYTES + 100;
+        let s = VolatileSpace::new(cap);
+        assert_eq!(s.capacity_bytes(), cap as u64);
+        let end = cap as u64 - 8;
+        s.write_u64(end, 9).unwrap();
+        assert_eq!(s.read_u64(end).unwrap(), 9);
+        assert!(s.write_u64(end + 1, 1).is_err());
         assert!(s.read_u64(u64::MAX - 3).is_err());
     }
 
     #[test]
     fn striped_clones_share_memory_across_threads() {
-        let s = StripedSpace::with_stripe(1 << 16, 512);
+        // Each thread fills its own stripe.
+        let s = VolatileSpace::new(4 * STRIPE_BYTES);
+        let at = |t: u64, i: u64| t * STRIPE_BYTES as u64 + i * 8;
         std::thread::scope(|scope| {
             for t in 0..4u64 {
                 let s = s.clone();
                 scope.spawn(move || {
-                    for i in 0..64u64 {
-                        s.write_u64((t * 64 + i) * 8, t * 1000 + i).unwrap();
+                    for i in 0..(STRIPE_BYTES / 8) as u64 {
+                        s.write_u64(at(t, i), t * 1000 + i).unwrap();
                     }
                 });
             }
         });
         for t in 0..4u64 {
-            for i in 0..64u64 {
-                assert_eq!(s.read_u64((t * 64 + i) * 8).unwrap(), t * 1000 + i);
+            for i in 0..(STRIPE_BYTES / 8) as u64 {
+                assert_eq!(s.read_u64(at(t, i)).unwrap(), t * 1000 + i);
             }
         }
     }
