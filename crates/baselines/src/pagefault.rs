@@ -102,7 +102,8 @@ mod tests {
         s.persist().unwrap();
         let c = s.costs();
         assert_eq!(c.log_bytes, 5120, "16 blocks x 5 lines, not 64 entries x 128 B");
-        assert_eq!(c.pm_write_bytes, 5120 + 64);
+        // The log, one data line and the commit record.
+        assert_eq!(c.pm_write_bytes, 5120 + 64 + 64);
     }
 
     #[test]

@@ -160,6 +160,7 @@ mod tests {
             .unwrap();
         let c = space.costs();
         assert_eq!(c.log_bytes, 320, "one 5-line block, not 4 entries x 128 B");
-        assert_eq!(c.pm_write_bytes, 320 + 4 * 64);
+        // The log, four applied lines and the commit record.
+        assert_eq!(c.pm_write_bytes, 320 + 4 * 64 + 64);
     }
 }
